@@ -36,21 +36,15 @@ from .lattices import (
     ALL_LABELS,
     COSET_REPS,
     CosetLabel,
-    GramParams,
     Lattice,
     LatticeFamily,
-    abcd_from_gram,
     build_family,
     coset_label,
-    gram_from_abcd,
-    inner,
     inner_poly,
-    norm2,
     norm_poly,
     phi,
     project_mod3,
     psi,
-    psi_inv,
 )
 from .qarith import (
     Cmp,
@@ -59,9 +53,8 @@ from .qarith import (
     ParamPolynomial,
     exp_cmp,
     sigma,
-    sigma_order_consistent,
 )
-from .theta import Kernel, defining_kernel, evaluate_at, pairwise_kernel, rep_series, theta11
+from .theta import Kernel, defining_kernel, pairwise_kernel, rep_series, theta11
 from .verification import AnchorResult, run_verification
 
 __version__ = "0.1.0"
@@ -75,7 +68,6 @@ __all__ = [
     "Cmp",
     "CosetLabel",
     "FormalQSeries",
-    "GramParams",
     "K4",
     "K4Element",
     "Kernel",
@@ -86,7 +78,6 @@ __all__ = [
     "Route",
     "TernaryCode",
     "Verdict",
-    "abcd_from_gram",
     "build_family",
     "certify",
     "check_relations",
@@ -95,29 +86,23 @@ __all__ = [
     "defining_kernel",
     "delta_class",
     "delta_series",
-    "evaluate_at",
     "exp_cmp",
-    "gram_from_abcd",
-    "inner",
     "inner_poly",
     "intersection_graph",
     "matching_element",
     "minimal_pair_table",
     "minimal_rows",
     "minimal_vectors",
-    "norm2",
     "norm_poly",
     "orbit_partition",
     "pairwise_kernel",
     "phi",
     "project_mod3",
     "psi",
-    "psi_inv",
     "rep_series",
     "run_verification",
     "selfdual_codes",
     "sigma",
-    "sigma_order_consistent",
     "theta11",
     "two_dim_subspaces",
 ]

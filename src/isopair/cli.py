@@ -5,7 +5,7 @@ Subcommands: ``codes {list,graph}``, ``pair show``, ``spectrum``,
 Parameters are exact rationals written as integers or ``p/q``; floats are
 rejected.  Output formats: text (default), json, csv.  Exit status: 0 for
 success or a verified/non-isometric result, 2 for an inconclusive
-certificate, 1 for any error.
+certificate, 1 for any error, including an internal consistency failure.
 """
 
 from __future__ import annotations
@@ -64,7 +64,23 @@ def _point(args) -> ParamPoint:
     return ParamPoint(*(parse_rational(x) for x in args.params))
 
 
-def _emit(args, text: str):
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _render(args, payload, header, rows, lines) -> None:
+    """Emit the form of the output that ``--format`` asks for: the json
+    payload, the csv header and rows, or the text lines."""
+    if args.format == "json":
+        text = _json_text(payload)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -72,36 +88,18 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _series_output(args, label: str, collapsed, extra=None) -> str:
-    if args.format == "csv":
-        return _csv_text(("exponent", "coefficient"), [(str(x), str(c)) for x, c in collapsed])
-    if args.format == "json":
-        payload = {
-            "command": label,
-            "params": list(args.params),
-            "budget": args.budget,
-            "series": [[str(x), str(c)] for x, c in collapsed],
-        }
-        if extra:
-            payload.update(extra)
-        return _json_text(payload)
+def _render_series(args, label: str, collapsed, extra) -> None:
+    payload = {
+        "command": label,
+        "params": list(args.params),
+        "budget": args.budget,
+        "series": [[str(x), str(c)] for x, c in collapsed],
+    } | extra
     lines = [f"{label} at ({', '.join(args.params)}), budget {args.budget}"]
-    if extra:
-        lines += [f"{k}: {v}" for k, v in extra.items()]
+    lines += [f"{k}: {v}" for k, v in extra.items()]
     lines += [f"  q^{x}: {c}" for x, c in collapsed]
-    return "\n".join(lines) + "\n"
+    rows = [(str(x), str(c)) for x, c in collapsed]
+    _render(args, payload, ("exponent", "coefficient"), rows, lines)
 
 
 _LATTICES = ("L", "L1", "L2", "L12", "M")
@@ -118,29 +116,26 @@ def cmd_codes(args) -> int:
     eight = codes_mod.selfdual_codes()
     names = [f"C{i + 1}" for i in range(8)]
     if args.codes_action == "list":
-        if args.format == "json":
-            payload = {
-                "codes": [
-                    {
-                        "name": names[i],
-                        "generators": [list(g) for g in code.generators],
-                        "words": sorted(list(w) for w in code.words),
-                    }
-                    for i, code in enumerate(eight)
-                ]
-            }
-            return _finish(args, _json_text(payload))
-        if args.format == "csv":
-            rows = [
-                (names[i], " ".join(map(str, code.generators[0])), " ".join(map(str, code.generators[1])))
+        payload = {
+            "codes": [
+                {
+                    "name": names[i],
+                    "generators": [list(g) for g in code.generators],
+                    "words": sorted(list(w) for w in code.words),
+                }
                 for i, code in enumerate(eight)
             ]
-            return _finish(args, _csv_text(("code", "generator1", "generator2"), rows))
+        }
+        rows = [
+            (names[i], " ".join(map(str, code.generators[0])), " ".join(map(str, code.generators[1])))
+            for i, code in enumerate(eight)
+        ]
         lines = [
             f"{names[i]}: span{{{code.generators[0]}, {code.generators[1]}}}"
             for i, code in enumerate(eight)
         ]
-        return _finish(args, "\n".join(lines) + "\n")
+        _render(args, payload, ("code", "generator1", "generator2"), rows, lines)
+        return 0
 
     parts = codes_mod.orbit_partition(eight)
     edges = codes_mod.intersection_graph(eight)
@@ -148,22 +143,19 @@ def cmd_codes(args) -> int:
     bipartite = all(
         sum(i in parts[0] for i in edge) == 1 for edge in edges
     ) and len(edges) == len(parts[0]) * len(parts[1])
-    if args.format == "json":
-        payload = {
-            "edges": len(edges),
-            "bipartite": bipartite,
-            "parts": [sorted(names[i] for i in p) for p in parts],
-            "edge_list": [list(e) for e in edge_list],
-        }
-        return _finish(args, _json_text(payload))
-    if args.format == "csv":
-        return _finish(args, _csv_text(("code_a", "code_b"), edge_list))
+    payload = {
+        "edges": len(edges),
+        "bipartite": bipartite,
+        "parts": [sorted(names[i] for i in p) for p in parts],
+        "edge_list": [list(e) for e in edge_list],
+    }
     lines = [
         f"orbits: {{{', '.join(sorted(names[i] for i in parts[0]))}}} / "
         f"{{{', '.join(sorted(names[i] for i in parts[1]))}}}",
         f"edges ({len(edges)}, bipartite={str(bipartite).lower()}):",
     ] + [f"  {a} -- {b}" for a, b in edge_list]
-    return _finish(args, "\n".join(lines) + "\n")
+    _render(args, payload, ("code_a", "code_b"), edge_list, lines)
+    return 0
 
 
 def cmd_pair(args) -> int:
@@ -174,35 +166,33 @@ def cmd_pair(args) -> int:
         "[L1:L12]": fam.L12.index_in(fam.L1),
         "[L1:M]": fam.M.index_in(fam.L1),
     }
-    if args.format == "json":
-        payload = [
-            {
-                "lattice": lat.name,
-                "generators": [list(g) for g in lat.generators],
-                "hnf": [list(r) for r in lat.hnf],
-            }
-            for lat in fam
-        ]
-        return _finish(args, _json_text({"lattices": payload, "indices": indices}))
-    if args.format == "csv":
-        rows = [
-            (lat.name, ";".join(" ".join(map(str, g)) for g in lat.generators),
-             ";".join(" ".join(map(str, r)) for r in lat.hnf))
-            for lat in fam
-        ]
-        return _finish(args, _csv_text(("lattice", "generators", "hnf"), rows))
+    payload = [
+        {
+            "lattice": lat.name,
+            "generators": [list(g) for g in lat.generators],
+            "hnf": [list(r) for r in lat.hnf],
+        }
+        for lat in fam
+    ]
+    rows = [
+        (lat.name, ";".join(" ".join(map(str, g)) for g in lat.generators),
+         ";".join(" ".join(map(str, r)) for r in lat.hnf))
+        for lat in fam
+    ]
     lines = []
     for lat in fam:
         lines.append(f"{lat.name}: generators {lat.generators}")
         lines.append(f"{' ' * len(lat.name)}  normal form {lat.hnf}")
     lines += [f"{k} = {v}" for k, v in indices.items()]
-    return _finish(args, "\n".join(lines) + "\n")
+    _render(args, {"lattices": payload, "indices": indices}, ("lattice", "generators", "hnf"), rows, lines)
+    return 0
 
 
 def cmd_spectrum(args) -> int:
     point = _point(args)
     collapsed = rep_series(_lattice(args.lattice), args.budget).collapse(point)
-    return _finish(args, _series_output(args, "spectrum", collapsed, {"lattice": args.lattice}))
+    _render_series(args, "spectrum", collapsed, {"lattice": args.lattice})
+    return 0
 
 
 def cmd_isospectral(args) -> int:
@@ -211,24 +201,17 @@ def cmd_isospectral(args) -> int:
     s1 = rep_series(fam.L1, args.budget).collapse(point)
     s2 = rep_series(fam.L2, args.budget).collapse(point)
     equal = s1 == s2
-    if args.format == "json":
-        text = _json_text(
-            {
-                "params": list(args.params),
-                "budget": args.budget,
-                "equal": equal,
-                "spectrum": [[str(x), str(c)] for x, c in s1],
-            }
-        )
-    elif args.format == "csv":
-        text = _csv_text(("exponent", "count_L1", "count_L2"),
-                         [(str(x), str(c), str(dict(s2).get(x, 0))) for x, c in s1])
-    else:
-        verdict = "identical" if equal else "DIFFERENT"
-        text = f"spectra of L1 and L2 at budget {args.budget}: {verdict}\n" + "".join(
-            f"  q^{x}: {c}\n" for x, c in s1
-        )
-    _emit(args, text)
+    payload = {
+        "params": list(args.params),
+        "budget": args.budget,
+        "equal": equal,
+        "spectrum": [[str(x), str(c)] for x, c in s1],
+    }
+    rows = [(str(x), str(c), str(dict(s2).get(x, 0))) for x, c in s1]
+    verdict = "identical" if equal else "DIFFERENT"
+    lines = [f"spectra of L1 and L2 at budget {args.budget}: {verdict}"]
+    lines += [f"  q^{x}: {c}" for x, c in s1]
+    _render(args, payload, ("exponent", "count_L1", "count_L2"), rows, lines)
     return 0 if equal else 1
 
 
@@ -236,77 +219,57 @@ def cmd_invariant(args) -> int:
     point = _point(args)
     series = theta11(_lattice(args.lattice), args.budget, Kernel(args.kernel))
     collapsed = series.collapse(point)
-    return _finish(
-        args,
-        _series_output(args, "invariant", collapsed, {"lattice": args.lattice, "kernel": args.kernel}),
-    )
+    _render_series(args, "invariant", collapsed, {"lattice": args.lattice, "kernel": args.kernel})
+    return 0
 
 
 def cmd_delta(args) -> int:
     point = _point(args)
     series = delta_series(args.budget, Route(args.route))
     collapsed = series.collapse(point)
-    return _finish(args, _series_output(args, "delta", collapsed, {"route": args.route}))
+    _render_series(args, "delta", collapsed, {"route": args.route})
+    return 0
 
 
 def cmd_certify(args) -> int:
     point = _point(args)
     cert = certify(point, args.budget, Route(args.route))
-    if args.format == "json":
-        text = _json_text(cert.to_json_dict())
-    elif args.format == "csv":
-        rows = [
-            (" ".join(map(str, t.exponent_vector)), str(t.polynomial), str(t.value))
-            for t in cert.terms
-        ]
-        rows.append(("total", "", "" if cert.total is None else str(cert.total)))
-        rows.append(("verdict", "", cert.verdict.value))
-        text = _csv_text(("exponent_vector", "polynomial", "value"), rows)
-    else:
-        lines = [
-            f"params: ({', '.join(str(x) for x in cert.params)})",
-            f"sorted: ({', '.join(str(x) for x in cert.sorted_params)})",
-            f"budget: {cert.budget}",
-        ]
-        if cert.verdict is Verdict.NON_ISOMETRIC:
-            lines.append(f"minimal exponent of the discrepancy: {cert.min_exponent}")
-            for t in cert.terms:
-                lines.append(f"  q-exponent {t.exponent_vector}: {t.polynomial} = {t.value}")
-            lines.append(f"total leading coefficient: {cert.total}")
-        lines.append(f"verdict: {cert.verdict.value}")
-        text = "\n".join(lines) + "\n"
-    _emit(args, text)
+    rows = [
+        (" ".join(map(str, t.exponent_vector)), str(t.polynomial), str(t.value))
+        for t in cert.terms
+    ]
+    rows.append(("total", "", "" if cert.total is None else str(cert.total)))
+    rows.append(("verdict", "", cert.verdict.value))
+    lines = [
+        f"params: ({', '.join(str(x) for x in cert.params)})",
+        f"sorted: ({', '.join(str(x) for x in cert.sorted_params)})",
+        f"budget: {cert.budget}",
+    ]
+    if cert.verdict is Verdict.NON_ISOMETRIC:
+        lines.append(f"minimal exponent of the discrepancy: {cert.min_exponent}")
+        for t in cert.terms:
+            lines.append(f"  q-exponent {t.exponent_vector}: {t.polynomial} = {t.value}")
+        lines.append(f"total leading coefficient: {cert.total}")
+    lines.append(f"verdict: {cert.verdict.value}")
+    _render(args, cert.to_json_dict(), ("exponent_vector", "polynomial", "value"), rows, lines)
     return 0 if cert.verdict is Verdict.NON_ISOMETRIC else 2
 
 
 def cmd_verify(args) -> int:
     results = run_verification(args.budget)
-    ok = all(r.ok for r in results)
-    if args.format == "json":
-        payload = [
-            {"anchor": r.anchor, "status": "pass" if r.ok else "fail"}
-            | ({"witness": r.witness} if r.witness else {})
-            for r in results
-        ]
-        text = _json_text(payload)
-    elif args.format == "csv":
-        text = _csv_text(
-            ("anchor", "status", "witness"),
-            [(r.anchor, "pass" if r.ok else "fail", r.witness or "") for r in results],
-        )
-    else:
-        width = max(len(r.anchor) for r in results)
-        text = "".join(
-            f"{'ok  ' if r.ok else 'FAIL'} {r.anchor.ljust(width)}  {r.witness or ''}".rstrip() + "\n"
-            for r in results
-        )
-    _emit(args, text)
-    return 0 if ok else 1
-
-
-def _finish(args, text: str) -> int:
-    _emit(args, text)
-    return 0
+    payload = [
+        {"anchor": r.anchor, "status": "pass" if r.ok else "fail"}
+        | ({"witness": r.witness} if r.witness else {})
+        for r in results
+    ]
+    rows = [(r.anchor, "pass" if r.ok else "fail", r.witness or "") for r in results]
+    width = max(len(r.anchor) for r in results)
+    lines = [
+        f"{'ok  ' if r.ok else 'FAIL'} {r.anchor.ljust(width)}  {r.witness or ''}".rstrip()
+        for r in results
+    ]
+    _render(args, payload, ("anchor", "status", "witness"), rows, lines)
+    return 0 if all(r.ok for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,11 +330,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
-        if getattr(args, "format", "text") == "json":
-            sys.stdout.write(_json_text({"error": str(exc)}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except AssertionError as exc:
+        # a cross-check inside the library disagreed: report, do not crash
+        message = f"internal consistency failure: {exc}"
+    if getattr(args, "format", "text") == "json":
+        sys.stdout.write(_json_text({"error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -25,14 +25,6 @@ def normalize(w) -> Word:
     return w
 
 
-def word_add(u: Word, v: Word) -> Word:
-    return tuple((a + b) % 3 for a, b in zip(u, v))
-
-
-def word_neg(u: Word) -> Word:
-    return tuple((-a) % 3 for a in u)
-
-
 def word_dot(u: Word, v: Word) -> int:
     return sum(a * b for a, b in zip(u, v)) % 3
 
@@ -53,9 +45,6 @@ class K4Element:
     name: str
     standard: Matrix
     diag: tuple[int, int, int, int]
-
-    def apply_standard(self, v) -> tuple[int, ...]:
-        return _matvec(self.standard, v)
 
     def apply_word(self, w: Word) -> Word:
         return normalize(_matvec(self.standard, w))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .lattices import (
     ALL_LABELS,
@@ -49,7 +49,7 @@ from .qarith import (
     exp_cmp,
     sigma,
 )
-from .theta import Kernel, theta11
+from .theta import Kernel, pair_series, theta11
 
 
 class Route(enum.Enum):
@@ -62,11 +62,19 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def pair_discrepancy_kernel(l, k) -> ParamPolynomial:
-    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1."""
+def pair_discrepancy_kernel(l, k, image=psi) -> ParamPolynomial:
+    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1; ``image`` may be a
+    precomputed lookup of psi."""
     ip = inner_poly(l, k)
-    ipp = inner_poly(psi(l), psi(k))
+    ipp = inner_poly(image(l), image(k))
     return ip * ip - ipp * ipp
+
+
+def _discrepancy_sum(first, second, budget: int) -> FormalQSeries:
+    # psi once per vector, not once per pair
+    images = {v: psi(v) for v in (*first, *second)}
+    kernel = partial(pair_discrepancy_kernel, image=images.__getitem__)
+    return pair_series(first, second, budget, kernel)
 
 
 @lru_cache(maxsize=None)
@@ -82,38 +90,12 @@ def class_members(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     return _labelled_shell(budget)[label]
 
 
-def _pair_sum(first, second, budget: int) -> FormalQSeries:
-    psis = {v: psi(v) for v in first}
-    psis.update((v, psi(v)) for v in second)
-    acc: dict[Expo, ParamPolynomial] = {}
-    for l in first:
-        pl = phi(l)
-        pil = psis[l]
-        for k in second:
-            pk = phi(k)
-            e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
-            if sum(e) > budget:
-                continue
-            ip = inner_poly(l, k)
-            ipp = inner_poly(pil, psis[k])
-            value = ip * ip - ipp * ipp
-            if not value:
-                continue
-            seen = acc.get(e)
-            value = value if seen is None else seen + value
-            if value:
-                acc[e] = value
-            else:
-                acc.pop(e, None)
-    return FormalQSeries(budget, acc)
-
-
 @lru_cache(maxsize=None)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
     (no prefactor)."""
     shell = _labelled_shell(budget)
-    return _pair_sum(shell[label1], shell[label2], budget)
+    return _discrepancy_sum(shell[label1], shell[label2], budget)
 
 
 @dataclass(frozen=True)
@@ -145,7 +127,7 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
         diff = theta11(fam.L1, budget, Kernel.PAIRWISE) - theta11(fam.L2, budget, Kernel.PAIRWISE)
         return diff.scaled(Fraction(1, 128))
     shell = build_family().L1.vectors(budget)
-    return _pair_sum(shell, shell, budget).scaled(Fraction(1, 8))
+    return _discrepancy_sum(shell, shell, budget).scaled(Fraction(1, 8))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ eigenbasis of the four-group action, in which the Gram matrix is
 diag(a, b, c, d) and the group acts by diagonal sign matrices.  The base
 lattice L, the two index-9 sublattices L1 and L2 cut out by the self-dual
 codes C1 and C2, their intersection L12, and the common sublattice M = 3L
-are all generated by fixed integer matrices.  The construction is therefore
+are all generated by fixed integer matrices.  Each lattice is held as its
+Hermite normal form, an upper-triangular basis: membership is triangular
+division by its rows, and the vectors of a budget shell are enumerated
+along it coordinate by coordinate.  The construction is therefore
 parameter-independent: one integral lattice serves every parameter point,
 and inner products become one-line formulas
 ``<v, w> = a*v0*w0 + b*v1*w1 + c*v2*w2 + d*v3*w3``.
@@ -21,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .codes import C1_LABELED_WORDS, C2_LABELED_WORDS, K4, K4Element, Word, normalize
-from .qarith import Expo, ParamPoint, ParamPolynomial, exact
+from .codes import C1_LABELED_WORDS, K4, Word, _matvec, normalize
+from .qarith import Expo, ParamPolynomial
 
 Vec = tuple[int, int, int, int]
 Matrix = tuple[tuple[int, int, int, int], ...]
@@ -50,43 +52,8 @@ _J_MINUS_2I: Matrix = (
 )
 
 
-def _matvec(m: Matrix, v) -> tuple:
-    return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
-
-
 def _columns(m: Matrix) -> tuple[Vec, ...]:
     return tuple(tuple(m[i][j] for i in range(4)) for j in range(4))
-
-
-def _from_columns(cols) -> Matrix:
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-
-
-def _det3(r) -> int:
-    return (
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    )
-
-
-def _det(m: Matrix) -> int:
-    total = 0
-    for j in range(4):
-        minor = tuple(tuple(m[i][k] for k in range(4) if k != j) for i in range(1, 4))
-        total += (-1) ** j * m[0][j] * _det3(minor)
-    return total
-
-
-def _adjugate(m: Matrix) -> Matrix:
-    cof = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            minor = tuple(
-                tuple(m[r][c] for c in range(4) if c != j) for r in range(4) if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * _det3(minor)
-    return tuple(tuple(cof[j][i] for j in range(4)) for i in range(4))  # transpose
 
 
 def hermite_normal_form(rows) -> Matrix:
@@ -127,26 +94,31 @@ class Lattice:
     identifies the lattice as a set, so equality is set equality.
     """
 
-    __slots__ = ("name", "generators", "hnf", "covolume", "_adj", "_gen_det", "_shells")
+    __slots__ = ("name", "generators", "hnf", "covolume", "_shells")
 
     def __init__(self, generators, name: str = ""):
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        gens = tuple(tuple(g) for g in generators)
         if len(gens) != 4 or any(len(g) != 4 for g in gens):
             raise ValueError("need four integer 4-vectors")
+        if not all(isinstance(x, int) for g in gens for x in g):
+            raise TypeError(f"generator entries must be integers, got {gens!r}")
         self.name = name
         self.generators = gens
         self.hnf = hermite_normal_form(gens)
         self.covolume = self.hnf[0][0] * self.hnf[1][1] * self.hnf[2][2] * self.hnf[3][3]
-        gen_matrix = _from_columns(gens)
-        self._gen_det = _det(gen_matrix)
-        self._adj = _adjugate(gen_matrix)
         self._shells: dict[int, tuple[Vec, ...]] = {}
 
     def contains(self, v) -> bool:
-        """Whether v is an integer combination of the generators."""
-        v = tuple(v)
-        d = self._gen_det
-        return all(sum(row[k] * v[k] for k in range(4)) % d == 0 for row in self._adj)
+        """Whether v is an integer combination of the generators: triangular
+        division by the normal-form rows leaves no remainder."""
+        rest = list(v)
+        for i, row in enumerate(self.hnf):
+            c, r = divmod(rest[i], row[i])
+            if r:
+                return False
+            for j in range(i + 1, 4):
+                rest[j] -= c * row[j]
+        return True
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
@@ -165,13 +137,6 @@ class Lattice:
             raise ValueError(f"{self.name or 'lattice'} is not a sublattice of {ambient.name}")
         return self.covolume // ambient.covolume
 
-    def transformed(self, g: K4Element) -> "Lattice":
-        """Image under a four-group element (diagonal in this basis)."""
-        return Lattice(
-            tuple(g.apply_diag(gen) for gen in self.generators),
-            name=f"{g.name}({self.name})" if self.name else "",
-        )
-
     def vectors(self, budget: int) -> tuple[Vec, ...]:
         """All lattice vectors whose squared coordinates sum to at most
         ``budget``, in lexicographic order.
@@ -189,22 +154,24 @@ class Lattice:
         return cached
 
     def _scan(self, budget: int):
-        # pruned box scan: coordinate intervals shrink with the remaining
-        # square budget, membership checked at the leaves
-        r0 = math.isqrt(budget)
-        for x0 in range(-r0, r0 + 1):
-            b1 = budget - x0 * x0
-            r1 = math.isqrt(b1)
-            for x1 in range(-r1, r1 + 1):
-                b2 = b1 - x1 * x1
-                r2 = math.isqrt(b2)
-                for x2 in range(-r2, r2 + 1):
-                    b3 = b2 - x2 * x2
-                    r3 = math.isqrt(b3)
-                    for x3 in range(-r3, r3 + 1):
-                        v = (x0, x1, x2, x3)
-                        if self.contains(v):
-                            yield v
+        # triangular enumeration on the normal form (Fincke & Pohst): once
+        # the rows above i are fixed, coordinate i is the offset they leave
+        # plus a multiple of the pivot h[i][i], inside the interval the
+        # remaining square budget allows; lexicographic by construction
+        h = self.hnf
+
+        def walk(i, rest, offset, prefix):
+            r, step = math.isqrt(rest), h[i][i]
+            for x in range(-r + (offset[i] + r) % step, r + 1, step):
+                v = prefix + (x,)
+                if i == 3:
+                    yield v
+                else:
+                    c = (x - offset[i]) // step
+                    shifted = tuple(o + c * y for o, y in zip(offset, h[i]))
+                    yield from walk(i + 1, rest - x * x, shifted, v)
+
+        return walk(0, budget, (0, 0, 0, 0), ())
 
     def __repr__(self):
         return f"Lattice({self.name or self.generators!r})"
@@ -269,55 +236,9 @@ COSET_REPS: tuple[Vec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GramParams:
-    """The symmetric-form parameters (r, alpha, beta, gamma); equivalent to a
-    parameter point via an invertible linear change."""
-
-    r: Fraction
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-
-    def __post_init__(self):
-        for name in ("r", "alpha", "beta", "gamma"):
-            object.__setattr__(self, name, exact(getattr(self, name)))
-
-
-def gram_from_abcd(p: ParamPoint) -> GramParams:
-    a, b, c, d = p.coords
-    return GramParams(
-        r=a + b + c + d,
-        alpha=c + d - a - b,
-        beta=b - a - c + d,
-        gamma=b - a + c - d,
-    )
-
-
-def abcd_from_gram(g: GramParams) -> ParamPoint:
-    """Inverse of :func:`gram_from_abcd`; rejects parameters that do not give
-    a positive definite form."""
-    quarter = Fraction(1, 4)
-    a = quarter * (g.r - g.alpha - g.beta - g.gamma)
-    b = quarter * (g.r - g.alpha + g.beta + g.gamma)
-    c = quarter * (g.r + g.alpha - g.beta + g.gamma)
-    d = quarter * (g.r + g.alpha + g.beta - g.gamma)
-    if any(x <= 0 for x in (a, b, c, d)):
-        raise ValueError(f"not positive definite: diagonal entries ({a}, {b}, {c}, {d})")
-    return ParamPoint(a, b, c, d)
-
-
 def phi(v) -> Expo:
     """Squared coordinates: the parameter-free shadow of the square norm."""
     return tuple(x * x for x in v)
-
-
-def inner(v, w, p: ParamPoint) -> Fraction:
-    return sum(x * y * s for x, y, s in zip(v, w, p.coords))
-
-
-def norm2(v, p: ParamPoint) -> Fraction:
-    return inner(v, v, p)
 
 
 def inner_poly(v, w) -> ParamPolynomial:
@@ -398,11 +319,6 @@ _WORD_TO_LABEL = {
     **{C1_LABELED_WORDS[i]: CosetLabel(i, 1) for i in range(4)},
     **{normalize(tuple(-x for x in C1_LABELED_WORDS[i])): CosetLabel(i, -1) for i in range(4)},
 }
-_WORD_TO_LABEL_L2 = {
-    (0, 0, 0, 0): CosetLabel.zero(),
-    **{C2_LABELED_WORDS[i]: CosetLabel(i, 1) for i in range(4)},
-    **{normalize(tuple(-x for x in C2_LABELED_WORDS[i])): CosetLabel(i, -1) for i in range(4)},
-}
 
 
 def coset_label(v) -> CosetLabel:
@@ -413,13 +329,6 @@ def coset_label(v) -> CosetLabel:
     return _WORD_TO_LABEL[project_mod3(v)]
 
 
-def _coset_label_l2(w) -> CosetLabel:
-    fam = build_family()
-    if not fam.L2.contains(w):
-        raise ValueError(f"{tuple(w)} is not in L2")
-    return _WORD_TO_LABEL_L2[project_mod3(w)]
-
-
 def psi(v) -> Vec:
     """The norm-preserving bijection from L1 to L2: identity on M, the i-th
     diagonal sign matrix on the class of the i-th representative."""
@@ -427,12 +336,3 @@ def psi(v) -> Vec:
     if label.is_zero:
         return tuple(v)
     return K4[label.index].apply_diag(v)
-
-
-def psi_inv(w) -> Vec:
-    """Inverse bijection from L2 to L1, by the same recipe on classes of
-    L2 modulo M."""
-    label = _coset_label_l2(w)
-    if label.is_zero:
-        return tuple(w)
-    return K4[label.index].apply_diag(w)

@@ -131,25 +131,6 @@ def sigma(e: Expo, p: ParamPoint) -> Fraction:
     return p.a * e[0] + p.b * e[1] + p.c * e[2] + p.d * e[3]
 
 
-def sigma_order_consistent(e: Expo, f: Expo, samples: Iterable[ParamPoint]) -> bool:
-    """Test agreement of the suffix-sum order with evaluated exponents.
-
-    Returns True iff "e strictly below f in the partial order" matches
-    "sigma(e, p) < sigma(f, p) at every sample point".  The forward direction
-    is a theorem (see the module docstring), so a False result on admissible
-    samples can only arise from the sampled converse.
-    """
-    pts = tuple(samples)
-    if not pts:
-        raise ValueError("need at least one sample point")
-    for p in pts:
-        if not p.admissible:
-            raise ValueError(f"sample point {p} is not admissible")
-    strictly_below = exp_cmp(e, f) is Cmp.LESS
-    dominates = all(sigma(e, p) < sigma(f, p) for p in pts)
-    return strictly_below == dominates
-
-
 class ParamPolynomial:
     """A polynomial in (a, b, c, d) with rational coefficients.
 
@@ -195,9 +176,6 @@ class ParamPolynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def __add__(self, other):
         if not isinstance(other, ParamPolynomial):

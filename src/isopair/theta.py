@@ -22,10 +22,9 @@ vectors of given lengths.
 from __future__ import annotations
 
 import enum
-import math
 
 from .lattices import Lattice, inner_poly, norm_poly, phi
-from .qarith import FormalQSeries, ParamPoint, ParamPolynomial, exact, sigma
+from .qarith import Expo, FormalQSeries, ParamPolynomial
 
 
 class Kernel(enum.Enum):
@@ -62,10 +61,6 @@ def defining_kernel(l, k) -> ParamPolynomial:
 _KERNELS = {Kernel.DEFINING: defining_kernel, Kernel.PAIRWISE: pairwise_kernel}
 
 
-def kernel_value(kernel: Kernel, l, k) -> ParamPolynomial:
-    return _KERNELS[kernel](l, k)
-
-
 def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
     """Vector counts by squared-coordinate tuple, up to the budget."""
     counts: dict[tuple, int] = {}
@@ -75,23 +70,19 @@ def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
     return FormalQSeries(budget, {e: ParamPolynomial.constant(n) for e, n in counts.items()})
 
 
-def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> FormalQSeries:
-    """The degree-2 invariant as a truncated series.
-
-    Sums the kernel over all ordered vector pairs whose combined
-    squared-coordinate sum stays within the budget; both kernels give the
-    same series.
-    """
-    kern = _KERNELS[kernel]
-    shell = lattice.vectors(budget)
-    shell_phi = [phi(v) for v in shell]
-    acc: dict[tuple, ParamPolynomial] = {}
-    for l, pl in zip(shell, shell_phi):
-        for k, pk in zip(shell, shell_phi):
+def pair_series(first, second, budget: int, kernel) -> FormalQSeries:
+    """Sum ``kernel(l, k) * q^(phi(l) + phi(k))`` over the ordered pairs of
+    ``first`` x ``second`` whose combined squared-coordinate sum stays within
+    the budget."""
+    second_phi = [(k, phi(k)) for k in second]
+    acc: dict[Expo, ParamPolynomial] = {}
+    for l in first:
+        pl = phi(l)
+        for k, pk in second_phi:
             e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
             if sum(e) > budget:
                 continue
-            value = kern(l, k)
+            value = kernel(l, k)
             if not value:
                 continue
             seen = acc.get(e)
@@ -103,12 +94,12 @@ def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> 
     return FormalQSeries(budget, acc)
 
 
-def evaluate_at(series: FormalQSeries, p: ParamPoint, t) -> float:
-    """Float evaluation of a series at q = exp(-2*pi*t); diagnostic only."""
-    t = exact(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    total = 0.0
-    for e, poly in series.terms.items():
-        total += float(poly.evaluate(p)) * math.exp(-2.0 * math.pi * float(t * sigma(e, p)))
-    return total
+def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> FormalQSeries:
+    """The degree-2 invariant as a truncated series.
+
+    Sums the kernel over all ordered vector pairs whose combined
+    squared-coordinate sum stays within the budget; both kernels give the
+    same series.
+    """
+    shell = lattice.vectors(budget)
+    return pair_series(shell, shell, budget, _KERNELS[kernel])

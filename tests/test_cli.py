@@ -140,6 +140,22 @@ class TestCertify:
         assert code == 1
         assert "error" in err
 
+    def test_internal_consistency_failure_exits_1(self, capsys, monkeypatch):
+        # an empty discrepancy series contradicts the minimal-pair kernels
+        import isopair.discrepancy
+        from isopair import FormalQSeries
+
+        monkeypatch.setattr(
+            isopair.discrepancy, "delta_series", lambda budget, route: FormalQSeries.empty(budget)
+        )
+        argv = ("certify", "--params", "1", "7", "13", "19")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal consistency failure: coefficient at (10, 10, 2, 2)")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"].startswith("internal consistency failure: ")
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--params", "19", "7", "1", "13", "--format", "json"

@@ -9,21 +9,16 @@ from isopair import (
     ALL_LABELS,
     COSET_REPS,
     CosetLabel,
-    GramParams,
     K4,
     Lattice,
     ParamPoint,
-    abcd_from_gram,
     build_family,
     coset_label,
-    gram_from_abcd,
-    inner,
     inner_poly,
-    norm2,
+    norm_poly,
     phi,
     project_mod3,
     psi,
-    psi_inv,
 )
 from isopair.codes import SELFDUAL_GENERATORS, TernaryCode
 from isopair.lattices import (
@@ -48,26 +43,40 @@ BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3
 # for enumeration, mutual membership for lattice equality
 # ---------------------------------------------------------------------------
 
-def solve_membership(generators, v):
+def solve_coefficients(generators, v):
+    """Coefficients of v in the generators, by Fraction Gauss-Jordan."""
     m = [[Fraction(generators[j][i]) for j in range(4)] + [Fraction(v[i])] for i in range(4)]
     for col in range(4):
         piv = next((r for r in range(col, 4) if m[r][col]), None)
         if piv is None:
-            return False
+            return None
         m[col], m[piv] = m[piv], m[col]
         m[col] = [x / m[col][col] for x in m[col]]
         for r in range(4):
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return all(m[r][4].denominator == 1 for r in range(4))
+    return [m[r][4] for r in range(4)]
+
+
+def solve_membership(generators, v):
+    coefficients = solve_coefficients(generators, v)
+    return coefficients is not None and all(c.denominator == 1 for c in coefficients)
 
 
 def naive_shell(generators, budget):
+    # the Fraction solve of the unit vectors gives the inverse generator
+    # matrix; scaled to integers it tests a whole box cheaply
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    inverse = [solve_coefficients(generators, e) for e in units]
+    den = math.lcm(*(c.denominator for col in inverse for c in col))
+    scaled = [[int(inverse[k][i] * den) for k in range(4)] for i in range(4)]
     r = math.isqrt(budget)
     out = []
     for v in product(range(-r, r + 1), repeat=4):
-        if sum(x * x for x in v) <= budget and solve_membership(generators, v):
+        if sum(x * x for x in v) <= budget and all(
+            sum(row[k] * v[k] for k in range(4)) % den == 0 for row in scaled
+        ):
             out.append(v)
     return out
 
@@ -78,25 +87,55 @@ def same_span(gens_a, gens_b):
     )
 
 
+def standard_gram(p):
+    """Gram matrix of the standard basis of L at a point, through the
+    eigenbasis inner product."""
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    basis = [from_standard(e) for e in units]
+    return [[inner_poly(u, w).evaluate(p) for w in basis] for u in basis]
+
+
+def point_from_gram_params(r, alpha, beta, gamma):
+    quarter = Fraction(1, 4)
+    return ParamPoint(
+        quarter * (r - alpha - beta - gamma),
+        quarter * (r - alpha + beta + gamma),
+        quarter * (r + alpha - beta + gamma),
+        quarter * (r + alpha + beta - gamma),
+    )
+
+
 class TestGramParameters:
+    """In the standard basis the form is the symmetric matrix with diagonal r
+    and off-diagonal entries +-alpha, +-beta, +-gamma, an invertible linear
+    change of (a, b, c, d)."""
+
     def test_symmetric_point(self):
-        g = gram_from_abcd(ParamPoint(1, 1, 1, 1))
-        assert (g.r, g.alpha, g.beta, g.gamma) == (4, 0, 0, 0)
+        gram = standard_gram(ParamPoint(1, 1, 1, 1))
+        assert gram == [[4 * (i == j) for j in range(4)] for i in range(4)]
 
     def test_integral_example(self):
-        g = gram_from_abcd(SCHIEMANN)
-        assert g.r == 40
-        assert abcd_from_gram(g) == SCHIEMANN
+        gram = standard_gram(SCHIEMANN)
+        r, alpha, beta, gamma = gram[0]
+        assert (r, alpha, beta, gamma) == (40, 24, 12, 0)
+        assert gram == [
+            [r, alpha, beta, gamma],
+            [alpha, r, -gamma, -beta],
+            [beta, -gamma, r, -alpha],
+            [gamma, -beta, -alpha, r],
+        ]
+        assert point_from_gram_params(r, alpha, beta, gamma) == SCHIEMANN
 
     def test_round_trip(self):
         rng = random.Random(41)
         for _ in range(20):
             p = random_admissible_point(rng)
-            assert abcd_from_gram(gram_from_abcd(p)) == p
+            assert point_from_gram_params(*standard_gram(p)[0]) == p
 
     def test_rejects_indefinite(self):
+        # diagonal entries (-1, 1, 3, 1): not a positive parameter point
         with pytest.raises(ValueError, match="positive"):
-            abcd_from_gram(GramParams(4, 8, 0, 0))
+            point_from_gram_params(4, 8, 0, 0)
 
 
 class TestBasisChange:
@@ -203,6 +242,13 @@ class TestContains:
                 v = tuple(rng.randint(-9, 9) for _ in range(4))
                 assert lat.contains(v) == solve_membership(lat.generators, v)
 
+    def test_rejects_non_integer_generators(self):
+        # no silent truncation: int(1.9) would give the unit lattice
+        unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        for bad in (1.9, Fraction(3, 2), Fraction(1), "1"):
+            with pytest.raises(TypeError):
+                Lattice(((bad, 0, 0, 0),) + unit[1:])
+
 
 class TestEnumeration:
     def test_nine_shortest_in_l1(self):
@@ -228,8 +274,9 @@ class TestEnumeration:
     def test_matches_naive_scan(self):
         fam = build_family()
         for lat in fam:
-            for budget in (0, 5, 8, 12):
+            for budget in (0, 5, 8, 12, 24):
                 assert list(lat.vectors(budget)) == naive_shell(lat.generators, budget)
+        assert list(fam.L1.vectors(40)) == naive_shell(fam.L1.generators, 40)
 
     def test_lexicographic_and_deterministic(self):
         fam = build_family()
@@ -290,16 +337,17 @@ class TestNorms:
         assert inner_poly((-1, 3, -1, 1), (3, 1, -1, -1)) == expected
 
     def test_norm_zero(self):
-        assert norm2((0, 0, 0, 0), SCHIEMANN) == 0
+        assert norm_poly((0, 0, 0, 0)).is_zero
 
     def test_inner_matches_poly_evaluation(self):
+        # the diagonal Gram matrix: <v, w> = a*v0*w0 + b*v1*w1 + c*v2*w2 + d*v3*w3
         rng = random.Random(59)
         for _ in range(50):
             v = tuple(rng.randint(-5, 5) for _ in range(4))
             w = tuple(rng.randint(-5, 5) for _ in range(4))
             p = random_admissible_point(rng)
-            assert inner(v, w, p) == inner_poly(v, w).evaluate(p)
-            assert norm2(v, p) == inner_poly(v, v).evaluate(p)
+            assert inner_poly(v, w).evaluate(p) == sum(s * x * y for s, x, y in zip(p.coords, v, w))
+            assert norm_poly(v).evaluate(p) == sum(s * x * x for s, x in zip(p.coords, v))
 
 
 class TestCosetLabels:
@@ -351,11 +399,17 @@ class TestPsi:
         assert psi((3, 1, -1, -1)) == (-3, -1, -1, -1)
 
     def test_round_trip(self):
+        # psi is injective and onto the L2 shell; the sign matrix of the
+        # class of v carries psi(v) back to v
         fam = build_family()
-        for v in fam.L1.vectors(20):
-            assert psi_inv(psi(v)) == v
-        for w in fam.L2.vectors(20):
-            assert psi(psi_inv(w)) == w
+        shell = fam.L1.vectors(20)
+        preimage = {psi(v): v for v in shell}
+        assert len(preimage) == len(shell)
+        assert sorted(preimage) == list(fam.L2.vectors(20))
+        for w, v in preimage.items():
+            label = coset_label(v)
+            sign = (1, 1, 1, 1) if label.is_zero else K4[label.index].diag
+            assert tuple(s * x for s, x in zip(sign, w)) == v
 
     def test_preserves_squared_coordinates(self):
         fam = build_family()
@@ -383,14 +437,19 @@ class TestPsi:
     def test_rejects_non_members(self):
         with pytest.raises(ValueError):
             psi((1, 0, 0, 0))
+        fam = build_family()
+        outside = next(w for w in fam.L2.vectors(12) if not fam.L1.contains(w))
         with pytest.raises(ValueError):
-            psi_inv((1, -1, -1, 3))  # in L1 but not in L2
+            psi(outside)  # in L2 but not in L1
 
     def test_defined_on_the_intersection_consistently(self):
+        # a generator of both sublattices whose class is matched by the
+        # identity element is fixed by psi
         fam = build_family()
-        shared = (-1, 3, -1, 1)  # generator of both sublattices
+        shared = (-1, 3, -1, 1)
         assert fam.L1.contains(shared) and fam.L2.contains(shared)
-        assert psi_inv(psi(shared)) == shared
+        assert coset_label(shared) == CosetLabel(0, 1) and K4[0].diag == (1, 1, 1, 1)
+        assert psi(shared) == shared
 
 
 class TestHermiteNormalForm:
