@@ -10,7 +10,20 @@ cancel and the discrepancy collapses to a single sum over L1 x L1::
 Splitting the sum by the coset classes of l and k modulo M gives class
 series; those indexed by equal or opposite classes or by the zero class
 vanish, and the whole series is the sum of the six class series with
-distinct positive representatives.
+distinct positive representatives.  This holds at every budget: equal or
+opposite classes carry the same sign matrix, so the kernel vanishes pair by
+pair; the kernel is symmetric, and ``v -> -v`` maps class j onto -j and
+keeps ``phi``, so the eight ordered, signed copies of each unordered pair
+cancel the 1/8; and on the zero class a four-group sign flip is a
+``phi``-preserving involution of M that negates the kernel.
+
+Because psi acts on each class by a fixed diagonal sign matrix, the kernel
+of a class pair is ``4 x_s x_t p_s p_t`` summed over the coordinate slots
+``s < t`` where the product of the two sign matrices differs, with
+``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class series are
+integer sums, turned into polynomial coefficients only at the end.  The
+invariant-difference route and, in the test suite, the Fraction-valued
+kernel summed over all of L1 x L1 are independent references for it.
 
 The leading term is controlled by the suffix-sum partial order: a search of
 the budget shell finds the order-minimal vectors of each class, pairs of
@@ -27,8 +40,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
+from .codes import K4
 from .lattices import (
     ALL_LABELS,
     COSET_REPS,
@@ -49,7 +63,7 @@ from .qarith import (
     exp_cmp,
     sigma,
 )
-from .theta import Kernel, pair_series, theta11
+from .theta import Kernel, theta11
 
 
 class Route(enum.Enum):
@@ -62,19 +76,11 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def pair_discrepancy_kernel(l, k, image=psi) -> ParamPolynomial:
-    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1; ``image`` may be a
-    precomputed lookup of psi."""
+def pair_discrepancy_kernel(l, k) -> ParamPolynomial:
+    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1."""
     ip = inner_poly(l, k)
-    ipp = inner_poly(image(l), image(k))
+    ipp = inner_poly(psi(l), psi(k))
     return ip * ip - ipp * ipp
-
-
-def _discrepancy_sum(first, second, budget: int) -> FormalQSeries:
-    # psi once per vector, not once per pair
-    images = {v: psi(v) for v in (*first, *second)}
-    kernel = partial(pair_discrepancy_kernel, image=images.__getitem__)
-    return pair_series(first, second, budget, kernel)
 
 
 @lru_cache(maxsize=None)
@@ -90,12 +96,57 @@ def class_members(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     return _labelled_shell(budget)[label]
 
 
+# the six quadratic monomials p_s*p_t (s < t) a pair kernel can reach
+_SLOTS = tuple((s, t) for s in range(4) for t in range(s + 1, 4))
+_SLOT_MONOS = {slot: tuple(int(u in slot) for u in range(4)) for slot in _SLOTS}
+
+
+def _psi_diag(label: CosetLabel) -> tuple[int, int, int, int]:
+    # psi is the identity on the zero class
+    return (1, 1, 1, 1) if label.is_zero else K4[label.index].diag
+
+
+def _by_norm(vectors) -> list[tuple[int, Vec, Expo]]:
+    """(coordinate-square sum, vector, phi) rows in ascending sum order."""
+    return sorted(((sum(phi(v)), v, phi(v)) for v in vectors), key=lambda row: row[0])
+
+
 @lru_cache(maxsize=None)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
-    (no prefactor)."""
-    shell = _labelled_shell(budget)
-    return _discrepancy_sum(shell[label1], shell[label2], budget)
+    (no prefactor).
+
+    With ``x = l*k`` coordinatewise and ``f`` the product of the two class
+    sign matrices, ``<l,k>^2 - <psi l,psi k>^2`` is the sum of
+    ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``, so
+    the sum runs in integers, one counter per slot, and becomes polynomial
+    coefficients once at the end.
+    """
+    f = tuple(x * y for x, y in zip(_psi_diag(label1), _psi_diag(label2)))
+    slots = tuple((s, t) for s, t in _SLOTS if f[s] != f[t])
+    acc: dict[Expo, list[int]] = {}
+    if slots:
+        shell = _labelled_shell(budget)
+        second = _by_norm(shell[label2])
+        for nl, l, pl in _by_norm(shell[label1]):
+            for nk, k, pk in second:
+                if nl + nk > budget:
+                    break
+                x = (l[0] * k[0], l[1] * k[1], l[2] * k[2], l[3] * k[3])
+                e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
+                sums = acc.get(e)
+                if sums is None:
+                    acc[e] = [x[s] * x[t] for s, t in slots]
+                else:
+                    for n, (s, t) in enumerate(slots):
+                        sums[n] += x[s] * x[t]
+    return FormalQSeries(
+        budget,
+        {
+            e: ParamPolynomial({_SLOT_MONOS[slot]: 4 * c for slot, c in zip(slots, sums)})
+            for e, sums in acc.items()
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -118,16 +169,30 @@ def delta_class(pair: ClassPair, budget: int) -> FormalQSeries:
 def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSeries:
     """The discrepancy series at the given budget.
 
-    ``FROM_PSI_KERNEL`` sums the pair kernel over L1 x L1 and scales by 1/8;
-    ``FROM_THETA`` takes 1/128 of the difference of the two invariants,
-    enumerating L2 independently.  The two routes agree exactly.
+    ``FROM_PSI_KERNEL`` is the sum of the six class series ``delta_class``
+    of distinct positive classes; ``FROM_THETA`` takes 1/128 of the
+    difference of the two invariants, enumerating L2 independently.  The two
+    routes agree exactly.
+
+    The class restriction is exact at every budget, not only on a checked
+    truncation.  Equal or opposite class indices give ``f == 1``, so the
+    kernel vanishes pair by pair.  The kernel is symmetric in (l, k)
+    pointwise, and ``v -> -v`` maps class j onto -j, keeps ``phi`` and
+    keeps every ``x_s x_t``; so each unordered pair of distinct indices
+    appears in the 1/8-scaled full sum as eight equal ordered, signed
+    copies.  For the zero class, a four-group sign flip ``g`` with
+    ``g_s != g_t`` is a ``phi``-preserving involution of M that negates
+    ``x_s x_t``, so every slot sums to zero over the class.
     """
     if route is Route.FROM_THETA:
         fam = build_family()
         diff = theta11(fam.L1, budget, Kernel.PAIRWISE) - theta11(fam.L2, budget, Kernel.PAIRWISE)
         return diff.scaled(Fraction(1, 128))
-    shell = build_family().L1.vectors(budget)
-    return _discrepancy_sum(shell, shell, budget).scaled(Fraction(1, 8))
+    total = FormalQSeries.empty(budget)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            total = total + delta_class(ClassPair(i, j), budget)
+    return total
 
 
 @dataclass(frozen=True)

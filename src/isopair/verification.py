@@ -18,18 +18,18 @@ from fractions import Fraction
 
 from . import codes as codes_mod
 from .discrepancy import (
-    ClassPair,
     Route,
     Verdict,
     certify,
     check_relations,
-    delta_class,
+    class_pair_series,
     delta_series,
     minimal_pair_table,
     minimal_rows,
     minimal_vectors,
 )
 from .lattices import (
+    ALL_LABELS,
     ALT_L1_COLUMNS,
     ALT_L2_COLUMNS,
     COSET_REPS,
@@ -250,11 +250,13 @@ def _check_routes() -> str | None:
 
 
 def _check_decomposition() -> str | None:
+    # the six-class sum against 1/8 of all 81 ordered label pairs, which
+    # together cover the whole of L1 x L1
     total = FormalQSeries.empty(24)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            total = total + delta_class(ClassPair(i, j), 24)
-    if total != delta_series(24, Route.FROM_PSI_KERNEL):
+    for label1 in ALL_LABELS:
+        for label2 in ALL_LABELS:
+            total = total + class_pair_series(label1, label2, 24)
+    if total.scaled(Fraction(1, 8)) != delta_series(24, Route.FROM_PSI_KERNEL):
         return "class series do not sum to the discrepancy at budget 24"
     return None
 

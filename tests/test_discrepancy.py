@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from isopair import (
+    ALL_LABELS,
     ClassPair,
     Cmp,
     CosetLabel,
@@ -25,9 +26,9 @@ from isopair import (
     phi,
     sigma,
 )
-from isopair.discrepancy import pair_discrepancy_kernel
+from isopair.discrepancy import class_members, pair_discrepancy_kernel
 
-from conftest import SCHIEMANN, SMALL, admissible_samples
+from conftest import SCHIEMANN, SMALL, admissible_samples, fraction_delta, fraction_pair_sum
 
 BOLD_FIRST = (10, 10, 2, 2)
 BOLD_SECOND = (25, 5, 5, 1)
@@ -65,9 +66,14 @@ def _sympy_poly(poly):
 
 
 class TestRoutes:
-    @pytest.mark.parametrize("budget", [12, 24, 36])
+    @pytest.mark.parametrize("budget", [12, 24, 36, 40])
     def test_equivalence(self, budget):
-        assert delta_series(budget, Route.FROM_THETA) == delta_series(budget, Route.FROM_PSI_KERNEL)
+        series = delta_series(budget)
+        assert series == fraction_delta(budget)
+        assert series == delta_series(budget, Route.FROM_THETA)
+
+    def test_matches_the_fraction_oracle_at_budget_80(self):
+        assert delta_series(80) == fraction_delta(80)
 
     def test_leading_coefficients(self):
         a, b, c, d = sympy.symbols("a b c d")
@@ -105,7 +111,15 @@ class TestClassSeries:
         for i in range(4):
             for j in range(i + 1, 4):
                 total = total + delta_class(ClassPair(i, j), 24)
-        assert total == delta_series(24, Route.FROM_PSI_KERNEL)
+        assert total == fraction_delta(24)
+
+    @pytest.mark.parametrize("label1", ALL_LABELS, ids=str)
+    def test_every_label_pair_matches_the_fraction_oracle(self, label1):
+        # all 81 ordered pairs, including the zero class, equal and opposite
+        # classes, and class 0, on which psi is the identity
+        for label2 in ALL_LABELS:
+            expected = fraction_pair_sum(class_members(label1, 24), class_members(label2, 24), 24)
+            assert class_pair_series(label1, label2, 24) == expected, (label1, label2)
 
     def test_bold_coefficients_sit_in_their_class_series(self):
         a, b, c, d = sympy.symbols("a b c d")
