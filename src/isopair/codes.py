@@ -3,16 +3,27 @@
 Words are 4-tuples over {0, 1, 2}; the sign convention maps -1 to 2.  A code
 here is always a 2-dimensional linear subspace of F_3^4 (9 words), self-dual
 when the standard bilinear form vanishes on it.  Of the 130 two-dimensional
-subspaces exactly eight are self-dual.  The four-group K4 acts on F_3^4
-through signed permutation matrices and permutes the eight codes in two
-orbits of four; joining two codes whenever their intersection has dimension
-one yields the complete bipartite graph on the two orbits.
+subspaces exactly eight are self-dual.  Each subspace has exactly one
+reduced echelon generator pair: pivot columns p1 < p2, leading ones, a zero
+above the second pivot, and free entries elsewhere after each pivot, so
+3^(5 - p1 - p2) pairs per pivot choice and 81 + 27 + 9 + 9 + 3 + 1 = 130 in
+all.  ``two_dim_subspaces`` spans exactly these pairs.  Every span is
+checked to have nine words, and F_3^4 has (3^4-1)(3^4-3)/((3^2-1)(3^2-3))
+= 130 two-dimensional subspaces, so 130 distinct spans are all of them: a
+subspace missed, or spanned twice in place of another, shows as a count
+below 130.
+
+The four-group K4 acts on F_3^4 through signed permutation matrices and
+permutes the eight codes in two orbits of four; joining two codes whenever
+their intersection has dimension one yields the complete bipartite graph on
+the two orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 Word = tuple[int, int, int, int]
 Matrix = tuple[tuple[int, int, int, int], ...]
@@ -170,22 +181,32 @@ C2_LABELED_WORDS: tuple[Word, ...] = tuple(
 )
 
 
+def _echelon_generator_pairs():
+    # for pivot columns p1 < p2: g1 has 1 at p1, 0 at p2 and before p1; g2
+    # has 1 at p2 and 0 before it; every other entry is free
+    for p1, p2 in combinations(range(4), 2):
+        free1 = [i for i in range(p1 + 1, 4) if i != p2]
+        free2 = list(range(p2 + 1, 4))
+        for values in product(range(3), repeat=len(free1) + len(free2)):
+            g1, g2 = [0] * 4, [0] * 4
+            g1[p1] = g2[p2] = 1
+            for i, x in zip(free1, values):
+                g1[i] = x
+            for i, x in zip(free2, values[len(free1) :]):
+                g2[i] = x
+            yield tuple(g1), tuple(g2)
+
+
 def two_dim_subspaces() -> frozenset[frozenset[Word]]:
-    """All 2-dimensional subspaces of F_3^4 (there are 130)."""
-    nonzero = [w for w in product(range(3), repeat=4) if any(w)]
-    seen: set[frozenset[Word]] = set()
-    for i, g1 in enumerate(nonzero):
-        for g2 in nonzero[i + 1 :]:
-            try:
-                seen.add(span_pair(g1, g2))
-            except ValueError:
-                continue  # dependent pair
-    return frozenset(seen)
+    """All 2-dimensional subspaces of F_3^4 (there are 130), spanned from
+    their reduced echelon generator pairs."""
+    return frozenset(span_pair(g1, g2) for g1, g2 in _echelon_generator_pairs())
 
 
+@lru_cache(maxsize=1)
 def selfdual_codes() -> tuple[TernaryCode, ...]:
     """The eight self-dual codes, found by exhaustive search and returned in
-    canonical numbering."""
+    canonical numbering; the search runs once per process."""
     found = {ws for ws in two_dim_subspaces() if TernaryCode(ws).is_selfdual}
     expected = [span_pair(*gens) for gens in SELFDUAL_GENERATORS]
     if found != set(expected):

@@ -63,7 +63,17 @@ from .qarith import (
     exp_cmp,
     sigma,
 )
-from .theta import Kernel, theta11
+from .theta import QUAD_MONOS, QUAD_SLOTS, Kernel, pair_series, theta11
+
+
+# Cache bounds, in entries.  ``verify`` meets all 81 ordered label pairs at
+# budget 24 and the six distinct positive pairs at its own budget (87 class
+# series), a few discrepancy series and two labelled shells; a certify batch
+# needs six class series, one discrepancy series and one shell.  Neither
+# evicts; a process sweeping budgets keeps only the most recent ones.
+SHELL_CACHE = 8
+CLASS_SERIES_CACHE = 128
+DELTA_CACHE = 16
 
 
 class Route(enum.Enum):
@@ -83,7 +93,7 @@ def pair_discrepancy_kernel(l, k) -> ParamPolynomial:
     return ip * ip - ipp * ipp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SHELL_CACHE)
 def _labelled_shell(budget: int) -> dict[CosetLabel, tuple[Vec, ...]]:
     members: dict[CosetLabel, list[Vec]] = {label: [] for label in ALL_LABELS}
     for v in build_family().L1.vectors(budget):
@@ -96,9 +106,7 @@ def class_members(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     return _labelled_shell(budget)[label]
 
 
-# the six quadratic monomials p_s*p_t (s < t) a pair kernel can reach
-_SLOTS = tuple((s, t) for s in range(4) for t in range(s + 1, 4))
-_SLOT_MONOS = {slot: tuple(int(u in slot) for u in range(4)) for slot in _SLOTS}
+_SLOT_MONOS = dict(zip(QUAD_SLOTS, QUAD_MONOS))
 
 
 def _psi_diag(label: CosetLabel) -> tuple[int, int, int, int]:
@@ -106,12 +114,7 @@ def _psi_diag(label: CosetLabel) -> tuple[int, int, int, int]:
     return (1, 1, 1, 1) if label.is_zero else K4[label.index].diag
 
 
-def _by_norm(vectors) -> list[tuple[int, Vec, Expo]]:
-    """(coordinate-square sum, vector, phi) rows in ascending sum order."""
-    return sorted(((sum(phi(v)), v, phi(v)) for v in vectors), key=lambda row: row[0])
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASS_SERIES_CACHE)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
     (no prefactor).
@@ -119,34 +122,20 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
     With ``x = l*k`` coordinatewise and ``f`` the product of the two class
     sign matrices, ``<l,k>^2 - <psi l,psi k>^2`` is the sum of
     ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``, so
-    the sum runs in integers, one counter per slot, and becomes polynomial
-    coefficients once at the end.
+    ``pair_series`` sums it in integers, one counter per slot.
     """
     f = tuple(x * y for x, y in zip(_psi_diag(label1), _psi_diag(label2)))
-    slots = tuple((s, t) for s, t in _SLOTS if f[s] != f[t])
-    acc: dict[Expo, list[int]] = {}
-    if slots:
-        shell = _labelled_shell(budget)
-        second = _by_norm(shell[label2])
-        for nl, l, pl in _by_norm(shell[label1]):
-            for nk, k, pk in second:
-                if nl + nk > budget:
-                    break
-                x = (l[0] * k[0], l[1] * k[1], l[2] * k[2], l[3] * k[3])
-                e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
-                sums = acc.get(e)
-                if sums is None:
-                    acc[e] = [x[s] * x[t] for s, t in slots]
-                else:
-                    for n, (s, t) in enumerate(slots):
-                        sums[n] += x[s] * x[t]
-    return FormalQSeries(
-        budget,
-        {
-            e: ParamPolynomial({_SLOT_MONOS[slot]: 4 * c for slot, c in zip(slots, sums)})
-            for e, sums in acc.items()
-        },
-    )
+    slots = tuple((s, t) for s, t in QUAD_SLOTS if f[s] != f[t])
+    if not slots:
+        return FormalQSeries.empty(budget)
+
+    def kernel(l, k):
+        x = (l[0] * k[0], l[1] * k[1], l[2] * k[2], l[3] * k[3])
+        return [4 * x[s] * x[t] for s, t in slots]
+
+    shell = _labelled_shell(budget)
+    monos = tuple(_SLOT_MONOS[slot] for slot in slots)
+    return pair_series(shell[label1], shell[label2], budget, kernel, monos)
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,7 @@ def delta_class(pair: ClassPair, budget: int) -> FormalQSeries:
     return class_pair_series(CosetLabel(pair.i, 1), CosetLabel(pair.j, 1), budget)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DELTA_CACHE)
 def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSeries:
     """The discrepancy series at the given budget.
 

@@ -6,13 +6,25 @@ numbers by square norm).  ``theta11`` is the embedding-independent degree-2
 invariant: a sum over ordered pairs (l, k) of lattice vectors where each pair
 contributes a polynomial kernel at the q-exponent ``phi(l) + phi(k)``.
 
-Two kernels are implemented and agree per pair as polynomial identities:
+Every pair kernel here is a quadratic form in p = (a, b, c, d), so it is
+held as ten integer coefficients, one per monomial ``p_s p_t`` with
+``s <= t`` (``QUAD_MONOS``).  Two kernels are implemented and agree per
+pair as polynomial identities:
 
 * ``Kernel.DEFINING`` -- the sum of squared weighted theta series, expanded
   pairwise so that each cross term s_i s_j l_i l_j k_i k_j stays rational
   (the weights x_i x_j and 4x_i^2 - |x|^2 pick up the diagonal Gram entries
-  s = (a, b, c, d) when written in eigenbasis coordinates);
-* ``Kernel.PAIRWISE`` -- the closed form 16<l,k>^2 - 4|l|^2|k|^2.
+  s = (a, b, c, d) when written in eigenbasis coordinates); its coefficients
+  come from multiplying out the linear forms of that definition;
+* ``Kernel.PAIRWISE`` -- the closed form 16<l,k>^2 - 4|l|^2|k|^2, which is
+  ``12 x_i^2`` on ``p_i^2`` and ``32 x_i x_j - 4(l_i^2 k_j^2 + l_j^2 k_i^2)``
+  on ``p_i p_j``, with ``x = l*k`` coordinatewise.
+
+``pair_series`` is the one pair loop of the package: it sums such integer
+coefficient vectors per exponent and turns each sum into a
+``ParamPolynomial`` once, at the end.  That is the ``ParamPolynomial``
+boundary; ``pairwise_kernel`` and ``defining_kernel`` cross it per pair for
+callers that want a single kernel value.
 
 Equivalently the pairwise kernel is 4*(4cos^2(angle(l,k)) - 1)*|l|^2*|k|^2,
 which ties the coefficient to the distribution of angles between lattice
@@ -22,9 +34,10 @@ vectors of given lengths.
 from __future__ import annotations
 
 import enum
+from operator import add
 
-from .lattices import Lattice, inner_poly, norm_poly, phi
-from .qarith import Expo, FormalQSeries, ParamPolynomial
+from .lattices import Lattice, phi
+from .qarith import Expo, FormalQSeries, Mono, ParamPolynomial
 
 
 class Kernel(enum.Enum):
@@ -32,33 +45,57 @@ class Kernel(enum.Enum):
     PAIRWISE = "pairwise"
 
 
+# the ten quadratic monomials p_s*p_t (s <= t), in the order of every
+# integer kernel vector
+QUAD_SLOTS = tuple((s, t) for s in range(4) for t in range(s, 4))
+QUAD_MONOS: tuple[Mono, ...] = tuple(
+    tuple(int(u == s) + int(u == t) for u in range(4)) for s, t in QUAD_SLOTS
+)
+
+
+def _times(u, w) -> list[int]:
+    """The product of the linear forms u.p and w.p on ``QUAD_MONOS``."""
+    return [u[s] * w[s] if s == t else u[s] * w[t] + u[t] * w[s] for s, t in QUAD_SLOTS]
+
+
+def pairwise_coeffs(l, k) -> list[int]:
+    """16<l,k>^2 - 4|l|^2|k|^2 on ``QUAD_MONOS``."""
+    x = [a * b for a, b in zip(l, k)]
+    ll, kk = phi(l), phi(k)
+    return [
+        12 * x[s] * x[s] if s == t else 32 * x[s] * x[t] - 4 * (ll[s] * kk[t] + ll[t] * kk[s])
+        for s, t in QUAD_SLOTS
+    ]
+
+
+def defining_coeffs(l, k) -> list[int]:
+    """32*sum_{i<j} x_i x_j p_i p_j plus the harmonic square sum
+    sum_i (4 l_i^2 p_i - |l|^2)(4 k_i^2 p_i - |k|^2), on ``QUAD_MONOS``."""
+    ll, kk = phi(l), phi(k)
+    acc = [0 if s == t else 32 * l[s] * l[t] * k[s] * k[t] for s, t in QUAD_SLOTS]
+    for i in range(4):
+        fl = [4 * ll[i] - ll[t] if t == i else -ll[t] for t in range(4)]
+        fk = [4 * kk[i] - kk[t] if t == i else -kk[t] for t in range(4)]
+        acc = list(map(add, acc, _times(fl, fk)))
+    return acc
+
+
+def _polynomial(coeffs, monos=QUAD_MONOS) -> ParamPolynomial:
+    return ParamPolynomial(dict(zip(monos, coeffs)))
+
+
 def pairwise_kernel(l, k) -> ParamPolynomial:
     """16<l,k>^2 - 4|l|^2|k|^2 as a polynomial in (a, b, c, d)."""
-    ip = inner_poly(l, k)
-    return 16 * (ip * ip) - 4 * (norm_poly(l) * norm_poly(k))
+    return _polynomial(pairwise_coeffs(l, k))
 
 
 def defining_kernel(l, k) -> ParamPolynomial:
     """Per-pair expansion of 32*sum_{i<j} theta_{x_i x_j}^2 plus the harmonic
     square sum, written in eigenbasis coordinates."""
-    terms = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            coeff = 32 * l[i] * l[j] * k[i] * k[j]
-            if coeff:
-                mono = tuple(int(t == i) + int(t == j) for t in range(4))
-                terms[mono] = terms.get(mono, 0) + coeff
-    acc = ParamPolynomial(terms)
-    nl, nk = norm_poly(l), norm_poly(k)
-    for i in range(4):
-        mono = tuple(int(t == i) for t in range(4))
-        fl = ParamPolynomial({mono: 4 * l[i] * l[i]}) - nl
-        fk = ParamPolynomial({mono: 4 * k[i] * k[i]}) - nk
-        acc = acc + fl * fk
-    return acc
+    return _polynomial(defining_coeffs(l, k))
 
 
-_KERNELS = {Kernel.DEFINING: defining_kernel, Kernel.PAIRWISE: pairwise_kernel}
+_KERNELS = {Kernel.DEFINING: defining_coeffs, Kernel.PAIRWISE: pairwise_coeffs}
 
 
 def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
@@ -70,28 +107,33 @@ def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
     return FormalQSeries(budget, {e: ParamPolynomial.constant(n) for e, n in counts.items()})
 
 
-def pair_series(first, second, budget: int, kernel) -> FormalQSeries:
+def _by_norm(vectors) -> list[tuple[int, tuple, Expo]]:
+    """(coordinate-square sum, vector, phi) rows in ascending sum order."""
+    return sorted(((sum(phi(v)), v, phi(v)) for v in vectors), key=lambda row: row[0])
+
+
+def pair_series(
+    first, second, budget: int, kernel, monos: tuple[Mono, ...] = QUAD_MONOS
+) -> FormalQSeries:
     """Sum ``kernel(l, k) * q^(phi(l) + phi(k))`` over the ordered pairs of
     ``first`` x ``second`` whose combined squared-coordinate sum stays within
-    the budget."""
-    second_phi = [(k, phi(k)) for k in second]
-    acc: dict[Expo, ParamPolynomial] = {}
-    for l in first:
-        pl = phi(l)
-        for k, pk in second_phi:
+    the budget.
+
+    ``kernel`` returns integer coefficients, one per monomial of ``monos``.
+    The pairs are walked in ascending coordinate-square sum, so the inner
+    loop stops at the first partner past the budget; the sums stay integer
+    and become polynomial coefficients once per exponent at the end.
+    """
+    rows = _by_norm(second)
+    acc: dict[Expo, list[int]] = {}
+    for nl, l, pl in _by_norm(first):
+        for nk, k, pk in rows:
+            if nl + nk > budget:
+                break
             e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
-            if sum(e) > budget:
-                continue
-            value = kernel(l, k)
-            if not value:
-                continue
-            seen = acc.get(e)
-            value = value if seen is None else seen + value
-            if value:
-                acc[e] = value
-            else:
-                acc.pop(e, None)
-    return FormalQSeries(budget, acc)
+            sums = acc.get(e)
+            acc[e] = kernel(l, k) if sums is None else list(map(add, sums, kernel(l, k)))
+    return FormalQSeries(budget, {e: _polynomial(sums, monos) for e, sums in acc.items()})
 
 
 def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> FormalQSeries:

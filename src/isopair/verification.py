@@ -42,7 +42,7 @@ from .lattices import (
     from_standard,
 )
 from .qarith import FormalQSeries, ParamPoint, ParamPolynomial
-from .theta import Kernel, defining_kernel, pairwise_kernel, rep_series, theta11
+from .theta import Kernel, defining_coeffs, pairwise_coeffs, rep_series, theta11
 
 MIN_VERIFY_BUDGET = 36
 
@@ -228,7 +228,7 @@ def _check_kernel_identity() -> str | None:
     for _ in range(200):
         l = tuple(rng.randint(-5, 5) for _ in range(4))
         k = tuple(rng.randint(-5, 5) for _ in range(4))
-        if defining_kernel(l, k) != pairwise_kernel(l, k):
+        if defining_coeffs(l, k) != pairwise_coeffs(l, k):
             return f"kernels disagree at {l}, {k}"
     fam = build_family()
     if theta11(fam.L1, 24, Kernel.DEFINING) != theta11(fam.L1, 24, Kernel.PAIRWISE):

@@ -4,8 +4,17 @@ from functools import lru_cache
 
 from hypothesis import settings
 
-from isopair import ParamPoint, build_family, inner_poly, psi
-from isopair.theta import pair_series
+from isopair import (
+    FormalQSeries,
+    Kernel,
+    ParamPoint,
+    ParamPolynomial,
+    build_family,
+    inner_poly,
+    norm_poly,
+    phi,
+    psi,
+)
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
@@ -27,6 +36,19 @@ def admissible_samples(seed: int, count: int) -> list[ParamPoint]:
     return [random_admissible_point(rng) for _ in range(count)]
 
 
+def _fraction_sum(first, second, budget: int, kernel):
+    """Sum ``kernel(l, k) * q^(phi(l) + phi(k))`` with Fraction-valued
+    polynomial arithmetic over every pair of ``first`` x ``second`` within
+    the budget, visiting all of them in input order."""
+    acc: dict = {}
+    for l in first:
+        for k in second:
+            e = tuple(x + y for x, y in zip(phi(l), phi(k)))
+            if sum(e) <= budget:
+                acc[e] = acc[e] + kernel(l, k) if e in acc else kernel(l, k)
+    return FormalQSeries(budget, acc)
+
+
 def fraction_pair_sum(first, second, budget: int):
     """Reference class sum: ``<l,k>^2 - <psi l,psi k>^2`` as Fraction-valued
     polynomials over every pair of ``first`` x ``second`` within the budget
@@ -38,7 +60,40 @@ def fraction_pair_sum(first, second, budget: int):
         ipp = inner_poly(images[l], images[k])
         return ip * ip - ipp * ipp
 
-    return pair_series(first, second, budget, kernel)
+    return _fraction_sum(first, second, budget, kernel)
+
+
+def fraction_pairwise_kernel(l, k):
+    """16<l,k>^2 - 4|l|^2|k|^2 by Fraction-valued polynomial arithmetic."""
+    ip = inner_poly(l, k)
+    return 16 * (ip * ip) - 4 * (norm_poly(l) * norm_poly(k))
+
+
+def fraction_defining_kernel(l, k):
+    """32*sum_{i<j} x_i x_j p_i p_j + sum_i (4 l_i^2 p_i - |l|^2)(4 k_i^2 p_i
+    - |k|^2) by Fraction-valued polynomial arithmetic."""
+    p = [ParamPolynomial.variable(i) for i in range(4)]
+    acc = ParamPolynomial.zero()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            acc = acc + 32 * l[i] * l[j] * k[i] * k[j] * (p[i] * p[j])
+    nl, nk = norm_poly(l), norm_poly(k)
+    for i in range(4):
+        acc = acc + (4 * l[i] * l[i] * p[i] - nl) * (4 * k[i] * k[i] * p[i] - nk)
+    return acc
+
+
+FRACTION_KERNELS = {
+    Kernel.PAIRWISE: fraction_pairwise_kernel,
+    Kernel.DEFINING: fraction_defining_kernel,
+}
+
+
+def fraction_theta11(lattice, budget: int, kernel):
+    """Reference invariant: the Fraction-valued kernel over every ordered
+    pair of the budget shell."""
+    shell = lattice.vectors(budget)
+    return _fraction_sum(shell, shell, budget, FRACTION_KERNELS[kernel])
 
 
 @lru_cache(maxsize=None)

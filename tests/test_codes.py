@@ -16,6 +16,7 @@ from isopair.codes import (
     C2_LABELED_WORDS,
     SELFDUAL_GENERATORS,
     normalize,
+    span_pair,
     word_dot,
 )
 
@@ -51,9 +52,34 @@ class TestK4:
                     assert word_dot(g.apply_word(u), g.apply_word(v)) == word_dot(u, v)
 
 
+def spanned_word_pairs() -> frozenset:
+    """Reference census: the span of every independent pair of the 80
+    nonzero words, 3160 pairs in all."""
+    nonzero = [w for w in product(range(3), repeat=4) if any(w)]
+    seen = set()
+    for i, g1 in enumerate(nonzero):
+        for g2 in nonzero[i + 1 :]:
+            try:
+                seen.add(span_pair(g1, g2))
+            except ValueError:
+                continue  # dependent pair
+    return frozenset(seen)
+
+
 class TestCensus:
     def test_130_subspaces(self):
         assert len(two_dim_subspaces()) == 130
+
+    def test_matches_the_span_of_every_word_pair(self):
+        assert two_dim_subspaces() == spanned_word_pairs()
+
+    def test_each_line_lies_in_13_subspaces(self):
+        nonzero = [w for w in product(range(3), repeat=4) if any(w)]
+        lines = {frozenset({(0, 0, 0, 0), w, normalize(tuple(2 * x for x in w))}) for w in nonzero}
+        assert len(lines) == 40
+        subspaces = two_dim_subspaces()
+        for line in lines:
+            assert sum(line <= words for words in subspaces) == 13, sorted(line)
 
     def test_eight_selfdual(self):
         eight = selfdual_codes()

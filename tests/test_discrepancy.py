@@ -24,9 +24,10 @@ from isopair import (
     minimal_rows,
     minimal_vectors,
     phi,
+    run_verification,
     sigma,
 )
-from isopair.discrepancy import class_members, pair_discrepancy_kernel
+from isopair.discrepancy import _labelled_shell, class_members, pair_discrepancy_kernel
 
 from conftest import SCHIEMANN, SMALL, admissible_samples, fraction_delta, fraction_pair_sum
 
@@ -133,6 +134,30 @@ class TestClassSeries:
             ClassPair(2, 2)
         with pytest.raises(ValueError):
             ClassPair(3, 1)
+
+
+CACHED = (_labelled_shell, class_pair_series, delta_series)
+
+
+class TestCaches:
+    def test_distinct_budgets_stay_within_the_bounds(self):
+        for budget in range(30):
+            delta_series(budget)
+            for cached in CACHED:
+                info = cached.cache_info()
+                assert info.maxsize is not None and info.currsize <= info.maxsize, cached
+        # the loop asked for more entries than each bound holds
+        assert all(f.cache_info().currsize == f.cache_info().maxsize for f in CACHED)
+
+    def test_verify_and_certify_never_evict(self):
+        for cached in CACHED:
+            cached.cache_clear()
+        run_verification(36)
+        for p in admissible_samples(101, 5):
+            certify(p, 40)
+        for cached in CACHED:
+            info = cached.cache_info()
+            assert info.currsize == info.misses, (cached, info)
 
 
 class TestRelations:

@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+
 from isopair import (
     K4,
     Kernel,
@@ -15,8 +20,20 @@ from isopair import (
     theta11,
 )
 from isopair.discrepancy import Route, delta_series
+from isopair.theta import QUAD_MONOS, defining_coeffs, pairwise_coeffs
 
-from conftest import SCHIEMANN, admissible_samples
+from conftest import SCHIEMANN, admissible_samples, fraction_theta11
+
+VECTORS = st.tuples(*[st.integers(-9, 9)] * 4)
+P = sympy.symbols("a b c d")
+
+
+def quad_coeffs(expr) -> list[int]:
+    """The coefficients of a homogeneous quadratic sympy expression in
+    (a, b, c, d), in the order of ``QUAD_MONOS``."""
+    poly = sympy.Poly(sympy.expand(expr), *P)
+    assert poly.is_zero or poly.homogeneous_order() == 2, poly
+    return [int(poly.coeff_monomial(mono)) for mono in QUAD_MONOS]
 
 
 class TestRepSeries:
@@ -86,6 +103,25 @@ class TestKernels:
         assert pairwise_kernel(zero, zero).is_zero
         assert defining_kernel(zero, zero).is_zero
 
+    @given(VECTORS, VECTORS)
+    def test_pairwise_coeffs_expand_the_closed_form(self, l, k):
+        inner = sum(p * x * y for p, x, y in zip(P, l, k))
+        norm_l = sum(p * x * x for p, x in zip(P, l))
+        norm_k = sum(p * y * y for p, y in zip(P, k))
+        assert pairwise_coeffs(l, k) == quad_coeffs(16 * inner**2 - 4 * norm_l * norm_k)
+
+    @given(VECTORS, VECTORS)
+    def test_defining_coeffs_expand_the_definition(self, l, k):
+        norm_l = sum(p * x * x for p, x in zip(P, l))
+        norm_k = sum(p * y * y for p, y in zip(P, k))
+        cross = sum(
+            32 * P[i] * P[j] * l[i] * l[j] * k[i] * k[j] for i in range(4) for j in range(i + 1, 4)
+        )
+        harmonic = sum(
+            (4 * P[i] * l[i] ** 2 - norm_l) * (4 * P[i] * k[i] ** 2 - norm_k) for i in range(4)
+        )
+        assert defining_coeffs(l, k) == quad_coeffs(cross + harmonic)
+
 
 def image(lattice, g):
     """The image of a lattice under a four-group element, diagonal here."""
@@ -93,6 +129,13 @@ def image(lattice, g):
 
 
 class TestTheta11:
+    @pytest.mark.parametrize("budget", [12, 24, 36])
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", ["L1", "L2"])
+    def test_matches_the_fraction_oracle(self, name, kernel, budget):
+        lattice = getattr(build_family(), name)
+        assert theta11(lattice, budget, kernel) == fraction_theta11(lattice, budget, kernel)
+
     def test_kernels_give_equal_series(self):
         fam = build_family()
         assert theta11(fam.L1, 24, Kernel.DEFINING) == theta11(fam.L1, 24, Kernel.PAIRWISE)
