@@ -7,7 +7,9 @@ subspaces exactly eight are self-dual.  Each subspace has exactly one
 reduced echelon generator pair: pivot columns p1 < p2, leading ones, a zero
 above the second pivot, and free entries elsewhere after each pivot, so
 3^(5 - p1 - p2) pairs per pivot choice and 81 + 27 + 9 + 9 + 3 + 1 = 130 in
-all.  ``two_dim_subspaces`` spans exactly these pairs.  Every span is
+all.  A code is built from a generator pair and keeps it: ``two_dim_subspaces``
+spans exactly these pairs, and ``selfdual_codes`` runs the census over them,
+testing self-duality on each pair's generators.  Every span is
 checked to have nine words, and F_3^4 has (3^4-1)(3^4-3)/((3^2-1)(3^2-3))
 = 130 two-dimensional subspaces, so 130 distinct spans are all of them: a
 subspace missed, or spanned twice in place of another, shows as a count
@@ -90,47 +92,26 @@ def span_pair(g1: Word, g2: Word) -> frozenset[Word]:
     return words
 
 
-def _echelon_pair(words: frozenset[Word]) -> tuple[Word, Word]:
-    # reduced echelon basis of a 2-dimensional word set: unique, so it can
-    # serve as the canonical generator pair
-    basis: list[list[int]] = []
-    for w in sorted(words):
-        row = list(w)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if row[lead]:
-                f = row[lead]
-                row = [(x - f * y) % 3 for x, y in zip(row, b)]
-        if any(row):
-            lead = next(i for i, x in enumerate(row) if x)
-            inv = 1 if row[lead] == 1 else 2  # inverse mod 3
-            basis.append([(inv * x) % 3 for x in row])
-        if len(basis) == 2:
-            break
-    # back-substitute to reduced form
-    lead1 = next(i for i, x in enumerate(basis[1]) if x)
-    if basis[0][lead1]:
-        f = basis[0][lead1]
-        basis[0] = [(x - f * y) % 3 for x, y in zip(basis[0], basis[1])]
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return tuple(basis[0]), tuple(basis[1])
-
-
 class TernaryCode:
-    """A 2-dimensional code, stored as its word set plus canonical
-    (reduced echelon) generator pair."""
+    """A 2-dimensional code, built from a generator pair by
+    ``from_generators``: it stores the normalized pair and the nine words
+    they span.
+
+    The codes of the census are built from their reduced echelon pairs, so
+    the eight self-dual codes carry those as ``generators``; a transformed
+    code carries the images of its original's generators instead.
+    """
 
     __slots__ = ("words", "generators")
 
-    def __init__(self, words: frozenset[Word]):
-        if len(words) != 9:
-            raise ValueError("a 2-dimensional code has exactly 9 words")
-        self.words = frozenset(normalize(w) for w in words)
-        self.generators = _echelon_pair(self.words)
+    def __init__(self, generators: tuple[Word, Word], words: frozenset[Word]):
+        self.generators = generators
+        self.words = words
 
     @classmethod
     def from_generators(cls, g1: Word, g2: Word) -> "TernaryCode":
-        return cls(span_pair(g1, g2))
+        g1, g2 = normalize(g1), normalize(g2)
+        return cls((g1, g2), span_pair(g1, g2))
 
     def __contains__(self, w) -> bool:
         return normalize(w) in self.words
@@ -145,7 +126,8 @@ class TernaryCode:
         return {1: 0, 3: 1, 9: 2}[common]
 
     def transformed(self, g: K4Element) -> "TernaryCode":
-        return TernaryCode(frozenset(g.apply_word(w) for w in self.words))
+        g1, g2 = self.generators
+        return TernaryCode.from_generators(g.apply_word(g1), g.apply_word(g2))
 
     def __eq__(self, other):
         if not isinstance(other, TernaryCode):
@@ -205,13 +187,15 @@ def two_dim_subspaces() -> frozenset[frozenset[Word]]:
 
 @lru_cache(maxsize=1)
 def selfdual_codes() -> tuple[TernaryCode, ...]:
-    """The eight self-dual codes, found by exhaustive search and returned in
-    canonical numbering; the search runs once per process."""
-    found = {ws for ws in two_dim_subspaces() if TernaryCode(ws).is_selfdual}
-    expected = [span_pair(*gens) for gens in SELFDUAL_GENERATORS]
-    if found != set(expected):
+    """The eight self-dual codes, found by exhaustive search over the
+    reduced echelon generator pairs and returned in canonical numbering;
+    the search runs once per process."""
+    codes = (TernaryCode.from_generators(g1, g2) for g1, g2 in _echelon_generator_pairs())
+    found = {code: code for code in codes if code.is_selfdual}
+    expected = [TernaryCode.from_generators(*gens) for gens in SELFDUAL_GENERATORS]
+    if set(found) != set(expected):
         raise AssertionError("self-dual census does not match the canonical list")
-    return tuple(TernaryCode(ws) for ws in expected)
+    return tuple(found[code] for code in expected)
 
 
 def orbit_partition(codes: tuple[TernaryCode, ...]) -> tuple[frozenset[int], frozenset[int]]:

@@ -41,6 +41,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .codes import K4
 from .lattices import (
@@ -66,14 +67,22 @@ from .qarith import (
 from .theta import QUAD_MONOS, QUAD_SLOTS, Kernel, pair_series, theta11
 
 
-# Cache bounds, in entries.  ``verify`` meets all 81 ordered label pairs at
-# budget 24 and the six distinct positive pairs at its own budget (87 class
-# series), a few discrepancy series and two labelled shells; a certify batch
-# needs six class series, one discrepancy series and one shell.  Neither
-# evicts; a process sweeping budgets keeps only the most recent ones.
+# Only the two budget-keyed facts that measured traffic re-reads are cached
+# (timings on a 2-vCPU x86_64 VM, Python 3.11).  The labelled shell: every
+# certify reads it for the minimal vectors, and scanning and relabelling the
+# budget-40 shell costs about 1.2 ms.  The class series: without them a
+# certify spends about 0.5 ms more on ``delta_series(40)``, and
+# ``check_relations(24)``, which reads most series three times, takes 7.4 ms
+# instead of 2.2 ms.  ``delta_series`` only re-sums six cached class series
+# (under 0.1 ms at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms
+# for L1 at budget 80), so neither keeps a cache.  Bounds, in entries:
+# ``verify`` meets all 81 ordered label pairs at budget 24 and the six
+# distinct positive pairs at its own budget (87 class series) and two
+# labelled shells; a certify batch needs six class series and one shell.
+# Neither evicts; a process sweeping budgets keeps only the most recent
+# ones.  Both caches are typed, so a float budget never reads an int entry.
 SHELL_CACHE = 8
 CLASS_SERIES_CACHE = 128
-DELTA_CACHE = 16
 
 
 class Route(enum.Enum):
@@ -93,7 +102,7 @@ def pair_discrepancy_kernel(l, k) -> ParamPolynomial:
     return ip * ip - ipp * ipp
 
 
-@lru_cache(maxsize=SHELL_CACHE)
+@lru_cache(maxsize=SHELL_CACHE, typed=True)
 def _labelled_shell(budget: int) -> dict[CosetLabel, tuple[Vec, ...]]:
     members: dict[CosetLabel, list[Vec]] = {label: [] for label in ALL_LABELS}
     for v in build_family().L1.vectors(budget):
@@ -114,7 +123,7 @@ def _psi_diag(label: CosetLabel) -> tuple[int, int, int, int]:
     return (1, 1, 1, 1) if label.is_zero else K4[label.index].diag
 
 
-@lru_cache(maxsize=CLASS_SERIES_CACHE)
+@lru_cache(maxsize=CLASS_SERIES_CACHE, typed=True)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
     (no prefactor).
@@ -154,14 +163,13 @@ def delta_class(pair: ClassPair, budget: int) -> FormalQSeries:
     return class_pair_series(CosetLabel(pair.i, 1), CosetLabel(pair.j, 1), budget)
 
 
-@lru_cache(maxsize=DELTA_CACHE)
 def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSeries:
     """The discrepancy series at the given budget.
 
     ``FROM_PSI_KERNEL`` is the sum of the six class series ``delta_class``
     of distinct positive classes; ``FROM_THETA`` takes 1/128 of the
     difference of the two invariants, enumerating L2 independently.  The two
-    routes agree exactly.
+    routes agree exactly.  Nothing is cached here; the class series are.
 
     The class restriction is exact at every budget, not only on a checked
     truncation.  Equal or opposite class indices give ``f == 1``, so the
@@ -263,47 +271,36 @@ def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
 @dataclass(frozen=True)
 class PairRow:
     """One candidate leading exponent: global indices of two minimal vectors
-    from distinct classes and the sum of their squared-coordinate tuples."""
+    from distinct classes, the two vectors, and the sum of their
+    squared-coordinate tuples."""
 
     i: int
     j: int
     exponent: Expo
-
-
-def _numbered_minimal_vectors(budget: int) -> tuple[dict[int, Vec], dict[int, int]]:
-    # global numbering: class representatives keep their class index 0..3,
-    # further minimal vectors get 4, 5, ... in class order
-    vectors: dict[int, Vec] = {}
-    class_of: dict[int, int] = {}
-    extras: list[tuple[int, Vec]] = []
-    for i in range(4):
-        for v in minimal_vectors(CosetLabel(i, 1), budget):
-            if v == COSET_REPS[i]:
-                vectors[i] = v
-                class_of[i] = i
-            else:
-                extras.append((i, v))
-    index = 4
-    for i, v in sorted(extras):
-        vectors[index] = v
-        class_of[index] = i
-        index += 1
-    return vectors, class_of
+    vectors: tuple[Vec, Vec]
 
 
 def minimal_pair_table(budget: int) -> tuple[PairRow, ...]:
     """All exponent candidates from pairs of minimal vectors in distinct
-    classes, with the global numbering."""
+    classes, with the global numbering: class representatives keep their
+    class index 0..3, further minimal vectors get 4, 5, ... in class order."""
     if budget < 36:
         raise ValueError("pair table needs budget >= 36 to see every minimal vector")
-    vectors, class_of = _numbered_minimal_vectors(budget)
-    rows = []
-    for i in sorted(vectors):
-        for j in sorted(vectors):
-            if i < j and class_of[i] != class_of[j]:
-                e = tuple(x + y for x, y in zip(phi(vectors[i]), phi(vectors[j])))
-                rows.append(PairRow(i, j, e))
-    return tuple(rows)
+    numbered: dict[int, tuple[int, Vec]] = {}
+    extras: list[tuple[int, Vec]] = []
+    for i in range(4):
+        for v in minimal_vectors(CosetLabel(i, 1), budget):
+            if v == COSET_REPS[i]:
+                numbered[i] = (i, v)
+            else:
+                extras.append((i, v))
+    for index, extra in enumerate(sorted(extras), start=4):
+        numbered[index] = extra
+    return tuple(
+        PairRow(i, j, tuple(x + y for x, y in zip(phi(v), phi(w))), (v, w))
+        for (i, (ci, v)), (j, (cj, w)) in combinations(sorted(numbered.items()), 2)
+        if ci != cj
+    )
 
 
 def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
@@ -388,15 +385,13 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             verdict=Verdict.INCONCLUSIVE,
         )
 
-    table = minimal_pair_table(budget)
-    leading_rows = minimal_rows(table)
+    leading_rows = minimal_rows(minimal_pair_table(budget))
     series = delta_series(budget, route)
-    vectors, _ = _numbered_minimal_vectors(budget)
 
     by_sigma: dict[Fraction, list[tuple[PairRow, ParamPolynomial]]] = {}
     for row in leading_rows:
         poly = series.coefficient(row.exponent)
-        direct = pair_discrepancy_kernel(vectors[row.i], vectors[row.j])
+        direct = pair_discrepancy_kernel(*row.vectors)
         if poly != direct:
             raise AssertionError(
                 f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"

@@ -273,10 +273,11 @@ def _check_min_vectors(budget: int) -> str | None:
 
 
 def _check_min_pairs(budget: int) -> str | None:
-    table = tuple(((row.i, row.j), row.exponent) for row in minimal_pair_table(budget))
+    rows = minimal_pair_table(budget)
+    table = tuple(((row.i, row.j), row.exponent) for row in rows)
     if table != EXPECTED_PAIR_TABLE:
         return f"pair table has {len(table)} rows and differs from the expected 18"
-    leading = tuple(row.exponent for row in minimal_rows(minimal_pair_table(budget)))
+    leading = tuple(row.exponent for row in minimal_rows(rows))
     if leading != LEADING_EXPONENTS:
         return f"order-minimal rows {leading}"
     return None

@@ -114,6 +114,13 @@ class TestAction:
         assert orbit2 == {1, 3, 5, 7}  # C2, C4, C6, C8
         assert orbit_partition(eight) == (frozenset(orbit1), frozenset(orbit2))
 
+    def test_transformed_spans_the_image_words(self):
+        for code in selfdual_codes():
+            for g in K4:
+                image = code.transformed(g)
+                assert image.words == frozenset(g.apply_word(w) for w in code.words)
+                assert image.generators == tuple(g.apply_word(w) for w in code.generators)
+
     def test_selfduality_preserved(self):
         for code in selfdual_codes():
             for g in K4:

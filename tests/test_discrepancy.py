@@ -9,6 +9,7 @@ from isopair import (
     Cmp,
     CosetLabel,
     FormalQSeries,
+    Lattice,
     ParamPoint,
     Route,
     Verdict,
@@ -24,9 +25,12 @@ from isopair import (
     minimal_rows,
     minimal_vectors,
     phi,
+    rep_series,
     run_verification,
     sigma,
+    theta11,
 )
+from isopair import discrepancy
 from isopair.discrepancy import _labelled_shell, class_members, pair_discrepancy_kernel
 
 from conftest import SCHIEMANN, SMALL, admissible_samples, fraction_delta, fraction_pair_sum
@@ -136,18 +140,33 @@ class TestClassSeries:
             ClassPair(3, 1)
 
 
-CACHED = (_labelled_shell, class_pair_series, delta_series)
+CACHED = (_labelled_shell, class_pair_series)
+IDENTITY_FIELDS = ("name", "generators", "hnf", "covolume")
 
 
 class TestCaches:
     def test_distinct_budgets_stay_within_the_bounds(self):
-        for budget in range(30):
-            delta_series(budget)
+        fam = build_family()
+
+        def within_bounds():
             for cached in CACHED:
                 info = cached.cache_info()
                 assert info.maxsize is not None and info.currsize <= info.maxsize, cached
+
+        for budget in range(30):
+            delta_series(budget)
+            within_bounds()
         # the loop asked for more entries than each bound holds
         assert all(f.cache_info().currsize == f.cache_info().maxsize for f in CACHED)
+        for budget in range(10, 200, 10):
+            fam.L1.vectors(budget)
+            rep_series(fam.L1, budget)
+            theta11(fam.M, budget)
+            within_bounds()
+        # a lattice carries its identity and nothing keyed on a budget
+        assert Lattice.__slots__ == IDENTITY_FIELDS
+        for lattice in fam:
+            assert not hasattr(lattice, "__dict__")
 
     def test_verify_and_certify_never_evict(self):
         for cached in CACHED:
@@ -158,6 +177,33 @@ class TestCaches:
         for cached in CACHED:
             info = cached.cache_info()
             assert info.currsize == info.misses, (cached, info)
+
+    def test_call_forms_share_the_class_series(self):
+        class_pair_series.cache_clear()
+        forms = (
+            delta_series(36),
+            delta_series(36, Route.FROM_PSI_KERNEL),
+            delta_series(36, route=Route.FROM_PSI_KERNEL),
+        )
+        assert forms[0] == forms[1] == forms[2]
+        # the six class series are summed once each, whatever the call form
+        assert class_pair_series.cache_info().misses == 6
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-int-call"])
+    def test_float_budget_is_refused(self, warm):
+        fam = build_family()
+        calls = (
+            lambda budget: certify(SCHIEMANN, budget),
+            lambda budget: delta_series(budget),
+            lambda budget: theta11(fam.L1, budget),
+        )
+        for call in calls:
+            for cached in CACHED:
+                cached.cache_clear()
+            if warm:
+                call(40)
+            with pytest.raises(TypeError):
+                call(40.0)
 
 
 class TestRelations:
@@ -299,6 +345,17 @@ class TestCertify:
             assert cert.min_exponent == expected_min
             for term in cert.terms:
                 assert sigma(term.exponent_vector, p) == expected_min
+
+    def test_one_minimal_vector_pass(self, monkeypatch):
+        calls = []
+
+        def counted(label, budget):
+            calls.append(label)
+            return minimal_vectors(label, budget)
+
+        monkeypatch.setattr(discrepancy, "minimal_vectors", counted)
+        certify(SCHIEMANN, 40)
+        assert len(calls) == 4
 
     def test_json_dict_round_trips(self):
         cert = certify(SCHIEMANN, 40)

@@ -288,6 +288,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             build_family().L.vectors(-1)
 
+    @pytest.mark.parametrize("budget", [True, 40.0, Fraction(40)], ids=repr)
+    def test_rejects_a_budget_that_is_not_an_int(self, budget):
+        with pytest.raises(TypeError):
+            build_family().L1.vectors(budget)
+
 
 class TestProjection:
     def test_m_projects_to_zero(self):

@@ -12,13 +12,15 @@ commit is measured by the same script.  The rows:
   ``AnchorResult``, read by wrapping ``verification._result``, which
   ``run_verification`` calls once per anchor right after its check;
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36;
-* ``discrepancy.delta_<route>`` at budgets 24 and 36.
+* ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
+  alone at budgets 40, 80 and 160;
+* ``discrepancy.certify_warm``: the median time of one ``certify`` call at
+  budget 40 over 200 fixed points, after one untimed warm-up call.
 
-The theta and delta rows build the shells they read first, untimed, in
-their own process.  Each row reports the median and quartiles of
-``--repeats`` processes.  Rows already in ``--out`` under another label are
-kept, so the rows of two commits sit side by side; rows under ``--label``
-are replaced.
+The theta, delta and certify rows each run in their own process.  Each row
+reports the median and quartiles of ``--repeats`` processes.  Rows already
+in ``--out`` under another label are kept, so the rows of two commits sit
+side by side; rows under ``--label`` are replaced.
 """
 
 from __future__ import annotations
@@ -27,15 +29,20 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_BUDGET = 36
 BUDGETS = (24, 36)
+PSI_BUDGETS = (40, 80, 160)
+CERTIFY_BUDGET = 40
+CERTIFY_POINTS = 200
 
 
 def _anchor_times() -> list[dict]:
@@ -62,7 +69,6 @@ def _theta_time(kernel: str, budget: int) -> list[dict]:
     from isopair import Kernel, build_family, theta11
 
     lattice = build_family().L1
-    lattice.vectors(budget)
     start = time.perf_counter()
     theta11(lattice, budget, Kernel(kernel))
     return [{"layer": f"theta.theta11_{kernel}", "budget": budget,
@@ -72,13 +78,30 @@ def _theta_time(kernel: str, budget: int) -> list[dict]:
 def _delta_time(route: str, budget: int) -> list[dict]:
     from isopair import Route, build_family, delta_series
 
-    fam = build_family()
-    fam.L1.vectors(budget)
-    fam.L2.vectors(budget)
+    build_family()
     start = time.perf_counter()
     delta_series(budget, Route(route))
     return [{"layer": f"discrepancy.delta_{route}", "budget": budget,
              "seconds": time.perf_counter() - start}]
+
+
+def _certify_time() -> list[dict]:
+    from isopair import ParamPoint, certify
+
+    rng = random.Random(0)  # the same points for every commit
+    points = []
+    while len(points) < CERTIFY_POINTS + 1:
+        values = {Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(4)}
+        if len(values) == 4:
+            points.append(ParamPoint(*values))
+    certify(points[0], CERTIFY_BUDGET)
+    seconds = []
+    for point in points[1:]:
+        start = time.perf_counter()
+        certify(point, CERTIFY_BUDGET)
+        seconds.append(time.perf_counter() - start)
+    return [{"layer": "discrepancy.certify_warm", "budget": CERTIFY_BUDGET,
+             "seconds": statistics.median(seconds)}]
 
 
 def _jobs() -> list[list[str]]:
@@ -86,12 +109,15 @@ def _jobs() -> list[list[str]]:
     for budget in BUDGETS:
         jobs += [["theta", kernel, str(budget)] for kernel in ("defining", "pairwise")]
         jobs += [["delta", route, str(budget)] for route in ("theta", "psi")]
-    return jobs
+    jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
+    return jobs + [["certify"]]
 
 
 def _child(job: list[str]) -> list[dict]:
     if job[0] == "anchors":
         return _anchor_times()
+    if job[0] == "certify":
+        return _certify_time()
     kind, name, budget = job
     return (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
 
