@@ -21,7 +21,8 @@ Because psi acts on each class by a fixed diagonal sign matrix, the kernel
 of a class pair is ``4 x_s x_t p_s p_t`` summed over the coordinate slots
 ``s < t`` where the product of the two sign matrices differs, with
 ``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class series are
-integer sums, turned into polynomial coefficients only at the end.  The
+integer sums, and they stay integer vectors through ``delta_series`` and the
+collapse in ``certify``; only the certificate terms become polynomials.  The
 invariant-difference route and, in the test suite, the Fraction-valued
 kernel summed over all of L1 x L1 are independent references for it.
 
@@ -51,20 +52,23 @@ from .lattices import (
     Vec,
     build_family,
     coset_label,
-    inner_poly,
     phi,
     psi,
 )
 from .qarith import (
+    MONOS,
+    QUAD_MONOS,
+    QUAD_SLOTS,
     Cmp,
     Expo,
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
+    check_budget,
     exp_cmp,
     sigma,
 )
-from .theta import QUAD_MONOS, QUAD_SLOTS, Kernel, pair_series, theta11
+from .theta import Kernel, pair_series, theta11
 
 
 # Only the two budget-keyed facts that measured traffic re-reads are cached
@@ -95,11 +99,14 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def pair_discrepancy_kernel(l, k) -> ParamPolynomial:
-    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1."""
-    ip = inner_poly(l, k)
-    ipp = inner_poly(psi(l), psi(k))
-    return ip * ip - ipp * ipp
+def pair_discrepancy_vector(l, k) -> tuple[int, ...]:
+    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1, as an integer vector on
+    ``MONOS``: the square of the linear form ``x.p`` with ``x = l*k``
+    coordinatewise, minus the same square for the images under psi."""
+    x = [u * w for u, w in zip(l, k)]
+    y = [u * w for u, w in zip(psi(l), psi(k))]
+    quad = ((x[s] * x[t] - y[s] * y[t]) * (1 if s == t else 2) for s, t in QUAD_SLOTS)
+    return (0,) * (len(MONOS) - len(QUAD_MONOS)) + tuple(quad)
 
 
 @lru_cache(maxsize=SHELL_CACHE, typed=True)
@@ -170,6 +177,8 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     of distinct positive classes; ``FROM_THETA`` takes 1/128 of the
     difference of the two invariants, enumerating L2 independently.  The two
     routes agree exactly.  Nothing is cached here; the class series are.
+    Both routes add integer coefficient vectors; the theta route's 1/128
+    only changes the series' scale.
 
     The class restriction is exact at every budget, not only on a checked
     truncation.  Equal or opposite class indices give ``f == 1``, so the
@@ -367,9 +376,14 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     values are sorted into the canonical increasing chain first.  The
     collapsed discrepancy's minimal exponent must agree with the minimum of
     the two order-minimal pair exponents, whose stored coefficients are also
-    cross-checked against the direct two-vector kernels; ties are resolved by
-    summing coefficients at the common collapsed exponent.
+    cross-checked against the direct two-vector kernels
+    (``pair_discrepancy_vector``, in integers); ties are resolved by summing
+    coefficients at the common collapsed exponent, which ``collapse``
+    evaluates in integers.  Only the certificate terms are turned into
+    polynomials, each evaluated once to give its value.  A budget that is
+    not an ``int`` raises ``TypeError``, before any other check.
     """
+    check_budget(budget)
     if budget < 36:
         raise ValueError("certification needs budget >= 36 to cover the minimal pair table")
     ordered, permutation = p.sorted()
@@ -388,25 +402,21 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     leading_rows = minimal_rows(minimal_pair_table(budget))
     series = delta_series(budget, route)
 
-    by_sigma: dict[Fraction, list[tuple[PairRow, ParamPolynomial]]] = {}
+    by_sigma: dict[Fraction, list[PairRow]] = {}
     for row in leading_rows:
-        poly = series.coefficient(row.exponent)
-        direct = pair_discrepancy_kernel(*row.vectors)
-        if poly != direct:
+        if not series.matches(row.exponent, pair_discrepancy_vector(*row.vectors)):
             raise AssertionError(
                 f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"
             )
-        by_sigma.setdefault(sigma(row.exponent, ordered), []).append((row, poly))
+        by_sigma.setdefault(sigma(row.exponent, ordered), []).append(row)
 
     min_exponent = min(by_sigma)
     collapsed = series.collapse(ordered)
     if not collapsed or collapsed[0][0] != min_exponent:
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-    terms = tuple(
-        CertTerm(row.exponent, poly, poly.evaluate(ordered))
-        for row, poly in by_sigma[min_exponent]
-    )
+    polys = [(row.exponent, series.coefficient(row.exponent)) for row in by_sigma[min_exponent]]
+    terms = tuple(CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in polys)
     total = sum((term.value for term in terms), Fraction(0))
     if collapsed[0][1] != total:
         raise AssertionError("leading coefficient does not match the certificate terms")

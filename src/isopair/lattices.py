@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .codes import C1_LABELED_WORDS, K4, Word, _matvec, normalize
-from .qarith import Expo, ParamPolynomial
+from .qarith import Expo, ParamPolynomial, check_budget
 
 Vec = tuple[int, int, int, int]
 Matrix = tuple[tuple[int, int, int, int], ...]
@@ -146,9 +146,7 @@ class Lattice:
         Nothing is cached: one call is one scan, under a millisecond for L1
         at budget 80.
         """
-        if not isinstance(budget, int) or isinstance(budget, bool):
-            raise TypeError(f"budget must be an int, got {budget!r}")
-        if budget < 0:
+        if check_budget(budget) < 0:
             raise ValueError("budget must be non-negative")
         return tuple(self._scan(budget))
 

@@ -2,12 +2,16 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  Series
 coefficients are polynomials in the four positive lattice parameters
-(a, b, c, d) with rational coefficients; everything this package produces has
-total degree at most two.  q-exponents are kept as integer 4-tuples
-(n0, n1, n2, n3) -- the squared eigenbasis coordinates of a lattice vector --
-and are only turned into concrete exponents a*n0 + b*n1 + c*n2 + d*n3 by an
-explicit collapse step.  One symbolic series therefore serves every parameter
-point.
+(a, b, c, d) of total degree at most two, so a series holds each one as an
+integer vector on the fifteen monomials ``MONOS`` (1, a, b, c, d, then the
+ten ``QUAD_MONOS``) times one ``Fraction`` scale shared by the whole series.
+Addition, scaling and collapse are integer arithmetic on those vectors;
+``ParamPolynomial`` is the boundary where a coefficient is printed,
+serialized or compared with a formula of the paper.  q-exponents are kept
+as integer 4-tuples (n0, n1, n2, n3) -- the squared eigenbasis coordinates
+of a lattice vector -- and are only turned into concrete exponents
+a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.  One symbolic series
+therefore serves every parameter point.
 
 Exponent vectors are partially ordered by suffix sums::
 
@@ -29,12 +33,28 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
 
 PARAM_NAMES = ("a", "b", "c", "d")
+
+# the ten quadratic monomials p_s*p_t (s <= t), and the fifteen monomials of
+# degree at most two that index every coefficient vector of a series
+QUAD_SLOTS = tuple((s, t) for s in range(4) for t in range(s, 4))
+QUAD_MONOS: tuple[Mono, ...] = tuple(
+    tuple(int(u == s) + int(u == t) for u in range(4)) for s, t in QUAD_SLOTS
+)
+MONOS: tuple[Mono, ...] = (
+    (0, 0, 0, 0),
+    *(tuple(int(u == i) for u in range(4)) for i in range(4)),
+    *QUAD_MONOS,
+)
+_MONO_INDEX = {mono: i for i, mono in enumerate(MONOS)}
 
 _ZERO = Fraction(0)
 
@@ -44,6 +64,13 @@ def exact(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing inexact float {x!r}; pass int, Fraction or string")
     return Fraction(x)
+
+
+def check_budget(budget) -> int:
+    """Refuse a budget that is not an ``int`` (``bool`` and ``40.0`` included)."""
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise TypeError(f"budget must be an int, got {budget!r}")
+    return budget
 
 
 class Cmp(enum.Enum):
@@ -278,25 +305,83 @@ class FormalQSeries:
     series of budget N holds exactly the contributions of lattice-vector
     pairs whose combined squared-coordinate sum is at most N, so two series
     may be added or compared only at equal budgets.
+
+    The coefficient at an exponent ``e`` is ``scale`` times the integer
+    vector ``terms[e]`` on ``MONOS``; exponents with a zero coefficient are
+    not stored.  Normal form: ``scale`` is ``1/L`` for the least common
+    denominator ``L`` of all coefficients, so the vectors are the
+    coefficients times ``L``; a series with integer coefficients, the empty
+    one included, has scale 1.  Each rational series has exactly one such
+    form, so ``==`` and ``hash`` depend only on the rational coefficients,
+    whether the series came from polynomials or from integer sums.
     """
 
-    __slots__ = ("budget", "terms")
+    __slots__ = ("budget", "terms", "scale")
 
-    def __init__(self, budget: int, terms: Mapping[Expo, ParamPolynomial] | None = None):
-        if budget < 0:
+    def __init__(
+        self, budget: int, terms: Mapping[Expo, ParamPolynomial | int | Fraction] | None = None
+    ):
+        if check_budget(budget) < 0:
             raise ValueError("budget must be non-negative")
-        clean: dict[Expo, ParamPolynomial] = {}
-        if terms:
-            for e, poly in terms.items():
-                e = check_expo(e)
-                if sum(e) > budget:
-                    raise ValueError(f"exponent {e} exceeds budget {budget}")
-                if not isinstance(poly, ParamPolynomial):
-                    poly = ParamPolynomial(poly)
-                if poly:
-                    clean[e] = poly
-        self.budget = budget
-        self.terms = clean
+        rational: dict[Expo, list[Fraction]] = {}
+        for e, poly in (terms or {}).items():
+            e = check_expo(e)
+            if sum(e) > budget:
+                raise ValueError(f"exponent {e} exceeds budget {budget}")
+            if not isinstance(poly, ParamPolynomial):
+                poly = ParamPolynomial.constant(poly)
+            if not poly:
+                continue
+            vector = [_ZERO] * len(MONOS)
+            for mono, coeff in poly.terms.items():
+                if mono not in _MONO_INDEX:
+                    raise ValueError(f"monomial {mono} has degree above two")
+                vector[_MONO_INDEX[mono]] = coeff
+            rational[e] = vector
+        denominator = lcm(*(c.denominator for c in chain.from_iterable(rational.values())))
+        self._set(
+            budget,
+            {
+                e: tuple(c.numerator * (denominator // c.denominator) for c in vector)
+                for e, vector in rational.items()
+            },
+            Fraction(1, denominator),
+        )
+
+    @classmethod
+    def from_vectors(
+        cls, budget: int, vectors: Mapping[Expo, Sequence[int]], scale: Fraction = Fraction(1)
+    ) -> "FormalQSeries":
+        """The series ``scale * vectors`` from integer vectors on ``MONOS``;
+        the package's constructor, which trusts its exponents."""
+        terms = {e: tuple(v) for e, v in vectors.items() if any(v)}
+        return cls._normal(budget, terms, exact(scale))
+
+    @classmethod
+    def _normal(cls, budget: int, terms: dict[Expo, tuple[int, ...]], scale: Fraction):
+        out = cls.__new__(cls)
+        out._set(budget, terms, scale)
+        return out
+
+    def _set(self, budget: int, terms: dict[Expo, tuple[int, ...]], scale: Fraction):
+        # bring nonzero vectors and a scale into the normal form of the class
+        # docstring; a series with integer coefficients needs no pass at all.
+        # Vectors are built from lists throughout: a tuple grown from a
+        # generator bypasses the tuple free list on allocation but lands in
+        # it when freed, which fills it with up to 2000 spare 15-tuples
+        n, d = scale.numerator, scale.denominator
+        if not n or not terms:
+            terms, d = {}, 1
+        elif n != 1:
+            terms = {e: tuple([n * x for x in v]) for e, v in terms.items()}
+        common = d
+        for v in terms.values():
+            if common == 1:
+                break
+            common = gcd(common, *v)
+        if common != 1:
+            terms = {e: tuple([x // common for x in v]) for e, v in terms.items()}
+        self.budget, self.terms, self.scale = budget, terms, Fraction(1, d // common)
 
     @classmethod
     def empty(cls, budget: int) -> "FormalQSeries":
@@ -313,7 +398,14 @@ class FormalQSeries:
         return iter(sorted(self.terms))
 
     def coefficient(self, e: Expo) -> ParamPolynomial:
-        return self.terms.get(tuple(e), ParamPolynomial.zero())
+        vector = self.terms.get(tuple(e), ())
+        return ParamPolynomial({m: self.scale * x for m, x in zip(MONOS, vector) if x})
+
+    def matches(self, e: Expo, vector: Sequence[int]) -> bool:
+        """Whether the coefficient at ``e`` is the integer vector ``vector``
+        on ``MONOS`` (with scale 1)."""
+        stored = self.terms.get(tuple(e), (0,) * len(MONOS))
+        return stored == tuple([self.scale.denominator * x for x in vector])
 
     def _check_budget(self, other: "FormalQSeries"):
         if self.budget != other.budget:
@@ -323,17 +415,27 @@ class FormalQSeries:
         if not isinstance(other, FormalQSeries):
             return NotImplemented
         self._check_budget(other)
-        terms = dict(self.terms)
-        for e, poly in other.terms.items():
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        s, t = self.scale.denominator, other.scale.denominator
+        common = lcm(s, t)
+        ms, mt = common // s, common // t
+        terms = dict(self.terms) if ms == 1 else {
+            e: tuple([ms * x for x in v]) for e, v in self.terms.items()
+        }
+        for e, v in other.terms.items():
             acc = terms.get(e)
-            acc = poly if acc is None else acc + poly
-            if acc:
+            if acc is None:
+                terms[e] = v if mt == 1 else tuple([mt * x for x in v])
+                continue
+            acc = tuple([x + mt * y for x, y in zip(acc, v)])
+            if any(acc):
                 terms[e] = acc
             else:
-                terms.pop(e, None)
-        out = FormalQSeries.__new__(FormalQSeries)
-        out.budget, out.terms = self.budget, terms
-        return out
+                del terms[e]
+        return self._normal(self.budget, terms, Fraction(1, common))
 
     def __sub__(self, other):
         if not isinstance(other, FormalQSeries):
@@ -341,37 +443,53 @@ class FormalQSeries:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "FormalQSeries":
-        factor = exact(factor)
-        out = FormalQSeries.__new__(FormalQSeries)
-        out.budget = self.budget
-        out.terms = {} if not factor else {e: poly * factor for e, poly in self.terms.items()}
-        return out
+        return self._normal(self.budget, self.terms, self.scale * exact(factor))
 
     def truncated(self, budget: int) -> "FormalQSeries":
         """Drop all terms beyond a smaller budget."""
-        if budget > self.budget:
+        if check_budget(budget) > self.budget:
             raise ValueError("cannot extend a truncated series")
-        return FormalQSeries(budget, {e: p for e, p in self.terms.items() if sum(e) <= budget})
+        if budget < 0:
+            raise ValueError("budget must be non-negative")
+        kept = {e: v for e, v in self.terms.items() if sum(e) <= budget}
+        return self._normal(budget, kept, self.scale)
 
     def collapse(self, p: ParamPoint) -> tuple[tuple[Fraction, Fraction], ...]:
         """Evaluate exponents and coefficients at a point, merging exponents.
 
         Returns (exponent, coefficient) pairs sorted by ascending exponent,
-        with zero coefficients dropped.
+        with zero coefficients dropped.  With ``D`` the common denominator
+        of the point and ``A = D*p`` its integer numerators, an exponent is
+        ``(n.A) / D`` and a coefficient is ``(v.W) / (L D^2)`` for the
+        integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS`` and the
+        scale ``1/L``; the sums stay integer and each merged exponent is
+        divided out once.
         """
-        merged: dict[Fraction, Fraction] = {}
-        for e, poly in self.terms.items():
-            x = sigma(e, p)
-            merged[x] = merged.get(x, _ZERO) + poly.evaluate(p)
-        return tuple(sorted((x, c) for x, c in merged.items() if c))
+        D = lcm(*(x.denominator for x in p.coords))
+        A = [x.numerator * (D // x.denominator) for x in p.coords]
+        weights = (D * D, *(D * x for x in A), *(A[s] * A[t] for s, t in QUAD_SLOTS))
+        merged: dict[int, int] = {}
+        for e, v in self.terms.items():
+            key = e[0] * A[0] + e[1] * A[1] + e[2] * A[2] + e[3] * A[3]
+            merged[key] = merged.get(key, 0) + sum(map(mul, weights, v))
+        d = self.scale.denominator * D * D
+        return tuple(
+            (Fraction(key, D), Fraction(value, d))
+            for key, value in sorted(merged.items())
+            if value
+        )
 
     def __eq__(self, other):
         if not isinstance(other, FormalQSeries):
             return NotImplemented
-        return self.budget == other.budget and self.terms == other.terms
+        return (
+            self.budget == other.budget
+            and self.scale == other.scale
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.budget, tuple(sorted((e, p.as_pairs()) for e, p in self.terms.items()))))
+        return hash((self.budget, self.scale, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         return f"FormalQSeries(budget={self.budget}, terms={len(self.terms)})"

@@ -21,10 +21,11 @@ pair as polynomial identities:
   on ``p_i p_j``, with ``x = l*k`` coordinatewise.
 
 ``pair_series`` is the one pair loop of the package: it sums such integer
-coefficient vectors per exponent and turns each sum into a
-``ParamPolynomial`` once, at the end.  That is the ``ParamPolynomial``
-boundary; ``pairwise_kernel`` and ``defining_kernel`` cross it per pair for
-callers that want a single kernel value.
+coefficient vectors per exponent and hands the sums to the series as they
+are, integer vectors on ``qarith.MONOS``; no ``ParamPolynomial`` is built.
+A polynomial appears only at the output boundary: ``coefficient`` of a
+series, and ``pairwise_kernel`` and ``defining_kernel`` for callers that
+want a single kernel value as a polynomial.
 
 Equivalently the pairwise kernel is 4*(4cos^2(angle(l,k)) - 1)*|l|^2*|k|^2,
 which ties the coefficient to the distribution of angles between lattice
@@ -37,20 +38,12 @@ import enum
 from operator import add
 
 from .lattices import Lattice, phi
-from .qarith import Expo, FormalQSeries, Mono, ParamPolynomial
+from .qarith import MONOS, QUAD_MONOS, QUAD_SLOTS, Expo, FormalQSeries, Mono, ParamPolynomial
 
 
 class Kernel(enum.Enum):
     DEFINING = "defining"
     PAIRWISE = "pairwise"
-
-
-# the ten quadratic monomials p_s*p_t (s <= t), in the order of every
-# integer kernel vector
-QUAD_SLOTS = tuple((s, t) for s in range(4) for t in range(s, 4))
-QUAD_MONOS: tuple[Mono, ...] = tuple(
-    tuple(int(u == s) + int(u == t) for u in range(4)) for s, t in QUAD_SLOTS
-)
 
 
 def _times(u, w) -> list[int]:
@@ -80,8 +73,8 @@ def defining_coeffs(l, k) -> list[int]:
     return acc
 
 
-def _polynomial(coeffs, monos=QUAD_MONOS) -> ParamPolynomial:
-    return ParamPolynomial(dict(zip(monos, coeffs)))
+def _polynomial(coeffs) -> ParamPolynomial:
+    return ParamPolynomial(dict(zip(QUAD_MONOS, coeffs)))
 
 
 def pairwise_kernel(l, k) -> ParamPolynomial:
@@ -104,7 +97,8 @@ def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
     for v in lattice.vectors(budget):
         e = phi(v)
         counts[e] = counts.get(e, 0) + 1
-    return FormalQSeries(budget, {e: ParamPolynomial.constant(n) for e, n in counts.items()})
+    rest = (0,) * (len(MONOS) - 1)
+    return FormalQSeries.from_vectors(budget, {e: (n, *rest) for e, n in counts.items()})
 
 
 def _by_norm(vectors) -> list[tuple[int, tuple, Expo]]:
@@ -122,7 +116,7 @@ def pair_series(
     ``kernel`` returns integer coefficients, one per monomial of ``monos``.
     The pairs are walked in ascending coordinate-square sum, so the inner
     loop stops at the first partner past the budget; the sums stay integer
-    and become polynomial coefficients once per exponent at the end.
+    and are placed on ``MONOS`` once per exponent at the end.
     """
     rows = _by_norm(second)
     acc: dict[Expo, list[int]] = {}
@@ -133,7 +127,14 @@ def pair_series(
             e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
             sums = acc.get(e)
             acc[e] = kernel(l, k) if sums is None else list(map(add, sums, kernel(l, k)))
-    return FormalQSeries(budget, {e: _polynomial(sums, monos) for e, sums in acc.items()})
+    positions = [MONOS.index(m) for m in monos]
+    vectors = {}
+    for e, sums in acc.items():
+        vector = [0] * len(MONOS)
+        for i, x in zip(positions, sums):
+            vector[i] = x
+        vectors[e] = vector
+    return FormalQSeries.from_vectors(budget, vectors)
 
 
 def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> FormalQSeries:

@@ -14,6 +14,7 @@ from isopair import (
     norm_poly,
     phi,
     psi,
+    sigma,
 )
 
 settings.register_profile("exact", deadline=None, max_examples=100)
@@ -47,6 +48,14 @@ def _fraction_sum(first, second, budget: int, kernel):
             if sum(e) <= budget:
                 acc[e] = acc[e] + kernel(l, k) if e in acc else kernel(l, k)
     return FormalQSeries(budget, acc)
+
+
+def pair_discrepancy_kernel(l, k):
+    """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1, by Fraction-valued
+    polynomial arithmetic."""
+    ip = inner_poly(l, k)
+    ipp = inner_poly(psi(l), psi(k))
+    return ip * ip - ipp * ipp
 
 
 def fraction_pair_sum(first, second, budget: int):
@@ -102,3 +111,13 @@ def fraction_delta(budget: int):
     all of L1 x L1, with no class restriction."""
     shell = build_family().L1.vectors(budget)
     return fraction_pair_sum(shell, shell, budget).scaled(Fraction(1, 8))
+
+
+def fraction_collapse(series, p):
+    """Reference collapse: ``sigma(e, p)`` and the Fraction evaluation of
+    ``series.coefficient(e)`` per exponent, merged and sorted."""
+    merged: dict = {}
+    for e in series:
+        x = sigma(e, p)
+        merged[x] = merged.get(x, Fraction(0)) + series.coefficient(e).evaluate(p)
+    return tuple(sorted((x, c) for x, c in merged.items() if c))

@@ -11,6 +11,7 @@ from isopair import (
     FormalQSeries,
     Lattice,
     ParamPoint,
+    ParamPolynomial,
     Route,
     Verdict,
     build_family,
@@ -31,9 +32,16 @@ from isopair import (
     theta11,
 )
 from isopair import discrepancy
-from isopair.discrepancy import _labelled_shell, class_members, pair_discrepancy_kernel
+from isopair.discrepancy import _labelled_shell, class_members, pair_discrepancy_vector
 
-from conftest import SCHIEMANN, SMALL, admissible_samples, fraction_delta, fraction_pair_sum
+from conftest import (
+    SCHIEMANN,
+    SMALL,
+    admissible_samples,
+    fraction_delta,
+    fraction_pair_sum,
+    pair_discrepancy_kernel,
+)
 
 BOLD_FIRST = (10, 10, 2, 2)
 BOLD_SECOND = (25, 5, 5, 1)
@@ -85,6 +93,14 @@ class TestRoutes:
         series = delta_series(40, Route.FROM_PSI_KERNEL)
         assert _sympy_poly(series.coefficient(BOLD_FIRST)) == sympy.expand(-12 * (b - a) * (d - c))
         assert _sympy_poly(series.coefficient(BOLD_SECOND)) == sympy.expand(-96 * a * (c - b))
+
+    def test_integer_pair_kernel_matches_the_polynomial_one(self):
+        shell = build_family().L1.vectors(24)
+        for l in shell[::7]:
+            for k in shell[::5]:
+                vector = pair_discrepancy_vector(l, k)
+                single = FormalQSeries.from_vectors(0, {(0, 0, 0, 0): vector})
+                assert single.coefficient((0, 0, 0, 0)) == pair_discrepancy_kernel(l, k)
 
     def test_m_pairs_contribute_nothing(self):
         fam = build_family()
@@ -322,6 +338,43 @@ class TestCertify:
         cert = certify(ParamPoint(1, 1, 2, 3), 40)
         assert cert.verdict is Verdict.INCONCLUSIVE
         assert cert.terms == () and cert.total is None and cert.min_exponent is None
+
+    @pytest.mark.parametrize("budget", [40.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("point", [ParamPoint(1, 1, 2, 3), SCHIEMANN], ids=["repeated", "distinct"])
+    def test_budget_type_checked_first(self, point, cache, budget):
+        with pytest.raises(TypeError) as shell_error:
+            build_family().L1.vectors(budget)
+        if cache == "cold":
+            _labelled_shell.cache_clear()
+            class_pair_series.cache_clear()
+        else:
+            certify(SCHIEMANN, 40)
+        with pytest.raises(TypeError) as error:
+            certify(point, budget)
+        assert str(error.value) == str(shell_error.value)
+
+    def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
+        # a warm certify works on integer vectors; polynomials appear only in
+        # its terms, each evaluated once for its value
+        calls = {"arithmetic": 0, "evaluate": 0}
+        evaluate = ParamPolynomial.evaluate
+
+        def counted_arithmetic(self, *args):
+            calls["arithmetic"] += 1
+            return NotImplemented
+
+        def counted_evaluate(self, p):
+            calls["evaluate"] += 1
+            return evaluate(self, p)
+
+        certify(SCHIEMANN, 40)
+        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(ParamPolynomial, name, counted_arithmetic)
+        monkeypatch.setattr(ParamPolynomial, "evaluate", counted_evaluate)
+        terms = sum(len(certify(p, 40).terms) for p in admissible_samples(101, 20))
+        assert calls["arithmetic"] == 0
+        assert 20 <= calls["evaluate"] <= terms
 
     def test_budget_below_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -10,13 +11,20 @@ from hypothesis import strategies as st
 from isopair import (
     Cmp,
     FormalQSeries,
+    Kernel,
     ParamPoint,
     ParamPolynomial,
+    Route,
+    build_family,
+    delta_series,
     exp_cmp,
+    rep_series,
     sigma,
+    theta11,
 )
+from isopair.qarith import MONOS
 
-from conftest import SCHIEMANN, admissible_samples
+from conftest import SCHIEMANN, admissible_samples, fraction_collapse
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -307,3 +315,154 @@ class TestParamPoint:
         assert ordered == SCHIEMANN
         assert perm == (2, 1, 3, 0)
         assert tuple(p.coords[i] for i in perm) == ordered.coords
+
+
+def collapse_points(seed: int, count: int) -> list[ParamPoint]:
+    """Admissible points with denominators 1..20; every fourth one is a tie
+    point, 5b + d = 15a + 3c, where the two leading exponents of the
+    discrepancy collapse to the same value."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        values = sorted({Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(4)})
+        if len(values) < 4:
+            continue
+        a, b, c, d = values
+        if len(out) % 4 == 3:
+            d = 15 * a + 3 * c - 5 * b
+            if d <= c:
+                continue
+        out.append(ParamPoint(a, b, c, d))
+    return out
+
+
+COLLAPSE_POINTS = collapse_points(6, 200)
+
+
+def random_degree_two_series(seed: int, budget: int) -> FormalQSeries:
+    """Rational coefficients on every monomial of degree at most two,
+    constant and linear ones included."""
+    rng = random.Random(seed)
+    terms = {}
+    for _ in range(40):
+        e = tuple(rng.randint(0, budget // 4) for _ in range(4))
+        terms[e] = ParamPolynomial(
+            {m: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for m in rng.sample(MONOS, 6)}
+        )
+    return FormalQSeries(budget, terms)
+
+
+@lru_cache(maxsize=None)
+def oracle_series():
+    fam = build_family()
+    return {
+        "delta-40": delta_series(40),
+        "delta-80": delta_series(80),
+        "delta-theta-40": delta_series(40, Route.FROM_THETA),
+        "theta11-pairwise-24": theta11(fam.L1, 24, Kernel.PAIRWISE),
+        "theta11-defining-24": theta11(fam.L1, 24, Kernel.DEFINING),
+        "rep-L2-40": rep_series(fam.L2, 40),
+        "negated-delta-40": delta_series(40).scaled(-1),
+        "random-degree-two": random_degree_two_series(7, 16),
+    }
+
+
+ORACLE_NAMES = sorted(oracle_series())
+
+
+class TestIntegerCollapse:
+    def test_tie_points_tie(self):
+        ties = COLLAPSE_POINTS[3::4]
+        assert len(ties) == 50
+        for p in ties:
+            assert p.admissible
+            assert sigma((10, 10, 2, 2), p) == sigma((25, 5, 5, 1), p)
+        assert max(x.denominator for p in COLLAPSE_POINTS for x in p.coords) > 1
+
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_matches_the_fraction_oracle(self, name):
+        series = oracle_series()[name]
+        assert not series.is_zero
+        for p in COLLAPSE_POINTS:
+            assert series.collapse(p) == fraction_collapse(series, p), (name, p)
+
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_collapse_returns_fractions(self, name):
+        series = oracle_series()[name]
+        for p in (SCHIEMANN, ParamPoint(Fraction(1, 2), Fraction(5, 3), 7, Fraction(41, 4))):
+            collapsed = series.collapse(p)
+            assert collapsed
+            for x, c in collapsed:
+                assert type(x) is Fraction and type(c) is Fraction
+
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    def test_round_trip_through_polynomials(self, name):
+        series = oracle_series()[name]
+        again = FormalQSeries(series.budget, {e: series.coefficient(e) for e in series})
+        assert again == series
+        assert hash(again) == hash(series)
+
+
+class TestIntegerForm:
+    E = (1, 0, 0, 0)
+
+    def test_normal_form_is_unique(self):
+        rest = (0,) * (len(MONOS) - 1)
+        from_poly = FormalQSeries(4, {self.E: Fraction(2, 3)})
+        forms = [
+            FormalQSeries.from_vectors(4, {self.E: (2, *rest)}, Fraction(1, 3)),
+            FormalQSeries.from_vectors(4, {self.E: (4, *rest)}, Fraction(1, 6)),
+            FormalQSeries.from_vectors(4, {self.E: (-6, *rest)}, Fraction(-1, 9)),
+        ]
+        for series in forms:
+            assert series == from_poly and hash(series) == hash(from_poly)
+            assert series.scale == Fraction(1, 3) and series.terms == {self.E: (2, *rest)}
+        assert from_poly != FormalQSeries(4, {self.E: Fraction(-2, 3)})
+        half = FormalQSeries(4, {self.E: Fraction(1, 2), (0, 1, 0, 0): Fraction(3, 4)})
+        assert half.scale == Fraction(1, 4)
+        total = half + half.scaled(3)
+        assert total == FormalQSeries(4, {self.E: 2, (0, 1, 0, 0): 3}) and total.scale == 1
+
+    def test_zero_vectors_and_zero_scale_give_the_empty_series(self):
+        zero = (0,) * len(MONOS)
+        empty = FormalQSeries.empty(4)
+        assert FormalQSeries.from_vectors(4, {self.E: zero}) == empty
+        assert FormalQSeries(4, {self.E: 1}).scaled(0) == empty
+        assert empty.scaled(Fraction(1, 8)) == empty
+        assert empty.scale == 1 and hash(empty) == hash(FormalQSeries(4))
+
+    def test_coefficient_keeps_its_monomials(self):
+        poly = 3 * A * B - Fraction(1, 2) * D + ParamPolynomial.constant(7)
+        series = FormalQSeries(4, {self.E: poly})
+        assert series.coefficient(self.E) == poly
+        assert series.coefficient((0, 1, 0, 0)).is_zero
+
+    def test_matches_an_integer_vector(self):
+        series = FormalQSeries(4, {self.E: Fraction(4, 3) * A}).scaled(Fraction(3, 4))
+        vector = [0] * len(MONOS)
+        vector[1] = 1
+        assert series.matches(self.E, vector)
+        vector[1] = 2
+        assert not series.matches(self.E, vector)
+        assert not series.matches((0, 1, 0, 0), vector)
+
+    def test_scaled_rejects_floats(self):
+        with pytest.raises(TypeError):
+            FormalQSeries(4, {self.E: 1}).scaled(0.5)
+
+    def test_constructor_rejects_float_coefficients(self):
+        with pytest.raises(TypeError):
+            FormalQSeries(4, {self.E: 0.5})
+
+    def test_budget_must_be_an_int(self):
+        for budget in (2.5, 4.0, True):
+            with pytest.raises(TypeError, match="budget must be an int"):
+                FormalQSeries(budget, {self.E: 1})
+            with pytest.raises(TypeError, match="budget must be an int"):
+                FormalQSeries(4, {self.E: 1}).truncated(budget)
+
+    def test_constructor_rejects_degree_three(self):
+        with pytest.raises(ValueError, match="degree"):
+            FormalQSeries(4, {self.E: A * B * C})
+        with pytest.raises(ValueError, match="degree"):
+            FormalQSeries(4, {self.E: ParamPolynomial({(3, 0, 0, 0): 1})})

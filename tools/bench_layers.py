@@ -1,10 +1,14 @@
-"""Per-layer timings of the verify path, as rows of a BENCH_<tag>.json file.
+"""Per-layer timings of a parent commit and this checkout, as rows of a
+BENCH_<tag>.json file.
 
-    python tools/bench_layers.py --label NAME --out BENCH_<tag>.json [--src DIR] [--repeats N]
+    python tools/bench_layers.py --parent DIR --out BENCH_<tag>.json [--repeats N]
 
 Every row is timed in fresh interpreter processes that import ``isopair``
-from ``--src`` (default: this checkout's ``src``), so a checkout of another
-commit is measured by the same script.  The rows:
+from ``DIR/src`` (label ``parent``, a checkout of the parent commit) or from
+this checkout's ``src`` (label ``change``), so both commits are measured by
+the same script.  For each repeat and each row the two labels run back to
+back, in alternating order, so drift of the machine's speed during the run
+hits both labels alike instead of reading as a difference.  The rows:
 
 * ``verify.<anchor>``: each anchor of ``run_verification(36)``, in the order
   and cache state a cold ``isopair verify --budget 36`` process meets them.
@@ -15,12 +19,14 @@ commit is measured by the same script.  The rows:
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
   alone at budgets 40, 80 and 160;
 * ``discrepancy.certify_warm``: the median time of one ``certify`` call at
-  budget 40 over 200 fixed points, after one untimed warm-up call.
+  budget 40 over 200 fixed points, after one untimed warm-up call;
+* ``qarith.collapse`` at budgets 40 and 80: the median time of collapsing
+  the psi-route discrepancy series at the same 200 points, sorted as
+  ``certify`` sorts them.
 
-The theta, delta and certify rows each run in their own process.  Each row
-reports the median and quartiles of ``--repeats`` processes.  Rows already
-in ``--out`` under another label are kept, so the rows of two commits sit
-side by side; rows under ``--label`` are replaced.
+The theta, delta, certify and collapse rows each run in their own process.
+Each row reports, per label, the median and quartiles of ``--repeats``
+processes.  ``--out`` is written afresh.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ BUDGETS = (24, 36)
 PSI_BUDGETS = (40, 80, 160)
 CERTIFY_BUDGET = 40
 CERTIFY_POINTS = 200
+COLLAPSE_BUDGETS = (40, 80)
 
 
 def _anchor_times() -> list[dict]:
@@ -85,8 +92,8 @@ def _delta_time(route: str, budget: int) -> list[dict]:
              "seconds": time.perf_counter() - start}]
 
 
-def _certify_time() -> list[dict]:
-    from isopair import ParamPoint, certify
+def _points():
+    from isopair import ParamPoint
 
     rng = random.Random(0)  # the same points for every commit
     points = []
@@ -94,6 +101,13 @@ def _certify_time() -> list[dict]:
         values = {Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(4)}
         if len(values) == 4:
             points.append(ParamPoint(*values))
+    return points
+
+
+def _certify_time() -> list[dict]:
+    from isopair import certify
+
+    points = _points()
     certify(points[0], CERTIFY_BUDGET)
     seconds = []
     for point in points[1:]:
@@ -104,12 +118,28 @@ def _certify_time() -> list[dict]:
              "seconds": statistics.median(seconds)}]
 
 
+def _collapse_time(budget: int) -> list[dict]:
+    from isopair import delta_series
+
+    series = delta_series(budget)
+    points = [point.sorted()[0] for point in _points()]
+    series.collapse(points[0])
+    seconds = []
+    for point in points[1:]:
+        start = time.perf_counter()
+        series.collapse(point)
+        seconds.append(time.perf_counter() - start)
+    return [{"layer": "qarith.collapse", "budget": budget,
+             "seconds": statistics.median(seconds)}]
+
+
 def _jobs() -> list[list[str]]:
     jobs = [["anchors"]]
     for budget in BUDGETS:
         jobs += [["theta", kernel, str(budget)] for kernel in ("defining", "pairwise")]
         jobs += [["delta", route, str(budget)] for route in ("theta", "psi")]
     jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
+    jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
     return jobs + [["certify"]]
 
 
@@ -118,6 +148,8 @@ def _child(job: list[str]) -> list[dict]:
         return _anchor_times()
     if job[0] == "certify":
         return _certify_time()
+    if job[0] == "collapse":
+        return _collapse_time(int(job[1]))
     kind, name, budget = job
     return (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
 
@@ -138,14 +170,17 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def measure(src: Path, label: str, repeats: int) -> list[dict]:
-    runs: dict[tuple[str, int], list[float]] = {}
-    for _ in range(repeats):
+def measure(sources: dict[str, Path], repeats: int) -> list[dict]:
+    runs: dict[tuple[str, str, int], list[float]] = {}
+    labels = list(sources)
+    for repeat in range(repeats):
         for job in _jobs():
-            for row in _run(src, job):
-                runs.setdefault((row["layer"], row["budget"]), []).append(row["seconds"])
+            for label in labels if repeat % 2 == 0 else labels[::-1]:
+                for row in _run(sources[label], job):
+                    key = (label, row["layer"], row["budget"])
+                    runs.setdefault(key, []).append(row["seconds"])
     rows = []
-    for (layer, budget), xs in runs.items():
+    for (label, layer, budget), xs in sorted(runs.items(), key=lambda item: item[0][1:]):
         q1, median, q3 = _quartiles(xs)
         rows.append({"label": label, "layer": layer, "budget": budget, "median_s": median,
                      "q1_s": q1, "q3_s": q3, "runs_s": xs})
@@ -154,23 +189,23 @@ def measure(src: Path, label: str, repeats: int) -> list[dict]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", help="name of the measured commit, e.g. parent or change")
-    parser.add_argument("--out", type=Path, help="BENCH_<tag>.json file to update")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package sources to import")
-    parser.add_argument("--repeats", type=int, default=7, help="fresh processes per row")
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--out", type=Path, help="BENCH_<tag>.json file to write")
+    parser.add_argument("--repeats", type=int, default=7, help="fresh processes per row and label")
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         json.dump(_child(args.child), sys.stdout)
         return
-    if not args.label or not args.out:
-        parser.error("--label and --out are required")
+    if not args.parent or not args.out:
+        parser.error("--parent and --out are required")
+    if not (args.parent / "src" / "isopair").is_dir():
+        parser.error(f"{args.parent} has no src/isopair")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    rows = [row for row in bench.get("rows", []) if row["label"] != args.label]
-    rows += measure(args.src.resolve(), args.label, args.repeats)
+    sources = {"parent": (args.parent / "src").resolve(), "change": ROOT / "src"}
+    rows = measure(sources, args.repeats)
     bench = {
         "script": "tools/bench_layers.py",
         "machine": {
