@@ -40,8 +40,6 @@ from .lattices import (
     LatticeFamily,
     build_family,
     coset_label,
-    inner_poly,
-    norm_poly,
     phi,
     project_mod3,
     psi,
@@ -87,13 +85,11 @@ __all__ = [
     "delta_class",
     "delta_series",
     "exp_cmp",
-    "inner_poly",
     "intersection_graph",
     "matching_element",
     "minimal_pair_table",
     "minimal_rows",
     "minimal_vectors",
-    "norm_poly",
     "orbit_partition",
     "pairwise_kernel",
     "phi",

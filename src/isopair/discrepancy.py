@@ -71,20 +71,27 @@ from .qarith import (
 from .theta import Kernel, pair_series, theta11
 
 
-# Only the two budget-keyed facts that measured traffic re-reads are cached
-# (timings on a 2-vCPU x86_64 VM, Python 3.11).  The labelled shell: every
-# certify reads it for the minimal vectors, and scanning and relabelling the
-# budget-40 shell costs about 1.2 ms.  The class series: without them a
-# certify spends about 0.5 ms more on ``delta_series(40)``, and
-# ``check_relations(24)``, which reads most series three times, takes 7.4 ms
-# instead of 2.2 ms.  ``delta_series`` only re-sums six cached class series
-# (under 0.1 ms at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms
-# for L1 at budget 80), so neither keeps a cache.  Bounds, in entries:
+# Only the three budget-keyed facts that measured traffic re-reads are
+# cached (timings on a 2-vCPU x86_64 VM, Python 3.11).  The labelled shell:
+# the minimal vectors are read from it, and scanning and relabelling the
+# budget-40 shell costs about 1.2 ms.  The class series: without them
+# ``delta_series(40)`` costs about 0.5 ms more, and ``check_relations(24)``,
+# which reads most series three times, takes 7.4 ms instead of 2.2 ms.  The
+# leading data of a budget and route (``_leading_data``): the summed series,
+# its order-minimal pair rows, checked once against their direct kernels,
+# and their coefficient polynomials.  None of it depends on the point, yet
+# rebuilding it was about 0.5 ms of a 0.9 ms warm certify at budget 40 (pair
+# table 0.3-0.4 ms, ``delta_series`` 0.06 ms, row check 0.04 ms); with it a
+# warm certify is one collapse and one evaluation per term, about 0.2 ms.
+# ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
+# at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
+# budget 80), so neither keeps a cache of its own.  Bounds, in entries:
 # ``verify`` meets all 81 ordered label pairs at budget 24 and the six
-# distinct positive pairs at its own budget (87 class series) and two
-# labelled shells; a certify batch needs six class series and one shell.
-# Neither evicts; a process sweeping budgets keeps only the most recent
-# ones.  Both caches are typed, so a float budget never reads an int entry.
+# distinct positive pairs at its own budget (87 class series), two labelled
+# shells and one leading entry; a certify batch needs six class series, one
+# shell and one leading entry, which shares the shells' bound.  None evicts;
+# a process sweeping budgets keeps only the most recent ones.  All three
+# caches are typed, so a float budget never reads an int entry.
 SHELL_CACHE = 8
 CLASS_SERIES_CACHE = 128
 
@@ -321,6 +328,28 @@ def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
     )
 
 
+@lru_cache(maxsize=SHELL_CACHE, typed=True)
+def _leading_data(
+    budget: int, route: Route
+) -> tuple[FormalQSeries, tuple[tuple[Expo, ParamPolynomial], ...]]:
+    """The discrepancy series of a budget and route, and its order-minimal
+    pair exponents, each with its coefficient polynomial.
+
+    Each stored coefficient is checked here against the direct two-vector
+    kernel of its row (``pair_discrepancy_vector``, in integers).  A failed
+    check raises, and ``lru_cache`` stores no exception, so an inconsistent
+    series fails every call, not only the first.
+    """
+    series = delta_series(budget, route)
+    rows = minimal_rows(minimal_pair_table(budget))
+    for row in rows:
+        if not series.matches(row.exponent, pair_discrepancy_vector(*row.vectors)):
+            raise AssertionError(
+                f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"
+            )
+    return series, tuple((row.exponent, series.coefficient(row.exponent)) for row in rows)
+
+
 @dataclass(frozen=True)
 class CertTerm:
     exponent_vector: Expo
@@ -375,13 +404,17 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     the family's hypothesis and gives an inconclusive certificate.  Distinct
     values are sorted into the canonical increasing chain first.  The
     collapsed discrepancy's minimal exponent must agree with the minimum of
-    the two order-minimal pair exponents, whose stored coefficients are also
+    the two order-minimal pair exponents, and its coefficient with the sum
+    of the certificate terms; both are checked on every call.  The series,
+    the order-minimal rows and their coefficient polynomials depend only on
+    the budget and route, so they are built once per budget and route and
+    cached (``_leading_data``); the rows' stored coefficients are
     cross-checked against the direct two-vector kernels
-    (``pair_discrepancy_vector``, in integers); ties are resolved by summing
-    coefficients at the common collapsed exponent, which ``collapse``
-    evaluates in integers.  Only the certificate terms are turned into
-    polynomials, each evaluated once to give its value.  A budget that is
-    not an ``int`` raises ``TypeError``, before any other check.
+    (``pair_discrepancy_vector``, in integers) when they are built.  Ties
+    are resolved by summing coefficients at the common collapsed exponent,
+    which ``collapse`` evaluates in integers; each certificate term's
+    polynomial is evaluated once to give its value.  A budget that is not an
+    ``int`` raises ``TypeError``, before any other check.
     """
     check_budget(budget)
     if budget < 36:
@@ -399,24 +432,17 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             verdict=Verdict.INCONCLUSIVE,
         )
 
-    leading_rows = minimal_rows(minimal_pair_table(budget))
-    series = delta_series(budget, route)
-
-    by_sigma: dict[Fraction, list[PairRow]] = {}
-    for row in leading_rows:
-        if not series.matches(row.exponent, pair_discrepancy_vector(*row.vectors)):
-            raise AssertionError(
-                f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"
-            )
-        by_sigma.setdefault(sigma(row.exponent, ordered), []).append(row)
+    series, leading = _leading_data(budget, route)
+    by_sigma: dict[Fraction, list[tuple[Expo, ParamPolynomial]]] = {}
+    for exponent, poly in leading:
+        by_sigma.setdefault(sigma(exponent, ordered), []).append((exponent, poly))
 
     min_exponent = min(by_sigma)
     collapsed = series.collapse(ordered)
     if not collapsed or collapsed[0][0] != min_exponent:
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-    polys = [(row.exponent, series.coefficient(row.exponent)) for row in by_sigma[min_exponent]]
-    terms = tuple(CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in polys)
+    terms = tuple(CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in by_sigma[min_exponent])
     total = sum((term.value for term in terms), Fraction(0))
     if collapsed[0][1] != total:
         raise AssertionError("leading coefficient does not match the certificate terms")

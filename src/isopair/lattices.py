@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .codes import C1_LABELED_WORDS, K4, Word, _matvec, normalize
-from .qarith import Expo, ParamPolynomial, check_budget
+from .qarith import Expo, check_budget
 
 Vec = tuple[int, int, int, int]
 Matrix = tuple[tuple[int, int, int, int], ...]
@@ -236,15 +236,6 @@ COSET_REPS: tuple[Vec, ...] = (
 def phi(v) -> Expo:
     """Squared coordinates: the parameter-free shadow of the square norm."""
     return tuple(x * x for x in v)
-
-
-def inner_poly(v, w) -> ParamPolynomial:
-    """The inner product as a linear polynomial in (a, b, c, d)."""
-    return ParamPolynomial.linear(tuple(x * y for x, y in zip(v, w)))
-
-
-def norm_poly(v) -> ParamPolynomial:
-    return inner_poly(v, v)
 
 
 def to_standard(v) -> Vec:

@@ -10,8 +10,6 @@ from isopair import (
     ParamPoint,
     ParamPolynomial,
     build_family,
-    inner_poly,
-    norm_poly,
     phi,
     psi,
     sigma,
@@ -22,6 +20,15 @@ settings.load_profile("exact")
 
 SCHIEMANN = ParamPoint(1, 7, 13, 19)
 SMALL = ParamPoint(1, 2, 3, 4)
+
+
+def inner_poly(v, w) -> ParamPolynomial:
+    """The inner product as a linear polynomial in (a, b, c, d)."""
+    return ParamPolynomial.linear(tuple(x * y for x, y in zip(v, w)))
+
+
+def norm_poly(v) -> ParamPolynomial:
+    return inner_poly(v, v)
 
 
 def random_admissible_point(rng: random.Random) -> ParamPoint:
@@ -35,6 +42,25 @@ def random_admissible_point(rng: random.Random) -> ParamPoint:
 def admissible_samples(seed: int, count: int) -> list[ParamPoint]:
     rng = random.Random(seed)
     return [random_admissible_point(rng) for _ in range(count)]
+
+
+def collapse_points(seed: int, count: int) -> list[ParamPoint]:
+    """Admissible points with denominators 1..20; every fourth one is a tie
+    point, 5b + d = 15a + 3c, where the two leading exponents of the
+    discrepancy collapse to the same value."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        values = sorted({Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(4)})
+        if len(values) < 4:
+            continue
+        a, b, c, d = values
+        if len(out) % 4 == 3:
+            d = 15 * a + 3 * c - 5 * b
+            if d <= c:
+                continue
+        out.append(ParamPoint(a, b, c, d))
+    return out
 
 
 def _fraction_sum(first, second, budget: int, kernel):

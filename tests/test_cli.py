@@ -145,6 +145,7 @@ class TestCertify:
         import isopair.discrepancy
         from isopair import FormalQSeries
 
+        isopair.discrepancy._leading_data.cache_clear()
         monkeypatch.setattr(
             isopair.discrepancy, "delta_series", lambda budget, route: FormalQSeries.empty(budget)
         )

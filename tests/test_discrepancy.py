@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
@@ -32,12 +33,19 @@ from isopair import (
     theta11,
 )
 from isopair import discrepancy
-from isopair.discrepancy import _labelled_shell, class_members, pair_discrepancy_vector
+from isopair.discrepancy import (
+    SHELL_CACHE,
+    _labelled_shell,
+    _leading_data,
+    class_members,
+    pair_discrepancy_vector,
+)
 
 from conftest import (
     SCHIEMANN,
     SMALL,
     admissible_samples,
+    collapse_points,
     fraction_delta,
     fraction_pair_sum,
     pair_discrepancy_kernel,
@@ -157,6 +165,7 @@ class TestClassSeries:
 
 
 CACHED = (_labelled_shell, class_pair_series)
+CERTIFY_CACHED = (*CACHED, _leading_data)
 IDENTITY_FIELDS = ("name", "generators", "hnf", "covolume")
 
 
@@ -185,14 +194,25 @@ class TestCaches:
             assert not hasattr(lattice, "__dict__")
 
     def test_verify_and_certify_never_evict(self):
-        for cached in CACHED:
+        for cached in CERTIFY_CACHED:
             cached.cache_clear()
         run_verification(36)
         for p in admissible_samples(101, 5):
             certify(p, 40)
-        for cached in CACHED:
+        for cached in CERTIFY_CACHED:
             info = cached.cache_info()
             assert info.currsize == info.misses, (cached, info)
+
+    def test_certify_sweep_stays_within_the_bound(self):
+        _leading_data.cache_clear()
+        budgets = range(36, 53)
+        assert len(budgets) > SHELL_CACHE
+        for budget in budgets:
+            certify(SCHIEMANN, budget)
+            info = _leading_data.cache_info()
+            assert info.maxsize == SHELL_CACHE and info.currsize <= info.maxsize
+        # the sweep asked for more entries than the bound holds
+        assert _leading_data.cache_info().currsize == SHELL_CACHE
 
     def test_call_forms_share_the_class_series(self):
         class_pair_series.cache_clear()
@@ -346,8 +366,8 @@ class TestCertify:
         with pytest.raises(TypeError) as shell_error:
             build_family().L1.vectors(budget)
         if cache == "cold":
-            _labelled_shell.cache_clear()
-            class_pair_series.cache_clear()
+            for cached in CERTIFY_CACHED:
+                cached.cache_clear()
         else:
             certify(SCHIEMANN, 40)
         with pytest.raises(TypeError) as error:
@@ -407,7 +427,11 @@ class TestCertify:
             return minimal_vectors(label, budget)
 
         monkeypatch.setattr(discrepancy, "minimal_vectors", counted)
+        _leading_data.cache_clear()
         certify(SCHIEMANN, 40)
+        assert len(calls) == 4
+        # the minimal rows are leading data of the budget: a warm call reads them
+        certify(SMALL, 40)
         assert len(calls) == 4
 
     def test_json_dict_round_trips(self):
@@ -428,3 +452,99 @@ class TestCertify:
             total += value
         assert total == Fraction(payload["total"])
         assert payload["verdict"] == "NonIsometric"
+
+
+@pytest.fixture
+def fresh_leading_data():
+    _leading_data.cache_clear()
+    yield
+    _leading_data.cache_clear()
+
+
+class TestLeadingData:
+    @pytest.mark.parametrize(
+        "budget, route, count",
+        [
+            (40, Route.FROM_PSI_KERNEL, 200),
+            (40, Route.FROM_THETA, 8),
+            (36, Route.FROM_PSI_KERNEL, 8),
+            (44, Route.FROM_PSI_KERNEL, 8),
+        ],
+        ids=["psi-40", "theta-40", "psi-36", "psi-44"],
+    )
+    def test_warm_certificates_equal_cold_ones(self, fresh_leading_data, budget, route, count):
+        points = collapse_points(331, count)
+        certify(SCHIEMANN, budget, route)
+        warm = [certify(p, budget, route).to_json_dict() for p in points]
+        assert _leading_data.cache_info().misses == 1
+        for p, expected in zip(points, warm):
+            _leading_data.cache_clear()
+            assert certify(p, budget, route).to_json_dict() == expected, p
+        # the ties reach the certificate as two terms
+        ties = sum(len(payload["terms"]) == 2 for payload in warm)
+        assert ties >= count // 4
+
+    def test_corrupted_series_fails_every_call(self, fresh_leading_data, monkeypatch):
+        good = delta_series
+        monkeypatch.setattr(
+            discrepancy, "delta_series", lambda budget, route: good(budget, route).scaled(2)
+        )
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="disagrees with the minimal-pair kernel"):
+                certify(SCHIEMANN, 40)
+        assert _leading_data.cache_info().currsize == 0
+
+
+def _moved(x, tau):
+    out = [0] * 4
+    for i, xi in enumerate(x):
+        out[tau[i]] = xi
+    return tuple(out)
+
+
+def _sign(tau) -> int:
+    return (-1) ** sum(tau[i] > tau[j] for i in range(4) for j in range(i + 1, 4))
+
+
+def _permuted(series: FormalQSeries, tau) -> FormalQSeries:
+    """The series with exponent slot and monomial slot i both moved to tau[i]."""
+    return FormalQSeries(
+        series.budget,
+        {
+            _moved(e, tau): ParamPolynomial(
+                {_moved(m, tau): c for m, c in series.coefficient(e).as_pairs()}
+            )
+            for e in series
+        },
+    )
+
+
+class TestAlternating:
+    """The discrepancy is alternating under S4: with suitable signs, an odd
+    permutation of the eigenbasis slots carries L1 onto L2 and an even one
+    carries L1 onto itself, so the discrepancy collapses to zero wherever
+    two parameters coincide."""
+
+    @pytest.mark.parametrize(
+        "budget, route",
+        [
+            (24, Route.FROM_PSI_KERNEL),
+            (24, Route.FROM_THETA),
+            (40, Route.FROM_PSI_KERNEL),
+            (40, Route.FROM_THETA),
+            (80, Route.FROM_PSI_KERNEL),
+        ],
+    )
+    def test_series_is_alternating(self, budget, route):
+        series = delta_series(budget, route)
+        assert not series.is_zero
+        for tau in permutations(range(4)):
+            assert _permuted(series, tau) == series.scaled(_sign(tau)), tau
+
+    @pytest.mark.parametrize(
+        "coords",
+        [(1, 1, 2, 3), (1, 2, 2, 3), (1, 3, 5, 3), (Fraction(1, 2), Fraction(1, 2), Fraction(7, 3), 5)],
+    )
+    @pytest.mark.parametrize("budget", [40, 80])
+    def test_collapse_vanishes_at_repeated_parameters(self, coords, budget):
+        assert delta_series(budget).collapse(ParamPoint(*coords)) == ()

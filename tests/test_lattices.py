@@ -14,8 +14,6 @@ from isopair import (
     ParamPoint,
     build_family,
     coset_label,
-    inner_poly,
-    norm_poly,
     phi,
     project_mod3,
     psi,
@@ -32,7 +30,7 @@ from isopair.lattices import (
 )
 from isopair.qarith import ParamPolynomial
 
-from conftest import SCHIEMANN, random_admissible_point
+from conftest import SCHIEMANN, inner_poly, norm_poly, random_admissible_point
 
 # The base-lattice generator matrix in eigenbasis coordinates (columns).
 BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3))

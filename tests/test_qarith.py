@@ -24,7 +24,7 @@ from isopair import (
 )
 from isopair.qarith import MONOS
 
-from conftest import SCHIEMANN, admissible_samples, fraction_collapse
+from conftest import SCHIEMANN, admissible_samples, collapse_points, fraction_collapse
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -315,25 +315,6 @@ class TestParamPoint:
         assert ordered == SCHIEMANN
         assert perm == (2, 1, 3, 0)
         assert tuple(p.coords[i] for i in perm) == ordered.coords
-
-
-def collapse_points(seed: int, count: int) -> list[ParamPoint]:
-    """Admissible points with denominators 1..20; every fourth one is a tie
-    point, 5b + d = 15a + 3c, where the two leading exponents of the
-    discrepancy collapse to the same value."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        values = sorted({Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(4)})
-        if len(values) < 4:
-            continue
-        a, b, c, d = values
-        if len(out) % 4 == 3:
-            d = 15 * a + 3 * c - 5 * b
-            if d <= c:
-                continue
-        out.append(ParamPoint(a, b, c, d))
-    return out
 
 
 COLLAPSE_POINTS = collapse_points(6, 200)

@@ -13,8 +13,6 @@ from isopair import (
     ParamPoint,
     build_family,
     defining_kernel,
-    inner_poly,
-    norm_poly,
     pairwise_kernel,
     rep_series,
     theta11,
@@ -22,7 +20,7 @@ from isopair import (
 from isopair.discrepancy import Route, delta_series
 from isopair.theta import QUAD_MONOS, defining_coeffs, pairwise_coeffs
 
-from conftest import SCHIEMANN, admissible_samples, fraction_theta11
+from conftest import SCHIEMANN, admissible_samples, fraction_theta11, inner_poly, norm_poly
 
 VECTORS = st.tuples(*[st.integers(-9, 9)] * 4)
 P = sympy.symbols("a b c d")
