@@ -20,13 +20,11 @@ from .codes import (
 )
 from .discrepancy import (
     Certificate,
-    ClassPair,
     Route,
     Verdict,
     certify,
     check_relations,
     class_pair_series,
-    delta_class,
     delta_series,
     minimal_pair_table,
     minimal_rows,
@@ -52,7 +50,7 @@ from .qarith import (
     exp_cmp,
     sigma,
 )
-from .theta import Kernel, defining_kernel, pairwise_kernel, rep_series, theta11
+from .theta import Kernel, rep_series, theta11
 from .verification import AnchorResult, run_verification
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "AnchorResult",
     "COSET_REPS",
     "Certificate",
-    "ClassPair",
     "Cmp",
     "CosetLabel",
     "FormalQSeries",
@@ -81,8 +78,6 @@ __all__ = [
     "check_relations",
     "class_pair_series",
     "coset_label",
-    "defining_kernel",
-    "delta_class",
     "delta_series",
     "exp_cmp",
     "intersection_graph",
@@ -91,7 +86,6 @@ __all__ = [
     "minimal_rows",
     "minimal_vectors",
     "orbit_partition",
-    "pairwise_kernel",
     "phi",
     "project_mod3",
     "psi",

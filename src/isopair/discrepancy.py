@@ -95,6 +95,10 @@ from .theta import Kernel, pair_series, theta11
 SHELL_CACHE = 8
 CLASS_SERIES_CACHE = 128
 
+# The smallest budget whose shell holds every order-minimal vector of the
+# four positive classes, so the full minimal pair table.
+MIN_PAIR_BUDGET = 36
+
 
 class Route(enum.Enum):
     FROM_THETA = "theta"
@@ -161,31 +165,22 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
     return pair_series(shell[label1], shell[label2], budget, kernel, monos)
 
 
-@dataclass(frozen=True)
-class ClassPair:
-    """An unordered pair of distinct positive classes, i < j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not (0 <= self.i < self.j <= 3):
-            raise ValueError(f"need 0 <= i < j <= 3, got ({self.i}, {self.j})")
-
-
-def delta_class(pair: ClassPair, budget: int) -> FormalQSeries:
-    return class_pair_series(CosetLabel(pair.i, 1), CosetLabel(pair.j, 1), budget)
+def check_route(route) -> Route:
+    """Refuse a route that is not a ``Route`` (the string ``"theta"`` included)."""
+    if not isinstance(route, Route):
+        raise TypeError(f"route must be a Route, got {route!r}")
+    return route
 
 
 def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSeries:
     """The discrepancy series at the given budget.
 
-    ``FROM_PSI_KERNEL`` is the sum of the six class series ``delta_class``
-    of distinct positive classes; ``FROM_THETA`` takes 1/128 of the
-    difference of the two invariants, enumerating L2 independently.  The two
-    routes agree exactly.  Nothing is cached here; the class series are.
-    Both routes add integer coefficient vectors; the theta route's 1/128
-    only changes the series' scale.
+    ``FROM_PSI_KERNEL`` is the sum of the six class series
+    ``class_pair_series`` of distinct positive classes i < j; ``FROM_THETA``
+    takes 1/128 of the difference of the two invariants, enumerating L2
+    independently.  The two routes agree exactly.  Nothing is cached here;
+    the class series are.  Both routes add integer coefficient vectors; the
+    theta route's 1/128 only changes the series' scale.
 
     The class restriction is exact at every budget, not only on a checked
     truncation.  Equal or opposite class indices give ``f == 1``, so the
@@ -195,16 +190,16 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     appears in the 1/8-scaled full sum as eight equal ordered, signed
     copies.  For the zero class, a four-group sign flip ``g`` with
     ``g_s != g_t`` is a ``phi``-preserving involution of M that negates
-    ``x_s x_t``, so every slot sums to zero over the class.
+    ``x_s x_t``, so every slot sums to zero over the class.  A route that is
+    not a ``Route`` raises ``TypeError``.
     """
-    if route is Route.FROM_THETA:
+    if check_route(route) is Route.FROM_THETA:
         fam = build_family()
         diff = theta11(fam.L1, budget, Kernel.PAIRWISE) - theta11(fam.L2, budget, Kernel.PAIRWISE)
         return diff.scaled(Fraction(1, 128))
     total = FormalQSeries.empty(budget)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            total = total + delta_class(ClassPair(i, j), budget)
+    for i, j in combinations(range(4), 2):
+        total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), budget)
     return total
 
 
@@ -300,8 +295,10 @@ def minimal_pair_table(budget: int) -> tuple[PairRow, ...]:
     """All exponent candidates from pairs of minimal vectors in distinct
     classes, with the global numbering: class representatives keep their
     class index 0..3, further minimal vectors get 4, 5, ... in class order."""
-    if budget < 36:
-        raise ValueError("pair table needs budget >= 36 to see every minimal vector")
+    if budget < MIN_PAIR_BUDGET:
+        raise ValueError(
+            f"pair table needs budget >= {MIN_PAIR_BUDGET} to see every minimal vector"
+        )
     numbered: dict[int, tuple[int, Vec]] = {}
     extras: list[tuple[int, Vec]] = []
     for i in range(4):
@@ -414,11 +411,15 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     are resolved by summing coefficients at the common collapsed exponent,
     which ``collapse`` evaluates in integers; each certificate term's
     polynomial is evaluated once to give its value.  A budget that is not an
-    ``int`` raises ``TypeError``, before any other check.
+    ``int`` or a route that is not a ``Route`` raises ``TypeError``, before
+    any other check and before any cache is read.
     """
     check_budget(budget)
-    if budget < 36:
-        raise ValueError("certification needs budget >= 36 to cover the minimal pair table")
+    check_route(route)
+    if budget < MIN_PAIR_BUDGET:
+        raise ValueError(
+            f"certification needs budget >= {MIN_PAIR_BUDGET} to cover the minimal pair table"
+        )
     ordered, permutation = p.sorted()
     if not p.pairwise_distinct:
         return Certificate(

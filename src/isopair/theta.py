@@ -23,9 +23,8 @@ pair as polynomial identities:
 ``pair_series`` is the one pair loop of the package: it sums such integer
 coefficient vectors per exponent and hands the sums to the series as they
 are, integer vectors on ``qarith.MONOS``; no ``ParamPolynomial`` is built.
-A polynomial appears only at the output boundary: ``coefficient`` of a
-series, and ``pairwise_kernel`` and ``defining_kernel`` for callers that
-want a single kernel value as a polynomial.
+A polynomial appears only at the output boundary, as ``coefficient`` of a
+series.
 
 Equivalently the pairwise kernel is 4*(4cos^2(angle(l,k)) - 1)*|l|^2*|k|^2,
 which ties the coefficient to the distribution of angles between lattice
@@ -38,7 +37,7 @@ import enum
 from operator import add
 
 from .lattices import Lattice, phi
-from .qarith import MONOS, QUAD_MONOS, QUAD_SLOTS, Expo, FormalQSeries, Mono, ParamPolynomial
+from .qarith import MONOS, QUAD_MONOS, QUAD_SLOTS, Expo, FormalQSeries, Mono
 
 
 class Kernel(enum.Enum):
@@ -71,21 +70,6 @@ def defining_coeffs(l, k) -> list[int]:
         fk = [4 * kk[i] - kk[t] if t == i else -kk[t] for t in range(4)]
         acc = list(map(add, acc, _times(fl, fk)))
     return acc
-
-
-def _polynomial(coeffs) -> ParamPolynomial:
-    return ParamPolynomial(dict(zip(QUAD_MONOS, coeffs)))
-
-
-def pairwise_kernel(l, k) -> ParamPolynomial:
-    """16<l,k>^2 - 4|l|^2|k|^2 as a polynomial in (a, b, c, d)."""
-    return _polynomial(pairwise_coeffs(l, k))
-
-
-def defining_kernel(l, k) -> ParamPolynomial:
-    """Per-pair expansion of 32*sum_{i<j} theta_{x_i x_j}^2 plus the harmonic
-    square sum, written in eigenbasis coordinates."""
-    return _polynomial(defining_coeffs(l, k))
 
 
 _KERNELS = {Kernel.DEFINING: defining_coeffs, Kernel.PAIRWISE: pairwise_coeffs}
@@ -142,7 +126,9 @@ def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> 
 
     Sums the kernel over all ordered vector pairs whose combined
     squared-coordinate sum stays within the budget; both kernels give the
-    same series.
+    same series.  A kernel that is not a ``Kernel`` raises ``TypeError``.
     """
+    if not isinstance(kernel, Kernel):
+        raise TypeError(f"kernel must be a Kernel, got {kernel!r}")
     shell = lattice.vectors(budget)
     return pair_series(shell, shell, budget, _KERNELS[kernel])

@@ -4,10 +4,11 @@ Each anchor re-derives one published fact about the construction -- the code
 census, the orbit and graph structure, the basis-change identities, the
 lattice equalities and indices, the kernel and route identities, the
 minimal-vector and minimal-pair tables, and the leading coefficients of the
-discrepancy -- and compares it against the expected data frozen here.  The
+discrepancy -- and compares it against the expected data frozen here.  This
+module is the one statement of that data; the tests read it from here.  The
 identity-style anchors run at their pinned budgets; shell-dependent anchors
-honor the requested budget (36 is the smallest that exposes the full pair
-table).
+honor the requested budget (``MIN_PAIR_BUDGET`` is the smallest that
+exposes the full pair table).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 from . import codes as codes_mod
 from .discrepancy import (
+    MIN_PAIR_BUDGET,
     Route,
     Verdict,
     certify,
@@ -43,8 +45,6 @@ from .lattices import (
 )
 from .qarith import FormalQSeries, ParamPoint, ParamPolynomial
 from .theta import Kernel, defining_coeffs, pairwise_coeffs, rep_series, theta11
-
-MIN_VERIFY_BUDGET = 36
 
 _A, _B, _C, _D = (ParamPolynomial.variable(i) for i in range(4))
 LEADING_EXPONENTS = ((10, 10, 2, 2), (25, 5, 5, 1))
@@ -76,7 +76,11 @@ EXPECTED_PAIR_TABLE = (
     ((5, 6), (32, 8, 4, 4)),
 )
 
-SAMPLE_POINTS = (ParamPoint(1, 7, 13, 19), ParamPoint(1, 2, 3, 4))
+# Schiemann's integral example, where both leading rows collapse to the
+# exponent 144 with total coefficient -432 - 576 = -1008
+SCHIEMANN = ParamPoint(1, 7, 13, 19)
+SCHIEMANN_TERM = (144, -1008)
+SAMPLE_POINTS = (SCHIEMANN, ParamPoint(1, 2, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -288,20 +292,18 @@ def _check_leading(budget: int) -> str | None:
     for exponent, expected in zip(LEADING_EXPONENTS, LEADING_POLYNOMIALS):
         if series.coefficient(exponent) != expected:
             return f"coefficient at {exponent} is {series.coefficient(exponent)}"
-    cert = certify(ParamPoint(1, 7, 13, 19), budget)
+    cert = certify(SCHIEMANN, budget)
     if cert.verdict is not Verdict.NON_ISOMETRIC:
         return f"verdict {cert.verdict.value} at the integral example"
-    if cert.min_exponent != 144 or cert.total != -1008:
+    if (cert.min_exponent, cert.total) != SCHIEMANN_TERM:
         return f"leading term ({cert.min_exponent}, {cert.total})"
     return None
 
 
 def run_verification(budget: int) -> list[AnchorResult]:
     """Run every anchor; raises if the budget is below the sound threshold."""
-    if budget < MIN_VERIFY_BUDGET:
-        raise ValueError(
-            f"verification budget must be at least {MIN_VERIFY_BUDGET}, got {budget}"
-        )
+    if budget < MIN_PAIR_BUDGET:
+        raise ValueError(f"verification budget must be at least {MIN_PAIR_BUDGET}, got {budget}")
     return [
         _result("code census", _check_code_census()),
         _result("code orbits", _check_orbits()),

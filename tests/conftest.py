@@ -14,12 +14,12 @@ from isopair import (
     psi,
     sigma,
 )
+from isopair.verification import SAMPLE_POINTS
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
 
-SCHIEMANN = ParamPoint(1, 7, 13, 19)
-SMALL = ParamPoint(1, 2, 3, 4)
+SCHIEMANN, SMALL = SAMPLE_POINTS
 
 
 def inner_poly(v, w) -> ParamPolynomial:

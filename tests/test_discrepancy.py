@@ -2,11 +2,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-import sympy
 
 from isopair import (
     ALL_LABELS,
-    ClassPair,
     Cmp,
     CosetLabel,
     FormalQSeries,
@@ -20,7 +18,6 @@ from isopair import (
     check_relations,
     class_pair_series,
     coset_label,
-    delta_class,
     delta_series,
     exp_cmp,
     minimal_pair_table,
@@ -34,12 +31,14 @@ from isopair import (
 )
 from isopair import discrepancy
 from isopair.discrepancy import (
+    MIN_PAIR_BUDGET,
     SHELL_CACHE,
     _labelled_shell,
     _leading_data,
     class_members,
     pair_discrepancy_vector,
 )
+from isopair.verification import LEADING_EXPONENTS, LEADING_POLYNOMIALS, SCHIEMANN_TERM
 
 from conftest import (
     SCHIEMANN,
@@ -51,39 +50,7 @@ from conftest import (
     pair_discrepancy_kernel,
 )
 
-BOLD_FIRST = (10, 10, 2, 2)
-BOLD_SECOND = (25, 5, 5, 1)
-
-EXPECTED_TABLE = (
-    ((0, 1), (2, 10, 2, 10)),
-    ((0, 2), (10, 10, 2, 2)),
-    ((0, 3), (2, 10, 10, 2)),
-    ((0, 5), (17, 13, 5, 1)),
-    ((0, 6), (17, 13, 1, 5)),
-    ((1, 2), (10, 2, 2, 10)),
-    ((1, 3), (2, 2, 10, 10)),
-    ((1, 4), (17, 1, 5, 13)),
-    ((1, 6), (17, 5, 1, 13)),
-    ((2, 3), (10, 2, 10, 2)),
-    ((2, 4), (25, 1, 5, 5)),
-    ((2, 5), (25, 5, 5, 1)),
-    ((2, 6), (25, 5, 1, 5)),
-    ((3, 4), (17, 1, 13, 5)),
-    ((3, 5), (17, 5, 13, 1)),
-    ((4, 5), (32, 4, 8, 4)),
-    ((4, 6), (32, 4, 4, 8)),
-    ((5, 6), (32, 8, 4, 4)),
-)
-
-
-def _sympy_poly(poly):
-    syms = sympy.symbols("a b c d")
-    return sympy.expand(
-        sum(
-            sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**m for s, m in zip(syms, mono))
-            for mono, c in poly.terms.items()
-        )
-    )
+BOLD_FIRST, BOLD_SECOND = LEADING_EXPONENTS
 
 
 class TestRoutes:
@@ -95,12 +62,6 @@ class TestRoutes:
 
     def test_matches_the_fraction_oracle_at_budget_80(self):
         assert delta_series(80) == fraction_delta(80)
-
-    def test_leading_coefficients(self):
-        a, b, c, d = sympy.symbols("a b c d")
-        series = delta_series(40, Route.FROM_PSI_KERNEL)
-        assert _sympy_poly(series.coefficient(BOLD_FIRST)) == sympy.expand(-12 * (b - a) * (d - c))
-        assert _sympy_poly(series.coefficient(BOLD_SECOND)) == sympy.expand(-96 * a * (c - b))
 
     def test_integer_pair_kernel_matches_the_polynomial_one(self):
         shell = build_family().L1.vectors(24)
@@ -121,7 +82,7 @@ class TestRoutes:
 
     def test_collapse_at_the_integral_example(self):
         collapsed = delta_series(40, Route.FROM_PSI_KERNEL).collapse(SCHIEMANN)
-        assert collapsed[0] == (Fraction(144), Fraction(-1008))
+        assert collapsed[0] == SCHIEMANN_TERM
         assert collapsed[1] == (Fraction(168), Fraction(1152))
 
     def test_collapse_at_small_point(self):
@@ -135,13 +96,6 @@ class TestRoutes:
 
 
 class TestClassSeries:
-    def test_corollary_decomposition(self):
-        total = FormalQSeries.empty(24)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                total = total + delta_class(ClassPair(i, j), 24)
-        assert total == fraction_delta(24)
-
     @pytest.mark.parametrize("label1", ALL_LABELS, ids=str)
     def test_every_label_pair_matches_the_fraction_oracle(self, label1):
         # all 81 ordered pairs, including the zero class, equal and opposite
@@ -151,17 +105,10 @@ class TestClassSeries:
             assert class_pair_series(label1, label2, 24) == expected, (label1, label2)
 
     def test_bold_coefficients_sit_in_their_class_series(self):
-        a, b, c, d = sympy.symbols("a b c d")
-        first = delta_class(ClassPair(0, 2), 40).coefficient(BOLD_FIRST)
-        assert _sympy_poly(first) == sympy.expand(-12 * (b - a) * (d - c))
-        second = delta_class(ClassPair(1, 2), 40).coefficient(BOLD_SECOND)
-        assert _sympy_poly(second) == sympy.expand(-96 * a * (c - b))
-
-    def test_class_pair_validation(self):
-        with pytest.raises(ValueError):
-            ClassPair(2, 2)
-        with pytest.raises(ValueError):
-            ClassPair(3, 1)
+        v0, v1, v2 = (CosetLabel(i, 1) for i in range(3))
+        first = class_pair_series(v0, v2, 40).coefficient(BOLD_FIRST)
+        second = class_pair_series(v1, v2, 40).coefficient(BOLD_SECOND)
+        assert (first, second) == LEADING_POLYNOMIALS
 
 
 CACHED = (_labelled_shell, class_pair_series)
@@ -241,6 +188,22 @@ class TestCaches:
             with pytest.raises(TypeError):
                 call(40.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: delta_series(24, "theta"),
+            lambda: certify(SCHIEMANN, 40, "theta"),
+            lambda: theta11(build_family().L1, 4, "defining"),
+        ],
+        ids=["delta_series", "certify", "theta11"],
+    )
+    def test_route_or_kernel_outside_its_enum_is_refused(self, call):
+        infos = [cached.cache_info() for cached in CERTIFY_CACHED]
+        with pytest.raises(TypeError):
+            call()
+        # refused before any cache is read
+        assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
+
 
 class TestRelations:
     def test_all_hold_at_budget_24(self):
@@ -258,16 +221,6 @@ class TestRelations:
 
 
 class TestMinimalVectors:
-    def test_table(self):
-        expected = {
-            0: {(-1, 3, -1, 1), (-4, 0, 2, -2)},
-            1: {(1, -1, -1, 3), (4, 2, 2, 0)},
-            2: {(3, 1, -1, -1)},
-            3: {(-1, -1, -3, -1), (-4, 2, 0, 2)},
-        }
-        for i, vectors in expected.items():
-            assert set(minimal_vectors(CosetLabel(i, 1), 36)) == vectors
-
     def test_stable_under_larger_budget(self):
         for i in range(4):
             assert minimal_vectors(CosetLabel(i, 1), 44) == minimal_vectors(CosetLabel(i, 1), 36)
@@ -285,26 +238,14 @@ class TestMinimalVectors:
 
 
 class TestMinimalPairTable:
-    def test_eighteen_rows(self):
-        table = tuple(((row.i, row.j), row.exponent) for row in minimal_pair_table(36))
-        assert table == EXPECTED_TABLE
-
-    def test_example_rows(self):
-        rows = {(row.i, row.j): row.exponent for row in minimal_pair_table(36)}
-        assert rows[(0, 2)] == BOLD_FIRST
-        assert rows[(2, 5)] == BOLD_SECOND
-        assert rows[(4, 5)] == (32, 4, 8, 4)
-
     def test_minimal_rows(self):
-        table = minimal_pair_table(36)
-        leading = minimal_rows(table)
+        leading = minimal_rows(minimal_pair_table(36))
         assert tuple((row.i, row.j) for row in leading) == ((0, 2), (2, 5))
-        assert tuple(row.exponent for row in leading) == (BOLD_FIRST, BOLD_SECOND)
         assert exp_cmp(BOLD_FIRST, BOLD_SECOND) is Cmp.INCOMPARABLE
 
     def test_budget_must_cover_the_table(self):
         with pytest.raises(ValueError):
-            minimal_pair_table(24)
+            minimal_pair_table(MIN_PAIR_BUDGET - 1)
 
     def test_every_distinct_class_pair_is_dominated(self):
         # any pair of shell vectors from distinct nonzero classes either hits a
@@ -335,8 +276,7 @@ class TestCertify:
     def test_integral_example(self):
         cert = certify(SCHIEMANN, 40)
         assert cert.verdict is Verdict.NON_ISOMETRIC
-        assert cert.min_exponent == 144
-        assert cert.total == -1008
+        assert (cert.min_exponent, cert.total) == SCHIEMANN_TERM
         values = {tuple(t.exponent_vector): t.value for t in cert.terms}
         assert values == {BOLD_FIRST: Fraction(-432), BOLD_SECOND: Fraction(-576)}
 
@@ -351,7 +291,7 @@ class TestCertify:
         cert = certify(ParamPoint(19, 7, 1, 13), 40)
         assert cert.sorted_params == SCHIEMANN.coords
         assert cert.permutation == (2, 1, 3, 0)
-        assert cert.total == -1008
+        assert cert.total == SCHIEMANN_TERM[1]
         assert cert.verdict is Verdict.NON_ISOMETRIC
 
     def test_repeated_parameter_is_inconclusive(self):
@@ -398,7 +338,7 @@ class TestCertify:
 
     def test_budget_below_threshold_rejected(self):
         with pytest.raises(ValueError):
-            certify(SCHIEMANN, 24)
+            certify(SCHIEMANN, MIN_PAIR_BUDGET - 1)
 
     def test_nonpositive_params_rejected(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from isopair.lattices import (
     to_standard,
 )
 from isopair.qarith import ParamPolynomial
+from isopair.verification import EXPECTED_EXTRA_MINIMAL
 
 from conftest import SCHIEMANN, inner_poly, norm_poly, random_admissible_point
 
@@ -360,8 +361,8 @@ class TestCosetLabels:
             assert coset_label(tuple(-x for x in rep)) == CosetLabel(i, -1)
 
     def test_examples(self):
-        assert coset_label((-4, 0, 2, -2)) == CosetLabel(0, 1)
-        assert coset_label((4, 2, 2, 0)) == CosetLabel(1, 1)
+        for i, v in EXPECTED_EXTRA_MINIMAL.items():
+            assert coset_label(v) == CosetLabel(i, 1)
         fam = build_family()
         for m in fam.M.vectors(36):
             assert coset_label(m).is_zero

@@ -23,6 +23,7 @@ from isopair import (
     theta11,
 )
 from isopair.qarith import MONOS
+from isopair.verification import LEADING_POLYNOMIALS
 
 from conftest import SCHIEMANN, admissible_samples, collapse_points, fraction_collapse
 
@@ -166,15 +167,12 @@ def random_poly(rng):
 
 
 class TestParamPolynomial:
-    def test_leading_coefficient_polynomials(self):
-        first = -12 * ((B - A) * (D - C))
-        assert first.evaluate(SCHIEMANN) == -432
-        assert to_sympy(first) == sympy.expand(
-            -12 * (_SYMS[1] - _SYMS[0]) * (_SYMS[3] - _SYMS[2])
-        )
-        second = -96 * (A * (C - B))
-        assert second.evaluate(SCHIEMANN) == -576
-        assert to_sympy(second) == sympy.expand(-96 * _SYMS[0] * (_SYMS[2] - _SYMS[1]))
+    def test_leading_polynomials_expand_the_paper_formulas(self):
+        a, b, c, d = _SYMS
+        assert [to_sympy(poly) for poly in LEADING_POLYNOMIALS] == [
+            sympy.expand(-12 * (b - a) * (d - c)),
+            sympy.expand(-96 * a * (c - b)),
+        ]
 
     def test_zero(self):
         assert ParamPolynomial.zero().evaluate(SCHIEMANN) == 0
