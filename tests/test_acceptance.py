@@ -3,8 +3,9 @@
 ``run_verification`` re-derives each published fact and compares it with the
 data frozen in ``isopair.verification``; every anchor must pass at the
 smallest sound budget and at 40.  The other tests cover what the anchors
-lack: isospectrality at random points, 50 random certificates, and the
-``psi`` bijection on the full budget-40 shell.  Each passing check prints a
+lack: the refusal below the sound budget, isospectrality at random points,
+50 random certificates, and the ``psi`` bijection on the full budget-40
+shell.  Each passing check prints a
 status line so a verbose run reads as a checklist.
 """
 
@@ -72,6 +73,11 @@ def test_corrupted_table_fails_its_anchor(monkeypatch, constant):
     failed = [result for result in run_verification(MIN_PAIR_BUDGET) if not result.ok]
     assert tuple(result.anchor for result in failed) == failing
     assert all(result.witness for result in failed)
+
+
+def test_budget_below_threshold_rejected():
+    with pytest.raises(ValueError, match=r"^verification budget must be at least 36, got 35$"):
+        run_verification(MIN_PAIR_BUDGET - 1)
 
 
 def test_isospectral_at_desk_scale():

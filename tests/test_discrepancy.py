@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -8,6 +8,7 @@ from isopair import (
     Cmp,
     CosetLabel,
     FormalQSeries,
+    Kernel,
     Lattice,
     ParamPoint,
     ParamPolynomial,
@@ -38,7 +39,12 @@ from isopair.discrepancy import (
     class_members,
     pair_discrepancy_vector,
 )
-from isopair.verification import LEADING_EXPONENTS, LEADING_POLYNOMIALS, SCHIEMANN_TERM
+from isopair.verification import (
+    EXPECTED_PAIR_TABLE,
+    LEADING_EXPONENTS,
+    LEADING_POLYNOMIALS,
+    SCHIEMANN_TERM,
+)
 
 from conftest import (
     SCHIEMANN,
@@ -96,6 +102,13 @@ class TestRoutes:
 
 
 class TestClassSeries:
+    def test_corollary_decomposition(self):
+        # the six distinct positive class pairs sum to the discrepancy
+        total = FormalQSeries.empty(24)
+        for i, j in combinations(range(4), 2):
+            total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), 24)
+        assert total == fraction_delta(24)
+
     @pytest.mark.parametrize("label1", ALL_LABELS, ids=str)
     def test_every_label_pair_matches_the_fraction_oracle(self, label1):
         # all 81 ordered pairs, including the zero class, equal and opposite
@@ -194,8 +207,11 @@ class TestCaches:
             lambda: delta_series(24, "theta"),
             lambda: certify(SCHIEMANN, 40, "theta"),
             lambda: theta11(build_family().L1, 4, "defining"),
+            # a member of the other enum is refused too
+            lambda: delta_series(24, Kernel.PAIRWISE),
+            lambda: theta11(build_family().L1, 4, Route.FROM_THETA),
         ],
-        ids=["delta_series", "certify", "theta11"],
+        ids=["delta_series", "certify", "theta11", "delta_series-kernel", "theta11-route"],
     )
     def test_route_or_kernel_outside_its_enum_is_refused(self, call):
         infos = [cached.cache_info() for cached in CERTIFY_CACHED]
@@ -243,8 +259,12 @@ class TestMinimalPairTable:
         assert tuple((row.i, row.j) for row in leading) == ((0, 2), (2, 5))
         assert exp_cmp(BOLD_FIRST, BOLD_SECOND) is Cmp.INCOMPARABLE
 
+    def test_table_stable_under_larger_budget(self):
+        table = tuple(((row.i, row.j), row.exponent) for row in minimal_pair_table(44))
+        assert table == EXPECTED_PAIR_TABLE
+
     def test_budget_must_cover_the_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pair table needs budget >= 36 to see every"):
             minimal_pair_table(MIN_PAIR_BUDGET - 1)
 
     def test_every_distinct_class_pair_is_dominated(self):
@@ -337,7 +357,7 @@ class TestCertify:
         assert 20 <= calls["evaluate"] <= terms
 
     def test_budget_below_threshold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^certification needs budget >= 36 to cover the"):
             certify(SCHIEMANN, MIN_PAIR_BUDGET - 1)
 
     def test_nonpositive_params_rejected(self):
