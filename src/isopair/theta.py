@@ -75,6 +75,13 @@ def defining_coeffs(l, k) -> list[int]:
 _KERNELS = {Kernel.DEFINING: defining_coeffs, Kernel.PAIRWISE: pairwise_coeffs}
 
 
+def check_kernel(kernel) -> Kernel:
+    """Refuse a kernel that is not a ``Kernel`` (the string ``"defining"`` included)."""
+    if not isinstance(kernel, Kernel):
+        raise TypeError(f"kernel must be a Kernel, got {kernel!r}")
+    return kernel
+
+
 def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
     """Vector counts by squared-coordinate tuple, up to the budget."""
     counts: dict[tuple, int] = {}
@@ -128,7 +135,6 @@ def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> 
     squared-coordinate sum stays within the budget; both kernels give the
     same series.  A kernel that is not a ``Kernel`` raises ``TypeError``.
     """
-    if not isinstance(kernel, Kernel):
-        raise TypeError(f"kernel must be a Kernel, got {kernel!r}")
+    check_kernel(kernel)
     shell = lattice.vectors(budget)
     return pair_series(shell, shell, budget, _KERNELS[kernel])

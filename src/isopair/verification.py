@@ -80,7 +80,8 @@ EXPECTED_PAIR_TABLE = (
 # exponent 144 with total coefficient -432 - 576 = -1008
 SCHIEMANN = ParamPoint(1, 7, 13, 19)
 SCHIEMANN_TERM = (144, -1008)
-SAMPLE_POINTS = (SCHIEMANN, ParamPoint(1, 2, 3, 4))
+SMALL = ParamPoint(1, 2, 3, 4)
+SAMPLE_POINTS = (SCHIEMANN, SMALL)
 
 
 @dataclass(frozen=True)

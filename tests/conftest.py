@@ -14,12 +14,9 @@ from isopair import (
     psi,
     sigma,
 )
-from isopair.verification import SAMPLE_POINTS
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
-
-SCHIEMANN, SMALL = SAMPLE_POINTS
 
 
 def inner_poly(v, w) -> ParamPolynomial:

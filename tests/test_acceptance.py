@@ -16,8 +16,9 @@ import pytest
 from isopair import Verdict, build_family, certify, phi, psi, rep_series, run_verification
 from isopair import verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
+from isopair.verification import SCHIEMANN, SMALL
 
-from conftest import SCHIEMANN, SMALL, admissible_samples
+from conftest import admissible_samples
 
 ANCHORS = (
     "code census",
@@ -52,7 +53,7 @@ def test_anchors(budget):
     for result in results:
         assert result.ok, result
         report(f"{result.anchor}, budget {budget}")
-    assert elapsed < 2.0, f"verification took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"verification took {elapsed:.2f}s"
 
 
 # each frozen table of ``verification``, corrupted, and the anchors that

@@ -43,12 +43,12 @@ from isopair.verification import (
     EXPECTED_PAIR_TABLE,
     LEADING_EXPONENTS,
     LEADING_POLYNOMIALS,
+    SCHIEMANN,
     SCHIEMANN_TERM,
+    SMALL,
 )
 
 from conftest import (
-    SCHIEMANN,
-    SMALL,
     admissible_samples,
     collapse_points,
     fraction_delta,

@@ -29,9 +29,9 @@ from isopair.lattices import (
     to_standard,
 )
 from isopair.qarith import ParamPolynomial
-from isopair.verification import EXPECTED_EXTRA_MINIMAL
+from isopair.verification import EXPECTED_EXTRA_MINIMAL, SCHIEMANN
 
-from conftest import SCHIEMANN, inner_poly, norm_poly, random_admissible_point
+from conftest import inner_poly, norm_poly, random_admissible_point
 
 # The base-lattice generator matrix in eigenbasis coordinates (columns).
 BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3))

@@ -23,9 +23,9 @@ from isopair import (
     theta11,
 )
 from isopair.qarith import MONOS
-from isopair.verification import LEADING_POLYNOMIALS
+from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 
-from conftest import SCHIEMANN, admissible_samples, collapse_points, fraction_collapse
+from conftest import admissible_samples, collapse_points, fraction_collapse
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 

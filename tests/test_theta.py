@@ -17,9 +17,9 @@ from isopair import (
 )
 from isopair.discrepancy import Route, delta_series
 from isopair.theta import QUAD_MONOS, defining_coeffs, pairwise_coeffs
+from isopair.verification import SCHIEMANN
 
 from conftest import (
-    SCHIEMANN,
     admissible_samples,
     fraction_pairwise_kernel,
     fraction_theta11,
