@@ -180,7 +180,9 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     takes 1/128 of the difference of the two invariants, enumerating L2
     independently.  The two routes agree exactly.  Nothing is cached here;
     the class series are.  Both routes add integer coefficient vectors; the
-    theta route's 1/128 only changes the series' scale.
+    theta route's 1/128 divides every coefficient exactly, since its result
+    equals the integer ``psi`` route, and a remainder would raise
+    ``ValueError`` rather than be rounded.
 
     The class restriction is exact at every budget, not only on a checked
     truncation.  Equal or opposite class indices give ``f == 1``, so the
@@ -340,7 +342,7 @@ def _leading_data(
     series = delta_series(budget, route)
     rows = minimal_rows(minimal_pair_table(budget))
     for row in rows:
-        if not series.matches(row.exponent, pair_discrepancy_vector(*row.vectors)):
+        if series.terms.get(row.exponent) != pair_discrepancy_vector(*row.vectors):
             raise AssertionError(
                 f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"
             )

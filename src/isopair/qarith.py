@@ -2,9 +2,10 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  Series
 coefficients are polynomials in the four positive lattice parameters
-(a, b, c, d) of total degree at most two, so a series holds each one as an
-integer vector on the fifteen monomials ``MONOS`` (1, a, b, c, d, then the
-ten ``QUAD_MONOS``) times one ``Fraction`` scale shared by the whole series.
+(a, b, c, d) of total degree at most two with integer coefficients, so a
+series holds each one as an integer vector on the fifteen monomials
+``MONOS`` (1, a, b, c, d, then the ten ``QUAD_MONOS``).  Every series the
+package builds is integral; a rational coefficient is refused, not rounded.
 Addition, scaling and collapse are integer arithmetic on those vectors;
 ``ParamPolynomial`` is the boundary where a coefficient is printed,
 serialized or compared with a formula of the paper.  q-exponents are kept
@@ -33,8 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -162,7 +162,9 @@ class ParamPolynomial:
     """A polynomial in (a, b, c, d) with rational coefficients.
 
     Terms map monomial exponent 4-tuples to nonzero Fractions; the zero
-    polynomial has no terms.  Instances are immutable by convention.
+    polynomial has no terms.  A monomial that is not four non-negative ints
+    raises ``ValueError``, as an exponent vector does.  Instances are
+    immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -171,9 +173,9 @@ class ParamPolynomial:
         clean: dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = exact(coeff)
+                mono, coeff = check_expo(mono), exact(coeff)
                 if coeff:
-                    clean[tuple(mono)] = coeff
+                    clean[mono] = coeff
         self.terms = clean
 
     @classmethod
@@ -306,24 +308,22 @@ class FormalQSeries:
     pairs whose combined squared-coordinate sum is at most N, so two series
     may be added or compared only at equal budgets.
 
-    The coefficient at an exponent ``e`` is ``scale`` times the integer
-    vector ``terms[e]`` on ``MONOS``; exponents with a zero coefficient are
-    not stored.  Normal form: ``scale`` is ``1/L`` for the least common
-    denominator ``L`` of all coefficients, so the vectors are the
-    coefficients times ``L``; a series with integer coefficients, the empty
-    one included, has scale 1.  Each rational series has exactly one such
-    form, so ``==`` and ``hash`` depend only on the rational coefficients,
-    whether the series came from polynomials or from integer sums.
+    Each coefficient is a polynomial with integer coefficients, held as
+    its integer vector ``terms[e]`` on ``MONOS``; exponents with a zero
+    coefficient are not stored, so ``==`` and ``hash`` see only the budget
+    and the coefficients.  A coefficient that is not an integer polynomial
+    raises ``ValueError``, in the constructor and in ``scaled``; nothing is
+    rounded.
     """
 
-    __slots__ = ("budget", "terms", "scale")
+    __slots__ = ("budget", "terms")
 
     def __init__(
         self, budget: int, terms: Mapping[Expo, ParamPolynomial | int | Fraction] | None = None
     ):
         if check_budget(budget) < 0:
             raise ValueError("budget must be non-negative")
-        rational: dict[Expo, list[Fraction]] = {}
+        vectors: dict[Expo, tuple[int, ...]] = {}
         for e, poly in (terms or {}).items():
             e = check_expo(e)
             if sum(e) > budget:
@@ -332,56 +332,27 @@ class FormalQSeries:
                 poly = ParamPolynomial.constant(poly)
             if not poly:
                 continue
-            vector = [_ZERO] * len(MONOS)
+            vector = [0] * len(MONOS)
             for mono, coeff in poly.terms.items():
                 if mono not in _MONO_INDEX:
                     raise ValueError(f"monomial {mono} has degree above two")
-                vector[_MONO_INDEX[mono]] = coeff
-            rational[e] = vector
-        denominator = lcm(*(c.denominator for c in chain.from_iterable(rational.values())))
-        self._set(
-            budget,
-            {
-                e: tuple(c.numerator * (denominator // c.denominator) for c in vector)
-                for e, vector in rational.items()
-            },
-            Fraction(1, denominator),
-        )
+                if coeff.denominator != 1:
+                    raise ValueError(f"coefficient {coeff} at {e} is not an integer")
+                vector[_MONO_INDEX[mono]] = coeff.numerator
+            vectors[e] = tuple(vector)
+        self.budget, self.terms = budget, vectors
 
     @classmethod
-    def from_vectors(
-        cls, budget: int, vectors: Mapping[Expo, Sequence[int]], scale: Fraction = Fraction(1)
-    ) -> "FormalQSeries":
-        """The series ``scale * vectors`` from integer vectors on ``MONOS``;
-        the package's constructor, which trusts its exponents."""
-        terms = {e: tuple(v) for e, v in vectors.items() if any(v)}
-        return cls._normal(budget, terms, exact(scale))
-
-    @classmethod
-    def _normal(cls, budget: int, terms: dict[Expo, tuple[int, ...]], scale: Fraction):
+    def from_vectors(cls, budget: int, vectors: Mapping[Expo, Sequence[int]]) -> "FormalQSeries":
+        """The series with integer vectors on ``MONOS``; the package's
+        constructor, which trusts its exponents and drops zero vectors."""
         out = cls.__new__(cls)
-        out._set(budget, terms, scale)
+        # vectors are tuples built from lists, here as in ``__init__`` and
+        # ``__add__``: a tuple grown from a generator bypasses the tuple free
+        # list on allocation but lands in it when freed, which fills it with
+        # up to 2000 spare 15-tuples
+        out.budget, out.terms = budget, {e: tuple(v) for e, v in vectors.items() if any(v)}
         return out
-
-    def _set(self, budget: int, terms: dict[Expo, tuple[int, ...]], scale: Fraction):
-        # bring nonzero vectors and a scale into the normal form of the class
-        # docstring; a series with integer coefficients needs no pass at all.
-        # Vectors are built from lists throughout: a tuple grown from a
-        # generator bypasses the tuple free list on allocation but lands in
-        # it when freed, which fills it with up to 2000 spare 15-tuples
-        n, d = scale.numerator, scale.denominator
-        if not n or not terms:
-            terms, d = {}, 1
-        elif n != 1:
-            terms = {e: tuple([n * x for x in v]) for e, v in terms.items()}
-        common = d
-        for v in terms.values():
-            if common == 1:
-                break
-            common = gcd(common, *v)
-        if common != 1:
-            terms = {e: tuple([x // common for x in v]) for e, v in terms.items()}
-        self.budget, self.terms, self.scale = budget, terms, Fraction(1, d // common)
 
     @classmethod
     def empty(cls, budget: int) -> "FormalQSeries":
@@ -399,13 +370,7 @@ class FormalQSeries:
 
     def coefficient(self, e: Expo) -> ParamPolynomial:
         vector = self.terms.get(tuple(e), ())
-        return ParamPolynomial({m: self.scale * x for m, x in zip(MONOS, vector) if x})
-
-    def matches(self, e: Expo, vector: Sequence[int]) -> bool:
-        """Whether the coefficient at ``e`` is the integer vector ``vector``
-        on ``MONOS`` (with scale 1)."""
-        stored = self.terms.get(tuple(e), (0,) * len(MONOS))
-        return stored == tuple([self.scale.denominator * x for x in vector])
+        return ParamPolynomial({m: x for m, x in zip(MONOS, vector) if x})
 
     def _check_budget(self, other: "FormalQSeries"):
         if self.budget != other.budget:
@@ -415,27 +380,20 @@ class FormalQSeries:
         if not isinstance(other, FormalQSeries):
             return NotImplemented
         self._check_budget(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        s, t = self.scale.denominator, other.scale.denominator
-        common = lcm(s, t)
-        ms, mt = common // s, common // t
-        terms = dict(self.terms) if ms == 1 else {
-            e: tuple([ms * x for x in v]) for e, v in self.terms.items()
-        }
+        terms = dict(self.terms)
         for e, v in other.terms.items():
             acc = terms.get(e)
             if acc is None:
-                terms[e] = v if mt == 1 else tuple([mt * x for x in v])
+                terms[e] = v
                 continue
-            acc = tuple([x + mt * y for x, y in zip(acc, v)])
+            acc = tuple([x + y for x, y in zip(acc, v)])
             if any(acc):
                 terms[e] = acc
             else:
                 del terms[e]
-        return self._normal(self.budget, terms, Fraction(1, common))
+        out = FormalQSeries.__new__(FormalQSeries)
+        out.budget, out.terms = self.budget, terms
+        return out
 
     def __sub__(self, other):
         if not isinstance(other, FormalQSeries):
@@ -443,16 +401,16 @@ class FormalQSeries:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "FormalQSeries":
-        return self._normal(self.budget, self.terms, self.scale * exact(factor))
-
-    def truncated(self, budget: int) -> "FormalQSeries":
-        """Drop all terms beyond a smaller budget."""
-        if check_budget(budget) > self.budget:
-            raise ValueError("cannot extend a truncated series")
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
-        kept = {e: v for e, v in self.terms.items() if sum(e) <= budget}
-        return self._normal(budget, kept, self.scale)
+        """The series times ``factor``; a product that is not an integer
+        raises ``ValueError`` instead of being rounded."""
+        factor = exact(factor)
+        n, d = factor.numerator, factor.denominator
+        for e, v in self.terms.items():
+            if any(x % d for x in v):
+                raise ValueError(f"coefficient at {e} times {factor} is not an integer")
+        return self.from_vectors(
+            self.budget, {e: [x // d * n for x in v] for e, v in self.terms.items()}
+        )
 
     def collapse(self, p: ParamPoint) -> tuple[tuple[Fraction, Fraction], ...]:
         """Evaluate exponents and coefficients at a point, merging exponents.
@@ -460,10 +418,9 @@ class FormalQSeries:
         Returns (exponent, coefficient) pairs sorted by ascending exponent,
         with zero coefficients dropped.  With ``D`` the common denominator
         of the point and ``A = D*p`` its integer numerators, an exponent is
-        ``(n.A) / D`` and a coefficient is ``(v.W) / (L D^2)`` for the
-        integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS`` and the
-        scale ``1/L``; the sums stay integer and each merged exponent is
-        divided out once.
+        ``(n.A) / D`` and a coefficient is ``(v.W) / D^2`` for the integer
+        weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS``; the sums stay
+        integer and each merged exponent is divided out once.
         """
         D = lcm(*(x.denominator for x in p.coords))
         A = [x.numerator * (D // x.denominator) for x in p.coords]
@@ -472,9 +429,8 @@ class FormalQSeries:
         for e, v in self.terms.items():
             key = e[0] * A[0] + e[1] * A[1] + e[2] * A[2] + e[3] * A[3]
             merged[key] = merged.get(key, 0) + sum(map(mul, weights, v))
-        d = self.scale.denominator * D * D
         return tuple(
-            (Fraction(key, D), Fraction(value, d))
+            (Fraction(key, D), Fraction(value, D * D))
             for key, value in sorted(merged.items())
             if value
         )
@@ -482,14 +438,10 @@ class FormalQSeries:
     def __eq__(self, other):
         if not isinstance(other, FormalQSeries):
             return NotImplemented
-        return (
-            self.budget == other.budget
-            and self.scale == other.scale
-            and self.terms == other.terms
-        )
+        return self.budget == other.budget and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.budget, self.scale, tuple(sorted(self.terms.items()))))
+        return hash((self.budget, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         return f"FormalQSeries(budget={self.budget}, terms={len(self.terms)})"

@@ -118,6 +118,19 @@ class TestInvariantAndDelta:
         )
         assert out1 == out2
 
+    def test_theta_route_remainder_exits_1(self, capsys, monkeypatch):
+        import isopair.discrepancy
+
+        from test_discrepancy import _off_by_one_theta11
+
+        monkeypatch.setattr(isopair.discrepancy, "theta11", _off_by_one_theta11)
+        code, out, err = run(
+            capsys, "delta", "--route", "theta", "--params", "1", "2", "3", "4",
+            "--budget", "24",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "not an integer" in err
+
 
 class TestCertify:
     def test_integral_example(self, capsys):

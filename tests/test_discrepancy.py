@@ -59,6 +59,14 @@ from conftest import (
 BOLD_FIRST, BOLD_SECOND = LEADING_EXPONENTS
 
 
+def _off_by_one_theta11(lattice, budget, kernel):
+    """``theta11`` with one added to the constant term of L1's invariant."""
+    series = theta11(lattice, budget, kernel)
+    if lattice == build_family().L1:
+        series = series + FormalQSeries(budget, {(0, 0, 0, 0): 1})
+    return series
+
+
 class TestRoutes:
     @pytest.mark.parametrize("budget", [12, 24, 36, 40])
     def test_equivalence(self, budget):
@@ -68,6 +76,13 @@ class TestRoutes:
 
     def test_matches_the_fraction_oracle_at_budget_80(self):
         assert delta_series(80) == fraction_delta(80)
+
+    def test_theta_route_refuses_a_difference_not_divisible_by_128(self, monkeypatch):
+        # one extra unit in the L1 invariant leaves 1/128 at q^0, which the
+        # route must refuse rather than round
+        monkeypatch.setattr(discrepancy, "theta11", _off_by_one_theta11)
+        with pytest.raises(ValueError, match="not an integer"):
+            delta_series(24, Route.FROM_THETA)
 
     def test_integer_pair_kernel_matches_the_polynomial_one(self):
         shell = build_family().L1.vectors(24)
@@ -500,6 +515,17 @@ class TestAlternating:
         assert not series.is_zero
         for tau in permutations(range(4)):
             assert _permuted(series, tau) == series.scaled(_sign(tau)), tau
+
+    @pytest.mark.parametrize("budget", [24, 40])
+    def test_permuted_invariant_of_l1(self, budget):
+        # a signed permutation moves the exponent and monomial slots of the
+        # pair sum together: an odd tau carries the L1 invariant onto the L2
+        # one, an even tau leaves it fixed
+        fam = build_family()
+        first, second = theta11(fam.L1, budget), theta11(fam.L2, budget)
+        assert first != second
+        for tau in permutations(range(4)):
+            assert _permuted(first, tau) == (second if _sign(tau) < 0 else first), tau
 
     @pytest.mark.parametrize(
         "coords",

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -202,6 +202,71 @@ class TestLatticeEquality:
         assert Lattice(tuple(flip(col) for col in classical)) == fam.L1
         # without the flip the columns do not even lie in the base lattice
         assert not any(fam.L.contains(col) for col in classical)
+
+
+SIGN_PATTERNS = tuple(product((1, -1), repeat=4))
+
+
+def _parity(tau) -> int:
+    return (-1) ** sum(tau[i] > tau[j] for i in range(4) for j in range(i + 1, 4))
+
+
+def _signed_image(v, tau, signs):
+    """Slot i of v, times signs[i], moved to slot tau[i]."""
+    out = [0] * 4
+    for i, x in enumerate(v):
+        out[tau[i]] = signs[i] * x
+    return tuple(out)
+
+
+def _witnesses(tau, target) -> list:
+    """The sign patterns whose signed permutation carries L1 onto target,
+    by Hermite normal form equality."""
+    gens = build_family().L1.generators
+    return [
+        signs
+        for signs in SIGN_PATTERNS
+        if Lattice(tuple(_signed_image(g, tau, signs) for g in gens)) == target
+    ]
+
+
+def _form(v, w, p: ParamPoint):
+    return sum(x * y * c for x, y, c in zip(v, w, p.coords))
+
+
+class TestSignedPermutationWitnesses:
+    """An odd permutation of the eigenbasis slots, with two opposite sign
+    patterns, carries L1 onto L2; an even one carries L1 onto itself.  A
+    transposition's witness is an isometry exactly where the two swapped
+    parameters coincide, so "pairwise different" is needed."""
+
+    @pytest.mark.parametrize("tau", list(permutations(range(4))), ids=str)
+    def test_two_sign_patterns_per_permutation(self, tau):
+        fam = build_family()
+        onto, away = (fam.L2, fam.L1) if _parity(tau) < 0 else (fam.L1, fam.L2)
+        signs = _witnesses(tau, onto)
+        assert len(signs) == 2
+        assert signs[1] == tuple(-x for x in signs[0])
+        assert _witnesses(tau, away) == []
+
+    @pytest.mark.parametrize("swap", list(combinations(range(4), 2)), ids=str)
+    def test_transposition_preserves_the_form_exactly_at_its_coincidence(self, swap):
+        tau = list(range(4))
+        tau[swap[0]], tau[swap[1]] = swap[1], swap[0]
+        fam = build_family()
+        gens = fam.L1.generators
+        for pair in combinations(range(4), 2):
+            coords = [1, 2, 3, 4]
+            coords[pair[1]] = coords[pair[0]]
+            point = ParamPoint(*coords)
+            for signs in _witnesses(tuple(tau), fam.L2):
+                images = [_signed_image(g, tau, signs) for g in gens]
+                preserved = all(
+                    _form(images[i], images[j], point) == _form(gens[i], gens[j], point)
+                    for i in range(4)
+                    for j in range(i, 4)
+                )
+                assert preserved == (pair == swap), (pair, signs)
 
 
 class TestStructure:
