@@ -43,11 +43,10 @@ from .lattices import (
     psi,
 )
 from .qarith import (
-    Cmp,
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
-    exp_cmp,
+    exp_below,
     sigma,
 )
 from .theta import Kernel, rep_series, theta11
@@ -60,7 +59,6 @@ __all__ = [
     "AnchorResult",
     "COSET_REPS",
     "Certificate",
-    "Cmp",
     "CosetLabel",
     "FormalQSeries",
     "K4",
@@ -79,7 +77,7 @@ __all__ = [
     "class_pair_series",
     "coset_label",
     "delta_series",
-    "exp_cmp",
+    "exp_below",
     "intersection_graph",
     "matching_element",
     "minimal_pair_table",

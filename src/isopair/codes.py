@@ -62,9 +62,6 @@ class K4Element:
     def apply_word(self, w: Word) -> Word:
         return normalize(_matvec(self.standard, w))
 
-    def apply_diag(self, v) -> tuple[int, ...]:
-        return tuple(d * x for d, x in zip(self.diag, v))
-
     def __str__(self):
         return self.name
 

@@ -44,7 +44,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .codes import K4
 from .lattices import (
     ALL_LABELS,
     COSET_REPS,
@@ -59,13 +58,12 @@ from .qarith import (
     MONOS,
     QUAD_MONOS,
     QUAD_SLOTS,
-    Cmp,
     Expo,
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
     check_budget,
-    exp_cmp,
+    exp_below,
     sigma,
 )
 from .theta import Kernel, pair_series, theta11
@@ -128,17 +126,7 @@ def _labelled_shell(budget: int) -> dict[CosetLabel, tuple[Vec, ...]]:
     return {label: tuple(vs) for label, vs in members.items()}
 
 
-def class_members(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
-    """The vectors of one coset class within the budget shell."""
-    return _labelled_shell(budget)[label]
-
-
 _SLOT_MONOS = dict(zip(QUAD_SLOTS, QUAD_MONOS))
-
-
-def _psi_diag(label: CosetLabel) -> tuple[int, int, int, int]:
-    # psi is the identity on the zero class
-    return (1, 1, 1, 1) if label.is_zero else K4[label.index].diag
 
 
 @lru_cache(maxsize=CLASS_SERIES_CACHE, typed=True)
@@ -151,7 +139,7 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
     ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``, so
     ``pair_series`` sums it in integers, one counter per slot.
     """
-    f = tuple(x * y for x, y in zip(_psi_diag(label1), _psi_diag(label2)))
+    f = tuple(x * y for x, y in zip(label1.diag, label2.diag))
     slots = tuple((s, t) for s, t in QUAD_SLOTS if f[s] != f[t])
     if not slots:
         return FormalQSeries.empty(budget)
@@ -259,8 +247,11 @@ def check_relations(budget: int) -> RelationReport:
     return RelationReport(True, checked)
 
 
-def _strictly_below(e: Expo, f: Expo) -> bool:
-    return exp_cmp(e, f) is Cmp.LESS
+def _order_minimal(items, key) -> tuple:
+    """The items, in their order, whose key no item's key lies strictly
+    below in the suffix-sum order; each key is computed once."""
+    keys = [key(item) for item in items]
+    return tuple(item for item, e in zip(items, keys) if not any(exp_below(f, e) for f in keys))
 
 
 def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
@@ -272,13 +263,7 @@ def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     budget never retracts a reported vector; it can only add minimal vectors
     of larger square sum.
     """
-    members = class_members(label, budget)
-    out = []
-    for v in members:
-        pv = phi(v)
-        if not any(_strictly_below(phi(w), pv) for w in members):
-            out.append(v)
-    return tuple(out)
+    return _order_minimal(_labelled_shell(budget)[label], phi)
 
 
 @dataclass(frozen=True)
@@ -320,11 +305,7 @@ def minimal_pair_table(budget: int) -> tuple[PairRow, ...]:
 
 def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
     """The rows whose exponents are order-minimal within the table."""
-    return tuple(
-        row
-        for row in table
-        if not any(_strictly_below(other.exponent, row.exponent) for other in table)
-    )
+    return _order_minimal(table, lambda row: row.exponent)
 
 
 @lru_cache(maxsize=SHELL_CACHE, typed=True)
@@ -362,17 +343,17 @@ class Certificate:
 
     ``NON_ISOMETRIC`` requires a nonzero total coefficient at the minimal
     collapsed exponent of the discrepancy; repeated parameter values yield
-    ``INCONCLUSIVE`` and no terms.
+    the defaults: ``INCONCLUSIVE`` and no terms.
     """
 
     params: tuple[Fraction, ...]
     sorted_params: tuple[Fraction, ...]
     permutation: tuple[int, ...]
     budget: int
-    min_exponent: Fraction | None
-    terms: tuple[CertTerm, ...]
-    total: Fraction | None
-    verdict: Verdict
+    min_exponent: Fraction | None = None
+    terms: tuple[CertTerm, ...] = ()
+    total: Fraction | None = None
+    verdict: Verdict = Verdict.INCONCLUSIVE
 
     def to_json_dict(self) -> dict:
         return {
@@ -423,41 +404,24 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             f"certification needs budget >= {MIN_PAIR_BUDGET} to cover the minimal pair table"
         )
     ordered, permutation = p.sorted()
-    if not p.pairwise_distinct:
-        return Certificate(
-            params=p.coords,
-            sorted_params=ordered.coords,
-            permutation=permutation,
-            budget=budget,
-            min_exponent=None,
-            terms=(),
-            total=None,
-            verdict=Verdict.INCONCLUSIVE,
+    leading = {}
+    if p.pairwise_distinct:
+        series, rows = _leading_data(budget, route)
+        by_sigma: dict[Fraction, list[tuple[Expo, ParamPolynomial]]] = {}
+        for exponent, poly in rows:
+            by_sigma.setdefault(sigma(exponent, ordered), []).append((exponent, poly))
+
+        min_exponent = min(by_sigma)
+        collapsed = series.collapse(ordered)
+        if not collapsed or collapsed[0][0] != min_exponent:
+            raise AssertionError("collapsed series does not lead at the minimal pair exponent")
+
+        terms = tuple(
+            CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in by_sigma[min_exponent]
         )
-
-    series, leading = _leading_data(budget, route)
-    by_sigma: dict[Fraction, list[tuple[Expo, ParamPolynomial]]] = {}
-    for exponent, poly in leading:
-        by_sigma.setdefault(sigma(exponent, ordered), []).append((exponent, poly))
-
-    min_exponent = min(by_sigma)
-    collapsed = series.collapse(ordered)
-    if not collapsed or collapsed[0][0] != min_exponent:
-        raise AssertionError("collapsed series does not lead at the minimal pair exponent")
-
-    terms = tuple(CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in by_sigma[min_exponent])
-    total = sum((term.value for term in terms), Fraction(0))
-    if collapsed[0][1] != total:
-        raise AssertionError("leading coefficient does not match the certificate terms")
-
-    verdict = Verdict.NON_ISOMETRIC if total != 0 else Verdict.INCONCLUSIVE
-    return Certificate(
-        params=p.coords,
-        sorted_params=ordered.coords,
-        permutation=permutation,
-        budget=budget,
-        min_exponent=min_exponent,
-        terms=terms,
-        total=total,
-        verdict=verdict,
-    )
+        total = sum((term.value for term in terms), Fraction(0))
+        if collapsed[0][1] != total:
+            raise AssertionError("leading coefficient does not match the certificate terms")
+        verdict = Verdict.NON_ISOMETRIC if total != 0 else Verdict.INCONCLUSIVE
+        leading = dict(min_exponent=min_exponent, terms=terms, total=total, verdict=verdict)
+    return Certificate(p.coords, ordered.coords, permutation, budget, **leading)

@@ -13,11 +13,16 @@ parameter-independent: one integral lattice serves every parameter point,
 and inner products become one-line formulas
 ``<v, w> = a*v0*w0 + b*v1*w1 + c*v2*w2 + d*v3*w3``.
 
-The norm-preserving bijection ``psi`` from L1 onto L2 is the identity on M
-and acts on the coset class of the i-th representative by the i-th diagonal
-sign matrix.  It preserves the squared-coordinate tuple ``phi`` of every
-vector exactly, which is what makes the two lattices isospectral at every
-parameter point, but it is not additive.
+L1 splits into nine classes modulo M: zero and the signed representatives
+``COSET_REPS``.  Since [Z^4 : L] = 16 is prime to 3, 3Z^4 meets L in 3L = M,
+so two vectors of L lie in one class exactly when their coordinates agree
+mod 3, and ``coset_label`` reads the class off those residues.  The
+norm-preserving bijection ``psi`` from L1 onto L2 acts on each class by its
+diagonal sign matrix ``CosetLabel.diag``: the identity on M, the i-th
+four-group matrix on the class of the i-th representative.  It preserves the
+squared-coordinate tuple ``phi`` of every vector exactly, which is what
+makes the two lattices isospectral at every parameter point, but it is not
+additive.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import C1_LABELED_WORDS, K4, Word, _matvec, normalize
+from .codes import K4, Word, _matvec, normalize
 from .qarith import Expo, check_budget
 
 Vec = tuple[int, int, int, int]
@@ -109,8 +114,13 @@ class Lattice:
 
     def contains(self, v) -> bool:
         """Whether v is an integer combination of the generators: triangular
-        division by the normal-form rows leaves no remainder."""
+        division by the normal-form rows leaves no remainder.  A vector that
+        is not four ints is refused as a generator is."""
         rest = list(v)
+        if len(rest) != 4:
+            raise ValueError(f"need an integer 4-vector, got {tuple(rest)!r}")
+        if not all(isinstance(x, int) for x in rest):
+            raise TypeError(f"vector entries must be integers, got {tuple(rest)!r}")
         for i, row in enumerate(self.hnf):
             c, r = divmod(rest[i], row[i])
             if r:
@@ -286,6 +296,13 @@ class CosetLabel:
     def __neg__(self) -> "CosetLabel":
         return self if self.is_zero else CosetLabel(self.index, -self.sign)
 
+    @property
+    def diag(self) -> tuple[int, int, int, int]:
+        """The diagonal sign matrix by which psi acts on this class: the
+        identity on the zero class, the i-th four-group matrix on the class
+        of the i-th representative and of its negative."""
+        return K4[0 if self.is_zero else self.index].diag
+
     def representative(self) -> Vec:
         if self.is_zero:
             return (0, 0, 0, 0)
@@ -302,25 +319,20 @@ ALL_LABELS: tuple[CosetLabel, ...] = (CosetLabel.zero(),) + tuple(
     CosetLabel(i, s) for i in range(4) for s in (1, -1)
 )
 
-_WORD_TO_LABEL = {
-    (0, 0, 0, 0): CosetLabel.zero(),
-    **{C1_LABELED_WORDS[i]: CosetLabel(i, 1) for i in range(4)},
-    **{normalize(tuple(-x for x in C1_LABELED_WORDS[i])): CosetLabel(i, -1) for i in range(4)},
+# the residues mod 3 of the nine representatives, one per class
+_LABEL_BY_RESIDUE = {
+    tuple(x % 3 for x in label.representative()): label for label in ALL_LABELS
 }
 
 
 def coset_label(v) -> CosetLabel:
-    """The class of a vector of L1 modulo M."""
-    fam = build_family()
-    if not fam.L1.contains(v):
+    """The class of a vector of L1 modulo M, read off its coordinates mod 3."""
+    if not build_family().L1.contains(v):
         raise ValueError(f"{tuple(v)} is not in L1")
-    return _WORD_TO_LABEL[project_mod3(v)]
+    return _LABEL_BY_RESIDUE[tuple(x % 3 for x in v)]
 
 
 def psi(v) -> Vec:
-    """The norm-preserving bijection from L1 to L2: identity on M, the i-th
-    diagonal sign matrix on the class of the i-th representative."""
-    label = coset_label(v)
-    if label.is_zero:
-        return tuple(v)
-    return K4[label.index].apply_diag(v)
+    """The norm-preserving bijection from L1 to L2: the sign matrix of the
+    class of v applied to v."""
+    return tuple(s * x for s, x in zip(coset_label(v).diag, v))

@@ -14,7 +14,8 @@ of a lattice vector -- and are only turned into concrete exponents
 a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.  One symbolic series
 therefore serves every parameter point.
 
-Exponent vectors are partially ordered by suffix sums::
+Exponent vectors are partially ordered by suffix sums (``exp_below`` is the
+strict relation)::
 
     e <= f   iff   e[i0] + ... + e[3] <= f[i0] + ... + f[3]  for all i0.
 
@@ -31,7 +32,6 @@ parameters at once.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -71,13 +71,6 @@ def check_budget(budget) -> int:
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise TypeError(f"budget must be an int, got {budget!r}")
     return budget
-
-
-class Cmp(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -132,25 +125,16 @@ def check_expo(e) -> Expo:
     return e
 
 
-def exp_cmp(e: Expo, f: Expo) -> Cmp:
-    """Compare two exponent vectors in the suffix-sum partial order."""
-    if e == f:
-        return Cmp.EQUAL
-    le = ge = True
+def exp_below(e: Expo, f: Expo) -> bool:
+    """Whether e lies strictly below f in the suffix-sum partial order."""
     se = sf = 0
     for i in (3, 2, 1, 0):
         se += e[i]
         sf += f[i]
         if se > sf:
-            le = False
-        elif se < sf:
-            ge = False
-    # le and ge cannot both hold here: equal suffix sums mean equal vectors.
-    if le:
-        return Cmp.LESS
-    if ge:
-        return Cmp.GREATER
-    return Cmp.INCOMPARABLE
+            return False
+    # every suffix sum is at most f's; all equal means e == f
+    return e != f
 
 
 def sigma(e: Expo, p: ParamPoint) -> Fraction:

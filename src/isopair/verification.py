@@ -161,15 +161,12 @@ def _check_basis_change() -> str | None:
     if std.covolume != 1:
         return f"standard-basis matrix has |det| {std.covolume}, expected 1"
     # conjugating the standard matrices by the eigenbasis matrix must give
-    # the diagonal forms: g_std * u_j = diag_j * u_j columnwise
+    # the diagonal forms: g_std * u_j = diag_j * u_j columnwise, here for
+    # the integer columns 4 u_j of J - 2I
     for g in codes_mod.K4:
         for j in range(4):
-            u_col = tuple(Fraction(_J_MINUS_2I[i][j], 4) for i in range(4))
-            image = tuple(
-                sum(Fraction(g.standard[i][k]) * u_col[k] for k in range(4)) for i in range(4)
-            )
-            expected = tuple(Fraction(g.diag[j]) * x for x in u_col)
-            if image != expected:
+            col = tuple(row[j] for row in _J_MINUS_2I)
+            if codes_mod._matvec(g.standard, col) != tuple(g.diag[j] * x for x in col):
                 return f"{g} is not diagonal on eigenvector {j}"
     return None
 
@@ -208,10 +205,7 @@ def _check_alt_generators() -> str | None:
         return "alternative generators do not span L2"
     if Lattice(ALT_L1_COLUMNS, "altL1") != fam.L1:
         return "alternative generators do not span L1"
-    flip = lambda v: tuple(s * x for s, x in zip(SIGN_FLIP, v))
-    classical_first = tuple(flip(col) for col in ALT_L1_COLUMNS)
-    if Lattice(tuple(flip(col) for col in classical_first), "flip") != fam.L1:
-        return "sign flip does not carry the classical first lattice onto L1"
+    classical_first = tuple(tuple(s * x for s, x in zip(SIGN_FLIP, col)) for col in ALT_L1_COLUMNS)
     if any(fam.L.contains(col) for col in classical_first):
         # the flip genuinely matters: the classical form is isometric to L1
         # but lies outside the base lattice entirely

@@ -18,8 +18,9 @@ from isopair import (
     project_mod3,
     psi,
 )
-from isopair.codes import SELFDUAL_GENERATORS, TernaryCode
+from isopair.codes import C1_LABELED_WORDS, SELFDUAL_GENERATORS, TernaryCode
 from isopair.lattices import (
+    _LABEL_BY_RESIDUE,
     ALT_L1_COLUMNS,
     ALT_L2_COLUMNS,
     SIGN_FLIP,
@@ -314,6 +315,22 @@ class TestContains:
                 Lattice(((bad, 0, 0, 0),) + unit[1:])
 
 
+# vectors that are not four ints, each next to the L1 member (-1, 3, -1, 1)
+MALFORMED = {
+    "five entries": ((-1, 3, -1, 1, 5), ValueError),
+    "float entry": ((-1.0, 3, -1, 1), TypeError),
+    "three entries": ((-1, 3, -1), ValueError),
+}
+
+
+@pytest.mark.parametrize("vector, error", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_vectors_are_refused(vector, error):
+    # no truncation to four entries, no float images, no IndexError
+    for call in (build_family().L1.contains, coset_label, psi):
+        with pytest.raises(error):
+            call(vector)
+
+
 class TestEnumeration:
     def test_nine_shortest_in_l1(self):
         fam = build_family()
@@ -456,6 +473,25 @@ class TestCosetLabels:
     def test_rejects_non_members(self):
         with pytest.raises(ValueError):
             coset_label((1, 0, 0, 0))
+
+    def test_nine_distinct_residues(self):
+        residues = {tuple(x % 3 for x in label.representative()) for label in ALL_LABELS}
+        assert len(residues) == 9 and set(_LABEL_BY_RESIDUE) == residues
+
+    def test_residue_in_table_exactly_for_l1(self):
+        # 3Z^4 meets L in 3L = M, so the nine residues of L1 are hit by no
+        # other vector of L
+        fam = build_family()
+        for v in fam.L.vectors(40):
+            assert (tuple(x % 3 for x in v) in _LABEL_BY_RESIDUE) == fam.L1.contains(v)
+
+    def test_representatives_project_to_the_labeled_words(self):
+        for i, rep in enumerate(COSET_REPS):
+            assert project_mod3(rep) == C1_LABELED_WORDS[i]
+
+    def test_opposite_classes_share_a_sign_matrix(self):
+        for label in ALL_LABELS:
+            assert (-label).diag == label.diag
 
 
 class TestPsi:

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isopair import (
-    Cmp,
     FormalQSeries,
     Kernel,
     ParamPoint,
@@ -17,7 +16,7 @@ from isopair import (
     Route,
     build_family,
     delta_series,
-    exp_cmp,
+    exp_below,
     rep_series,
     sigma,
     theta11,
@@ -30,53 +29,34 @@ from conftest import admissible_samples, collapse_points, fraction_collapse
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
 
-# independent comparator, straight from the suffix-sum definition
-def suffix_leq(e, f):
-    return all(sum(e[i:]) <= sum(f[i:]) for i in range(4))
+# independent relation, straight from the suffix-sum definition
+def suffix_below(e, f):
+    return e != f and all(sum(e[i:]) <= sum(f[i:]) for i in range(4))
 
 
-def oracle_cmp(e, f):
-    le, ge = suffix_leq(e, f), suffix_leq(f, e)
-    if le and ge:
-        return Cmp.EQUAL
-    if le:
-        return Cmp.LESS
-    if ge:
-        return Cmp.GREATER
-    return Cmp.INCOMPARABLE
-
-
-class TestExpCmp:
+class TestExpBelow:
     def test_examples(self):
-        assert exp_cmp((1, 9, 1, 1), (16, 0, 4, 4)) is Cmp.INCOMPARABLE
-        assert exp_cmp((0, 0, 0, 0), (0, 0, 0, 0)) is Cmp.EQUAL
-        assert exp_cmp((10, 10, 2, 2), (2, 10, 2, 10)) is Cmp.LESS
-        assert exp_cmp((2, 10, 2, 10), (10, 10, 2, 2)) is Cmp.GREATER
+        e, f = (1, 9, 1, 1), (16, 0, 4, 4)
+        assert not exp_below(e, f) and not exp_below(f, e)
+        assert not exp_below((0, 0, 0, 0), (0, 0, 0, 0))
+        assert exp_below((10, 10, 2, 2), (2, 10, 2, 10))
+        assert not exp_below((2, 10, 2, 10), (10, 10, 2, 2))
 
     @given(expos, expos)
     def test_matches_definition(self, e, f):
-        assert exp_cmp(e, f) is oracle_cmp(e, f)
+        assert exp_below(e, f) is suffix_below(e, f)
 
-    def test_reflexive_and_antisymmetric(self):
+    def test_irreflexive_and_asymmetric(self):
         vectors = list(product(range(4), repeat=4))
         for e in vectors:
-            assert exp_cmp(e, e) is Cmp.EQUAL
+            assert not exp_below(e, e)
         for e in vectors:
             for f in vectors:
-                lhs, rhs = exp_cmp(e, f), exp_cmp(f, e)
-                if lhs is Cmp.LESS:
-                    assert rhs is Cmp.GREATER
-                elif lhs is Cmp.EQUAL:
-                    assert e == f and rhs is Cmp.EQUAL
+                assert not (exp_below(e, f) and exp_below(f, e))
 
     def test_transitive_exhaustive_small(self):
         vectors = list(product(range(3), repeat=4))
-        below = {
-            (e, f)
-            for e in vectors
-            for f in vectors
-            if exp_cmp(e, f) in (Cmp.LESS, Cmp.EQUAL)
-        }
+        below = {(e, f) for e in vectors for f in vectors if exp_below(e, f)}
         for e, f in below:
             for g in vectors:
                 if (f, g) in below:
@@ -84,8 +64,8 @@ class TestExpCmp:
 
     @given(expos, expos, expos)
     def test_transitive_sampled(self, e, f, g):
-        if exp_cmp(e, f) is Cmp.LESS and exp_cmp(f, g) is Cmp.LESS:
-            assert exp_cmp(e, g) is Cmp.LESS
+        if exp_below(e, f) and exp_below(f, g):
+            assert exp_below(e, g)
 
 
 class TestSigma:
@@ -101,7 +81,7 @@ class TestSigma:
         vectors = list(product(range(3), repeat=4))
         for e in vectors:
             for f in vectors:
-                if exp_cmp(e, f) is Cmp.LESS:
+                if exp_below(e, f):
                     assert all(sigma(e, p) < sigma(f, p) for p in samples)
 
 
@@ -114,12 +94,12 @@ class TestSigmaOrderConsistent:
         # every sample
         samples = admissible_samples(3, 20)
         e, f = (10, 10, 2, 2), (2, 10, 10, 2)
-        assert exp_cmp(e, f) is Cmp.LESS
+        assert exp_below(e, f)
         assert all(sigma(e, p) < sigma(f, p) for p in samples)
 
     def test_incomparable_pair_with_witnesses_on_both_sides(self):
         e, f = (1, 9, 1, 1), (16, 0, 4, 4)
-        assert exp_cmp(e, f) is Cmp.INCOMPARABLE
+        assert not exp_below(e, f) and not exp_below(f, e)
         low = ParamPoint(1, 7, 13, 19)  # sigma(e) = 96 < 144 = sigma(f)
         high = ParamPoint(1, 100, 101, 102)  # sigma(e) = 1104 > 925 = sigma(f)
         assert low.admissible and high.admissible
@@ -128,18 +108,18 @@ class TestSigmaOrderConsistent:
 
     def test_equal_vectors(self):
         # equal evaluated exponents at every sample happen only for equal
-        # vectors, the EQUAL case of the order
+        # vectors, which neither lies strictly below
         samples = admissible_samples(4, 2)
         vectors = list(product(range(3), repeat=4))
         for e in vectors:
             for f in vectors:
                 if all(sigma(e, p) == sigma(f, p) for p in samples):
-                    assert e == f and exp_cmp(e, f) is Cmp.EQUAL
+                    assert e == f and not exp_below(e, f)
 
     def test_reversed_unit_vectors(self):
         # the d-slot vector dominates the c-slot vector, not the other way
         samples = admissible_samples(5, 10)
-        assert exp_cmp((0, 0, 1, 0), (0, 0, 0, 1)) is Cmp.LESS
+        assert exp_below((0, 0, 1, 0), (0, 0, 0, 1))
         assert all(sigma((0, 0, 1, 0), p) < sigma((0, 0, 0, 1), p) for p in samples)
 
 

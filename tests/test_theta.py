@@ -121,7 +121,7 @@ class TestKernels:
 
 def image(lattice, g):
     """The image of a lattice under a four-group element, diagonal here."""
-    return Lattice(tuple(g.apply_diag(gen) for gen in lattice.generators))
+    return Lattice(tuple(tuple(d * x for d, x in zip(g.diag, gen)) for gen in lattice.generators))
 
 
 class TestTheta11:
