@@ -6,6 +6,12 @@ positive parameter point, yet a degree-2 invariant separates them whenever
 the four parameters are pairwise different.  All arithmetic is exact:
 rational scalars, integer lattices, and q-series with polynomial
 coefficients that are only evaluated at a parameter point on demand.
+
+Importing the package loads only what ``certify`` and ``delta`` run.  The
+records (``ParamPoint``, ``CosetLabel``, ``Certificate`` and the rest) are
+immutable ``collections.namedtuple`` subclasses, so no ``dataclasses``
+import is paid.  ``AnchorResult`` and ``run_verification`` are exported
+lazily: the ``verification`` module is imported on first access to either.
 """
 
 from .codes import (
@@ -39,7 +45,6 @@ from .lattices import (
     build_family,
     coset_label,
     phi,
-    project_mod3,
     psi,
 )
 from .qarith import (
@@ -50,9 +55,20 @@ from .qarith import (
     sigma,
 )
 from .theta import Kernel, rep_series, theta11
-from .verification import AnchorResult, run_verification
 
 __version__ = "0.1.0"
+
+# exported from ``verification``, which is imported on first access only
+_VERIFICATION_EXPORTS = ("AnchorResult", "run_verification")
+
+
+def __getattr__(name):
+    if name in _VERIFICATION_EXPORTS:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALL_LABELS",
@@ -85,7 +101,6 @@ __all__ = [
     "minimal_vectors",
     "orbit_partition",
     "phi",
-    "project_mod3",
     "psi",
     "rep_series",
     "run_verification",

@@ -11,7 +11,6 @@ certificate, 1 for any error, including an internal consistency failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -22,7 +21,6 @@ from .discrepancy import Route, Verdict, certify, delta_series
 from .lattices import build_family
 from .qarith import ParamPoint
 from .theta import Kernel, rep_series, theta11
-from .verification import run_verification
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -74,6 +72,8 @@ def _render(args, payload, header, rows, lines) -> None:
     if args.format == "json":
         text = _json_text(payload)
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -256,6 +256,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_verification
+
     results = run_verification(args.budget)
     payload = [
         {"anchor": r.anchor, "status": "pass" if r.ok else "fail"}

@@ -23,7 +23,7 @@ the two orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -50,14 +50,11 @@ def _matmul(m: Matrix, n: Matrix) -> Matrix:
     return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(4)) for j in range(4)) for i in range(4))
 
 
-@dataclass(frozen=True)
-class K4Element:
+class K4Element(namedtuple("K4Element", "name standard diag")):
     """One of the four involutions: a signed permutation on standard
     coordinates, a diagonal sign matrix on eigenbasis coordinates."""
 
-    name: str
-    standard: Matrix
-    diag: tuple[int, int, int, int]
+    __slots__ = ()
 
     def apply_word(self, w: Word) -> Word:
         return normalize(_matvec(self.standard, w))

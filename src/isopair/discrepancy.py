@@ -39,7 +39,7 @@ but never isometric there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -193,15 +193,16 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     return total
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Outcome of the class-series identity checks."""
+class RelationReport(
+    namedtuple(
+        "RelationReport", "ok checked violated labels witness", defaults=(None, (), None)
+    )
+):
+    """Outcome of the class-series identity checks: whether they hold, how
+    many were checked, and for a failure the identity, the class labels and
+    a witness exponent."""
 
-    ok: bool
-    checked: int
-    violated: str | None = None
-    labels: tuple[str, ...] = ()
-    witness: Expo | None = None
+    __slots__ = ()
 
 
 def check_relations(budget: int) -> RelationReport:
@@ -266,16 +267,12 @@ def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     return _order_minimal(_labelled_shell(budget)[label], phi)
 
 
-@dataclass(frozen=True)
-class PairRow:
+class PairRow(namedtuple("PairRow", "i j exponent vectors")):
     """One candidate leading exponent: global indices of two minimal vectors
-    from distinct classes, the two vectors, and the sum of their
-    squared-coordinate tuples."""
+    from distinct classes, the sum of their squared-coordinate tuples, and
+    the two vectors."""
 
-    i: int
-    j: int
-    exponent: Expo
-    vectors: tuple[Vec, Vec]
+    __slots__ = ()
 
 
 def minimal_pair_table(budget: int) -> tuple[PairRow, ...]:
@@ -330,15 +327,20 @@ def _leading_data(
     return series, tuple((row.exponent, series.coefficient(row.exponent)) for row in rows)
 
 
-@dataclass(frozen=True)
-class CertTerm:
-    exponent_vector: Expo
-    polynomial: ParamPolynomial
-    value: Fraction
+class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):
+    """One leading pair exponent of a certificate, its coefficient
+    polynomial and that polynomial's value at the sorted point."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "params sorted_params permutation budget min_exponent terms total verdict",
+        defaults=(None, (), None, Verdict.INCONCLUSIVE),
+    )
+):
     """Witness that the pair at a parameter point is not isometric.
 
     ``NON_ISOMETRIC`` requires a nonzero total coefficient at the minimal
@@ -346,14 +348,7 @@ class Certificate:
     the defaults: ``INCONCLUSIVE`` and no terms.
     """
 
-    params: tuple[Fraction, ...]
-    sorted_params: tuple[Fraction, ...]
-    permutation: tuple[int, ...]
-    budget: int
-    min_exponent: Fraction | None = None
-    terms: tuple[CertTerm, ...] = ()
-    total: Fraction | None = None
-    verdict: Verdict = Verdict.INCONCLUSIVE
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -28,10 +28,10 @@ additive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .codes import K4, Word, _matvec, normalize
+from .codes import K4, _matvec
 from .qarith import Expo, check_budget
 
 Vec = tuple[int, int, int, int]
@@ -188,18 +188,11 @@ def _scale(v: Vec, c: int) -> Vec:
     return tuple(c * x for x in v)
 
 
-@dataclass(frozen=True)
-class LatticeFamily:
-    """The five lattices of the construction, all in eigenbasis coordinates."""
+class LatticeFamily(namedtuple("LatticeFamily", "L L1 L2 L12 M")):
+    """The five lattices of the construction, all in eigenbasis coordinates;
+    iterating yields them in the order L, L1, L2, L12, M."""
 
-    L: Lattice
-    L1: Lattice
-    L2: Lattice
-    L12: Lattice
-    M: Lattice
-
-    def __iter__(self):
-        return iter((self.L, self.L1, self.L2, self.L12, self.M))
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)
@@ -248,42 +241,25 @@ def phi(v) -> Expo:
     return tuple(x * x for x in v)
 
 
-def to_standard(v) -> Vec:
-    """Standard coordinates of an eigenbasis-coordinate vector of L."""
-    t = _matvec(_J_MINUS_2I, v)
-    if any(x % 4 for x in t):
-        raise ValueError(f"{tuple(v)} is not in the base lattice")
-    return tuple(x // 4 for x in t)
-
-
 def from_standard(x) -> Vec:
     """Eigenbasis coordinates of a standard-coordinate integer vector."""
     return _matvec(_J_MINUS_2I, x)
 
 
-def project_mod3(v) -> Word:
-    """The mod-3 image of a base-lattice vector in standard coordinates.
-
-    This is the surjection whose kernel is M = 3L; its fibers over the codes
-    C1 and C2 are L1 and L2.
-    """
-    return normalize(to_standard(v))
-
-
-@dataclass(frozen=True)
-class CosetLabel:
+class CosetLabel(namedtuple("CosetLabel", "index sign")):
     """One of the nine classes of L1 modulo M: zero, or (index, sign) naming
-    a signed representative."""
+    a signed representative.  An immutable record; the constructor refuses
+    any other (index, sign)."""
 
-    index: int | None
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index is None:
-            if self.sign != 0:
+    def __new__(cls, index: int | None, sign: int):
+        if index is None:
+            if sign != 0:
                 raise ValueError("the zero class has sign 0")
-        elif self.index not in (0, 1, 2, 3) or self.sign not in (-1, 1):
-            raise ValueError(f"bad coset label ({self.index}, {self.sign})")
+        elif index not in (0, 1, 2, 3) or sign not in (-1, 1):
+            raise ValueError(f"bad coset label ({index}, {sign})")
+        return super().__new__(cls, index, sign)
 
     @classmethod
     def zero(cls) -> "CosetLabel":

@@ -32,11 +32,11 @@ parameters at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
@@ -60,9 +60,12 @@ _ZERO = Fraction(0)
 
 
 def exact(x) -> Fraction:
-    """Coerce to Fraction, refusing floats (no silent rounding)."""
+    """Coerce to Fraction, refusing floats (no silent rounding) and bools
+    (``True`` is not the number 1 here)."""
     if isinstance(x, float):
         raise TypeError(f"refusing inexact float {x!r}; pass int, Fraction or string")
+    if isinstance(x, bool):
+        raise TypeError(f"refusing bool {x!r}; pass int, Fraction or string")
     return Fraction(x)
 
 
@@ -73,29 +76,26 @@ def check_budget(budget) -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
     """A rational parameter point (a, b, c, d) with all coordinates positive.
 
     ``admissible`` means the canonical strictly increasing chain
     0 < a < b < c < d; pairwise-distinct points can be brought into that form
-    by :meth:`sorted`.
+    by :meth:`sorted`.  An immutable record: the constructor coerces each
+    coordinate with ``exact`` and refuses a non-positive one.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in PARAM_NAMES:
-            object.__setattr__(self, name, exact(getattr(self, name)))
-        if any(x <= 0 for x in self.coords):
+    def __new__(cls, a, b, c, d):
+        self = super().__new__(cls, exact(a), exact(b), exact(c), exact(d))
+        if any(x <= 0 for x in self):
             raise ValueError(f"parameters must be positive, got {self.coords}")
+        return self
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     @property
     def admissible(self) -> bool:

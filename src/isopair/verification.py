@@ -14,7 +14,7 @@ exposes the full pair table).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import codes as codes_mod
@@ -84,11 +84,11 @@ SMALL = ParamPoint(1, 2, 3, 4)
 SAMPLE_POINTS = (SCHIEMANN, SMALL)
 
 
-@dataclass(frozen=True)
-class AnchorResult:
-    anchor: str
-    ok: bool
-    witness: str | None = None
+class AnchorResult(namedtuple("AnchorResult", "anchor ok witness", defaults=(None,))):
+    """One anchor's outcome: its name, whether it passed, and for a failure
+    the witness."""
+
+    __slots__ = ()
 
 
 def _result(name: str, witness: str | None) -> AnchorResult:

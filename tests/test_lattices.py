@@ -15,11 +15,11 @@ from isopair import (
     build_family,
     coset_label,
     phi,
-    project_mod3,
     psi,
 )
-from isopair.codes import C1_LABELED_WORDS, SELFDUAL_GENERATORS, TernaryCode
+from isopair.codes import C1_LABELED_WORDS, SELFDUAL_GENERATORS, TernaryCode, _matvec, normalize
 from isopair.lattices import (
+    _J_MINUS_2I,
     _LABEL_BY_RESIDUE,
     ALT_L1_COLUMNS,
     ALT_L2_COLUMNS,
@@ -27,7 +27,6 @@ from isopair.lattices import (
     STANDARD_BASIS_COLUMNS,
     from_standard,
     hermite_normal_form,
-    to_standard,
 )
 from isopair.qarith import ParamPolynomial
 from isopair.verification import EXPECTED_EXTRA_MINIMAL, SCHIEMANN
@@ -36,6 +35,22 @@ from conftest import inner_poly, norm_poly, random_admissible_point
 
 # The base-lattice generator matrix in eigenbasis coordinates (columns).
 BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3))
+
+
+def to_standard(v):
+    """Standard coordinates of an eigenbasis-coordinate vector of L: the
+    inverse of ``from_standard``, since (J - 2I)^2 = 4I."""
+    t = _matvec(_J_MINUS_2I, v)
+    if any(x % 4 for x in t):
+        raise ValueError(f"{tuple(v)} is not in the base lattice")
+    return tuple(x // 4 for x in t)
+
+
+def project_mod3(v):
+    """The mod-3 image of a base-lattice vector in standard coordinates:
+    the surjection whose kernel is M = 3L and whose fibers over the codes C1
+    and C2 are L1 and L2."""
+    return normalize(to_standard(v))
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,24 @@ class TestParamPoint:
             ParamPoint(0, 1, 2, 3)
         with pytest.raises(ValueError):
             ParamPoint(1, -1, 2, 3)
+        with pytest.raises(ValueError):
+            ParamPoint(1, 2, 3, "-1/2")
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             ParamPoint(1.5, 2, 3, 4)
+        with pytest.raises(TypeError):
+            ParamPoint(1, 2, 3, 4.0)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bools(self, flag):
+        # True would otherwise pass as the parameter 1, as in (True, 2, 3, 4)
+        with pytest.raises(TypeError, match="bool"):
+            ParamPoint(flag, 2, 3, 4)
+        with pytest.raises(TypeError, match="bool"):
+            ParamPoint(1, 2, 3, flag)
+        with pytest.raises(TypeError, match="bool"):
+            ParamPolynomial.constant(flag)
 
     def test_sorted(self):
         p = ParamPoint(19, 7, 1, 13)

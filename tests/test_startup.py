@@ -1,0 +1,71 @@
+"""What a cold command imports.
+
+Each CLI command runs as a fresh process, so ``import isopair.cli`` is paid
+on every call.  It loads only what ``certify`` and ``delta`` execute: the
+records need no ``dataclasses`` (whose import pulls in ``inspect``), type
+names come from ``collections.abc`` rather than ``typing``, ``csv`` is
+imported by the csv output branch, and ``verification`` (with ``random``)
+by ``verify`` and by the first access to ``isopair.run_verification`` or
+``isopair.AnchorResult``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import isopair
+
+SRC = Path(isopair.__file__).resolve().parent.parent
+
+# modules are compared against those loaded before the import, since the
+# interpreter's site set-up may load some of them already
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import isopair.cli
+added = sorted(set(sys.modules) - before)
+import isopair
+names = {}
+exec("from isopair import *", names)
+from isopair import verification
+print(json.dumps({
+    "added": added,
+    "star_missing": sorted(set(isopair.__all__) - set(names)),
+    "run_verification": names["run_verification"] is verification.run_verification
+        and isopair.run_verification is verification.run_verification,
+    "AnchorResult": names["AnchorResult"] is verification.AnchorResult
+        and isopair.AnchorResult is verification.AnchorResult,
+}))
+"""
+
+NOT_AT_START = ("dataclasses", "inspect", "typing", "csv", "random", "isopair.verification")
+
+
+@pytest.fixture(scope="module")
+def probe() -> dict:
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_only_what_certify_runs(probe):
+    assert "isopair.discrepancy" in probe["added"]
+    assert [name for name in NOT_AT_START if name in probe["added"]] == []
+
+
+def test_verification_exports_still_resolve(probe):
+    assert probe["star_missing"] == []
+    assert probe["run_verification"] and probe["AnchorResult"]
+
+
+def test_unknown_attribute_is_refused():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        isopair.no_such_name

@@ -27,7 +27,13 @@ hits both labels alike instead of reading as a difference.  The rows:
   budget 40 over 200 fixed points, after that first call;
 * ``qarith.collapse`` at budgets 40 and 80: the median time of collapsing
   the psi-route discrepancy series at the same 200 points, sorted as
-  ``certify`` sorts them.
+  ``certify`` sorts them;
+* ``cli.import``: ``import isopair.cli``, timed inside a fresh
+  ``python -c`` process that imports nothing else first, so the standard
+  library modules the CLI needs count too;
+* ``cli.certify_process``: the wall time of a whole
+  ``python -m isopair certify --params 1 7 13 19 --format json`` process,
+  interpreter start included.
 
 The theta and delta rows time the median of ``CALLS`` calls within one
 process, so that a row is not one call's millisecond-scale noise.  The
@@ -36,6 +42,12 @@ and the caches a budget fills), which a second call in the same process
 would not pay, so they stay one call per fresh process.  Each job runs in
 its own process; each row reports, per label, the median and quartiles of
 ``--repeats`` processes.  ``--out`` is written afresh.
+
+Child processes load the package from cached bytecode, as an installed
+package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
+source gets one untimed ``import isopair.cli, isopair.verification`` before
+any row is timed, which writes the cache.  Otherwise the start-up rows would
+time compiling the sources.
 """
 
 from __future__ import annotations
@@ -60,6 +72,11 @@ CERTIFY_BUDGET = 40
 CERTIFY_POINTS = 200
 COLLAPSE_BUDGETS = (40, 80)
 CALLS = 9
+IMPORT_PROBE = (
+    "import time; start = time.perf_counter(); import isopair.cli; "
+    "print(time.perf_counter() - start)"
+)
+CERTIFY_ARGV = ("-m", "isopair", "certify", "--params", "1", "7", "13", "19", "--format", "json")
 
 
 def _anchor_times() -> list[dict]:
@@ -165,7 +182,7 @@ def _jobs() -> list[list[str]]:
         jobs += [["delta", route, str(budget)] for route in ("theta", "psi")]
     jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
     jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
-    return jobs + [["certify"]]
+    return jobs + [["certify"], ["import"], ["certify_process"]]
 
 
 def _child(job: list[str]) -> list[dict]:
@@ -179,13 +196,30 @@ def _child(job: list[str]) -> list[dict]:
     return (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
 
 
-def _run(src: Path, job: list[str]) -> list[dict]:
+def _env(src: Path) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def _python(src: Path, *argv: str) -> str:
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", *job],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
+        [sys.executable, *argv],
+        env=_env(src), capture_output=True, text=True, timeout=300, check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _run(src: Path, job: list[str]) -> list[dict]:
+    if job == ["import"]:
+        seconds = float(_python(src, "-c", IMPORT_PROBE))
+        return [{"layer": "cli.import", "budget": None, "seconds": seconds}]
+    if job == ["certify_process"]:
+        start = time.perf_counter()
+        _python(src, *CERTIFY_ARGV)
+        seconds = time.perf_counter() - start
+        return [{"layer": "cli.certify_process", "budget": CERTIFY_BUDGET, "seconds": seconds}]
+    return json.loads(_python(src, __file__, "--child", *job))
 
 
 def _quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -196,8 +230,10 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def measure(sources: dict[str, Path], repeats: int) -> list[dict]:
-    runs: dict[tuple[str, str, int], list[float]] = {}
+    runs: dict[tuple[str, str, int | None], list[float]] = {}
     labels = list(sources)
+    for src in sources.values():  # untimed: writes the bytecode cache
+        _python(src, "-c", "import isopair.cli, isopair.verification")
     for repeat in range(repeats):
         for job in _jobs():
             for label in labels if repeat % 2 == 0 else labels[::-1]:
