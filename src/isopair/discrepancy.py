@@ -419,4 +419,4 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             raise AssertionError("leading coefficient does not match the certificate terms")
         verdict = Verdict.NON_ISOMETRIC if total != 0 else Verdict.INCONCLUSIVE
         leading = dict(min_exponent=min_exponent, terms=terms, total=total, verdict=verdict)
-    return Certificate(p.coords, ordered.coords, permutation, budget, **leading)
+    return Certificate(tuple(p), tuple(ordered), permutation, budget, **leading)

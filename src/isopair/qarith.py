@@ -6,9 +6,10 @@ coefficients are polynomials in the four positive lattice parameters
 series holds each one as an integer vector on the fifteen monomials
 ``MONOS`` (1, a, b, c, d, then the ten ``QUAD_MONOS``).  Every series the
 package builds is integral; a rational coefficient is refused, not rounded.
-Addition, scaling and collapse are integer arithmetic on those vectors;
-``ParamPolynomial`` is the boundary where a coefficient is printed,
-serialized or compared with a formula of the paper.  q-exponents are kept
+Addition, scaling and collapse are integer arithmetic on those vectors.
+``ParamPolynomial`` has no arithmetic: it is the output view through which
+a coefficient is printed, serialized, evaluated at a point or compared with
+a formula of the paper.  q-exponents are kept
 as integer 4-tuples (n0, n1, n2, n3) -- the squared eigenbasis coordinates
 of a lattice vector -- and are only turned into concrete exponents
 a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.  One symbolic series
@@ -33,7 +34,7 @@ parameters at once.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -54,9 +55,6 @@ MONOS: tuple[Mono, ...] = (
     *(tuple(int(u == i) for u in range(4)) for i in range(4)),
     *QUAD_MONOS,
 )
-_MONO_INDEX = {mono: i for i, mono in enumerate(MONOS)}
-
-_ZERO = Fraction(0)
 
 
 def exact(x) -> Fraction:
@@ -79,10 +77,10 @@ def check_budget(budget) -> int:
 class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
     """A rational parameter point (a, b, c, d) with all coordinates positive.
 
-    ``admissible`` means the canonical strictly increasing chain
-    0 < a < b < c < d; pairwise-distinct points can be brought into that form
-    by :meth:`sorted`.  An immutable record: the constructor coerces each
-    coordinate with ``exact`` and refuses a non-positive one.
+    An immutable record and a tuple of its four Fractions: the constructor
+    coerces each coordinate with ``exact`` and refuses a non-positive one.
+    A pairwise-distinct point is brought into the canonical strictly
+    increasing chain 0 < a < b < c < d by :meth:`sorted`.
     """
 
     __slots__ = ()
@@ -90,20 +88,12 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
     def __new__(cls, a, b, c, d):
         self = super().__new__(cls, exact(a), exact(b), exact(c), exact(d))
         if any(x <= 0 for x in self):
-            raise ValueError(f"parameters must be positive, got {self.coords}")
+            raise ValueError(f"parameters must be positive, got {self}")
         return self
 
     @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(self)
-
-    @property
-    def admissible(self) -> bool:
-        return self.a < self.b < self.c < self.d
-
-    @property
     def pairwise_distinct(self) -> bool:
-        return len(set(self.coords)) == 4
+        return len(set(self)) == 4
 
     def sorted(self) -> tuple["ParamPoint", tuple[int, int, int, int]]:
         """Ascending rearrangement and the permutation that produced it.
@@ -111,11 +101,11 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
         ``perm[i]`` is the position in the original tuple of the i-th
         smallest coordinate.
         """
-        order = tuple(sorted(range(4), key=lambda i: self.coords[i]))
-        return ParamPoint(*(self.coords[i] for i in order)), order
+        order = tuple(sorted(range(4), key=self.__getitem__))
+        return ParamPoint(*(self[i] for i in order)), order
 
     def __str__(self):
-        return "(" + ", ".join(str(x) for x in self.coords) + ")"
+        return "(" + ", ".join(map(str, self)) + ")"
 
 
 def check_expo(e) -> Expo:
@@ -143,12 +133,15 @@ def sigma(e: Expo, p: ParamPoint) -> Fraction:
 
 
 class ParamPolynomial:
-    """A polynomial in (a, b, c, d) with rational coefficients.
+    """A coefficient of a series, as a polynomial in (a, b, c, d) to print,
+    serialize, evaluate or compare with a formula of the paper.
 
     Terms map monomial exponent 4-tuples to nonzero Fractions; the zero
     polynomial has no terms.  A monomial that is not four non-negative ints
-    raises ``ValueError``, as an exponent vector does.  Instances are
-    immutable by convention.
+    raises ``ValueError``, as an exponent vector does, and a float or bool
+    coefficient raises ``TypeError``.  An output view with no arithmetic:
+    series arithmetic is integer arithmetic on their ``MONOS`` vectors.
+    Instances are immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -162,27 +155,6 @@ class ParamPolynomial:
                     clean[mono] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls) -> "ParamPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, x) -> "ParamPolynomial":
-        return cls({(0, 0, 0, 0): exact(x)})
-
-    @classmethod
-    def variable(cls, index: int) -> "ParamPolynomial":
-        mono = tuple(int(i == index) for i in range(4))
-        return cls({mono: 1})
-
-    @classmethod
-    def linear(cls, coeffs: Iterable[object]) -> "ParamPolynomial":
-        """c0*a + c1*b + c2*c + c3*d."""
-        cs = tuple(coeffs)
-        if len(cs) != 4:
-            raise ValueError("need exactly four coefficients")
-        return cls({tuple(int(j == i) for j in range(4)): cs[i] for i in range(4)})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -190,57 +162,12 @@ class ParamPolynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other):
-        if not isinstance(other, ParamPolynomial):
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, _ZERO) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        out = ParamPolynomial.__new__(ParamPolynomial)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = ParamPolynomial.__new__(ParamPolynomial)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, ParamPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ParamPolynomial):
-            terms: dict[Mono, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                    acc = terms.get(mono, _ZERO) + c1 * c2
-                    if acc:
-                        terms[mono] = acc
-                    else:
-                        terms.pop(mono, None)
-            out = ParamPolynomial.__new__(ParamPolynomial)
-            out.terms = terms
-            return out
-        factor = exact(other)
-        out = ParamPolynomial.__new__(ParamPolynomial)
-        out.terms = {} if not factor else {m: c * factor for m, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
     def evaluate(self, p: ParamPoint) -> Fraction:
         """Exact substitution of a parameter point."""
-        total = _ZERO
+        total = Fraction(0)
         for mono, coeff in self.terms.items():
             value = coeff
-            for x, power in zip(p.coords, mono):
+            for x, power in zip(p, mono):
                 for _ in range(power):
                     value *= x
             total += value
@@ -295,36 +222,31 @@ class FormalQSeries:
     Each coefficient is a polynomial with integer coefficients, held as
     its integer vector ``terms[e]`` on ``MONOS``; exponents with a zero
     coefficient are not stored, so ``==`` and ``hash`` see only the budget
-    and the coefficients.  A coefficient that is not an integer polynomial
-    raises ``ValueError``, in the constructor and in ``scaled``; nothing is
-    rounded.
+    and the coefficients.  The constructor takes those vectors and checks
+    them: a vector that is not ``len(MONOS)`` plain ints raises
+    ``ValueError``, as does a product in ``scaled`` that is not an integer;
+    nothing is rounded.  ``coefficient(e)`` gives one as a
+    ``ParamPolynomial``.
     """
 
     __slots__ = ("budget", "terms")
 
-    def __init__(
-        self, budget: int, terms: Mapping[Expo, ParamPolynomial | int | Fraction] | None = None
-    ):
+    def __init__(self, budget: int, vectors: Mapping[Expo, Sequence[int]] | None = None):
         if check_budget(budget) < 0:
             raise ValueError("budget must be non-negative")
-        vectors: dict[Expo, tuple[int, ...]] = {}
-        for e, poly in (terms or {}).items():
+        terms: dict[Expo, tuple[int, ...]] = {}
+        for e, vector in (vectors or {}).items():
             e = check_expo(e)
             if sum(e) > budget:
                 raise ValueError(f"exponent {e} exceeds budget {budget}")
-            if not isinstance(poly, ParamPolynomial):
-                poly = ParamPolynomial.constant(poly)
-            if not poly:
-                continue
-            vector = [0] * len(MONOS)
-            for mono, coeff in poly.terms.items():
-                if mono not in _MONO_INDEX:
-                    raise ValueError(f"monomial {mono} has degree above two")
-                if coeff.denominator != 1:
-                    raise ValueError(f"coefficient {coeff} at {e} is not an integer")
-                vector[_MONO_INDEX[mono]] = coeff.numerator
-            vectors[e] = tuple(vector)
-        self.budget, self.terms = budget, vectors
+            vector = tuple([*vector])
+            if len(vector) != len(MONOS) or any(type(x) is not int for x in vector):
+                raise ValueError(
+                    f"coefficient at {e} must be {len(MONOS)} ints on MONOS, got {vector!r}"
+                )
+            if any(vector):
+                terms[e] = vector
+        self.budget, self.terms = budget, terms
 
     @classmethod
     def from_vectors(cls, budget: int, vectors: Mapping[Expo, Sequence[int]]) -> "FormalQSeries":
@@ -406,8 +328,8 @@ class FormalQSeries:
         weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS``; the sums stay
         integer and each merged exponent is divided out once.
         """
-        D = lcm(*(x.denominator for x in p.coords))
-        A = [x.numerator * (D // x.denominator) for x in p.coords]
+        D = lcm(*(x.denominator for x in p))
+        A = [x.numerator * (D // x.denominator) for x in p]
         weights = (D * D, *(D * x for x in A), *(A[s] * A[t] for s, t in QUAD_SLOTS))
         merged: dict[int, int] = {}
         for e, v in self.terms.items():

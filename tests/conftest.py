@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from hypothesis import settings
 
@@ -14,17 +15,68 @@ from isopair import (
     psi,
     sigma,
 )
+from isopair.qarith import MONOS
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
 
+UNIT_MONOS = MONOS[1:5]  # a, b, c, d
 
-def inner_poly(v, w) -> ParamPolynomial:
+
+class Poly(ParamPolynomial):
+    """A ``ParamPolynomial`` with the ``+``, ``-``, ``*`` and int scaling of
+    the Fraction oracles, which multiply linear forms independently of the
+    package's integer slot kernels."""
+
+    def _sum(self, terms) -> "Poly":
+        acc: dict = {}
+        for mono, coeff in terms:  # the operands were checked when built
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        out = Poly.__new__(Poly)
+        out.terms = {mono: coeff for mono, coeff in acc.items() if coeff}
+        return out
+
+    def __add__(self, other):
+        return self._sum([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __mul__(self, other):
+        if not isinstance(other, ParamPolynomial):  # a scalar
+            other = Poly({(0, 0, 0, 0): other})
+        return self._sum(
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
+
+    __rmul__ = __mul__
+
+
+VARIABLES = tuple(Poly({mono: 1}) for mono in UNIT_MONOS)
+
+
+def mono_vector(poly: ParamPolynomial) -> list:
+    """A polynomial as the vector on ``MONOS`` that ``FormalQSeries`` takes: a
+    monomial outside ``MONOS`` raises ``ValueError`` (from ``MONOS.index``),
+    and a rational coefficient stays a Fraction, which the constructor refuses."""
+    vector = [0] * len(MONOS)
+    for mono, coeff in poly.terms.items():
+        vector[MONOS.index(mono)] = coeff.numerator if coeff.denominator == 1 else coeff
+    return vector
+
+
+def poly_series(budget: int, polys) -> FormalQSeries:
+    return FormalQSeries(budget, {e: mono_vector(poly) for e, poly in polys.items()})
+
+
+def inner_poly(v, w) -> Poly:
     """The inner product as a linear polynomial in (a, b, c, d)."""
-    return ParamPolynomial.linear(tuple(x * y for x, y in zip(v, w)))
+    return Poly(dict(zip(UNIT_MONOS, (x * y for x, y in zip(v, w)))))
 
 
-def norm_poly(v) -> ParamPolynomial:
+def norm_poly(v) -> Poly:
     return inner_poly(v, v)
 
 
@@ -70,7 +122,7 @@ def _fraction_sum(first, second, budget: int, kernel):
             e = tuple(x + y for x, y in zip(phi(l), phi(k)))
             if sum(e) <= budget:
                 acc[e] = acc[e] + kernel(l, k) if e in acc else kernel(l, k)
-    return FormalQSeries(budget, acc)
+    return poly_series(budget, acc)
 
 
 def pair_discrepancy_kernel(l, k):
@@ -104,8 +156,8 @@ def fraction_pairwise_kernel(l, k):
 def fraction_defining_kernel(l, k):
     """32*sum_{i<j} x_i x_j p_i p_j + sum_i (4 l_i^2 p_i - |l|^2)(4 k_i^2 p_i
     - |k|^2) by Fraction-valued polynomial arithmetic."""
-    p = [ParamPolynomial.variable(i) for i in range(4)]
-    acc = ParamPolynomial.zero()
+    p = VARIABLES
+    acc = Poly()
     for i in range(4):
         for j in range(i + 1, 4):
             acc = acc + 32 * l[i] * l[j] * k[i] * k[j] * (p[i] * p[j])

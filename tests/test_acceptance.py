@@ -62,7 +62,7 @@ CORRUPTIONS = {
     "EXPECTED_PAIR_TABLE": (lambda table: table[:-1], ("minimal pairs",)),
     "EXPECTED_EXTRA_MINIMAL": (lambda extra: {**extra, 2: extra[0]}, ("minimal vectors",)),
     "LEADING_EXPONENTS": (lambda exps: exps[::-1], ("minimal pairs", "leading coefficients")),
-    "LEADING_POLYNOMIALS": (lambda polys: (polys[0], 2 * polys[1]), ("leading coefficients",)),
+    "LEADING_POLYNOMIALS": (lambda polys: (polys[0], polys[0]), ("leading coefficients",)),
     "SCHIEMANN_TERM": (lambda term: (term[0], -term[1]), ("leading coefficients",)),
 }
 

@@ -152,7 +152,7 @@ class TestCertify:
     def test_nonpositive_rejected(self, capsys):
         code, _, err = run(capsys, "certify", "--params", "0", "1", "2", "3")
         assert code == 1
-        assert "error" in err
+        assert err == "error: parameters must be positive, got (0, 1, 2, 3)\n"
 
     def test_internal_consistency_failure_exits_1(self, capsys, monkeypatch):
         # an empty discrepancy series contradicts the minimal-pair kernels

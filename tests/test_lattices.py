@@ -31,7 +31,7 @@ from isopair.lattices import (
 from isopair.qarith import ParamPolynomial
 from isopair.verification import EXPECTED_EXTRA_MINIMAL, SCHIEMANN
 
-from conftest import inner_poly, norm_poly, random_admissible_point
+from conftest import UNIT_MONOS, inner_poly, norm_poly, random_admissible_point
 
 # The base-lattice generator matrix in eigenbasis coordinates (columns).
 BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3))
@@ -247,7 +247,7 @@ def _witnesses(tau, target) -> list:
 
 
 def _form(v, w, p: ParamPoint):
-    return sum(x * y * c for x, y, c in zip(v, w, p.coords))
+    return sum(x * y * c for x, y, c in zip(v, w, p))
 
 
 class TestSignedPermutationWitnesses:
@@ -434,7 +434,7 @@ class TestNorms:
         assert phi((-1, 3, -1, 1)) == (1, 9, 1, 1)
 
     def test_inner_poly_example(self):
-        expected = ParamPolynomial.linear((-3, 3, 1, -1))
+        expected = ParamPolynomial(dict(zip(UNIT_MONOS, (-3, 3, 1, -1))))
         assert inner_poly((-1, 3, -1, 1), (3, 1, -1, -1)) == expected
 
     def test_norm_zero(self):
@@ -447,8 +447,8 @@ class TestNorms:
             v = tuple(rng.randint(-5, 5) for _ in range(4))
             w = tuple(rng.randint(-5, 5) for _ in range(4))
             p = random_admissible_point(rng)
-            assert inner_poly(v, w).evaluate(p) == sum(s * x * y for s, x, y in zip(p.coords, v, w))
-            assert norm_poly(v).evaluate(p) == sum(s * x * x for s, x in zip(p.coords, v))
+            assert inner_poly(v, w).evaluate(p) == sum(s * x * y for s, x, y in zip(p, v, w))
+            assert norm_poly(v).evaluate(p) == sum(s * x * x for s, x in zip(p, v))
 
 
 class TestCosetLabels:

@@ -117,8 +117,8 @@ def test_family_iterates_in_construction_order():
 
 def test_point_coerces_to_fractions():
     p = ParamPoint(1, "7/2", Fraction(13), 19)
-    assert p.coords == (Fraction(1), Fraction(7, 2), Fraction(13), Fraction(19))
-    assert all(type(x) is Fraction for x in p.coords)
+    assert p == (Fraction(1), Fraction(7, 2), Fraction(13), Fraction(19))
+    assert all(type(x) is Fraction for x in p)
     assert str(p) == "(1, 7/2, 13, 19)"
 
 

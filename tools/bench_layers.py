@@ -14,7 +14,12 @@ hits both labels alike instead of reading as a difference.  The rows:
   and cache state a cold ``isopair verify --budget 36`` process meets them.
   The time of an anchor runs from the end of the previous anchor to its own
   ``AnchorResult``, read by wrapping ``verification._result``, which
-  ``run_verification`` calls once per anchor right after its check;
+  ``run_verification`` calls once per anchor right after its check.  The
+  cyclic garbage collector is off in this job from before ``isopair`` is
+  imported: with it on, each anchor row absorbs whichever collection
+  happens to fall inside it, so an anchor whose code did not change reads
+  slower when the modules imported at start-up change (``verify.code
+  census`` read 7.7 -> 9.0 ms in ``BENCH_pr11.json`` that way);
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
   alone at budgets 40, 80 and 160.  The labelled shell and the class series
@@ -53,6 +58,7 @@ time compiling the sources.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -80,6 +86,7 @@ CERTIFY_ARGV = ("-m", "isopair", "certify", "--params", "1", "7", "13", "19", "-
 
 
 def _anchor_times() -> list[dict]:
+    gc.disable()  # before the import: no anchor absorbs a cyclic collection
     from isopair import verification
 
     rows = []
