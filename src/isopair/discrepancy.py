@@ -75,12 +75,17 @@ from .theta import Kernel, pair_series, theta11
 # budget-40 shell costs about 1.2 ms.  The class series: without them
 # ``delta_series(40)`` costs about 0.5 ms more, and ``check_relations(24)``,
 # which reads most series three times, takes 7.4 ms instead of 2.2 ms.  The
-# leading data of a budget and route (``_leading_data``): the summed series,
-# its order-minimal pair rows, checked once against their direct kernels,
-# and their coefficient polynomials.  None of it depends on the point, yet
-# rebuilding it was about 0.5 ms of a 0.9 ms warm certify at budget 40 (pair
-# table 0.3-0.4 ms, ``delta_series`` 0.06 ms, row check 0.04 ms); with it a
-# warm certify is one collapse and one evaluation per term, about 0.2 ms.
+# leading data of a budget and route (``_leading_data``): the series' two
+# order-minimal pair rows, checked once against their direct kernels, their
+# coefficient polynomials, and the head of the series, its two terms at
+# those rows; a check made once per entry shows that every other term lies
+# strictly above a row, so no point needs the rest.  None of it depends on
+# the point, yet rebuilding it was about 0.5 ms of a 0.9 ms warm certify at
+# budget 40 (pair table 0.3-0.4 ms, ``delta_series`` 0.06 ms, row check
+# 0.04 ms); collapsing the whole series per point was then more than half of
+# the 0.28 ms left (42 terms at budget 40, 210 at budget 80).  With it a
+# warm certify is one collapse of the two-term head and one evaluation per
+# term, about 0.1 ms at any budget.
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
@@ -261,8 +266,11 @@ def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     A vector is minimal when no class member's squared-coordinate tuple lies
     strictly below its own in the suffix-sum order.  Domination can only come
     from vectors of smaller or equal coordinate-square sum, so enlarging the
-    budget never retracts a reported vector; it can only add minimal vectors
-    of larger square sum.
+    budget never retracts a reported vector.  Nor does it add one: ``12 e_j``
+    lies in M, so a member with ``|v_j| > 6`` has the class member
+    ``v -/+ 12 e_j`` strictly below it, and every minimal vector lies in the
+    box ``[-6, 6]^4``.  The tests check that the box's minimal members (of
+    its 209 vectors of L1) are those of the budget-36 shell.
     """
     return _order_minimal(_labelled_shell(budget)[label], phi)
 
@@ -309,13 +317,20 @@ def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
 def _leading_data(
     budget: int, route: Route
 ) -> tuple[FormalQSeries, tuple[tuple[Expo, ParamPolynomial], ...]]:
-    """The discrepancy series of a budget and route, and its order-minimal
-    pair exponents, each with its coefficient polynomial.
+    """The head of the discrepancy series of a budget and route -- its terms
+    at the order-minimal pair exponents -- and those exponents, each with its
+    coefficient polynomial.
 
-    Each stored coefficient is checked here against the direct two-vector
-    kernel of its row (``pair_discrepancy_vector``, in integers).  A failed
-    check raises, and ``lru_cache`` stores no exception, so an inconsistent
-    series fails every call, not only the first.
+    Two checks run here, once per entry.  Each stored coefficient is checked
+    against the direct two-vector kernel of its row
+    (``pair_discrepancy_vector``, in integers).  Every other exponent of the
+    series must lie strictly above a row exponent in the suffix order
+    (``exp_below``); by the suffix-sum identity such a term collapses
+    strictly above that row at every sorted, pairwise-distinct point, so the
+    head's collapse leads exactly where the whole series' collapse does.  A
+    failed check raises ``AssertionError``, and ``lru_cache`` stores no
+    exception, so an inconsistent series fails every call, not only the
+    first.
     """
     series = delta_series(budget, route)
     rows = minimal_rows(minimal_pair_table(budget))
@@ -324,7 +339,12 @@ def _leading_data(
             raise AssertionError(
                 f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"
             )
-    return series, tuple((row.exponent, series.coefficient(row.exponent)) for row in rows)
+    exponents = tuple(row.exponent for row in rows)
+    for e in series.terms:
+        if e not in exponents and not any(exp_below(f, e) for f in exponents):
+            raise AssertionError(f"exponent {e} does not lie above a minimal pair exponent")
+    head = FormalQSeries.from_vectors(budget, {e: series.terms[e] for e in exponents})
+    return head, tuple((e, series.coefficient(e)) for e in exponents)
 
 
 class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):
@@ -380,20 +400,27 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     values are sorted into the canonical increasing chain first.  The
     collapsed discrepancy's minimal exponent must agree with the minimum of
     the two order-minimal pair exponents, and its coefficient with the sum
-    of the certificate terms; both are checked on every call.  The series,
-    the order-minimal rows and their coefficient polynomials depend only on
-    the budget and route, so they are built once per budget and route and
-    cached (``_leading_data``); the rows' stored coefficients are
-    cross-checked against the direct two-vector kernels
-    (``pair_discrepancy_vector``, in integers) when they are built.  Ties
-    are resolved by summing coefficients at the common collapsed exponent,
-    which ``collapse`` evaluates in integers; each certificate term's
-    polynomial is evaluated once to give its value.  A budget that is not an
-    ``int`` or a route that is not a ``Route`` raises ``TypeError``, before
-    any other check and before any cache is read.
+    of the certificate terms; both are checked on every call.  The head of
+    the series (its terms at the order-minimal rows), the rows and their
+    coefficient polynomials depend only on the budget and route, so they are
+    built once per budget and route and cached (``_leading_data``); the
+    rows' stored coefficients are cross-checked against the direct
+    two-vector kernels (``pair_discrepancy_vector``, in integers), and every
+    other term of the budget's series is checked to lie strictly above a
+    row in the suffix order, when they are built.  So a call collapses only
+    the two-term head, which leads exactly where the whole series does, and
+    its work does not grow with the budget.  Ties are resolved by summing
+    coefficients at the common collapsed exponent, which ``collapse``
+    evaluates in integers; each certificate term's polynomial is evaluated
+    once to give its value.  A budget that is not an ``int``, a route that
+    is not a ``Route`` or a point that is not a ``ParamPoint`` raises
+    ``TypeError``, in that order, before any other check and before any
+    cache is read.
     """
     check_budget(budget)
     check_route(route)
+    if not isinstance(p, ParamPoint):
+        raise TypeError(f"point must be a ParamPoint, got {p!r}")
     if budget < MIN_PAIR_BUDGET:
         raise ValueError(
             f"certification needs budget >= {MIN_PAIR_BUDGET} to cover the minimal pair table"
@@ -401,13 +428,13 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     ordered, permutation = p.sorted()
     leading = {}
     if p.pairwise_distinct:
-        series, rows = _leading_data(budget, route)
+        head, rows = _leading_data(budget, route)
         by_sigma: dict[Fraction, list[tuple[Expo, ParamPolynomial]]] = {}
         for exponent, poly in rows:
             by_sigma.setdefault(sigma(exponent, ordered), []).append((exponent, poly))
 
         min_exponent = min(by_sigma)
-        collapsed = series.collapse(ordered)
+        collapsed = head.collapse(ordered)
         if not collapsed or collapsed[0][0] != min_exponent:
             raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -254,7 +255,41 @@ class TestRelations:
         assert not class_pair_series(v0, v2, 24).is_zero
 
 
+@lru_cache(maxsize=None)
+def _box(radius: int) -> tuple:
+    """The vectors of L1 in the box [-radius, radius]^4."""
+    L1 = build_family().L1
+    return tuple(v for v in product(range(-radius, radius + 1), repeat=4) if L1.contains(v))
+
+
+def _box_minimal(label: CosetLabel, radius: int) -> set:
+    """The order-minimal members of a class among the box's vectors."""
+    members = [v for v in _box(radius) if coset_label(v) == label]
+    return {v for v in members if not any(exp_below(phi(w), phi(v)) for w in members)}
+
+
 class TestMinimalVectors:
+    @pytest.mark.parametrize("j", range(4))
+    def test_twelve_e_j_lies_in_m_and_six_e_j_does_not(self, j):
+        # so v -/+ 12 e_j is a class member below any v with |v_j| > 6
+        M = build_family().M
+        assert M.contains(tuple(12 * int(i == j) for i in range(4)))
+        assert not M.contains(tuple(6 * int(i == j) for i in range(4)))
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_box_bound_holds_every_minimal_vector(self, i):
+        # every order-minimal class member lies in [-6, 6]^4, and there the
+        # minimal members are those of the budget-36 shell
+        assert len(_box(6)) == 209
+        label = CosetLabel(i, 1)
+        assert _box_minimal(label, 6) == set(minimal_vectors(label, 36))
+
+    def test_smaller_box_misses_a_minimal_vector(self):
+        v = (-4, 0, 2, -2)
+        label = coset_label(v)
+        assert v in minimal_vectors(label, 36)
+        assert v not in _box_minimal(label, 2)
+
     def test_stable_under_larger_budget(self):
         for i in range(4):
             assert minimal_vectors(CosetLabel(i, 1), 44) == minimal_vectors(CosetLabel(i, 1), 36)
@@ -352,6 +387,22 @@ class TestCertify:
         with pytest.raises(TypeError) as error:
             certify(point, budget)
         assert str(error.value) == str(shell_error.value)
+
+    @pytest.mark.parametrize(
+        "point", [(1, 7, 13, 19), [1, 7, 13, 19], "1 7 13 19"], ids=["tuple", "list", "str"]
+    )
+    def test_point_type_checked_before_any_cache(self, point):
+        infos = [cached.cache_info() for cached in CERTIFY_CACHED]
+        with pytest.raises(TypeError, match=r"^point must be a ParamPoint, got "):
+            certify(point, 40)
+        with pytest.raises(TypeError, match=r"^point must be a ParamPoint, got "):
+            certify(point, MIN_PAIR_BUDGET - 1)
+        # the budget and the route are checked first
+        with pytest.raises(TypeError, match=r"^budget must be an int"):
+            certify(point, 40.0)
+        with pytest.raises(TypeError, match=r"^route must be a Route"):
+            certify(point, 40, "psi")
+        assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
 
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
         # a warm certify works on integer vectors; polynomials appear only in
@@ -461,6 +512,40 @@ class TestLeadingData:
         )
         for _ in range(2):
             with pytest.raises(AssertionError, match="disagrees with the minimal-pair kernel"):
+                certify(SCHIEMANN, 40)
+        assert _leading_data.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "budget, route",
+        [
+            (36, Route.FROM_PSI_KERNEL),
+            (40, Route.FROM_PSI_KERNEL),
+            (80, Route.FROM_PSI_KERNEL),
+            (40, Route.FROM_THETA),
+        ],
+        ids=["psi-36", "psi-40", "psi-80", "theta-40"],
+    )
+    def test_head_leads_where_the_whole_series_does(self, budget, route):
+        series = delta_series(budget, route)
+        head, _ = _leading_data(budget, route)
+        assert head.terms == {e: series.terms[e] for e in LEADING_EXPONENTS}
+        for p in collapse_points(337, 200):
+            cert = certify(p, budget, route)
+            assert (cert.min_exponent, cert.total) == series.collapse(p.sorted()[0])[0], p
+
+    def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
+        below = (1, 0, 0, 0)
+        assert exp_below(below, BOLD_FIRST) and exp_below(below, BOLD_SECOND)
+        extra = FormalQSeries(40, {below: [1] + [0] * (len(MONOS) - 1)})
+        good = delta_series
+        monkeypatch.setattr(
+            discrepancy, "delta_series", lambda budget, route: good(budget, route) + extra
+        )
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError,
+                match=r"^exponent \(1, 0, 0, 0\) does not lie above a minimal pair exponent$",
+            ):
                 certify(SCHIEMANN, 40)
         assert _leading_data.cache_info().currsize == 0
 

@@ -25,11 +25,13 @@ hits both labels alike instead of reading as a difference.  The rows:
   alone at budgets 40, 80 and 160.  The labelled shell and the class series
   are cleared before each call, so every call does the work of a first
   call instead of reading the psi route's caches;
-* ``discrepancy.certify_first``: the first ``certify`` call at budget 40 in
-  a fresh process, after ``build_family``; it pays every one-time cost of
-  the budget (the labelled shell, the class series and the leading data);
-* ``discrepancy.certify_warm``: the median time of one ``certify`` call at
-  budget 40 over 200 fixed points, after that first call;
+* ``discrepancy.certify_first`` at budgets 40 and 80: the first
+  ``certify`` call at the budget in a fresh process, after
+  ``build_family``; it pays every one-time cost of the budget (the labelled
+  shell, the class series and the leading data with its checks);
+* ``discrepancy.certify_warm`` at budgets 40 and 80: the median time of one
+  ``certify`` call at the budget over 200 fixed points, after that first
+  call;
 * ``qarith.collapse`` at budgets 40 and 80: the median time of collapsing
   the psi-route discrepancy series at the same 200 points, sorted as
   ``certify`` sorts them;
@@ -75,6 +77,7 @@ VERIFY_BUDGET = 36
 BUDGETS = (24, 36)
 PSI_BUDGETS = (40, 80, 160)
 CERTIFY_BUDGET = 40
+CERTIFY_BUDGETS = (40, 80)
 CERTIFY_POINTS = 200
 COLLAPSE_BUDGETS = (40, 80)
 CALLS = 9
@@ -149,21 +152,21 @@ def _points():
     return points
 
 
-def _certify_time() -> list[dict]:
+def _certify_time(budget: int) -> list[dict]:
     from isopair import build_family, certify
 
     points = _points()
     build_family()
     start = time.perf_counter()
-    certify(points[0], CERTIFY_BUDGET)
+    certify(points[0], budget)
     first = time.perf_counter() - start
     seconds = []
     for point in points[1:]:
         start = time.perf_counter()
-        certify(point, CERTIFY_BUDGET)
+        certify(point, budget)
         seconds.append(time.perf_counter() - start)
-    return [{"layer": "discrepancy.certify_first", "budget": CERTIFY_BUDGET, "seconds": first},
-            {"layer": "discrepancy.certify_warm", "budget": CERTIFY_BUDGET,
+    return [{"layer": "discrepancy.certify_first", "budget": budget, "seconds": first},
+            {"layer": "discrepancy.certify_warm", "budget": budget,
              "seconds": statistics.median(seconds)}]
 
 
@@ -189,14 +192,15 @@ def _jobs() -> list[list[str]]:
         jobs += [["delta", route, str(budget)] for route in ("theta", "psi")]
     jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
     jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
-    return jobs + [["certify"], ["import"], ["certify_process"]]
+    jobs += [["certify", str(budget)] for budget in CERTIFY_BUDGETS]
+    return jobs + [["import"], ["certify_process"]]
 
 
 def _child(job: list[str]) -> list[dict]:
     if job[0] == "anchors":
         return _anchor_times()
     if job[0] == "certify":
-        return _certify_time()
+        return _certify_time(int(job[1]))
     if job[0] == "collapse":
         return _collapse_time(int(job[1]))
     kind, name, budget = job
