@@ -194,15 +194,21 @@ def selfdual_codes() -> tuple[TernaryCode, ...]:
 
 def orbit_partition(codes: tuple[TernaryCode, ...]) -> tuple[frozenset[int], frozenset[int]]:
     """The two K4 orbits, as 0-based index sets; the orbit of the first code
-    comes first."""
+    comes first.  Raises ``AssertionError`` if an image of a code lies
+    outside ``codes`` or the orbits are not two."""
     index = {code: i for i, code in enumerate(codes)}
     orbits: list[frozenset[int]] = []
     assigned: set[int] = set()
     for i, code in enumerate(codes):
         if i in assigned:
             continue
-        orbit = frozenset(index[code.transformed(g)] for g in K4)
-        orbits.append(orbit)
+        orbit = set()
+        for g in K4:
+            image = code.transformed(g)
+            if image not in index:
+                raise AssertionError(f"{g} maps {code} outside the codes")
+            orbit.add(index[image])
+        orbits.append(frozenset(orbit))
         assigned |= orbit
     if len(orbits) != 2:
         raise AssertionError(f"expected two orbits, found {len(orbits)}")

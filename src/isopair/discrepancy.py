@@ -98,8 +98,8 @@ from .theta import Kernel, pair_series, theta11
 SHELL_CACHE = 8
 CLASS_SERIES_CACHE = 128
 
-# The smallest budget whose shell holds every order-minimal vector of the
-# four positive classes, so the full minimal pair table.
+# The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
+# whose series holds both leading coefficients in full.
 MIN_PAIR_BUDGET = 36
 
 
@@ -444,6 +444,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
         total = sum((term.value for term in terms), Fraction(0))
         if collapsed[0][1] != total:
             raise AssertionError("leading coefficient does not match the certificate terms")
-        verdict = Verdict.NON_ISOMETRIC if total != 0 else Verdict.INCONCLUSIVE
+        # ``collapse`` drops zero sums, so the checked total is nonzero
+        verdict = Verdict.NON_ISOMETRIC
         leading = dict(min_exponent=min_exponent, terms=terms, total=total, verdict=verdict)
     return Certificate(tuple(p), tuple(ordered), permutation, budget, **leading)

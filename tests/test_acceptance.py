@@ -3,7 +3,8 @@
 ``run_verification`` re-derives each published fact and compares it with the
 data frozen in ``isopair.verification``; every anchor must pass at the
 smallest sound budget and at 40.  The other tests cover what the anchors
-lack: the refusal below the sound budget, isospectrality at random points,
+lack: the refusal below the sound budget, a library check failing under an
+anchor (reported as that anchor's failure), isospectrality at random points,
 50 random certificates, and the ``psi`` bijection on the full budget-40
 shell.  Each passing check prints a
 status line so a verbose run reads as a checklist.
@@ -14,7 +15,7 @@ import time
 import pytest
 
 from isopair import Verdict, build_family, certify, phi, psi, rep_series, run_verification
-from isopair import verification
+from isopair import cli, codes, discrepancy, verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
 from isopair.verification import SCHIEMANN, SMALL
 
@@ -74,6 +75,56 @@ def test_corrupted_table_fails_its_anchor(monkeypatch, constant):
     failed = [result for result in run_verification(MIN_PAIR_BUDGET) if not result.ok]
     assert tuple(result.anchor for result in failed) == failing
     assert all(result.witness for result in failed)
+
+
+# a library check that fails under an anchor is that anchor's FAIL, not an
+# escape from ``run_verification``; the caches the checks fill are cleared so
+# no corrupted result outlives its test
+@pytest.fixture
+def clear_check_caches():
+    codes.selfdual_codes.cache_clear()
+    discrepancy._leading_data.cache_clear()
+    yield
+    codes.selfdual_codes.cache_clear()
+    discrepancy._leading_data.cache_clear()
+
+
+def failures(results):
+    return {result.anchor: result.witness for result in results if not result.ok}
+
+
+def test_corrupted_census_fails_its_anchors(monkeypatch, capsys, clear_check_caches):
+    generators = ((1, 0, 0, 0), (0, 1, 0, 0)), *codes.SELFDUAL_GENERATORS[1:]
+    monkeypatch.setattr(codes, "SELFDUAL_GENERATORS", generators)
+    results = run_verification(MIN_PAIR_BUDGET)
+    assert tuple(result.anchor for result in results) == ANCHORS
+    assert failures(results)["code census"] == "self-dual census does not match the canonical list"
+    assert cli.main(["verify", "--budget", str(MIN_PAIR_BUDGET)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.startswith("FAIL") for line in lines] == [not result.ok for result in results]
+    assert lines[0].endswith("  self-dual census does not match the canonical list")
+
+
+def test_broken_four_group_is_reported(monkeypatch, capsys, clear_check_caches):
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    g0, g1, g2, g3 = codes.K4
+    monkeypatch.setattr(codes, "K4", (g0, codes.K4Element("g1", shear, g1.diag), g2, g3))
+    assert cli.main(["codes", "graph"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal consistency failure: g1 maps TernaryCode")
+    assert err.endswith(" outside the codes\n") and "Traceback" not in err
+    assert "code orbits" in failures(run_verification(MIN_PAIR_BUDGET))
+
+
+def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_caches):
+    delta_series = discrepancy.delta_series
+    monkeypatch.setattr(discrepancy, "delta_series", lambda *args: delta_series(*args).scaled(2))
+    failed = failures(run_verification(MIN_PAIR_BUDGET))
+    assert list(failed) == ["leading coefficients"]
+    assert failed["leading coefficients"].endswith("disagrees with the minimal-pair kernel")
 
 
 def test_budget_below_threshold_rejected():

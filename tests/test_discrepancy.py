@@ -41,6 +41,7 @@ from isopair.discrepancy import (
 )
 from isopair.qarith import MONOS
 from isopair.verification import (
+    EXPECTED_EXTRA_MINIMAL,
     EXPECTED_PAIR_TABLE,
     LEADING_EXPONENTS,
     LEADING_POLYNOMIALS,
@@ -319,6 +320,17 @@ class TestMinimalPairTable:
     def test_budget_must_cover_the_table(self):
         with pytest.raises(ValueError, match=r"^pair table needs budget >= 36 to see every"):
             minimal_pair_table(MIN_PAIR_BUDGET - 1)
+
+    def test_threshold_is_the_leading_exponents_square_sum(self):
+        # 36 is what the leading coefficients need; the minimal vectors are
+        # all in the budget-24 shell, and the extra ones (square sum 24) are
+        # not yet in the budget-20 shell
+        assert MIN_PAIR_BUDGET == max(sum(e) for e in LEADING_EXPONENTS) == 36
+        for i in range(4):
+            label = CosetLabel(i, 1)
+            assert minimal_vectors(label, 24) == minimal_vectors(label, MIN_PAIR_BUDGET)
+            missing = minimal_vectors(label, 20) != minimal_vectors(label, 24)
+            assert missing == (i in EXPECTED_EXTRA_MINIMAL)
 
     def test_every_distinct_class_pair_is_dominated(self):
         # any pair of shell vectors from distinct nonzero classes either hits a

@@ -12,11 +12,10 @@ hits both labels alike instead of reading as a difference.  The rows:
 
 * ``verify.<anchor>``: each anchor of ``run_verification(36)``, in the order
   and cache state a cold ``isopair verify --budget 36`` process meets them.
-  The time of an anchor runs from the end of the previous anchor to its own
-  ``AnchorResult``, read by wrapping ``verification._result``, which
-  ``run_verification`` calls once per anchor right after its check.  The
-  cyclic garbage collector is off in this job from before ``isopair`` is
-  imported: with it on, each anchor row absorbs whichever collection
+  An anchor's time is the call ``verification._result(name, check)`` that
+  runs its check; the job wraps ``_result`` to time each call.  The
+  cyclic garbage collector is off in this job from before it calibrates and
+  imports ``isopair``: with it on, each anchor row absorbs whichever collection
   happens to fall inside it, so an anchor whose code did not change reads
   slower when the modules imported at start-up change (``verify.code
   census`` read 7.7 -> 9.0 ms in ``BENCH_pr11.json`` that way);
@@ -50,6 +49,15 @@ would not pay, so they stay one call per fresh process.  Each job runs in
 its own process; each row reports, per label, the median and quartiles of
 ``--repeats`` processes.  ``--out`` is written afresh.
 
+On a shared machine the speed drifts by up to a fifth within seconds, so
+every timing is also rescaled to a reference speed with
+``perfbench/calibrate.py``: a child job runs its calibration workload before
+and after its timed work and scales each of its rows by
+``scale(before, after)``, and ``_run`` does the same around the
+``cli.import`` and ``cli.certify_process`` processes it starts.  A row keeps its raw
+``median_s``, ``q1_s``, ``q3_s`` and ``runs_s`` and adds the calibrated
+``calibrated_median_s``, ``calibrated_q1_s`` and ``calibrated_q3_s``.
+
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
 source gets one untimed ``import isopair.cli, isopair.verification`` before
@@ -61,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import platform
@@ -73,10 +82,13 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("calibrate", ROOT / "perfbench" / "calibrate.py")
+_calibration = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_calibration)
+calibrate, scale = _calibration.calibrate, _calibration.scale
 VERIFY_BUDGET = 36
 BUDGETS = (24, 36)
 PSI_BUDGETS = (40, 80, 160)
-CERTIFY_BUDGET = 40
 CERTIFY_BUDGETS = (40, 80)
 CERTIFY_POINTS = 200
 COLLAPSE_BUDGETS = (40, 80)
@@ -89,19 +101,16 @@ CERTIFY_ARGV = ("-m", "isopair", "certify", "--params", "1", "7", "13", "19", "-
 
 
 def _anchor_times() -> list[dict]:
-    gc.disable()  # before the import: no anchor absorbs a cyclic collection
     from isopair import verification
 
     rows = []
     wrapped = verification._result
-    mark = time.perf_counter()
 
-    def timed(name, witness):
-        nonlocal mark
+    def timed(name, check):
+        start = time.perf_counter()
+        out = wrapped(name, check)
         rows.append({"layer": f"verify.{name}", "budget": VERIFY_BUDGET,
-                     "seconds": time.perf_counter() - mark})
-        out = wrapped(name, witness)
-        mark = time.perf_counter()
+                     "seconds": time.perf_counter() - start})
         return out
 
     verification._result = timed
@@ -196,15 +205,26 @@ def _jobs() -> list[list[str]]:
     return jobs + [["import"], ["certify_process"]]
 
 
+def _calibrated(rows: list[dict], before: float) -> list[dict]:
+    factor = scale(before, calibrate())
+    return [dict(row, calibrated_s=row["seconds"] * factor) for row in rows]
+
+
 def _child(job: list[str]) -> list[dict]:
-    if job[0] == "anchors":
-        return _anchor_times()
-    if job[0] == "certify":
-        return _certify_time(int(job[1]))
-    if job[0] == "collapse":
-        return _collapse_time(int(job[1]))
-    kind, name, budget = job
-    return (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
+    kind, *args = job
+    if kind == "anchors":
+        gc.disable()  # before calibrating and importing: no anchor absorbs a collection
+    before = calibrate()
+    if kind == "anchors":
+        rows = _anchor_times()
+    elif kind == "certify":
+        rows = _certify_time(int(args[0]))
+    elif kind == "collapse":
+        rows = _collapse_time(int(args[0]))
+    else:
+        name, budget = args
+        rows = (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
+    return _calibrated(rows, before)
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -222,15 +242,19 @@ def _python(src: Path, *argv: str) -> str:
 
 
 def _run(src: Path, job: list[str]) -> list[dict]:
+    if job[0] not in ("import", "certify_process"):
+        return json.loads(_python(src, __file__, "--child", *job))
+    before = calibrate()
     if job == ["import"]:
         seconds = float(_python(src, "-c", IMPORT_PROBE))
-        return [{"layer": "cli.import", "budget": None, "seconds": seconds}]
-    if job == ["certify_process"]:
+        row = {"layer": "cli.import", "budget": None, "seconds": seconds}
+    else:
         start = time.perf_counter()
         _python(src, *CERTIFY_ARGV)
-        seconds = time.perf_counter() - start
-        return [{"layer": "cli.certify_process", "budget": CERTIFY_BUDGET, "seconds": seconds}]
-    return json.loads(_python(src, __file__, "--child", *job))
+        # the process runs at the CLI's default budget
+        row = {"layer": "cli.certify_process", "budget": 40,
+               "seconds": time.perf_counter() - start}
+    return _calibrated([row], before)
 
 
 def _quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -242,6 +266,7 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 def measure(sources: dict[str, Path], repeats: int) -> list[dict]:
     runs: dict[tuple[str, str, int | None], list[float]] = {}
+    calibrated: dict[tuple[str, str, int | None], list[float]] = {}
     labels = list(sources)
     for src in sources.values():  # untimed: writes the bytecode cache
         _python(src, "-c", "import isopair.cli, isopair.verification")
@@ -251,11 +276,14 @@ def measure(sources: dict[str, Path], repeats: int) -> list[dict]:
                 for row in _run(sources[label], job):
                     key = (label, row["layer"], row["budget"])
                     runs.setdefault(key, []).append(row["seconds"])
+                    calibrated.setdefault(key, []).append(row["calibrated_s"])
     rows = []
     for (label, layer, budget), xs in sorted(runs.items(), key=lambda item: item[0][1:]):
         q1, median, q3 = _quartiles(xs)
+        c1, c2, c3 = _quartiles(calibrated[label, layer, budget])
         rows.append({"label": label, "layer": layer, "budget": budget, "median_s": median,
-                     "q1_s": q1, "q3_s": q3, "runs_s": xs})
+                     "q1_s": q1, "q3_s": q3, "runs_s": xs, "calibrated_median_s": c2,
+                     "calibrated_q1_s": c1, "calibrated_q3_s": c3})
     return rows
 
 
