@@ -52,7 +52,6 @@ from .qarith import (
     ParamPoint,
     ParamPolynomial,
     exp_below,
-    sigma,
 )
 from .theta import Kernel, rep_series, theta11
 
@@ -105,7 +104,6 @@ __all__ = [
     "rep_series",
     "run_verification",
     "selfdual_codes",
-    "sigma",
     "theta11",
     "two_dim_subspaces",
 ]

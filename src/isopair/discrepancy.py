@@ -43,6 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .lattices import (
     ALL_LABELS,
@@ -62,9 +63,9 @@ from .qarith import (
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
+    _cleared,
     check_budget,
     exp_below,
-    sigma,
 )
 from .theta import Kernel, pair_series, theta11
 
@@ -85,7 +86,11 @@ from .theta import Kernel, pair_series, theta11
 # 0.04 ms); collapsing the whole series per point was then more than half of
 # the 0.28 ms left (42 terms at budget 40, 210 at budget 80).  With it a
 # warm certify is one collapse of the two-term head and one evaluation per
-# term, about 0.1 ms at any budget.
+# term.  That per-point work runs in integers on the point's cleared
+# denominators, with no Fraction arithmetic until the certificate's outputs:
+# about 0.05 ms at budget 40 or 80 (``tools/bench_layers.py``, calibrated
+# medians), against 0.11 ms when it sorted, keyed the rows and evaluated the
+# terms in Fractions.
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
@@ -409,10 +414,16 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     other term of the budget's series is checked to lie strictly above a
     row in the suffix order, when they are built.  So a call collapses only
     the two-term head, which leads exactly where the whole series does, and
-    its work does not grow with the budget.  Ties are resolved by summing
-    coefficients at the common collapsed exponent, which ``collapse``
-    evaluates in integers; each certificate term's polynomial is evaluated
-    once to give its value.  A budget that is not an ``int``, a route that
+    its work does not grow with the budget.  The point's denominators are
+    cleared, to ``D`` and the integer numerators ``A = D*p``, by the one
+    helper ``collapse`` and ``evaluate`` use too; sorting, the distinctness
+    test, the row exponents ``e.A``, the collapse of the head and the term
+    values all run on those integers, and Fractions are built only for the
+    certificate and its two checks.  Ties are resolved by summing
+    coefficients at the common collapsed exponent; each certificate term's
+    polynomial is evaluated once, from its own monomials rather than the
+    collapse's ``MONOS`` weights, so the total check compares two
+    computations.  A budget that is not an ``int``, a route that
     is not a ``Route`` or a point that is not a ``ParamPoint`` raises
     ``TypeError``, in that order, before any other check and before any
     cache is read.
@@ -426,21 +437,22 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             f"certification needs budget >= {MIN_PAIR_BUDGET} to cover the minimal pair table"
         )
     ordered, permutation = p.sorted()
+    D, A = _cleared(ordered)
     leading = {}
-    if p.pairwise_distinct:
+    if len(set(A)) == 4:
         head, rows = _leading_data(budget, route)
-        by_sigma: dict[Fraction, list[tuple[Expo, ParamPolynomial]]] = {}
+        # rows keyed by D times their collapsed exponent, the integer e.A
+        by_key: dict[int, list[tuple[Expo, ParamPolynomial]]] = {}
         for exponent, poly in rows:
-            by_sigma.setdefault(sigma(exponent, ordered), []).append((exponent, poly))
+            by_key.setdefault(sum(map(mul, exponent, A)), []).append((exponent, poly))
 
-        min_exponent = min(by_sigma)
+        min_key = min(by_key)
+        min_exponent = Fraction(min_key, D)
         collapsed = head.collapse(ordered)
         if not collapsed or collapsed[0][0] != min_exponent:
             raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-        terms = tuple(
-            CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in by_sigma[min_exponent]
-        )
+        terms = tuple(CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in by_key[min_key])
         total = sum((term.value for term in terms), Fraction(0))
         if collapsed[0][1] != total:
             raise AssertionError("leading coefficient does not match the certificate terms")

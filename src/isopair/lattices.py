@@ -249,11 +249,15 @@ def from_standard(x) -> Vec:
 class CosetLabel(namedtuple("CosetLabel", "index sign")):
     """One of the nine classes of L1 modulo M: zero, or (index, sign) naming
     a signed representative.  An immutable record; the constructor refuses
-    any other (index, sign)."""
+    a sign, or an index other than ``None``, that is not an ``int`` (a
+    ``bool`` or ``1.0`` included) with ``TypeError``, and any other (index,
+    sign) with ``ValueError``."""
 
     __slots__ = ()
 
     def __new__(cls, index: int | None, sign: int):
+        if type(sign) is not int or (index is not None and type(index) is not int):
+            raise TypeError(f"coset label index and sign must be ints, got ({index!r}, {sign!r})")
         if index is None:
             if sign != 0:
                 raise ValueError("the zero class has sign 0")

@@ -9,9 +9,12 @@ package builds is integral; a rational coefficient is refused, not rounded.
 Addition, scaling and collapse are integer arithmetic on those vectors.
 ``ParamPolynomial`` has no arithmetic: it is the output view through which
 a coefficient is printed, serialized, evaluated at a point or compared with
-a formula of the paper.  q-exponents are kept
-as integer 4-tuples (n0, n1, n2, n3) -- the squared eigenbasis coordinates
-of a lattice vector -- and are only turned into concrete exponents
+a formula of the paper.  Work at a point is integer work too: ``_cleared``
+turns the point into its common denominator ``D`` and integer numerators
+``A = D*p``, and collapse and evaluation sum integers and build a Fraction
+only for their output.  q-exponents are kept as integer 4-tuples
+(n0, n1, n2, n3) -- the squared eigenbasis coordinates of a lattice
+vector -- and are only turned into concrete exponents
 a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.  One symbolic series
 therefore serves every parameter point.
 
@@ -59,7 +62,9 @@ MONOS: tuple[Mono, ...] = (
 
 def exact(x) -> Fraction:
     """Coerce to Fraction, refusing floats (no silent rounding) and bools
-    (``True`` is not the number 1 here)."""
+    (``True`` is not the number 1 here); a Fraction is returned unchanged."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError(f"refusing inexact float {x!r}; pass int, Fraction or string")
     if isinstance(x, bool):
@@ -87,7 +92,7 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
 
     def __new__(cls, a, b, c, d):
         self = super().__new__(cls, exact(a), exact(b), exact(c), exact(d))
-        if any(x <= 0 for x in self):
+        if any(x.numerator <= 0 for x in self):  # a Fraction's denominator is positive
             raise ValueError(f"parameters must be positive, got {self}")
         return self
 
@@ -99,13 +104,24 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
         """Ascending rearrangement and the permutation that produced it.
 
         ``perm[i]`` is the position in the original tuple of the i-th
-        smallest coordinate.
+        smallest coordinate.  The integer numerators of ``_cleared`` are
+        sorted, which orders the coordinates as the Fractions do.
         """
-        order = tuple(sorted(range(4), key=self.__getitem__))
-        return ParamPoint(*(self[i] for i in order)), order
+        order = tuple(sorted(range(4), key=_cleared(self)[1].__getitem__))
+        # the coordinates were checked when ``self`` was built
+        return tuple.__new__(ParamPoint, [self[i] for i in order]), order
 
     def __str__(self):
         return "(" + ", ".join(map(str, self)) + ")"
+
+
+def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
+    """The common denominator ``D`` of a point's coordinates and the integer
+    numerators ``A = D*p``: the coordinates of ``A`` order and coincide as
+    the point's do, and a linear form ``e.p`` is ``(e.A) / D``."""
+    denominators = [x.denominator for x in p]
+    D = lcm(*denominators)
+    return D, [x.numerator * (D // q) for x, q in zip(p, denominators)]
 
 
 def check_expo(e) -> Expo:
@@ -125,11 +141,6 @@ def exp_below(e: Expo, f: Expo) -> bool:
             return False
     # every suffix sum is at most f's; all equal means e == f
     return e != f
-
-
-def sigma(e: Expo, p: ParamPoint) -> Fraction:
-    """Evaluate an exponent vector: a*n0 + b*n1 + c*n2 + d*n3."""
-    return p.a * e[0] + p.b * e[1] + p.c * e[2] + p.d * e[3]
 
 
 class ParamPolynomial:
@@ -163,15 +174,24 @@ class ParamPolynomial:
         return bool(self.terms)
 
     def evaluate(self, p: ParamPoint) -> Fraction:
-        """Exact substitution of a parameter point."""
-        total = Fraction(0)
+        """Exact substitution of a parameter point, summed in integers.
+
+        With ``D, A = _cleared(p)``, ``C`` the common denominator of the
+        coefficients and ``top`` the largest monomial degree, the value is
+        the integer sum of ``C*coeff * A^mono * D^(top - deg mono)`` over
+        the terms, divided once by ``C * D^top``.
+        """
+        D, A = _cleared(p)
+        top = max(map(sum, self.terms), default=0)
+        C = lcm(*(coeff.denominator for coeff in self.terms.values()))
+        total = 0
         for mono, coeff in self.terms.items():
-            value = coeff
-            for x, power in zip(p, mono):
-                for _ in range(power):
-                    value *= x
+            value = coeff.numerator * (C // coeff.denominator) * D ** (top - sum(mono))
+            for x, power in zip(A, mono):
+                if power:
+                    value *= x**power
             total += value
-        return total
+        return Fraction(total, C * D**top)
 
     def as_pairs(self) -> tuple[tuple[Mono, Fraction], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
@@ -322,14 +342,13 @@ class FormalQSeries:
         """Evaluate exponents and coefficients at a point, merging exponents.
 
         Returns (exponent, coefficient) pairs sorted by ascending exponent,
-        with zero coefficients dropped.  With ``D`` the common denominator
-        of the point and ``A = D*p`` its integer numerators, an exponent is
-        ``(n.A) / D`` and a coefficient is ``(v.W) / D^2`` for the integer
-        weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS``; the sums stay
-        integer and each merged exponent is divided out once.
+        with zero coefficients dropped.  With ``D, A = _cleared(p)``, the
+        common denominator of the point and its integer numerators, an
+        exponent is ``(n.A) / D`` and a coefficient is ``(v.W) / D^2`` for
+        the integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS``; the
+        sums stay integer and each merged exponent is divided out once.
         """
-        D = lcm(*(x.denominator for x in p))
-        A = [x.numerator * (D // x.denominator) for x in p]
+        D, A = _cleared(p)
         weights = (D * D, *(D * x for x in A), *(A[s] * A[t] for s, t in QUAD_SLOTS))
         merged: dict[int, int] = {}
         for e, v in self.terms.items():

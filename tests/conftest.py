@@ -13,7 +13,6 @@ from isopair import (
     build_family,
     phi,
     psi,
-    sigma,
 )
 from isopair.qarith import MONOS
 
@@ -188,11 +187,30 @@ def fraction_delta(budget: int):
     return fraction_pair_sum(shell, shell, budget).scaled(Fraction(1, 8))
 
 
+def sigma(e, p) -> Fraction:
+    """Evaluate an exponent vector at a point in Fractions:
+    a*n0 + b*n1 + c*n2 + d*n3."""
+    return p.a * e[0] + p.b * e[1] + p.c * e[2] + p.d * e[3]
+
+
+def fraction_evaluate(poly: ParamPolynomial, p) -> Fraction:
+    """Reference evaluation: each term's coefficient times its powers of the
+    point's coordinates, multiplied out one factor at a time in Fractions."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = coeff
+        for x, power in zip(p, mono):
+            for _ in range(power):
+                value *= x
+        total += value
+    return total
+
+
 def fraction_collapse(series, p):
     """Reference collapse: ``sigma(e, p)`` and the Fraction evaluation of
     ``series.coefficient(e)`` per exponent, merged and sorted."""
     merged: dict = {}
     for e in series:
         x = sigma(e, p)
-        merged[x] = merged.get(x, Fraction(0)) + series.coefficient(e).evaluate(p)
+        merged[x] = merged.get(x, Fraction(0)) + fraction_evaluate(series.coefficient(e), p)
     return tuple(sorted((x, c) for x, c in merged.items() if c))

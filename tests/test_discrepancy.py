@@ -28,7 +28,6 @@ from isopair import (
     phi,
     rep_series,
     run_verification,
-    sigma,
     theta11,
 )
 from isopair import discrepancy
@@ -53,10 +52,13 @@ from isopair.verification import (
 from conftest import (
     admissible_samples,
     collapse_points,
+    fraction_collapse,
     fraction_delta,
+    fraction_evaluate,
     fraction_pair_sum,
     pair_discrepancy_kernel,
     poly_series,
+    sigma,
 )
 
 BOLD_FIRST, BOLD_SECOND = LEADING_EXPONENTS
@@ -455,6 +457,29 @@ class TestCertify:
             assert cert.min_exponent == expected_min
             for term in cert.terms:
                 assert sigma(term.exponent_vector, p) == expected_min
+
+    def test_scaling_the_point_scales_the_certificate(self):
+        # exponents are linear and coefficients quadratic in the point, and
+        # scaling changes the point's common denominator
+        for p in collapse_points(41, 40):
+            unsorted = ParamPoint(*reversed(p))
+            cert = certify(unsorted, 40)
+            for k in (Fraction(3, 7), Fraction(5), Fraction(11, 2)):
+                scaled = certify(ParamPoint(*(k * x for x in unsorted)), 40)
+                assert scaled.permutation == cert.permutation == (3, 2, 1, 0)
+                assert scaled.min_exponent == k * cert.min_exponent
+                assert scaled.total == k * k * cert.total
+                assert [t.value for t in scaled.terms] == [k * k * t.value for t in cert.terms]
+
+    def test_coprime_denominators_match_the_fraction_reference(self):
+        p = ParamPoint(Fraction(13, 4), Fraction(1, 7), Fraction(5, 11), Fraction(2, 9))
+        ordered = ParamPoint(*sorted(p))
+        cert = certify(p, 40)
+        assert cert.sorted_params == ordered and cert.permutation == (1, 3, 2, 0)
+        assert (cert.min_exponent, cert.total) == fraction_collapse(fraction_delta(40), ordered)[0]
+        for term in cert.terms:
+            assert sigma(term.exponent_vector, ordered) == cert.min_exponent
+            assert term.value == fraction_evaluate(term.polynomial, ordered)
 
     def test_one_minimal_vector_pass(self, monkeypatch):
         calls = []

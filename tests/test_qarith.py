@@ -18,14 +18,13 @@ from isopair import (
     delta_series,
     exp_below,
     rep_series,
-    sigma,
     theta11,
 )
-from isopair.qarith import MONOS
+from isopair.qarith import MONOS, exact
 from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 
 from conftest import VARIABLES, Poly, admissible_samples, collapse_points, poly_series
-from conftest import fraction_collapse
+from conftest import fraction_collapse, fraction_evaluate, sigma
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -156,7 +155,9 @@ class TestParamPolynomial:
         ]
 
     def test_zero(self):
-        assert ParamPolynomial().evaluate(SCHIEMANN) == 0
+        for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
+            value = ParamPolynomial().evaluate(point)
+            assert type(value) is Fraction and value == 0
         assert ParamPolynomial().is_zero
         assert (A - A).is_zero
 
@@ -178,6 +179,31 @@ class TestParamPolynomial:
             got = p.evaluate(point)
             expected = to_sympy(p).subs(subs)
             assert sympy.Rational(got.numerator, got.denominator) == expected
+
+    def test_evaluate_matches_a_naive_fraction_product(self):
+        # fractional and negative coefficients on monomials of degree 0 to 2,
+        # at points with coprime and with common denominators
+        rng = random.Random(19)
+        points = [
+            ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4)),
+            ParamPoint(Fraction(3, 10), Fraction(7, 10), 2, Fraction(9, 10)),
+            SCHIEMANN,
+        ] + admissible_samples(20, 20)
+        for _ in range(100):
+            monos = rng.sample(MONOS, rng.randint(1, 6))
+            poly = ParamPolynomial(
+                {m: Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for m in monos}
+            )
+            assert {sum(m) for m in poly.terms} <= {0, 1, 2}
+            for point in points:
+                got = poly.evaluate(point)
+                assert type(got) is Fraction
+                assert got == fraction_evaluate(poly, point), (poly, point)
+
+    def test_exact_returns_a_fraction_unchanged(self):
+        x = Fraction(-22, 7)
+        assert exact(x) is x
+        assert exact(3) == 3 and type(exact(3)) is Fraction
 
     def test_no_zero_terms_stored(self):
         p = ParamPolynomial({(1, 0, 0, 0): 2, (0, 1, 0, 0): 0})
@@ -308,6 +334,15 @@ class TestParamPoint:
             ParamPoint(1, 2, 3, flag)
         with pytest.raises(TypeError, match="bool"):
             ParamPolynomial({(0, 0, 0, 0): flag})
+
+    def test_sorted_is_the_point_of_the_sorted_values(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            values = [Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(4)]
+            ordered, perm = ParamPoint(*values).sorted()
+            assert type(ordered) is ParamPoint
+            assert ordered == ParamPoint(*sorted(values))
+            assert tuple(values[i] for i in perm) == ordered
 
     def test_sorted(self):
         p = ParamPoint(19, 7, 1, 13)

@@ -130,6 +130,18 @@ def test_label_refuses_a_bad_index_or_sign(index, sign):
         CosetLabel(index, sign)
 
 
+@pytest.mark.parametrize(
+    "index, sign",
+    [(True, 1), (1, True), (1.0, 1), (1, 1.0), (None, False), (None, 0.0)],
+    ids=repr,
+)
+def test_label_refuses_a_non_int_index_or_sign(index, sign):
+    # ``True`` would print as ``[+vTrue]``, and ``1.0`` fails later as a
+    # tuple index in ``representative`` and ``diag``
+    with pytest.raises(TypeError, match=r"^coset label index and sign must be ints, got "):
+        CosetLabel(index, sign)
+
+
 def test_certificate_defaults():
     cert = Certificate((Fraction(1),) * 4, (Fraction(1),) * 4, (0, 1, 2, 3), 40)
     assert (cert.min_exponent, cert.terms, cert.total, cert.verdict) == (

@@ -34,6 +34,9 @@ hits both labels alike instead of reading as a difference.  The rows:
 * ``qarith.collapse`` at budgets 40 and 80: the median time of collapsing
   the psi-route discrepancy series at the same 200 points, sorted as
   ``certify`` sorts them;
+* ``qarith.param_point``: the median time of building a ``ParamPoint`` from
+  the four Fractions of each of the same 200 points, the step a caller pays
+  before each ``certify`` call and ``certify_warm`` leaves out;
 * ``cli.import``: ``import isopair.cli``, timed inside a fresh
   ``python -c`` process that imports nothing else first, so the standard
   library modules the CLI needs count too;
@@ -149,16 +152,20 @@ def _delta_time(route: str, budget: int) -> list[dict]:
     return [{"layer": f"discrepancy.delta_{route}", "budget": budget, "seconds": seconds}]
 
 
-def _points():
-    from isopair import ParamPoint
-
+def _values() -> list[tuple[Fraction, ...]]:
     rng = random.Random(0)  # the same points for every commit
     points = []
     while len(points) < CERTIFY_POINTS + 1:
         values = {Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(4)}
         if len(values) == 4:
-            points.append(ParamPoint(*values))
+            points.append(tuple(values))
     return points
+
+
+def _points():
+    from isopair import ParamPoint
+
+    return [ParamPoint(*values) for values in _values()]
 
 
 def _certify_time(budget: int) -> list[dict]:
@@ -194,6 +201,20 @@ def _collapse_time(budget: int) -> list[dict]:
              "seconds": statistics.median(seconds)}]
 
 
+def _param_point_time() -> list[dict]:
+    from isopair import ParamPoint
+
+    points = _values()
+    ParamPoint(*points[0])
+    seconds = []
+    for values in points[1:]:
+        start = time.perf_counter()
+        ParamPoint(*values)
+        seconds.append(time.perf_counter() - start)
+    return [{"layer": "qarith.param_point", "budget": None,
+             "seconds": statistics.median(seconds)}]
+
+
 def _jobs() -> list[list[str]]:
     jobs = [["anchors"]]
     for budget in BUDGETS:
@@ -201,6 +222,7 @@ def _jobs() -> list[list[str]]:
         jobs += [["delta", route, str(budget)] for route in ("theta", "psi")]
     jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
     jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
+    jobs += [["param_point"]]
     jobs += [["certify", str(budget)] for budget in CERTIFY_BUDGETS]
     return jobs + [["import"], ["certify_process"]]
 
@@ -221,6 +243,8 @@ def _child(job: list[str]) -> list[dict]:
         rows = _certify_time(int(args[0]))
     elif kind == "collapse":
         rows = _collapse_time(int(args[0]))
+    elif kind == "param_point":
+        rows = _param_point_time()
     else:
         name, budget = args
         rows = (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
