@@ -9,9 +9,10 @@ above the second pivot, and free entries elsewhere after each pivot, so
 3^(5 - p1 - p2) pairs per pivot choice and 81 + 27 + 9 + 9 + 3 + 1 = 130 in
 all.  A code is built from a generator pair and keeps it: ``two_dim_subspaces``
 spans exactly these pairs, and ``selfdual_codes`` runs the census over them,
-testing self-duality on each pair's generators.  Every span is
-checked to have nine words, and F_3^4 has (3^4-1)(3^4-3)/((3^2-1)(3^2-3))
-= 130 two-dimensional subspaces, so 130 distinct spans are all of them: a
+testing self-duality on each pair's generators and spanning only the pairs
+that pass.  Every span is checked to have nine words, and F_3^4 has
+(3^4-1)(3^4-3)/((3^2-1)(3^2-3)) = 130 two-dimensional subspaces, so 130
+distinct spans are all of them: a
 subspace missed, or spanned twice in place of another, shows as a count
 below 130.
 
@@ -40,6 +41,11 @@ def normalize(w) -> Word:
 
 def word_dot(u: Word, v: Word) -> int:
     return sum(a * b for a, b in zip(u, v)) % 3
+
+
+def _selfdual_pair(g1: Word, g2: Word) -> bool:
+    """Whether the form vanishes on the span of two normalized words."""
+    return word_dot(g1, g1) == word_dot(g2, g2) == word_dot(g1, g2) == 0
 
 
 def _matvec(m: Matrix, v) -> tuple[int, ...]:
@@ -112,8 +118,7 @@ class TernaryCode:
 
     @property
     def is_selfdual(self) -> bool:
-        g1, g2 = self.generators
-        return word_dot(g1, g1) == word_dot(g2, g2) == word_dot(g1, g2) == 0
+        return _selfdual_pair(*self.generators)
 
     def intersection_dim(self, other: "TernaryCode") -> int:
         common = len(self.words & other.words)
@@ -183,9 +188,10 @@ def two_dim_subspaces() -> frozenset[frozenset[Word]]:
 def selfdual_codes() -> tuple[TernaryCode, ...]:
     """The eight self-dual codes, found by exhaustive search over the
     reduced echelon generator pairs and returned in canonical numbering;
-    the search runs once per process."""
-    codes = (TernaryCode.from_generators(g1, g2) for g1, g2 in _echelon_generator_pairs())
-    found = {code: code for code in codes if code.is_selfdual}
+    the search runs once per process.  Self-duality is tested on each pair's
+    generators, and only the pairs that pass are spanned."""
+    pairs = (pair for pair in _echelon_generator_pairs() if _selfdual_pair(*pair))
+    found = {code: code for code in (TernaryCode.from_generators(*pair) for pair in pairs)}
     expected = [TernaryCode.from_generators(*gens) for gens in SELFDUAL_GENERATORS]
     if set(found) != set(expected):
         raise AssertionError("self-dual census does not match the canonical list")

@@ -94,12 +94,15 @@ from .theta import Kernel, pair_series, theta11
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
-# ``verify`` meets all 81 ordered label pairs at budget 24 and the six
-# distinct positive pairs at its own budget (87 class series), two labelled
-# shells and one leading entry; a certify batch needs six class series, one
-# shell and one leading entry, which shares the shells' bound.  None evicts;
-# a process sweeping budgets keeps only the most recent ones.  All three
-# caches are typed, so a float budget never reads an int entry.
+# ``verify`` meets the six distinct positive pairs at budget 24 and at its
+# own budget (12 class series), two labelled shells and one leading entry;
+# ``check_relations(24)``, which the tests and perfbench's layer sweep call,
+# meets all 81 ordered label pairs, 87 class series with the six of a
+# ``delta_series`` at another budget, so the class-series bound stays 128; a
+# certify batch needs six class series, one shell and one leading entry,
+# which shares the shells' bound.  None evicts; a process sweeping budgets
+# keeps only the most recent ones.  All three caches are typed, so a float
+# budget never reads an int entry.
 SHELL_CACHE = 8
 CLASS_SERIES_CACHE = 128
 
@@ -139,6 +142,13 @@ def _labelled_shell(budget: int) -> dict[CosetLabel, tuple[Vec, ...]]:
 _SLOT_MONOS = dict(zip(QUAD_SLOTS, QUAD_MONOS))
 
 
+def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int], ...]:
+    """The slots ``s < t`` at which the product ``f`` of the two class sign
+    matrices differs: the slots the kernel of the class pair carries."""
+    f = tuple(x * y for x, y in zip(label1.diag, label2.diag))
+    return tuple((s, t) for s, t in QUAD_SLOTS if f[s] != f[t])
+
+
 @lru_cache(maxsize=CLASS_SERIES_CACHE, typed=True)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
@@ -146,11 +156,11 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
 
     With ``x = l*k`` coordinatewise and ``f`` the product of the two class
     sign matrices, ``<l,k>^2 - <psi l,psi k>^2`` is the sum of
-    ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``, so
-    ``pair_series`` sums it in integers, one counter per slot.
+    ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``
+    (``_class_slots``), so ``pair_series`` sums it in integers, one counter
+    per slot.
     """
-    f = tuple(x * y for x, y in zip(label1.diag, label2.diag))
-    slots = tuple((s, t) for s, t in QUAD_SLOTS if f[s] != f[t])
+    slots = _class_slots(label1, label2)
     if not slots:
         return FormalQSeries.empty(budget)
 
@@ -190,8 +200,9 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     appears in the 1/8-scaled full sum as eight equal ordered, signed
     copies.  For the zero class, a four-group sign flip ``g`` with
     ``g_s != g_t`` is a ``phi``-preserving involution of M that negates
-    ``x_s x_t``, so every slot sums to zero over the class.  A route that is
-    not a ``Route`` raises ``TypeError``.
+    ``x_s x_t``, so every slot sums to zero over the class.  The
+    ``class relations`` anchor of ``verification`` checks these premises.  A
+    route that is not a ``Route`` raises ``TypeError``.
     """
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()

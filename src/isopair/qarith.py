@@ -96,10 +96,6 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
             raise ValueError(f"parameters must be positive, got {self}")
         return self
 
-    @property
-    def pairwise_distinct(self) -> bool:
-        return len(set(self)) == 4
-
     def sorted(self) -> tuple["ParamPoint", tuple[int, int, int, int]]:
         """Ascending rearrangement and the permutation that produced it.
 

@@ -4,10 +4,11 @@
 data frozen in ``isopair.verification``; every anchor must pass at the
 smallest sound budget and at 40.  The other tests cover what the anchors
 lack: the refusal below the sound budget, a library check failing under an
-anchor (reported as that anchor's failure), isospectrality at random points,
-50 random certificates, and the ``psi`` bijection on the full budget-40
-shell.  Each passing check prints a
-status line so a verbose run reads as a checklist.
+anchor (reported as that anchor's failure), a broken premise of each proved
+anchor (the kernels, the four-group, the class representatives) failing
+that anchor, isospectrality at random points, 50 random certificates, and
+the ``psi`` bijection on the full budget-40 shell.  Each passing check
+prints a status line so a verbose run reads as a checklist.
 """
 
 import time
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from isopair import Verdict, build_family, certify, phi, psi, rep_series, run_verification
-from isopair import cli, codes, discrepancy, verification
+from isopair import cli, codes, discrepancy, lattices, verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
 from isopair.verification import SCHIEMANN, SMALL
 
@@ -117,6 +118,57 @@ def test_broken_four_group_is_reported(monkeypatch, capsys, clear_check_caches):
     assert err.startswith("error: internal consistency failure: g1 maps TernaryCode")
     assert err.endswith(" outside the codes\n") and "Traceback" not in err
     assert "code orbits" in failures(run_verification(MIN_PAIR_BUDGET))
+
+
+def _with_cross_term(coeffs):
+    # an extra l0 l1 k2 k3 on the a^2 coefficient: still a (2, 2) form, so
+    # the probe pairs must see it
+    def corrupted(l, k):
+        vector = coeffs(l, k)
+        vector[0] += l[0] * l[1] * k[2] * k[3]
+        return vector
+
+    return corrupted
+
+
+def _unsigned_g1_g3(k4):
+    # g1 and g3 alone separate the slots (0, 1) and (2, 3)
+    g0, g1, g2, g3 = k4
+    return g0, g1._replace(diag=g0.diag), g2, g3._replace(diag=g0.diag)
+
+
+# a premise of a proved anchor, broken in the library, the anchors that must
+# then fail, and that anchor with its witness
+PREMISE_CORRUPTIONS = {
+    "pairwise_coeffs": (
+        verification,
+        _with_cross_term,
+        ("kernel identity",),
+        ("kernel identity", "kernels disagree at (1, 1, 0, 0), (0, 0, 1, 1)"),
+    ),
+    "K4": (
+        codes,
+        _unsigned_g1_g3,
+        ("basis change", "class relations", "class decomposition"),
+        ("class relations", "no sign matrix that keeps M separates slot (0, 1)"),
+    ),
+    "COSET_REPS": (
+        lattices,
+        lambda reps: (reps[0], reps[2], *reps[2:]),
+        ("isospectrality", "class relations", "class decomposition"),
+        ("isospectrality", "the images (-3, -1, -1, -1) and (-3, -1, -1, -1) lie in one coset of M"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PREMISE_CORRUPTIONS)
+def test_broken_premise_fails_its_anchors(monkeypatch, name):
+    module, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[name]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    failed = failures(run_verification(MIN_PAIR_BUDGET))
+    assert tuple(failed) == failing
+    assert failed[anchor] == witness
+    assert all(failed.values())
 
 
 def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_caches):

@@ -2,7 +2,8 @@
 ``verification._result``, the call that runs an anchor's check; its anchors
 job must keep producing one calibrated row per anchor, in the order
 ``run_verification`` runs them.  Its ``param_point`` job times building a
-``ParamPoint``, which no other row covers."""
+``ParamPoint``, which no other row covers, and its ``null`` job times a
+fixed workload that gives the file's noise floor."""
 
 import json
 import os
@@ -38,4 +39,10 @@ def test_anchor_job_times_every_anchor_in_order():
 def test_param_point_job_gives_one_calibrated_row():
     (row,) = _child_rows("param_point")
     assert row["layer"] == "qarith.param_point" and row["budget"] is None
+    assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+def test_null_job_gives_one_calibrated_row():
+    (row,) = _child_rows("null")
+    assert row["layer"] == "null.fixed_work" and row["budget"] is None
     assert row["seconds"] > 0 and row["calibrated_s"] > 0

@@ -129,6 +129,15 @@ class TestClassSeries:
             total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), 24)
         assert total == fraction_delta(24)
 
+    def test_all_ordered_pairs_sum_to_eight_discrepancies(self):
+        # the 81 ordered label pairs cover L1 x L1; the class-decomposition
+        # anchor proves this from finite premises
+        total = FormalQSeries.empty(24)
+        for label1 in ALL_LABELS:
+            for label2 in ALL_LABELS:
+                total = total + class_pair_series(label1, label2, 24)
+        assert total.scaled(Fraction(1, 8)) == delta_series(24, Route.FROM_PSI_KERNEL)
+
     @pytest.mark.parametrize("label1", ALL_LABELS, ids=str)
     def test_every_label_pair_matches_the_fraction_oracle(self, label1):
         # all 81 ordered pairs, including the zero class, equal and opposite

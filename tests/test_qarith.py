@@ -14,7 +14,9 @@ from isopair import (
     ParamPoint,
     ParamPolynomial,
     Route,
+    Verdict,
     build_family,
+    certify,
     delta_series,
     exp_below,
     rep_series,
@@ -309,7 +311,8 @@ class TestParamPoint:
         for p in (ParamPoint(1, 2, 3, 4), ParamPoint(1, 1, 2, 3), ParamPoint(2, 1, 3, 4)):
             a, b, c, d = p.sorted()[0]
             assert a <= b <= c <= d
-            assert (a < b < c < d) is p.pairwise_distinct
+            # a strict chain is what certify needs to decide the pair
+            assert (a < b < c < d) is (certify(p).verdict is Verdict.NON_ISOMETRIC)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

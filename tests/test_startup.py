@@ -4,11 +4,12 @@ Each CLI command runs as a fresh process, so ``import isopair.cli`` is paid
 on every call.  It loads only what ``certify`` and ``delta`` execute: the
 records need no ``dataclasses`` (whose import pulls in ``inspect``), type
 names come from ``collections.abc`` rather than ``typing``, ``csv`` is
-imported by the csv output branch, and ``verification`` (with ``random``)
-by ``verify`` and by the first access to ``isopair.run_verification`` or
-``isopair.AnchorResult``.
+imported by the csv output branch, and ``verification`` by ``verify`` and by
+the first access to ``isopair.run_verification`` or ``isopair.AnchorResult``.
+A cold ``verify`` sums only the class series its anchors read.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -45,15 +46,27 @@ print(json.dumps({
 NOT_AT_START = ("dataclasses", "inspect", "typing", "csv", "random", "isopair.verification")
 
 
-@pytest.fixture(scope="module")
-def probe() -> dict:
+VERIFY_PROBE = """
+from isopair import run_verification
+from isopair.discrepancy import class_pair_series
+assert all(result.ok for result in run_verification(36))
+print(class_pair_series.cache_info().currsize)
+"""
+
+
+def _fresh(code: str) -> str:
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=60, check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def probe() -> dict:
+    return json.loads(_fresh(PROBE))
 
 
 def test_cli_import_loads_only_what_certify_runs(probe):
@@ -64,6 +77,21 @@ def test_cli_import_loads_only_what_certify_runs(probe):
 def test_verification_exports_still_resolve(probe):
     assert probe["star_missing"] == []
     assert probe["run_verification"] and probe["AnchorResult"]
+
+
+def test_verify_sums_twelve_class_series():
+    # the six distinct positive class pairs at budget 24 and at 36; no anchor
+    # reads the 81 ordered label pairs
+    assert int(_fresh(VERIFY_PROBE)) == 12
+
+
+def test_verification_does_not_import_random():
+    # read from the source: the interpreter's site set-up may load random
+    tree = ast.parse((SRC / "isopair" / "verification.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "random" not in imported
 
 
 def test_unknown_attribute_is_refused():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from isopair import (
 )
 from isopair.discrepancy import Route, delta_series
 from isopair.theta import QUAD_MONOS, defining_coeffs, pairwise_coeffs
-from isopair.verification import SCHIEMANN
+from isopair.verification import FORM_PROBES, SCHIEMANN
 
 from conftest import (
     admissible_samples,
@@ -29,6 +30,7 @@ from conftest import (
 
 VECTORS = st.tuples(*[st.integers(-9, 9)] * 4)
 P = sympy.symbols("a b c d")
+L_SYMS, K_SYMS = sympy.symbols("l0:4"), sympy.symbols("k0:4")
 
 
 def quad_coeffs(expr) -> list[int]:
@@ -93,6 +95,21 @@ class TestKernels:
                 nl, nk = norm_poly(l).evaluate(p), norm_poly(k).evaluate(p)
                 cos2 = inner_poly(l, k).evaluate(p) ** 2 / (nl * nk)
                 assert 4 * (4 * cos2 - 1) * nl * nk == fraction_pairwise_kernel(l, k).evaluate(p)
+
+    @pytest.mark.parametrize("coeffs", [defining_coeffs, pairwise_coeffs], ids=lambda f: f.__name__)
+    def test_kernel_is_a_form_of_degree_2_2(self, coeffs):
+        # what makes agreement at the e_i and e_i + e_j, the 100 probe pairs
+        # of the kernel-identity anchor, agreement at every pair
+        assert sorted(FORM_PROBES) == sorted(
+            v for v in itertools.product((0, 1), repeat=4) if 1 <= sum(v) <= 2
+        )
+        for coeff in coeffs(L_SYMS, K_SYMS):
+            poly = sympy.Poly(sympy.expand(coeff), *L_SYMS, *K_SYMS)
+            assert {(sum(m[:4]), sum(m[4:])) for m in poly.monoms()} == {(2, 2)}
+
+    def test_kernels_agree_as_polynomials(self):
+        defining = [sympy.expand(c) for c in defining_coeffs(L_SYMS, K_SYMS)]
+        assert defining == [sympy.expand(c) for c in pairwise_coeffs(L_SYMS, K_SYMS)]
 
     def test_zero_pair(self):
         zero = (0, 0, 0, 0)

@@ -40,9 +40,15 @@ hits both labels alike instead of reading as a difference.  The rows:
 * ``cli.import``: ``import isopair.cli``, timed inside a fresh
   ``python -c`` process that imports nothing else first, so the standard
   library modules the CLI needs count too;
-* ``cli.certify_process``: the wall time of a whole
-  ``python -m isopair certify --params 1 7 13 19 --format json`` process,
-  interpreter start included.
+* ``cli.certify_process`` and ``cli.verify_process``: the wall time of a
+  whole ``python -m isopair certify --params 1 7 13 19 --format json`` or
+  ``python -m isopair verify --budget 36 --format json`` process,
+  interpreter start included;
+* ``null.fixed_work``: the median time of a fixed workload of integer and
+  dict arithmetic that reads nothing of either source, timed in a child as
+  the theta and delta rows are.  Both labels run the same code, so the
+  ratio of their medians is this file's noise floor: a per-layer
+  difference inside it is not resolved.
 
 The theta and delta rows time the median of ``CALLS`` calls within one
 process, so that a row is not one call's millisecond-scale noise.  The
@@ -57,9 +63,10 @@ every timing is also rescaled to a reference speed with
 ``perfbench/calibrate.py``: a child job runs its calibration workload before
 and after its timed work and scales each of its rows by
 ``scale(before, after)``, and ``_run`` does the same around the
-``cli.import`` and ``cli.certify_process`` processes it starts.  A row keeps its raw
-``median_s``, ``q1_s``, ``q3_s`` and ``runs_s`` and adds the calibrated
-``calibrated_median_s``, ``calibrated_q1_s`` and ``calibrated_q3_s``.
+``cli.import``, ``cli.certify_process`` and ``cli.verify_process``
+processes it starts.  A row keeps its raw ``median_s``, ``q1_s``, ``q3_s``
+and ``runs_s`` and adds the calibrated ``calibrated_median_s``,
+``calibrated_q1_s`` and ``calibrated_q3_s``.
 
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
@@ -101,6 +108,13 @@ IMPORT_PROBE = (
     "print(time.perf_counter() - start)"
 )
 CERTIFY_ARGV = ("-m", "isopair", "certify", "--params", "1", "7", "13", "19", "--format", "json")
+VERIFY_ARGV = ("-m", "isopair", "verify", "--budget", str(VERIFY_BUDGET), "--format", "json")
+# whole-process rows: layer, the budget the process runs at, argv
+PROCESSES = {
+    "certify_process": ("cli.certify_process", 40, CERTIFY_ARGV),  # the CLI's default budget
+    "verify_process": ("cli.verify_process", VERIFY_BUDGET, VERIFY_ARGV),
+}
+NULL_ROUNDS = 20000
 
 
 def _anchor_times() -> list[dict]:
@@ -215,6 +229,16 @@ def _param_point_time() -> list[dict]:
              "seconds": statistics.median(seconds)}]
 
 
+def _null_time() -> list[dict]:
+    def work():
+        acc: dict[int, int] = {}
+        for i in range(NULL_ROUNDS):
+            acc[i % 97] = acc.get(i % 97, 0) + i * i
+        return acc
+
+    return [{"layer": "null.fixed_work", "budget": None, "seconds": _median_time(work)}]
+
+
 def _jobs() -> list[list[str]]:
     jobs = [["anchors"]]
     for budget in BUDGETS:
@@ -224,7 +248,7 @@ def _jobs() -> list[list[str]]:
     jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
     jobs += [["param_point"]]
     jobs += [["certify", str(budget)] for budget in CERTIFY_BUDGETS]
-    return jobs + [["import"], ["certify_process"]]
+    return jobs + [["null"], ["import"], *([name] for name in PROCESSES)]
 
 
 def _calibrated(rows: list[dict], before: float) -> list[dict]:
@@ -245,6 +269,8 @@ def _child(job: list[str]) -> list[dict]:
         rows = _collapse_time(int(args[0]))
     elif kind == "param_point":
         rows = _param_point_time()
+    elif kind == "null":
+        rows = _null_time()
     else:
         name, budget = args
         rows = (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
@@ -266,18 +292,17 @@ def _python(src: Path, *argv: str) -> str:
 
 
 def _run(src: Path, job: list[str]) -> list[dict]:
-    if job[0] not in ("import", "certify_process"):
+    if job[0] != "import" and job[0] not in PROCESSES:
         return json.loads(_python(src, __file__, "--child", *job))
     before = calibrate()
     if job == ["import"]:
         seconds = float(_python(src, "-c", IMPORT_PROBE))
         row = {"layer": "cli.import", "budget": None, "seconds": seconds}
     else:
+        layer, budget, argv = PROCESSES[job[0]]
         start = time.perf_counter()
-        _python(src, *CERTIFY_ARGV)
-        # the process runs at the CLI's default budget
-        row = {"layer": "cli.certify_process", "budget": 40,
-               "seconds": time.perf_counter() - start}
+        _python(src, *argv)
+        row = {"layer": layer, "budget": budget, "seconds": time.perf_counter() - start}
     return _calibrated([row], before)
 
 
