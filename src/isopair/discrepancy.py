@@ -43,6 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .lattices import (
@@ -63,7 +64,7 @@ from .qarith import (
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
-    _cleared,
+    _sort_cleared,
     check_budget,
     exp_below,
 )
@@ -86,11 +87,12 @@ from .theta import Kernel, pair_series, theta11
 # 0.04 ms); collapsing the whole series per point was then more than half of
 # the 0.28 ms left (42 terms at budget 40, 210 at budget 80).  With it a
 # warm certify is one collapse of the two-term head and one evaluation per
-# term.  That per-point work runs in integers on the point's cleared
-# denominators, with no Fraction arithmetic until the certificate's outputs:
-# about 0.05 ms at budget 40 or 80 (``tools/bench_layers.py``, calibrated
-# medians), against 0.11 ms when it sorted, keyed the rows and evaluated the
-# terms in Fractions.
+# term.  That per-point work runs in integers on the point's denominators,
+# cleared once per call, with no Fraction arithmetic until the certificate's
+# outputs: about 0.034 ms at budget 40 or 80 (``tools/bench_layers.py``,
+# calibrated medians), against 0.05 ms when each step cleared the point
+# again and both checks compared Fractions, and 0.11 ms when it sorted,
+# keyed the rows and evaluated the terms in Fractions.
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
@@ -426,18 +428,19 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     row in the suffix order, when they are built.  So a call collapses only
     the two-term head, which leads exactly where the whole series does, and
     its work does not grow with the budget.  The point's denominators are
-    cleared, to ``D`` and the integer numerators ``A = D*p``, by the one
-    helper ``collapse`` and ``evaluate`` use too; sorting, the distinctness
-    test, the row exponents ``e.A``, the collapse of the head and the term
-    values all run on those integers, and Fractions are built only for the
-    certificate and its two checks.  Ties are resolved by summing
-    coefficients at the common collapsed exponent; each certificate term's
-    polynomial is evaluated once, from its own monomials rather than the
-    collapse's ``MONOS`` weights, so the total check compares two
-    computations.  A budget that is not an ``int``, a route that
-    is not a ``Route`` or a point that is not a ``ParamPoint`` raises
-    ``TypeError``, in that order, before any other check and before any
-    cache is read.
+    cleared once per call, to ``D`` and the integer numerators ``A = D*p``
+    (``_sort_cleared``, which sorts them too); the distinctness test, the
+    row exponents ``e.A``, the head's collapse (``_collapse``), the term
+    values (``_evaluate``) and both checks run on those integers, and
+    Fractions are built only for the certificate's minimal exponent, term
+    values and total.  Ties are resolved by summing coefficients at the
+    common collapsed exponent; each certificate term's polynomial is
+    evaluated once, from its own monomials rather than the collapse's
+    ``MONOS`` weights, and the total check cross-multiplies the head's
+    coefficient with the terms' sum, so it compares two computations.  A
+    budget that is not an ``int``, a route that is not a ``Route`` or a
+    point that is not a ``ParamPoint`` raises ``TypeError``, in that order,
+    before any other check and before any cache is read.
     """
     check_budget(budget)
     check_route(route)
@@ -447,8 +450,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
         raise ValueError(
             f"certification needs budget >= {MIN_PAIR_BUDGET} to cover the minimal pair table"
         )
-    ordered, permutation = p.sorted()
-    D, A = _cleared(ordered)
+    ordered, permutation, D, A = _sort_cleared(p)
     leading = {}
     if len(set(A)) == 4:
         head, rows = _leading_data(budget, route)
@@ -458,16 +460,27 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             by_key.setdefault(sum(map(mul, exponent, A)), []).append((exponent, poly))
 
         min_key = min(by_key)
-        min_exponent = Fraction(min_key, D)
-        collapsed = head.collapse(ordered)
-        if not collapsed or collapsed[0][0] != min_exponent:
+        # (D * exponent, D^2 * coefficient) pairs
+        collapsed = head._collapse(D, A)
+        if not collapsed or collapsed[0][0] != min_key:
             raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-        terms = tuple(CertTerm(e, poly, poly.evaluate(ordered)) for e, poly in by_key[min_key])
-        total = sum((term.value for term in terms), Fraction(0))
-        if collapsed[0][1] != total:
+        leaders = by_key[min_key]
+        values = [poly._evaluate(D, A) for _, poly in leaders]
+        # the term values summed over their least common denominator, and
+        # compared with the head's coefficient by cross-multiplication
+        common = lcm(*(denominator for _, denominator in values))
+        total = sum(numerator * (common // denominator) for numerator, denominator in values)
+        if collapsed[0][1] * common != total * D * D:
             raise AssertionError("leading coefficient does not match the certificate terms")
-        # ``collapse`` drops zero sums, so the checked total is nonzero
-        verdict = Verdict.NON_ISOMETRIC
-        leading = dict(min_exponent=min_exponent, terms=terms, total=total, verdict=verdict)
+        # ``_collapse`` drops zero sums, so the checked total is nonzero
+        terms = tuple(
+            CertTerm(e, poly, Fraction(*value)) for (e, poly), value in zip(leaders, values)
+        )
+        leading = dict(
+            min_exponent=Fraction(min_key, D),
+            terms=terms,
+            total=Fraction(total, common),
+            verdict=Verdict.NON_ISOMETRIC,
+        )
     return Certificate(tuple(p), tuple(ordered), permutation, budget, **leading)

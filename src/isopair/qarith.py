@@ -11,12 +11,15 @@ Addition, scaling and collapse are integer arithmetic on those vectors.
 a coefficient is printed, serialized, evaluated at a point or compared with
 a formula of the paper.  Work at a point is integer work too: ``_cleared``
 turns the point into its common denominator ``D`` and integer numerators
-``A = D*p``, and collapse and evaluation sum integers and build a Fraction
-only for their output.  q-exponents are kept as integer 4-tuples
-(n0, n1, n2, n3) -- the squared eigenbasis coordinates of a lattice
-vector -- and are only turned into concrete exponents
-a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.  One symbolic series
-therefore serves every parameter point.
+``A = D*p``.  ``collapse`` and ``evaluate`` clear their point and call
+their integer forms ``_collapse`` and ``_evaluate``, which take ``(D, A)``
+and return integer numerators and denominators; a caller that works at one
+point several times clears it once (``_sort_cleared`` also sorts it),
+calls the integer forms and builds Fractions only for its outputs.
+q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
+eigenbasis coordinates of a lattice vector -- and are only turned into
+concrete exponents a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.
+One symbolic series therefore serves every parameter point.
 
 Exponent vectors are partially ordered by suffix sums (``exp_below`` is the
 strict relation)::
@@ -40,7 +43,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
@@ -100,12 +103,9 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
         """Ascending rearrangement and the permutation that produced it.
 
         ``perm[i]`` is the position in the original tuple of the i-th
-        smallest coordinate.  The integer numerators of ``_cleared`` are
-        sorted, which orders the coordinates as the Fractions do.
+        smallest coordinate (``_sort_cleared``).
         """
-        order = tuple(sorted(range(4), key=_cleared(self)[1].__getitem__))
-        # the coordinates were checked when ``self`` was built
-        return tuple.__new__(ParamPoint, [self[i] for i in order]), order
+        return _sort_cleared(self)[:2]
 
     def __str__(self):
         return "(" + ", ".join(map(str, self)) + ")"
@@ -120,9 +120,27 @@ def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
     return D, [x.numerator * (D // q) for x, q in zip(p, denominators)]
 
 
+def _sort_cleared(
+    p: ParamPoint,
+) -> tuple[ParamPoint, tuple[int, int, int, int], int, list[int]]:
+    """The point sorted ascending, the permutation of ``ParamPoint.sorted``,
+    and the point's ``D`` with the sorted numerators ``A`` of ``_cleared``.
+
+    The point is cleared once: sorting the integer numerators orders the
+    coordinates as the Fractions do, and ``D`` and the sorted ``A`` are the
+    cleared form of the sorted point, ready for ``_collapse`` and
+    ``_evaluate``.
+    """
+    D, A = _cleared(p)
+    order = tuple(sorted(range(4), key=A.__getitem__))
+    # the coordinates were checked when ``p`` was built
+    return tuple.__new__(ParamPoint, [p[i] for i in order]), order, D, [A[i] for i in order]
+
+
 def check_expo(e) -> Expo:
     e = tuple(e)
-    if len(e) != 4 or any(not isinstance(n, int) or n < 0 for n in e):
+    # ``type`` refuses ``True`` as an entry, as ``exact`` does as a number
+    if len(e) != 4 or any(type(n) is not int or n < 0 for n in e):
         raise ValueError(f"exponent vector must be four non-negative integers, got {e!r}")
     return e
 
@@ -170,14 +188,19 @@ class ParamPolynomial:
         return bool(self.terms)
 
     def evaluate(self, p: ParamPoint) -> Fraction:
-        """Exact substitution of a parameter point, summed in integers.
+        """Exact substitution of a parameter point, summed in integers
+        (``_evaluate``) and divided once."""
+        return Fraction(*self._evaluate(*_cleared(p)))
 
-        With ``D, A = _cleared(p)``, ``C`` the common denominator of the
-        coefficients and ``top`` the largest monomial degree, the value is
-        the integer sum of ``C*coeff * A^mono * D^(top - deg mono)`` over
-        the terms, divided once by ``C * D^top``.
+    def _evaluate(self, D: int, A: Sequence[int]) -> tuple[int, int]:
+        """The value at the point with ``D, A = _cleared(p)``, as an integer
+        numerator and positive denominator.
+
+        With ``C`` the common denominator of the coefficients and ``top``
+        the largest monomial degree, the numerator is the integer sum of
+        ``C*coeff * A^mono * D^(top - deg mono)`` over the terms and the
+        denominator is ``C * D^top``; the ratio is not reduced.
         """
-        D, A = _cleared(p)
         top = max(map(sum, self.terms), default=0)
         C = lcm(*(coeff.denominator for coeff in self.terms.values()))
         total = 0
@@ -187,7 +210,7 @@ class ParamPolynomial:
                 if power:
                     value *= x**power
             total += value
-        return Fraction(total, C * D**top)
+        return total, C * D**top
 
     def as_pairs(self) -> tuple[tuple[Mono, Fraction], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
@@ -338,23 +361,29 @@ class FormalQSeries:
         """Evaluate exponents and coefficients at a point, merging exponents.
 
         Returns (exponent, coefficient) pairs sorted by ascending exponent,
-        with zero coefficients dropped.  With ``D, A = _cleared(p)``, the
-        common denominator of the point and its integer numerators, an
-        exponent is ``(n.A) / D`` and a coefficient is ``(v.W) / D^2`` for
-        the integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS``; the
-        sums stay integer and each merged exponent is divided out once.
+        with zero coefficients dropped: the integer pairs of ``_collapse``
+        at ``D, A = _cleared(p)``, each divided out once.
         """
         D, A = _cleared(p)
+        return tuple(
+            (Fraction(key, D), Fraction(value, D * D)) for key, value in self._collapse(D, A)
+        )
+
+    def _collapse(self, D: int, A: Sequence[int]) -> list[tuple[int, int]]:
+        """The collapse at the point with ``D, A = _cleared(p)``, as integer
+        pairs ``(D*exponent, D^2*coefficient)``.
+
+        An exponent ``n`` is ``(n.A) / D`` and a coefficient vector ``v`` is
+        ``(v.W) / D^2`` for the integer weights ``W = (D^2, D*A_i, A_s*A_t)``
+        of ``MONOS``, so the keys ``n.A`` merge and order as the exponents
+        do.  Sorted by key, zero sums dropped.
+        """
         weights = (D * D, *(D * x for x in A), *(A[s] * A[t] for s, t in QUAD_SLOTS))
         merged: dict[int, int] = {}
         for e, v in self.terms.items():
             key = e[0] * A[0] + e[1] * A[1] + e[2] * A[2] + e[3] * A[3]
             merged[key] = merged.get(key, 0) + sum(map(mul, weights, v))
-        return tuple(
-            (Fraction(key, D), Fraction(value, D * D))
-            for key, value in sorted(merged.items())
-            if value
-        )
+        return sorted(filter(itemgetter(1), merged.items()))
 
     def __eq__(self, other):
         if not isinstance(other, FormalQSeries):

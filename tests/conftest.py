@@ -14,6 +14,7 @@ from isopair import (
     phi,
     psi,
 )
+from isopair.discrepancy import _leading_data
 from isopair.qarith import MONOS
 
 settings.register_profile("exact", deadline=None, max_examples=100)
@@ -214,3 +215,22 @@ def fraction_collapse(series, p):
         x = sigma(e, p)
         merged[x] = merged.get(x, Fraction(0)) + fraction_evaluate(series.coefficient(e), p)
     return tuple(sorted((x, c) for x, c in merged.items() if c))
+
+
+# a point whose four coordinates have pairwise coprime denominators
+COPRIME = ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4))
+
+
+def doubled_head(budget, route):
+    """``_leading_data`` with the head's coefficients at both rows doubled:
+    the collapse still leads at the minimal row, with twice the terms' sum."""
+    head, rows = _leading_data(budget, route)
+    return head.scaled(2), rows
+
+
+def head_below_the_rows(budget, route):
+    """``_leading_data`` with a head term at (1, 0, 0, 0), which collapses to
+    ``a``, below both rows at every sorted point."""
+    head, rows = _leading_data(budget, route)
+    extra = FormalQSeries(budget, {(1, 0, 0, 0): [1] + [0] * (len(MONOS) - 1)})
+    return head + extra, rows

@@ -3,8 +3,12 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from isopair.cli import main
 from isopair.verification import SCHIEMANN_TERM
+
+from conftest import doubled_head, head_below_the_rows
 
 
 def run(capsys, *argv):
@@ -170,6 +174,30 @@ class TestCertify:
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 1 and err == ""
         assert json.loads(out)["error"].startswith("internal consistency failure: ")
+
+    @pytest.mark.parametrize(
+        "leading_data, message",
+        [
+            (doubled_head, "leading coefficient does not match the certificate terms"),
+            (head_below_the_rows, "collapsed series does not lead at the minimal pair exponent"),
+        ],
+        ids=["total", "exponent"],
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [("1", "7", "13", "19"), ("1/7", "2/9", "5/11", "13/4")],
+        ids=["integer", "coprime"],
+    )
+    def test_per_point_check_failure_exits_1(
+        self, capsys, monkeypatch, leading_data, message, params
+    ):
+        # the two checks certify makes at every point
+        import isopair.discrepancy
+
+        monkeypatch.setattr(isopair.discrepancy, "_leading_data", leading_data)
+        code, out, err = run(capsys, "certify", "--params", *params)
+        assert code == 1 and out == ""
+        assert err == f"error: internal consistency failure: {message}\n"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(

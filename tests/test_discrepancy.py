@@ -30,7 +30,7 @@ from isopair import (
     run_verification,
     theta11,
 )
-from isopair import discrepancy
+from isopair import discrepancy, qarith
 from isopair.discrepancy import (
     MIN_PAIR_BUDGET,
     SHELL_CACHE,
@@ -50,12 +50,15 @@ from isopair.verification import (
 )
 
 from conftest import (
+    COPRIME,
     admissible_samples,
     collapse_points,
+    doubled_head,
     fraction_collapse,
     fraction_delta,
     fraction_evaluate,
     fraction_pair_sum,
+    head_below_the_rows,
     pair_discrepancy_kernel,
     poly_series,
     sigma,
@@ -429,20 +432,28 @@ class TestCertify:
 
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
         # a warm certify works on integer vectors; polynomials appear only in
-        # its terms, each evaluated once for its value, and have no arithmetic
-        calls = {"evaluate": 0}
-        evaluate = ParamPolynomial.evaluate
+        # its terms, each evaluated once for its value, and have no
+        # arithmetic; the point is cleared once per call
+        calls = {"_evaluate": 0, "_cleared": 0}
+        evaluate, cleared = ParamPolynomial._evaluate, qarith._cleared
 
-        def counted_evaluate(self, p):
-            calls["evaluate"] += 1
-            return evaluate(self, p)
+        def counted_evaluate(self, D, A):
+            calls["_evaluate"] += 1
+            return evaluate(self, D, A)
+
+        def counted_cleared(p):
+            calls["_cleared"] += 1
+            return cleared(p)
 
         for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
             assert not hasattr(ParamPolynomial, name), name
         certify(SCHIEMANN, 40)
-        monkeypatch.setattr(ParamPolynomial, "evaluate", counted_evaluate)
-        terms = sum(len(certify(p, 40).terms) for p in admissible_samples(101, 20))
-        assert 20 <= calls["evaluate"] <= terms
+        monkeypatch.setattr(ParamPolynomial, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(qarith, "_cleared", counted_cleared)
+        points = admissible_samples(101, 20)
+        assert all(len(set(p)) == 4 for p in points)
+        terms = sum(len(certify(p, 40).terms) for p in points)
+        assert calls == {"_evaluate": terms, "_cleared": len(points)}
 
     def test_budget_below_threshold_rejected(self):
         with pytest.raises(ValueError, match=r"^certification needs budget >= 36 to cover the"):
@@ -578,6 +589,27 @@ class TestLeadingData:
         for p in collapse_points(337, 200):
             cert = certify(p, budget, route)
             assert (cert.min_exponent, cert.total) == series.collapse(p.sorted()[0])[0], p
+
+    @pytest.mark.parametrize("point", [SCHIEMANN, COPRIME], ids=["integer", "coprime"])
+    def test_doubled_head_fails_the_total_check(self, monkeypatch, point):
+        # the head's coefficient at a leading row no longer matches the terms
+        monkeypatch.setattr(discrepancy, "_leading_data", doubled_head)
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError, match=r"^leading coefficient does not match the certificate terms$"
+            ):
+                certify(point, 40)
+
+    @pytest.mark.parametrize("point", [SCHIEMANN, COPRIME], ids=["integer", "coprime"])
+    def test_head_term_below_the_rows_fails_the_exponent_check(self, monkeypatch, point):
+        # a head term that collapses below both rows leads the collapse
+        monkeypatch.setattr(discrepancy, "_leading_data", head_below_the_rows)
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError,
+                match=r"^collapsed series does not lead at the minimal pair exponent$",
+            ):
+                certify(point, 40)
 
     def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
         below = (1, 0, 0, 0)

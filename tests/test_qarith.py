@@ -337,6 +337,10 @@ class TestParamPoint:
             ParamPoint(1, 2, 3, flag)
         with pytest.raises(TypeError, match="bool"):
             ParamPolynomial({(0, 0, 0, 0): flag})
+        # nor is a bool an exponent of a monomial
+        for mono in ((flag, 0, 0, 0), (0, 0, 0, flag)):
+            with pytest.raises(ValueError, match="four non-negative integers"):
+                ParamPolynomial({mono: 1})
 
     def test_sorted_is_the_point_of_the_sorted_values(self):
         rng = random.Random(23)
@@ -468,8 +472,8 @@ class TestIntegerForm:
     @pytest.mark.parametrize(
         "expo, vector",
         [(E, (Fraction(1, 2), *REST)), (E, (0.5, *REST)), (E, (True, *REST)), (E, (1, *REST, 1)),
-         ((1, 0, -1, 0), (1, *REST))],
-        ids=["rational", "float", "bool", "sixteen-slots", "malformed-exponent"],
+         ((1, 0, -1, 0), (1, *REST)), ((True, 0, 0, 0), (1, *REST))],
+        ids=["rational", "float", "bool", "sixteen-slots", "malformed-exponent", "bool-exponent"],
     )
     def test_constructor_refuses(self, expo, vector):
         # a rational is refused, not rounded; a sixteenth slot would be a
