@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .discrepancy import Route, Verdict, certify, delta_series
-from .lattices import build_family
+from .lattices import LatticeFamily, build_family
 from .qarith import ParamPoint
 from .theta import Kernel, rep_series, theta11
 
@@ -102,14 +102,6 @@ def _render_series(args, label: str, collapsed, extra) -> None:
     _render(args, payload, ("exponent", "coefficient"), rows, lines)
 
 
-_LATTICES = ("L", "L1", "L2", "L12", "M")
-
-
-def _lattice(name: str):
-    fam = build_family()
-    return {"L": fam.L, "L1": fam.L1, "L2": fam.L2, "L12": fam.L12, "M": fam.M}[name]
-
-
 def cmd_codes(args) -> int:
     from . import codes as codes_mod
 
@@ -140,9 +132,7 @@ def cmd_codes(args) -> int:
     parts = codes_mod.orbit_partition(eight)
     edges = codes_mod.intersection_graph(eight)
     edge_list = sorted(tuple(sorted(names[i] for i in e)) for e in edges)
-    bipartite = all(
-        sum(i in parts[0] for i in edge) == 1 for edge in edges
-    ) and len(edges) == len(parts[0]) * len(parts[1])
+    bipartite = edges == codes_mod.complete_bipartite(parts)
     payload = {
         "edges": len(edges),
         "bipartite": bipartite,
@@ -190,7 +180,7 @@ def cmd_pair(args) -> int:
 
 def cmd_spectrum(args) -> int:
     point = _point(args)
-    collapsed = rep_series(_lattice(args.lattice), args.budget).collapse(point)
+    collapsed = rep_series(getattr(build_family(), args.lattice), args.budget).collapse(point)
     _render_series(args, "spectrum", collapsed, {"lattice": args.lattice})
     return 0
 
@@ -217,7 +207,7 @@ def cmd_isospectral(args) -> int:
 
 def cmd_invariant(args) -> int:
     point = _point(args)
-    series = theta11(_lattice(args.lattice), args.budget, Kernel(args.kernel))
+    series = theta11(getattr(build_family(), args.lattice), args.budget, Kernel(args.kernel))
     collapsed = series.collapse(point)
     _render_series(args, "invariant", collapsed, {"lattice": args.lattice, "kernel": args.kernel})
     return 0
@@ -293,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="collapsed representation numbers")
     _add_common(spectrum, params=True)
-    spectrum.add_argument("--lattice", choices=_LATTICES, default="L1")
+    spectrum.add_argument("--lattice", choices=LatticeFamily._fields, default="L1")
     spectrum.set_defaults(func=cmd_spectrum)
 
     iso = sub.add_parser("isospectral", help="compare the spectra of the pair")

@@ -231,6 +231,12 @@ def intersection_graph(codes: tuple[TernaryCode, ...]) -> frozenset[frozenset[in
     return frozenset(edges)
 
 
+def complete_bipartite(parts: tuple[frozenset[int], frozenset[int]]) -> frozenset[frozenset[int]]:
+    """The edges of the complete bipartite graph on two disjoint index sets:
+    each pair {i, j} with i in the first set and j in the second."""
+    return frozenset(frozenset({i, j}) for i in parts[0] for j in parts[1])
+
+
 def matching_element(w: Word) -> K4Element:
     """The unique K4 element carrying a nonzero word of C1 into C2."""
     w = normalize(w)

@@ -43,7 +43,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from .lattices import (
@@ -87,12 +86,8 @@ from .theta import Kernel, pair_series, theta11
 # 0.04 ms); collapsing the whole series per point was then more than half of
 # the 0.28 ms left (42 terms at budget 40, 210 at budget 80).  With it a
 # warm certify is one collapse of the two-term head and one evaluation per
-# term.  That per-point work runs in integers on the point's denominators,
-# cleared once per call, with no Fraction arithmetic until the certificate's
-# outputs: about 0.034 ms at budget 40 or 80 (``tools/bench_layers.py``,
-# calibrated medians), against 0.05 ms when each step cleared the point
-# again and both checks compared Fractions, and 0.11 ms when it sorted,
-# keyed the rows and evaluated the terms in Fractions.
+# term, in integers on the point's cleared denominators: about 0.026 ms at
+# budget 40 or 80 (``tools/bench_layers.py``, calibrated medians).
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
@@ -427,20 +422,17 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     other term of the budget's series is checked to lie strictly above a
     row in the suffix order, when they are built.  So a call collapses only
     the two-term head, which leads exactly where the whole series does, and
-    its work does not grow with the budget.  The point's denominators are
-    cleared once per call, to ``D`` and the integer numerators ``A = D*p``
-    (``_sort_cleared``, which sorts them too); the distinctness test, the
-    row exponents ``e.A``, the head's collapse (``_collapse``), the term
-    values (``_evaluate``) and both checks run on those integers, and
-    Fractions are built only for the certificate's minimal exponent, term
-    values and total.  Ties are resolved by summing coefficients at the
-    common collapsed exponent; each certificate term's polynomial is
-    evaluated once, from its own monomials rather than the collapse's
-    ``MONOS`` weights, and the total check cross-multiplies the head's
-    coefficient with the terms' sum, so it compares two computations.  A
-    budget that is not an ``int``, a route that is not a ``Route`` or a
-    point that is not a ``ParamPoint`` raises ``TypeError``, in that order,
-    before any other check and before any cache is read.
+    its work does not grow with the budget.  The point is cleared and
+    sorted once per call (``_sort_cleared``), and every step after that,
+    both checks included, is integer work on the scale of the ``qarith``
+    module; Fractions are built only for the certificate's outputs.  Ties
+    are resolved by summing coefficients at the common collapsed exponent;
+    each certificate term's polynomial is evaluated once, from its own
+    monomials rather than the collapse's ``MONOS`` weights, so the total
+    check compares two computations.  A budget that is not an ``int``, a
+    route that is not a ``Route`` or a point that is not a ``ParamPoint``
+    raises ``TypeError``, in that order, before any other check and before
+    any cache is read.
     """
     check_budget(budget)
     check_route(route)
@@ -466,21 +458,19 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
         leaders = by_key[min_key]
+        # the terms' values, integers over D^2 as the head's coefficient is
         values = [poly._evaluate(D, A) for _, poly in leaders]
-        # the term values summed over their least common denominator, and
-        # compared with the head's coefficient by cross-multiplication
-        common = lcm(*(denominator for _, denominator in values))
-        total = sum(numerator * (common // denominator) for numerator, denominator in values)
-        if collapsed[0][1] * common != total * D * D:
+        if collapsed[0][1] != sum(values):
             raise AssertionError("leading coefficient does not match the certificate terms")
         # ``_collapse`` drops zero sums, so the checked total is nonzero
+        square = D * D
         terms = tuple(
-            CertTerm(e, poly, Fraction(*value)) for (e, poly), value in zip(leaders, values)
+            CertTerm(e, poly, Fraction(value, square)) for (e, poly), value in zip(leaders, values)
         )
         leading = dict(
             min_exponent=Fraction(min_key, D),
             terms=terms,
-            total=Fraction(total, common),
+            total=Fraction(collapsed[0][1], square),
             verdict=Verdict.NON_ISOMETRIC,
         )
     return Certificate(tuple(p), tuple(ordered), permutation, budget, **leading)

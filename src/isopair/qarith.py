@@ -9,13 +9,17 @@ package builds is integral; a rational coefficient is refused, not rounded.
 Addition, scaling and collapse are integer arithmetic on those vectors.
 ``ParamPolynomial`` has no arithmetic: it is the output view through which
 a coefficient is printed, serialized, evaluated at a point or compared with
-a formula of the paper.  Work at a point is integer work too: ``_cleared``
-turns the point into its common denominator ``D`` and integer numerators
-``A = D*p``.  ``collapse`` and ``evaluate`` clear their point and call
-their integer forms ``_collapse`` and ``_evaluate``, which take ``(D, A)``
-and return integer numerators and denominators; a caller that works at one
-point several times clears it once (``_sort_cleared`` also sorts it),
-calls the integer forms and builds Fractions only for its outputs.
+a formula of the paper.
+
+Work at a point is integer work on one scale.  ``_cleared`` turns the point
+into its common denominator ``D`` and integer numerators ``A = D*p``; at
+that point an exponent is an integer over ``D`` and a coefficient or a
+value is an integer over ``D^2``.  The integer forms ``_collapse`` and
+``_evaluate`` take ``(D, A)`` and return those integers; ``collapse`` and
+``evaluate`` clear their point, call them and divide once.  A caller that
+works at one point several times clears it once (``_sort_cleared`` also
+sorts it) and builds Fractions only for its outputs.
+
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
 concrete exponents a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.
@@ -42,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
@@ -87,8 +91,8 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
 
     An immutable record and a tuple of its four Fractions: the constructor
     coerces each coordinate with ``exact`` and refuses a non-positive one.
-    A pairwise-distinct point is brought into the canonical strictly
-    increasing chain 0 < a < b < c < d by :meth:`sorted`.
+    ``certify`` brings a pairwise-distinct point into the canonical strictly
+    increasing chain 0 < a < b < c < d (``_sort_cleared``).
     """
 
     __slots__ = ()
@@ -98,14 +102,6 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
         if any(x.numerator <= 0 for x in self):  # a Fraction's denominator is positive
             raise ValueError(f"parameters must be positive, got {self}")
         return self
-
-    def sorted(self) -> tuple["ParamPoint", tuple[int, int, int, int]]:
-        """Ascending rearrangement and the permutation that produced it.
-
-        ``perm[i]`` is the position in the original tuple of the i-th
-        smallest coordinate (``_sort_cleared``).
-        """
-        return _sort_cleared(self)[:2]
 
     def __str__(self):
         return "(" + ", ".join(map(str, self)) + ")"
@@ -123,8 +119,10 @@ def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
 def _sort_cleared(
     p: ParamPoint,
 ) -> tuple[ParamPoint, tuple[int, int, int, int], int, list[int]]:
-    """The point sorted ascending, the permutation of ``ParamPoint.sorted``,
-    and the point's ``D`` with the sorted numerators ``A`` of ``_cleared``.
+    """The point sorted ascending, the permutation that sorts it, and the
+    point's ``D`` with the sorted numerators ``A`` of ``_cleared``.  Entry i
+    of the permutation is the position in ``p`` of the i-th smallest
+    coordinate.
 
     The point is cleared once: sorting the integer numerators orders the
     coordinates as the Fractions do, and ``D`` and the sorted ``A`` are the
@@ -161,23 +159,28 @@ class ParamPolynomial:
     """A coefficient of a series, as a polynomial in (a, b, c, d) to print,
     serialize, evaluate or compare with a formula of the paper.
 
-    Terms map monomial exponent 4-tuples to nonzero Fractions; the zero
-    polynomial has no terms.  A monomial that is not four non-negative ints
-    raises ``ValueError``, as an exponent vector does, and a float or bool
-    coefficient raises ``TypeError``.  An output view with no arithmetic:
-    series arithmetic is integer arithmetic on their ``MONOS`` vectors.
-    Instances are immutable by convention.
+    Terms map monomial exponent 4-tuples of degree at most two to nonzero
+    ints: an integer quadratic form, the one ``FormalQSeries.coefficient``
+    builds; the zero polynomial has no terms.  A monomial that is not four
+    non-negative ints raises ``ValueError``, as an exponent vector does, and
+    so does one of degree three or more; a coefficient that is not an
+    ``int`` (a Fraction, a float or a bool) raises ``TypeError``.  An output
+    view with no arithmetic: series arithmetic is integer arithmetic on
+    their ``MONOS`` vectors.  Instances are immutable by convention.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, object] | None = None):
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono, coeff = check_expo(mono), exact(coeff)
-                if coeff:
-                    clean[mono] = coeff
+    def __init__(self, terms: Mapping[Mono, int] | None = None):
+        clean: dict[Mono, int] = {}
+        for mono, coeff in (terms or {}).items():
+            mono = check_expo(mono)
+            if sum(mono) > 2:
+                raise ValueError(f"monomial {mono} has degree above two")
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient must be an int, not {type(coeff).__name__}")
+            if coeff:
+                clean[mono] = coeff
         self.terms = clean
 
     @property
@@ -188,31 +191,20 @@ class ParamPolynomial:
         return bool(self.terms)
 
     def evaluate(self, p: ParamPoint) -> Fraction:
-        """Exact substitution of a parameter point, summed in integers
-        (``_evaluate``) and divided once."""
-        return Fraction(*self._evaluate(*_cleared(p)))
+        """Exact substitution of a parameter point: ``_evaluate`` divided once."""
+        D, A = _cleared(p)
+        return Fraction(self._evaluate(D, A), D * D)
 
-    def _evaluate(self, D: int, A: Sequence[int]) -> tuple[int, int]:
-        """The value at the point with ``D, A = _cleared(p)``, as an integer
-        numerator and positive denominator.
+    def _evaluate(self, D: int, A: Sequence[int]) -> int:
+        """The value at the point cleared to ``(D, A)``, as the integer over
+        ``D^2`` of the module's scale: the sum of
+        ``coeff * A^mono * D^(2 - deg mono)`` over the terms."""
+        return sum(
+            coeff * D ** (2 - sum(mono)) * prod(map(pow, A, mono))
+            for mono, coeff in self.terms.items()
+        )
 
-        With ``C`` the common denominator of the coefficients and ``top``
-        the largest monomial degree, the numerator is the integer sum of
-        ``C*coeff * A^mono * D^(top - deg mono)`` over the terms and the
-        denominator is ``C * D^top``; the ratio is not reduced.
-        """
-        top = max(map(sum, self.terms), default=0)
-        C = lcm(*(coeff.denominator for coeff in self.terms.values()))
-        total = 0
-        for mono, coeff in self.terms.items():
-            value = coeff.numerator * (C // coeff.denominator) * D ** (top - sum(mono))
-            for x, power in zip(A, mono):
-                if power:
-                    value *= x**power
-            total += value
-        return total, C * D**top
-
-    def as_pairs(self) -> tuple[tuple[Mono, Fraction], ...]:
+    def as_pairs(self) -> tuple[tuple[Mono, int], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
         return tuple(sorted(self.terms.items()))
 
@@ -370,8 +362,8 @@ class FormalQSeries:
         )
 
     def _collapse(self, D: int, A: Sequence[int]) -> list[tuple[int, int]]:
-        """The collapse at the point with ``D, A = _cleared(p)``, as integer
-        pairs ``(D*exponent, D^2*coefficient)``.
+        """The collapse at the point cleared to ``(D, A)``, as the integer
+        pairs ``(D*exponent, D^2*coefficient)`` of the module's scale.
 
         An exponent ``n`` is ``(n.A) / D`` and a coefficient vector ``v`` is
         ``(v.W) / D^2`` for the integer weights ``W = (D^2, D*A_i, A_s*A_t)``

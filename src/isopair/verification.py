@@ -155,8 +155,7 @@ def _check_graph() -> None:
     eight = codes_mod.selfdual_codes()
     edges = codes_mod.intersection_graph(eight)
     parts = codes_mod.orbit_partition(eight)
-    complete = frozenset(frozenset({i, j}) for i in parts[0] for j in parts[1])
-    if edges != complete:
+    if edges != codes_mod.complete_bipartite(parts):
         raise AssertionError(f"{len(edges)} edges, not the complete bipartite graph on the orbits")
 
 

@@ -59,11 +59,10 @@ VARIABLES = tuple(Poly({mono: 1}) for mono in UNIT_MONOS)
 
 def mono_vector(poly: ParamPolynomial) -> list:
     """A polynomial as the vector on ``MONOS`` that ``FormalQSeries`` takes: a
-    monomial outside ``MONOS`` raises ``ValueError`` (from ``MONOS.index``),
-    and a rational coefficient stays a Fraction, which the constructor refuses."""
+    monomial outside ``MONOS`` raises ``ValueError`` (from ``MONOS.index``)."""
     vector = [0] * len(MONOS)
     for mono, coeff in poly.terms.items():
-        vector[MONOS.index(mono)] = coeff.numerator if coeff.denominator == 1 else coeff
+        vector[MONOS.index(mono)] = coeff
     return vector
 
 

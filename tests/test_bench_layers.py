@@ -11,16 +11,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import isopair
 from isopair import run_verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
+# the children import the tree this process imported, as ``PYTHONPATH`` chose it
+SRC = Path(isopair.__file__).resolve().parents[1]
 
 
 def _child_rows(*job: str) -> list[dict]:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_layers.py"), "--child", *job],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)

@@ -22,11 +22,11 @@ from isopair import (
     rep_series,
     theta11,
 )
-from isopair.qarith import MONOS, exact
+from isopair.qarith import MONOS, _cleared, _sort_cleared, exact
 from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 
 from conftest import VARIABLES, Poly, admissible_samples, collapse_points, poly_series
-from conftest import fraction_collapse, fraction_evaluate, sigma
+from conftest import COPRIME, fraction_collapse, fraction_evaluate, sigma
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -133,19 +133,23 @@ _SYMS = sympy.symbols("a b c d")
 def to_sympy(poly: ParamPolynomial):
     return sympy.expand(
         sum(
-            sympy.Rational(coeff.numerator, coeff.denominator)
-            * sympy.prod(s**m for s, m in zip(_SYMS, mono))
+            coeff * sympy.prod(s**m for s, m in zip(_SYMS, mono))
             for mono, coeff in poly.terms.items()
         )
     )
 
 
 def random_poly(rng):
-    terms = {}
-    for _ in range(rng.randint(0, 5)):
-        mono = tuple(rng.randint(0, 1) for _ in range(4))
-        terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    return Poly(terms)
+    """Int coefficients on up to five monomials of degree at most two."""
+    return Poly({mono: rng.randint(-9, 9) for mono in rng.sample(MONOS, rng.randint(0, 5))})
+
+
+# points with coprime and with common denominators, and an integer point
+EVALUATION_POINTS = [
+    COPRIME,
+    ParamPoint(Fraction(3, 10), Fraction(7, 10), 2, Fraction(9, 10)),
+    SCHIEMANN,
+]
 
 
 class TestParamPolynomial:
@@ -183,24 +187,26 @@ class TestParamPolynomial:
             assert sympy.Rational(got.numerator, got.denominator) == expected
 
     def test_evaluate_matches_a_naive_fraction_product(self):
-        # fractional and negative coefficients on monomials of degree 0 to 2,
-        # at points with coprime and with common denominators
+        # negative coefficients on monomials of degree 0 to 2
         rng = random.Random(19)
-        points = [
-            ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4)),
-            ParamPoint(Fraction(3, 10), Fraction(7, 10), 2, Fraction(9, 10)),
-            SCHIEMANN,
-        ] + admissible_samples(20, 20)
+        points = EVALUATION_POINTS + admissible_samples(20, 20)
         for _ in range(100):
             monos = rng.sample(MONOS, rng.randint(1, 6))
-            poly = ParamPolynomial(
-                {m: Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for m in monos}
-            )
-            assert {sum(m) for m in poly.terms} <= {0, 1, 2}
+            poly = ParamPolynomial({m: rng.randint(-30, 30) for m in monos})
             for point in points:
                 got = poly.evaluate(point)
                 assert type(got) is Fraction
                 assert got == fraction_evaluate(poly, point), (poly, point)
+
+    def test_integer_evaluate_is_the_value_over_the_square_of_d(self):
+        rng = random.Random(20)
+        for _ in range(50):
+            poly = ParamPolynomial({m: rng.randint(-30, 30) for m in rng.sample(MONOS, 6)})
+            for point in EVALUATION_POINTS:
+                D, A = _cleared(point)
+                value = poly._evaluate(D, A)
+                assert type(value) is int
+                assert value == D * D * fraction_evaluate(poly, point), (poly, point)
 
     def test_exact_returns_a_fraction_unchanged(self):
         x = Fraction(-22, 7)
@@ -214,6 +220,17 @@ class TestParamPolynomial:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             ParamPolynomial({(0, 0, 0, 0): 0.5})
+
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(3)], ids=["half", "three"])
+    def test_rejects_fractions(self, coeff):
+        # a coefficient is an int, even where a Fraction's value is integral
+        with pytest.raises(TypeError, match="coefficient must be an int"):
+            ParamPolynomial({(1, 0, 0, 0): coeff})
+
+    @pytest.mark.parametrize("mono", [(1, 1, 1, 0), (0, 0, 0, 3)], ids=["abc", "d-cubed"])
+    def test_rejects_a_monomial_of_degree_three(self, mono):
+        with pytest.raises(ValueError, match="degree above two"):
+            ParamPolynomial({mono: 1})
 
     @pytest.mark.parametrize(
         "mono",
@@ -307,9 +324,9 @@ class TestFormalQSeries:
 
 
 class TestParamPoint:
-    def test_sorted_gives_the_increasing_chain(self):
+    def test_certify_sorts_into_the_increasing_chain(self):
         for p in (ParamPoint(1, 2, 3, 4), ParamPoint(1, 1, 2, 3), ParamPoint(2, 1, 3, 4)):
-            a, b, c, d = p.sorted()[0]
+            a, b, c, d = certify(p).sorted_params
             assert a <= b <= c <= d
             # a strict chain is what certify needs to decide the pair
             assert (a < b < c < d) is (certify(p).verdict is Verdict.NON_ISOMETRIC)
@@ -342,21 +359,22 @@ class TestParamPoint:
             with pytest.raises(ValueError, match="four non-negative integers"):
                 ParamPolynomial({mono: 1})
 
-    def test_sorted_is_the_point_of_the_sorted_values(self):
+    def test_sort_cleared_gives_the_point_of_the_sorted_values(self):
         rng = random.Random(23)
         for _ in range(100):
             values = [Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(4)]
-            ordered, perm = ParamPoint(*values).sorted()
+            ordered, perm, D, A = _sort_cleared(ParamPoint(*values))
             assert type(ordered) is ParamPoint
             assert ordered == ParamPoint(*sorted(values))
             assert tuple(values[i] for i in perm) == ordered
+            assert (D, A) == _cleared(ordered)
 
-    def test_sorted(self):
+    def test_certify_records_the_permutation(self):
         p = ParamPoint(19, 7, 1, 13)
-        ordered, perm = p.sorted()
-        assert ordered == SCHIEMANN
-        assert perm == (2, 1, 3, 0)
-        assert tuple(p[i] for i in perm) == ordered
+        cert = certify(p)
+        assert cert.sorted_params == SCHIEMANN
+        assert cert.permutation == (2, 1, 3, 0)
+        assert tuple(p[i] for i in cert.permutation) == cert.sorted_params
 
 
 COLLAPSE_POINTS = collapse_points(6, 200)

@@ -20,7 +20,8 @@ import pytest
 
 import isopair
 
-SRC = Path(isopair.__file__).resolve().parent.parent
+# children import the tree this process imported, as ``PYTHONPATH`` chose it
+SRC = Path(isopair.__file__).resolve().parents[1]
 
 # modules are compared against those loaded before the import, since the
 # interpreter's site set-up may load some of them already

@@ -201,10 +201,10 @@ def _certify_time(budget: int) -> list[dict]:
 
 
 def _collapse_time(budget: int) -> list[dict]:
-    from isopair import delta_series
+    from isopair import ParamPoint, delta_series
 
     series = delta_series(budget)
-    points = [point.sorted()[0] for point in _points()]
+    points = [ParamPoint(*sorted(values)) for values in _values()]
     series.collapse(points[0])
     seconds = []
     for point in points[1:]:
