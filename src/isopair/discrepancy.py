@@ -43,7 +43,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
 
 from .lattices import (
     ALL_LABELS,
@@ -86,7 +85,7 @@ from .theta import Kernel, pair_series, theta11
 # 0.04 ms); collapsing the whole series per point was then more than half of
 # the 0.28 ms left (42 terms at budget 40, 210 at budget 80).  With it a
 # warm certify is one collapse of the two-term head and one evaluation per
-# term, in integers on the point's cleared denominators: about 0.026 ms at
+# term, in integers on the point's cleared denominators: about 0.017 ms at
 # budget 40 or 80 (``tools/bench_layers.py``, calibrated medians).
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
@@ -425,14 +424,15 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     its work does not grow with the budget.  The point is cleared and
     sorted once per call (``_sort_cleared``), and every step after that,
     both checks included, is integer work on the scale of the ``qarith``
-    module; Fractions are built only for the certificate's outputs.  Ties
-    are resolved by summing coefficients at the common collapsed exponent;
-    each certificate term's polynomial is evaluated once, from its own
-    monomials rather than the collapse's ``MONOS`` weights, so the total
-    check compares two computations.  A budget that is not an ``int``, a
-    route that is not a ``Route`` or a point that is not a ``ParamPoint``
-    raises ``TypeError``, in that order, before any other check and before
-    any cache is read.
+    module; Fractions are built only for the certificate's outputs, and a
+    one-term certificate's total is its term's value, which the total check
+    has just proved equal.  Ties are resolved by summing coefficients at the
+    common collapsed exponent; each certificate term's polynomial is
+    evaluated once, from its own monomials rather than the collapse's
+    ``MONOS`` weights, so the total check compares two computations.  A
+    budget that is not an ``int``, a route that is not a ``Route`` or a
+    point that is not a ``ParamPoint`` raises ``TypeError``, in that order,
+    before any other check and before any cache is read.
     """
     check_budget(budget)
     check_route(route)
@@ -443,34 +443,36 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
             f"certification needs budget >= {MIN_PAIR_BUDGET} to cover the minimal pair table"
         )
     ordered, permutation, D, A = _sort_cleared(p)
-    leading = {}
-    if len(set(A)) == 4:
-        head, rows = _leading_data(budget, route)
-        # rows keyed by D times their collapsed exponent, the integer e.A
-        by_key: dict[int, list[tuple[Expo, ParamPolynomial]]] = {}
-        for exponent, poly in rows:
-            by_key.setdefault(sum(map(mul, exponent, A)), []).append((exponent, poly))
+    a0, a1, a2, a3 = A
+    if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
+        return Certificate(tuple(p), tuple(ordered), permutation, budget)
+    head, rows = _leading_data(budget, route)
+    # rows keyed by D times their collapsed exponent, the integer e.A
+    by_key: dict[int, list[tuple[Expo, ParamPolynomial]]] = {}
+    for row in rows:
+        n0, n1, n2, n3 = row[0]
+        by_key.setdefault(n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3, []).append(row)
 
-        min_key = min(by_key)
-        # (D * exponent, D^2 * coefficient) pairs
-        collapsed = head._collapse(D, A)
-        if not collapsed or collapsed[0][0] != min_key:
-            raise AssertionError("collapsed series does not lead at the minimal pair exponent")
+    min_key = min(by_key)
+    # (D * exponent, D^2 * coefficient) pairs
+    collapsed = head._collapse(D, A)
+    if not collapsed or collapsed[0][0] != min_key:
+        raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-        leaders = by_key[min_key]
-        # the terms' values, integers over D^2 as the head's coefficient is
-        values = [poly._evaluate(D, A) for _, poly in leaders]
-        if collapsed[0][1] != sum(values):
-            raise AssertionError("leading coefficient does not match the certificate terms")
-        # ``_collapse`` drops zero sums, so the checked total is nonzero
-        square = D * D
-        terms = tuple(
-            CertTerm(e, poly, Fraction(value, square)) for (e, poly), value in zip(leaders, values)
-        )
-        leading = dict(
-            min_exponent=Fraction(min_key, D),
-            terms=terms,
-            total=Fraction(collapsed[0][1], square),
-            verdict=Verdict.NON_ISOMETRIC,
-        )
-    return Certificate(tuple(p), tuple(ordered), permutation, budget, **leading)
+    leaders = by_key[min_key]
+    # the terms' values, integers over D^2 as the head's coefficient is
+    values = [poly._evaluate(D, A) for _, poly in leaders]
+    coefficient = collapsed[0][1]
+    if coefficient != sum(values):
+        raise AssertionError("leading coefficient does not match the certificate terms")
+    # ``_collapse`` drops zero sums, so the checked total is nonzero
+    square = D * D
+    terms = tuple(
+        CertTerm(e, poly, Fraction(value, square)) for (e, poly), value in zip(leaders, values)
+    )
+    # the check above proved a single term's value equal to the total
+    total = terms[0].value if len(terms) == 1 else Fraction(coefficient, square)
+    return Certificate(
+        tuple(p), tuple(ordered), permutation, budget,
+        Fraction(min_key, D), terms, total, Verdict.NON_ISOMETRIC,
+    )

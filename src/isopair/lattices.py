@@ -105,7 +105,8 @@ class Lattice:
         gens = tuple(tuple(g) for g in generators)
         if len(gens) != 4 or any(len(g) != 4 for g in gens):
             raise ValueError("need four integer 4-vectors")
-        if not all(isinstance(x, int) for g in gens for x in g):
+        # ``type`` refuses ``True`` as an entry, as ``check_expo`` does
+        if any(type(x) is not int for g in gens for x in g):
             raise TypeError(f"generator entries must be integers, got {gens!r}")
         self.name = name
         self.generators = gens
@@ -119,7 +120,7 @@ class Lattice:
         rest = list(v)
         if len(rest) != 4:
             raise ValueError(f"need an integer 4-vector, got {tuple(rest)!r}")
-        if not all(isinstance(x, int) for x in rest):
+        if any(type(x) is not int for x in rest):
             raise TypeError(f"vector entries must be integers, got {tuple(rest)!r}")
         for i, row in enumerate(self.hnf):
             c, r = divmod(rest[i], row[i])

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
@@ -98,8 +98,10 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
     __slots__ = ()
 
     def __new__(cls, a, b, c, d):
-        self = super().__new__(cls, exact(a), exact(b), exact(c), exact(d))
-        if any(x.numerator <= 0 for x in self):  # a Fraction's denominator is positive
+        a, b, c, d = exact(a), exact(b), exact(c), exact(d)
+        self = tuple.__new__(cls, (a, b, c, d))
+        # a Fraction's denominator is positive
+        if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0 or d.numerator <= 0:
             raise ValueError(f"parameters must be positive, got {self}")
         return self
 
@@ -111,9 +113,15 @@ def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
     """The common denominator ``D`` of a point's coordinates and the integer
     numerators ``A = D*p``: the coordinates of ``A`` order and coincide as
     the point's do, and a linear form ``e.p`` is ``(e.A) / D``."""
-    denominators = [x.denominator for x in p]
-    D = lcm(*denominators)
-    return D, [x.numerator * (D // q) for x, q in zip(p, denominators)]
+    a, b, c, d = p
+    qa, qb, qc, qd = a.denominator, b.denominator, c.denominator, d.denominator
+    D = lcm(qa, qb, qc, qd)
+    return D, [
+        a.numerator * (D // qa),
+        b.numerator * (D // qb),
+        c.numerator * (D // qc),
+        d.numerator * (D // qd),
+    ]
 
 
 def _sort_cleared(
@@ -130,9 +138,10 @@ def _sort_cleared(
     ``_evaluate``.
     """
     D, A = _cleared(p)
-    order = tuple(sorted(range(4), key=A.__getitem__))
+    i, j, k, m = order = tuple(sorted(range(4), key=A.__getitem__))
     # the coordinates were checked when ``p`` was built
-    return tuple.__new__(ParamPoint, [p[i] for i in order]), order, D, [A[i] for i in order]
+    ordered = tuple.__new__(ParamPoint, (p[i], p[j], p[k], p[m]))
+    return ordered, order, D, [A[i], A[j], A[k], A[m]]
 
 
 def check_expo(e) -> Expo:
@@ -199,10 +208,11 @@ class ParamPolynomial:
         """The value at the point cleared to ``(D, A)``, as the integer over
         ``D^2`` of the module's scale: the sum of
         ``coeff * A^mono * D^(2 - deg mono)`` over the terms."""
-        return sum(
-            coeff * D ** (2 - sum(mono)) * prod(map(pow, A, mono))
-            for mono, coeff in self.terms.items()
-        )
+        a0, a1, a2, a3 = A
+        total = 0
+        for (n0, n1, n2, n3), coeff in self.terms.items():
+            total += coeff * D ** (2 - n0 - n1 - n2 - n3) * a0**n0 * a1**n1 * a2**n2 * a3**n3
+        return total
 
     def as_pairs(self) -> tuple[tuple[Mono, int], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
@@ -370,10 +380,18 @@ class FormalQSeries:
         of ``MONOS``, so the keys ``n.A`` merge and order as the exponents
         do.  Sorted by key, zero sums dropped.
         """
-        weights = (D * D, *(D * x for x in A), *(A[s] * A[t] for s, t in QUAD_SLOTS))
+        a0, a1, a2, a3 = A
+        # in ``MONOS`` order: 1, the four p_i, then ``QUAD_SLOTS``
+        weights = (
+            D * D, D * a0, D * a1, D * a2, D * a3,
+            a0 * a0, a0 * a1, a0 * a2, a0 * a3,
+            a1 * a1, a1 * a2, a1 * a3,
+            a2 * a2, a2 * a3,
+            a3 * a3,
+        )
         merged: dict[int, int] = {}
-        for e, v in self.terms.items():
-            key = e[0] * A[0] + e[1] * A[1] + e[2] * A[2] + e[3] * A[3]
+        for (n0, n1, n2, n3), v in self.terms.items():
+            key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
             merged[key] = merged.get(key, 0) + sum(map(mul, weights, v))
         return sorted(filter(itemgetter(1), merged.items()))
 

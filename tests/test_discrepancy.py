@@ -1,7 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import prod
+from math import floor, isqrt, prod
 
 import pytest
 
@@ -26,6 +26,7 @@ from isopair import (
     minimal_rows,
     minimal_vectors,
     phi,
+    psi,
     rep_series,
     run_verification,
     theta11,
@@ -693,3 +694,83 @@ class TestAlternating:
     @pytest.mark.parametrize("budget", [40, 80])
     def test_collapse_vanishes_at_repeated_parameters(self, coords, budget):
         assert delta_series(budget).collapse(ParamPoint(*coords)) == ()
+
+
+def ellipsoid_shell(lattice: Lattice, p: ParamPoint, bound: Fraction) -> list:
+    """The vectors ``v`` of the lattice with ``a*v0^2 + b*v1^2 + c*v2^2 +
+    d*v3^2 <= bound`` at ``p = (a, b, c, d)`` (Fincke & Pohst 1985): for a
+    diagonal Gram matrix the integer points of the ellipsoid follow from
+    nested ``isqrt`` bounds on one coordinate after another, and membership
+    filters them."""
+    out = []
+
+    def walk(prefix, rest):
+        if len(prefix) == 4:
+            if lattice.contains(prefix):
+                out.append(prefix)
+            return
+        x = p[len(prefix)]
+        r = isqrt(floor(rest / x))
+        for v in range(-r, r + 1):
+            walk(prefix + (v,), rest - x * v * v)
+
+    walk((), bound)
+    return out
+
+
+def ellipsoid_discrepancy(p: ParamPoint, bound: Fraction) -> dict:
+    """The discrepancy at a sorted point, up to the exponent ``bound``: 1/8 of
+    ``<l,k>^2 - <psi l,psi k>^2`` summed in Fractions over the ordered pairs
+    of L1 with ``norm(l) + norm(k) <= bound``, as exponent -> nonzero
+    coefficient.  It reads neither the suffix order nor a budget."""
+    shell = ellipsoid_shell(build_family().L1, p, bound)
+
+    def inner(v, w):
+        return sum(x * s * t for x, s, t in zip(p, v, w))
+
+    norms = {v: inner(v, v) for v in shell}
+    images = {v: psi(v) for v in shell}
+    coefficients: dict = {}
+    for l in shell:
+        for k in shell:
+            x = norms[l] + norms[k]
+            if x <= bound:
+                kernel = inner(l, k) ** 2 - inner(images[l], images[k]) ** 2
+                coefficients[x] = coefficients.get(x, 0) + kernel
+    return {x: c / 8 for x, c in coefficients.items() if c}
+
+
+# Schiemann's point and two more lie on the tie 5b + d = 15a + 3c, where both
+# leading rows collapse to one exponent
+ELLIPSOID_POINTS = {
+    "schiemann": SCHIEMANN,
+    "coprime": COPRIME,
+    "hundredth": ParamPoint(Fraction(1, 100), 1, 2, 3),
+    "thousandth": ParamPoint(Fraction(1, 1000), 1, Fraction(1001, 1000), 2),
+    "tie-integer": ParamPoint(1, 2, 3, 14),
+    "tie-rational": ParamPoint(Fraction(1, 2), 1, Fraction(5, 3), Fraction(15, 2)),
+}
+
+
+class TestEllipsoidOracle:
+    """The certificate's claim checked pointwise by enumeration: below its
+    minimal exponent the discrepancy has no term, and at it the coefficient
+    is the certificate's total."""
+
+    @pytest.mark.parametrize("name", sorted(ELLIPSOID_POINTS))
+    def test_certificate_matches_the_ellipsoid_sum(self, name):
+        p = ELLIPSOID_POINTS[name]
+        cert = certify(p, 40)
+        assert cert.verdict is Verdict.NON_ISOMETRIC
+        a, b, c, d = point = ParamPoint(*cert.sorted_params)
+        assert len(cert.terms) == (2 if 5 * b + d == 15 * a + 3 * c else 1)
+        bound = cert.min_exponent
+        assert ellipsoid_discrepancy(point, bound) == {bound: cert.total}
+
+    def test_shell_matches_the_budget_scan_at_schiemann(self):
+        # at (1, 7, 13, 19) every vector of norm at most 144 has a
+        # coordinate-square sum of at most 144
+        shell = ellipsoid_shell(build_family().L1, SCHIEMANN, Fraction(144))
+        scan = build_family().L1.vectors(144)
+        norms = [sum(x * s * s for x, s in zip(SCHIEMANN, v)) for v in scan]
+        assert shell == [v for v, n in zip(scan, norms) if n <= 144] and len(shell) == 23

@@ -325,7 +325,7 @@ class TestContains:
     def test_rejects_non_integer_generators(self):
         # no silent truncation: int(1.9) would give the unit lattice
         unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for bad in (1.9, Fraction(3, 2), Fraction(1), "1"):
+        for bad in (1.9, Fraction(3, 2), Fraction(1), "1", True):
             with pytest.raises(TypeError):
                 Lattice(((bad, 0, 0, 0),) + unit[1:])
 
@@ -334,6 +334,7 @@ class TestContains:
 MALFORMED = {
     "five entries": ((-1, 3, -1, 1, 5), ValueError),
     "float entry": ((-1.0, 3, -1, 1), TypeError),
+    "bool entry": ((-1, 3, -1, True), TypeError),
     "three entries": ((-1, 3, -1), ValueError),
 }
 

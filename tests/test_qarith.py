@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import pytest
 import sympy
@@ -503,3 +505,100 @@ class TestIntegerForm:
         for budget in (2.5, 4.0, True):
             with pytest.raises(TypeError, match="budget must be an int"):
                 FormalQSeries(budget, {self.E: (1, *REST)})
+
+
+# points for the integer primitives at a point: an integer point, COPRIME in
+# two orders, denominators near 1000, and repeated values, whose cleared
+# numerators tie after sorting
+PRIMITIVE_POINTS = {
+    "schiemann": SCHIEMANN,
+    "coprime": COPRIME,
+    "coprime-reversed": ParamPoint(*reversed(COPRIME)),
+    "near-1000": ParamPoint(
+        Fraction(1000, 991), Fraction(1, 997), Fraction(999, 1000), Fraction(500, 999)
+    ),
+    "thousandth": ParamPoint(Fraction(1, 1000), 1, Fraction(1001, 1000), 2),
+    "repeated": ParamPoint(Fraction(7, 2), 1, Fraction(14, 4), 9),
+    "tied-pairs": ParamPoint(3, Fraction(2, 3), 3, Fraction(4, 6)),
+    "all-equal": ParamPoint(2, 2, 2, 2),
+}
+PRIMITIVE_IDS = sorted(PRIMITIVE_POINTS)
+
+
+def single_monomials():
+    """One polynomial per monomial of ``MONOS`` (degree 0, 1 and 2), each
+    with a coefficient of its own sign and size."""
+    return [ParamPolynomial({m: (-1) ** i * (i + 2)}) for i, m in enumerate(MONOS)]
+
+
+# a product built by the test-side arithmetic of ``conftest.Poly``, which
+# makes polynomials through ``__new__`` and sets only ``terms``
+A_TIMES_B_MINUS_C = A * B - 3 * C + Poly({(0, 0, 0, 0): 5})
+
+
+class TestPointPrimitives:
+    """``_cleared``, ``_sort_cleared``, ``_evaluate`` and ``_collapse``
+    against the Fraction oracles of ``conftest``."""
+
+    @pytest.mark.parametrize("name", PRIMITIVE_IDS)
+    def test_cleared_is_the_least_common_denominator(self, name):
+        p = PRIMITIVE_POINTS[name]
+        D, A = _cleared(p)
+        assert type(D) is int and all(type(x) is int for x in A)
+        assert [Fraction(x, D) for x in A] == list(p)
+        # D clears every coordinate, and no proper divisor of D does
+        assert D > 0 and gcd(D, *A) == 1
+
+    @pytest.mark.parametrize("name", PRIMITIVE_IDS)
+    def test_sort_cleared_sorts_stably(self, name):
+        p = PRIMITIVE_POINTS[name]
+        ordered, perm, D, A = _sort_cleared(p)
+        # Python's sort is stable: tied coordinates keep their positions' order
+        assert perm == tuple(sorted(range(4), key=p.__getitem__))
+        assert type(ordered) is ParamPoint and ordered == tuple(sorted(p))
+        assert (D, A) == _cleared(ordered) and A == sorted(A)
+
+    def test_tied_numerators_keep_their_positions_order(self):
+        ordered, perm, D, A = _sort_cleared(PRIMITIVE_POINTS["tied-pairs"])
+        assert perm == (1, 3, 0, 2)
+        assert (D, A) == (3, [2, 2, 9, 9])
+        assert ordered == (Fraction(2, 3), Fraction(2, 3), 3, 3)
+
+    @pytest.mark.parametrize("name", PRIMITIVE_IDS)
+    def test_evaluate_matches_the_fraction_oracle(self, name):
+        p = PRIMITIVE_POINTS[name]
+        D, A = _cleared(p)
+        rng = random.Random(name)
+        polys = single_monomials() + [
+            ParamPolynomial({m: rng.randint(-99, 99) for m in rng.sample(MONOS, k)})
+            for k in (2, 5, 15)
+        ]
+        for poly in polys + [ParamPolynomial(), A_TIMES_B_MINUS_C]:
+            value = poly._evaluate(D, A)
+            assert type(value) is int
+            assert Fraction(value, D * D) == fraction_evaluate(poly, p), poly
+
+    @pytest.mark.parametrize("name", PRIMITIVE_IDS)
+    def test_collapse_matches_the_fraction_oracle(self, name):
+        p = PRIMITIVE_POINTS[name]
+        D, A = _cleared(p)
+        # each monomial alone at one of the fifteen nonzero 0/1 exponents,
+        # several of which merge where coordinates tie
+        exponents = list(product(range(2), repeat=4))[1:]
+        monomials = poly_series(4, dict(zip(exponents, single_monomials())))
+        assert len(monomials) == len(MONOS)
+        for series in (monomials, *map(oracle_series().get, ("delta-40", "random-degree-two"))):
+            collapsed = series._collapse(D, A)
+            assert all(type(k) is int and type(v) is int for k, v in collapsed)
+            fractions = tuple((Fraction(k, D), Fraction(v, D * D)) for k, v in collapsed)
+            assert fractions == fraction_collapse(series, p)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [0, -3, "-1/2"], ids=["zero", "negative", "negative-half"])
+    def test_param_point_refuses_a_nonpositive_coordinate_anywhere(self, position, bad):
+        values = [Fraction(1, 2), 2, 3, 4]
+        values[position] = bad
+        shown = re.escape("(" + ", ".join(str(Fraction(x)) for x in values) + ")")
+        with pytest.raises(ValueError, match=rf"^parameters must be positive, got {shown}$"):
+            ParamPoint(*values)
+

@@ -50,8 +50,8 @@ hits both labels alike instead of reading as a difference.  The rows:
   ratio of their medians is this file's noise floor: a per-layer
   difference inside it is not resolved.
 
-The theta and delta rows time the median of ``CALLS`` calls within one
-process, so that a row is not one call's millisecond-scale noise.  The
+The theta, delta and null rows time the median of ``CALLS`` calls within
+one process, so that a row is not one call's millisecond-scale noise.  The
 anchor and ``certify_first`` rows measure one-time costs (the code census
 and the caches a budget fills), which a second call in the same process
 would not pay, so they stay one call per fresh process.  Each job runs in
@@ -60,13 +60,16 @@ its own process; each row reports, per label, the median and quartiles of
 
 On a shared machine the speed drifts by up to a fifth within seconds, so
 every timing is also rescaled to a reference speed with
-``perfbench/calibrate.py``: a child job runs its calibration workload before
-and after its timed work and scales each of its rows by
-``scale(before, after)``, and ``_run`` does the same around the
-``cli.import``, ``cli.certify_process`` and ``cli.verify_process``
-processes it starts.  A row keeps its raw ``median_s``, ``q1_s``, ``q3_s``
-and ``runs_s`` and adds the calibrated ``calibrated_median_s``,
-``calibrated_q1_s`` and ``calibrated_q3_s``.
+``perfbench/calibrate.py``.  The theta, delta and null rows calibrate
+between their calls and scale each call by ``scale(before, after)`` of the
+calibrations on either side of it before taking the median
+(``_median_row``), so a call is rescaled by the speed of the stretch it ran
+in.  Every other child job runs its calibration workload before and after
+its timed work and scales each of its rows by ``scale(before, after)``, and
+``_run`` does the same around the ``cli.import``, ``cli.certify_process``
+and ``cli.verify_process`` processes it starts.  A row keeps its raw
+``median_s``, ``q1_s``, ``q3_s`` and ``runs_s`` and adds the calibrated
+``calibrated_median_s``, ``calibrated_q1_s`` and ``calibrated_q3_s``.
 
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
@@ -135,22 +138,31 @@ def _anchor_times() -> list[dict]:
     return rows
 
 
-def _median_time(call, before=lambda: None) -> float:
-    seconds = []
+def _median_row(layer: str, budget: int | None, call, before=lambda: None) -> dict:
+    """A row of the median of ``CALLS`` calls, raw and calibrated.  The
+    speed is calibrated between calls, as ``perfbench/run.py``'s
+    ``Speed.step`` calibrates between operations, and each call is scaled by
+    the calibrations on either side of it before the median is taken."""
+    seconds, calibrated = [], []
+    last = calibrate()
     for _ in range(CALLS):
         before()
         start = time.perf_counter()
         call()
         seconds.append(time.perf_counter() - start)
-    return statistics.median(seconds)
+        after = calibrate()
+        calibrated.append(seconds[-1] * scale(last, after))
+        last = after
+    return {"layer": layer, "budget": budget, "seconds": statistics.median(seconds),
+            "calibrated_s": statistics.median(calibrated)}
 
 
 def _theta_time(kernel: str, budget: int) -> list[dict]:
     from isopair import Kernel, build_family, theta11
 
     lattice = build_family().L1
-    seconds = _median_time(lambda: theta11(lattice, budget, Kernel(kernel)))
-    return [{"layer": f"theta.theta11_{kernel}", "budget": budget, "seconds": seconds}]
+    return [_median_row(f"theta.theta11_{kernel}", budget,
+                        lambda: theta11(lattice, budget, Kernel(kernel)))]
 
 
 def _delta_time(route: str, budget: int) -> list[dict]:
@@ -162,8 +174,8 @@ def _delta_time(route: str, budget: int) -> list[dict]:
         discrepancy.class_pair_series.cache_clear()
 
     build_family()
-    seconds = _median_time(lambda: delta_series(budget, Route(route)), clear)
-    return [{"layer": f"discrepancy.delta_{route}", "budget": budget, "seconds": seconds}]
+    return [_median_row(f"discrepancy.delta_{route}", budget,
+                        lambda: delta_series(budget, Route(route)), clear)]
 
 
 def _values() -> list[tuple[Fraction, ...]]:
@@ -236,7 +248,7 @@ def _null_time() -> list[dict]:
             acc[i % 97] = acc.get(i % 97, 0) + i * i
         return acc
 
-    return [{"layer": "null.fixed_work", "budget": None, "seconds": _median_time(work)}]
+    return [_median_row("null.fixed_work", None, work)]
 
 
 def _jobs() -> list[list[str]]:
@@ -252,8 +264,10 @@ def _jobs() -> list[list[str]]:
 
 
 def _calibrated(rows: list[dict], before: float) -> list[dict]:
+    """The rows with ``calibrated_s`` scaled by the calibrations around the
+    whole job, except where a row calibrated its calls itself."""
     factor = scale(before, calibrate())
-    return [dict(row, calibrated_s=row["seconds"] * factor) for row in rows]
+    return [{"calibrated_s": row["seconds"] * factor, **row} for row in rows]
 
 
 def _child(job: list[str]) -> list[dict]:
