@@ -80,13 +80,13 @@ from .theta import Kernel, pair_series, theta11
 # coefficient polynomials, and the head of the series, its two terms at
 # those rows; a check made once per entry shows that every other term lies
 # strictly above a row, so no point needs the rest.  None of it depends on
-# the point, yet rebuilding it was about 0.5 ms of a 0.9 ms warm certify at
-# budget 40 (pair table 0.3-0.4 ms, ``delta_series`` 0.06 ms, row check
-# 0.04 ms); collapsing the whole series per point was then more than half of
-# the 0.28 ms left (42 terms at budget 40, 210 at budget 80).  With it a
-# warm certify is one collapse of the two-term head and one evaluation per
-# term, in integers on the point's cleared denominators: about 0.017 ms at
-# budget 40 or 80 (``tools/bench_layers.py``, calibrated medians).
+# the point, and each part of it costs more per point than a warm certify
+# does: the pair table 0.3-0.4 ms, ``delta_series`` 0.06 ms, the row check
+# 0.04 ms, and collapsing the whole series 0.15 ms at budget 40 (42 terms)
+# and 0.75 ms at budget 80 (210 terms, ``qarith.collapse``).  With it a warm
+# certify is one collapse of the two-term head and one evaluation per term,
+# in integers on the point's cleared denominators: about 0.018 ms at budget
+# 40 or 80 (``certify_warm`` in ``BENCH_pr20.json``, calibrated medians).
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
@@ -299,7 +299,7 @@ def minimal_pair_table(budget: int) -> tuple[PairRow, ...]:
     """All exponent candidates from pairs of minimal vectors in distinct
     classes, with the global numbering: class representatives keep their
     class index 0..3, further minimal vectors get 4, 5, ... in class order."""
-    if budget < MIN_PAIR_BUDGET:
+    if check_budget(budget) < MIN_PAIR_BUDGET:
         raise ValueError(
             f"pair table needs budget >= {MIN_PAIR_BUDGET} to see every minimal vector"
         )

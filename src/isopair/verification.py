@@ -65,7 +65,7 @@ from .lattices import (
     from_standard,
     psi,
 )
-from .qarith import ParamPoint
+from .qarith import ParamPoint, check_budget
 from .theta import defining_coeffs, pairwise_coeffs, rep_series
 
 LEADING_EXPONENTS = ((10, 10, 2, 2), (25, 5, 5, 1))
@@ -358,8 +358,9 @@ def _check_leading(budget: int) -> None:
 
 
 def run_verification(budget: int) -> list[AnchorResult]:
-    """Run every anchor; raises if the budget is below the sound threshold."""
-    if budget < MIN_PAIR_BUDGET:
+    """Run every anchor; raises ``TypeError`` for a budget that is not an
+    ``int`` and ``ValueError`` for one below the sound threshold."""
+    if check_budget(budget) < MIN_PAIR_BUDGET:
         raise ValueError(f"verification budget must be at least {MIN_PAIR_BUDGET}, got {budget}")
     checks = (
         ("code census", _check_code_census),

@@ -1,15 +1,21 @@
-"""``tools/bench_layers.py`` times each verification anchor by wrapping
-``verification._result``, the call that runs an anchor's check; its anchors
-job must keep producing one calibrated row per anchor, in the order
+"""``tools/bench_layers.py`` times every row one way, ``_rows``: the median
+of timed passes, each sample scaled by the calibrations on either side of
+its own pass.  Its anchors job times each verification anchor by wrapping
+``verification._result``, the call that runs an anchor's check, and must
+keep producing one calibrated row per anchor, in the order
 ``run_verification`` runs them.  Its ``param_point`` job times building a
-``ParamPoint``, which no other row covers, and its ``null`` job times a
-fixed workload that gives the file's noise floor."""
+``ParamPoint``, which no other row covers, its ``certify`` and ``collapse``
+jobs time the per-point work, and its ``null`` job times a fixed workload
+that gives the file's noise floor."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import isopair
 from isopair import run_verification
@@ -18,11 +24,20 @@ from isopair.discrepancy import MIN_PAIR_BUDGET
 ROOT = Path(__file__).resolve().parent.parent
 # the children import the tree this process imported, as ``PYTHONPATH`` chose it
 SRC = Path(isopair.__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_layers.py"
+
+
+@pytest.fixture
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _child_rows(*job: str) -> list[dict]:
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "bench_layers.py"), "--child", *job],
+        [sys.executable, str(TOOL), "--child", *job],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120, check=True,
     )
@@ -49,3 +64,42 @@ def test_null_job_gives_one_calibrated_row():
     (row,) = _child_rows("null")
     assert row["layer"] == "null.fixed_work" and row["budget"] is None
     assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+def test_rows_scale_each_sample_by_its_own_pass(bench, monkeypatch):
+    log = []
+    calibrations = iter([1.0, 2.0, 3.0, 4.0])
+
+    def calibrate():
+        log.append("calibrate")
+        return next(calibrations)
+
+    def run_pass():
+        log.append("pass")
+        k = log.count("pass")
+        return [("b", float(k))] + {1: [("a", 5.0)], 3: [("c", 7.0)]}.get(k, [])
+
+    monkeypatch.setattr(bench, "calibrate", calibrate)
+    # a factor that names its two calibrations: 102, 203 and 304 for the passes
+    monkeypatch.setattr(bench, "scale", lambda before, after: 100 * before + after)
+    rows = bench._rows(40, run_pass, passes=3, before=lambda: log.append("before"))
+    assert log == ["calibrate"] + ["before", "pass", "calibrate"] * 3
+    assert rows == [
+        {"layer": "b", "budget": 40, "seconds": 2.0, "calibrated_s": 2.0 * 203},
+        {"layer": "a", "budget": 40, "seconds": 5.0, "calibrated_s": 5.0 * 102},
+        {"layer": "c", "budget": 40, "seconds": 7.0, "calibrated_s": 7.0 * 304},
+    ]
+
+
+@pytest.mark.parametrize(
+    "job, layers",
+    [(("certify", "40"), ["discrepancy.certify_first", "discrepancy.certify_warm"]),
+     (("collapse", "40"), ["qarith.collapse"])],
+    ids=" ".join,
+)
+def test_per_point_jobs_give_calibrated_rows(job, layers):
+    rows = _child_rows(*job)
+    assert [row["layer"] for row in rows] == layers
+    for row in rows:
+        assert row["budget"] == 40
+        assert row["seconds"] > 0 and row["calibrated_s"] > 0

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -370,6 +371,13 @@ class TestMinimalPairTable:
                     for p in samples
                 )
                 assert above_first or above_second or sigma_above, (l, k, e)
+
+
+@pytest.mark.parametrize("budget", ["36", None, True], ids=repr)
+@pytest.mark.parametrize("entry", [run_verification, minimal_pair_table], ids=lambda f: f.__name__)
+def test_budget_type_checked_before_the_threshold(entry, budget):
+    with pytest.raises(TypeError, match=rf"^budget must be an int, got {re.escape(repr(budget))}$"):
+        entry(budget)
 
 
 class TestCertify:

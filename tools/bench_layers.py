@@ -6,70 +6,68 @@ BENCH_<tag>.json file.
 Every row is timed in fresh interpreter processes that import ``isopair``
 from ``DIR/src`` (label ``parent``, a checkout of the parent commit) or from
 this checkout's ``src`` (label ``change``), so both commits are measured by
-the same script.  For each repeat and each row the two labels run back to
-back, in alternating order, so drift of the machine's speed during the run
-hits both labels alike instead of reading as a difference.  The rows:
+the same script.  Each job runs in a child process of its own.  For each
+repeat and each job the two labels run back to back, in alternating order,
+so drift of the machine's speed during the run hits both labels alike
+instead of reading as a difference.
+
+Every row is timed one way, by ``_rows``.  A job runs a *pass* several
+times and runs the calibration workload of ``perfbench/calibrate.py``
+before the first pass and after each one.  A pass returns ``(layer,
+seconds)`` samples, and each sample is rescaled to a reference machine
+speed by ``scale(before, after)`` of the calibrations on either side of its
+own pass, so it is rescaled by the speed of the stretch it ran in (on a
+shared machine the speed drifts by up to a fifth within seconds).  A job's
+row for a layer is the median of its raw samples and the median of its
+calibrated ones over all passes.  The rows, and what one pass is:
 
 * ``verify.<anchor>``: each anchor of ``run_verification(36)``, in the order
   and cache state a cold ``isopair verify --budget 36`` process meets them.
-  An anchor's time is the call ``verification._result(name, check)`` that
-  runs its check; the job wraps ``_result`` to time each call.  The
-  cyclic garbage collector is off in this job from before it calibrates and
-  imports ``isopair``: with it on, each anchor row absorbs whichever collection
-  happens to fall inside it, so an anchor whose code did not change reads
-  slower when the modules imported at start-up change (``verify.code
-  census`` read 7.7 -> 9.0 ms in ``BENCH_pr11.json`` that way);
-* ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36;
+  One pass of ``run_verification``, which times each call
+  ``verification._result(name, check)`` that runs an anchor's check.  An
+  anchor measures one-time costs (the code census and the caches the budget
+  fills) that a second run in the same process would not pay, so the job
+  makes one pass.  The cyclic garbage collector is off in this job from
+  before it calibrates and imports ``isopair``: with it on, each anchor row
+  absorbs whichever collection happens to fall inside it, so an anchor
+  whose code did not change reads slower when the modules imported at
+  start-up change (``verify.code census`` read 7.7 -> 9.0 ms in
+  ``BENCH_pr11.json`` that way);
+* ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
-  alone at budgets 40, 80 and 160.  The labelled shell and the class series
-  are cleared before each call, so every call does the work of a first
-  call instead of reading the psi route's caches;
-* ``discrepancy.certify_first`` at budgets 40 and 80: the first
-  ``certify`` call at the budget in a fresh process, after
-  ``build_family``; it pays every one-time cost of the budget (the labelled
-  shell, the class series and the leading data with its checks);
-* ``discrepancy.certify_warm`` at budgets 40 and 80: the median time of one
-  ``certify`` call at the budget over 200 fixed points, after that first
-  call;
-* ``qarith.collapse`` at budgets 40 and 80: the median time of collapsing
-  the psi-route discrepancy series at the same 200 points, sorted as
-  ``certify`` sorts them;
-* ``qarith.param_point``: the median time of building a ``ParamPoint`` from
-  the four Fractions of each of the same 200 points, the step a caller pays
-  before each ``certify`` call and ``certify_warm`` leaves out;
-* ``cli.import``: ``import isopair.cli``, timed inside a fresh
-  ``python -c`` process that imports nothing else first, so the standard
-  library modules the CLI needs count too;
-* ``cli.certify_process`` and ``cli.verify_process``: the wall time of a
+  alone at budgets 40, 80 and 160: one call.  The labelled shell and the
+  class series are cleared before each pass, so every call does the work of
+  a first call instead of reading the psi route's caches;
+* ``discrepancy.certify_first`` at budgets 40 and 80: the first ``certify``
+  call at the budget in the process, after ``build_family``; it pays every
+  one-time cost of the budget (the labelled shell, the class series and the
+  leading data with its checks), so the job makes one pass;
+* ``discrepancy.certify_warm`` at budgets 40 and 80: one ``certify`` call at
+  the budget at each of 200 fixed points, after that first call;
+* ``qarith.collapse`` at budgets 40 and 80: collapsing the psi-route
+  discrepancy series at each of the same 200 points, sorted as ``certify``
+  sorts them;
+* ``qarith.param_point``: building a ``ParamPoint`` from the four Fractions
+  of each of the same 200 points, the step a caller pays before each
+  ``certify`` call and ``certify_warm`` leaves out;
+* ``cli.import``: one fresh ``python -c`` process that times ``import
+  isopair.cli`` inside itself and imports nothing else first, so the
+  standard library modules the CLI needs count too;
+* ``cli.certify_process`` and ``cli.verify_process``: the wall time of one
   whole ``python -m isopair certify --params 1 7 13 19 --format json`` or
   ``python -m isopair verify --budget 36 --format json`` process,
   interpreter start included;
-* ``null.fixed_work``: the median time of a fixed workload of integer and
-  dict arithmetic that reads nothing of either source, timed in a child as
-  the theta and delta rows are.  Both labels run the same code, so the
-  ratio of their medians is this file's noise floor: a per-layer
-  difference inside it is not resolved.
+* ``null.fixed_work``: one call of a fixed workload of integer and dict
+  arithmetic that reads nothing of either source.  Both labels run the same
+  code, so the ratio of their medians is this file's noise floor: a
+  per-layer difference inside it is not resolved.
 
-The theta, delta and null rows time the median of ``CALLS`` calls within
-one process, so that a row is not one call's millisecond-scale noise.  The
-anchor and ``certify_first`` rows measure one-time costs (the code census
-and the caches a budget fills), which a second call in the same process
-would not pay, so they stay one call per fresh process.  Each job runs in
-its own process; each row reports, per label, the median and quartiles of
-``--repeats`` processes.  ``--out`` is written afresh.
-
-On a shared machine the speed drifts by up to a fifth within seconds, so
-every timing is also rescaled to a reference speed with
-``perfbench/calibrate.py``.  The theta, delta and null rows calibrate
-between their calls and scale each call by ``scale(before, after)`` of the
-calibrations on either side of it before taking the median
-(``_median_row``), so a call is rescaled by the speed of the stretch it ran
-in.  Every other child job runs its calibration workload before and after
-its timed work and scales each of its rows by ``scale(before, after)``, and
-``_run`` does the same around the ``cli.import``, ``cli.certify_process``
-and ``cli.verify_process`` processes it starts.  A row keeps its raw
-``median_s``, ``q1_s``, ``q3_s`` and ``runs_s`` and adds the calibrated
-``calibrated_median_s``, ``calibrated_q1_s`` and ``calibrated_q3_s``.
+Every job but the anchors and ``certify_first`` makes ``CALLS`` passes, so
+that a row is not one pass's millisecond-scale noise.  Each row reports,
+per label, the median and quartiles over the ``--repeats`` child processes
+of the job's medians: raw ``median_s``, ``q1_s``, ``q3_s`` and ``runs_s``,
+and calibrated ``calibrated_median_s``, ``calibrated_q1_s`` and
+``calibrated_q3_s``.  ``--out`` is written afresh.
 
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
@@ -120,52 +118,71 @@ PROCESSES = {
 NULL_ROUNDS = 20000
 
 
-def _anchor_times() -> list[dict]:
+def _rows(budget: int | None, run_pass, passes: int = CALLS, before=lambda: None) -> list[dict]:
+    """One row per layer, in first-seen order, of the median raw and
+    calibrated seconds of the samples of ``passes`` calls of ``run_pass``.
+    A pass returns ``(layer, seconds)`` samples.  The speed is calibrated
+    between passes, as ``perfbench/run.py``'s ``Speed.step`` calibrates
+    between operations, and each sample is scaled by ``scale`` of the
+    calibrations on either side of its own pass.  ``before`` runs, untimed,
+    ahead of each pass."""
+    seconds: dict[str, list[float]] = {}
+    calibrated: dict[str, list[float]] = {}
+    last = calibrate()
+    for _ in range(passes):
+        before()
+        samples = run_pass()
+        after = calibrate()
+        factor = scale(last, after)
+        last = after
+        for layer, sample in samples:
+            seconds.setdefault(layer, []).append(sample)
+            calibrated.setdefault(layer, []).append(sample * factor)
+    return [{"layer": layer, "budget": budget, "seconds": statistics.median(xs),
+             "calibrated_s": statistics.median(calibrated[layer])} for layer, xs in seconds.items()]
+
+
+def _timed(layer: str, call, calls=((),)):
+    """A pass that times ``call(*args)`` once for each ``args`` in ``calls``."""
+    def run_pass():
+        samples = []
+        for args in calls:
+            start = time.perf_counter()
+            call(*args)
+            samples.append((layer, time.perf_counter() - start))
+        return samples
+    return run_pass
+
+
+def _anchor_rows() -> list[dict]:
     from isopair import verification
 
-    rows = []
     wrapped = verification._result
+    samples = []
 
     def timed(name, check):
         start = time.perf_counter()
         out = wrapped(name, check)
-        rows.append({"layer": f"verify.{name}", "budget": VERIFY_BUDGET,
-                     "seconds": time.perf_counter() - start})
+        samples.append((f"verify.{name}", time.perf_counter() - start))
         return out
 
+    def run_pass():
+        verification.run_verification(VERIFY_BUDGET)
+        return samples
+
     verification._result = timed
-    verification.run_verification(VERIFY_BUDGET)
-    return rows
+    return _rows(VERIFY_BUDGET, run_pass, passes=1)
 
 
-def _median_row(layer: str, budget: int | None, call, before=lambda: None) -> dict:
-    """A row of the median of ``CALLS`` calls, raw and calibrated.  The
-    speed is calibrated between calls, as ``perfbench/run.py``'s
-    ``Speed.step`` calibrates between operations, and each call is scaled by
-    the calibrations on either side of it before the median is taken."""
-    seconds, calibrated = [], []
-    last = calibrate()
-    for _ in range(CALLS):
-        before()
-        start = time.perf_counter()
-        call()
-        seconds.append(time.perf_counter() - start)
-        after = calibrate()
-        calibrated.append(seconds[-1] * scale(last, after))
-        last = after
-    return {"layer": layer, "budget": budget, "seconds": statistics.median(seconds),
-            "calibrated_s": statistics.median(calibrated)}
-
-
-def _theta_time(kernel: str, budget: int) -> list[dict]:
+def _theta_rows(kernel: str, budget: int) -> list[dict]:
     from isopair import Kernel, build_family, theta11
 
     lattice = build_family().L1
-    return [_median_row(f"theta.theta11_{kernel}", budget,
-                        lambda: theta11(lattice, budget, Kernel(kernel)))]
+    return _rows(budget, _timed(f"theta.theta11_{kernel}", theta11,
+                                [(lattice, budget, Kernel(kernel))]))
 
 
-def _delta_time(route: str, budget: int) -> list[dict]:
+def _delta_rows(route: str, budget: int) -> list[dict]:
     from isopair import Route, build_family, delta_series
     from isopair import discrepancy
 
@@ -174,8 +191,8 @@ def _delta_time(route: str, budget: int) -> list[dict]:
         discrepancy.class_pair_series.cache_clear()
 
     build_family()
-    return [_median_row(f"discrepancy.delta_{route}", budget,
-                        lambda: delta_series(budget, Route(route)), clear)]
+    return _rows(budget, _timed(f"discrepancy.delta_{route}", delta_series,
+                                [(budget, Route(route))]), before=clear)
 
 
 def _values() -> list[tuple[Fraction, ...]]:
@@ -188,67 +205,49 @@ def _values() -> list[tuple[Fraction, ...]]:
     return points
 
 
-def _points():
-    from isopair import ParamPoint
+def _certify_rows(budget: int) -> list[dict]:
+    from isopair import ParamPoint, build_family, certify
 
-    return [ParamPoint(*values) for values in _values()]
-
-
-def _certify_time(budget: int) -> list[dict]:
-    from isopair import build_family, certify
-
-    points = _points()
+    first, *points = [ParamPoint(*values) for values in _values()]
     build_family()
-    start = time.perf_counter()
-    certify(points[0], budget)
-    first = time.perf_counter() - start
-    seconds = []
-    for point in points[1:]:
-        start = time.perf_counter()
-        certify(point, budget)
-        seconds.append(time.perf_counter() - start)
-    return [{"layer": "discrepancy.certify_first", "budget": budget, "seconds": first},
-            {"layer": "discrepancy.certify_warm", "budget": budget,
-             "seconds": statistics.median(seconds)}]
+    return (_rows(budget, _timed("discrepancy.certify_first", certify, [(first, budget)]), passes=1)
+            + _rows(budget, _timed("discrepancy.certify_warm", certify,
+                                   [(point, budget) for point in points])))
 
 
-def _collapse_time(budget: int) -> list[dict]:
+def _collapse_rows(budget: int) -> list[dict]:
     from isopair import ParamPoint, delta_series
 
     series = delta_series(budget)
-    points = [ParamPoint(*sorted(values)) for values in _values()]
-    series.collapse(points[0])
-    seconds = []
-    for point in points[1:]:
-        start = time.perf_counter()
-        series.collapse(point)
-        seconds.append(time.perf_counter() - start)
-    return [{"layer": "qarith.collapse", "budget": budget,
-             "seconds": statistics.median(seconds)}]
+    first, *points = [ParamPoint(*sorted(values)) for values in _values()]
+    series.collapse(first)
+    return _rows(budget, _timed("qarith.collapse", series.collapse, [(point,) for point in points]))
 
 
-def _param_point_time() -> list[dict]:
+def _param_point_rows() -> list[dict]:
     from isopair import ParamPoint
 
-    points = _values()
-    ParamPoint(*points[0])
-    seconds = []
-    for values in points[1:]:
-        start = time.perf_counter()
-        ParamPoint(*values)
-        seconds.append(time.perf_counter() - start)
-    return [{"layer": "qarith.param_point", "budget": None,
-             "seconds": statistics.median(seconds)}]
+    first, *points = _values()
+    ParamPoint(*first)
+    return _rows(None, _timed("qarith.param_point", ParamPoint, points))
 
 
-def _null_time() -> list[dict]:
+def _null_rows() -> list[dict]:
     def work():
         acc: dict[int, int] = {}
         for i in range(NULL_ROUNDS):
             acc[i % 97] = acc.get(i % 97, 0) + i * i
         return acc
 
-    return [_median_row("null.fixed_work", None, work)]
+    return _rows(None, _timed("null.fixed_work", work))
+
+
+def _process_rows(kind: str) -> list[dict]:
+    src = Path(os.environ["PYTHONPATH"])  # the source this child was started on
+    if kind == "import":
+        return _rows(None, lambda: [("cli.import", float(_python(src, "-c", IMPORT_PROBE)))])
+    layer, budget, argv = PROCESSES[kind]
+    return _rows(budget, _timed(layer, _python, [(src, *argv)]))
 
 
 def _jobs() -> list[list[str]]:
@@ -263,32 +262,23 @@ def _jobs() -> list[list[str]]:
     return jobs + [["null"], ["import"], *([name] for name in PROCESSES)]
 
 
-def _calibrated(rows: list[dict], before: float) -> list[dict]:
-    """The rows with ``calibrated_s`` scaled by the calibrations around the
-    whole job, except where a row calibrated its calls itself."""
-    factor = scale(before, calibrate())
-    return [{"calibrated_s": row["seconds"] * factor, **row} for row in rows]
-
-
 def _child(job: list[str]) -> list[dict]:
     kind, *args = job
     if kind == "anchors":
         gc.disable()  # before calibrating and importing: no anchor absorbs a collection
-    before = calibrate()
-    if kind == "anchors":
-        rows = _anchor_times()
-    elif kind == "certify":
-        rows = _certify_time(int(args[0]))
-    elif kind == "collapse":
-        rows = _collapse_time(int(args[0]))
-    elif kind == "param_point":
-        rows = _param_point_time()
-    elif kind == "null":
-        rows = _null_time()
-    else:
+        return _anchor_rows()
+    if kind == "certify":
+        return _certify_rows(int(args[0]))
+    if kind == "collapse":
+        return _collapse_rows(int(args[0]))
+    if kind == "param_point":
+        return _param_point_rows()
+    if kind == "null":
+        return _null_rows()
+    if kind in ("theta", "delta"):
         name, budget = args
-        rows = (_theta_time if kind == "theta" else _delta_time)(name, int(budget))
-    return _calibrated(rows, before)
+        return (_theta_rows if kind == "theta" else _delta_rows)(name, int(budget))
+    return _process_rows(kind)
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -303,21 +293,6 @@ def _python(src: Path, *argv: str) -> str:
         env=_env(src), capture_output=True, text=True, timeout=300, check=True,
     )
     return proc.stdout
-
-
-def _run(src: Path, job: list[str]) -> list[dict]:
-    if job[0] != "import" and job[0] not in PROCESSES:
-        return json.loads(_python(src, __file__, "--child", *job))
-    before = calibrate()
-    if job == ["import"]:
-        seconds = float(_python(src, "-c", IMPORT_PROBE))
-        row = {"layer": "cli.import", "budget": None, "seconds": seconds}
-    else:
-        layer, budget, argv = PROCESSES[job[0]]
-        start = time.perf_counter()
-        _python(src, *argv)
-        row = {"layer": layer, "budget": budget, "seconds": time.perf_counter() - start}
-    return _calibrated([row], before)
 
 
 def _quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -336,7 +311,7 @@ def measure(sources: dict[str, Path], repeats: int) -> list[dict]:
     for repeat in range(repeats):
         for job in _jobs():
             for label in labels if repeat % 2 == 0 else labels[::-1]:
-                for row in _run(sources[label], job):
+                for row in json.loads(_python(sources[label], __file__, "--child", *job)):
                     key = (label, row["layer"], row["budget"])
                     runs.setdefault(key, []).append(row["seconds"])
                     calibrated.setdefault(key, []).append(row["calibrated_s"])
