@@ -6,6 +6,12 @@ Parameters are exact rationals written as integers or ``p/q``; floats are
 rejected.  Output formats: text (default), json, csv.  Exit status: 0 for
 success or a verified/non-isometric result, 2 for an inconclusive
 certificate, 1 for any error, including an internal consistency failure.
+
+The text above is the ``--help`` description.  A process builds only
+the parser of the command its first argument names (every parser when it
+names none, as with ``--help``): a cold command runs once per process, and
+building all the parsers costs more than a cold ``certify``'s own work at
+the default budget.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .lattices import LatticeFamily, build_family
 from .qarith import ParamPoint
 from .theta import Kernel, rep_series, theta11
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 class CliError(Exception):
@@ -30,7 +36,7 @@ class CliError(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL.match(text):
+    if not _RATIONAL.fullmatch(text):
         raise CliError(f"not an exact rational: {text!r} (use an integer or p/q)")
     return Fraction(text)
 
@@ -264,57 +270,68 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="isopair", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _actions_parser(dest: str, actions: tuple[str, ...]):
+    def fill(parser) -> None:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for action in actions:
+            _add_common(sub.add_parser(action), budget=False)
+    return fill
 
-    codes_p = sub.add_parser("codes", help="the eight self-dual ternary codes")
-    codes_sub = codes_p.add_subparsers(dest="codes_action", required=True)
-    for action in ("list", "graph"):
-        p = codes_sub.add_parser(action)
-        _add_common(p, budget=False)
-        p.set_defaults(func=cmd_codes)
 
-    pair_p = sub.add_parser("pair", help="the lattice family")
-    pair_sub = pair_p.add_subparsers(dest="pair_action", required=True)
-    show = pair_sub.add_parser("show")
-    _add_common(show, budget=False)
-    show.set_defaults(func=cmd_pair)
+def _lattice_parser(parser, lattices=LatticeFamily._fields) -> None:
+    _add_common(parser, params=True)
+    parser.add_argument("--lattice", choices=lattices, default="L1")
 
-    spectrum = sub.add_parser("spectrum", help="collapsed representation numbers")
-    _add_common(spectrum, params=True)
-    spectrum.add_argument("--lattice", choices=LatticeFamily._fields, default="L1")
-    spectrum.set_defaults(func=cmd_spectrum)
 
-    iso = sub.add_parser("isospectral", help="compare the spectra of the pair")
-    _add_common(iso, params=True)
-    iso.set_defaults(func=cmd_isospectral)
+def _invariant_parser(parser) -> None:
+    _lattice_parser(parser, ("L1", "L2"))
+    parser.add_argument("--kernel", choices=tuple(k.value for k in Kernel), default=Kernel.PAIRWISE.value)
 
-    inv = sub.add_parser("invariant", help="the collapsed degree-2 invariant")
-    _add_common(inv, params=True)
-    inv.add_argument("--lattice", choices=("L1", "L2"), default="L1")
-    inv.add_argument("--kernel", choices=tuple(k.value for k in Kernel), default=Kernel.PAIRWISE.value)
-    inv.set_defaults(func=cmd_invariant)
 
-    delta = sub.add_parser("delta", help="the collapsed discrepancy series")
-    _add_common(delta, params=True)
-    delta.add_argument("--route", choices=tuple(r.value for r in Route), default=Route.FROM_PSI_KERNEL.value)
-    delta.set_defaults(func=cmd_delta)
+def _route_parser(parser) -> None:
+    _add_common(parser, params=True)
+    parser.add_argument("--route", choices=tuple(r.value for r in Route), default=Route.FROM_PSI_KERNEL.value)
 
-    cert = sub.add_parser("certify", help="non-isometry certificate at a parameter point")
-    _add_common(cert, params=True)
-    cert.add_argument("--route", choices=tuple(r.value for r in Route), default=Route.FROM_PSI_KERNEL.value)
-    cert.set_defaults(func=cmd_certify)
 
-    ver = sub.add_parser("verify", help="run every verification anchor")
-    _add_common(ver)
-    ver.set_defaults(func=cmd_verify)
+# each command: its help line, the function that runs it, and the function
+# that adds its arguments to its parser
+_COMMANDS = {
+    "codes": ("the eight self-dual ternary codes", cmd_codes, _actions_parser("codes_action", ("list", "graph"))),
+    "pair": ("the lattice family", cmd_pair, _actions_parser("pair_action", ("show",))),
+    "spectrum": ("collapsed representation numbers", cmd_spectrum, _lattice_parser),
+    "isospectral": ("compare the spectra of the pair", cmd_isospectral,
+                    lambda parser: _add_common(parser, params=True)),
+    "invariant": ("the collapsed degree-2 invariant", cmd_invariant, _invariant_parser),
+    "delta": ("the collapsed discrepancy series", cmd_delta, _route_parser),
+    "certify": ("non-isometry certificate at a parameter point", cmd_certify, _route_parser),
+    "verify": ("run every verification anchor", cmd_verify, _add_common),
+}
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names
+    one.  The one-command parser shows every command in its usage line, so
+    that its usage errors read as the full parser's do."""
+    parser = _Parser(prog="isopair", description=__doc__.rpartition("\n\n")[0])
+    if command in _COMMANDS:
+        names = (command,)
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = tuple(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_line, func, fill = _COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_line)
+        fill(command_parser)
+        command_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -33,14 +33,20 @@ Matrix = tuple[tuple[int, int, int, int], ...]
 
 
 def normalize(w) -> Word:
-    w = tuple(x % 3 for x in w)
-    if len(w) != 4:
-        raise ValueError(f"words live in F_3^4, got {w!r}")
-    return w
+    try:
+        a, b, c, d = w
+    except (TypeError, ValueError):
+        # not four entries: reduce what there is, for the message (or for
+        # the TypeError of a non-iterable)
+        w = tuple(x % 3 for x in w)
+        raise ValueError(f"words live in F_3^4, got {w!r}") from None
+    return a % 3, b % 3, c % 3, d % 3
 
 
 def word_dot(u: Word, v: Word) -> int:
-    return sum(a * b for a, b in zip(u, v)) % 3
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return (u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3) % 3
 
 
 def _selfdual_pair(g1: Word, g2: Word) -> bool:
@@ -49,7 +55,8 @@ def _selfdual_pair(g1: Word, g2: Word) -> bool:
 
 
 def _matvec(m: Matrix, v) -> tuple[int, ...]:
-    return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
+    v0, v1, v2, v3 = v
+    return tuple([r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 for r0, r1, r2, r3 in m])
 
 
 def _matmul(m: Matrix, n: Matrix) -> Matrix:
@@ -84,9 +91,20 @@ K4 = (
 def span_pair(g1: Word, g2: Word) -> frozenset[Word]:
     """All 9 words i*g1 + j*g2; requires the generators to be independent."""
     g1, g2 = normalize(g1), normalize(g2)
-    words = frozenset(
-        tuple((i * a + j * b) % 3 for a, b in zip(g1, g2)) for i in range(3) for j in range(3)
-    )
+    a0, a1, a2, a3 = g1
+    b0, b1, b2, b3 = g2
+    # i*g1 + j*g2 for i, then j, in 0, 1, 2
+    words = frozenset((
+        (0, 0, 0, 0),
+        g2,
+        (-b0 % 3, -b1 % 3, -b2 % 3, -b3 % 3),
+        g1,
+        ((a0 + b0) % 3, (a1 + b1) % 3, (a2 + b2) % 3, (a3 + b3) % 3),
+        ((a0 - b0) % 3, (a1 - b1) % 3, (a2 - b2) % 3, (a3 - b3) % 3),
+        (-a0 % 3, -a1 % 3, -a2 % 3, -a3 % 3),
+        ((b0 - a0) % 3, (b1 - a1) % 3, (b2 - a2) % 3, (b3 - a3) % 3),
+        (-(a0 + b0) % 3, -(a1 + b1) % 3, -(a2 + b2) % 3, -(a3 + b3) % 3),
+    ))
     if len(words) != 9:
         raise ValueError(f"{g1} and {g2} do not span a 2-dimensional subspace")
     return words
@@ -237,11 +255,18 @@ def complete_bipartite(parts: tuple[frozenset[int], frozenset[int]]) -> frozense
     return frozenset(frozenset({i, j}) for i in parts[0] for j in parts[1])
 
 
+@lru_cache(maxsize=1)
+def _c1_c2() -> tuple[TernaryCode, TernaryCode]:
+    """C1 and C2, spanned once per process from their canonical generators
+    (not read from the census, so the matching stays independent of it)."""
+    return (TernaryCode.from_generators(*SELFDUAL_GENERATORS[0]),
+            TernaryCode.from_generators(*SELFDUAL_GENERATORS[1]))
+
+
 def matching_element(w: Word) -> K4Element:
     """The unique K4 element carrying a nonzero word of C1 into C2."""
     w = normalize(w)
-    c1 = TernaryCode.from_generators(*SELFDUAL_GENERATORS[0])
-    c2 = TernaryCode.from_generators(*SELFDUAL_GENERATORS[1])
+    c1, c2 = _c1_c2()
     if w not in c1 or not any(w):
         raise ValueError(f"{w} is not a nonzero word of C1")
     hits = [g for g in K4 if g.apply_word(w) in c2]

@@ -233,3 +233,32 @@ def head_below_the_rows(budget, route):
     head, rows = _leading_data(budget, route)
     extra = FormalQSeries(budget, {(1, 0, 0, 0): [1] + [0] * (len(MONOS) - 1)})
     return head + extra, rows
+
+
+def generator_normalize(w):
+    """``codes.normalize`` as generator expressions over the entries: the
+    oracle of the unpacked four-coordinate version."""
+    w = tuple(x % 3 for x in w)
+    if len(w) != 4:
+        raise ValueError(f"words live in F_3^4, got {w!r}")
+    return w
+
+
+def generator_word_dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v)) % 3
+
+
+def generator_span_pair(g1, g2) -> frozenset:
+    """``codes.span_pair`` as a generator expression over i, j and the entries."""
+    g1, g2 = generator_normalize(g1), generator_normalize(g2)
+    words = frozenset(
+        tuple((i * a + j * b) % 3 for a, b in zip(g1, g2)) for i in range(3) for j in range(3)
+    )
+    if len(words) != 9:
+        raise ValueError(f"{g1} and {g2} do not span a 2-dimensional subspace")
+    return words
+
+
+def generator_matvec(m, v) -> tuple:
+    """``codes._matvec`` as generator expressions over rows and entries."""
+    return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))

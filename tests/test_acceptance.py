@@ -79,15 +79,17 @@ def test_corrupted_table_fails_its_anchor(monkeypatch, constant):
 
 
 # a library check that fails under an anchor is that anchor's FAIL, not an
-# escape from ``run_verification``; the caches the checks fill are cleared so
-# no corrupted result outlives its test
+# escape from ``run_verification``; the caches the checks fill are cleared
+# before and after, so no result from outside a test hides its corruption
+# and no corrupted result outlives it
 @pytest.fixture
 def clear_check_caches():
-    codes.selfdual_codes.cache_clear()
-    discrepancy._leading_data.cache_clear()
+    caches = (codes.selfdual_codes, codes._c1_c2, discrepancy._leading_data)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    codes.selfdual_codes.cache_clear()
-    discrepancy._leading_data.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def failures(results):

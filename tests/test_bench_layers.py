@@ -6,14 +6,19 @@ keep producing one calibrated row per anchor, in the order
 ``run_verification`` runs them.  Its ``param_point`` job times building a
 ``ParamPoint``, which no other row covers, its ``certify`` and ``collapse``
 jobs time the per-point work, and its ``null`` job times a fixed workload
-that gives the file's noise floor."""
+that gives the file's noise floor.  Its whole-process jobs start a bare
+interpreter back to back with the command in each pass and report the
+command also net of it, and its ``null_process`` job times that bare
+interpreter alone."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,6 +69,36 @@ def test_null_job_gives_one_calibrated_row():
     (row,) = _child_rows("null")
     assert row["layer"] == "null.fixed_work" and row["budget"] is None
     assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+def test_null_process_job_gives_one_calibrated_row():
+    (row,) = _child_rows("null_process")
+    assert row["layer"] == "null.process" and row["budget"] is None
+    assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+def test_process_rows_net_of_a_bare_interpreter_in_each_pass(bench, monkeypatch):
+    started = []
+    clock = count()
+
+    def python(src, *argv):
+        started.append(argv)
+        if argv != bench.NULL_ARGV:
+            for _ in range(10):  # the command takes ten ticks more
+                next(clock)
+
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    monkeypatch.setattr(bench, "_python", python)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    monkeypatch.setattr(bench, "calibrate", lambda: 1.0)
+    monkeypatch.setattr(bench, "scale", lambda before, after: 2.0)
+    rows = bench._process_rows("delta_process")
+    layer, budget, argv = bench.PROCESSES["delta_process"]
+    assert started == [bench.NULL_ARGV, argv] * bench.CALLS
+    assert rows == [
+        {"layer": layer, "budget": budget, "seconds": 11.0, "calibrated_s": 22.0},
+        {"layer": f"{layer}_net", "budget": budget, "seconds": 10.0, "calibrated_s": 20.0},
+    ]
 
 
 def test_rows_scale_each_sample_by_its_own_pass(bench, monkeypatch):

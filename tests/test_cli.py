@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from isopair import cli
 from isopair.cli import main
 from isopair.verification import SCHIEMANN_TERM
 
@@ -153,6 +155,18 @@ class TestCertify:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("command", ["certify", "delta"])
+    @pytest.mark.parametrize("digit", ["\uff13", "\u0663", "3\n"], ids=["fullwidth", "arabic-indic", "newline"])
+    def test_non_ascii_digits_and_newline_rejected(self, capsys, command, digit):
+        # the syntax is ASCII integers or p/q, matched in full
+        argv = (command, "--params", digit, "2", "5", "7", "--budget", "36")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: not an exact rational: {digit!r} (use an integer or p/q)\n"
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"].startswith("not an exact rational: ")
+
     def test_nonpositive_rejected(self, capsys):
         code, _, err = run(capsys, "certify", "--params", "0", "1", "2", "3")
         assert code == 1
@@ -262,3 +276,44 @@ class TestPlumbing:
     def test_missing_params_exits_1(self, capsys):
         code, _, _ = run(capsys, "certify")
         assert code == 1
+
+
+class TestParser:
+    """``main`` builds only the parser of the command that ``argv[0]`` names;
+    what it prints must not tell it from the parser of every command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["--help"], ["bogus"], ["codes"], ["codes", "bogus"], ["certify", "--help"],
+            ["certify", "--params", "1", "2", "3", "5", "extra"], ["verify", "--budget", "x"],
+            ["certify", "--par", "1", "2", "3", "5", "--form", "json"],
+        ],
+        ids=" ".join,
+    )
+    def test_same_output_as_every_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = run(capsys, *argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert one == run(capsys, *argv)
+
+    def test_help_describes_the_commands_only(self, capsys):
+        # the module docstring's last paragraph is for readers of the code
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "including an internal consistency failure." in out
+        assert "builds only" not in out
+
+    def test_certify_builds_two_parsers(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, _, _ = run(capsys, "certify", "--params", "1", "7", "13", "19")
+        assert code == 0
+        assert built == ["isopair", "isopair certify"]

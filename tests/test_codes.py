@@ -11,6 +11,7 @@ from isopair import (
     selfdual_codes,
     two_dim_subspaces,
 )
+from isopair import codes
 from isopair.codes import (
     C1_LABELED_WORDS,
     C2_LABELED_WORDS,
@@ -19,6 +20,8 @@ from isopair.codes import (
     span_pair,
     word_dot,
 )
+
+from conftest import generator_matvec, generator_normalize, generator_span_pair, generator_word_dot
 
 IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -168,6 +171,24 @@ class TestMatching:
             assert len(hits) == 1
             assert matching_element(w) is hits[0]
 
+    def test_spans_c1_and_c2_once(self, monkeypatch):
+        # the anchor's eight calls, one per nonzero word of C1, from an
+        # empty cache
+        spans = []
+        build = TernaryCode.from_generators.__func__
+
+        def counted(cls, g1, g2):
+            spans.append((g1, g2))
+            return build(cls, g1, g2)
+
+        monkeypatch.setattr(TernaryCode, "from_generators", classmethod(counted))
+        codes._c1_c2.cache_clear()
+        words = [w for w in sorted(span_pair(*SELFDUAL_GENERATORS[0])) if any(w)]
+        assert len(words) == 8
+        for w in words:
+            matching_element(w)
+        assert spans == list(SELFDUAL_GENERATORS[:2])
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             matching_element((0, 0, 0, 0))
@@ -179,3 +200,49 @@ def test_word_normalization():
     assert normalize((-1, 0, 1, -2)) == (2, 0, 1, 1)
     with pytest.raises(ValueError):
         normalize((1, 2, 0))
+
+
+def _outcome(f, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+WORDS = list(product((-1, 0, 1), repeat=4))  # all 81 words, unreduced
+
+
+class TestWordPrimitivesOracle:
+    """The unpacked primitives against the generator-expression oracles of
+    ``conftest``, values and exceptions alike."""
+
+    def test_normalize_on_every_word(self):
+        for w in WORDS:
+            assert _outcome(normalize, w) == _outcome(generator_normalize, w)
+
+    @pytest.mark.parametrize("w", [(), (1, 2, 3), (1, 2, 3, 4, 5), [4, -1, 2, 7], 5, "0120"], ids=repr)
+    def test_normalize_off_the_words(self, w):
+        assert _outcome(normalize, w) == _outcome(generator_normalize, w)
+
+    def test_word_dot_on_every_pair(self):
+        reduced = [generator_normalize(w) for w in WORDS]
+        for u in reduced:
+            for v in reduced:
+                assert word_dot(u, v) == generator_word_dot(u, v)
+
+    def test_matvec_on_every_word(self):
+        shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, -2), (3, 0, 0, 1))
+        for m in [g.standard for g in K4] + [shear]:
+            for w in WORDS:
+                assert codes._matvec(m, w) == generator_matvec(m, w)
+
+    def test_span_pair_on_every_pair(self):
+        dependent = 0
+        for u in WORDS:
+            for v in WORDS:
+                got = _outcome(span_pair, u, v)
+                assert got == _outcome(generator_span_pair, u, v)
+                dependent += isinstance(got, tuple)
+        # pairs with u or v zero, or v = +-u for nonzero u
+        assert dependent == 81 + 80 + 80 * 2

@@ -1,12 +1,16 @@
-"""What a cold command imports.
+"""What a cold command pays.
 
-Each CLI command runs as a fresh process, so ``import isopair.cli`` is paid
-on every call.  It loads only what ``certify`` and ``delta`` execute: the
-records need no ``dataclasses`` (whose import pulls in ``inspect``), type
-names come from ``collections.abc`` rather than ``typing``, ``csv`` is
-imported by the csv output branch, and ``verification`` by ``verify`` and by
-the first access to ``isopair.run_verification`` or ``isopair.AnchorResult``.
-A cold ``verify`` sums only the class series its anchors read.
+Each CLI command runs as a fresh process, so ``import isopair.cli`` and
+building the parser are paid on every call.  The import loads only what
+``certify`` and ``delta`` execute: the records need no ``dataclasses``
+(whose import pulls in ``inspect``), type names come from
+``collections.abc`` rather than ``typing``, ``csv`` is imported by the csv
+output branch, and ``verification`` by ``verify`` and by the first access to
+``isopair.run_verification`` or ``isopair.AnchorResult``.  ``main`` builds
+the parser of the named command only; ``tests/test_cli.py::TestParser``
+pins that, and that its output is the full parser's.  A cold ``verify``
+sums only the class series its anchors read, and spans its codes in
+straight-line F_3 arithmetic, C1 and C2 once for all matching calls.
 """
 
 import ast

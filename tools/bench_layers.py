@@ -53,10 +53,18 @@ calibrated ones over all passes.  The rows, and what one pass is:
 * ``cli.import``: one fresh ``python -c`` process that times ``import
   isopair.cli`` inside itself and imports nothing else first, so the
   standard library modules the CLI needs count too;
-* ``cli.certify_process`` and ``cli.verify_process``: the wall time of one
-  whole ``python -m isopair certify --params 1 7 13 19 --format json`` or
-  ``python -m isopair verify --budget 36 --format json`` process,
-  interpreter start included;
+* ``cli.certify_process``, ``cli.verify_process`` and ``cli.delta_process``:
+  the wall time of one whole ``python -m isopair certify --params 1 7 13 19
+  --format json``, ``python -m isopair verify --budget 36 --format json`` or
+  ``python -m isopair delta --params 1 7 13 19 --budget 80 --format json``
+  process, interpreter start included.  Each pass starts a bare ``python -c
+  pass`` on the same ``PYTHONPATH`` and then the command, back to back, and
+  the ``<layer>_net`` row (``cli.verify_process_net`` and so on) is the
+  median of the per-pass differences: what the package adds to a bare
+  interpreter, with the start-up drift the two processes share cancelled;
+* ``null.process``: one bare ``python -c pass`` process on the same
+  ``PYTHONPATH``.  It reads nothing of either source, so the ratio of its
+  two labels' medians is the noise floor of the whole-process rows;
 * ``null.fixed_work``: one call of a fixed workload of integer and dict
   arithmetic that reads nothing of either source.  Both labels run the same
   code, so the ratio of their medians is this file's noise floor: a
@@ -110,10 +118,14 @@ IMPORT_PROBE = (
 )
 CERTIFY_ARGV = ("-m", "isopair", "certify", "--params", "1", "7", "13", "19", "--format", "json")
 VERIFY_ARGV = ("-m", "isopair", "verify", "--budget", str(VERIFY_BUDGET), "--format", "json")
+DELTA_ARGV = ("-m", "isopair", "delta", "--params", "1", "7", "13", "19", "--budget", "80",
+              "--format", "json")
+NULL_ARGV = ("-c", "pass")  # a bare interpreter
 # whole-process rows: layer, the budget the process runs at, argv
 PROCESSES = {
     "certify_process": ("cli.certify_process", 40, CERTIFY_ARGV),  # the CLI's default budget
     "verify_process": ("cli.verify_process", VERIFY_BUDGET, VERIFY_ARGV),
+    "delta_process": ("cli.delta_process", 80, DELTA_ARGV),
 }
 NULL_ROUNDS = 20000
 
@@ -246,8 +258,17 @@ def _process_rows(kind: str) -> list[dict]:
     src = Path(os.environ["PYTHONPATH"])  # the source this child was started on
     if kind == "import":
         return _rows(None, lambda: [("cli.import", float(_python(src, "-c", IMPORT_PROBE)))])
+    if kind == "null_process":
+        return _rows(None, _timed("null.process", _python, [(src, *NULL_ARGV)]))
     layer, budget, argv = PROCESSES[kind]
-    return _rows(budget, _timed(layer, _python, [(src, *argv)]))
+
+    def run_pass():
+        # a bare interpreter, then the command: start-up drift shared by
+        # the two cancels in their difference
+        (_, null), (_, seconds) = _timed(layer, _python, [(src, *NULL_ARGV), (src, *argv)])()
+        return [(layer, seconds), (f"{layer}_net", seconds - null)]
+
+    return _rows(budget, run_pass)
 
 
 def _jobs() -> list[list[str]]:
@@ -259,7 +280,7 @@ def _jobs() -> list[list[str]]:
     jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
     jobs += [["param_point"]]
     jobs += [["certify", str(budget)] for budget in CERTIFY_BUDGETS]
-    return jobs + [["null"], ["import"], *([name] for name in PROCESSES)]
+    return jobs + [["null"], ["import"], ["null_process"], *([name] for name in PROCESSES)]
 
 
 def _child(job: list[str]) -> list[dict]:
