@@ -7,14 +7,15 @@ subspaces exactly eight are self-dual.  Each subspace has exactly one
 reduced echelon generator pair: pivot columns p1 < p2, leading ones, a zero
 above the second pivot, and free entries elsewhere after each pivot, so
 3^(5 - p1 - p2) pairs per pivot choice and 81 + 27 + 9 + 9 + 3 + 1 = 130 in
-all.  A code is built from a generator pair and keeps it: ``two_dim_subspaces``
-spans exactly these pairs, and ``selfdual_codes`` runs the census over them,
-testing self-duality on each pair's generators and spanning only the pairs
-that pass.  Every span is checked to have nine words, and F_3^4 has
+all.  The pairs are listed once per process, with entries 0, 1 and 2, so
+they are spanned without being normalized again.  A code is built from a
+generator pair and keeps it: ``two_dim_subspaces`` spans exactly these
+pairs, and ``selfdual_codes`` runs the census over them, testing
+self-duality on each pair's generators and spanning only the pairs that
+pass.  Every span is checked to have nine words, and F_3^4 has
 (3^4-1)(3^4-3)/((3^2-1)(3^2-3)) = 130 two-dimensional subspaces, so 130
-distinct spans are all of them: a
-subspace missed, or spanned twice in place of another, shows as a count
-below 130.
+distinct spans are all of them: a subspace missed, or spanned twice in
+place of another, shows as a count below 130.
 
 The four-group K4 acts on F_3^4 through signed permutation matrices and
 permutes the eight codes in two orbits of four; joining two codes whenever
@@ -90,7 +91,11 @@ K4 = (
 
 def span_pair(g1: Word, g2: Word) -> frozenset[Word]:
     """All 9 words i*g1 + j*g2; requires the generators to be independent."""
-    g1, g2 = normalize(g1), normalize(g2)
+    return _span(normalize(g1), normalize(g2))
+
+
+def _span(g1: Word, g2: Word) -> frozenset[Word]:
+    """``span_pair`` of two words already in normal form."""
     a0, a1, a2, a3 = g1
     b0, b1, b2, b3 = g2
     # i*g1 + j*g2 for i, then j, in 0, 1, 2
@@ -129,7 +134,7 @@ class TernaryCode:
     @classmethod
     def from_generators(cls, g1: Word, g2: Word) -> "TernaryCode":
         g1, g2 = normalize(g1), normalize(g2)
-        return cls((g1, g2), span_pair(g1, g2))
+        return cls((g1, g2), _span(g1, g2))
 
     def __contains__(self, w) -> bool:
         return normalize(w) in self.words
@@ -180,9 +185,13 @@ C2_LABELED_WORDS: tuple[Word, ...] = tuple(
 )
 
 
-def _echelon_generator_pairs():
+@lru_cache(maxsize=1)
+def _echelon_generator_pairs() -> tuple[tuple[Word, Word], ...]:
+    """The 130 reduced echelon generator pairs, listed once per process.
+    Their entries are 0, 1 and 2, so the words are in normal form."""
     # for pivot columns p1 < p2: g1 has 1 at p1, 0 at p2 and before p1; g2
     # has 1 at p2 and 0 before it; every other entry is free
+    pairs = []
     for p1, p2 in combinations(range(4), 2):
         free1 = [i for i in range(p1 + 1, 4) if i != p2]
         free2 = list(range(p2 + 1, 4))
@@ -193,13 +202,14 @@ def _echelon_generator_pairs():
                 g1[i] = x
             for i, x in zip(free2, values[len(free1) :]):
                 g2[i] = x
-            yield tuple(g1), tuple(g2)
+            pairs.append((tuple(g1), tuple(g2)))
+    return tuple(pairs)
 
 
 def two_dim_subspaces() -> frozenset[frozenset[Word]]:
     """All 2-dimensional subspaces of F_3^4 (there are 130), spanned from
     their reduced echelon generator pairs."""
-    return frozenset(span_pair(g1, g2) for g1, g2 in _echelon_generator_pairs())
+    return frozenset([_span(g1, g2) for g1, g2 in _echelon_generator_pairs()])
 
 
 @lru_cache(maxsize=1)
@@ -208,8 +218,9 @@ def selfdual_codes() -> tuple[TernaryCode, ...]:
     reduced echelon generator pairs and returned in canonical numbering;
     the search runs once per process.  Self-duality is tested on each pair's
     generators, and only the pairs that pass are spanned."""
-    pairs = (pair for pair in _echelon_generator_pairs() if _selfdual_pair(*pair))
-    found = {code: code for code in (TernaryCode.from_generators(*pair) for pair in pairs)}
+    pairs = [pair for pair in _echelon_generator_pairs() if _selfdual_pair(*pair)]
+    # the pairs are in normal form already
+    found = {code: code for code in (TernaryCode(pair, _span(*pair)) for pair in pairs)}
     expected = [TernaryCode.from_generators(*gens) for gens in SELFDUAL_GENERATORS]
     if set(found) != set(expected):
         raise AssertionError("self-dual census does not match the canonical list")

@@ -58,11 +58,16 @@ from .qarith import (
     MONOS,
     QUAD_MONOS,
     QUAD_SLOTS,
+    Compiled,
     Expo,
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
+    _compile,
+    _lead,
     _sort_cleared,
+    _value,
+    _weights,
     check_budget,
     exp_below,
 )
@@ -83,10 +88,14 @@ from .theta import Kernel, pair_series, theta11
 # the point, and each part of it costs more per point than a warm certify
 # does: the pair table 0.3-0.4 ms, ``delta_series`` 0.06 ms, the row check
 # 0.04 ms, and collapsing the whole series 0.15 ms at budget 40 (42 terms)
-# and 0.75 ms at budget 80 (210 terms, ``qarith.collapse``).  With it a warm
-# certify is one collapse of the two-term head and one evaluation per term,
-# in integers on the point's cleared denominators: about 0.018 ms at budget
-# 40 or 80 (``certify_warm`` in ``BENCH_pr20.json``, calibrated medians).
+# and 0.75 ms at budget 80 (210 terms, ``qarith.collapse``).  The entry
+# holds the head and the rows compiled to the integer (coefficient, slot)
+# pairs a point needs, so a warm certify is one lead of the two-term head's
+# collapse and one compiled value per term, a few integer products each on
+# the point's cleared denominators: about 0.011 ms at budget 40 or 80
+# (``certify_warm`` in ``BENCH_pr22.json``, calibrated medians; 0.017 ms
+# with the head collapsed as a series and each polynomial evaluated from
+# its monomial dict).
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
 # budget 80), so neither keeps a cache of its own.  Bounds, in entries:
@@ -328,10 +337,18 @@ def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
 @lru_cache(maxsize=SHELL_CACHE, typed=True)
 def _leading_data(
     budget: int, route: Route
-) -> tuple[FormalQSeries, tuple[tuple[Expo, ParamPolynomial], ...]]:
+) -> tuple[tuple[tuple[Expo, Compiled], ...], tuple[tuple[Expo, ParamPolynomial, Compiled], ...]]:
     """The head of the discrepancy series of a budget and route -- its terms
     at the order-minimal pair exponents -- and those exponents, each with its
-    coefficient polynomial.
+    coefficient polynomial, in the integer forms a point needs.
+
+    The head is a tuple of ``(exponent, pairs)``: each term's ``MONOS``
+    vector compiled to (coefficient, slot) pairs (``qarith._compile``), the
+    form ``qarith._lead`` collapses.  The rows are a tuple of ``(exponent,
+    polynomial, pairs)``: the polynomial compiled from its own monomials
+    (``ParamPolynomial._compile``), the form ``qarith._value`` evaluates.
+    So a point's two checks still compare two computations from two
+    sources, the series' vectors and the polynomials' terms.
 
     Two checks run here, once per entry.  Each stored coefficient is checked
     against the direct two-vector kernel of its row
@@ -355,8 +372,9 @@ def _leading_data(
     for e in series.terms:
         if e not in exponents and not any(exp_below(f, e) for f in exponents):
             raise AssertionError(f"exponent {e} does not lie above a minimal pair exponent")
-    head = FormalQSeries.from_vectors(budget, {e: series.terms[e] for e in exponents})
-    return head, tuple((e, series.coefficient(e)) for e in exponents)
+    head = tuple((e, _compile(series.terms[e])) for e in exponents)
+    polys = [series.coefficient(e) for e in exponents]
+    return head, tuple((e, poly, poly._compile()) for e, poly in zip(exponents, polys))
 
 
 class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):
@@ -415,24 +433,27 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     of the certificate terms; both are checked on every call.  The head of
     the series (its terms at the order-minimal rows), the rows and their
     coefficient polynomials depend only on the budget and route, so they are
-    built once per budget and route and cached (``_leading_data``); the
-    rows' stored coefficients are cross-checked against the direct
-    two-vector kernels (``pair_discrepancy_vector``, in integers), and every
-    other term of the budget's series is checked to lie strictly above a
-    row in the suffix order, when they are built.  So a call collapses only
-    the two-term head, which leads exactly where the whole series does, and
-    its work does not grow with the budget.  The point is cleared and
-    sorted once per call (``_sort_cleared``), and every step after that,
-    both checks included, is integer work on the scale of the ``qarith``
-    module; Fractions are built only for the certificate's outputs, and a
-    one-term certificate's total is its term's value, which the total check
-    has just proved equal.  Ties are resolved by summing coefficients at the
-    common collapsed exponent; each certificate term's polynomial is
-    evaluated once, from its own monomials rather than the collapse's
-    ``MONOS`` weights, so the total check compares two computations.  A
-    budget that is not an ``int``, a route that is not a ``Route`` or a
-    point that is not a ``ParamPoint`` raises ``TypeError``, in that order,
-    before any other check and before any cache is read.
+    built once per budget and route and cached (``_leading_data``), compiled
+    to the (coefficient, slot) pairs a point needs; the rows' stored
+    coefficients are cross-checked against the direct two-vector kernels
+    (``pair_discrepancy_vector``, in integers), and every other term of the
+    budget's series is checked to lie strictly above a row in the suffix
+    order, when they are built.  So a call collapses only the two-term
+    head, which leads exactly where the whole series does, and its work does
+    not grow with the budget.  The point is cleared and sorted once per call
+    (``_sort_cleared``), and every step after that is integer work on the
+    scale of the ``qarith`` module: the rows at the least key are found with
+    a running minimum, the weights of the point are taken once
+    (``_weights``), the head's collapse is led from its compiled vectors
+    (``_lead``) and each certificate term's value from its polynomial's own
+    compiled monomials (``_value``), so the total check compares two
+    computations from two sources.  Ties are resolved by summing
+    coefficients at the common collapsed exponent.  Fractions are built only
+    for the certificate's outputs, and a one-term certificate's total is its
+    term's value, which the total check has just proved equal.  A budget
+    that is not an ``int``, a route that is not a ``Route`` or a point that
+    is not a ``ParamPoint`` raises ``TypeError``, in that order, before any
+    other check and before any cache is read.
     """
     check_budget(budget)
     check_route(route)
@@ -445,34 +466,38 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     ordered, permutation, D, A = _sort_cleared(p)
     a0, a1, a2, a3 = A
     if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
-        return Certificate(tuple(p), tuple(ordered), permutation, budget)
+        return Certificate(tuple(p), ordered, permutation, budget)
     head, rows = _leading_data(budget, route)
-    # rows keyed by D times their collapsed exponent, the integer e.A
-    by_key: dict[int, list[tuple[Expo, ParamPolynomial]]] = {}
+    # the rows at the least key e.A, D times their collapsed exponent
+    min_key = None
     for row in rows:
         n0, n1, n2, n3 = row[0]
-        by_key.setdefault(n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3, []).append(row)
+        key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
+        if min_key is None or key < min_key:
+            min_key, leaders = key, [row]
+        elif key == min_key:
+            leaders.append(row)
 
-    min_key = min(by_key)
-    # (D * exponent, D^2 * coefficient) pairs
-    collapsed = head._collapse(D, A)
-    if not collapsed or collapsed[0][0] != min_key:
+    W = _weights(D, A)
+    # (D * exponent, D^2 * coefficient) of the head's collapse
+    lead = _lead(head, A, W)
+    if lead is None or lead[0] != min_key:
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-    leaders = by_key[min_key]
     # the terms' values, integers over D^2 as the head's coefficient is
-    values = [poly._evaluate(D, A) for _, poly in leaders]
-    coefficient = collapsed[0][1]
+    values = [_value(pairs, W) for _, _, pairs in leaders]
+    coefficient = lead[1]
     if coefficient != sum(values):
         raise AssertionError("leading coefficient does not match the certificate terms")
-    # ``_collapse`` drops zero sums, so the checked total is nonzero
+    # ``_lead`` skips zero sums, so the checked total is nonzero
     square = D * D
-    terms = tuple(
-        CertTerm(e, poly, Fraction(value, square)) for (e, poly), value in zip(leaders, values)
-    )
+    terms = tuple([
+        CertTerm(e, poly, Fraction(value, square))
+        for (e, poly, _), value in zip(leaders, values)
+    ])
     # the check above proved a single term's value equal to the total
     total = terms[0].value if len(terms) == 1 else Fraction(coefficient, square)
     return Certificate(
-        tuple(p), tuple(ordered), permutation, budget,
+        tuple(p), ordered, permutation, budget,
         Fraction(min_key, D), terms, total, Verdict.NON_ISOMETRIC,
     )

@@ -252,7 +252,8 @@ class CosetLabel(namedtuple("CosetLabel", "index sign")):
     a signed representative.  An immutable record; the constructor refuses
     a sign, or an index other than ``None``, that is not an ``int`` (a
     ``bool`` or ``1.0`` included) with ``TypeError``, and any other (index,
-    sign) with ``ValueError``."""
+    sign) with ``ValueError``.  ``_make``, and so ``_replace``, go through
+    the constructor and check alike."""
 
     __slots__ = ()
 
@@ -265,6 +266,10 @@ class CosetLabel(namedtuple("CosetLabel", "index sign")):
         elif index not in (0, 1, 2, 3) or sign not in (-1, 1):
             raise ValueError(f"bad coset label ({index}, {sign})")
         return super().__new__(cls, index, sign)
+
+    @classmethod
+    def _make(cls, iterable) -> "CosetLabel":
+        return cls(*iterable)
 
     @classmethod
     def zero(cls) -> "CosetLabel":

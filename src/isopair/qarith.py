@@ -8,17 +8,24 @@ series holds each one as an integer vector on the fifteen monomials
 package builds is integral; a rational coefficient is refused, not rounded.
 Addition, scaling and collapse are integer arithmetic on those vectors.
 ``ParamPolynomial`` has no arithmetic: it is the output view through which
-a coefficient is printed, serialized, evaluated at a point or compared with
-a formula of the paper.
+a coefficient is printed, serialized, compiled for evaluation at a point or
+compared with a formula of the paper.
 
 Work at a point is integer work on one scale.  ``_cleared`` turns the point
 into its common denominator ``D`` and integer numerators ``A = D*p``; at
 that point an exponent is an integer over ``D`` and a coefficient or a
-value is an integer over ``D^2``.  The integer forms ``_collapse`` and
-``_evaluate`` take ``(D, A)`` and return those integers; ``collapse`` and
-``evaluate`` clear their point, call them and divide once.  A caller that
-works at one point several times clears it once (``_sort_cleared`` also
-sorts it) and builds Fractions only for its outputs.
+value is an integer over ``D^2``: a vector ``v`` on ``MONOS`` is
+``(v.W) / D^2`` for the integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of
+``_weights``.  ``FormalQSeries._collapse`` takes ``(D, A)`` and returns
+those integers for a whole series; ``collapse`` clears its point, calls it
+and divides once.  A caller that meets the same few coefficients at many
+points compiles them once into (coefficient, slot) pairs, the slot of each
+nonzero entry in ``MONOS`` (``_compile`` for a vector,
+``ParamPolynomial._compile`` for a polynomial's own terms).  At each point
+it then clears and sorts the point in one pass (``_sort_cleared``), takes
+``W`` once, gets the lead of a compiled collapse (``_lead``) and each
+compiled value (``_value``) from a few integer products, and builds
+Fractions only for its outputs.
 
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
@@ -51,6 +58,8 @@ from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
+# a coefficient compiled to (coefficient, slot) pairs on ``MONOS``
+Compiled = tuple[tuple[int, int], ...]
 
 PARAM_NAMES = ("a", "b", "c", "d")
 
@@ -65,6 +74,7 @@ MONOS: tuple[Mono, ...] = (
     *(tuple(int(u == i) for u in range(4)) for i in range(4)),
     *QUAD_MONOS,
 )
+_SLOTS = {mono: slot for slot, mono in enumerate(MONOS)}
 
 
 def exact(x) -> Fraction:
@@ -90,20 +100,28 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
     """A rational parameter point (a, b, c, d) with all coordinates positive.
 
     An immutable record and a tuple of its four Fractions: the constructor
-    coerces each coordinate with ``exact`` and refuses a non-positive one.
-    ``certify`` brings a pairwise-distinct point into the canonical strictly
-    increasing chain 0 < a < b < c < d (``_sort_cleared``).
+    coerces each coordinate with ``exact`` and refuses a non-positive one
+    (four Fractions need no coercion and skip it).  ``_make``, and so
+    ``_replace``, go through the constructor and check alike, so no point
+    holds a float, a bool or a non-positive coordinate.  ``certify`` brings a
+    pairwise-distinct point into the canonical strictly increasing chain
+    0 < a < b < c < d (``_sort_cleared``).
     """
 
     __slots__ = ()
 
     def __new__(cls, a, b, c, d):
-        a, b, c, d = exact(a), exact(b), exact(c), exact(d)
+        if not (type(a) is type(b) is type(c) is type(d) is Fraction):
+            a, b, c, d = exact(a), exact(b), exact(c), exact(d)
         self = tuple.__new__(cls, (a, b, c, d))
         # a Fraction's denominator is positive
         if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0 or d.numerator <= 0:
             raise ValueError(f"parameters must be positive, got {self}")
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ParamPoint":
+        return cls(*iterable)
 
     def __str__(self):
         return "(" + ", ".join(map(str, self)) + ")"
@@ -126,22 +144,87 @@ def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
 
 def _sort_cleared(
     p: ParamPoint,
-) -> tuple[ParamPoint, tuple[int, int, int, int], int, list[int]]:
-    """The point sorted ascending, the permutation that sorts it, and the
-    point's ``D`` with the sorted numerators ``A`` of ``_cleared``.  Entry i
-    of the permutation is the position in ``p`` of the i-th smallest
-    coordinate.
+) -> tuple[tuple[Fraction, ...], tuple[int, int, int, int], int, tuple[int, int, int, int]]:
+    """The point's coordinates sorted ascending, as a plain tuple, the
+    permutation that sorts them, and the point's ``D`` with the sorted
+    numerators ``A`` of ``_cleared``.  Entry i of the permutation is the
+    position in ``p`` of the i-th smallest coordinate.
 
-    The point is cleared once: sorting the integer numerators orders the
-    coordinates as the Fractions do, and ``D`` and the sorted ``A`` are the
-    cleared form of the sorted point, ready for ``_collapse`` and
-    ``_evaluate``.
+    One pass: one ``as_integer_ratio`` per coordinate, then one sort of
+    (numerator, position) pairs.  The numerators over ``D`` order the
+    coordinates as the Fractions do, and the positions keep tied ones in
+    their order, as a stable sort would; ``D`` and the sorted ``A`` are the
+    cleared form of the sorted point, ready for ``_weights``.
     """
-    D, A = _cleared(p)
-    i, j, k, m = order = tuple(sorted(range(4), key=A.__getitem__))
-    # the coordinates were checked when ``p`` was built
-    ordered = tuple.__new__(ParamPoint, (p[i], p[j], p[k], p[m]))
-    return ordered, order, D, [A[i], A[j], A[k], A[m]]
+    x0, x1, x2, x3 = p
+    # the coordinates are Fractions, checked when ``p`` was built
+    n0, q0 = x0.as_integer_ratio()
+    n1, q1 = x1.as_integer_ratio()
+    n2, q2 = x2.as_integer_ratio()
+    n3, q3 = x3.as_integer_ratio()
+    D = lcm(q0, q1, q2, q3)
+    (A0, i), (A1, j), (A2, k), (A3, m) = sorted(
+        [(n0 * (D // q0), 0), (n1 * (D // q1), 1), (n2 * (D // q2), 2), (n3 * (D // q3), 3)]
+    )
+    return (p[i], p[j], p[k], p[m]), (i, j, k, m), D, (A0, A1, A2, A3)
+
+
+def _weights(D: int, A: Sequence[int]) -> tuple[int, ...]:
+    """The integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS`` at the
+    point cleared to ``(D, A)``: a coefficient vector ``v`` on ``MONOS`` is
+    ``(v.W) / D^2`` there."""
+    a0, a1, a2, a3 = A
+    # in ``MONOS`` order: 1, the four p_i, then ``QUAD_SLOTS``
+    return (
+        D * D, D * a0, D * a1, D * a2, D * a3,
+        a0 * a0, a0 * a1, a0 * a2, a0 * a3,
+        a1 * a1, a1 * a2, a1 * a3,
+        a2 * a2, a2 * a3,
+        a3 * a3,
+    )
+
+
+def _compile(vector: Sequence[int]) -> Compiled:
+    """A coefficient vector on ``MONOS`` as the (coefficient, slot) pairs of
+    its nonzero entries, the form ``_value`` and ``_lead`` read."""
+    return tuple((x, slot) for slot, x in enumerate(vector) if x)
+
+
+def _value(pairs: Compiled, W: Sequence[int]) -> int:
+    """A compiled coefficient at the point whose weights are ``W``: the sum
+    of ``coefficient * W[slot]``, the integer over ``D^2``."""
+    total = 0
+    for coeff, slot in pairs:
+        total += coeff * W[slot]
+    return total
+
+
+def _lead(
+    terms: Sequence[tuple[Expo, Compiled]], A: Sequence[int], W: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first pair ``(D*exponent, D^2*coefficient)`` of the collapse of
+    compiled terms, ``(exponent, pairs)`` with ``pairs`` from ``_compile``,
+    at the point cleared to ``(D, A)`` whose weights are ``W``: what
+    ``_collapse(D, A)[0]`` is for the series of those terms, or None where
+    that collapse is empty.
+
+    The terms are taken in the order of their keys ``e.A``; values merge at
+    equal keys, and the first key whose merged value is nonzero leads, so no
+    term above it is evaluated.
+    """
+    a0, a1, a2, a3 = A
+    keyed = []
+    for (n0, n1, n2, n3), pairs in terms:
+        keyed.append((n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3, pairs))
+    keyed.sort()
+    lead, total = None, 0
+    for key, pairs in keyed:
+        if key != lead:
+            if total:
+                break
+            lead = key
+        total += _value(pairs, W)
+    return (lead, total) if total else None
 
 
 def check_expo(e) -> Expo:
@@ -166,7 +249,8 @@ def exp_below(e: Expo, f: Expo) -> bool:
 
 class ParamPolynomial:
     """A coefficient of a series, as a polynomial in (a, b, c, d) to print,
-    serialize, evaluate or compare with a formula of the paper.
+    serialize, compile for evaluation at a point (``_compile``) or compare
+    with a formula of the paper.
 
     Terms map monomial exponent 4-tuples of degree at most two to nonzero
     ints: an integer quadratic form, the one ``FormalQSeries.coefficient``
@@ -199,20 +283,10 @@ class ParamPolynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def evaluate(self, p: ParamPoint) -> Fraction:
-        """Exact substitution of a parameter point: ``_evaluate`` divided once."""
-        D, A = _cleared(p)
-        return Fraction(self._evaluate(D, A), D * D)
-
-    def _evaluate(self, D: int, A: Sequence[int]) -> int:
-        """The value at the point cleared to ``(D, A)``, as the integer over
-        ``D^2`` of the module's scale: the sum of
-        ``coeff * A^mono * D^(2 - deg mono)`` over the terms."""
-        a0, a1, a2, a3 = A
-        total = 0
-        for (n0, n1, n2, n3), coeff in self.terms.items():
-            total += coeff * D ** (2 - n0 - n1 - n2 - n3) * a0**n0 * a1**n1 * a2**n2 * a3**n3
-        return total
+    def _compile(self) -> Compiled:
+        """The polynomial's own terms as (coefficient, slot) pairs, the slot
+        of each monomial in ``MONOS``: the form ``_value`` evaluates."""
+        return tuple((coeff, _SLOTS[mono]) for mono, coeff in self.terms.items())
 
     def as_pairs(self) -> tuple[tuple[Mono, int], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
@@ -377,18 +451,11 @@ class FormalQSeries:
 
         An exponent ``n`` is ``(n.A) / D`` and a coefficient vector ``v`` is
         ``(v.W) / D^2`` for the integer weights ``W = (D^2, D*A_i, A_s*A_t)``
-        of ``MONOS``, so the keys ``n.A`` merge and order as the exponents
-        do.  Sorted by key, zero sums dropped.
+        of ``MONOS`` (``_weights``), so the keys ``n.A`` merge and order as
+        the exponents do.  Sorted by key, zero sums dropped.
         """
         a0, a1, a2, a3 = A
-        # in ``MONOS`` order: 1, the four p_i, then ``QUAD_SLOTS``
-        weights = (
-            D * D, D * a0, D * a1, D * a2, D * a3,
-            a0 * a0, a0 * a1, a0 * a2, a0 * a3,
-            a1 * a1, a1 * a2, a1 * a3,
-            a2 * a2, a2 * a3,
-            a3 * a3,
-        )
+        weights = _weights(D, A)
         merged: dict[int, int] = {}
         for (n0, n1, n2, n3), v in self.terms.items():
             key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3

@@ -15,7 +15,7 @@ from isopair import (
     psi,
 )
 from isopair.discrepancy import _leading_data
-from isopair.qarith import MONOS
+from isopair.qarith import MONOS, _cleared, _compile
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
@@ -193,6 +193,24 @@ def sigma(e, p) -> Fraction:
     return p.a * e[0] + p.b * e[1] + p.c * e[2] + p.d * e[3]
 
 
+def integer_evaluate(poly: ParamPolynomial, D: int, A) -> int:
+    """Reference integer evaluation at the point cleared to ``(D, A)``: the
+    sum of ``coeff * A^mono * D^(2 - deg mono)`` over the terms, each power
+    taken in full, as the integer over ``D^2``."""
+    a0, a1, a2, a3 = A
+    total = 0
+    for (n0, n1, n2, n3), coeff in poly.terms.items():
+        total += coeff * D ** (2 - n0 - n1 - n2 - n3) * a0**n0 * a1**n1 * a2**n2 * a3**n3
+    return total
+
+
+def evaluate(poly: ParamPolynomial, p) -> Fraction:
+    """Exact substitution of a parameter point: ``integer_evaluate`` divided
+    once."""
+    D, A = _cleared(p)
+    return Fraction(integer_evaluate(poly, D, A), D * D)
+
+
 def fraction_evaluate(poly: ParamPolynomial, p) -> Fraction:
     """Reference evaluation: each term's coefficient times its powers of the
     point's coordinates, multiplied out one factor at a time in Fractions."""
@@ -224,15 +242,15 @@ def doubled_head(budget, route):
     """``_leading_data`` with the head's coefficients at both rows doubled:
     the collapse still leads at the minimal row, with twice the terms' sum."""
     head, rows = _leading_data(budget, route)
-    return head.scaled(2), rows
+    return tuple((e, tuple((2 * coeff, slot) for coeff, slot in pairs)) for e, pairs in head), rows
 
 
 def head_below_the_rows(budget, route):
-    """``_leading_data`` with a head term at (1, 0, 0, 0), which collapses to
-    ``a``, below both rows at every sorted point."""
+    """``_leading_data`` with a head term at (1, 0, 0, 0), coefficient 1 on
+    the constant monomial, which collapses to ``a``, below both rows at
+    every sorted point."""
     head, rows = _leading_data(budget, route)
-    extra = FormalQSeries(budget, {(1, 0, 0, 0): [1] + [0] * (len(MONOS) - 1)})
-    return head + extra, rows
+    return (*head, ((1, 0, 0, 0), _compile([1] + [0] * (len(MONOS) - 1)))), rows
 
 
 def generator_normalize(w):

@@ -84,6 +84,26 @@ class TestCensus:
         for line in lines:
             assert sum(line <= words for words in subspaces) == 13, sorted(line)
 
+    def test_echelon_pairs_are_listed_once_in_normal_form(self):
+        pairs = codes._echelon_generator_pairs()
+        assert codes._echelon_generator_pairs() is pairs
+        assert len(set(pairs)) == 130
+        assert all(normalize(w) == w for pair in pairs for w in pair)
+
+    def test_census_normalizes_only_the_canonical_generators(self, monkeypatch):
+        # the census spans its pairs as listed; only the eight canonical
+        # pairs it is compared with are normalized, once per word
+        calls = []
+        monkeypatch.setattr(codes, "normalize", lambda w: calls.append(w) or normalize(w))
+        selfdual_codes.cache_clear()
+        try:
+            assert len(two_dim_subspaces()) == 130
+            assert calls == []
+            selfdual_codes()
+            assert calls == [w for pair in SELFDUAL_GENERATORS for w in pair]
+        finally:
+            selfdual_codes.cache_clear()
+
     def test_eight_selfdual(self):
         eight = selfdual_codes()
         assert len(eight) == 8

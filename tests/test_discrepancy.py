@@ -5,6 +5,8 @@ from itertools import combinations, permutations, product
 from math import floor, isqrt, prod
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from isopair import (
     ALL_LABELS,
@@ -40,7 +42,7 @@ from isopair.discrepancy import (
     _leading_data,
     pair_discrepancy_vector,
 )
-from isopair.qarith import MONOS
+from isopair.qarith import MONOS, _compile
 from isopair.verification import (
     EXPECTED_EXTRA_MINIMAL,
     EXPECTED_PAIR_TABLE,
@@ -56,6 +58,7 @@ from conftest import (
     admissible_samples,
     collapse_points,
     doubled_head,
+    evaluate,
     fraction_collapse,
     fraction_delta,
     fraction_evaluate,
@@ -67,6 +70,22 @@ from conftest import (
 )
 
 BOLD_FIRST, BOLD_SECOND = LEADING_EXPONENTS
+
+COORDINATES = st.builds(Fraction, st.integers(1, 400), st.integers(1, 20))
+
+
+@st.composite
+def admissible_points(draw) -> ParamPoint:
+    """Four distinct positive rationals in a drawn order; about half are tie
+    points, 5b + d = 15a + 3c once sorted, where both leading exponents
+    collapse to one value."""
+    values = draw(st.lists(COORDINATES, min_size=4, max_size=4, unique=True))
+    if draw(st.booleans()):
+        a, b, c, _ = sorted(values)
+        d = 15 * a + 3 * c - 5 * b
+        assume(d > c)
+        values = [a, b, c, d]
+    return ParamPoint(*draw(st.permutations(values)))
 
 
 def _off_by_one_theta11(lattice, budget, kernel):
@@ -123,7 +142,7 @@ class TestRoutes:
     def test_first_coefficient_vanishes_when_a_equals_b(self):
         poly = delta_series(40, Route.FROM_PSI_KERNEL).coefficient(BOLD_FIRST)
         for point in (ParamPoint(2, 2, 5, 7), ParamPoint(Fraction(1, 3), Fraction(1, 3), 1, 9)):
-            assert poly.evaluate(point) == 0
+            assert evaluate(poly, point) == 0
 
 
 class TestClassSeries:
@@ -440,29 +459,38 @@ class TestCertify:
         assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
 
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
-        # a warm certify works on integer vectors; polynomials appear only in
-        # its terms, each evaluated once for its value, and have no
-        # arithmetic; the point is cleared once per call
-        calls = {"_evaluate": 0, "_cleared": 0}
-        evaluate, cleared = ParamPolynomial._evaluate, qarith._cleared
+        # a warm certify works on the compiled integer forms of its leading
+        # entry: the point is cleared and sorted once per call, the head's
+        # collapse is led once per call, and each term's compiled polynomial
+        # is evaluated once for its value; polynomials have no arithmetic,
+        # and nothing collapses a whole series or clears the point again
+        calls = {name: 0 for name in ("_sort_cleared", "_lead", "_value", "_cleared", "_collapse")}
 
-        def counted_evaluate(self, D, A):
-            calls["_evaluate"] += 1
-            return evaluate(self, D, A)
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
 
-        def counted_cleared(p):
-            calls["_cleared"] += 1
-            return cleared(p)
+            return call
 
-        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "evaluate"):
             assert not hasattr(ParamPolynomial, name), name
         certify(SCHIEMANN, 40)
-        monkeypatch.setattr(ParamPolynomial, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(qarith, "_cleared", counted_cleared)
-        points = admissible_samples(101, 20)
+        for name in ("_sort_cleared", "_lead", "_value"):
+            monkeypatch.setattr(discrepancy, name, counted(name, getattr(discrepancy, name)))
+        monkeypatch.setattr(qarith, "_cleared", counted("_cleared", qarith._cleared))
+        monkeypatch.setattr(
+            FormalQSeries, "_collapse", counted("_collapse", FormalQSeries._collapse)
+        )
+        points = collapse_points(101, 20)
         assert all(len(set(p)) == 4 for p in points)
         terms = sum(len(certify(p, 40).terms) for p in points)
-        assert calls == {"_evaluate": terms, "_cleared": len(points)}
+        # the tie points of ``collapse_points`` give two terms
+        assert terms == len(points) + len(points) // 4
+        assert calls == {
+            "_sort_cleared": len(points), "_lead": len(points), "_value": terms,
+            "_cleared": 0, "_collapse": 0,
+        }
 
     def test_budget_below_threshold_rejected(self):
         with pytest.raises(ValueError, match=r"^certification needs budget >= 36 to cover the"):
@@ -506,6 +534,17 @@ class TestCertify:
         cert = certify(p, 40)
         assert cert.sorted_params == ordered and cert.permutation == (1, 3, 2, 0)
         assert (cert.min_exponent, cert.total) == fraction_collapse(fraction_delta(40), ordered)[0]
+        for term in cert.terms:
+            assert sigma(term.exponent_vector, ordered) == cert.min_exponent
+            assert term.value == fraction_evaluate(term.polynomial, ordered)
+
+    @given(admissible_points())
+    def test_certificates_match_the_fraction_reference(self, p):
+        ordered = ParamPoint(*sorted(p))
+        cert = certify(p, 40)
+        assert cert.sorted_params == ordered
+        assert (cert.min_exponent, cert.total) == fraction_collapse(fraction_delta(40), ordered)[0]
+        assert cert.total == sum(term.value for term in cert.terms)
         for term in cert.terms:
             assert sigma(term.exponent_vector, ordered) == cert.min_exponent
             assert term.value == fraction_evaluate(term.polynomial, ordered)
@@ -593,8 +632,10 @@ class TestLeadingData:
     )
     def test_head_leads_where_the_whole_series_does(self, budget, route):
         series = delta_series(budget, route)
-        head, _ = _leading_data(budget, route)
-        assert head.terms == {e: series.terms[e] for e in LEADING_EXPONENTS}
+        head, rows = _leading_data(budget, route)
+        assert dict(head) == {e: _compile(series.terms[e]) for e in LEADING_EXPONENTS}
+        assert [row[:2] for row in rows] == [(e, series.coefficient(e)) for e in LEADING_EXPONENTS]
+        assert all(pairs == poly._compile() for _, poly, pairs in rows)
         for p in collapse_points(337, 200):
             cert = certify(p, budget, route)
             ordered = ParamPoint(*cert.sorted_params)

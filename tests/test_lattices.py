@@ -31,7 +31,7 @@ from isopair.lattices import (
 from isopair.qarith import ParamPolynomial
 from isopair.verification import EXPECTED_EXTRA_MINIMAL, SCHIEMANN
 
-from conftest import UNIT_MONOS, inner_poly, norm_poly, random_admissible_point
+from conftest import UNIT_MONOS, evaluate, inner_poly, norm_poly, random_admissible_point
 
 # The base-lattice generator matrix in eigenbasis coordinates (columns).
 BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3))
@@ -107,7 +107,7 @@ def standard_gram(p):
     eigenbasis inner product."""
     units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     basis = [from_standard(e) for e in units]
-    return [[inner_poly(u, w).evaluate(p) for w in basis] for u in basis]
+    return [[evaluate(inner_poly(u, w), p) for w in basis] for u in basis]
 
 
 def point_from_gram_params(r, alpha, beta, gamma):
@@ -448,8 +448,8 @@ class TestNorms:
             v = tuple(rng.randint(-5, 5) for _ in range(4))
             w = tuple(rng.randint(-5, 5) for _ in range(4))
             p = random_admissible_point(rng)
-            assert inner_poly(v, w).evaluate(p) == sum(s * x * y for s, x, y in zip(p, v, w))
-            assert norm_poly(v).evaluate(p) == sum(s * x * x for s, x in zip(p, v))
+            assert evaluate(inner_poly(v, w), p) == sum(s * x * y for s, x, y in zip(p, v, w))
+            assert evaluate(norm_poly(v), p) == sum(s * x * x for s, x in zip(p, v))
 
 
 class TestCosetLabels:

@@ -24,11 +24,20 @@ from isopair import (
     rep_series,
     theta11,
 )
-from isopair.qarith import MONOS, _cleared, _sort_cleared, exact
+from isopair.qarith import (
+    MONOS,
+    _cleared,
+    _compile,
+    _lead,
+    _sort_cleared,
+    _value,
+    _weights,
+    exact,
+)
 from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 
 from conftest import VARIABLES, Poly, admissible_samples, collapse_points, poly_series
-from conftest import COPRIME, fraction_collapse, fraction_evaluate, sigma
+from conftest import COPRIME, fraction_collapse, fraction_evaluate, integer_evaluate, sigma
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -146,6 +155,12 @@ def random_poly(rng):
     return Poly({mono: rng.randint(-9, 9) for mono in rng.sample(MONOS, rng.randint(0, 5))})
 
 
+def compiled_value(poly: ParamPolynomial, p: ParamPoint) -> Fraction:
+    """The value of a polynomial at a point through its compiled form."""
+    D, A = _cleared(p)
+    return Fraction(_value(poly._compile(), _weights(D, A)), D * D)
+
+
 # points with coprime and with common denominators, and an integer point
 EVALUATION_POINTS = [
     COPRIME,
@@ -163,9 +178,11 @@ class TestParamPolynomial:
         ]
 
     def test_zero(self):
+        assert ParamPolynomial()._compile() == ()
         for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
-            value = ParamPolynomial().evaluate(point)
-            assert type(value) is Fraction and value == 0
+            D, numerators = _cleared(point)
+            value = _value(ParamPolynomial()._compile(), _weights(D, numerators))
+            assert type(value) is int and value == 0
         assert ParamPolynomial().is_zero
         assert (A - A).is_zero
 
@@ -184,7 +201,7 @@ class TestParamPolynomial:
         subs = dict(zip(_SYMS, [sympy.Rational(x.numerator, x.denominator) for x in point]))
         for _ in range(20):
             p = random_poly(rng)
-            got = p.evaluate(point)
+            got = compiled_value(p, point)
             expected = to_sympy(p).subs(subs)
             assert sympy.Rational(got.numerator, got.denominator) == expected
 
@@ -196,9 +213,7 @@ class TestParamPolynomial:
             monos = rng.sample(MONOS, rng.randint(1, 6))
             poly = ParamPolynomial({m: rng.randint(-30, 30) for m in monos})
             for point in points:
-                got = poly.evaluate(point)
-                assert type(got) is Fraction
-                assert got == fraction_evaluate(poly, point), (poly, point)
+                assert compiled_value(poly, point) == fraction_evaluate(poly, point), (poly, point)
 
     def test_integer_evaluate_is_the_value_over_the_square_of_d(self):
         rng = random.Random(20)
@@ -206,9 +221,21 @@ class TestParamPolynomial:
             poly = ParamPolynomial({m: rng.randint(-30, 30) for m in rng.sample(MONOS, 6)})
             for point in EVALUATION_POINTS:
                 D, A = _cleared(point)
-                value = poly._evaluate(D, A)
+                value = _value(poly._compile(), _weights(D, A))
                 assert type(value) is int
+                assert value == integer_evaluate(poly, D, A), (poly, point)
                 assert value == D * D * fraction_evaluate(poly, point), (poly, point)
+
+    def test_compile_pairs_each_term_with_its_slot(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            poly = random_poly(rng)
+            pairs = poly._compile()
+            assert {MONOS[slot]: coeff for coeff, slot in pairs} == poly.terms
+            assert len(pairs) == len(poly.terms)
+            # the vector form compiles to the same pairs, in slot order
+            vector = [poly.terms.get(mono, 0) for mono in MONOS]
+            assert _compile(vector) == tuple(sorted(pairs, key=lambda pair: pair[1]))
 
     def test_exact_returns_a_fraction_unchanged(self):
         x = Fraction(-22, 7)
@@ -366,10 +393,10 @@ class TestParamPoint:
         for _ in range(100):
             values = [Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(4)]
             ordered, perm, D, A = _sort_cleared(ParamPoint(*values))
-            assert type(ordered) is ParamPoint
+            assert type(ordered) is tuple
             assert ordered == ParamPoint(*sorted(values))
             assert tuple(values[i] for i in perm) == ordered
-            assert (D, A) == _cleared(ordered)
+            assert (D, list(A)) == _cleared(ParamPoint(*ordered))
 
     def test_certify_records_the_permutation(self):
         p = ParamPoint(19, 7, 1, 13)
@@ -555,13 +582,13 @@ class TestPointPrimitives:
         ordered, perm, D, A = _sort_cleared(p)
         # Python's sort is stable: tied coordinates keep their positions' order
         assert perm == tuple(sorted(range(4), key=p.__getitem__))
-        assert type(ordered) is ParamPoint and ordered == tuple(sorted(p))
-        assert (D, A) == _cleared(ordered) and A == sorted(A)
+        assert type(ordered) is tuple and ordered == tuple(sorted(p))
+        assert (D, list(A)) == _cleared(ParamPoint(*ordered)) and list(A) == sorted(A)
 
     def test_tied_numerators_keep_their_positions_order(self):
         ordered, perm, D, A = _sort_cleared(PRIMITIVE_POINTS["tied-pairs"])
         assert perm == (1, 3, 0, 2)
-        assert (D, A) == (3, [2, 2, 9, 9])
+        assert (D, A) == (3, (2, 2, 9, 9))
         assert ordered == (Fraction(2, 3), Fraction(2, 3), 3, 3)
 
     @pytest.mark.parametrize("name", PRIMITIVE_IDS)
@@ -573,9 +600,11 @@ class TestPointPrimitives:
             ParamPolynomial({m: rng.randint(-99, 99) for m in rng.sample(MONOS, k)})
             for k in (2, 5, 15)
         ]
+        W = _weights(D, A)
         for poly in polys + [ParamPolynomial(), A_TIMES_B_MINUS_C]:
-            value = poly._evaluate(D, A)
+            value = _value(poly._compile(), W)
             assert type(value) is int
+            assert value == integer_evaluate(poly, D, A), poly
             assert Fraction(value, D * D) == fraction_evaluate(poly, p), poly
 
     @pytest.mark.parametrize("name", PRIMITIVE_IDS)
@@ -592,6 +621,24 @@ class TestPointPrimitives:
             assert all(type(k) is int and type(v) is int for k, v in collapsed)
             fractions = tuple((Fraction(k, D), Fraction(v, D * D)) for k, v in collapsed)
             assert fractions == fraction_collapse(series, p)
+            # the compiled collapse leads where the collapse does
+            compiled = [(e, _compile(v)) for e, v in series.terms.items()]
+            for terms in (compiled, compiled[::-1]):
+                assert _lead(terms, A, _weights(D, A)) == (collapsed[0] if collapsed else None)
+
+    @pytest.mark.parametrize("name", PRIMITIVE_IDS)
+    def test_lead_skips_keys_whose_values_cancel(self, name):
+        # two terms that cancel at the least key, then one above it: the
+        # collapse drops the cancelled key, and so does ``_lead``
+        p = PRIMITIVE_POINTS[name]
+        D, A = _cleared(p)
+        W = _weights(D, A)
+        one = _compile([1] + [0] * (len(MONOS) - 1))
+        minus_one = _compile([-1] + [0] * (len(MONOS) - 1))
+        low, high = (1, 0, 0, 0), (0, 0, 0, 2)
+        assert _lead([(low, one), (high, one), (low, minus_one)], A, W) == (2 * A[3], D * D)
+        assert _lead([(low, one), (low, minus_one)], A, W) is None
+        assert _lead([], A, W) is None
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("bad", [0, -3, "-1/2"], ids=["zero", "negative", "negative-half"])

@@ -164,3 +164,35 @@ def test_no_record_is_built_past_its_constructor():
         text = path.read_text(encoding="utf-8")
         assert "._make(" not in text and "._replace(" not in text, path.name
 
+
+
+# a namedtuple's ``_replace`` builds its result through ``_make``; both go
+# through the validating constructor, so they refuse what it refuses
+def test_replace_refuses_a_nonpositive_parameter():
+    with pytest.raises(ValueError, match=r"^parameters must be positive, got \(-1, 7, 13, 19\)$"):
+        certify(ParamPoint(1, 7, 13, 19)._replace(a=-1))
+
+
+def test_replace_refuses_a_bool_parameter():
+    with pytest.raises(TypeError, match=r"^refusing bool True; pass int, Fraction or string$"):
+        certify(ParamPoint(1, 7, 13, 19)._replace(a=True))
+
+
+def test_replace_refuses_a_float_parameter():
+    with pytest.raises(TypeError, match=r"^refusing inexact float 1.5; pass int, Fraction or string$"):
+        certify(ParamPoint(1, 7, 13, 19)._replace(a=1.5))
+
+
+def test_make_refuses_a_bad_coset_label():
+    with pytest.raises(ValueError, match=r"^bad coset label \(7, 9\)$"):
+        CosetLabel._make([7, 9])
+
+
+def test_make_and_replace_build_what_the_constructor_builds():
+    point = ParamPoint(1, 7, 13, 19)._replace(a="1/2")
+    assert point == ParamPoint(Fraction(1, 2), 7, 13, 19) and type(point.a) is Fraction
+    assert ParamPoint._make(["1/2", 7, 13, 19]) == point
+    assert CosetLabel(1, 1)._replace(sign=-1) == CosetLabel(1, -1)
+    assert CosetLabel._make([None, 0]) == CosetLabel.zero()
+    with pytest.raises(TypeError, match=r"^coset label index and sign must be ints"):
+        CosetLabel(1, 1)._replace(sign=True)

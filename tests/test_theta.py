@@ -22,6 +22,7 @@ from isopair.verification import FORM_PROBES, SCHIEMANN
 
 from conftest import (
     admissible_samples,
+    evaluate,
     fraction_pairwise_kernel,
     fraction_theta11,
     inner_poly,
@@ -46,7 +47,7 @@ class TestRepSeries:
         fam = build_family()
         for lat in fam:
             series = rep_series(lat, 8)
-            assert series.coefficient((0, 0, 0, 0)).evaluate(SCHIEMANN) == 1
+            assert evaluate(series.coefficient((0, 0, 0, 0)), SCHIEMANN) == 1
 
     def test_collapsed_spectrum_of_l1(self):
         fam = build_family()
@@ -61,7 +62,7 @@ class TestRepSeries:
 
     def test_norm_48_realized_by_one_sign_pair(self):
         fam = build_family()
-        vectors = [v for v in fam.L1.vectors(12) if norm_poly(v).evaluate(SCHIEMANN) == 48]
+        vectors = [v for v in fam.L1.vectors(12) if evaluate(norm_poly(v), SCHIEMANN) == 48]
         assert sorted(vectors) == [(-3, -1, 1, 1), (3, 1, -1, -1)]
 
     def test_pair_is_isospectral(self):
@@ -92,9 +93,9 @@ class TestKernels:
             if not any(l) or not any(k):
                 continue
             for p in samples:
-                nl, nk = norm_poly(l).evaluate(p), norm_poly(k).evaluate(p)
-                cos2 = inner_poly(l, k).evaluate(p) ** 2 / (nl * nk)
-                assert 4 * (4 * cos2 - 1) * nl * nk == fraction_pairwise_kernel(l, k).evaluate(p)
+                nl, nk = evaluate(norm_poly(l), p), evaluate(norm_poly(k), p)
+                cos2 = evaluate(inner_poly(l, k), p) ** 2 / (nl * nk)
+                assert 4 * (4 * cos2 - 1) * nl * nk == evaluate(fraction_pairwise_kernel(l, k), p)
 
     @pytest.mark.parametrize("coeffs", [defining_coeffs, pairwise_coeffs], ids=lambda f: f.__name__)
     def test_kernel_is_a_form_of_degree_2_2(self, coeffs):
