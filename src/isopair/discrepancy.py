@@ -76,8 +76,9 @@ from .theta import Kernel, pair_series, theta11
 
 # Only the three budget-keyed facts that measured traffic re-reads are
 # cached (timings on a 2-vCPU x86_64 VM, Python 3.11).  The labelled shell:
-# the minimal vectors are read from it, and scanning and relabelling the
-# budget-40 shell costs about 1.2 ms.  The class series: without them
+# the minimal vectors are read from it, and scanning L1's budget-80 shell
+# costs about 0.25 ms and labelling it 0.30 ms (``lattices.scan_L1`` and
+# ``lattices.label`` in ``BENCH_pr23.json``).  The class series: without them
 # ``delta_series(40)`` costs about 0.5 ms more, and ``check_relations(24)``,
 # which reads most series three times, takes 7.4 ms instead of 2.2 ms.  The
 # leading data of a budget and route (``_leading_data``): the series' two
@@ -97,8 +98,8 @@ from .theta import Kernel, pair_series, theta11
 # with the head collapsed as a series and each polynomial evaluated from
 # its monomial dict).
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
-# at budget 80) and ``Lattice.vectors`` only rescans (0.6 ms for L1 at
-# budget 80), so neither keeps a cache of its own.  Bounds, in entries:
+# at budget 80) and ``Lattice.vectors`` only rescans (0.25 ms for L1 at
+# budget 80, as above), so neither keeps a cache of its own.  Bounds, in entries:
 # ``verify`` meets the six distinct positive pairs at budget 24 and at its
 # own budget (12 class series), two labelled shells and one leading entry;
 # ``check_relations(24)``, which the tests and perfbench's layer sweep call,

@@ -15,10 +15,15 @@ pair as polynomial identities:
   pairwise so that each cross term s_i s_j l_i l_j k_i k_j stays rational
   (the weights x_i x_j and 4x_i^2 - |x|^2 pick up the diagonal Gram entries
   s = (a, b, c, d) when written in eigenbasis coordinates); its coefficients
-  come from multiplying out the linear forms of that definition;
+  are the products of the four pairs of linear forms of that definition,
+  written out slot by slot;
 * ``Kernel.PAIRWISE`` -- the closed form 16<l,k>^2 - 4|l|^2|k|^2, which is
   ``12 x_i^2`` on ``p_i^2`` and ``32 x_i x_j - 4(l_i^2 k_j^2 + l_j^2 k_i^2)``
   on ``p_i p_j``, with ``x = l*k`` coordinatewise.
+
+Both kernels unpack the eight coordinates of a pair and are straight-line
+arithmetic on them.  Neither calls ``phi``, which refuses anything but
+ints, so both also expand on symbols.
 
 ``pair_series`` is the one pair loop of the package: it sums such integer
 coefficient vectors per exponent and hands the sums to the series as they
@@ -34,10 +39,10 @@ vectors of given lengths.
 from __future__ import annotations
 
 import enum
-from operator import add
+from operator import itemgetter
 
 from .lattices import Lattice, phi
-from .qarith import MONOS, QUAD_MONOS, QUAD_SLOTS, Expo, FormalQSeries, Mono
+from .qarith import MONOS, QUAD_MONOS, Expo, FormalQSeries, Mono
 
 
 class Kernel(enum.Enum):
@@ -45,31 +50,59 @@ class Kernel(enum.Enum):
     PAIRWISE = "pairwise"
 
 
-def _times(u, w) -> list[int]:
-    """The product of the linear forms u.p and w.p on ``QUAD_MONOS``."""
-    return [u[s] * w[s] if s == t else u[s] * w[t] + u[t] * w[s] for s, t in QUAD_SLOTS]
-
-
 def pairwise_coeffs(l, k) -> list[int]:
-    """16<l,k>^2 - 4|l|^2|k|^2 on ``QUAD_MONOS``."""
-    x = [a * b for a, b in zip(l, k)]
-    ll, kk = phi(l), phi(k)
+    """16<l,k>^2 - 4|l|^2|k|^2 on ``QUAD_MONOS``: ``12 x_s^2`` on ``p_s^2``
+    and ``32 x_s x_t - 4(l_s^2 k_t^2 + l_t^2 k_s^2)`` on ``p_s p_t``, with
+    ``x = l*k`` coordinatewise."""
+    l0, l1, l2, l3 = l
+    k0, k1, k2, k3 = k
+    x0, x1, x2, x3 = l0 * k0, l1 * k1, l2 * k2, l3 * k3
+    m0, m1, m2, m3 = l0 * l0, l1 * l1, l2 * l2, l3 * l3
+    n0, n1, n2, n3 = k0 * k0, k1 * k1, k2 * k2, k3 * k3
     return [
-        12 * x[s] * x[s] if s == t else 32 * x[s] * x[t] - 4 * (ll[s] * kk[t] + ll[t] * kk[s])
-        for s, t in QUAD_SLOTS
+        12 * x0 * x0,
+        32 * x0 * x1 - 4 * (m0 * n1 + m1 * n0),
+        32 * x0 * x2 - 4 * (m0 * n2 + m2 * n0),
+        32 * x0 * x3 - 4 * (m0 * n3 + m3 * n0),
+        12 * x1 * x1,
+        32 * x1 * x2 - 4 * (m1 * n2 + m2 * n1),
+        32 * x1 * x3 - 4 * (m1 * n3 + m3 * n1),
+        12 * x2 * x2,
+        32 * x2 * x3 - 4 * (m2 * n3 + m3 * n2),
+        12 * x3 * x3,
     ]
 
 
 def defining_coeffs(l, k) -> list[int]:
     """32*sum_{i<j} x_i x_j p_i p_j plus the harmonic square sum
-    sum_i (4 l_i^2 p_i - |l|^2)(4 k_i^2 p_i - |k|^2), on ``QUAD_MONOS``."""
-    ll, kk = phi(l), phi(k)
-    acc = [0 if s == t else 32 * l[s] * l[t] * k[s] * k[t] for s, t in QUAD_SLOTS]
-    for i in range(4):
-        fl = [4 * ll[i] - ll[t] if t == i else -ll[t] for t in range(4)]
-        fk = [4 * kk[i] - kk[t] if t == i else -kk[t] for t in range(4)]
-        acc = list(map(add, acc, _times(fl, fk)))
-    return acc
+    sum_i (4 l_i^2 p_i - |l|^2)(4 k_i^2 p_i - |k|^2), on ``QUAD_MONOS``.
+
+    The i-th linear form of l, ``4 l_i^2 p_i - |l|^2``, is ``u_i = 3 l_i^2``
+    on ``p_i`` and ``-l_t^2`` on each other ``p_t``; the i-th form of k is
+    ``w_i = 3 k_i^2`` and ``-k_t^2`` alike.  The product of the i-th forms
+    puts ``u_i w_i`` on ``p_i^2`` and ``l_t^2 k_t^2`` on each other square.
+    On ``p_s p_t`` it puts ``-(u_s k_t^2 + l_t^2 w_s)`` for i = s,
+    ``-(l_s^2 w_t + u_t k_s^2)`` for i = t and ``l_s^2 k_t^2 + l_t^2 k_s^2``
+    for each of the two other i.
+    """
+    l0, l1, l2, l3 = l
+    k0, k1, k2, k3 = k
+    m0, m1, m2, m3 = l0 * l0, l1 * l1, l2 * l2, l3 * l3
+    n0, n1, n2, n3 = k0 * k0, k1 * k1, k2 * k2, k3 * k3
+    u0, u1, u2, u3 = 3 * m0, 3 * m1, 3 * m2, 3 * m3
+    w0, w1, w2, w3 = 3 * n0, 3 * n1, 3 * n2, 3 * n3
+    return [
+        u0 * w0 + 3 * m0 * n0,
+        32 * l0 * l1 * k0 * k1 - u0 * n1 - m1 * w0 - m0 * w1 - u1 * n0 + 2 * (m0 * n1 + m1 * n0),
+        32 * l0 * l2 * k0 * k2 - u0 * n2 - m2 * w0 - m0 * w2 - u2 * n0 + 2 * (m0 * n2 + m2 * n0),
+        32 * l0 * l3 * k0 * k3 - u0 * n3 - m3 * w0 - m0 * w3 - u3 * n0 + 2 * (m0 * n3 + m3 * n0),
+        u1 * w1 + 3 * m1 * n1,
+        32 * l1 * l2 * k1 * k2 - u1 * n2 - m2 * w1 - m1 * w2 - u2 * n1 + 2 * (m1 * n2 + m2 * n1),
+        32 * l1 * l3 * k1 * k3 - u1 * n3 - m3 * w1 - m1 * w3 - u3 * n1 + 2 * (m1 * n3 + m3 * n1),
+        u2 * w2 + 3 * m2 * n2,
+        32 * l2 * l3 * k2 * k3 - u2 * n3 - m3 * w2 - m2 * w3 - u3 * n2 + 2 * (m2 * n3 + m3 * n2),
+        u3 * w3 + 3 * m3 * n3,
+    ]
 
 
 _KERNELS = {Kernel.DEFINING: defining_coeffs, Kernel.PAIRWISE: pairwise_coeffs}
@@ -94,7 +127,12 @@ def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
 
 def _by_norm(vectors) -> list[tuple[int, tuple, Expo]]:
     """(coordinate-square sum, vector, phi) rows in ascending sum order."""
-    return sorted(((sum(phi(v)), v, phi(v)) for v in vectors), key=lambda row: row[0])
+    rows = []
+    for v in vectors:
+        e = phi(v)
+        rows.append((e[0] + e[1] + e[2] + e[3], v, e))
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 def pair_series(
@@ -104,20 +142,27 @@ def pair_series(
     ``first`` x ``second`` whose combined squared-coordinate sum stays within
     the budget.
 
-    ``kernel`` returns integer coefficients, one per monomial of ``monos``.
+    ``kernel`` returns a new list of integer coefficients, one per monomial
+    of ``monos``.
     The pairs are walked in ascending coordinate-square sum, so the inner
-    loop stops at the first partner past the budget; the sums stay integer
-    and are placed on ``MONOS`` once per exponent at the end.
+    loop stops at the first partner past the budget.  The first pair at an
+    exponent keeps its kernel's list as the running sums, and each later
+    pair is added into them in place; the sums stay integer and are placed
+    on ``MONOS`` once per exponent at the end.
     """
     rows = _by_norm(second)
     acc: dict[Expo, list[int]] = {}
-    for nl, l, pl in _by_norm(first):
-        for nk, k, pk in rows:
+    for nl, l, (a0, a1, a2, a3) in _by_norm(first):
+        for nk, k, (b0, b1, b2, b3) in rows:
             if nl + nk > budget:
                 break
-            e = (pl[0] + pk[0], pl[1] + pk[1], pl[2] + pk[2], pl[3] + pk[3])
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
             sums = acc.get(e)
-            acc[e] = kernel(l, k) if sums is None else list(map(add, sums, kernel(l, k)))
+            if sums is None:
+                acc[e] = kernel(l, k)
+            else:
+                for i, x in enumerate(kernel(l, k)):
+                    sums[i] += x
     positions = [MONOS.index(m) for m in monos]
     vectors = {}
     for e, sums in acc.items():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -15,7 +16,7 @@ from isopair import (
     psi,
 )
 from isopair.discrepancy import _leading_data
-from isopair.qarith import MONOS, _cleared, _compile
+from isopair.qarith import MONOS, QUAD_SLOTS, _cleared, _compile
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
@@ -280,3 +281,75 @@ def generator_span_pair(g1, g2) -> frozenset:
 def generator_matvec(m, v) -> tuple:
     """``codes._matvec`` as generator expressions over rows and entries."""
     return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
+
+
+def walk_scan(lattice, budget: int) -> tuple:
+    """``Lattice.vectors`` as the recursive walk on the normal form: the
+    oracle of the unrolled ``Lattice._scan``.  Once the rows above i are
+    fixed, coordinate i is the offset they leave plus a multiple of the
+    pivot ``h[i][i]``, inside the interval the remaining budget allows."""
+    h = lattice.hnf
+
+    def walk(i, rest, offset, prefix):
+        r, step = math.isqrt(rest), h[i][i]
+        for x in range(-r + (offset[i] + r) % step, r + 1, step):
+            v = prefix + (x,)
+            if i == 3:
+                yield v
+            else:
+                c = (x - offset[i]) // step
+                shifted = tuple(o + c * y for o, y in zip(offset, h[i]))
+                yield from walk(i + 1, rest - x * x, shifted, v)
+
+    return tuple(walk(0, budget, (0, 0, 0, 0), ()))
+
+
+def loop_contains(lattice, v) -> bool:
+    """``Lattice.contains`` as a row loop over a list: the oracle of the
+    unpacked triangular division, refusals and messages included."""
+    rest = list(v)
+    if len(rest) != 4:
+        raise ValueError(f"need an integer 4-vector, got {tuple(rest)!r}")
+    if any(type(x) is not int for x in rest):
+        raise TypeError(f"vector entries must be integers, got {tuple(rest)!r}")
+    for i, row in enumerate(lattice.hnf):
+        c, r = divmod(rest[i], row[i])
+        if r:
+            return False
+        for j in range(i + 1, 4):
+            rest[j] -= c * row[j]
+    return True
+
+
+def generator_phi(v) -> tuple:
+    """``phi`` as a generator expression over the entries, which checks
+    nothing: the oracle of the unpacked version on valid vectors."""
+    return tuple(x * x for x in v)
+
+
+def _times(u, w) -> list:
+    """The product of the linear forms u.p and w.p on ``QUAD_MONOS``."""
+    return [u[s] * w[s] if s == t else u[s] * w[t] + u[t] * w[s] for s, t in QUAD_SLOTS]
+
+
+def loop_pairwise_coeffs(l, k) -> list:
+    """``theta.pairwise_coeffs`` as a comprehension over ``QUAD_SLOTS``."""
+    x = [a * b for a, b in zip(l, k)]
+    ll, kk = generator_phi(l), generator_phi(k)
+    return [
+        12 * x[s] * x[s] if s == t else 32 * x[s] * x[t] - 4 * (ll[s] * kk[t] + ll[t] * kk[s])
+        for s, t in QUAD_SLOTS
+    ]
+
+
+def loop_defining_coeffs(l, k) -> list:
+    """``theta.defining_coeffs`` as a loop that multiplies out the four
+    pairs of linear forms ``4 l_i^2 p_i - |l|^2`` and ``4 k_i^2 p_i - |k|^2``
+    and adds the ``32 x_s x_t`` cross terms."""
+    ll, kk = generator_phi(l), generator_phi(k)
+    acc = [0 if s == t else 32 * l[s] * l[t] * k[s] * k[t] for s, t in QUAD_SLOTS]
+    for i in range(4):
+        fl = [4 * ll[i] - ll[t] if t == i else -ll[t] for t in range(4)]
+        fk = [4 * kk[i] - kk[t] if t == i else -kk[t] for t in range(4)]
+        acc = list(map(add, acc, _times(fl, fk)))
+    return acc

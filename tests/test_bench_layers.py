@@ -5,7 +5,9 @@ its own pass.  Its anchors job times each verification anchor by wrapping
 keep producing one calibrated row per anchor, in the order
 ``run_verification`` runs them.  Its ``param_point`` job times building a
 ``ParamPoint``, which no other row covers, its ``certify`` and ``collapse``
-jobs time the per-point work, and its ``null`` job times a fixed workload
+jobs time the per-point work (each ``certify_first`` pass paying the
+budget's one-time costs afresh), its ``scan`` and ``label`` jobs time the
+shell scan and coset labelling, and its ``null`` job times a fixed workload
 that gives the file's noise floor.  Its whole-process jobs start a bare
 interpreter back to back with the command in each pass and report the
 command also net of it, and its ``null_process`` job times that bare
@@ -138,3 +140,41 @@ def test_per_point_jobs_give_calibrated_rows(job, layers):
     for row in rows:
         assert row["budget"] == 40
         assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+@pytest.mark.parametrize(
+    "job, layer, budget",
+    [(("scan", "L1", "80"), "lattices.scan_L1", 80),
+     (("scan", "L2", "36"), "lattices.scan_L2", 36),
+     (("label",), "lattices.label", 80)],
+    ids=["scan L1 80", "scan L2 36", "label"],
+)
+def test_lattice_jobs_give_one_calibrated_row(job, layer, budget):
+    (row,) = _child_rows(*job)
+    assert row["layer"] == layer and row["budget"] == budget
+    assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+def test_every_certify_first_pass_starts_from_empty_budget_caches(bench, monkeypatch):
+    # the labelled shell, the six class series and the leading data are
+    # built in each of the ``CALLS`` passes, and the warm calls build none
+    from isopair import discrepancy
+
+    calls = dict.fromkeys(("delta_series", "pair_series", "coset_label"), 0)
+
+    def counted(name):
+        original = getattr(discrepancy, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(discrepancy, name, counted(name))
+    monkeypatch.setattr(bench, "calibrate", lambda: 1.0)
+    monkeypatch.setattr(bench, "scale", lambda before, after: 1.0)
+    bench._certify_rows(40)
+    shell = len(isopair.build_family().L1.vectors(40))
+    assert calls == {"delta_series": bench.CALLS, "pair_series": 6 * bench.CALLS,
+                     "coset_label": shell * bench.CALLS}

@@ -31,7 +31,16 @@ from isopair.lattices import (
 from isopair.qarith import ParamPolynomial
 from isopair.verification import EXPECTED_EXTRA_MINIMAL, SCHIEMANN
 
-from conftest import UNIT_MONOS, evaluate, inner_poly, norm_poly, random_admissible_point
+from conftest import (
+    UNIT_MONOS,
+    evaluate,
+    generator_phi,
+    inner_poly,
+    loop_contains,
+    norm_poly,
+    random_admissible_point,
+    walk_scan,
+)
 
 # The base-lattice generator matrix in eigenbasis coordinates (columns).
 BASE_GENERATORS = ((-1, 3, -1, 1), (1, -1, -1, 3), (-1, -1, 1, 3), (-1, 1, -1, 3))
@@ -322,6 +331,15 @@ class TestContains:
                 v = tuple(rng.randint(-9, 9) for _ in range(4))
                 assert lat.contains(v) == solve_membership(lat.generators, v)
 
+    def test_matches_the_loop_division_on_a_box(self):
+        box = list(product(range(-4, 5), repeat=4))
+        for lat in build_family():
+            assert [lat.contains(v) for v in box] == [loop_contains(lat, v) for v in box]
+
+    def test_phi_matches_the_generator_oracle_on_a_box(self):
+        for v in product(range(-4, 5), repeat=4):
+            assert phi(v) == generator_phi(v)
+
     def test_rejects_non_integer_generators(self):
         # no silent truncation: int(1.9) would give the unit lattice
         unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -342,9 +360,16 @@ MALFORMED = {
 @pytest.mark.parametrize("vector, error", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_vectors_are_refused(vector, error):
     # no truncation to four entries, no float images, no IndexError
-    for call in (build_family().L1.contains, coset_label, psi):
+    for call in (build_family().L1.contains, coset_label, psi, phi):
         with pytest.raises(error):
             call(vector)
+    # every lattice refuses with the message of the loop division
+    for lat in build_family():
+        with pytest.raises(error) as got:
+            lat.contains(vector)
+        with pytest.raises(error) as expected:
+            loop_contains(lat, vector)
+        assert str(got.value) == str(expected.value)
 
 
 class TestEnumeration:
@@ -374,6 +399,14 @@ class TestEnumeration:
             for budget in (0, 5, 8, 12, 24):
                 assert list(lat.vectors(budget)) == naive_shell(lat.generators, budget)
         assert list(fam.L1.vectors(40)) == naive_shell(fam.L1.generators, 40)
+
+    def test_matches_the_recursive_walk(self):
+        # whole tuples, so the order counts too
+        fam = build_family()
+        for lat in fam:
+            for budget in (*range(49), 80):
+                assert lat.vectors(budget) == walk_scan(lat, budget), (lat.name, budget)
+        assert fam.L1.vectors(160) == walk_scan(fam.L1, 160)
 
     def test_lexicographic_and_deterministic(self):
         fam = build_family()

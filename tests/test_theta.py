@@ -26,6 +26,8 @@ from conftest import (
     fraction_pairwise_kernel,
     fraction_theta11,
     inner_poly,
+    loop_defining_coeffs,
+    loop_pairwise_coeffs,
     norm_poly,
 )
 
@@ -111,6 +113,13 @@ class TestKernels:
     def test_kernels_agree_as_polynomials(self):
         defining = [sympy.expand(c) for c in defining_coeffs(L_SYMS, K_SYMS)]
         assert defining == [sympy.expand(c) for c in pairwise_coeffs(L_SYMS, K_SYMS)]
+
+    def test_kernels_match_the_loop_oracles(self):
+        vectors = build_family().L1.vectors(36) + FORM_PROBES
+        for l in vectors:
+            for k in vectors:
+                assert pairwise_coeffs(l, k) == loop_pairwise_coeffs(l, k), (l, k)
+                assert defining_coeffs(l, k) == loop_defining_coeffs(l, k), (l, k)
 
     def test_zero_pair(self):
         zero = (0, 0, 0, 0)

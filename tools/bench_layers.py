@@ -35,13 +35,19 @@ calibrated ones over all passes.  The rows, and what one pass is:
   ``BENCH_pr11.json`` that way);
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
-  alone at budgets 40, 80 and 160: one call.  The labelled shell and the
-  class series are cleared before each pass, so every call does the work of
-  a first call instead of reading the psi route's caches;
-* ``discrepancy.certify_first`` at budgets 40 and 80: the first ``certify``
-  call at the budget in the process, after ``build_family``; it pays every
-  one-time cost of the budget (the labelled shell, the class series and the
-  leading data with its checks), so the job makes one pass;
+  alone at budgets 40, 80 and 160: one call.  The caches a budget fills
+  (``_clear_budget_caches``) are cleared before each pass, so every call
+  does the work of a first call instead of reading the psi route's caches;
+* ``lattices.scan_L1`` at budgets 36 and 80 and ``lattices.scan_L2`` at
+  budget 36: one ``Lattice.vectors`` call, which scans afresh;
+* ``lattices.label``: ``coset_label`` of every vector of L1's budget-80
+  shell;
+* ``discrepancy.certify_first`` at budgets 40 and 80: one ``certify`` call
+  as the first at the budget in the process, after ``build_family``.  The
+  caches a budget fills are cleared before each pass, as for the
+  discrepancy rows, so every call pays the one-time costs of the budget
+  (the labelled shell, the class series and the leading data with its
+  checks);
 * ``discrepancy.certify_warm`` at budgets 40 and 80: one ``certify`` call at
   the budget at each of 200 fixed points, after that first call;
 * ``qarith.collapse`` at budgets 40 and 80: collapsing the psi-route
@@ -70,12 +76,12 @@ calibrated ones over all passes.  The rows, and what one pass is:
   code, so the ratio of their medians is this file's noise floor: a
   per-layer difference inside it is not resolved.
 
-Every job but the anchors and ``certify_first`` makes ``CALLS`` passes, so
-that a row is not one pass's millisecond-scale noise.  Each row reports,
-per label, the median and quartiles over the ``--repeats`` child processes
-of the job's medians: raw ``median_s``, ``q1_s``, ``q3_s`` and ``runs_s``,
-and calibrated ``calibrated_median_s``, ``calibrated_q1_s`` and
-``calibrated_q3_s``.  ``--out`` is written afresh.
+Every job but the anchors makes ``CALLS`` passes, so that a row is not one
+pass's millisecond-scale noise.  Each row reports, per label, the median
+and quartiles over the ``--repeats`` child processes of the job's medians:
+raw ``median_s``, ``q1_s``, ``q3_s`` and ``runs_s``, and calibrated
+``calibrated_median_s``, ``calibrated_q1_s`` and ``calibrated_q3_s``.
+``--out`` is written afresh.
 
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
@@ -111,6 +117,8 @@ PSI_BUDGETS = (40, 80, 160)
 CERTIFY_BUDGETS = (40, 80)
 CERTIFY_POINTS = 200
 COLLAPSE_BUDGETS = (40, 80)
+SCANS = (("L1", 36), ("L1", 80), ("L2", 36))  # lattice, budget
+LABEL_BUDGET = 80
 CALLS = 9
 IMPORT_PROBE = (
     "import time; start = time.perf_counter(); import isopair.cli; "
@@ -194,17 +202,41 @@ def _theta_rows(kernel: str, budget: int) -> list[dict]:
                                 [(lattice, budget, Kernel(kernel))]))
 
 
-def _delta_rows(route: str, budget: int) -> list[dict]:
-    from isopair import Route, build_family, delta_series
+def _clear_budget_caches() -> None:
+    """Empty the caches a budget fills: the labelled shell, the class series
+    and the leading data."""
     from isopair import discrepancy
 
-    def clear():
-        discrepancy._labelled_shell.cache_clear()
-        discrepancy.class_pair_series.cache_clear()
+    discrepancy._labelled_shell.cache_clear()
+    discrepancy.class_pair_series.cache_clear()
+    discrepancy._leading_data.cache_clear()
+
+
+def _delta_rows(route: str, budget: int) -> list[dict]:
+    from isopair import Route, build_family, delta_series
 
     build_family()
     return _rows(budget, _timed(f"discrepancy.delta_{route}", delta_series,
-                                [(budget, Route(route))]), before=clear)
+                                [(budget, Route(route))]), before=_clear_budget_caches)
+
+
+def _scan_rows(name: str, budget: int) -> list[dict]:
+    from isopair import build_family
+
+    lattice = getattr(build_family(), name)
+    return _rows(budget, _timed(f"lattices.scan_{name}", lattice.vectors, [(budget,)]))
+
+
+def _label_rows() -> list[dict]:
+    from isopair import build_family, coset_label
+
+    shell = build_family().L1.vectors(LABEL_BUDGET)
+
+    def label_all():
+        for v in shell:
+            coset_label(v)
+
+    return _rows(LABEL_BUDGET, _timed("lattices.label", label_all))
 
 
 def _values() -> list[tuple[Fraction, ...]]:
@@ -222,7 +254,8 @@ def _certify_rows(budget: int) -> list[dict]:
 
     first, *points = [ParamPoint(*values) for values in _values()]
     build_family()
-    return (_rows(budget, _timed("discrepancy.certify_first", certify, [(first, budget)]), passes=1)
+    return (_rows(budget, _timed("discrepancy.certify_first", certify, [(first, budget)]),
+                  before=_clear_budget_caches)
             + _rows(budget, _timed("discrepancy.certify_warm", certify,
                                    [(point, budget) for point in points])))
 
@@ -279,6 +312,7 @@ def _jobs() -> list[list[str]]:
     jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
     jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
     jobs += [["param_point"]]
+    jobs += [["scan", name, str(budget)] for name, budget in SCANS] + [["label"]]
     jobs += [["certify", str(budget)] for budget in CERTIFY_BUDGETS]
     return jobs + [["null"], ["import"], ["null_process"], *([name] for name in PROCESSES)]
 
@@ -296,6 +330,10 @@ def _child(job: list[str]) -> list[dict]:
         return _param_point_rows()
     if kind == "null":
         return _null_rows()
+    if kind == "scan":
+        return _scan_rows(args[0], int(args[1]))
+    if kind == "label":
+        return _label_rows()
     if kind in ("theta", "delta"):
         name, budget = args
         return (_theta_rows if kind == "theta" else _delta_rows)(name, int(budget))
