@@ -203,7 +203,8 @@ def cmd_isospectral(args) -> int:
         "equal": equal,
         "spectrum": [[str(x), str(c)] for x, c in s1],
     }
-    rows = [(str(x), str(c), str(dict(s2).get(x, 0))) for x, c in s1]
+    counts2 = dict(s2)
+    rows = [(str(x), str(c), str(counts2.get(x, 0))) for x, c in s1]
     verdict = "identical" if equal else "DIFFERENT"
     lines = [f"spectra of L1 and L2 at budget {args.budget}: {verdict}"]
     lines += [f"  q^{x}: {c}" for x, c in s1]

@@ -348,8 +348,13 @@ def _leading_data(
     form ``qarith._lead`` collapses.  The rows are a tuple of ``(exponent,
     polynomial, pairs)``: the polynomial compiled from its own monomials
     (``ParamPolynomial._compile``), the form ``qarith._value`` evaluates.
-    So a point's two checks still compare two computations from two
-    sources, the series' vectors and the polynomials' terms.
+    The polynomials are ``series.coefficient(e)``, built from the same
+    vectors as the head, so their compiled pairs equal the head's.  A
+    point's two checks therefore test the collapse, not the series: that
+    the head's collapse (``_lead``) leads at the least row key, and that its
+    coefficient equals the sum of the leading rows' values (``_value``).
+    The independent source is ``pair_discrepancy_vector``, the first check
+    below.
 
     Two checks run here, once per entry.  Each stored coefficient is checked
     against the direct two-vector kernel of its row
@@ -447,8 +452,12 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     a running minimum, the weights of the point are taken once
     (``_weights``), the head's collapse is led from its compiled vectors
     (``_lead``) and each certificate term's value from its polynomial's own
-    compiled monomials (``_value``), so the total check compares two
-    computations from two sources.  Ties are resolved by summing
+    compiled monomials (``_value``).  Those polynomials are the series'
+    coefficients, read from the same vectors as the head, so the two checks
+    compare the head's collapse with the least row key (the exponent check)
+    and with the sum of the leading terms' values (the total check); the
+    check against an independent source, the direct two-vector kernels, is
+    the once-per-entry one above.  Ties are resolved by summing
     coefficients at the common collapsed exponent.  Fractions are built only
     for the certificate's outputs, and a one-term certificate's total is its
     term's value, which the total check has just proved equal.  A budget

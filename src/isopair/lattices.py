@@ -339,8 +339,10 @@ _LABEL_BY_RESIDUE = {
 
 def coset_label(v) -> CosetLabel:
     """The class of a vector of L1 modulo M, read off its coordinates mod 3."""
+    if type(v) is not tuple:
+        v = tuple(v)  # one pass over an iterator
     if not build_family().L1.contains(v):
-        raise ValueError(f"{tuple(v)} is not in L1")
+        raise ValueError(f"{v} is not in L1")
     v0, v1, v2, v3 = v
     return _LABEL_BY_RESIDUE[v0 % 3, v1 % 3, v2 % 3, v3 % 3]
 
@@ -348,6 +350,8 @@ def coset_label(v) -> CosetLabel:
 def psi(v) -> Vec:
     """The norm-preserving bijection from L1 to L2: the sign matrix of the
     class of v applied to v."""
+    if type(v) is not tuple:
+        v = tuple(v)  # one pass over an iterator
     s0, s1, s2, s3 = coset_label(v).diag
     v0, v1, v2, v3 = v
     return (s0 * v0, s1 * v1, s2 * v2, s3 * v3)

@@ -8,19 +8,16 @@ keep producing one calibrated row per anchor, in the order
 jobs time the per-point work (each ``certify_first`` pass paying the
 budget's one-time costs afresh), its ``scan`` and ``label`` jobs time the
 shell scan and coset labelling, and its ``null`` job times a fixed workload
-that gives the file's noise floor.  Its whole-process jobs start a bare
-interpreter back to back with the command in each pass and report the
-command also net of it, and its ``null_process`` job times that bare
-interpreter alone."""
+that gives the file's noise floor.  Every job kind is one entry of the
+tool's ``JOBS`` table, which both lists the jobs and runs a child's job.
+No job times a whole process: perfbench's cold workloads do that."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
-from itertools import count
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -73,34 +70,8 @@ def test_null_job_gives_one_calibrated_row():
     assert row["seconds"] > 0 and row["calibrated_s"] > 0
 
 
-def test_null_process_job_gives_one_calibrated_row():
-    (row,) = _child_rows("null_process")
-    assert row["layer"] == "null.process" and row["budget"] is None
-    assert row["seconds"] > 0 and row["calibrated_s"] > 0
-
-
-def test_process_rows_net_of_a_bare_interpreter_in_each_pass(bench, monkeypatch):
-    started = []
-    clock = count()
-
-    def python(src, *argv):
-        started.append(argv)
-        if argv != bench.NULL_ARGV:
-            for _ in range(10):  # the command takes ten ticks more
-                next(clock)
-
-    monkeypatch.setenv("PYTHONPATH", str(SRC))
-    monkeypatch.setattr(bench, "_python", python)
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
-    monkeypatch.setattr(bench, "calibrate", lambda: 1.0)
-    monkeypatch.setattr(bench, "scale", lambda before, after: 2.0)
-    rows = bench._process_rows("delta_process")
-    layer, budget, argv = bench.PROCESSES["delta_process"]
-    assert started == [bench.NULL_ARGV, argv] * bench.CALLS
-    assert rows == [
-        {"layer": layer, "budget": budget, "seconds": 11.0, "calibrated_s": 22.0},
-        {"layer": f"{layer}_net", "budget": budget, "seconds": 10.0, "calibrated_s": 20.0},
-    ]
+def test_every_job_kind_is_one_entry_of_the_job_table(bench):
+    assert {job[0] for job in bench._jobs()} == set(bench.JOBS)
 
 
 def test_rows_scale_each_sample_by_its_own_pass(bench, monkeypatch):

@@ -372,6 +372,16 @@ def test_malformed_vectors_are_refused(vector, error):
         assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("form", [iter, list, tuple], ids=["iterator", "list", "tuple"])
+def test_labels_any_iterable_of_four_ints(form):
+    # an iterator is read once: membership and the label see the same entries
+    assert coset_label(form((-1, 3, -1, 1))) == CosetLabel(0, 1)
+    assert psi(form((3, 1, -1, -1))) == (-3, -1, -1, -1)
+    for call in (coset_label, psi):
+        with pytest.raises(ValueError, match=r"^\(1, 0, 0, 0\) is not in L1$"):
+            call(form((1, 0, 0, 0)))
+
+
 class TestEnumeration:
     def test_nine_shortest_in_l1(self):
         fam = build_family()

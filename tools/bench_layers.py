@@ -56,21 +56,6 @@ calibrated ones over all passes.  The rows, and what one pass is:
 * ``qarith.param_point``: building a ``ParamPoint`` from the four Fractions
   of each of the same 200 points, the step a caller pays before each
   ``certify`` call and ``certify_warm`` leaves out;
-* ``cli.import``: one fresh ``python -c`` process that times ``import
-  isopair.cli`` inside itself and imports nothing else first, so the
-  standard library modules the CLI needs count too;
-* ``cli.certify_process``, ``cli.verify_process`` and ``cli.delta_process``:
-  the wall time of one whole ``python -m isopair certify --params 1 7 13 19
-  --format json``, ``python -m isopair verify --budget 36 --format json`` or
-  ``python -m isopair delta --params 1 7 13 19 --budget 80 --format json``
-  process, interpreter start included.  Each pass starts a bare ``python -c
-  pass`` on the same ``PYTHONPATH`` and then the command, back to back, and
-  the ``<layer>_net`` row (``cli.verify_process_net`` and so on) is the
-  median of the per-pass differences: what the package adds to a bare
-  interpreter, with the start-up drift the two processes share cancelled;
-* ``null.process``: one bare ``python -c pass`` process on the same
-  ``PYTHONPATH``.  It reads nothing of either source, so the ratio of its
-  two labels' medians is the noise floor of the whole-process rows;
 * ``null.fixed_work``: one call of a fixed workload of integer and dict
   arithmetic that reads nothing of either source.  Both labels run the same
   code, so the ratio of their medians is this file's noise floor: a
@@ -86,8 +71,12 @@ raw ``median_s``, ``q1_s``, ``q3_s`` and ``runs_s``, and calibrated
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
 source gets one untimed ``import isopair.cli, isopair.verification`` before
-any row is timed, which writes the cache.  Otherwise the start-up rows would
-time compiling the sources.
+any row is timed, which writes the cache.
+
+No row times a whole process.  A fresh ``isopair certify``, ``verify
+--budget 36`` or ``delta --budget 80`` process is timed by perfbench's
+certify-cold, verify-cold and delta-b80 workloads (``perfbench/run.py``),
+interpreter start and imports included.
 """
 
 from __future__ import annotations
@@ -120,21 +109,6 @@ COLLAPSE_BUDGETS = (40, 80)
 SCANS = (("L1", 36), ("L1", 80), ("L2", 36))  # lattice, budget
 LABEL_BUDGET = 80
 CALLS = 9
-IMPORT_PROBE = (
-    "import time; start = time.perf_counter(); import isopair.cli; "
-    "print(time.perf_counter() - start)"
-)
-CERTIFY_ARGV = ("-m", "isopair", "certify", "--params", "1", "7", "13", "19", "--format", "json")
-VERIFY_ARGV = ("-m", "isopair", "verify", "--budget", str(VERIFY_BUDGET), "--format", "json")
-DELTA_ARGV = ("-m", "isopair", "delta", "--params", "1", "7", "13", "19", "--budget", "80",
-              "--format", "json")
-NULL_ARGV = ("-c", "pass")  # a bare interpreter
-# whole-process rows: layer, the budget the process runs at, argv
-PROCESSES = {
-    "certify_process": ("cli.certify_process", 40, CERTIFY_ARGV),  # the CLI's default budget
-    "verify_process": ("cli.verify_process", VERIFY_BUDGET, VERIFY_ARGV),
-    "delta_process": ("cli.delta_process", 80, DELTA_ARGV),
-}
 NULL_ROUNDS = 20000
 
 
@@ -175,6 +149,7 @@ def _timed(layer: str, call, calls=((),)):
 
 
 def _anchor_rows() -> list[dict]:
+    gc.disable()  # before calibrating and importing: no anchor absorbs a collection
     from isopair import verification
 
     wrapped = verification._result
@@ -287,57 +262,31 @@ def _null_rows() -> list[dict]:
     return _rows(None, _timed("null.fixed_work", work))
 
 
-def _process_rows(kind: str) -> list[dict]:
-    src = Path(os.environ["PYTHONPATH"])  # the source this child was started on
-    if kind == "import":
-        return _rows(None, lambda: [("cli.import", float(_python(src, "-c", IMPORT_PROBE)))])
-    if kind == "null_process":
-        return _rows(None, _timed("null.process", _python, [(src, *NULL_ARGV)]))
-    layer, budget, argv = PROCESSES[kind]
-
-    def run_pass():
-        # a bare interpreter, then the command: start-up drift shared by
-        # the two cancels in their difference
-        (_, null), (_, seconds) = _timed(layer, _python, [(src, *NULL_ARGV), (src, *argv)])()
-        return [(layer, seconds), (f"{layer}_net", seconds - null)]
-
-    return _rows(budget, run_pass)
+# job kind: the function that times it and the arguments of its jobs, in
+# the order they run
+JOBS = {
+    "anchors": (_anchor_rows, [()]),
+    "theta": (_theta_rows, [(kernel, budget) for budget in BUDGETS
+                            for kernel in ("defining", "pairwise")]),
+    "delta": (_delta_rows, [(route, budget) for budget in BUDGETS for route in ("theta", "psi")]
+              + [("psi", budget) for budget in PSI_BUDGETS]),
+    "collapse": (_collapse_rows, [(budget,) for budget in COLLAPSE_BUDGETS]),
+    "param_point": (_param_point_rows, [()]),
+    "scan": (_scan_rows, SCANS),
+    "label": (_label_rows, [()]),
+    "certify": (_certify_rows, [(budget,) for budget in CERTIFY_BUDGETS]),
+    "null": (_null_rows, [()]),
+}
 
 
 def _jobs() -> list[list[str]]:
-    jobs = [["anchors"]]
-    for budget in BUDGETS:
-        jobs += [["theta", kernel, str(budget)] for kernel in ("defining", "pairwise")]
-        jobs += [["delta", route, str(budget)] for route in ("theta", "psi")]
-    jobs += [["delta", "psi", str(budget)] for budget in PSI_BUDGETS]
-    jobs += [["collapse", str(budget)] for budget in COLLAPSE_BUDGETS]
-    jobs += [["param_point"]]
-    jobs += [["scan", name, str(budget)] for name, budget in SCANS] + [["label"]]
-    jobs += [["certify", str(budget)] for budget in CERTIFY_BUDGETS]
-    return jobs + [["null"], ["import"], ["null_process"], *([name] for name in PROCESSES)]
+    return [[kind, *map(str, args)] for kind, (_, argsets) in JOBS.items() for args in argsets]
 
 
 def _child(job: list[str]) -> list[dict]:
     kind, *args = job
-    if kind == "anchors":
-        gc.disable()  # before calibrating and importing: no anchor absorbs a collection
-        return _anchor_rows()
-    if kind == "certify":
-        return _certify_rows(int(args[0]))
-    if kind == "collapse":
-        return _collapse_rows(int(args[0]))
-    if kind == "param_point":
-        return _param_point_rows()
-    if kind == "null":
-        return _null_rows()
-    if kind == "scan":
-        return _scan_rows(args[0], int(args[1]))
-    if kind == "label":
-        return _label_rows()
-    if kind in ("theta", "delta"):
-        name, budget = args
-        return (_theta_rows if kind == "theta" else _delta_rows)(name, int(budget))
-    return _process_rows(kind)
+    rows, _ = JOBS[kind]
+    return rows(*(int(arg) if arg.isdigit() else arg for arg in args))
 
 
 def _env(src: Path) -> dict[str, str]:
