@@ -93,10 +93,10 @@ from .theta import Kernel, pair_series, theta11
 # holds the head and the rows compiled to the integer (coefficient, slot)
 # pairs a point needs, so a warm certify is one lead of the two-term head's
 # collapse and one compiled value per term, a few integer products each on
-# the point's cleared denominators: about 0.011 ms at budget 40 or 80
-# (``certify_warm`` in ``BENCH_pr22.json``, calibrated medians; 0.017 ms
-# with the head collapsed as a series and each polynomial evaluated from
-# its monomial dict).
+# the point's cleared denominators: about 0.0095 ms at budget 40 or 80
+# (``certify_warm`` in ``BENCH_pr25.json``, calibrated medians, on the flat
+# path of ``certify``'s docstring; 0.017 ms with the head collapsed as a
+# series and each polynomial evaluated from its monomial dict).
 # ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
 # at budget 80) and ``Lattice.vectors`` only rescans (0.25 ms for L1 at
 # budget 80, as above), so neither keeps a cache of its own.  Bounds, in entries:
@@ -164,15 +164,18 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
     sign matrices, ``<l,k>^2 - <psi l,psi k>^2`` is the sum of
     ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``
     (``_class_slots``), so ``pair_series`` sums it in integers, one counter
-    per slot.
+    per slot.  The sign matrices form a four-group, so ``f`` is the
+    identity or has two entries of each sign: a class pair carries no slot
+    or four, and its kernel is four products.
     """
     slots = _class_slots(label1, label2)
     if not slots:
         return FormalQSeries.empty(budget)
+    (s0, t0), (s1, t1), (s2, t2), (s3, t3) = slots
 
     def kernel(l, k):
         x = (l[0] * k[0], l[1] * k[1], l[2] * k[2], l[3] * k[3])
-        return [4 * x[s] * x[t] for s, t in slots]
+        return [4 * x[s0] * x[t0], 4 * x[s1] * x[t1], 4 * x[s2] * x[t2], 4 * x[s3] * x[t3]]
 
     shell = _labelled_shell(budget)
     monos = tuple(_SLOT_MONOS[slot] for slot in slots)
@@ -464,9 +467,23 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     that is not an ``int``, a route that is not a ``Route`` or a point that
     is not a ``ParamPoint`` raises ``TypeError``, in that order, before any
     other check and before any cache is read.
+
+    A warm call is one flat path: of the package it enters only this
+    function, ``_sort_cleared``, ``_weights``, ``_lead`` and ``_value``.
+    ``check_budget`` and ``check_route`` run only for a budget whose type
+    is not ``int`` or a route whose type is not ``Route``; a point with one
+    leading term values it directly, a tie sums its terms in a plain loop,
+    and each record is built from one tuple, as its constructor builds it.
+    That is about 0.0095 ms at budget 40 or 80 (``certify_warm`` in
+    ``BENCH_pr25.json``), against 0.012 ms through comprehensions, the
+    checks and the constructors.
     """
-    check_budget(budget)
-    check_route(route)
+    # the checks live in ``check_budget`` and ``check_route``; an int or a
+    # Route passes them, and an Enum with members has no subclass
+    if type(budget) is not int:
+        check_budget(budget)
+    if type(route) is not Route:
+        check_route(route)
     if not isinstance(p, ParamPoint):
         raise TypeError(f"point must be a ParamPoint, got {p!r}")
     if budget < MIN_PAIR_BUDGET:
@@ -494,20 +511,28 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     if lead is None or lead[0] != min_key:
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
-    # the terms' values, integers over D^2 as the head's coefficient is
-    values = [_value(pairs, W) for _, _, pairs in leaders]
+    # the terms' values are integers over D^2, as the head's coefficient is;
+    # ``_lead`` skips zero sums, so a checked total is nonzero.  Records are
+    # built as their namedtuple constructors build them, from one tuple.
     coefficient = lead[1]
-    if coefficient != sum(values):
-        raise AssertionError("leading coefficient does not match the certificate terms")
-    # ``_lead`` skips zero sums, so the checked total is nonzero
     square = D * D
-    terms = tuple([
-        CertTerm(e, poly, Fraction(value, square))
-        for (e, poly, _), value in zip(leaders, values)
-    ])
-    # the check above proved a single term's value equal to the total
-    total = terms[0].value if len(terms) == 1 else Fraction(coefficient, square)
-    return Certificate(
+    if len(leaders) == 1:
+        (e, poly, pairs), = leaders
+        if coefficient != _value(pairs, W):
+            raise AssertionError("leading coefficient does not match the certificate terms")
+        # the check proved the term's value equal to the total
+        total = Fraction(coefficient, square)
+        terms = (tuple.__new__(CertTerm, (e, poly, total)),)
+    else:  # a tie: the leaders' values sum at one exponent
+        terms, value_sum = [], 0
+        for e, poly, pairs in leaders:
+            value = _value(pairs, W)
+            value_sum += value
+            terms.append(tuple.__new__(CertTerm, (e, poly, Fraction(value, square))))
+        if coefficient != value_sum:
+            raise AssertionError("leading coefficient does not match the certificate terms")
+        terms, total = tuple(terms), Fraction(coefficient, square)
+    return tuple.__new__(Certificate, (
         tuple(p), ordered, permutation, budget,
         Fraction(min_key, D), terms, total, Verdict.NON_ISOMETRIC,
-    )
+    ))

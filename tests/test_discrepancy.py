@@ -1,4 +1,6 @@
+import os
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import isopair
 from isopair import (
     ALL_LABELS,
+    Certificate,
     CosetLabel,
     FormalQSeries,
     Kernel,
@@ -38,11 +42,13 @@ from isopair import discrepancy, qarith
 from isopair.discrepancy import (
     MIN_PAIR_BUDGET,
     SHELL_CACHE,
+    CertTerm,
     _labelled_shell,
     _leading_data,
+    check_route,
     pair_discrepancy_vector,
 )
-from isopair.qarith import MONOS, _compile
+from isopair.qarith import MONOS, _compile, check_budget
 from isopair.verification import (
     EXPECTED_EXTRA_MINIMAL,
     EXPECTED_PAIR_TABLE,
@@ -458,6 +464,58 @@ class TestCertify:
             certify(point, 40, "psi")
         assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
 
+    def test_int_subclass_budget_gives_the_same_certificate(self):
+        class Budget(int):
+            pass
+
+        for point in (SCHIEMANN, COPRIME):
+            cert = certify(point, Budget(40))
+            assert cert == certify(point, 40) and repr(cert) == repr(certify(point, 40))
+            assert cert.to_json_dict() == certify(point, 40).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "budget, route, check, value",
+        [
+            (True, Route.FROM_PSI_KERNEL, check_budget, True),
+            (40.0, Route.FROM_PSI_KERNEL, check_budget, 40.0),
+            (40, "psi", check_route, "psi"),
+        ],
+        ids=["bool", "float", "str-route"],
+    )
+    def test_type_errors_are_the_shared_checks(self, budget, route, check, value):
+        with pytest.raises(TypeError) as expected:
+            check(value)
+        with pytest.raises(TypeError) as error:
+            certify(SCHIEMANN, budget, route)
+        assert str(error.value) == str(expected.value)
+        assert str(error.value).endswith(f", got {value!r}")
+
+    def test_warm_certify_enters_only_its_helpers(self):
+        # the Python frames a warm call enters in the package, and the
+        # records' generated constructors; on 3.10 and 3.11 a comprehension
+        # is a frame of its own, so this also pins that none is on the path
+        package = os.path.dirname(isopair.__file__) + os.sep
+        records = {
+            CertTerm.__new__.__code__: "CertTerm.__new__",
+            Certificate.__new__.__code__: "Certificate.__new__",
+        }
+        for point, terms in ((COPRIME, 1), (SCHIEMANN, 2)):
+            certify(point, 40)
+            entered = set()
+
+            def profile(frame, event, arg):
+                code = frame.f_code
+                if event == "call" and (code.co_filename.startswith(package) or code in records):
+                    entered.add(records.get(code, code.co_name))
+
+            sys.setprofile(profile)
+            try:
+                cert = certify(point, 40)
+            finally:
+                sys.setprofile(None)
+            assert len(cert.terms) == terms
+            assert entered == {"certify", "_sort_cleared", "_weights", "_lead", "_value"}
+
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
         # a warm certify works on the compiled integer forms of its leading
         # entry: the point is cleared and sorted once per call, the head's
@@ -641,9 +699,11 @@ class TestLeadingData:
             ordered = ParamPoint(*cert.sorted_params)
             assert (cert.min_exponent, cert.total) == series.collapse(ordered)[0], p
 
-    @pytest.mark.parametrize("point", [SCHIEMANN, COPRIME], ids=["integer", "coprime"])
-    def test_doubled_head_fails_the_total_check(self, monkeypatch, point):
-        # the head's coefficient at a leading row no longer matches the terms
+    @pytest.mark.parametrize("point, terms", [(SCHIEMANN, 2), (COPRIME, 1)], ids=["integer", "coprime"])
+    def test_doubled_head_fails_the_total_check(self, monkeypatch, point, terms):
+        # the head's coefficient at a leading row no longer matches the terms;
+        # a tie and a one-term point check it on both of certify's branches
+        assert len(certify(point, 40).terms) == terms
         monkeypatch.setattr(discrepancy, "_leading_data", doubled_head)
         for _ in range(2):
             with pytest.raises(
@@ -651,9 +711,11 @@ class TestLeadingData:
             ):
                 certify(point, 40)
 
-    @pytest.mark.parametrize("point", [SCHIEMANN, COPRIME], ids=["integer", "coprime"])
-    def test_head_term_below_the_rows_fails_the_exponent_check(self, monkeypatch, point):
-        # a head term that collapses below both rows leads the collapse
+    @pytest.mark.parametrize("point, terms", [(SCHIEMANN, 2), (COPRIME, 1)], ids=["integer", "coprime"])
+    def test_head_term_below_the_rows_fails_the_exponent_check(self, monkeypatch, point, terms):
+        # a head term that collapses below both rows leads the collapse; a
+        # tie and a one-term point check it ahead of both of certify's branches
+        assert len(certify(point, 40).terms) == terms
         monkeypatch.setattr(discrepancy, "_leading_data", head_below_the_rows)
         for _ in range(2):
             with pytest.raises(
