@@ -7,15 +7,12 @@ subspaces exactly eight are self-dual.  Each subspace has exactly one
 reduced echelon generator pair: pivot columns p1 < p2, leading ones, a zero
 above the second pivot, and free entries elsewhere after each pivot, so
 3^(5 - p1 - p2) pairs per pivot choice and 81 + 27 + 9 + 9 + 3 + 1 = 130 in
-all.  The pairs are listed once per process, with entries 0, 1 and 2, so
-they are spanned without being normalized again.  A code is built from a
-generator pair and keeps it: ``two_dim_subspaces`` spans exactly these
-pairs, and ``selfdual_codes`` runs the census over them, testing
-self-duality on each pair's generators and spanning only the pairs that
-pass.  Every span is checked to have nine words, and F_3^4 has
-(3^4-1)(3^4-3)/((3^2-1)(3^2-3)) = 130 two-dimensional subspaces, so 130
-distinct spans are all of them: a subspace missed, or spanned twice in
-place of another, shows as a count below 130.
+all.  A code is built from a generator pair and keeps it;
+``two_dim_subspaces`` spans exactly these pairs, and ``selfdual_codes``
+runs the census over them.  Every span is checked to have nine words, and
+F_3^4 has (3^4-1)(3^4-3)/((3^2-1)(3^2-3)) = 130 two-dimensional subspaces,
+so 130 distinct spans are all of them: a subspace missed, or spanned twice
+in place of another, shows as a count below 130.
 
 The four-group K4 acts on F_3^4 through signed permutation matrices and
 permutes the eight codes in two orbits of four; joining two codes whenever

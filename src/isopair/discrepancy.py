@@ -7,24 +7,25 @@ cancel and the discrepancy collapses to a single sum over L1 x L1::
 
     delta = 1/8 * sum_{(l,k)} (<l,k>^2 - <psi(l),psi(k)>^2) q^(phi(l)+phi(k)).
 
-Splitting the sum by the coset classes of l and k modulo M gives class
-series; those indexed by equal or opposite classes or by the zero class
-vanish, and the whole series is the sum of the six class series with
-distinct positive representatives.  This holds at every budget: equal or
-opposite classes carry the same sign matrix, so the kernel vanishes pair by
-pair; the kernel is symmetric, and ``v -> -v`` maps class j onto -j and
-keeps ``phi``, so the eight ordered, signed copies of each unordered pair
-cancel the 1/8; and on the zero class a four-group sign flip is a
-``phi``-preserving involution of M that negates the kernel.
+As psi acts on each class modulo M by a fixed diagonal sign matrix, the
+kernel of an ordered class pair is ``4 x_s x_t p_s p_t`` summed over the
+coordinate slots ``s < t`` where the product ``f`` of the two sign matrices
+differs, with ``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class
+series are integer sums, and they stay integer vectors through
+``delta_series`` and the collapse in ``certify``; only the certificate terms
+become polynomials.
 
-Because psi acts on each class by a fixed diagonal sign matrix, the kernel
-of a class pair is ``4 x_s x_t p_s p_t`` summed over the coordinate slots
-``s < t`` where the product of the two sign matrices differs, with
-``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class series are
-integer sums, and they stay integer vectors through ``delta_series`` and the
-collapse in ``certify``; only the certificate terms become polynomials.  The
-invariant-difference route and, in the test suite, the Fraction-valued
-kernel summed over all of L1 x L1 are independent references for it.
+The class restriction: the whole series is the sum of the six class series
+with distinct positive representatives, exactly at every budget, not only
+on a checked truncation.  Equal or opposite classes give ``f == 1``, so the
+kernel vanishes pair by pair.  The kernel is symmetric in (l, k), and
+``v -> -v`` maps class j onto -j, keeps ``phi`` and keeps every
+``x_s x_t``; so each unordered pair of distinct classes appears in the
+full sum as eight equal ordered, signed copies, which cancel the 1/8.  On
+the zero class, a four-group sign flip ``g`` with ``g_s != g_t`` is a
+``phi``-preserving involution of M that negates ``x_s x_t``, so every slot
+sums to zero over the class.  The ``class relations`` anchor of
+``verification`` checks these premises.
 
 The leading term is controlled by the suffix-sum partial order: a search of
 the budget shell finds the order-minimal vectors of each class, pairs of
@@ -74,41 +75,23 @@ from .qarith import (
 from .theta import Kernel, pair_series, theta11
 
 
-# Only the three budget-keyed facts that measured traffic re-reads are
-# cached (timings on a 2-vCPU x86_64 VM, Python 3.11).  The labelled shell:
-# the minimal vectors are read from it, and scanning L1's budget-80 shell
-# costs about 0.25 ms and labelling it 0.30 ms (``lattices.scan_L1`` and
-# ``lattices.label`` in ``BENCH_pr23.json``).  The class series: without them
-# ``delta_series(40)`` costs about 0.5 ms more, and ``check_relations(24)``,
-# which reads most series three times, takes 7.4 ms instead of 2.2 ms.  The
-# leading data of a budget and route (``_leading_data``): the series' two
-# order-minimal pair rows, checked once against their direct kernels, their
-# coefficient polynomials, and the head of the series, its two terms at
-# those rows; a check made once per entry shows that every other term lies
-# strictly above a row, so no point needs the rest.  None of it depends on
-# the point, and each part of it costs more per point than a warm certify
-# does: the pair table 0.3-0.4 ms, ``delta_series`` 0.06 ms, the row check
-# 0.04 ms, and collapsing the whole series 0.15 ms at budget 40 (42 terms)
-# and 0.75 ms at budget 80 (210 terms, ``qarith.collapse``).  The entry
-# holds the head and the rows compiled to the integer (coefficient, slot)
-# pairs a point needs, so a warm certify is one lead of the two-term head's
-# collapse and one compiled value per term, a few integer products each on
-# the point's cleared denominators: about 0.0095 ms at budget 40 or 80
-# (``certify_warm`` in ``BENCH_pr25.json``, calibrated medians, on the flat
-# path of ``certify``'s docstring; 0.017 ms with the head collapsed as a
-# series and each polynomial evaluated from its monomial dict).
-# ``delta_series`` alone only re-sums six cached class series (under 0.1 ms
-# at budget 80) and ``Lattice.vectors`` only rescans (0.25 ms for L1 at
-# budget 80, as above), so neither keeps a cache of its own.  Bounds, in entries:
-# ``verify`` meets the six distinct positive pairs at budget 24 and at its
-# own budget (12 class series), two labelled shells and one leading entry;
-# ``check_relations(24)``, which the tests and perfbench's layer sweep call,
-# meets all 81 ordered label pairs, 87 class series with the six of a
-# ``delta_series`` at another budget, so the class-series bound stays 128; a
-# certify batch needs six class series, one shell and one leading entry,
-# which shares the shells' bound.  None evicts; a process sweeping budgets
-# keeps only the most recent ones.  All three caches are typed, so a float
-# budget never reads an int entry.
+# Three facts are cached, each in a typed ``lru_cache`` keyed by the budget
+# (and the route), so a float budget never reads an int entry; none depends
+# on the point, and each costs more to rebuild than a warm certify does.
+# The labelled shell (``_labelled_shell``) is read by the minimal vectors and
+# the class series; the class series (``class_pair_series``) are re-summed by
+# ``delta_series``; the leading entry (``_leading_data``, whose docstring
+# says what it holds and checks) is read by every ``certify`` at its budget
+# and route.  ``delta_series`` itself only re-sums and ``Lattice.vectors``
+# only rescans, so neither keeps a cache of its own.  The bounds count
+# entries.  ``verify`` meets two labelled shells and one leading entry, and a
+# certify batch one of each, so ``SHELL_CACHE`` bounds both.  ``verify``
+# meets 12 class series (the six pairs at budget 24 and at its own) and a
+# batch six, but ``check_relations(24)``, which the tests and perfbench's
+# layer sweep call, meets all 81 ordered label pairs: 87 series with the six
+# of a ``delta_series`` at another budget, so ``CLASS_SERIES_CACHE`` is 128.
+# None of this traffic evicts; a process sweeping budgets keeps the most
+# recent entries.
 SHELL_CACHE = 8
 CLASS_SERIES_CACHE = 128
 
@@ -158,15 +141,11 @@ def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int
 @lru_cache(maxsize=CLASS_SERIES_CACHE, typed=True)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
-    (no prefactor).
-
-    With ``x = l*k`` coordinatewise and ``f`` the product of the two class
-    sign matrices, ``<l,k>^2 - <psi l,psi k>^2`` is the sum of
-    ``4 x_s x_t p_s p_t`` over the slots ``s < t`` with ``f_s != f_t``
-    (``_class_slots``), so ``pair_series`` sums it in integers, one counter
-    per slot.  The sign matrices form a four-group, so ``f`` is the
-    identity or has two entries of each sign: a class pair carries no slot
-    or four, and its kernel is four products.
+    (no prefactor): the module's class kernel, which ``pair_series`` sums in
+    integers, one counter per slot of ``_class_slots``.  The sign matrices
+    form a four-group, so ``f`` is the identity or has two entries of each
+    sign: a class pair carries no slot or four, and its kernel is four
+    products.
     """
     slots = _class_slots(label1, label2)
     if not slots:
@@ -193,25 +172,14 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     """The discrepancy series at the given budget.
 
     ``FROM_PSI_KERNEL`` is the sum of the six class series
-    ``class_pair_series`` of distinct positive classes i < j; ``FROM_THETA``
-    takes 1/128 of the difference of the two invariants, enumerating L2
-    independently.  The two routes agree exactly.  Nothing is cached here;
-    the class series are.  Both routes add integer coefficient vectors; the
-    theta route's 1/128 divides every coefficient exactly, since its result
-    equals the integer ``psi`` route, and a remainder would raise
-    ``ValueError`` rather than be rounded.
-
-    The class restriction is exact at every budget, not only on a checked
-    truncation.  Equal or opposite class indices give ``f == 1``, so the
-    kernel vanishes pair by pair.  The kernel is symmetric in (l, k)
-    pointwise, and ``v -> -v`` maps class j onto -j, keeps ``phi`` and
-    keeps every ``x_s x_t``; so each unordered pair of distinct indices
-    appears in the 1/8-scaled full sum as eight equal ordered, signed
-    copies.  For the zero class, a four-group sign flip ``g`` with
-    ``g_s != g_t`` is a ``phi``-preserving involution of M that negates
-    ``x_s x_t``, so every slot sums to zero over the class.  The
-    ``class relations`` anchor of ``verification`` checks these premises.  A
-    route that is not a ``Route`` raises ``TypeError``.
+    ``class_pair_series`` of distinct positive classes i < j, exact at every
+    budget by the module's class restriction; ``FROM_THETA`` takes 1/128 of
+    the difference of the two invariants, enumerating L2 independently.  The
+    two routes agree exactly.  Both add integer coefficient vectors; the
+    theta route's 1/128 divides every coefficient exactly, and a remainder
+    would raise ``ValueError`` rather than be rounded.  Nothing is cached
+    here; the class series are.  A route that is not a ``Route`` raises
+    ``TypeError``.
     """
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()
@@ -289,13 +257,15 @@ def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     """Order-minimal vectors of a coset class within the budget shell.
 
     A vector is minimal when no class member's squared-coordinate tuple lies
-    strictly below its own in the suffix-sum order.  Domination can only come
-    from vectors of smaller or equal coordinate-square sum, so enlarging the
-    budget never retracts a reported vector.  Nor does it add one: ``12 e_j``
-    lies in M, so a member with ``|v_j| > 6`` has the class member
-    ``v -/+ 12 e_j`` strictly below it, and every minimal vector lies in the
-    box ``[-6, 6]^4``.  The tests check that the box's minimal members (of
-    its 209 vectors of L1) are those of the budget-36 shell.
+    strictly below its own in the suffix-sum order.  Such a member has a
+    smaller or equal coordinate-square sum, so it lies in the shell too: the
+    result is the class's minimal vectors within the budget, and a larger
+    budget never retracts one.  ``12 e_j`` lies in M, so a member with
+    ``|v_j| > 6`` has the class member ``v -/+ 12 e_j`` strictly below it,
+    and every minimal vector lies in the box ``[-6, 6]^4``.  The tests check
+    that the box's minimal members (of its 209 vectors of L1) are those of
+    the budget-36 shell.  Their largest coordinate-square sum is 24, so the
+    set is fixed from budget 24 on; a smaller budget misses some of them.
     """
     return _order_minimal(_labelled_shell(budget)[label], phi)
 
@@ -342,9 +312,10 @@ def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
 def _leading_data(
     budget: int, route: Route
 ) -> tuple[tuple[tuple[Expo, Compiled], ...], tuple[tuple[Expo, ParamPolynomial, Compiled], ...]]:
-    """The head of the discrepancy series of a budget and route -- its terms
-    at the order-minimal pair exponents -- and those exponents, each with its
-    coefficient polynomial, in the integer forms a point needs.
+    """The leading entry of a budget and route: the head of the discrepancy
+    series -- its terms at the order-minimal pair exponents -- and those
+    exponents, each with its coefficient polynomial, in the integer forms a
+    point needs.
 
     The head is a tuple of ``(exponent, pairs)``: each term's ``MONOS``
     vector compiled to (coefficient, slot) pairs (``qarith._compile``), the
@@ -352,23 +323,19 @@ def _leading_data(
     polynomial, pairs)``: the polynomial compiled from its own monomials
     (``ParamPolynomial._compile``), the form ``qarith._value`` evaluates.
     The polynomials are ``series.coefficient(e)``, built from the same
-    vectors as the head, so their compiled pairs equal the head's.  A
-    point's two checks therefore test the collapse, not the series: that
-    the head's collapse (``_lead``) leads at the least row key, and that its
-    coefficient equals the sum of the leading rows' values (``_value``).
-    The independent source is ``pair_discrepancy_vector``, the first check
-    below.
+    vectors as the head, so the per-point checks of ``certify`` test the
+    collapse, not the series.
 
-    Two checks run here, once per entry.  Each stored coefficient is checked
-    against the direct two-vector kernel of its row
-    (``pair_discrepancy_vector``, in integers).  Every other exponent of the
-    series must lie strictly above a row exponent in the suffix order
+    The two checks against an independent source run here, once per entry.
+    Each stored coefficient must equal the direct two-vector kernel of its
+    row (``pair_discrepancy_vector``, in integers).  Every other exponent of
+    the series must lie strictly above a row exponent in the suffix order
     (``exp_below``); by the suffix-sum identity such a term collapses
     strictly above that row at every sorted, pairwise-distinct point, so the
-    head's collapse leads exactly where the whole series' collapse does.  A
-    failed check raises ``AssertionError``, and ``lru_cache`` stores no
-    exception, so an inconsistent series fails every call, not only the
-    first.
+    head's collapse leads exactly where the whole series' collapse does, and
+    no point needs the rest.  A failed check raises ``AssertionError``, and
+    ``lru_cache`` stores no exception, so an inconsistent series fails every
+    call, not only the first.
     """
     series = delta_series(budget, route)
     rows = minimal_rows(minimal_pair_table(budget))
@@ -434,39 +401,19 @@ class Certificate(
 def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNEL) -> Certificate:
     """Certify non-isometry of the pair at a parameter point.
 
-    The parameters must be positive rationals; a repeated value falls outside
-    the family's hypothesis and gives an inconclusive certificate.  Distinct
-    values are sorted into the canonical increasing chain first.  The
-    collapsed discrepancy's minimal exponent must agree with the minimum of
-    the two order-minimal pair exponents, and its coefficient with the sum
-    of the certificate terms; both are checked on every call.  The head of
-    the series (its terms at the order-minimal rows), the rows and their
-    coefficient polynomials depend only on the budget and route, so they are
-    built once per budget and route and cached (``_leading_data``), compiled
-    to the (coefficient, slot) pairs a point needs; the rows' stored
-    coefficients are cross-checked against the direct two-vector kernels
-    (``pair_discrepancy_vector``, in integers), and every other term of the
-    budget's series is checked to lie strictly above a row in the suffix
-    order, when they are built.  So a call collapses only the two-term
-    head, which leads exactly where the whole series does, and its work does
-    not grow with the budget.  The point is cleared and sorted once per call
-    (``_sort_cleared``), and every step after that is integer work on the
-    scale of the ``qarith`` module: the rows at the least key are found with
-    a running minimum, the weights of the point are taken once
-    (``_weights``), the head's collapse is led from its compiled vectors
-    (``_lead``) and each certificate term's value from its polynomial's own
-    compiled monomials (``_value``).  Those polynomials are the series'
-    coefficients, read from the same vectors as the head, so the two checks
-    compare the head's collapse with the least row key (the exponent check)
-    and with the sum of the leading terms' values (the total check); the
-    check against an independent source, the direct two-vector kernels, is
-    the once-per-entry one above.  Ties are resolved by summing
-    coefficients at the common collapsed exponent.  Fractions are built only
-    for the certificate's outputs, and a one-term certificate's total is its
-    term's value, which the total check has just proved equal.  A budget
-    that is not an ``int``, a route that is not a ``Route`` or a point that
-    is not a ``ParamPoint`` raises ``TypeError``, in that order, before any
-    other check and before any cache is read.
+    A budget that is not an ``int``, a route that is not a ``Route`` or a
+    point that is not a ``ParamPoint`` raises ``TypeError``, in that order,
+    before any other check and before any cache is read; a budget below
+    ``MIN_PAIR_BUDGET`` raises ``ValueError``.  A repeated parameter value
+    falls outside the family's hypothesis and gives an ``INCONCLUSIVE``
+    certificate with no terms.  Distinct values are sorted into the
+    canonical increasing chain, on the integer scale of ``qarith``, and the
+    leading entry of the budget and route (``_leading_data``) gives the rows
+    and the head to collapse.  Two checks run on every call, in this order:
+    the head's collapse must lead at the least row exponent at the point,
+    and its coefficient must equal the sum of the leading rows' values.
+    Ties are summed at their common collapsed exponent.  Fractions are built
+    only for the certificate's outputs.
 
     A warm call is one flat path: of the package it enters only this
     function, ``_sort_cleared``, ``_weights``, ``_lead`` and ``_value``.
@@ -474,9 +421,6 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     is not ``int`` or a route whose type is not ``Route``; a point with one
     leading term values it directly, a tie sums its terms in a plain loop,
     and each record is built from one tuple, as its constructor builds it.
-    That is about 0.0095 ms at budget 40 or 80 (``certify_warm`` in
-    ``BENCH_pr25.json``), against 0.012 ms through comprehensions, the
-    checks and the constructors.
     """
     # the checks live in ``check_budget`` and ``check_route``; an int or a
     # Route passes them, and an Enum with members has no subclass
@@ -512,8 +456,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
 
     # the terms' values are integers over D^2, as the head's coefficient is;
-    # ``_lead`` skips zero sums, so a checked total is nonzero.  Records are
-    # built as their namedtuple constructors build them, from one tuple.
+    # ``_lead`` skips zero sums, so a checked total is nonzero
     coefficient = lead[1]
     square = D * D
     if len(leaders) == 1:

@@ -153,14 +153,13 @@ class Lattice:
 
     def vectors(self, budget: int) -> tuple[Vec, ...]:
         """All lattice vectors whose squared coordinates sum to at most
-        ``budget``, in lexicographic order.
+        ``budget``, in lexicographic order; nothing is cached, so each call
+        is one scan.
 
-        The bound is parameter-free; since every evaluated square norm is at
-        least a times the coordinate-square sum, a budget of at least T/a
-        captures every vector of norm up to T at a point (a, b, c, d).
-        Nothing is cached: one call is one scan, about 0.25 ms for L1 at
-        budget 80 (``lattices.scan_L1`` in ``BENCH_pr23.json``, calibrated
-        median on a 2-vCPU x86_64 VM, Python 3.11).
+        The bound is parameter-free.  Every evaluated square norm is at least
+        ``min(a, b, c, d)`` times the coordinate-square sum, so a budget of at
+        least ``T / min(a, b, c, d)`` captures every vector of norm up to
+        ``T`` at a point (a, b, c, d).
         """
         if check_budget(budget) < 0:
             raise ValueError("budget must be non-negative")

@@ -11,24 +11,19 @@ Addition, scaling and collapse are integer arithmetic on those vectors.
 a coefficient is printed, serialized, compiled for evaluation at a point or
 compared with a formula of the paper.
 
-Work at a point is integer work on one scale.  ``_cleared`` turns the point
-into its common denominator ``D`` and integer numerators ``A = D*p``; at
-that point an exponent is an integer over ``D`` and a coefficient or a
-value is an integer over ``D^2``: a vector ``v`` on ``MONOS`` is
-``(v.W) / D^2`` for the integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of
-``_weights``.  ``FormalQSeries._collapse`` takes ``(D, A)`` and returns
-those integers for a whole series; ``collapse`` clears its point, calls it
-and divides once.  A caller that meets the same few coefficients at many
-points compiles them once into (coefficient, slot) pairs, the slot of each
-nonzero entry in ``MONOS`` (``_compile`` for a vector,
-``ParamPolynomial._compile`` for a polynomial's own terms).  At each point
-it then clears and sorts the point in one pass (``_sort_cleared``), takes
-``W`` once, gets the lead of a compiled collapse (``_lead``) and each
-compiled value (``_value``) from a few integer products, and builds
-Fractions only for its outputs.  A warm ``certify`` enters no other
-function of the package: about 0.0095 ms a point at budget 40 or 80
-(``certify_warm`` in ``BENCH_pr25.json``, 2-vCPU x86_64, Python 3.11,
-calibrated medians).
+Work at a point is integer work on one scale.  A point ``p`` is cleared to
+its common denominator ``D`` and integer numerators ``A = D*p``
+(``_cleared``, or ``_sort_cleared``, which also sorts it); the coordinates
+of ``A`` order and coincide as the point's do.  There an exponent ``n`` is
+the integer ``n.A`` over ``D``, and a coefficient vector ``v`` on ``MONOS``
+is the integer ``v.W`` over ``D^2``, for the weights
+``W = (D^2, D*A_i, A_s*A_t)`` of ``_weights``.  A caller that meets the same
+few coefficients at many points compiles them once into (coefficient, slot)
+pairs, the slot of each nonzero entry in ``MONOS`` (``_compile`` for a
+vector, ``ParamPolynomial._compile`` for a polynomial's own terms); at each
+point it then takes ``W`` once, gets the lead of a compiled collapse
+(``_lead``) and each compiled value (``_value``) from a few integer
+products, and builds Fractions only for its outputs.
 
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
@@ -131,9 +126,8 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
 
 
 def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
-    """The common denominator ``D`` of a point's coordinates and the integer
-    numerators ``A = D*p``: the coordinates of ``A`` order and coincide as
-    the point's do, and a linear form ``e.p`` is ``(e.A) / D``."""
+    """The point cleared to the module's scale: the common denominator ``D``
+    of its coordinates and the integer numerators ``A = D*p``."""
     a, b, c, d = p
     qa, qb, qc, qd = a.denominator, b.denominator, c.denominator, d.denominator
     D = lcm(qa, qb, qc, qd)
@@ -173,9 +167,8 @@ def _sort_cleared(
 
 
 def _weights(D: int, A: Sequence[int]) -> tuple[int, ...]:
-    """The integer weights ``W = (D^2, D*A_i, A_s*A_t)`` of ``MONOS`` at the
-    point cleared to ``(D, A)``: a coefficient vector ``v`` on ``MONOS`` is
-    ``(v.W) / D^2`` there."""
+    """The weights ``W`` of ``MONOS`` at the point cleared to ``(D, A)``, on
+    the module's scale."""
     a0, a1, a2, a3 = A
     # in ``MONOS`` order: 1, the four p_i, then ``QUAD_SLOTS``
     return (
@@ -205,11 +198,9 @@ def _value(pairs: Compiled, W: Sequence[int]) -> int:
 def _lead(
     terms: Sequence[tuple[Expo, Compiled]], A: Sequence[int], W: Sequence[int]
 ) -> tuple[int, int] | None:
-    """The first pair ``(D*exponent, D^2*coefficient)`` of the collapse of
-    compiled terms, ``(exponent, pairs)`` with ``pairs`` from ``_compile``,
-    at the point cleared to ``(D, A)`` whose weights are ``W``: what
-    ``_collapse(D, A)[0]`` is for the series of those terms, or None where
-    that collapse is empty.
+    """``_collapse(D, A)[0]`` for the series of compiled terms, ``(exponent,
+    pairs)`` with ``pairs`` from ``_compile``, or None where that collapse
+    is empty; ``W`` is ``_weights(D, A)``.
 
     The terms are taken in the order of their keys ``e.A``; values merge at
     equal keys, and the first key whose merged value is nonzero leads, so no
@@ -260,9 +251,9 @@ class ParamPolynomial:
     builds; the zero polynomial has no terms.  A monomial that is not four
     non-negative ints raises ``ValueError``, as an exponent vector does, and
     so does one of degree three or more; a coefficient that is not an
-    ``int`` (a Fraction, a float or a bool) raises ``TypeError``.  An output
-    view with no arithmetic: series arithmetic is integer arithmetic on
-    their ``MONOS`` vectors.  Instances are immutable by convention.
+    ``int`` (a Fraction, a float or a bool) raises ``TypeError``.  It has no
+    arithmetic (see the module docstring), and instances are immutable by
+    convention.
     """
 
     __slots__ = ("terms",)
@@ -450,13 +441,9 @@ class FormalQSeries:
 
     def _collapse(self, D: int, A: Sequence[int]) -> list[tuple[int, int]]:
         """The collapse at the point cleared to ``(D, A)``, as the integer
-        pairs ``(D*exponent, D^2*coefficient)`` of the module's scale.
-
-        An exponent ``n`` is ``(n.A) / D`` and a coefficient vector ``v`` is
-        ``(v.W) / D^2`` for the integer weights ``W = (D^2, D*A_i, A_s*A_t)``
-        of ``MONOS`` (``_weights``), so the keys ``n.A`` merge and order as
-        the exponents do.  Sorted by key, zero sums dropped.
-        """
+        pairs ``(D*exponent, D^2*coefficient)`` of the module's scale: the
+        keys ``n.A`` merge and order as the exponents do.  Sorted by key,
+        zero sums dropped."""
         a0, a1, a2, a3 = A
         weights = _weights(D, A)
         merged: dict[int, int] = {}

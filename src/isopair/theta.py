@@ -14,12 +14,10 @@ pair as polynomial identities:
 * ``Kernel.DEFINING`` -- the sum of squared weighted theta series, expanded
   pairwise so that each cross term s_i s_j l_i l_j k_i k_j stays rational
   (the weights x_i x_j and 4x_i^2 - |x|^2 pick up the diagonal Gram entries
-  s = (a, b, c, d) when written in eigenbasis coordinates); its coefficients
-  are the products of the four pairs of linear forms of that definition,
-  written out slot by slot;
-* ``Kernel.PAIRWISE`` -- the closed form 16<l,k>^2 - 4|l|^2|k|^2, which is
-  ``12 x_i^2`` on ``p_i^2`` and ``32 x_i x_j - 4(l_i^2 k_j^2 + l_j^2 k_i^2)``
-  on ``p_i p_j``, with ``x = l*k`` coordinatewise.
+  s = (a, b, c, d) when written in eigenbasis coordinates), written out
+  slot by slot in ``defining_coeffs``;
+* ``Kernel.PAIRWISE`` -- the closed form 16<l,k>^2 - 4|l|^2|k|^2, written
+  out slot by slot in ``pairwise_coeffs``.
 
 Both kernels unpack the eight coordinates of a pair and are straight-line
 arithmetic on them.  Neither calls ``phi``, which refuses anything but

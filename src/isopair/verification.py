@@ -23,11 +23,6 @@ keep the series-level checks: ``theta11`` under both kernels, the relations
 over all 81 ordered label pairs (``check_relations``) and the 81-pair
 decomposition sum.
 
-``MIN_PAIR_BUDGET`` is 36, the square sum of the leading exponent
-``(25, 5, 5, 1)``, so the smallest budget whose series holds both leading
-coefficients in full; every minimal vector already lies in the budget-24
-shell.
-
 A check fails as the library's cross-checks do, by raising ``AssertionError``
 with its witness; ``_result`` makes any such raise, the check's own or one
 from the library code under it, that anchor's failure.
@@ -283,8 +278,8 @@ def _check_kernel_identity() -> None:
 
 
 def _check_class_premises() -> None:
-    """The finite premises of the class-series identities (see
-    ``delta_series``): equal and opposite labels leave no slot; each
+    """The finite premises of the class restriction (see the ``discrepancy``
+    module docstring): equal and opposite labels leave no slot; each
     representative lies in its class and negation maps it into the opposite
     class, so negation maps each class onto its opposite; and for each slot
     some four-group sign matrix that maps M onto M separates it, an
@@ -314,11 +309,9 @@ def _check_routes() -> None:
 
 def _check_decomposition() -> None:
     # the nine labels name the nine classes of L1 modulo M, so the 81
-    # ordered label pairs cover L1 x L1; by the premises the pairs with a
-    # zero, equal or opposite label sum to zero, and the other 48 are eight
-    # signed, ordered copies of each of the six distinct positive pairs,
-    # which cancel the 1/8.  ``route equivalence`` compares that six-class
-    # sum with the full invariant difference at budget 24.
+    # ordered label pairs cover L1 x L1 and the class restriction leaves the
+    # six distinct positive pairs; ``route equivalence`` compares that
+    # six-class sum with the full invariant difference at budget 24
     _check_class_premises()
     fam = build_family()
     if fam.M.index_in(fam.L1) != len(ALL_LABELS):
@@ -359,7 +352,7 @@ def _check_leading(budget: int) -> None:
 
 def run_verification(budget: int) -> list[AnchorResult]:
     """Run every anchor; raises ``TypeError`` for a budget that is not an
-    ``int`` and ``ValueError`` for one below the sound threshold."""
+    ``int`` and ``ValueError`` for one below ``MIN_PAIR_BUDGET``."""
     if check_budget(budget) < MIN_PAIR_BUDGET:
         raise ValueError(f"verification budget must be at least {MIN_PAIR_BUDGET}, got {budget}")
     checks = (

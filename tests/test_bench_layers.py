@@ -1,16 +1,10 @@
 """``tools/bench_layers.py`` times every row one way, ``_rows``: the median
 of timed passes, each sample scaled by the calibrations on either side of
-its own pass.  Its anchors job times each verification anchor by wrapping
-``verification._result``, the call that runs an anchor's check, and must
-keep producing one calibrated row per anchor, in the order
-``run_verification`` runs them.  Its ``param_point`` job times building a
-``ParamPoint``, which no other row covers, its ``certify`` and ``collapse``
-jobs time the per-point work (each ``certify_first`` pass paying the
-budget's one-time costs afresh), its ``scan`` and ``label`` jobs time the
-shell scan and coset labelling, and its ``null`` job times a fixed workload
-that gives the file's noise floor.  Every job kind is one entry of the
-tool's ``JOBS`` table, which both lists the jobs and runs a child's job.
-No job times a whole process: perfbench's cold workloads do that."""
+its own pass.  The tool's docstring lists its rows and what one pass of each
+job is; these tests check that each job gives its rows, calibrated and in
+order, and that the jobs that time one-time costs clear their caches before
+every pass.  Every job kind is one entry of the tool's ``JOBS`` table, which
+both lists the jobs and runs a child's job."""
 
 import importlib.util
 import json
@@ -90,7 +84,8 @@ def test_rows_scale_each_sample_by_its_own_pass(bench, monkeypatch):
     monkeypatch.setattr(bench, "calibrate", calibrate)
     # a factor that names its two calibrations: 102, 203 and 304 for the passes
     monkeypatch.setattr(bench, "scale", lambda before, after: 100 * before + after)
-    rows = bench._rows(40, run_pass, passes=3, before=lambda: log.append("before"))
+    monkeypatch.setattr(bench, "CALLS", 3)
+    rows = bench._rows(40, run_pass, before=lambda: log.append("before"))
     assert log == ["calibrate"] + ["before", "pass", "calibrate"] * 3
     assert rows == [
         {"layer": "b", "budget": 40, "seconds": 2.0, "calibrated_s": 2.0 * 203},
@@ -149,3 +144,39 @@ def test_every_certify_first_pass_starts_from_empty_budget_caches(bench, monkeyp
     shell = len(isopair.build_family().L1.vectors(40))
     assert calls == {"delta_series": bench.CALLS, "pair_series": 6 * bench.CALLS,
                      "coset_label": shell * bench.CALLS}
+
+
+def test_every_anchor_pass_starts_from_empty_caches(bench, monkeypatch):
+    # each of the ``CALLS`` passes rebuilds the lattice family, the code
+    # census with its echelon pairs and the budget-36 leading entry (a cache
+    # that kept its entry would miss only in the first pass), with the
+    # collector off
+    import gc
+
+    from isopair import codes, discrepancy, lattices, verification
+
+    caches = {"family": lattices.build_family, "echelon pairs": codes._echelon_generator_pairs,
+              "census": codes.selfdual_codes, "leading entry": discrepancy._leading_data}
+    builds, collector = [], []
+    run_verification = verification.run_verification
+
+    def counted(budget):
+        before = {name: cache.cache_info().misses for name, cache in caches.items()}
+        results = run_verification(budget)
+        builds.append({name: cache.cache_info().misses - before[name]
+                       for name, cache in caches.items()})
+        collector.append(gc.isenabled())
+        return results
+
+    monkeypatch.setattr(verification, "run_verification", counted)
+    monkeypatch.setattr(verification, "_result", verification._result)
+    monkeypatch.setattr(bench, "calibrate", lambda: 1.0)
+    monkeypatch.setattr(bench, "scale", lambda before, after: 1.0)
+    try:
+        rows = bench._anchor_rows()
+    finally:
+        gc.enable()
+    assert [row["layer"] for row in rows] == [
+        f"verify.{result.anchor}" for result in run_verification(MIN_PAIR_BUDGET)]
+    assert builds == [dict.fromkeys(caches, 1)] * bench.CALLS
+    assert collector == [False] * bench.CALLS

@@ -333,8 +333,14 @@ class TestMinimalVectors:
         assert v not in _box_minimal(label, 2)
 
     def test_stable_under_larger_budget(self):
+        # the largest coordinate-square sum of a minimal vector is 24, so the
+        # set is fixed from budget 24 on and budget 23 misses some of it
         for i in range(4):
-            assert minimal_vectors(CosetLabel(i, 1), 44) == minimal_vectors(CosetLabel(i, 1), 36)
+            full = minimal_vectors(CosetLabel(i, 1), 36)
+            for budget in (24, 44):
+                assert minimal_vectors(CosetLabel(i, 1), budget) == full
+            assert set(minimal_vectors(CosetLabel(i, 1), 23)) <= set(full)
+        assert minimal_vectors(CosetLabel(0, 1), 23) == ((-1, 3, -1, 1),)
 
     def test_dominated_members_are_excluded(self):
         label = CosetLabel(2, 1)

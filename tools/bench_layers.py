@@ -11,28 +11,29 @@ repeat and each job the two labels run back to back, in alternating order,
 so drift of the machine's speed during the run hits both labels alike
 instead of reading as a difference.
 
-Every row is timed one way, by ``_rows``.  A job runs a *pass* several
-times and runs the calibration workload of ``perfbench/calibrate.py``
-before the first pass and after each one.  A pass returns ``(layer,
-seconds)`` samples, and each sample is rescaled to a reference machine
-speed by ``scale(before, after)`` of the calibrations on either side of its
-own pass, so it is rescaled by the speed of the stretch it ran in (on a
-shared machine the speed drifts by up to a fifth within seconds).  A job's
-row for a layer is the median of its raw samples and the median of its
-calibrated ones over all passes.  The rows, and what one pass is:
+Every row is timed one way, by ``_rows``.  A job runs a *pass* ``CALLS``
+times, so that a row is not one pass's millisecond-scale noise, and runs
+the calibration workload of ``perfbench/calibrate.py`` before the first
+pass and after each one.  A pass returns ``(layer, seconds)`` samples, and
+each sample is rescaled to a reference machine speed by ``scale(before,
+after)`` of the calibrations on either side of its own pass, so it is
+rescaled by the speed of the stretch it ran in (on a shared machine the
+speed drifts by up to a fifth within seconds).  A job's row for a layer is
+the median of its raw samples and the median of its calibrated ones over
+all passes.  The rows, and what one pass is:
 
 * ``verify.<anchor>``: each anchor of ``run_verification(36)``, in the order
   and cache state a cold ``isopair verify --budget 36`` process meets them.
-  One pass of ``run_verification``, which times each call
-  ``verification._result(name, check)`` that runs an anchor's check.  An
-  anchor measures one-time costs (the code census and the caches the budget
-  fills) that a second run in the same process would not pay, so the job
-  makes one pass.  The cyclic garbage collector is off in this job from
-  before it calibrates and imports ``isopair``: with it on, each anchor row
-  absorbs whichever collection happens to fall inside it, so an anchor
-  whose code did not change reads slower when the modules imported at
-  start-up change (``verify.code census`` read 7.7 -> 9.0 ms in
-  ``BENCH_pr11.json`` that way);
+  A pass is one ``run_verification`` call, which times each call
+  ``verification._result(name, check)`` that runs an anchor's check.  The
+  anchors measure one-time costs, so every cache a ``verify`` process fills
+  (``_clear_anchor_caches``: the lattice family, the code census and its
+  echelon pairs, C1 and C2, and the budget caches) is cleared before each
+  pass.  The cyclic garbage collector is off in this job from before it
+  calibrates and imports ``isopair``: with it on, each anchor row absorbs
+  whichever collection happens to fall inside it, so an anchor whose code
+  did not change reads slower when the modules imported at start-up change
+  (``verify.code census`` did in ``BENCH_pr11.json``);
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
   alone at budgets 40, 80 and 160: one call.  The caches a budget fills
@@ -61,12 +62,10 @@ calibrated ones over all passes.  The rows, and what one pass is:
   code, so the ratio of their medians is this file's noise floor: a
   per-layer difference inside it is not resolved.
 
-Every job but the anchors makes ``CALLS`` passes, so that a row is not one
-pass's millisecond-scale noise.  Each row reports, per label, the median
-and quartiles over the ``--repeats`` child processes of the job's medians:
-raw ``median_s``, ``q1_s``, ``q3_s`` and ``runs_s``, and calibrated
-``calibrated_median_s``, ``calibrated_q1_s`` and ``calibrated_q3_s``.
-``--out`` is written afresh.
+Each row reports, per label, the median and quartiles over the
+``--repeats`` child processes of the job's medians: raw ``median_s``,
+``q1_s``, ``q3_s`` and ``runs_s``, and calibrated ``calibrated_median_s``,
+``calibrated_q1_s`` and ``calibrated_q3_s``.  ``--out`` is written afresh.
 
 Child processes load the package from cached bytecode, as an installed
 package is loaded: they run without ``PYTHONDONTWRITEBYTECODE``, and each
@@ -112,9 +111,9 @@ CALLS = 9
 NULL_ROUNDS = 20000
 
 
-def _rows(budget: int | None, run_pass, passes: int = CALLS, before=lambda: None) -> list[dict]:
+def _rows(budget: int | None, run_pass, before=lambda: None) -> list[dict]:
     """One row per layer, in first-seen order, of the median raw and
-    calibrated seconds of the samples of ``passes`` calls of ``run_pass``.
+    calibrated seconds of the samples of ``CALLS`` calls of ``run_pass``.
     A pass returns ``(layer, seconds)`` samples.  The speed is calibrated
     between passes, as ``perfbench/run.py``'s ``Speed.step`` calibrates
     between operations, and each sample is scaled by ``scale`` of the
@@ -123,7 +122,7 @@ def _rows(budget: int | None, run_pass, passes: int = CALLS, before=lambda: None
     seconds: dict[str, list[float]] = {}
     calibrated: dict[str, list[float]] = {}
     last = calibrate()
-    for _ in range(passes):
+    for _ in range(CALLS):
         before()
         samples = run_pass()
         after = calibrate()
@@ -162,11 +161,12 @@ def _anchor_rows() -> list[dict]:
         return out
 
     def run_pass():
+        samples.clear()
         verification.run_verification(VERIFY_BUDGET)
         return samples
 
     verification._result = timed
-    return _rows(VERIFY_BUDGET, run_pass, passes=1)
+    return _rows(VERIFY_BUDGET, run_pass, before=_clear_anchor_caches)
 
 
 def _theta_rows(kernel: str, budget: int) -> list[dict]:
@@ -185,6 +185,19 @@ def _clear_budget_caches() -> None:
     discrepancy._labelled_shell.cache_clear()
     discrepancy.class_pair_series.cache_clear()
     discrepancy._leading_data.cache_clear()
+
+
+def _clear_anchor_caches() -> None:
+    """Empty every cache a ``verify`` process fills: the lattice family, the
+    echelon generator pairs, the self-dual census, C1 and C2, and the caches
+    a budget fills."""
+    from isopair import codes, lattices
+
+    lattices.build_family.cache_clear()
+    codes._echelon_generator_pairs.cache_clear()
+    codes.selfdual_codes.cache_clear()
+    codes._c1_c2.cache_clear()
+    _clear_budget_caches()
 
 
 def _delta_rows(route: str, budget: int) -> list[dict]:
