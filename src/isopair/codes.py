@@ -86,13 +86,9 @@ K4 = (
 )
 
 
-def span_pair(g1: Word, g2: Word) -> frozenset[Word]:
-    """All 9 words i*g1 + j*g2; requires the generators to be independent."""
-    return _span(normalize(g1), normalize(g2))
-
-
 def _span(g1: Word, g2: Word) -> frozenset[Word]:
-    """``span_pair`` of two words already in normal form."""
+    """All 9 words i*g1 + j*g2 of two words already in normal form; requires
+    the generators to be independent."""
     a0, a1, a2, a3 = g1
     b0, b1, b2, b3 = g2
     # i*g1 + j*g2 for i, then j, in 0, 1, 2

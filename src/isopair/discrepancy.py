@@ -43,7 +43,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .lattices import (
     ALL_LABELS,
@@ -75,25 +75,21 @@ from .qarith import (
 from .theta import Kernel, pair_series, theta11
 
 
-# Three facts are cached, each in a typed ``lru_cache`` keyed by the budget
-# (and the route), so a float budget never reads an int entry; none depends
-# on the point, and each costs more to rebuild than a warm certify does.
-# The labelled shell (``_labelled_shell``) is read by the minimal vectors and
-# the class series; the class series (``class_pair_series``) are re-summed by
-# ``delta_series``; the leading entry (``_leading_data``, whose docstring
-# says what it holds and checks) is read by every ``certify`` at its budget
-# and route.  ``delta_series`` itself only re-sums and ``Lattice.vectors``
-# only rescans, so neither keeps a cache of its own.  The bounds count
-# entries.  ``verify`` meets two labelled shells and one leading entry, and a
-# certify batch one of each, so ``SHELL_CACHE`` bounds both.  ``verify``
-# meets 12 class series (the six pairs at budget 24 and at its own) and a
-# batch six, but ``check_relations(24)``, which the tests and perfbench's
-# layer sweep call, meets all 81 ordered label pairs: 87 series with the six
-# of a ``delta_series`` at another budget, so ``CLASS_SERIES_CACHE`` is 128.
-# None of this traffic evicts; a process sweeping budgets keeps the most
-# recent entries.
+# Two facts are cached, each in a typed ``lru_cache`` keyed by the budget
+# (and the route), so a float budget never reads an int entry; neither
+# depends on the point, and each is read again.  The labelled shell
+# (``_labelled_shell``) is read ten times per leading entry: by the six
+# class series and the four minimal-vector searches.  The leading entry
+# (``_leading_data``, whose docstring says what it holds and checks) is read
+# by every ``certify`` at its budget and route.  Nothing else is read twice:
+# each caller sums the class series (``class_pair_series``) it reads once,
+# six for ``delta_series`` and 81 for ``check_relations``, and
+# ``Lattice.vectors`` only rescans, so none of them keeps a cache.  The
+# bound counts entries: ``verify`` meets two labelled shells and one leading
+# entry, and a certify batch one of each, so ``SHELL_CACHE`` bounds both,
+# and none of this traffic evicts; a process sweeping budgets keeps the
+# most recent entries.
 SHELL_CACHE = 8
-CLASS_SERIES_CACHE = 128
 
 # The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
 # whose series holds both leading coefficients in full.
@@ -138,7 +134,6 @@ def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int
     return tuple((s, t) for s, t in QUAD_SLOTS if f[s] != f[t])
 
 
-@lru_cache(maxsize=CLASS_SERIES_CACHE, typed=True)
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
     (no prefactor): the module's class kernel, which ``pair_series`` sums in
@@ -149,7 +144,7 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
     """
     slots = _class_slots(label1, label2)
     if not slots:
-        return FormalQSeries.empty(budget)
+        return FormalQSeries(budget)
     (s0, t0), (s1, t1), (s2, t2), (s3, t3) = slots
 
     def kernel(l, k):
@@ -177,15 +172,15 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     the difference of the two invariants, enumerating L2 independently.  The
     two routes agree exactly.  Both add integer coefficient vectors; the
     theta route's 1/128 divides every coefficient exactly, and a remainder
-    would raise ``ValueError`` rather than be rounded.  Nothing is cached
-    here; the class series are.  A route that is not a ``Route`` raises
+    would raise ``ValueError`` rather than be rounded.  Neither the series
+    nor its class series are cached.  A route that is not a ``Route`` raises
     ``TypeError``.
     """
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()
         diff = theta11(fam.L1, budget, Kernel.PAIRWISE) - theta11(fam.L2, budget, Kernel.PAIRWISE)
         return diff.scaled(Fraction(1, 128))
-    total = FormalQSeries.empty(budget)
+    total = FormalQSeries(budget)
     for i, j in combinations(range(4), 2):
         total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), budget)
     return total
@@ -208,29 +203,31 @@ def check_relations(budget: int) -> RelationReport:
 
     (1) equal classes give zero; (2) the series is symmetric in its classes;
     (3) negating one class changes nothing; (4) the zero class gives zero.
-    Stops at the first violation, reporting a witness exponent.
+    Each of the 81 ordered class series is summed once.  Stops at the first
+    violation, reporting a witness exponent.
     """
+    series = {pair: class_pair_series(*pair, budget) for pair in product(ALL_LABELS, repeat=2)}
     checked = 0
 
-    def witness_of(series: FormalQSeries) -> Expo:
-        return min(series.terms)
+    def witness_of(nonzero: FormalQSeries) -> Expo:
+        return min(nonzero.terms)
 
     for label in ALL_LABELS:
-        series = class_pair_series(label, label, budget)
+        equal = series[label, label]
         checked += 1
-        if not series.is_zero:
-            return RelationReport(False, checked, "equal-classes", (str(label),), witness_of(series))
+        if not equal.is_zero:
+            return RelationReport(False, checked, "equal-classes", (str(label),), witness_of(equal))
     for label1 in ALL_LABELS:
         for label2 in ALL_LABELS:
-            forward = class_pair_series(label1, label2, budget)
-            backward = class_pair_series(label2, label1, budget)
+            forward = series[label1, label2]
+            backward = series[label2, label1]
             checked += 1
             if forward != backward:
                 diff = forward - backward
                 return RelationReport(
                     False, checked, "symmetry", (str(label1), str(label2)), witness_of(diff)
                 )
-            negated = class_pair_series(label1, -label2, budget)
+            negated = series[label1, -label2]
             checked += 1
             if forward != negated:
                 diff = forward - negated
@@ -239,10 +236,10 @@ def check_relations(budget: int) -> RelationReport:
                 )
     zero = CosetLabel.zero()
     for label in ALL_LABELS:
-        series = class_pair_series(zero, label, budget)
+        with_zero = series[zero, label]
         checked += 1
-        if not series.is_zero:
-            return RelationReport(False, checked, "zero-class", (str(label),), witness_of(series))
+        if not with_zero.is_zero:
+            return RelationReport(False, checked, "zero-class", (str(label),), witness_of(with_zero))
     return RelationReport(True, checked)
 
 
@@ -319,12 +316,11 @@ def _leading_data(
 
     The head is a tuple of ``(exponent, pairs)``: each term's ``MONOS``
     vector compiled to (coefficient, slot) pairs (``qarith._compile``), the
-    form ``qarith._lead`` collapses.  The rows are a tuple of ``(exponent,
-    polynomial, pairs)``: the polynomial compiled from its own monomials
-    (``ParamPolynomial._compile``), the form ``qarith._value`` evaluates.
-    The polynomials are ``series.coefficient(e)``, built from the same
-    vectors as the head, so the per-point checks of ``certify`` test the
-    collapse, not the series.
+    form ``qarith._lead`` collapses and ``qarith._value`` evaluates.  The
+    rows are a tuple of ``(exponent, polynomial, pairs)``: the polynomial
+    ``series.coefficient(e)`` for the certificate, and the head's own pairs,
+    so each coefficient is compiled once and the per-point checks of
+    ``certify`` test the collapse, not the series.
 
     The two checks against an independent source run here, once per entry.
     Each stored coefficient must equal the direct two-vector kernel of its
@@ -349,8 +345,7 @@ def _leading_data(
         if e not in exponents and not any(exp_below(f, e) for f in exponents):
             raise AssertionError(f"exponent {e} does not lie above a minimal pair exponent")
     head = tuple((e, _compile(series.terms[e])) for e in exponents)
-    polys = [series.coefficient(e) for e in exponents]
-    return head, tuple((e, poly, poly._compile()) for e, poly in zip(exponents, polys))
+    return head, tuple((e, series.coefficient(e), pairs) for e, pairs in head)
 
 
 class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):

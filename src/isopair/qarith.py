@@ -8,8 +8,8 @@ series holds each one as an integer vector on the fifteen monomials
 package builds is integral; a rational coefficient is refused, not rounded.
 Addition, scaling and collapse are integer arithmetic on those vectors.
 ``ParamPolynomial`` has no arithmetic: it is the output view through which
-a coefficient is printed, serialized, compiled for evaluation at a point or
-compared with a formula of the paper.
+a coefficient is printed, serialized or compared with a formula of the
+paper.
 
 Work at a point is integer work on one scale.  A point ``p`` is cleared to
 its common denominator ``D`` and integer numerators ``A = D*p``
@@ -18,12 +18,11 @@ of ``A`` order and coincide as the point's do.  There an exponent ``n`` is
 the integer ``n.A`` over ``D``, and a coefficient vector ``v`` on ``MONOS``
 is the integer ``v.W`` over ``D^2``, for the weights
 ``W = (D^2, D*A_i, A_s*A_t)`` of ``_weights``.  A caller that meets the same
-few coefficients at many points compiles them once into (coefficient, slot)
-pairs, the slot of each nonzero entry in ``MONOS`` (``_compile`` for a
-vector, ``ParamPolynomial._compile`` for a polynomial's own terms); at each
-point it then takes ``W`` once, gets the lead of a compiled collapse
-(``_lead``) and each compiled value (``_value``) from a few integer
-products, and builds Fractions only for its outputs.
+few coefficients at many points compiles each vector once into
+(coefficient, slot) pairs, the slot of each nonzero entry in ``MONOS``
+(``_compile``); at each point it then takes ``W`` once, gets the lead of a
+compiled collapse (``_lead``) and each compiled value (``_value``) from a
+few integer products, and builds Fractions only for its outputs.
 
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
@@ -49,7 +48,7 @@ parameters at once.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, mul
@@ -72,7 +71,6 @@ MONOS: tuple[Mono, ...] = (
     *(tuple(int(u == i) for u in range(4)) for i in range(4)),
     *QUAD_MONOS,
 )
-_SLOTS = {mono: slot for slot, mono in enumerate(MONOS)}
 
 
 def exact(x) -> Fraction:
@@ -243,24 +241,27 @@ def exp_below(e: Expo, f: Expo) -> bool:
 
 class ParamPolynomial:
     """A coefficient of a series, as a polynomial in (a, b, c, d) to print,
-    serialize, compile for evaluation at a point (``_compile``) or compare
-    with a formula of the paper.
+    serialize or compare with a formula of the paper.
 
     Terms map monomial exponent 4-tuples of degree at most two to nonzero
     ints: an integer quadratic form, the one ``FormalQSeries.coefficient``
-    builds; the zero polynomial has no terms.  A monomial that is not four
-    non-negative ints raises ``ValueError``, as an exponent vector does, and
-    so does one of degree three or more; a coefficient that is not an
-    ``int`` (a Fraction, a float or a bool) raises ``TypeError``.  It has no
-    arithmetic (see the module docstring), and instances are immutable by
-    convention.
+    builds; the zero polynomial has no terms.  Terms that are not a mapping
+    raise ``TypeError``.  A monomial that is not four non-negative ints
+    raises ``ValueError``, as an exponent vector does, and so does one of
+    degree three or more; a coefficient that is not an ``int`` (a Fraction,
+    a float or a bool) raises ``TypeError``.  It has no arithmetic (see the
+    module docstring), and instances are immutable by convention.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping, got {type(terms).__name__}")
         clean: dict[Mono, int] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items():
             mono = check_expo(mono)
             if sum(mono) > 2:
                 raise ValueError(f"monomial {mono} has degree above two")
@@ -276,11 +277,6 @@ class ParamPolynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def _compile(self) -> Compiled:
-        """The polynomial's own terms as (coefficient, slot) pairs, the slot
-        of each monomial in ``MONOS``: the form ``_value`` evaluates."""
-        return tuple((coeff, _SLOTS[mono]) for mono, coeff in self.terms.items())
 
     def as_pairs(self) -> tuple[tuple[Mono, int], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
@@ -331,8 +327,9 @@ class FormalQSeries:
     Each coefficient is a polynomial with integer coefficients, held as
     its integer vector ``terms[e]`` on ``MONOS``; exponents with a zero
     coefficient are not stored, so ``==`` and ``hash`` see only the budget
-    and the coefficients.  The constructor takes those vectors and checks
-    them: a vector that is not ``len(MONOS)`` plain ints raises
+    and the coefficients.  The constructor takes a mapping of exponents to
+    those vectors and checks them: vectors that are not a mapping raise
+    ``TypeError``, and a vector that is not ``len(MONOS)`` plain ints raises
     ``ValueError``, as does a product in ``scaled`` that is not an integer;
     nothing is rounded.  ``coefficient(e)`` gives one as a
     ``ParamPolynomial``.
@@ -343,18 +340,22 @@ class FormalQSeries:
     def __init__(self, budget: int, vectors: Mapping[Expo, Sequence[int]] | None = None):
         if check_budget(budget) < 0:
             raise ValueError("budget must be non-negative")
+        if vectors is None:
+            vectors = {}
+        elif not isinstance(vectors, Mapping):
+            raise TypeError(f"vectors must be a mapping, got {type(vectors).__name__}")
         terms: dict[Expo, tuple[int, ...]] = {}
-        for e, vector in (vectors or {}).items():
+        for e, vector in vectors.items():
             e = check_expo(e)
             if sum(e) > budget:
                 raise ValueError(f"exponent {e} exceeds budget {budget}")
-            vector = tuple([*vector])
-            if len(vector) != len(MONOS) or any(type(x) is not int for x in vector):
+            entries = tuple([*vector]) if isinstance(vector, Iterable) else ()
+            if len(entries) != len(MONOS) or any(type(x) is not int for x in entries):
                 raise ValueError(
                     f"coefficient at {e} must be {len(MONOS)} ints on MONOS, got {vector!r}"
                 )
-            if any(vector):
-                terms[e] = vector
+            if any(entries):
+                terms[e] = entries
         self.budget, self.terms = budget, terms
 
     @classmethod
@@ -368,10 +369,6 @@ class FormalQSeries:
         # up to 2000 spare 15-tuples
         out.budget, out.terms = budget, {e: tuple(v) for e, v in vectors.items() if any(v)}
         return out
-
-    @classmethod
-    def empty(cls, budget: int) -> "FormalQSeries":
-        return cls(budget)
 
     @property
     def is_zero(self) -> bool:

@@ -268,7 +268,8 @@ def generator_word_dot(u, v) -> int:
 
 
 def generator_span_pair(g1, g2) -> frozenset:
-    """``codes.span_pair`` as a generator expression over i, j and the entries."""
+    """The words of ``TernaryCode.from_generators(g1, g2)`` as a generator
+    expression over i, j and the entries."""
     g1, g2 = generator_normalize(g1), generator_normalize(g2)
     words = frozenset(
         tuple((i * a + j * b) % 3 for a, b in zip(g1, g2)) for i in range(3) for j in range(3)

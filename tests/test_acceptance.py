@@ -6,18 +6,32 @@ smallest sound budget and at 40.  The other tests cover what the anchors
 lack: the refusal below the sound budget, a library check failing under an
 anchor (reported as that anchor's failure), a broken premise of each proved
 anchor (the kernels, the four-group, the class representatives) failing
-that anchor, isospectrality at random points, 50 random certificates, and
-the ``psi`` bijection on the full budget-40 shell.  Each passing check
-prints a status line so a verbose run reads as a checklist.
+that anchor, isospectrality at random points, 50 random certificates,
+Conway and Sloane's range of classical integral pairs, and the ``psi``
+bijection on the full budget-40 shell.  Each passing check prints a status
+line so a verbose run reads as a checklist.
 """
 
 import time
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from isopair import Verdict, build_family, certify, phi, psi, rep_series, run_verification
+from isopair import (
+    ParamPoint,
+    Route,
+    Verdict,
+    build_family,
+    certify,
+    phi,
+    psi,
+    rep_series,
+    run_verification,
+)
 from isopair import cli, codes, discrepancy, lattices, verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
+from isopair.lattices import ALT_L1_COLUMNS, ALT_L2_COLUMNS
 from isopair.verification import SCHIEMANN, SMALL
 
 from conftest import admissible_samples
@@ -181,6 +195,21 @@ def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_cac
     assert failed["leading coefficients"].endswith("disagrees with the minimal-pair kernel")
 
 
+def test_missing_leading_term_fails_its_anchor(monkeypatch):
+    # the certificate at the tie point without its second term: its total
+    # is still right, so only the whole list of terms shows the gap
+    certify = verification.certify
+
+    def one_term(*args):
+        cert = certify(*args)
+        return cert._replace(terms=cert.terms[:1])
+
+    monkeypatch.setattr(verification, "certify", one_term)
+    failed = failures(run_verification(MIN_PAIR_BUDGET))
+    assert list(failed) == ["leading coefficients"]
+    assert failed["leading coefficients"].startswith("coefficient at (10, 10, 2, 2) is ")
+
+
 def test_budget_below_threshold_rejected():
     with pytest.raises(ValueError, match=r"^verification budget must be at least 36, got 35$"):
         run_verification(MIN_PAIR_BUDGET - 1)
@@ -205,6 +234,58 @@ def test_random_certificates():
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"50 certificates took {elapsed:.1f}s"
     report(f"50 certificates in {elapsed:.1f}s")
+
+
+def _integrality_forms(columns) -> set:
+    # the entry (i, j) of the classical Gram B^T diag(a, b, c, d) B / 12 is
+    # sum_k B_ki B_kj x_k / 12 at x = (a, b, c, d); B's columns are the basis
+    return {tuple(u * w for u, w in zip(ci, cj)) for i, ci in enumerate(columns)
+            for cj in columns[i:]}
+
+
+def _integral_residues(forms) -> frozenset:
+    return frozenset(r for r in product(range(12), repeat=4)
+                     if all(sum(f * x for f, x in zip(form, r)) % 12 == 0 for form in forms))
+
+
+def _classical_gram(columns, p) -> list:
+    return [[sum(Fraction(ci[k] * cj[k] * p[k], 12) for k in range(4)) for cj in columns]
+            for ci in columns]
+
+
+def test_conway_sloane_range():
+    # Conway and Sloane checked the classical integral pairs of determinant
+    # up to 10^4; the Gram of either basis has determinant abcd, as
+    # det B = +-144
+    forms1, forms2 = _integrality_forms(ALT_L1_COLUMNS), _integrality_forms(ALT_L2_COLUMNS)
+    assert len(forms1) == len(forms2) == 10 and len(forms1 | forms2) == 16
+    residues = _integral_residues(forms1)
+    assert len(residues) == 48 and _integral_residues(forms2) == residues
+    # d steps through the residues allowed after those of a, b and c
+    allowed: dict = {}
+    for r in sorted(residues):
+        allowed.setdefault(r[:3], []).append(r[3] or 12)
+    limit = 10**4
+    points = []
+    for a in range(1, limit + 1):
+        for b in range(1, limit // a + 1):
+            for c in range(1, limit // (a * b) + 1):
+                top = limit // (a * b * c)
+                for d0 in allowed.get((a % 12, b % 12, c % 12), ()):
+                    points.extend((a, b, c, d) for d in range(d0, top + 1, 12))
+    assert len(points) == 10_394
+    distinct = [p for p in points if len(set(p)) == 4]
+    shapes = sorted({tuple(sorted(p)) for p in distinct})
+    assert (len(distinct), len(shapes)) == (552, 23)
+    assert shapes[0] == min(shapes, key=lambda p: p[0] * p[1] * p[2] * p[3]) == (1, 7, 13, 19)
+    for p in distinct:
+        for columns in (ALT_L1_COLUMNS, ALT_L2_COLUMNS):
+            assert all(x.denominator == 1 for row in _classical_gram(columns, p) for x in row), p
+    for budget in (40, 80):
+        for route in Route:
+            for p in distinct:
+                assert certify(ParamPoint(*p), budget, route).verdict is Verdict.NON_ISOMETRIC, p
+    report(f"{len(distinct)} integral points of determinant up to 10^4, {len(shapes)} up to order")
 
 
 def test_psi_properties():

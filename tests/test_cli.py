@@ -179,7 +179,7 @@ class TestCertify:
 
         isopair.discrepancy._leading_data.cache_clear()
         monkeypatch.setattr(
-            isopair.discrepancy, "delta_series", lambda budget, route: FormalQSeries.empty(budget)
+            isopair.discrepancy, "delta_series", lambda budget, route: FormalQSeries(budget)
         )
         argv = ("certify", "--params", "1", "7", "13", "19")
         code, out, err = run(capsys, *argv)

@@ -17,13 +17,17 @@ from isopair.codes import (
     C2_LABELED_WORDS,
     SELFDUAL_GENERATORS,
     normalize,
-    span_pair,
     word_dot,
 )
 
 from conftest import generator_matvec, generator_normalize, generator_span_pair, generator_word_dot
 
 IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def span_pair(g1, g2) -> frozenset:
+    """The nine words two independent words span."""
+    return TernaryCode.from_generators(g1, g2).words
 
 
 def matmul(m, n):
@@ -194,6 +198,7 @@ class TestMatching:
     def test_spans_c1_and_c2_once(self, monkeypatch):
         # the anchor's eight calls, one per nonzero word of C1, from an
         # empty cache
+        words = [w for w in sorted(span_pair(*SELFDUAL_GENERATORS[0])) if any(w)]
         spans = []
         build = TernaryCode.from_generators.__func__
 
@@ -203,7 +208,6 @@ class TestMatching:
 
         monkeypatch.setattr(TernaryCode, "from_generators", classmethod(counted))
         codes._c1_c2.cache_clear()
-        words = [w for w in sorted(span_pair(*SELFDUAL_GENERATORS[0])) if any(w)]
         assert len(words) == 8
         for w in words:
             matching_element(w)

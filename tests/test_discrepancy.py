@@ -70,6 +70,7 @@ from conftest import (
     fraction_evaluate,
     fraction_pair_sum,
     head_below_the_rows,
+    mono_vector,
     pair_discrepancy_kernel,
     poly_series,
     sigma,
@@ -154,7 +155,7 @@ class TestRoutes:
 class TestClassSeries:
     def test_corollary_decomposition(self):
         # the six distinct positive class pairs sum to the discrepancy
-        total = FormalQSeries.empty(24)
+        total = FormalQSeries(24)
         for i, j in combinations(range(4), 2):
             total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), 24)
         assert total == fraction_delta(24)
@@ -162,7 +163,7 @@ class TestClassSeries:
     def test_all_ordered_pairs_sum_to_eight_discrepancies(self):
         # the 81 ordered label pairs cover L1 x L1; the class-decomposition
         # anchor proves this from finite premises
-        total = FormalQSeries.empty(24)
+        total = FormalQSeries(24)
         for label1 in ALL_LABELS:
             for label2 in ALL_LABELS:
                 total = total + class_pair_series(label1, label2, 24)
@@ -185,7 +186,7 @@ class TestClassSeries:
         assert (first.terms, second.terms) == LEADING_POLYNOMIALS
 
 
-CACHED = (_labelled_shell, class_pair_series)
+CACHED = (_labelled_shell,)
 CERTIFY_CACHED = (*CACHED, _leading_data)
 IDENTITY_FIELDS = ("name", "generators", "hnf", "covolume")
 
@@ -235,16 +236,24 @@ class TestCaches:
         # the sweep asked for more entries than the bound holds
         assert _leading_data.cache_info().currsize == SHELL_CACHE
 
-    def test_call_forms_share_the_class_series(self):
-        class_pair_series.cache_clear()
+    def test_call_forms_share_the_class_series(self, monkeypatch):
+        sums = []
+        pair_series = discrepancy.pair_series
+
+        def counted(*args):
+            sums.append(args[2])
+            return pair_series(*args)
+
+        monkeypatch.setattr(discrepancy, "pair_series", counted)
         forms = (
             delta_series(36),
             delta_series(36, Route.FROM_PSI_KERNEL),
             delta_series(36, route=Route.FROM_PSI_KERNEL),
         )
         assert forms[0] == forms[1] == forms[2]
-        # the six class series are summed once each, whatever the call form
-        assert class_pair_series.cache_info().misses == 6
+        # whatever the call form, the psi route sums the six class series
+        # at its budget, once each
+        assert sums == [36] * 18
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-int-call"])
     def test_float_budget_is_refused(self, warm):
@@ -699,7 +708,10 @@ class TestLeadingData:
         head, rows = _leading_data(budget, route)
         assert dict(head) == {e: _compile(series.terms[e]) for e in LEADING_EXPONENTS}
         assert [row[:2] for row in rows] == [(e, series.coefficient(e)) for e in LEADING_EXPONENTS]
-        assert all(pairs == poly._compile() for _, poly, pairs in rows)
+        # each coefficient is compiled once: the rows hold the head's pairs,
+        # which are the compiled form of the row's polynomial
+        assert all(row[2] is pairs for row, (_, pairs) in zip(rows, head, strict=True))
+        assert all(pairs == _compile(mono_vector(poly)) for _, poly, pairs in rows)
         for p in collapse_points(337, 200):
             cert = certify(p, budget, route)
             ordered = ParamPoint(*cert.sorted_params)

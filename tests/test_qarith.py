@@ -36,7 +36,7 @@ from isopair.qarith import (
 )
 from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 
-from conftest import VARIABLES, Poly, admissible_samples, collapse_points, poly_series
+from conftest import VARIABLES, Poly, admissible_samples, collapse_points, mono_vector, poly_series
 from conftest import COPRIME, fraction_collapse, fraction_evaluate, integer_evaluate, sigma
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
@@ -158,7 +158,7 @@ def random_poly(rng):
 def compiled_value(poly: ParamPolynomial, p: ParamPoint) -> Fraction:
     """The value of a polynomial at a point through its compiled form."""
     D, A = _cleared(p)
-    return Fraction(_value(poly._compile(), _weights(D, A)), D * D)
+    return Fraction(_value(_compile(mono_vector(poly)), _weights(D, A)), D * D)
 
 
 # points with coprime and with common denominators, and an integer point
@@ -178,10 +178,10 @@ class TestParamPolynomial:
         ]
 
     def test_zero(self):
-        assert ParamPolynomial()._compile() == ()
+        assert _compile(mono_vector(ParamPolynomial())) == ()
         for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
             D, numerators = _cleared(point)
-            value = _value(ParamPolynomial()._compile(), _weights(D, numerators))
+            value = _value(_compile(mono_vector(ParamPolynomial())), _weights(D, numerators))
             assert type(value) is int and value == 0
         assert ParamPolynomial().is_zero
         assert (A - A).is_zero
@@ -221,7 +221,7 @@ class TestParamPolynomial:
             poly = ParamPolynomial({m: rng.randint(-30, 30) for m in rng.sample(MONOS, 6)})
             for point in EVALUATION_POINTS:
                 D, A = _cleared(point)
-                value = _value(poly._compile(), _weights(D, A))
+                value = _value(_compile(mono_vector(poly)), _weights(D, A))
                 assert type(value) is int
                 assert value == integer_evaluate(poly, D, A), (poly, point)
                 assert value == D * D * fraction_evaluate(poly, point), (poly, point)
@@ -230,12 +230,11 @@ class TestParamPolynomial:
         rng = random.Random(21)
         for _ in range(50):
             poly = random_poly(rng)
-            pairs = poly._compile()
+            pairs = _compile(mono_vector(poly))
             assert {MONOS[slot]: coeff for coeff, slot in pairs} == poly.terms
             assert len(pairs) == len(poly.terms)
-            # the vector form compiles to the same pairs, in slot order
-            vector = [poly.terms.get(mono, 0) for mono in MONOS]
-            assert _compile(vector) == tuple(sorted(pairs, key=lambda pair: pair[1]))
+            # in slot order
+            assert [slot for _, slot in pairs] == sorted(slot for _, slot in pairs)
 
     def test_exact_returns_a_fraction_unchanged(self):
         x = Fraction(-22, 7)
@@ -270,6 +269,10 @@ class TestParamPolynomial:
         with pytest.raises(ValueError, match="four non-negative integers"):
             ParamPolynomial({mono: 2})
 
+    def test_rejects_pairs_for_a_mapping(self):
+        with pytest.raises(TypeError, match=r"^terms must be a mapping, got list$"):
+            ParamPolynomial([((1, 0, 0, 0), 1)])
+
 
 REST = (0,) * (len(MONOS) - 1)
 
@@ -281,7 +284,7 @@ def series(budget, constants):
 class TestFormalQSeries:
     def test_add_identity_and_inverse(self):
         s = series(12, {(1, 0, 0, 0): 2, (0, 0, 0, 2): -3})
-        assert s + FormalQSeries.empty(12) == s
+        assert s + FormalQSeries(12) == s
         assert (s + s.scaled(-1)).is_zero
 
     def test_add_merges(self):
@@ -304,7 +307,7 @@ class TestFormalQSeries:
         assert s.collapse(SCHIEMANN) == ((Fraction(144), Fraction(-1008)),)
 
     def test_collapse_empty(self):
-        assert FormalQSeries.empty(10).collapse(SCHIEMANN) == ()
+        assert FormalQSeries(10).collapse(SCHIEMANN) == ()
 
     def test_collapse_evaluates_coefficients(self):
         s = poly_series(4, {(1, 0, 0, 0): B - A})
@@ -488,7 +491,7 @@ class TestIntegerForm:
 
     def test_zero_vectors_and_zero_factor_give_the_empty_series(self):
         zero = (0,) * len(MONOS)
-        empty = FormalQSeries.empty(4)
+        empty = FormalQSeries(4)
         assert FormalQSeries.from_vectors(4, {self.E: zero}) == empty
         assert FormalQSeries(4, {self.E: zero}) == empty
         assert series(4, {self.E: 1}).scaled(0) == empty
@@ -519,14 +522,19 @@ class TestIntegerForm:
     @pytest.mark.parametrize(
         "expo, vector",
         [(E, (Fraction(1, 2), *REST)), (E, (0.5, *REST)), (E, (True, *REST)), (E, (1, *REST, 1)),
-         ((1, 0, -1, 0), (1, *REST)), ((True, 0, 0, 0), (1, *REST))],
-        ids=["rational", "float", "bool", "sixteen-slots", "malformed-exponent", "bool-exponent"],
+         ((1, 0, -1, 0), (1, *REST)), ((True, 0, 0, 0), (1, *REST)), (E, 5)],
+        ids=["rational", "float", "bool", "sixteen-slots", "malformed-exponent", "bool-exponent",
+             "number"],
     )
     def test_constructor_refuses(self, expo, vector):
         # a rational is refused, not rounded; a sixteenth slot would be a
         # monomial of degree three
         with pytest.raises(ValueError, match="15 ints on MONOS|four non-negative integers"):
             FormalQSeries(4, {expo: vector})
+
+    def test_constructor_refuses_pairs_for_a_mapping(self):
+        with pytest.raises(TypeError, match=r"^vectors must be a mapping, got list$"):
+            FormalQSeries(40, [(self.E, (1, *REST))])
 
     def test_budget_must_be_an_int(self):
         for budget in (2.5, 4.0, True):
@@ -602,7 +610,7 @@ class TestPointPrimitives:
         ]
         W = _weights(D, A)
         for poly in polys + [ParamPolynomial(), A_TIMES_B_MINUS_C]:
-            value = _value(poly._compile(), W)
+            value = _value(_compile(mono_vector(poly)), W)
             assert type(value) is int
             assert value == integer_evaluate(poly, D, A), poly
             assert Fraction(value, D * D) == fraction_evaluate(poly, p), poly

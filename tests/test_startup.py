@@ -9,8 +9,10 @@ output branch, and ``verification`` by ``verify`` and by the first access to
 ``isopair.run_verification`` or ``isopair.AnchorResult``.  ``main`` builds
 the parser of the named command only; ``tests/test_cli.py::TestParser``
 pins that, and that its output is the full parser's.  A cold ``verify``
-sums only the class series its anchors read, and spans its codes in
-straight-line F_3 arithmetic, C1 and C2 once for all matching calls.
+sums only the class series its anchors read, each once, and spans its
+codes in straight-line F_3 arithmetic, C1 and C2 once for all matching
+calls.  A process keeps no series after the call that summed it: only the
+labelled shells and the leading entries are cached.
 """
 
 import ast
@@ -52,10 +54,25 @@ NOT_AT_START = ("dataclasses", "inspect", "typing", "csv", "random", "isopair.ve
 
 
 VERIFY_PROBE = """
-from isopair import run_verification
-from isopair.discrepancy import class_pair_series
+from isopair import discrepancy, run_verification
+budgets = []
+pair_series = discrepancy.pair_series
+def counted(*args):
+    budgets.append(args[2])
+    return pair_series(*args)
+discrepancy.pair_series = counted
 assert all(result.ok for result in run_verification(36))
-print(class_pair_series.cache_info().currsize)
+print(sorted(budgets))
+"""
+
+RETENTION_PROBE = """
+import gc
+from isopair import FormalQSeries, ParamPoint, certify, run_verification
+for budget in range(40, 181, 20):
+    certify(ParamPoint(1, 7, 13, 19), budget)
+assert all(result.ok for result in run_verification(36))
+gc.collect()
+print(sum(type(obj) is FormalQSeries for obj in gc.get_objects()))
 """
 
 
@@ -85,9 +102,15 @@ def test_verification_exports_still_resolve(probe):
 
 
 def test_verify_sums_twelve_class_series():
-    # the six distinct positive class pairs at budget 24 and at 36; no anchor
-    # reads the 81 ordered label pairs
-    assert int(_fresh(VERIFY_PROBE)) == 12
+    # the six distinct positive class pairs at budget 24 and at 36, each
+    # once; no anchor reads the 81 ordered label pairs
+    assert json.loads(_fresh(VERIFY_PROBE)) == [24] * 6 + [36] * 6
+
+
+def test_no_series_outlives_its_use():
+    # certify at eight budgets and a verify: the caches keep the labelled
+    # shells and the leading entries, which hold no series
+    assert int(_fresh(RETENTION_PROBE)) == 0
 
 
 def test_verification_does_not_import_random():

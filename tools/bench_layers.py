@@ -37,8 +37,9 @@ all passes.  The rows, and what one pass is:
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
   alone at budgets 40, 80 and 160: one call.  The caches a budget fills
-  (``_clear_budget_caches``) are cleared before each pass, so every call
-  does the work of a first call instead of reading the psi route's caches;
+  (``_clear_budget_caches``: the labelled shell and the leading entry) are
+  cleared before each pass, so every call does the work of a first call
+  instead of reading the labelled shell;
 * ``lattices.scan_L1`` at budgets 36 and 80 and ``lattices.scan_L2`` at
   budget 36: one ``Lattice.vectors`` call, which scans afresh;
 * ``lattices.label``: ``coset_label`` of every vector of L1's budget-80
@@ -47,8 +48,8 @@ all passes.  The rows, and what one pass is:
   as the first at the budget in the process, after ``build_family``.  The
   caches a budget fills are cleared before each pass, as for the
   discrepancy rows, so every call pays the one-time costs of the budget
-  (the labelled shell, the class series and the leading data with its
-  checks);
+  (the labelled shell, the class series it sums and the leading data with
+  its checks);
 * ``discrepancy.certify_warm`` at budgets 40 and 80: one ``certify`` call at
   the budget at each of 200 fixed points, after that first call;
 * ``qarith.collapse`` at budgets 40 and 80: collapsing the psi-route
@@ -178,12 +179,11 @@ def _theta_rows(kernel: str, budget: int) -> list[dict]:
 
 
 def _clear_budget_caches() -> None:
-    """Empty the caches a budget fills: the labelled shell, the class series
-    and the leading data."""
+    """Empty the two caches a budget fills: the labelled shell and the
+    leading data."""
     from isopair import discrepancy
 
     discrepancy._labelled_shell.cache_clear()
-    discrepancy.class_pair_series.cache_clear()
     discrepancy._leading_data.cache_clear()
 
 
