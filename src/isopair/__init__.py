@@ -10,20 +10,10 @@ coefficients that are only evaluated at a parameter point on demand.
 Importing the package loads only what ``certify`` and ``delta`` run.  The
 records (``ParamPoint``, ``CosetLabel``, ``Certificate`` and the rest) are
 immutable ``collections.namedtuple`` subclasses, so no ``dataclasses``
-import is paid.  ``AnchorResult`` and ``run_verification`` are exported
-lazily: the ``verification`` module is imported on first access to either.
+import is paid.  The names of ``codes`` and ``verification`` are exported
+lazily: each module is imported on first access to one of its names.
 """
 
-from .codes import (
-    K4,
-    K4Element,
-    TernaryCode,
-    intersection_graph,
-    matching_element,
-    orbit_partition,
-    selfdual_codes,
-    two_dim_subspaces,
-)
 from .discrepancy import (
     Certificate,
     Route,
@@ -57,15 +47,17 @@ from .theta import Kernel, rep_series, theta11
 
 __version__ = "0.1.0"
 
-# exported from ``verification``, which is imported on first access only
-_VERIFICATION_EXPORTS = ("AnchorResult", "run_verification")
+# name -> the module that exports it, imported on first access only
+_LAZY_EXPORTS = dict.fromkeys(
+    ("K4", "K4Element", "TernaryCode", "intersection_graph", "matching_element",
+     "orbit_partition", "selfdual_codes", "two_dim_subspaces"),
+    "codes",
+) | dict.fromkeys(("AnchorResult", "run_verification"), "verification")
 
 
 def __getattr__(name):
-    if name in _VERIFICATION_EXPORTS:
-        from . import verification
-
-        return getattr(verification, name)
+    if name in _LAZY_EXPORTS:
+        return getattr(__import__(f"{__name__}.{_LAZY_EXPORTS[name]}", fromlist=[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -14,10 +14,11 @@ F_3^4 has (3^4-1)(3^4-3)/((3^2-1)(3^2-3)) = 130 two-dimensional subspaces,
 so 130 distinct spans are all of them: a subspace missed, or spanned twice
 in place of another, shows as a count below 130.
 
-The four-group K4 acts on F_3^4 through signed permutation matrices and
-permutes the eight codes in two orbits of four; joining two codes whenever
-their intersection has dimension one yields the complete bipartite graph on
-the two orbits.
+The four-group K4 acts on F_3^4 through signed permutation matrices, each
+paired with its diagonal form on eigenbasis coordinates from
+``lattices.K4_DIAGS``, and permutes the eight codes in two orbits of four;
+joining two codes whenever their intersection has dimension one yields the
+complete bipartite graph on the two orbits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
+
+from .lattices import K4_DIAGS, _matvec
 
 Word = tuple[int, int, int, int]
 Matrix = tuple[tuple[int, int, int, int], ...]
@@ -52,11 +55,6 @@ def _selfdual_pair(g1: Word, g2: Word) -> bool:
     return word_dot(g1, g1) == word_dot(g2, g2) == word_dot(g1, g2) == 0
 
 
-def _matvec(m: Matrix, v) -> tuple[int, ...]:
-    v0, v1, v2, v3 = v
-    return tuple([r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 for r0, r1, r2, r3 in m])
-
-
 def _matmul(m: Matrix, n: Matrix) -> Matrix:
     return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(4)) for j in range(4)) for i in range(4))
 
@@ -79,10 +77,10 @@ _G1 = ((0, 0, 1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, -1, 0, 0))
 _G2 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0))
 
 K4 = (
-    K4Element("g0", _ID, (1, 1, 1, 1)),
-    K4Element("g1", _G1, (-1, 1, -1, 1)),
-    K4Element("g2", _G2, (-1, -1, 1, 1)),
-    K4Element("g3", _matmul(_G2, _G1), (1, -1, -1, 1)),
+    K4Element("g0", _ID, K4_DIAGS[0]),
+    K4Element("g1", _G1, K4_DIAGS[1]),
+    K4Element("g2", _G2, K4_DIAGS[2]),
+    K4Element("g3", _matmul(_G2, _G1), K4_DIAGS[3]),
 )
 
 

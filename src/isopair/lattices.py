@@ -22,7 +22,8 @@ diagonal sign matrix ``CosetLabel.diag``: the identity on M, the i-th
 four-group matrix on the class of the i-th representative.  It preserves the
 squared-coordinate tuple ``phi`` of every vector exactly, which is what
 makes the two lattices isospectral at every parameter point, but it is not
-additive.
+additive.  The four matrices are ``K4_DIAGS``, stated here so that
+``certify`` and ``delta`` never load the code census.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
-from .codes import K4, _matvec
 from .qarith import Expo, check_budget
 
 Vec = tuple[int, int, int, int]
@@ -55,6 +55,14 @@ _J_MINUS_2I: Matrix = (
     (1, 1, -1, 1),
     (1, 1, 1, -1),
 )
+
+# The four-group's sign matrices on eigenbasis coordinates, g0..g3 of ``codes.K4``.
+K4_DIAGS: tuple[Vec, ...] = ((1, 1, 1, 1), (-1, 1, -1, 1), (-1, -1, 1, 1), (1, -1, -1, 1))
+
+
+def _matvec(m: Matrix, v) -> tuple[int, ...]:
+    v0, v1, v2, v3 = v
+    return tuple([r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 for r0, r1, r2, r3 in m])
 
 
 def _columns(m: Matrix) -> tuple[Vec, ...]:
@@ -312,7 +320,7 @@ class CosetLabel(namedtuple("CosetLabel", "index sign")):
         """The diagonal sign matrix by which psi acts on this class: the
         identity on the zero class, the i-th four-group matrix on the class
         of the i-th representative and of its negative."""
-        return K4[0 if self.is_zero else self.index].diag
+        return K4_DIAGS[0 if self.is_zero else self.index]
 
     def representative(self) -> Vec:
         if self.is_zero:

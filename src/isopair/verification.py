@@ -13,15 +13,14 @@ built from ``FORM_PROBES``, which fix a form of degree (2, 2).
 ``isospectrality`` proves that the coset map ``psi`` is a ``phi``-keeping
 bijection from L1 onto L2.  ``class relations`` and ``class decomposition``
 check the premises of the class-series identities, not the series.  The
-code, lattice and table anchors check finite data as they stand.  Samples
-and truncations remain where no finite premise is checked:
-``isospectrality`` also compares the two spectra at ``SAMPLE_POINTS`` up to
-the requested budget, ``route equivalence`` compares the two discrepancy
-routes at budget 24, and the minimal-vector, minimal-pair and leading
-anchors read the shell and the series at the requested budget.  The tests
-keep the series-level checks: ``theta11`` under both kernels, the relations
-over all 81 ordered label pairs (``check_relations``) and the 81-pair
-decomposition sum.
+code, lattice and table anchors check finite data as they stand.
+Truncations remain where no finite premise is checked: ``isospectrality``
+also compares the two representation series up to the requested budget,
+``route equivalence`` compares the two discrepancy routes at budget 24, and
+the minimal-vector, minimal-pair and leading anchors read the shell and the
+series at the requested budget.  The tests keep the series-level checks:
+``theta11`` under both kernels, the relations over all 81 ordered label
+pairs (``check_relations``) and the 81-pair decomposition sum.
 
 A check fails as the library's cross-checks do, by raising ``AssertionError``
 with its witness; ``_result`` makes any such raise, the check's own or one
@@ -55,6 +54,7 @@ from .lattices import (
     SIGN_FLIP,
     STANDARD_BASIS_COLUMNS,
     _J_MINUS_2I,
+    _matvec,
     build_family,
     coset_label,
     from_standard,
@@ -98,7 +98,6 @@ EXPECTED_PAIR_TABLE = (
 SCHIEMANN = ParamPoint(1, 7, 13, 19)
 SCHIEMANN_TERM = (144, -1008)
 SMALL = ParamPoint(1, 2, 3, 4)
-SAMPLE_POINTS = (SCHIEMANN, SMALL)
 
 # the e_i and the e_i + e_j: a quadratic form in four variables is fixed by
 # its values there
@@ -182,7 +181,7 @@ def _check_basis_change() -> None:
     for g in codes_mod.K4:
         for j in range(4):
             col = tuple(row[j] for row in _J_MINUS_2I)
-            if codes_mod._matvec(g.standard, col) != tuple(g.diag[j] * x for x in col):
+            if _matvec(g.standard, col) != tuple(g.diag[j] * x for x in col):
                 raise AssertionError(f"{g} is not diagonal on eigenvector {j}")
 
 
@@ -258,11 +257,12 @@ def _check_isospectral(budget: int) -> None:
     for lattice in (fam.L1, fam.L2):
         if fam.M.index_in(lattice) != len(images):
             raise AssertionError(f"[{lattice.name}:M] = {fam.M.index_in(lattice)}, not nine")
-    # and the spectra themselves, up to the budget at the sample points
-    s1, s2 = rep_series(fam.L1, budget), rep_series(fam.L2, budget)
-    for p in SAMPLE_POINTS:
-        if s1.collapse(p) != s2.collapse(p):
-            raise AssertionError(f"spectra differ at {p}")
+    # and the spectra themselves, as series up to the budget
+    s1, s2 = rep_series(fam.L1, budget).terms, rep_series(fam.L2, budget).terms
+    if s1 != s2:
+        e = min(e for e in s1.keys() | s2.keys() if s1.get(e) != s2.get(e))
+        n1, n2 = (s.get(e, (0,))[0] for s in (s1, s2))
+        raise AssertionError(f"L1 has {n1} vectors at exponent {e}, L2 has {n2}")
 
 
 def _check_kernel_identity() -> None:

@@ -280,7 +280,7 @@ def generator_span_pair(g1, g2) -> frozenset:
 
 
 def generator_matvec(m, v) -> tuple:
-    """``codes._matvec`` as generator expressions over rows and entries."""
+    """``lattices._matvec`` as generator expressions over rows and entries."""
     return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
 
 

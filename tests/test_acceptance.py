@@ -210,6 +210,25 @@ def test_missing_leading_term_fails_its_anchor(monkeypatch):
     assert failed["leading coefficients"].startswith("coefficient at (10, 10, 2, 2) is ")
 
 
+def test_missing_spectrum_term_fails_its_anchor(monkeypatch):
+    # L2's series without its last exponent: the coset map still proves the
+    # premises, so only the series comparison sees the gap, at that exponent
+    rep_series = verification.rep_series
+    dropped = []
+
+    def one_short(lattice, budget):
+        series = rep_series(lattice, budget)
+        if lattice is build_family().L2:
+            e = max(series.terms)
+            dropped.append((e, series.terms.pop(e)[0]))
+        return series
+
+    monkeypatch.setattr(verification, "rep_series", one_short)
+    failed = failures(run_verification(MIN_PAIR_BUDGET))
+    [(e, count)] = dropped
+    assert failed == {"isospectrality": f"L1 has {count} vectors at exponent {e}, L2 has 0"}
+
+
 def test_budget_below_threshold_rejected():
     with pytest.raises(ValueError, match=r"^verification budget must be at least 36, got 35$"):
         run_verification(MIN_PAIR_BUDGET - 1)

@@ -43,6 +43,7 @@ from isopair.discrepancy import (
     MIN_PAIR_BUDGET,
     SHELL_CACHE,
     CertTerm,
+    RelationReport,
     _labelled_shell,
     _leading_data,
     check_route,
@@ -291,11 +292,39 @@ class TestCaches:
         assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
 
 
+V0, V1, ZERO = CosetLabel(0, 1), CosetLabel(1, 1), CosetLabel.zero()
+
+# identity -> the ordered class pairs whose series get one extra term, which
+# makes it the first to fail; the checks made up to the failure (nine for
+# equal classes, then two per ordered pair, then one per zero-class pair);
+# and the labels it reports
+RELATION_BREAKS = {
+    "equal-classes": ([(V0, V0)], 2, ("[+v0]",)),
+    "symmetry": ([(V0, V1)], 9 + 2 * 9 + 2 * 3 + 1, ("[+v0]", "[+v1]")),
+    "sign-invariance": ([(V0, V1), (V1, V0)], 9 + 2 * 9 + 2 * 3 + 2, ("[+v0]", "[+v1]")),
+    "zero-class": ([(ZERO, V0), (ZERO, -V0), (V0, ZERO), (-V0, ZERO)], 9 + 2 * 81 + 2, ("[+v0]",)),
+}
+
+
 class TestRelations:
     def test_all_hold_at_budget_24(self):
         report = check_relations(24)
         assert report.ok, report
         assert report.checked == 9 + 2 * 81 + 9
+
+    @pytest.mark.parametrize("violated", RELATION_BREAKS)
+    def test_first_violation_is_reported(self, monkeypatch, violated):
+        pairs, checked, labels = RELATION_BREAKS[violated]
+        witness = (1, 2, 3, 4)
+        extra = FormalQSeries(24, {witness: [1] + [0] * (len(MONOS) - 1)})
+        class_series = discrepancy.class_pair_series
+
+        def perturbed(label1, label2, budget):
+            series = class_series(label1, label2, budget)
+            return series + extra if (label1, label2) in pairs else series
+
+        monkeypatch.setattr(discrepancy, "class_pair_series", perturbed)
+        assert check_relations(24) == RelationReport(False, checked, violated, labels, witness)
 
     def test_specific_identities(self):
         v0, v2 = CosetLabel(0, 1), CosetLabel(2, 1)

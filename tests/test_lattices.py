@@ -17,10 +17,11 @@ from isopair import (
     phi,
     psi,
 )
-from isopair.codes import C1_LABELED_WORDS, SELFDUAL_GENERATORS, TernaryCode, _matvec, normalize
+from isopair.codes import C1_LABELED_WORDS, SELFDUAL_GENERATORS, TernaryCode, normalize
 from isopair.lattices import (
     _J_MINUS_2I,
     _LABEL_BY_RESIDUE,
+    _matvec,
     ALT_L1_COLUMNS,
     ALT_L2_COLUMNS,
     SIGN_FLIP,

@@ -5,8 +5,9 @@ building the parser are paid on every call.  The import loads only what
 ``certify`` and ``delta`` execute: the records need no ``dataclasses``
 (whose import pulls in ``inspect``), type names come from
 ``collections.abc`` rather than ``typing``, ``csv`` is imported by the csv
-output branch, and ``verification`` by ``verify`` and by the first access to
-``isopair.run_verification`` or ``isopair.AnchorResult``.  ``main`` builds
+output branch, ``verification`` by ``verify`` and the code census ``codes``
+by ``verify`` and ``codes``; each is also imported by the first access to a
+name the package exports from it.  ``main`` builds
 the parser of the named command only; ``tests/test_cli.py::TestParser``
 pins that, and that its output is the full parser's.  A cold ``verify``
 sums only the class series its anchors read, each once, and spans its
@@ -39,18 +40,27 @@ added = sorted(set(sys.modules) - before)
 import isopair
 names = {}
 exec("from isopair import *", names)
-from isopair import verification
 print(json.dumps({
     "added": added,
     "star_missing": sorted(set(isopair.__all__) - set(names)),
-    "run_verification": names["run_verification"] is verification.run_verification
-        and isopair.run_verification is verification.run_verification,
-    "AnchorResult": names["AnchorResult"] is verification.AnchorResult
-        and isopair.AnchorResult is verification.AnchorResult,
+    "lazy": {
+        name: names[name] is getattr(isopair, name)
+            is getattr(sys.modules[f"isopair.{module}"], name)
+        for module, exported in LAZY.items() for name in exported
+    },
 }))
 """
 
-NOT_AT_START = ("dataclasses", "inspect", "typing", "csv", "random", "isopair.verification")
+# the names the package exports from a module it imports on first access
+LAZY = {
+    "codes": ("K4", "K4Element", "TernaryCode", "intersection_graph", "matching_element",
+              "orbit_partition", "selfdual_codes", "two_dim_subspaces"),
+    "verification": ("AnchorResult", "run_verification"),
+}
+
+NOT_AT_START = (
+    "dataclasses", "inspect", "typing", "csv", "random", "isopair.codes", "isopair.verification",
+)
 
 
 VERIFY_PROBE = """
@@ -88,7 +98,7 @@ def _fresh(code: str) -> str:
 
 @pytest.fixture(scope="module")
 def probe() -> dict:
-    return json.loads(_fresh(PROBE))
+    return json.loads(_fresh(f"LAZY = {LAZY!r}\n{PROBE}"))
 
 
 def test_cli_import_loads_only_what_certify_runs(probe):
@@ -96,9 +106,11 @@ def test_cli_import_loads_only_what_certify_runs(probe):
     assert [name for name in NOT_AT_START if name in probe["added"]] == []
 
 
-def test_verification_exports_still_resolve(probe):
+def test_lazy_exports_still_resolve(probe):
+    # each of the ten names is its module's object, by attribute and by
+    # ``from isopair import *``
     assert probe["star_missing"] == []
-    assert probe["run_verification"] and probe["AnchorResult"]
+    assert probe["lazy"] == dict.fromkeys(LAZY["codes"] + LAZY["verification"], True)
 
 
 def test_verify_sums_twelve_class_series():
