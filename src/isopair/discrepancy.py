@@ -27,14 +27,15 @@ the zero class, a four-group sign flip ``g`` with ``g_s != g_t`` is a
 sums to zero over the class.  The ``class relations`` anchor of
 ``verification`` checks these premises.
 
-The leading term is controlled by the suffix-sum partial order: a search of
-the budget shell finds the order-minimal vectors of each class, pairs of
-them from distinct classes realize the candidate leading exponents, and
-exactly two of the eighteen candidates are order-minimal.  Their
-coefficients are -12(b-a)(d-c) and -96a(c-b), both strictly negative on the
-admissible cone, so the collapsed series has a nonzero leading coefficient
-at every pairwise-distinct positive parameter point: the pair is isospectral
-but never isometric there.
+The leading term is controlled by the suffix-sum partial order: the
+order-minimal vectors of each class lie in the box ``[-6, 6]^4``, where the
+``minimal vectors`` anchor finds them to be those of the budget-36 shell;
+pairs of them from distinct classes realize the candidate leading
+exponents, and exactly two of the eighteen candidates are order-minimal.
+Their coefficients are -12(b-a)(d-c) and -96a(c-b), both strictly negative
+on the admissible cone, so the collapsed series has a nonzero leading
+coefficient at every pairwise-distinct positive parameter point: the pair
+is isospectral but never isometric there.
 """
 
 from __future__ import annotations
@@ -75,20 +76,22 @@ from .qarith import (
 from .theta import Kernel, pair_series, theta11
 
 
-# Two facts are cached, each in a typed ``lru_cache`` keyed by the budget
-# (and the route), so a float budget never reads an int entry; neither
-# depends on the point, and each is read again.  The labelled shell
-# (``_labelled_shell``) is read ten times per leading entry: by the six
-# class series and the four minimal-vector searches.  The leading entry
-# (``_leading_data``, whose docstring says what it holds and checks) is read
-# by every ``certify`` at its budget and route.  Nothing else is read twice:
+# Two facts are cached; neither depends on the point, and each is read
+# again.  The labelled shell (``_labelled_shell``) is keyed by the budget in
+# a typed ``lru_cache``, so a float budget never reads an int entry, and is
+# read ten times per build: by the six class series and the four
+# minimal-vector searches.  The leading entry (``_leading_data``, whose
+# docstring says what it holds and checks) is keyed by the route alone and
+# read by every ``certify``: it is the same at every budget of at least
+# ``MIN_PAIR_BUDGET``, so it is built once per route, from the budget-36
+# shell, and its bound is the number of routes.  Nothing else is read twice:
 # each caller sums the class series (``class_pair_series``) it reads once,
 # six for ``delta_series`` and 81 for ``check_relations``, and
-# ``Lattice.vectors`` only rescans, so none of them keeps a cache.  The
-# bound counts entries: ``verify`` meets two labelled shells and one leading
-# entry, and a certify batch one of each, so ``SHELL_CACHE`` bounds both,
-# and none of this traffic evicts; a process sweeping budgets keeps the
-# most recent entries.
+# ``Lattice.vectors`` only rescans, so none of them keeps a cache.
+# ``SHELL_CACHE`` counts shells: ``verify`` meets at most three (budget 24,
+# the leading entry's 36 and its own budget) and a certify batch one, so
+# none of this traffic evicts; a process sweeping budgets keeps the most
+# recent shells.
 SHELL_CACHE = 8
 
 # The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
@@ -259,10 +262,11 @@ def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
     result is the class's minimal vectors within the budget, and a larger
     budget never retracts one.  ``12 e_j`` lies in M, so a member with
     ``|v_j| > 6`` has the class member ``v -/+ 12 e_j`` strictly below it,
-    and every minimal vector lies in the box ``[-6, 6]^4``.  The tests check
-    that the box's minimal members (of its 209 vectors of L1) are those of
-    the budget-36 shell.  Their largest coordinate-square sum is 24, so the
-    set is fixed from budget 24 on; a smaller budget misses some of them.
+    and every minimal vector lies in the box ``[-6, 6]^4``.  The ``minimal
+    vectors`` anchor of ``verification`` checks that the box's minimal
+    members (of its 209 vectors of L1) are those of the shell at its
+    budget.  Their largest coordinate-square sum is 24, so the set is fixed
+    from budget 24 on; a smaller budget misses some of them.
     """
     return _order_minimal(_labelled_shell(budget)[label], phi)
 
@@ -305,14 +309,26 @@ def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
     return _order_minimal(table, lambda row: row.exponent)
 
 
-@lru_cache(maxsize=SHELL_CACHE, typed=True)
+@lru_cache(maxsize=len(Route))
 def _leading_data(
-    budget: int, route: Route
+    route: Route,
 ) -> tuple[tuple[tuple[Expo, Compiled], ...], tuple[tuple[Expo, ParamPolynomial, Compiled], ...]]:
-    """The leading entry of a budget and route: the head of the discrepancy
-    series -- its terms at the order-minimal pair exponents -- and those
-    exponents, each with its coefficient polynomial, in the integer forms a
-    point needs.
+    """The leading entry of a route: the head of the discrepancy series --
+    its terms at the order-minimal pair exponents -- and those exponents,
+    each with its coefficient polynomial, in the integer forms a point
+    needs.
+
+    The entry is built once per route, from the series and the pair table
+    at ``MIN_PAIR_BUDGET``, and serves every budget of at least that.  Every
+    order-minimal class member lies in the box ``[-6, 6]^4`` (see
+    ``minimal_vectors``; the ``minimal vectors`` anchor checks the box), so
+    the pair table is the same at every such budget.  The suffix order is
+    well-founded and additive, so a pair from two distinct, non-opposite
+    classes lies at or above a pair-table row, and every row at or above a
+    leading row; pairs from equal or opposite classes and from the zero
+    class contribute nothing (the module's class restriction).  Both leading
+    exponents have a square sum of at most ``MIN_PAIR_BUDGET``, so that
+    series holds their coefficients in full.
 
     The head is a tuple of ``(exponent, pairs)``: each term's ``MONOS``
     vector compiled to (coefficient, slot) pairs (``qarith._compile``), the
@@ -322,19 +338,20 @@ def _leading_data(
     so each coefficient is compiled once and the per-point checks of
     ``certify`` test the collapse, not the series.
 
-    The two checks against an independent source run here, once per entry.
-    Each stored coefficient must equal the direct two-vector kernel of its
-    row (``pair_discrepancy_vector``, in integers).  Every other exponent of
-    the series must lie strictly above a row exponent in the suffix order
-    (``exp_below``); by the suffix-sum identity such a term collapses
-    strictly above that row at every sorted, pairwise-distinct point, so the
-    head's collapse leads exactly where the whole series' collapse does, and
-    no point needs the rest.  A failed check raises ``AssertionError``, and
-    ``lru_cache`` stores no exception, so an inconsistent series fails every
-    call, not only the first.
+    The two checks against an independent source run here, once per entry,
+    on the budget-36 series.  Each stored coefficient must equal the direct
+    two-vector kernel of its row (``pair_discrepancy_vector``, in integers).
+    Every other exponent of the series must lie strictly above a row
+    exponent in the suffix order (``exp_below``); by the suffix-sum identity
+    such a term collapses strictly above that row at every sorted,
+    pairwise-distinct point, so the head's collapse leads exactly where the
+    whole series' collapse does, and no point needs the rest.  The tests
+    repeat that check on the whole series at larger budgets.  A failed
+    check raises ``AssertionError``, and ``lru_cache`` stores no exception,
+    so an inconsistent series fails every call, not only the first.
     """
-    series = delta_series(budget, route)
-    rows = minimal_rows(minimal_pair_table(budget))
+    series = delta_series(MIN_PAIR_BUDGET, route)
+    rows = minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))
     for row in rows:
         if series.terms.get(row.exponent) != pair_discrepancy_vector(*row.vectors):
             raise AssertionError(
@@ -403,10 +420,14 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     falls outside the family's hypothesis and gives an ``INCONCLUSIVE``
     certificate with no terms.  Distinct values are sorted into the
     canonical increasing chain, on the integer scale of ``qarith``, and the
-    leading entry of the budget and route (``_leading_data``) gives the rows
-    and the head to collapse.  Two checks run on every call, in this order:
-    the head's collapse must lead at the least row exponent at the point,
-    and its coefficient must equal the sum of the leading rows' values.
+    leading entry of the route (``_leading_data``) gives the rows and the
+    head to collapse.  The budget is checked and recorded in the
+    certificate; the entry serves every budget of at least
+    ``MIN_PAIR_BUDGET``, so a certificate costs the same at every budget and
+    differs between budgets only in its ``budget`` field.  Two checks run on
+    every call, in this order: the head's collapse must lead at the least
+    row exponent at the point, and its coefficient must equal the sum of the
+    leading rows' values.
     Ties are summed at their common collapsed exponent.  Fractions are built
     only for the certificate's outputs.
 
@@ -433,7 +454,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     a0, a1, a2, a3 = A
     if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
         return Certificate(tuple(p), ordered, permutation, budget)
-    head, rows = _leading_data(budget, route)
+    head, rows = _leading_data(route)
     # the rows at the least key e.A, D times their collapsed exponent
     min_key = None
     for row in rows:

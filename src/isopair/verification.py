@@ -14,13 +14,17 @@ built from ``FORM_PROBES``, which fix a form of degree (2, 2).
 bijection from L1 onto L2.  ``class relations`` and ``class decomposition``
 check the premises of the class-series identities, not the series.  The
 code, lattice and table anchors check finite data as they stand.
-Truncations remain where no finite premise is checked: ``isospectrality``
-also compares the two representation series up to the requested budget,
-``route equivalence`` compares the two discrepancy routes at budget 24, and
-the minimal-vector, minimal-pair and leading anchors read the shell and the
-series at the requested budget.  The tests keep the series-level checks:
-``theta11`` under both kernels, the relations over all 81 ordered label
-pairs (``check_relations``) and the 81-pair decomposition sum.
+``minimal vectors`` also proves that the shell holds every order-minimal
+class member: ``12 e_j`` lies in M, and the minimal members of the box
+``[-6, 6]^4`` equal the shell's.  Truncations remain where no finite
+premise is checked: ``isospectrality`` also compares the two representation
+series up to the requested budget, ``route equivalence`` compares the two
+discrepancy routes at budget 24, ``minimal pairs`` reads the shell at the
+requested budget, and ``leading coefficients`` reads a certificate, whose
+leading entry is built from the budget-36 series.  The tests keep the
+series-level checks: ``theta11`` under both kernels, the relations over all
+81 ordered label pairs (``check_relations``) and the 81-pair decomposition
+sum.
 
 A check fails as the library's cross-checks do, by raising ``AssertionError``
 with its witness; ``_result`` makes any such raise, the check's own or one
@@ -38,6 +42,7 @@ from .discrepancy import (
     Route,
     Verdict,
     _class_slots,
+    _order_minimal,
     certify,
     delta_series,
     minimal_pair_table,
@@ -58,6 +63,7 @@ from .lattices import (
     build_family,
     coset_label,
     from_standard,
+    phi,
     psi,
 )
 from .qarith import ParamPoint, check_budget
@@ -97,7 +103,12 @@ EXPECTED_PAIR_TABLE = (
 # exponent 144 with total coefficient -432 - 576 = -1008
 SCHIEMANN = ParamPoint(1, 7, 13, 19)
 SCHIEMANN_TERM = (144, -1008)
-SMALL = ParamPoint(1, 2, 3, 4)
+
+# 12 e_j lies in M, so a class member with |v_j| > 6 has the class member
+# v -/+ 12 e_j strictly below it: every order-minimal vector lies in the
+# box [-BOX_RADIUS, BOX_RADIUS]^4
+M_PERIOD = 12
+BOX_RADIUS = M_PERIOD // 2
 
 # the e_i and the e_i + e_j: a quadratic form in four variables is fixed by
 # its values there
@@ -326,6 +337,25 @@ def _check_min_vectors(budget: int) -> None:
             expected.add(EXPECTED_EXTRA_MINIMAL[i])
         if found != expected:
             raise AssertionError(f"class {i}: found {sorted(found)}")
+    # the box holds every order-minimal vector, so its minimal members are
+    # the class's minimal vectors at every budget, and the shell's equal them
+    fam = build_family()
+    for j in range(4):
+        if not fam.M.contains(tuple(M_PERIOD * (n == j) for n in range(4))):
+            raise AssertionError(f"{M_PERIOD} e_{j} does not lie in M")
+    r = BOX_RADIUS
+    box: dict[CosetLabel, list] = {}
+    for v in fam.L1.vectors(4 * r * r):
+        if -r <= min(v) and max(v) <= r:
+            box.setdefault(coset_label(v), []).append(v)
+    for i in range(4):
+        label = CosetLabel(i, 1)
+        boxed = set(_order_minimal(box.get(label, []), phi))
+        shell = set(minimal_vectors(label, budget))
+        if boxed != shell:
+            raise AssertionError(
+                f"class {i}: the box [-{r}, {r}]^4 gives {sorted(boxed)}, the shell {sorted(shell)}"
+            )
 
 
 def _check_min_pairs(budget: int) -> None:

@@ -235,22 +235,24 @@ def fraction_collapse(series, p):
     return tuple(sorted((x, c) for x, c in merged.items() if c))
 
 
+# the smallest integral point with distinct values
+SMALL = ParamPoint(1, 2, 3, 4)
 # a point whose four coordinates have pairwise coprime denominators
 COPRIME = ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4))
 
 
-def doubled_head(budget, route):
+def doubled_head(route):
     """``_leading_data`` with the head's coefficients at both rows doubled:
     the collapse still leads at the minimal row, with twice the terms' sum."""
-    head, rows = _leading_data(budget, route)
+    head, rows = _leading_data(route)
     return tuple((e, tuple((2 * coeff, slot) for coeff, slot in pairs)) for e, pairs in head), rows
 
 
-def head_below_the_rows(budget, route):
+def head_below_the_rows(route):
     """``_leading_data`` with a head term at (1, 0, 0, 0), coefficient 1 on
     the constant monomial, which collapses to ``a``, below both rows at
     every sorted point."""
-    head, rows = _leading_data(budget, route)
+    head, rows = _leading_data(route)
     return (*head, ((1, 0, 0, 0), _compile([1] + [0] * (len(MONOS) - 1)))), rows
 
 

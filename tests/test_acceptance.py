@@ -32,9 +32,9 @@ from isopair import (
 from isopair import cli, codes, discrepancy, lattices, verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
 from isopair.lattices import ALT_L1_COLUMNS, ALT_L2_COLUMNS
-from isopair.verification import SCHIEMANN, SMALL
+from isopair.verification import SCHIEMANN
 
-from conftest import admissible_samples
+from conftest import SMALL, admissible_samples
 
 ANCHORS = (
     "code census",
@@ -193,6 +193,22 @@ def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_cac
     failed = failures(run_verification(MIN_PAIR_BUDGET))
     assert list(failed) == ["leading coefficients"]
     assert failed["leading coefficients"].endswith("disagrees with the minimal-pair kernel")
+
+
+@pytest.mark.parametrize(
+    "constant, value, witness",
+    [
+        ("BOX_RADIUS", 2,
+         "class 0: the box [-2, 2]^4 gives [], the shell [(-4, 0, 2, -2), (-1, 3, -1, 1)]"),
+        ("M_PERIOD", 6, "6 e_0 does not lie in M"),
+    ],
+    ids=["box", "period"],
+)
+def test_shrunk_box_fails_only_minimal_vectors(monkeypatch, constant, value, witness):
+    # [-2, 2]^4 misses the minimal vectors of class 0, and 6 e_j, which would
+    # bound a box by 3, does not lie in M
+    monkeypatch.setattr(verification, constant, value)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {"minimal vectors": witness}
 
 
 def test_missing_leading_term_fails_its_anchor(monkeypatch):

@@ -189,6 +189,32 @@ class TestCertify:
         assert code == 1 and err == ""
         assert json.loads(out)["error"].startswith("internal consistency failure: ")
 
+    def test_huge_budget_gives_the_budget_40_certificate(self, capsys, monkeypatch):
+        # the leading entry is the budget-36 one at every budget, so a
+        # hostile budget costs nothing: no series is summed at it
+        import isopair.discrepancy
+
+        delta_series = isopair.discrepancy.delta_series
+        budgets = []
+
+        def recorded(budget, route):
+            budgets.append(budget)
+            assert budget == isopair.discrepancy.MIN_PAIR_BUDGET, budget
+            return delta_series(budget, route)
+
+        isopair.discrepancy._leading_data.cache_clear()
+        monkeypatch.setattr(isopair.discrepancy, "delta_series", recorded)
+        argv = ("certify", "--params", "1", "7", "13", "19", "--format", "json")
+        code, out, err = run(capsys, *argv, "--budget", "1000000000")
+        assert code == 0 and err == ""
+        huge = json.loads(out)
+        code, out, err = run(capsys, *argv, "--budget", "40")
+        assert code == 0 and err == ""
+        expected = json.loads(out)
+        assert huge.pop("budget") == 10**9 and expected.pop("budget") == 40
+        assert huge == expected
+        assert budgets == [isopair.discrepancy.MIN_PAIR_BUDGET]
+
     @pytest.mark.parametrize(
         "leading_data, message",
         [

@@ -41,7 +41,6 @@ from isopair import (
 from isopair import discrepancy, qarith
 from isopair.discrepancy import (
     MIN_PAIR_BUDGET,
-    SHELL_CACHE,
     CertTerm,
     RelationReport,
     _labelled_shell,
@@ -57,11 +56,11 @@ from isopair.verification import (
     LEADING_POLYNOMIALS,
     SCHIEMANN,
     SCHIEMANN_TERM,
-    SMALL,
 )
 
 from conftest import (
     COPRIME,
+    SMALL,
     admissible_samples,
     collapse_points,
     doubled_head,
@@ -226,16 +225,18 @@ class TestCaches:
             info = cached.cache_info()
             assert info.currsize == info.misses, (cached, info)
 
-    def test_certify_sweep_stays_within_the_bound(self):
-        _leading_data.cache_clear()
-        budgets = range(36, 53)
-        assert len(budgets) > SHELL_CACHE
-        for budget in budgets:
-            certify(SCHIEMANN, budget)
-            info = _leading_data.cache_info()
-            assert info.maxsize == SHELL_CACHE and info.currsize <= info.maxsize
-        # the sweep asked for more entries than the bound holds
-        assert _leading_data.cache_info().currsize == SHELL_CACHE
+    def test_certify_sweep_makes_one_entry_per_route(self):
+        for cached in CERTIFY_CACHED:
+            cached.cache_clear()
+        for route in Route:
+            for budget in [*range(36, 53), 160]:
+                certify(SCHIEMANN, budget, route)
+        info = _leading_data.cache_info()
+        assert info.maxsize == len(Route)
+        assert info.currsize == info.misses == len(Route)
+        # both entries are built from the one budget-36 shell, whatever the
+        # budgets asked for
+        assert _labelled_shell.cache_info().currsize == 1
 
     def test_call_forms_share_the_class_series(self, monkeypatch):
         sums = []
@@ -662,7 +663,7 @@ class TestCertify:
         _leading_data.cache_clear()
         certify(SCHIEMANN, 40)
         assert len(calls) == 4
-        # the minimal rows are leading data of the budget: a warm call reads them
+        # the minimal rows are leading data of the route: a warm call reads them
         certify(SMALL, 40)
         assert len(calls) == 4
 
@@ -723,28 +724,51 @@ class TestLeadingData:
         assert _leading_data.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
-        "budget, route",
+        "budget, route, count",
         [
-            (36, Route.FROM_PSI_KERNEL),
-            (40, Route.FROM_PSI_KERNEL),
-            (80, Route.FROM_PSI_KERNEL),
-            (40, Route.FROM_THETA),
+            (36, Route.FROM_PSI_KERNEL, 200),
+            (40, Route.FROM_PSI_KERNEL, 200),
+            (80, Route.FROM_PSI_KERNEL, 200),
+            (160, Route.FROM_PSI_KERNEL, 20),
+            (40, Route.FROM_THETA, 200),
         ],
-        ids=["psi-36", "psi-40", "psi-80", "theta-40"],
+        ids=["psi-36", "psi-40", "psi-80", "psi-160", "theta-40"],
     )
-    def test_head_leads_where_the_whole_series_does(self, budget, route):
+    def test_head_leads_where_the_whole_series_does(self, budget, route, count):
         series = delta_series(budget, route)
-        head, rows = _leading_data(budget, route)
+        head, rows = _leading_data(route)
         assert dict(head) == {e: _compile(series.terms[e]) for e in LEADING_EXPONENTS}
         assert [row[:2] for row in rows] == [(e, series.coefficient(e)) for e in LEADING_EXPONENTS]
         # each coefficient is compiled once: the rows hold the head's pairs,
         # which are the compiled form of the row's polynomial
         assert all(row[2] is pairs for row, (_, pairs) in zip(rows, head, strict=True))
         assert all(pairs == _compile(mono_vector(poly)) for _, poly, pairs in rows)
-        for p in collapse_points(337, 200):
+        for p in collapse_points(337, count):
             cert = certify(p, budget, route)
             ordered = ParamPoint(*cert.sorted_params)
             assert (cert.min_exponent, cert.total) == series.collapse(ordered)[0], p
+
+    @pytest.mark.parametrize(
+        "budget, route",
+        [
+            (40, Route.FROM_PSI_KERNEL),
+            (80, Route.FROM_PSI_KERNEL),
+            (160, Route.FROM_PSI_KERNEL),
+            (40, Route.FROM_THETA),
+            (80, Route.FROM_THETA),
+        ],
+        ids=["psi-40", "psi-80", "psi-160", "theta-40", "theta-80"],
+    )
+    def test_whole_series_lies_at_or_above_a_leading_row(self, budget, route):
+        # the check ``_leading_data`` makes on the budget-36 series, made on
+        # the whole series at a larger budget: every exponent is a row's or
+        # lies strictly above one
+        series = delta_series(budget, route)
+        _, rows = _leading_data(route)
+        exponents = tuple(e for e, _, _ in rows)
+        assert exponents == LEADING_EXPONENTS
+        for e in series.terms:
+            assert e in exponents or any(exp_below(f, e) for f in exponents), e
 
     @pytest.mark.parametrize("point, terms", [(SCHIEMANN, 2), (COPRIME, 1)], ids=["integer", "coprime"])
     def test_doubled_head_fails_the_total_check(self, monkeypatch, point, terms):
@@ -774,10 +798,12 @@ class TestLeadingData:
     def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
         below = (1, 0, 0, 0)
         assert exp_below(below, BOLD_FIRST) and exp_below(below, BOLD_SECOND)
-        extra = FormalQSeries(40, {below: [1] + [0] * (len(MONOS) - 1)})
+        extra = {below: [1] + [0] * (len(MONOS) - 1)}
         good = delta_series
         monkeypatch.setattr(
-            discrepancy, "delta_series", lambda budget, route: good(budget, route) + extra
+            discrepancy,
+            "delta_series",
+            lambda budget, route: good(budget, route) + FormalQSeries(budget, extra),
         )
         for _ in range(2):
             with pytest.raises(

@@ -28,30 +28,30 @@ all passes.  The rows, and what one pass is:
   ``verification._result(name, check)`` that runs an anchor's check.  The
   anchors measure one-time costs, so every cache a ``verify`` process fills
   (``_clear_anchor_caches``: the lattice family, the code census and its
-  echelon pairs, C1 and C2, and the budget caches) is cleared before each
-  pass.  The cyclic garbage collector is off in this job from before it
+  echelon pairs, C1 and C2, and the discrepancy caches) is cleared before
+  each pass.  The cyclic garbage collector is off in this job from before it
   calibrates and imports ``isopair``: with it on, each anchor row absorbs
   whichever collection happens to fall inside it, so an anchor whose code
   did not change reads slower when the modules imported at start-up change
   (``verify.code census`` did in ``BENCH_pr11.json``);
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
-  alone at budgets 40, 80 and 160: one call.  The caches a budget fills
-  (``_clear_budget_caches``: the labelled shell and the leading entry) are
-  cleared before each pass, so every call does the work of a first call
+  alone at budgets 40, 80 and 160: one call.  The two discrepancy caches
+  (``_clear_budget_caches``: the labelled shells and the leading entries)
+  are cleared before each pass, so every call does the work of a first call
   instead of reading the labelled shell;
 * ``lattices.scan_L1`` at budgets 36 and 80 and ``lattices.scan_L2`` at
   budget 36: one ``Lattice.vectors`` call, which scans afresh;
 * ``lattices.label``: ``coset_label`` of every vector of L1's budget-80
   shell;
-* ``discrepancy.certify_first`` at budgets 40 and 80: one ``certify`` call
-  as the first at the budget in the process, after ``build_family``.  The
-  caches a budget fills are cleared before each pass, as for the
-  discrepancy rows, so every call pays the one-time costs of the budget
-  (the labelled shell, the class series it sums and the leading data with
-  its checks);
-* ``discrepancy.certify_warm`` at budgets 40 and 80: one ``certify`` call at
-  the budget at each of 200 fixed points, after that first call;
+* ``discrepancy.certify_first`` at budgets 40, 80 and 160: one ``certify``
+  call as the first in the process, after ``build_family``.  The
+  discrepancy caches are cleared before each pass, as for the discrepancy
+  rows, so every call pays the one-time costs of its route's leading entry
+  (the budget-36 shell, the class series it sums and the checks), which
+  are the same at every budget;
+* ``discrepancy.certify_warm`` at budgets 40, 80 and 160: one ``certify``
+  call at the budget at each of 200 fixed points, after that first call;
 * ``qarith.collapse`` at budgets 40 and 80: collapsing the psi-route
   discrepancy series at each of the same 200 points, sorted as ``certify``
   sorts them;
@@ -103,7 +103,7 @@ calibrate, scale = _calibration.calibrate, _calibration.scale
 VERIFY_BUDGET = 36
 BUDGETS = (24, 36)
 PSI_BUDGETS = (40, 80, 160)
-CERTIFY_BUDGETS = (40, 80)
+CERTIFY_BUDGETS = (40, 80, 160)
 CERTIFY_POINTS = 200
 COLLAPSE_BUDGETS = (40, 80)
 SCANS = (("L1", 36), ("L1", 80), ("L2", 36))  # lattice, budget
@@ -179,8 +179,9 @@ def _theta_rows(kernel: str, budget: int) -> list[dict]:
 
 
 def _clear_budget_caches() -> None:
-    """Empty the two caches a budget fills: the labelled shell and the
-    leading data."""
+    """Empty the two discrepancy caches: the labelled shells, keyed by the
+    budget, and the leading entries, keyed by the route and built from the
+    budget-36 shell whatever the budget of the ``certify`` call."""
     from isopair import discrepancy
 
     discrepancy._labelled_shell.cache_clear()
@@ -189,8 +190,8 @@ def _clear_budget_caches() -> None:
 
 def _clear_anchor_caches() -> None:
     """Empty every cache a ``verify`` process fills: the lattice family, the
-    echelon generator pairs, the self-dual census, C1 and C2, and the caches
-    a budget fills."""
+    echelon generator pairs, the self-dual census, C1 and C2, and the
+    discrepancy caches."""
     from isopair import codes, lattices
 
     lattices.build_family.cache_clear()
