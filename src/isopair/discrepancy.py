@@ -173,20 +173,41 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     ``class_pair_series`` of distinct positive classes i < j, exact at every
     budget by the module's class restriction; ``FROM_THETA`` takes 1/128 of
     the difference of the two invariants, enumerating L2 independently.  The
-    two routes agree exactly.  Both add integer coefficient vectors; the
-    theta route's 1/128 divides every coefficient exactly, and a remainder
-    would raise ``ValueError`` rather than be rounded.  Neither the series
-    nor its class series are cached.  A route that is not a ``Route`` raises
-    ``TypeError``.
+    two routes agree exactly.  Each route combines integer coefficient
+    vectors here, before it builds the one series it returns: the psi route
+    merges the class series' vectors into one dict, summing at shared
+    exponents and dropping zero sums; the theta route subtracts L2's
+    ``theta11`` vectors from L1's and checks that 128 divides every entry,
+    so a remainder raises ``ValueError`` rather than be rounded.  Neither the
+    series nor its class series are cached.  A route that is not a ``Route``
+    raises ``TypeError``.
     """
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()
-        diff = theta11(fam.L1, budget, Kernel.PAIRWISE) - theta11(fam.L2, budget, Kernel.PAIRWISE)
-        return diff.scaled(Fraction(1, 128))
-    total = FormalQSeries(budget)
+        diff = dict(theta11(fam.L1, budget, Kernel.PAIRWISE).terms)
+        zero = (0,) * len(MONOS)
+        for e, v in theta11(fam.L2, budget, Kernel.PAIRWISE).terms.items():
+            diff[e] = [x - y for x, y in zip(diff.get(e, zero), v)]
+        for e, v in diff.items():
+            if any(x % 128 for x in v):
+                raise ValueError(f"coefficient at {e} times 1/128 is not an integer")
+        return FormalQSeries.from_vectors(
+            budget, {e: [x // 128 for x in v] for e, v in diff.items()}
+        )
+    terms: dict[Expo, tuple[int, ...]] = {}
     for i, j in combinations(range(4), 2):
-        total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), budget)
-    return total
+        for e, v in class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), budget).terms.items():
+            acc = terms.get(e)
+            if acc is None:
+                terms[e] = v
+                continue
+            acc = tuple([x + y for x, y in zip(acc, v)])
+            if any(acc):
+                terms[e] = acc
+            else:
+                del terms[e]
+    # the class series hold nonzero tuples, and a zero sum was dropped
+    return FormalQSeries._of_terms(budget, terms)
 
 
 class RelationReport(
@@ -212,37 +233,39 @@ def check_relations(budget: int) -> RelationReport:
     series = {pair: class_pair_series(*pair, budget) for pair in product(ALL_LABELS, repeat=2)}
     checked = 0
 
-    def witness_of(nonzero: FormalQSeries) -> Expo:
-        return min(nonzero.terms)
+    def witness_of(first: FormalQSeries, second: FormalQSeries) -> Expo:
+        """The least exponent at which two series differ: the least of the
+        (exponent, vector) items that only one of them holds."""
+        return min(first.terms.items() ^ second.terms.items())[0]
 
     for label in ALL_LABELS:
         equal = series[label, label]
         checked += 1
         if not equal.is_zero:
-            return RelationReport(False, checked, "equal-classes", (str(label),), witness_of(equal))
+            return RelationReport(False, checked, "equal-classes", (str(label),), min(equal.terms))
     for label1 in ALL_LABELS:
         for label2 in ALL_LABELS:
             forward = series[label1, label2]
             backward = series[label2, label1]
             checked += 1
             if forward != backward:
-                diff = forward - backward
                 return RelationReport(
-                    False, checked, "symmetry", (str(label1), str(label2)), witness_of(diff)
+                    False, checked, "symmetry", (str(label1), str(label2)),
+                    witness_of(forward, backward),
                 )
             negated = series[label1, -label2]
             checked += 1
             if forward != negated:
-                diff = forward - negated
                 return RelationReport(
-                    False, checked, "sign-invariance", (str(label1), str(label2)), witness_of(diff)
+                    False, checked, "sign-invariance", (str(label1), str(label2)),
+                    witness_of(forward, negated),
                 )
     zero = CosetLabel.zero()
     for label in ALL_LABELS:
         with_zero = series[zero, label]
         checked += 1
         if not with_zero.is_zero:
-            return RelationReport(False, checked, "zero-class", (str(label),), witness_of(with_zero))
+            return RelationReport(False, checked, "zero-class", (str(label),), min(with_zero.terms))
     return RelationReport(True, checked)
 
 

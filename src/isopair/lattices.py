@@ -142,9 +142,6 @@ class Lattice:
             return False
         return not (v3 - v2 // p2 * h23) % p3
 
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
-
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented

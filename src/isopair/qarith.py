@@ -6,10 +6,12 @@ coefficients are polynomials in the four positive lattice parameters
 series holds each one as an integer vector on the fifteen monomials
 ``MONOS`` (1, a, b, c, d, then the ten ``QUAD_MONOS``).  Every series the
 package builds is integral; a rational coefficient is refused, not rounded.
-Addition, scaling and collapse are integer arithmetic on those vectors.
-``ParamPolynomial`` has no arithmetic: it is the output view through which
-a coefficient is printed, serialized or compared with a formula of the
-paper.
+Neither ``FormalQSeries`` nor ``ParamPolynomial`` has arithmetic.  A series
+is the view of a finished sum: its builders combine integer vectors where
+they are defined (the pair loop of ``theta``, the two routes of
+``discrepancy.delta_series``), and its collapse at a point is integer
+arithmetic on them.  ``ParamPolynomial`` is the view through which a
+coefficient is printed, serialized or compared with a formula of the paper.
 
 Work at a point is integer work on one scale.  A point ``p`` is cleared to
 its common denominator ``D`` and integer numerators ``A = D*p``
@@ -275,9 +277,6 @@ class ParamPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def as_pairs(self) -> tuple[tuple[Mono, int], ...]:
         """Terms sorted by monomial, for serialization and hashing."""
         return tuple(sorted(self.terms.items()))
@@ -322,7 +321,7 @@ class FormalQSeries:
     The budget bounds the component sum of every stored exponent vector.  A
     series of budget N holds exactly the contributions of lattice-vector
     pairs whose combined squared-coordinate sum is at most N, so two series
-    may be added or compared only at equal budgets.
+    are equal only at equal budgets.
 
     Each coefficient is a polynomial with integer coefficients, held as
     its integer vector ``terms[e]`` on ``MONOS``; exponents with a zero
@@ -330,9 +329,11 @@ class FormalQSeries:
     and the coefficients.  The constructor takes a mapping of exponents to
     those vectors and checks them: vectors that are not a mapping raise
     ``TypeError``, and a vector that is not ``len(MONOS)`` plain ints raises
-    ``ValueError``, as does a product in ``scaled`` that is not an integer;
-    nothing is rounded.  ``coefficient(e)`` gives one as a
-    ``ParamPolynomial``.
+    ``ValueError``; nothing is rounded.  ``coefficient(e)`` gives one as a
+    ``ParamPolynomial``.  A series is read-only and has no arithmetic:
+    ``discrepancy.delta_series`` combines the vectors of its route, the six
+    class series or the two invariants, and checks the theta route's 1/128
+    there, before it builds its one series.
     """
 
     __slots__ = ("budget", "terms")
@@ -362,12 +363,18 @@ class FormalQSeries:
     def from_vectors(cls, budget: int, vectors: Mapping[Expo, Sequence[int]]) -> "FormalQSeries":
         """The series with integer vectors on ``MONOS``; the package's
         constructor, which trusts its exponents and drops zero vectors."""
-        out = cls.__new__(cls)
         # vectors are tuples built from lists, here as in ``__init__`` and
-        # ``__add__``: a tuple grown from a generator bypasses the tuple free
-        # list on allocation but lands in it when freed, which fills it with
-        # up to 2000 spare 15-tuples
-        out.budget, out.terms = budget, {e: tuple(v) for e, v in vectors.items() if any(v)}
+        # ``discrepancy.delta_series``: a tuple grown from a generator
+        # bypasses the tuple free list on allocation but lands in it when
+        # freed, which fills it with up to 2000 spare 15-tuples
+        return cls._of_terms(budget, {e: tuple(v) for e, v in vectors.items() if any(v)})
+
+    @classmethod
+    def _of_terms(cls, budget: int, terms: dict[Expo, tuple[int, ...]]) -> "FormalQSeries":
+        """The series that holds ``terms`` itself, unchecked: the caller
+        guarantees nonzero tuples on ``MONOS`` within the budget."""
+        out = cls.__new__(cls)
+        out.budget, out.terms = budget, terms
         return out
 
     @property
@@ -383,46 +390,6 @@ class FormalQSeries:
     def coefficient(self, e: Expo) -> ParamPolynomial:
         vector = self.terms.get(tuple(e), ())
         return ParamPolynomial({m: x for m, x in zip(MONOS, vector) if x})
-
-    def _check_budget(self, other: "FormalQSeries"):
-        if self.budget != other.budget:
-            raise ValueError(f"budget mismatch: {self.budget} != {other.budget}")
-
-    def __add__(self, other):
-        if not isinstance(other, FormalQSeries):
-            return NotImplemented
-        self._check_budget(other)
-        terms = dict(self.terms)
-        for e, v in other.terms.items():
-            acc = terms.get(e)
-            if acc is None:
-                terms[e] = v
-                continue
-            acc = tuple([x + y for x, y in zip(acc, v)])
-            if any(acc):
-                terms[e] = acc
-            else:
-                del terms[e]
-        out = FormalQSeries.__new__(FormalQSeries)
-        out.budget, out.terms = self.budget, terms
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalQSeries):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "FormalQSeries":
-        """The series times ``factor``; a product that is not an integer
-        raises ``ValueError`` instead of being rounded."""
-        factor = exact(factor)
-        n, d = factor.numerator, factor.denominator
-        for e, v in self.terms.items():
-            if any(x % d for x in v):
-                raise ValueError(f"coefficient at {e} times {factor} is not an integer")
-        return self.from_vectors(
-            self.budget, {e: [x // d * n for x in v] for e, v in self.terms.items()}
-        )
 
     def collapse(self, p: ParamPoint) -> tuple[tuple[Fraction, Fraction], ...]:
         """Evaluate exponents and coefficients at a point, merging exponents.

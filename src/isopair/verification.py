@@ -236,9 +236,12 @@ def _check_alt_generators() -> None:
 
 
 def _keeps(lattice: Lattice, diag) -> bool:
-    """Whether a diagonal sign matrix maps the lattice onto itself."""
-    image = tuple(tuple(s * x for s, x in zip(diag, g)) for g in lattice.generators)
-    return Lattice(image) == lattice
+    """Whether a diagonal sign matrix maps the lattice onto itself.  Its
+    determinant is +-1, so an image inside the lattice is the whole lattice:
+    it suffices that each generator's image lies in it."""
+    return all(
+        lattice.contains(tuple(s * x for s, x in zip(diag, g))) for g in lattice.generators
+    )
 
 
 def _check_isospectral(budget: int) -> None:

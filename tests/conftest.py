@@ -71,6 +71,32 @@ def poly_series(budget: int, polys) -> FormalQSeries:
     return FormalQSeries(budget, {e: mono_vector(poly) for e, poly in polys.items()})
 
 
+def add_series(*summands: FormalQSeries) -> FormalQSeries:
+    """The sum of series of one budget, vector by vector: the addition the
+    tests use as a tool, which the package's series view does not have."""
+    budget = summands[0].budget
+    acc: dict = {}
+    for summand in summands:
+        if summand.budget != budget:
+            raise ValueError(f"budget mismatch: {budget} != {summand.budget}")
+        for e, v in summand.terms.items():
+            acc[e] = list(map(add, acc[e], v)) if e in acc else v
+    return FormalQSeries.from_vectors(budget, acc)
+
+
+def scale_series(series: FormalQSeries, factor) -> FormalQSeries:
+    """The series times an int or Fraction; a product that is not an
+    integer raises ``ValueError`` instead of being rounded."""
+    factor = Fraction(factor)
+    n, d = factor.numerator, factor.denominator
+    for e, v in series.terms.items():
+        if any(x % d for x in v):
+            raise ValueError(f"coefficient at {e} times {factor} is not an integer")
+    return FormalQSeries.from_vectors(
+        series.budget, {e: [x // d * n for x in v] for e, v in series.terms.items()}
+    )
+
+
 def inner_poly(v, w) -> Poly:
     """The inner product as a linear polynomial in (a, b, c, d)."""
     return Poly(dict(zip(UNIT_MONOS, (x * y for x, y in zip(v, w)))))
@@ -185,7 +211,7 @@ def fraction_delta(budget: int):
     """Reference discrepancy: 1/8 of the Fraction-valued psi-kernel sum over
     all of L1 x L1, with no class restriction."""
     shell = build_family().L1.vectors(budget)
-    return fraction_pair_sum(shell, shell, budget).scaled(Fraction(1, 8))
+    return scale_series(fraction_pair_sum(shell, shell, budget), Fraction(1, 8))
 
 
 def sigma(e, p) -> Fraction:

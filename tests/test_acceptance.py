@@ -6,10 +6,12 @@ smallest sound budget and at 40.  The other tests cover what the anchors
 lack: the refusal below the sound budget, a library check failing under an
 anchor (reported as that anchor's failure), a broken premise of each proved
 anchor (the kernels, the four-group, the class representatives) failing
-that anchor, isospectrality at random points, 50 random certificates,
-Conway and Sloane's range of classical integral pairs, and the ``psi``
-bijection on the full budget-40 shell.  Each passing check prints a status
-line so a verbose run reads as a checklist.
+that anchor, a broken premise of each other anchor that no frozen table
+reaches (the code graph and matching, the family's lattices, the sign flip,
+the theta route's L2) failing it, isospectrality at random points, 50
+random certificates, Conway and Sloane's range of classical integral pairs,
+and the ``psi`` bijection on the full budget-40 shell.  Each passing check
+prints a status line so a verbose run reads as a checklist.
 """
 
 import time
@@ -31,10 +33,10 @@ from isopair import (
 )
 from isopair import cli, codes, discrepancy, lattices, verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
-from isopair.lattices import ALT_L1_COLUMNS, ALT_L2_COLUMNS
+from isopair.lattices import ALT_L1_COLUMNS, ALT_L2_COLUMNS, Lattice
 from isopair.verification import SCHIEMANN
 
-from conftest import SMALL, admissible_samples
+from conftest import SMALL, admissible_samples, scale_series
 
 ANCHORS = (
     "code census",
@@ -153,34 +155,98 @@ def _unsigned_g1_g3(k4):
     return g0, g1._replace(diag=g0.diag), g2, g3._replace(diag=g0.diag)
 
 
-# a premise of a proved anchor, broken in the library, the anchors that must
-# then fail, and that anchor with its witness
+def _swap_middle(words):
+    return words[0], words[2], words[1], words[3]
+
+
+def _respanned(name, source):
+    """A ``build_family`` corruption: the lattice ``name`` spanned by the
+    generators of ``source``, under its own name."""
+
+    def corrupt(build):
+        fam = build()
+        lattice = Lattice(getattr(fam, source).generators, name)
+        return lambda: fam._replace(**{name: lattice})
+
+    return corrupt
+
+
+# a premise broken in the library (its owner, its name and the corruption),
+# for each proved anchor and each anchor that no frozen table reaches, the
+# anchors that must then fail, and that anchor with its witness
 PREMISE_CORRUPTIONS = {
     "pairwise_coeffs": (
         verification,
+        "pairwise_coeffs",
         _with_cross_term,
         ("kernel identity",),
         ("kernel identity", "kernels disagree at (1, 1, 0, 0), (0, 0, 1, 1)"),
     ),
     "K4": (
         codes,
+        "K4",
         _unsigned_g1_g3,
         ("basis change", "class relations", "class decomposition"),
         ("class relations", "no sign matrix that keeps M separates slot (0, 1)"),
     ),
     "COSET_REPS": (
         lattices,
+        "COSET_REPS",
         lambda reps: (reps[0], reps[2], *reps[2:]),
         ("isospectrality", "class relations", "class decomposition"),
         ("isospectrality", "the images (-3, -1, -1, -1) and (-3, -1, -1, -1) lie in one coset of M"),
     ),
+    "intersection_dim": (
+        codes.TernaryCode,
+        "intersection_dim",
+        # dimensions zero and one exchanged
+        lambda method: lambda self, other: {1: 1, 3: 0, 9: 2}[len(self.words & other.words)],
+        ("intersection graph",),
+        ("intersection graph", "12 edges, not the complete bipartite graph on the orbits"),
+    ),
+    "C2_LABELED_WORDS": (
+        codes,
+        "C2_LABELED_WORDS",
+        _swap_middle,
+        ("code matching",),
+        ("code matching", "g1 does not exchange the labeled words at index 1"),
+    ),
+    "L-from-L1": (
+        verification,
+        "build_family",
+        _respanned("L", "L1"),
+        ("basis change", "lattice indices", "common sublattice"),
+        ("lattice indices", "[L:L1] = 1, expected 9"),
+    ),
+    "L12-from-M": (
+        verification,
+        "build_family",
+        _respanned("L12", "M"),
+        ("lattice indices", "common sublattice"),
+        ("common sublattice", "M is not index 3 in the intersection"),
+    ),
+    "SIGN_FLIP": (
+        verification,
+        "SIGN_FLIP",
+        lambda flip: (1, 1, 1, 1),
+        ("alternative generators",),
+        ("alternative generators", "classical first lattice unexpectedly meets the base lattice"),
+    ),
+    # the theta route enumerates L1 twice, so its difference is zero
+    "theta-L2-from-L1": (
+        discrepancy,
+        "build_family",
+        _respanned("L2", "L1"),
+        ("route equivalence",),
+        ("route equivalence", "the two discrepancy routes differ at budget 24"),
+    ),
 }
 
 
-@pytest.mark.parametrize("name", PREMISE_CORRUPTIONS)
-def test_broken_premise_fails_its_anchors(monkeypatch, name):
-    module, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[name]
-    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+@pytest.mark.parametrize("case", PREMISE_CORRUPTIONS)
+def test_broken_premise_fails_its_anchors(monkeypatch, case):
+    owner, name, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[case]
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     failed = failures(run_verification(MIN_PAIR_BUDGET))
     assert tuple(failed) == failing
     assert failed[anchor] == witness
@@ -189,7 +255,11 @@ def test_broken_premise_fails_its_anchors(monkeypatch, name):
 
 def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_caches):
     delta_series = discrepancy.delta_series
-    monkeypatch.setattr(discrepancy, "delta_series", lambda *args: delta_series(*args).scaled(2))
+
+    def doubled(*args):
+        return scale_series(delta_series(*args), 2)
+
+    monkeypatch.setattr(discrepancy, "delta_series", doubled)
     failed = failures(run_verification(MIN_PAIR_BUDGET))
     assert list(failed) == ["leading coefficients"]
     assert failed["leading coefficients"].endswith("disagrees with the minimal-pair kernel")

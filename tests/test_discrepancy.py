@@ -61,6 +61,7 @@ from isopair.verification import (
 from conftest import (
     COPRIME,
     SMALL,
+    add_series,
     admissible_samples,
     collapse_points,
     doubled_head,
@@ -73,6 +74,7 @@ from conftest import (
     mono_vector,
     pair_discrepancy_kernel,
     poly_series,
+    scale_series,
     sigma,
 )
 
@@ -99,7 +101,8 @@ def _off_by_one_theta11(lattice, budget, kernel):
     """``theta11`` with one added to the constant term of L1's invariant."""
     series = theta11(lattice, budget, kernel)
     if lattice == build_family().L1:
-        series = series + FormalQSeries(budget, {(0, 0, 0, 0): [1] + [0] * (len(MONOS) - 1)})
+        one = FormalQSeries(budget, {(0, 0, 0, 0): [1] + [0] * (len(MONOS) - 1)})
+        series = add_series(series, one)
     return series
 
 
@@ -155,19 +158,18 @@ class TestRoutes:
 class TestClassSeries:
     def test_corollary_decomposition(self):
         # the six distinct positive class pairs sum to the discrepancy
-        total = FormalQSeries(24)
-        for i, j in combinations(range(4), 2):
-            total = total + class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), 24)
+        total = add_series(
+            *(class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), 24)
+              for i, j in combinations(range(4), 2))
+        )
         assert total == fraction_delta(24)
 
     def test_all_ordered_pairs_sum_to_eight_discrepancies(self):
         # the 81 ordered label pairs cover L1 x L1; the class-decomposition
         # anchor proves this from finite premises
-        total = FormalQSeries(24)
-        for label1 in ALL_LABELS:
-            for label2 in ALL_LABELS:
-                total = total + class_pair_series(label1, label2, 24)
-        assert total.scaled(Fraction(1, 8)) == delta_series(24, Route.FROM_PSI_KERNEL)
+        pairs = product(ALL_LABELS, repeat=2)
+        total = add_series(*(class_pair_series(*pair, 24) for pair in pairs))
+        assert scale_series(total, Fraction(1, 8)) == delta_series(24, Route.FROM_PSI_KERNEL)
 
     @pytest.mark.parametrize("label1", ALL_LABELS, ids=str)
     def test_every_label_pair_matches_the_fraction_oracle(self, label1):
@@ -322,7 +324,7 @@ class TestRelations:
 
         def perturbed(label1, label2, budget):
             series = class_series(label1, label2, budget)
-            return series + extra if (label1, label2) in pairs else series
+            return add_series(series, extra) if (label1, label2) in pairs else series
 
         monkeypatch.setattr(discrepancy, "class_pair_series", perturbed)
         assert check_relations(24) == RelationReport(False, checked, violated, labels, witness)
@@ -716,7 +718,7 @@ class TestLeadingData:
     def test_corrupted_series_fails_every_call(self, fresh_leading_data, monkeypatch):
         good = delta_series
         monkeypatch.setattr(
-            discrepancy, "delta_series", lambda budget, route: good(budget, route).scaled(2)
+            discrepancy, "delta_series", lambda budget, route: scale_series(good(budget, route), 2)
         )
         for _ in range(2):
             with pytest.raises(AssertionError, match="disagrees with the minimal-pair kernel"):
@@ -803,7 +805,7 @@ class TestLeadingData:
         monkeypatch.setattr(
             discrepancy,
             "delta_series",
-            lambda budget, route: good(budget, route) + FormalQSeries(budget, extra),
+            lambda budget, route: add_series(good(budget, route), FormalQSeries(budget, extra)),
         )
         for _ in range(2):
             with pytest.raises(
@@ -858,7 +860,7 @@ class TestAlternating:
         series = delta_series(budget, route)
         assert not series.is_zero
         for tau in permutations(range(4)):
-            assert _permuted(series, tau) == series.scaled(_sign(tau)), tau
+            assert _permuted(series, tau) == scale_series(series, _sign(tau)), tau
 
     @pytest.mark.parametrize("budget", [24, 40])
     def test_permuted_invariant_of_l1(self, budget):
