@@ -24,7 +24,6 @@ from .discrepancy import (
     delta_series,
     minimal_pair_table,
     minimal_rows,
-    minimal_vectors,
 )
 from .lattices import (
     ALL_LABELS,
@@ -89,7 +88,6 @@ __all__ = [
     "matching_element",
     "minimal_pair_table",
     "minimal_rows",
-    "minimal_vectors",
     "orbit_partition",
     "phi",
     "psi",

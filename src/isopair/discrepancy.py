@@ -28,10 +28,11 @@ sums to zero over the class.  The ``class relations`` anchor of
 ``verification`` checks these premises.
 
 The leading term is controlled by the suffix-sum partial order: the
-order-minimal vectors of each class lie in the box ``[-6, 6]^4``, where the
-``minimal vectors`` anchor finds them to be those of the budget-36 shell;
-pairs of them from distinct classes realize the candidate leading
-exponents, and exactly two of the eighteen candidates are order-minimal.
+order-minimal vectors of each class are the seven stated here,
+``COSET_REPS`` and ``EXPECTED_EXTRA_MINIMAL``, which the ``minimal vectors``
+anchor proves by walking the box ``[-6, 6]^4`` that holds them all; pairs
+of them from distinct classes realize the candidate leading exponents, and
+exactly two of the eighteen candidates are order-minimal.
 Their coefficients are -12(b-a)(d-c) and -96a(c-b), both strictly negative
 on the admissible cone, so the collapsed series has a nonzero leading
 coefficient at every pairwise-distinct positive parameter point: the pair
@@ -79,19 +80,18 @@ from .theta import Kernel, pair_series, theta11
 # Two facts are cached; neither depends on the point, and each is read
 # again.  The labelled shell (``_labelled_shell``) is keyed by the budget in
 # a typed ``lru_cache``, so a float budget never reads an int entry, and is
-# read ten times per build: by the six class series and the four
-# minimal-vector searches.  The leading entry (``_leading_data``, whose
-# docstring says what it holds and checks) is keyed by the route alone and
-# read by every ``certify``: it is the same at every budget of at least
-# ``MIN_PAIR_BUDGET``, so it is built once per route, from the budget-36
-# shell, and its bound is the number of routes.  Nothing else is read twice:
-# each caller sums the class series (``class_pair_series``) it reads once,
-# six for ``delta_series`` and 81 for ``check_relations``, and
-# ``Lattice.vectors`` only rescans, so none of them keeps a cache.
-# ``SHELL_CACHE`` counts shells: ``verify`` meets at most three (budget 24,
-# the leading entry's 36 and its own budget) and a certify batch one, so
-# none of this traffic evicts; a process sweeping budgets keeps the most
-# recent shells.
+# read six times per build, by the six class series.  The leading entry
+# (``_leading_data``, whose docstring says what it holds and checks) is
+# keyed by the route alone and read by every ``certify``: it is the same at
+# every budget of at least ``MIN_PAIR_BUDGET``, so it is built once per
+# route, from the budget-36 shell, and its bound is the number of routes.
+# Nothing else is read twice: each caller sums the class series
+# (``class_pair_series``) it reads once, six for ``delta_series`` and 81 for
+# ``check_relations``, and ``Lattice.vectors`` only rescans, so none of them
+# keeps a cache.  ``SHELL_CACHE`` counts shells: ``verify`` meets two
+# (budget 24 and the leading entry's 36) and a certify batch one, so none
+# of this traffic evicts; a process sweeping budgets keeps the most recent
+# shells.
 SHELL_CACHE = 8
 
 # The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
@@ -276,22 +276,12 @@ def _order_minimal(items, key) -> tuple:
     return tuple(item for item, e in zip(items, keys) if not any(exp_below(f, e) for f in keys))
 
 
-def minimal_vectors(label: CosetLabel, budget: int) -> tuple[Vec, ...]:
-    """Order-minimal vectors of a coset class within the budget shell.
-
-    A vector is minimal when no class member's squared-coordinate tuple lies
-    strictly below its own in the suffix-sum order.  Such a member has a
-    smaller or equal coordinate-square sum, so it lies in the shell too: the
-    result is the class's minimal vectors within the budget, and a larger
-    budget never retracts one.  ``12 e_j`` lies in M, so a member with
-    ``|v_j| > 6`` has the class member ``v -/+ 12 e_j`` strictly below it,
-    and every minimal vector lies in the box ``[-6, 6]^4``.  The ``minimal
-    vectors`` anchor of ``verification`` checks that the box's minimal
-    members (of its 209 vectors of L1) are those of the shell at its
-    budget.  Their largest coordinate-square sum is 24, so the set is fixed
-    from budget 24 on; a smaller budget misses some of them.
-    """
-    return _order_minimal(_labelled_shell(budget)[label], phi)
+# The order-minimal class members besides ``COSET_REPS``, by class index:
+# with the four representatives, the seven minimal vectors.  Every
+# order-minimal member lies in the box [-6, 6]^4, where the ``minimal
+# vectors`` anchor of ``verification`` finds exactly these seven, so the
+# pair table reads them and no shell.
+EXPECTED_EXTRA_MINIMAL = {0: (-4, 0, 2, -2), 1: (4, 2, 2, 0), 3: (-4, 2, 0, 2)}
 
 
 class PairRow(namedtuple("PairRow", "i j exponent vectors")):
@@ -303,26 +293,22 @@ class PairRow(namedtuple("PairRow", "i j exponent vectors")):
 
 
 def minimal_pair_table(budget: int) -> tuple[PairRow, ...]:
-    """All exponent candidates from pairs of minimal vectors in distinct
-    classes, with the global numbering: class representatives keep their
-    class index 0..3, further minimal vectors get 4, 5, ... in class order."""
+    """All exponent candidates from pairs of the seven minimal vectors in
+    distinct classes, with the global numbering: class representatives keep
+    their class index 0..3, the extra minimal vectors get 4, 5, 6 in class
+    order.
+
+    The table does not depend on the budget; a budget that is not an
+    ``int`` raises ``TypeError`` and one below ``MIN_PAIR_BUDGET`` raises
+    ``ValueError``, as ``certify`` refuses them."""
     if check_budget(budget) < MIN_PAIR_BUDGET:
         raise ValueError(
-            f"pair table needs budget >= {MIN_PAIR_BUDGET} to see every minimal vector"
+            f"pair table needs budget >= {MIN_PAIR_BUDGET} to see every leading coefficient"
         )
-    numbered: dict[int, tuple[int, Vec]] = {}
-    extras: list[tuple[int, Vec]] = []
-    for i in range(4):
-        for v in minimal_vectors(CosetLabel(i, 1), budget):
-            if v == COSET_REPS[i]:
-                numbered[i] = (i, v)
-            else:
-                extras.append((i, v))
-    for index, extra in enumerate(sorted(extras), start=4):
-        numbered[index] = extra
+    numbered = enumerate([*enumerate(COSET_REPS), *sorted(EXPECTED_EXTRA_MINIMAL.items())])
     return tuple(
         PairRow(i, j, tuple(x + y for x, y in zip(phi(v), phi(w))), (v, w))
-        for (i, (ci, v)), (j, (cj, w)) in combinations(sorted(numbered.items()), 2)
+        for (i, (ci, v)), (j, (cj, w)) in combinations(numbered, 2)
         if ci != cj
     )
 
@@ -341,11 +327,11 @@ def _leading_data(
     each with its coefficient polynomial, in the integer forms a point
     needs.
 
-    The entry is built once per route, from the series and the pair table
-    at ``MIN_PAIR_BUDGET``, and serves every budget of at least that.  Every
-    order-minimal class member lies in the box ``[-6, 6]^4`` (see
-    ``minimal_vectors``; the ``minimal vectors`` anchor checks the box), so
-    the pair table is the same at every such budget.  The suffix order is
+    The entry is built once per route, from the series at
+    ``MIN_PAIR_BUDGET`` and the pair table, and serves every budget of at
+    least that.  The table pairs the seven stated minimal vectors, which
+    the ``minimal vectors`` anchor proves to be every order-minimal class
+    member, so it reads no shell and has no budget.  The suffix order is
     well-founded and additive, so a pair from two distinct, non-opposite
     classes lies at or above a pair-table row, and every row at or above a
     leading row; pairs from equal or opposite classes and from the zero

@@ -7,8 +7,8 @@ lattice L, the two index-9 sublattices L1 and L2 cut out by the self-dual
 codes C1 and C2, their intersection L12, and the common sublattice M = 3L
 are all generated by fixed integer matrices.  Each lattice is held as its
 Hermite normal form, an upper-triangular basis: membership is triangular
-division by its rows, and the vectors of a budget shell are enumerated
-along it coordinate by coordinate.  The construction is therefore
+division by its rows, and the vectors of a budget shell, or of a box, are
+enumerated along it coordinate by coordinate.  The construction is therefore
 parameter-independent: one integral lattice serves every parameter point,
 and inner products become one-line formulas
 ``<v, w> = a*v0*w0 + b*v1*w1 + c*v2*w2 + d*v3*w3``.
@@ -191,6 +191,21 @@ class Lattice:
                     o3 = c0 * h03 + c1 * h13 + (x2 - o2) // p2 * h23
                     r3 = isqrt(rest1 - x2 * x2)
                     for x3 in range(-r3 + (o3 + r3) % p3, r3 + 1, p3):
+                        yield (x0, x1, x2, x3)
+
+    def _walk_box(self, r: int):
+        # ``_scan``'s recursion with the bound r on every coordinate: the
+        # lattice vectors of the box [-r, r]^4, in lexicographic order
+        (p0, h01, h02, h03), (_, p1, h12, h13), (_, _, p2, h23), (_, _, _, p3) = self.hnf
+        for x0 in range(-r + r % p0, r + 1, p0):
+            c0 = x0 // p0
+            o1 = c0 * h01
+            for x1 in range(-r + (o1 + r) % p1, r + 1, p1):
+                c1 = (x1 - o1) // p1
+                o2 = c0 * h02 + c1 * h12
+                for x2 in range(-r + (o2 + r) % p2, r + 1, p2):
+                    o3 = c0 * h03 + c1 * h13 + (x2 - o2) // p2 * h23
+                    for x3 in range(-r + (o3 + r) % p3, r + 1, p3):
                         yield (x0, x1, x2, x3)
 
     def __repr__(self):

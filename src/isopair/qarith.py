@@ -363,10 +363,11 @@ class FormalQSeries:
     def from_vectors(cls, budget: int, vectors: Mapping[Expo, Sequence[int]]) -> "FormalQSeries":
         """The series with integer vectors on ``MONOS``; the package's
         constructor, which trusts its exponents and drops zero vectors."""
-        # vectors are tuples built from lists, here as in ``__init__`` and
-        # ``discrepancy.delta_series``: a tuple grown from a generator
-        # bypasses the tuple free list on allocation but lands in it when
-        # freed, which fills it with up to 2000 spare 15-tuples
+        # vectors are tuples built from lists, here as in ``__init__``,
+        # ``theta.pair_series`` and ``discrepancy.delta_series``: a tuple
+        # grown from a generator bypasses the tuple free list on allocation
+        # but lands in it when freed, which fills it with up to 2000 spare
+        # 15-tuples
         return cls._of_terms(budget, {e: tuple(v) for e, v in vectors.items() if any(v)})
 
     @classmethod

@@ -145,8 +145,8 @@ def pair_series(
     The pairs are walked in ascending coordinate-square sum, so the inner
     loop stops at the first partner past the budget.  The first pair at an
     exponent keeps its kernel's list as the running sums, and each later
-    pair is added into them in place; the sums stay integer and are placed
-    on ``MONOS`` once per exponent at the end.
+    pair is added into them in place; the sums stay integer, and at the end
+    each nonzero one is placed once into its exponent's tuple on ``MONOS``.
     """
     rows = _by_norm(second)
     acc: dict[Expo, list[int]] = {}
@@ -162,13 +162,16 @@ def pair_series(
                 for i, x in enumerate(kernel(l, k)):
                     sums[i] += x
     positions = [MONOS.index(m) for m in monos]
-    vectors = {}
+    terms = {}
     for e, sums in acc.items():
-        vector = [0] * len(MONOS)
-        for i, x in zip(positions, sums):
-            vector[i] = x
-        vectors[e] = vector
-    return FormalQSeries.from_vectors(budget, vectors)
+        if any(sums):
+            # a tuple from a list, as ``FormalQSeries.from_vectors`` builds it
+            vector = [0] * len(MONOS)
+            for i, x in zip(positions, sums):
+                vector[i] = x
+            terms[e] = tuple(vector)
+    # nonzero tuples on ``MONOS``, at exponents within the budget
+    return FormalQSeries._of_terms(budget, terms)
 
 
 def theta11(lattice: Lattice, budget: int, kernel: Kernel = Kernel.PAIRWISE) -> FormalQSeries:

@@ -5,30 +5,34 @@ census, the orbit and graph structure, the basis-change identities, the
 lattice equalities and indices, the kernel and route identities, the
 minimal-vector and minimal-pair tables, and the leading coefficients of the
 discrepancy -- and compares it against the expected data frozen here.  This
-module is the one statement of that data; the tests read it from here.
+module is the one statement of that data, but for the extra minimal vectors
+``EXPECTED_EXTRA_MINIMAL``, which the pair table reads from ``discrepancy``
+and this module imports; the tests read it all from here.
 
 Four anchors prove a fact at every budget and every point from finite
 premises.  ``kernel identity`` compares the two kernels on the 100 pairs
 built from ``FORM_PROBES``, which fix a form of degree (2, 2).
 ``isospectrality`` proves that the coset map ``psi`` is a ``phi``-keeping
 bijection from L1 onto L2.  ``class relations`` and ``class decomposition``
-check the premises of the class-series identities, not the series.  The
-code, lattice and table anchors check finite data as they stand.
-``minimal vectors`` also proves that the shell holds every order-minimal
-class member: ``12 e_j`` lies in M, and the minimal members of the box
-``[-6, 6]^4`` equal the shell's.  Truncations remain where no finite
+check the premises of the class-series identities, not the series.
+``minimal vectors`` proves that the seven stated minimal vectors are every
+order-minimal class member: ``12 e_j`` lies in M, so the box ``[-6, 6]^4``
+holds them all, and the minimal members of the box, walked on L1's normal
+form, are the stated ones.  The code, lattice and table anchors check
+finite data as they stand; ``minimal pairs`` checks the table of those
+seven vectors and reads no shell.  Truncations remain where no finite
 premise is checked: ``isospectrality`` also compares the two representation
 series up to the requested budget, ``route equivalence`` compares the two
-discrepancy routes at budget 24, ``minimal pairs`` reads the shell at the
-requested budget, and ``leading coefficients`` reads a certificate, whose
-leading entry is built from the budget-36 series.  The tests keep the
-series-level checks: ``theta11`` under both kernels, the relations over all
-81 ordered label pairs (``check_relations``) and the 81-pair decomposition
-sum.
+discrepancy routes at budget 24, and ``leading coefficients`` reads a
+certificate, whose leading entry is built from the budget-36 series.  The
+tests keep the series-level checks: ``theta11`` under both kernels, the
+relations over all 81 ordered label pairs (``check_relations``) and the
+81-pair decomposition sum.
 
 A check fails as the library's cross-checks do, by raising ``AssertionError``
 with its witness; ``_result`` makes any such raise, the check's own or one
-from the library code under it, that anchor's failure.
+from the library code under it, that anchor's failure, and so too a
+``ValueError`` that the library code under a check raises.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from itertools import combinations
 
 from . import codes as codes_mod
 from .discrepancy import (
+    EXPECTED_EXTRA_MINIMAL,
     MIN_PAIR_BUDGET,
     Route,
     Verdict,
@@ -47,7 +52,6 @@ from .discrepancy import (
     delta_series,
     minimal_pair_table,
     minimal_rows,
-    minimal_vectors,
 )
 from .lattices import (
     ALL_LABELS,
@@ -75,8 +79,6 @@ LEADING_POLYNOMIALS = (
     {(1, 0, 1, 0): -12, (1, 0, 0, 1): 12, (0, 1, 1, 0): 12, (0, 1, 0, 1): -12},
     {(1, 1, 0, 0): 96, (1, 0, 1, 0): -96},
 )
-
-EXPECTED_EXTRA_MINIMAL = {0: (-4, 0, 2, -2), 1: (4, 2, 2, 0), 3: (-4, 2, 0, 2)}
 
 EXPECTED_PAIR_TABLE = (
     ((0, 1), (2, 10, 2, 10)),
@@ -128,10 +130,12 @@ class AnchorResult(namedtuple("AnchorResult", "anchor ok witness", defaults=(Non
 def _result(name: str, check) -> AnchorResult:
     """Run one anchor's check.  An ``AssertionError`` from the check, or from
     the library code it calls, fails the anchor with its message as the
-    witness; any other exception propagates."""
+    witness, and so does a ``ValueError`` from that library code (a lattice
+    that is not a sublattice, a theta difference that 128 does not divide);
+    any other exception propagates."""
     try:
         check()
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         return AnchorResult(name, False, str(exc))
     return AnchorResult(name, True)
 
@@ -332,37 +336,29 @@ def _check_decomposition() -> None:
         raise AssertionError(f"[L1:M] = {fam.M.index_in(fam.L1)}, not {len(ALL_LABELS)}")
 
 
-def _check_min_vectors(budget: int) -> None:
-    for i in range(4):
-        found = set(minimal_vectors(CosetLabel(i, 1), budget))
-        expected = {COSET_REPS[i]}
-        if i in EXPECTED_EXTRA_MINIMAL:
-            expected.add(EXPECTED_EXTRA_MINIMAL[i])
-        if found != expected:
-            raise AssertionError(f"class {i}: found {sorted(found)}")
+def _check_min_vectors() -> None:
     # the box holds every order-minimal vector, so its minimal members are
-    # the class's minimal vectors at every budget, and the shell's equal them
+    # the class's minimal vectors, and they must be the stated ones
     fam = build_family()
     for j in range(4):
         if not fam.M.contains(tuple(M_PERIOD * (n == j) for n in range(4))):
             raise AssertionError(f"{M_PERIOD} e_{j} does not lie in M")
     r = BOX_RADIUS
     box: dict[CosetLabel, list] = {}
-    for v in fam.L1.vectors(4 * r * r):
-        if -r <= min(v) and max(v) <= r:
-            box.setdefault(coset_label(v), []).append(v)
-    for i in range(4):
-        label = CosetLabel(i, 1)
-        boxed = set(_order_minimal(box.get(label, []), phi))
-        shell = set(minimal_vectors(label, budget))
-        if boxed != shell:
+    for v in fam.L1._walk_box(r):
+        box.setdefault(coset_label(v), []).append(v)
+    for i, rep in enumerate(COSET_REPS):
+        found = sorted(_order_minimal(box.get(CosetLabel(i, 1), []), phi))
+        extra = EXPECTED_EXTRA_MINIMAL.get(i)
+        expected = sorted([rep] if extra is None else [rep, extra])
+        if found != expected:
             raise AssertionError(
-                f"class {i}: the box [-{r}, {r}]^4 gives {sorted(boxed)}, the shell {sorted(shell)}"
+                f"class {i}: the box [-{r}, {r}]^4 gives {found}, expected {expected}"
             )
 
 
-def _check_min_pairs(budget: int) -> None:
-    rows = minimal_pair_table(budget)
+def _check_min_pairs() -> None:
+    rows = minimal_pair_table(MIN_PAIR_BUDGET)
     table = tuple(((row.i, row.j), row.exponent) for row in rows)
     if table != EXPECTED_PAIR_TABLE:
         raise AssertionError(f"pair table has {len(table)} rows and differs from the expected 18")
@@ -403,8 +399,8 @@ def run_verification(budget: int) -> list[AnchorResult]:
         ("class relations", _check_class_premises),
         ("route equivalence", _check_routes),
         ("class decomposition", _check_decomposition),
-        ("minimal vectors", lambda: _check_min_vectors(budget)),
-        ("minimal pairs", lambda: _check_min_pairs(budget)),
+        ("minimal vectors", _check_min_vectors),
+        ("minimal pairs", _check_min_pairs),
         ("leading coefficients", lambda: _check_leading(budget)),
     )
     return [_result(name, check) for name, check in checks]

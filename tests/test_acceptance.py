@@ -3,8 +3,9 @@
 ``run_verification`` re-derives each published fact and compares it with the
 data frozen in ``isopair.verification``; every anchor must pass at the
 smallest sound budget and at 40.  The other tests cover what the anchors
-lack: the refusal below the sound budget, a library check failing under an
-anchor (reported as that anchor's failure), a broken premise of each proved
+lack: the refusal below the sound budget, a library check or refusal
+(``ValueError``) under an anchor, reported as that anchor's failure while
+``verify`` still lists every anchor, a broken premise of each proved
 anchor (the kernels, the four-group, the class representatives) failing
 that anchor, a broken premise of each other anchor that no frozen table
 reaches (the code graph and matching, the family's lattices, the sign flip,
@@ -240,6 +241,23 @@ PREMISE_CORRUPTIONS = {
         ("route equivalence",),
         ("route equivalence", "the two discrepancy routes differ at budget 24"),
     ),
+    # the two cases where the library code under an anchor raises
+    # ``ValueError``: ``Lattice.index_in`` refuses a lattice outside the
+    # ambient one, and the theta route a difference that 128 does not divide
+    "L12-is-L": (
+        verification,
+        "build_family",
+        lambda build: lambda: build()._replace(L12=build().L),
+        ("lattice indices", "common sublattice"),
+        ("lattice indices", "L is not a sublattice of L1"),
+    ),
+    "theta-L2-from-L12": (
+        discrepancy,
+        "build_family",
+        _respanned("L2", "L12"),
+        ("route equivalence",),
+        ("route equivalence", "coefficient at (18, 2, 2, 2) times 1/128 is not an integer"),
+    ),
 }
 
 
@@ -247,10 +265,25 @@ PREMISE_CORRUPTIONS = {
 def test_broken_premise_fails_its_anchors(monkeypatch, case):
     owner, name, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[case]
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
-    failed = failures(run_verification(MIN_PAIR_BUDGET))
+    results = run_verification(MIN_PAIR_BUDGET)
+    assert tuple(result.anchor for result in results) == ANCHORS
+    failed = failures(results)
     assert tuple(failed) == failing
     assert failed[anchor] == witness
     assert all(failed.values())
+
+
+@pytest.mark.parametrize("case", ["L12-is-L", "theta-L2-from-L12"])
+def test_value_error_under_an_anchor_keeps_the_verify_table(monkeypatch, capsys, case):
+    owner, name, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[case]
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    assert cli.main(["verify", "--budget", str(MIN_PAIR_BUDGET)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    statuses = ["FAIL" if a in failing else "ok" for a in ANCHORS]
+    assert [line.split()[0] for line in lines] == statuses
+    assert f"  {witness}" in lines[ANCHORS.index(anchor)]
 
 
 def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_caches):
@@ -269,7 +302,7 @@ def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_cac
     "constant, value, witness",
     [
         ("BOX_RADIUS", 2,
-         "class 0: the box [-2, 2]^4 gives [], the shell [(-4, 0, 2, -2), (-1, 3, -1, 1)]"),
+         "class 0: the box [-2, 2]^4 gives [], expected [(-4, 0, 2, -2), (-1, 3, -1, 1)]"),
         ("M_PERIOD", 6, "6 e_0 does not lie in M"),
     ],
     ids=["box", "period"],

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import isopair
 from isopair import (
     ALL_LABELS,
+    COSET_REPS,
     Certificate,
     CosetLabel,
     FormalQSeries,
@@ -31,7 +32,6 @@ from isopair import (
     exp_below,
     minimal_pair_table,
     minimal_rows,
-    minimal_vectors,
     phi,
     psi,
     rep_series,
@@ -351,7 +351,24 @@ def _box_minimal(label: CosetLabel, radius: int) -> set:
     return {v for v in members if not any(exp_below(phi(w), phi(v)) for w in members)}
 
 
+def _stated_minimal(i: int) -> set:
+    """The stated minimal vectors of class i: its representative and its
+    extra minimal vector, if it has one."""
+    extra = EXPECTED_EXTRA_MINIMAL.get(i)
+    return {COSET_REPS[i]} if extra is None else {COSET_REPS[i], extra}
+
+
 class TestMinimalVectors:
+    @pytest.mark.parametrize("radius, count", [(2, 1), (6, 209)])
+    def test_walk_is_the_box(self, radius, count):
+        # the walk on the normal form, the product oracle and the box's
+        # vectors of the shell that holds the box, in one order
+        L1 = build_family().L1
+        walked = tuple(L1._walk_box(radius))
+        shell = tuple(v for v in L1.vectors(4 * radius * radius) if max(map(abs, v)) <= radius)
+        assert walked == _box(radius) == shell
+        assert len(walked) == count
+
     @pytest.mark.parametrize("j", range(4))
     def test_twelve_e_j_lies_in_m_and_six_e_j_does_not(self, j):
         # so v -/+ 12 e_j is a class member below any v with |v_j| > 6
@@ -362,30 +379,18 @@ class TestMinimalVectors:
     @pytest.mark.parametrize("i", range(4))
     def test_box_bound_holds_every_minimal_vector(self, i):
         # every order-minimal class member lies in [-6, 6]^4, and there the
-        # minimal members are those of the budget-36 shell
-        assert len(_box(6)) == 209
-        label = CosetLabel(i, 1)
-        assert _box_minimal(label, 6) == set(minimal_vectors(label, 36))
+        # minimal members are the stated ones
+        assert _box_minimal(CosetLabel(i, 1), 6) == _stated_minimal(i)
 
     def test_smaller_box_misses_a_minimal_vector(self):
-        v = (-4, 0, 2, -2)
+        v = EXPECTED_EXTRA_MINIMAL[0]
         label = coset_label(v)
-        assert v in minimal_vectors(label, 36)
+        assert label == CosetLabel(0, 1)
         assert v not in _box_minimal(label, 2)
-
-    def test_stable_under_larger_budget(self):
-        # the largest coordinate-square sum of a minimal vector is 24, so the
-        # set is fixed from budget 24 on and budget 23 misses some of it
-        for i in range(4):
-            full = minimal_vectors(CosetLabel(i, 1), 36)
-            for budget in (24, 44):
-                assert minimal_vectors(CosetLabel(i, 1), budget) == full
-            assert set(minimal_vectors(CosetLabel(i, 1), 23)) <= set(full)
-        assert minimal_vectors(CosetLabel(0, 1), 23) == ((-1, 3, -1, 1),)
 
     def test_dominated_members_are_excluded(self):
         label = CosetLabel(2, 1)
-        minimal = set(minimal_vectors(label, 36))
+        minimal = _box_minimal(label, 6)
         fam = build_family()
         others = [
             v for v in fam.L1.vectors(36) if coset_label(v) == label and v not in minimal
@@ -410,15 +415,14 @@ class TestMinimalPairTable:
             minimal_pair_table(MIN_PAIR_BUDGET - 1)
 
     def test_threshold_is_the_leading_exponents_square_sum(self):
-        # 36 is what the leading coefficients need; the minimal vectors are
-        # all in the budget-24 shell, and the extra ones (square sum 24) are
-        # not yet in the budget-20 shell
+        # 36 is what the leading coefficients need; the minimal vectors have
+        # square sums of at most 24: 12 for the representatives, 24 for the
+        # extra ones
         assert MIN_PAIR_BUDGET == max(sum(e) for e in LEADING_EXPONENTS) == 36
         for i in range(4):
-            label = CosetLabel(i, 1)
-            assert minimal_vectors(label, 24) == minimal_vectors(label, MIN_PAIR_BUDGET)
-            missing = minimal_vectors(label, 20) != minimal_vectors(label, 24)
-            assert missing == (i in EXPECTED_EXTRA_MINIMAL)
+            sums = {v: sum(phi(v)) for v in _box_minimal(CosetLabel(i, 1), 6)}
+            extra = {EXPECTED_EXTRA_MINIMAL[i]: 24} if i in EXPECTED_EXTRA_MINIMAL else {}
+            assert sums == {COSET_REPS[i]: 12, **extra}
 
     def test_every_distinct_class_pair_is_dominated(self):
         # any pair of shell vectors from distinct nonzero classes either hits a
@@ -657,17 +661,17 @@ class TestCertify:
     def test_one_minimal_vector_pass(self, monkeypatch):
         calls = []
 
-        def counted(label, budget):
-            calls.append(label)
-            return minimal_vectors(label, budget)
+        def counted(budget):
+            calls.append(budget)
+            return minimal_pair_table(budget)
 
-        monkeypatch.setattr(discrepancy, "minimal_vectors", counted)
+        monkeypatch.setattr(discrepancy, "minimal_pair_table", counted)
         _leading_data.cache_clear()
         certify(SCHIEMANN, 40)
-        assert len(calls) == 4
+        assert calls == [MIN_PAIR_BUDGET]
         # the minimal rows are leading data of the route: a warm call reads them
         certify(SMALL, 40)
-        assert len(calls) == 4
+        assert calls == [MIN_PAIR_BUDGET]
 
     def test_json_dict_round_trips(self):
         cert = certify(SCHIEMANN, 40)
