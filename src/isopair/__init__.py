@@ -42,7 +42,7 @@ from .qarith import (
     ParamPolynomial,
     exp_below,
 )
-from .theta import Kernel, rep_series, theta11
+from .theta import Kernel, collapse_counts, rep_series, theta11
 
 __version__ = "0.1.0"
 
@@ -81,6 +81,7 @@ __all__ = [
     "certify",
     "check_relations",
     "class_pair_series",
+    "collapse_counts",
     "coset_label",
     "delta_series",
     "exp_below",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .discrepancy import Route, Verdict, certify, delta_series
 from .lattices import LatticeFamily, build_family
 from .qarith import ParamPoint
-from .theta import Kernel, rep_series, theta11
+from .theta import Kernel, collapse_counts, rep_series, theta11
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
@@ -186,7 +186,8 @@ def cmd_pair(args) -> int:
 
 def cmd_spectrum(args) -> int:
     point = _point(args)
-    collapsed = rep_series(getattr(build_family(), args.lattice), args.budget).collapse(point)
+    counts = rep_series(getattr(build_family(), args.lattice), args.budget)
+    collapsed = collapse_counts(counts, point)
     _render_series(args, "spectrum", collapsed, {"lattice": args.lattice})
     return 0
 
@@ -194,8 +195,8 @@ def cmd_spectrum(args) -> int:
 def cmd_isospectral(args) -> int:
     point = _point(args)
     fam = build_family()
-    s1 = rep_series(fam.L1, args.budget).collapse(point)
-    s2 = rep_series(fam.L2, args.budget).collapse(point)
+    s1 = collapse_counts(rep_series(fam.L1, args.budget), point)
+    s2 = collapse_counts(rep_series(fam.L2, args.budget), point)
     equal = s1 == s2
     payload = {
         "params": list(args.params),

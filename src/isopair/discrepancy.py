@@ -58,7 +58,6 @@ from .lattices import (
     psi,
 )
 from .qarith import (
-    MONOS,
     QUAD_MONOS,
     QUAD_SLOTS,
     Compiled,
@@ -111,12 +110,11 @@ class Verdict(enum.Enum):
 
 def pair_discrepancy_vector(l, k) -> tuple[int, ...]:
     """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1, as an integer vector on
-    ``MONOS``: the square of the linear form ``x.p`` with ``x = l*k``
+    ``QUAD_MONOS``: the square of the linear form ``x.p`` with ``x = l*k``
     coordinatewise, minus the same square for the images under psi."""
     x = [u * w for u, w in zip(l, k)]
     y = [u * w for u, w in zip(psi(l), psi(k))]
-    quad = ((x[s] * x[t] - y[s] * y[t]) * (1 if s == t else 2) for s, t in QUAD_SLOTS)
-    return (0,) * (len(MONOS) - len(QUAD_MONOS)) + tuple(quad)
+    return tuple([(x[s] * x[t] - y[s] * y[t]) * (1 if s == t else 2) for s, t in QUAD_SLOTS])
 
 
 @lru_cache(maxsize=SHELL_CACHE, typed=True)
@@ -125,9 +123,6 @@ def _labelled_shell(budget: int) -> dict[CosetLabel, tuple[Vec, ...]]:
     for v in build_family().L1.vectors(budget):
         members[coset_label(v)].append(v)
     return {label: tuple(vs) for label, vs in members.items()}
-
-
-_SLOT_MONOS = dict(zip(QUAD_SLOTS, QUAD_MONOS))
 
 
 def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int], ...]:
@@ -155,8 +150,8 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
         return [4 * x[s0] * x[t0], 4 * x[s1] * x[t1], 4 * x[s2] * x[t2], 4 * x[s3] * x[t3]]
 
     shell = _labelled_shell(budget)
-    monos = tuple(_SLOT_MONOS[slot] for slot in slots)
-    return pair_series(shell[label1], shell[label2], budget, kernel, monos)
+    positions = tuple(QUAD_SLOTS.index(slot) for slot in slots)
+    return pair_series(shell[label1], shell[label2], budget, kernel, positions)
 
 
 def check_route(route) -> Route:
@@ -185,15 +180,17 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()
         diff = dict(theta11(fam.L1, budget, Kernel.PAIRWISE).terms)
-        zero = (0,) * len(MONOS)
+        zero = (0,) * len(QUAD_MONOS)
         for e, v in theta11(fam.L2, budget, Kernel.PAIRWISE).terms.items():
             diff[e] = [x - y for x, y in zip(diff.get(e, zero), v)]
+        quotients = {}
         for e, v in diff.items():
             if any(x % 128 for x in v):
                 raise ValueError(f"coefficient at {e} times 1/128 is not an integer")
-        return FormalQSeries.from_vectors(
-            budget, {e: [x // 128 for x in v] for e, v in diff.items()}
-        )
+            if any(v):
+                # a tuple from a list, as ``theta.pair_series`` builds it
+                quotients[e] = tuple([x // 128 for x in v])
+        return FormalQSeries._of_terms(budget, quotients)
     terms: dict[Expo, tuple[int, ...]] = {}
     for i, j in combinations(range(4), 2):
         for e, v in class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), budget).terms.items():
@@ -339,7 +336,7 @@ def _leading_data(
     exponents have a square sum of at most ``MIN_PAIR_BUDGET``, so that
     series holds their coefficients in full.
 
-    The head is a tuple of ``(exponent, pairs)``: each term's ``MONOS``
+    The head is a tuple of ``(exponent, pairs)``: each term's ``QUAD_MONOS``
     vector compiled to (coefficient, slot) pairs (``qarith._compile``), the
     form ``qarith._lead`` collapses and ``qarith._value`` evaluates.  The
     rows are a tuple of ``(exponent, polynomial, pairs)``: the polynomial
@@ -474,7 +471,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
         elif key == min_key:
             leaders.append(row)
 
-    W = _weights(D, A)
+    W = _weights(A)
     # (D * exponent, D^2 * coefficient) of the head's collapse
     lead = _lead(head, A, W)
     if lead is None or lead[0] != min_key:

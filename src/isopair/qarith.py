@@ -2,10 +2,9 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  Series
 coefficients are polynomials in the four positive lattice parameters
-(a, b, c, d) of total degree at most two with integer coefficients, so a
-series holds each one as an integer vector on the fifteen monomials
-``MONOS`` (1, a, b, c, d, then the ten ``QUAD_MONOS``).  Every series the
-package builds is integral; a rational coefficient is refused, not rounded.
+(a, b, c, d).  Every one the package builds is an integer quadratic form,
+so a series holds it as an integer vector on the ten quadratic monomials
+``QUAD_MONOS``; a rational coefficient is refused, not rounded.
 Neither ``FormalQSeries`` nor ``ParamPolynomial`` has arithmetic.  A series
 is the view of a finished sum: its builders combine integer vectors where
 they are defined (the pair loop of ``theta``, the two routes of
@@ -17,11 +16,11 @@ Work at a point is integer work on one scale.  A point ``p`` is cleared to
 its common denominator ``D`` and integer numerators ``A = D*p``
 (``_cleared``, or ``_sort_cleared``, which also sorts it); the coordinates
 of ``A`` order and coincide as the point's do.  There an exponent ``n`` is
-the integer ``n.A`` over ``D``, and a coefficient vector ``v`` on ``MONOS``
-is the integer ``v.W`` over ``D^2``, for the weights
-``W = (D^2, D*A_i, A_s*A_t)`` of ``_weights``.  A caller that meets the same
-few coefficients at many points compiles each vector once into
-(coefficient, slot) pairs, the slot of each nonzero entry in ``MONOS``
+the integer ``n.A`` over ``D``, and a coefficient vector ``v`` on
+``QUAD_MONOS`` is the integer ``v.W`` over ``D^2``, for the weights
+``W = (A_s*A_t)`` of ``_weights``.  A caller that meets the same few
+coefficients at many points compiles each vector once into
+(coefficient, slot) pairs, the slot of each nonzero entry in ``QUAD_MONOS``
 (``_compile``); at each point it then takes ``W`` once, gets the lead of a
 compiled collapse (``_lead``) and each compiled value (``_value``) from a
 few integer products, and builds Fractions only for its outputs.
@@ -57,21 +56,16 @@ from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
-# a coefficient compiled to (coefficient, slot) pairs on ``MONOS``
+# a coefficient compiled to (coefficient, slot) pairs on ``QUAD_MONOS``
 Compiled = tuple[tuple[int, int], ...]
 
 PARAM_NAMES = ("a", "b", "c", "d")
 
-# the ten quadratic monomials p_s*p_t (s <= t), and the fifteen monomials of
-# degree at most two that index every coefficient vector of a series
+# the ten quadratic monomials p_s*p_t (s <= t), which index every
+# coefficient vector of a series
 QUAD_SLOTS = tuple((s, t) for s in range(4) for t in range(s, 4))
 QUAD_MONOS: tuple[Mono, ...] = tuple(
     tuple(int(u == s) + int(u == t) for u in range(4)) for s, t in QUAD_SLOTS
-)
-MONOS: tuple[Mono, ...] = (
-    (0, 0, 0, 0),
-    *(tuple(int(u == i) for u in range(4)) for i in range(4)),
-    *QUAD_MONOS,
 )
 
 
@@ -166,13 +160,12 @@ def _sort_cleared(
     return (p[i], p[j], p[k], p[m]), (i, j, k, m), D, (A0, A1, A2, A3)
 
 
-def _weights(D: int, A: Sequence[int]) -> tuple[int, ...]:
-    """The weights ``W`` of ``MONOS`` at the point cleared to ``(D, A)``, on
-    the module's scale."""
+def _weights(A: Sequence[int]) -> tuple[int, ...]:
+    """The weights ``W`` of ``QUAD_MONOS`` at the point cleared to ``(D, A)``:
+    each ``A_s*A_t`` is ``D^2`` times ``p_s*p_t``, so ``D`` is not needed."""
     a0, a1, a2, a3 = A
-    # in ``MONOS`` order: 1, the four p_i, then ``QUAD_SLOTS``
+    # in ``QUAD_SLOTS`` order
     return (
-        D * D, D * a0, D * a1, D * a2, D * a3,
         a0 * a0, a0 * a1, a0 * a2, a0 * a3,
         a1 * a1, a1 * a2, a1 * a3,
         a2 * a2, a2 * a3,
@@ -181,7 +174,7 @@ def _weights(D: int, A: Sequence[int]) -> tuple[int, ...]:
 
 
 def _compile(vector: Sequence[int]) -> Compiled:
-    """A coefficient vector on ``MONOS`` as the (coefficient, slot) pairs of
+    """A coefficient vector on ``QUAD_MONOS`` as the (coefficient, slot) pairs of
     its nonzero entries, the form ``_value`` and ``_lead`` read."""
     return tuple((x, slot) for slot, x in enumerate(vector) if x)
 
@@ -198,9 +191,9 @@ def _value(pairs: Compiled, W: Sequence[int]) -> int:
 def _lead(
     terms: Sequence[tuple[Expo, Compiled]], A: Sequence[int], W: Sequence[int]
 ) -> tuple[int, int] | None:
-    """``_collapse(D, A)[0]`` for the series of compiled terms, ``(exponent,
+    """``_collapse(A)[0]`` for the series of compiled terms, ``(exponent,
     pairs)`` with ``pairs`` from ``_compile``, or None where that collapse
-    is empty; ``W`` is ``_weights(D, A)``.
+    is empty; ``W`` is ``_weights(A)``.
 
     The terms are taken in the order of their keys ``e.A``; values merge at
     equal keys, and the first key whose merged value is nonzero leads, so no
@@ -323,14 +316,15 @@ class FormalQSeries:
     pairs whose combined squared-coordinate sum is at most N, so two series
     are equal only at equal budgets.
 
-    Each coefficient is a polynomial with integer coefficients, held as
-    its integer vector ``terms[e]`` on ``MONOS``; exponents with a zero
+    Each coefficient is an integer quadratic form, held as its vector
+    ``terms[e]`` of ten ints on ``QUAD_MONOS``; exponents with a zero
     coefficient are not stored, so ``==`` and ``hash`` see only the budget
     and the coefficients.  The constructor takes a mapping of exponents to
     those vectors and checks them: vectors that are not a mapping raise
-    ``TypeError``, and a vector that is not ``len(MONOS)`` plain ints raises
+    ``TypeError``, and a vector that is not ten plain ints raises
     ``ValueError``; nothing is rounded.  ``coefficient(e)`` gives one as a
-    ``ParamPolynomial``.  A series is read-only and has no arithmetic:
+    ``ParamPolynomial`` and refuses a malformed ``e`` as the constructor
+    does.  A series is read-only and has no arithmetic:
     ``discrepancy.delta_series`` combines the vectors of its route, the six
     class series or the two invariants, and checks the theta route's 1/128
     there, before it builds its one series.
@@ -351,29 +345,18 @@ class FormalQSeries:
             if sum(e) > budget:
                 raise ValueError(f"exponent {e} exceeds budget {budget}")
             entries = tuple([*vector]) if isinstance(vector, Iterable) else ()
-            if len(entries) != len(MONOS) or any(type(x) is not int for x in entries):
+            if len(entries) != len(QUAD_MONOS) or any(type(x) is not int for x in entries):
                 raise ValueError(
-                    f"coefficient at {e} must be {len(MONOS)} ints on MONOS, got {vector!r}"
+                    f"coefficient at {e} must be 10 ints on QUAD_MONOS, got {vector!r}"
                 )
             if any(entries):
                 terms[e] = entries
         self.budget, self.terms = budget, terms
 
     @classmethod
-    def from_vectors(cls, budget: int, vectors: Mapping[Expo, Sequence[int]]) -> "FormalQSeries":
-        """The series with integer vectors on ``MONOS``; the package's
-        constructor, which trusts its exponents and drops zero vectors."""
-        # vectors are tuples built from lists, here as in ``__init__``,
-        # ``theta.pair_series`` and ``discrepancy.delta_series``: a tuple
-        # grown from a generator bypasses the tuple free list on allocation
-        # but lands in it when freed, which fills it with up to 2000 spare
-        # 15-tuples
-        return cls._of_terms(budget, {e: tuple(v) for e, v in vectors.items() if any(v)})
-
-    @classmethod
     def _of_terms(cls, budget: int, terms: dict[Expo, tuple[int, ...]]) -> "FormalQSeries":
-        """The series that holds ``terms`` itself, unchecked: the caller
-        guarantees nonzero tuples on ``MONOS`` within the budget."""
+        """The series that holds ``terms`` itself, unchecked: the package's
+        constructor, whose caller guarantees nonzero 10-tuples within the budget."""
         out = cls.__new__(cls)
         out.budget, out.terms = budget, terms
         return out
@@ -389,8 +372,8 @@ class FormalQSeries:
         return iter(sorted(self.terms))
 
     def coefficient(self, e: Expo) -> ParamPolynomial:
-        vector = self.terms.get(tuple(e), ())
-        return ParamPolynomial({m: x for m, x in zip(MONOS, vector) if x})
+        vector = self.terms.get(check_expo(e), ())
+        return ParamPolynomial({m: x for m, x in zip(QUAD_MONOS, vector) if x})
 
     def collapse(self, p: ParamPoint) -> tuple[tuple[Fraction, Fraction], ...]:
         """Evaluate exponents and coefficients at a point, merging exponents.
@@ -401,16 +384,16 @@ class FormalQSeries:
         """
         D, A = _cleared(p)
         return tuple(
-            (Fraction(key, D), Fraction(value, D * D)) for key, value in self._collapse(D, A)
+            (Fraction(key, D), Fraction(value, D * D)) for key, value in self._collapse(A)
         )
 
-    def _collapse(self, D: int, A: Sequence[int]) -> list[tuple[int, int]]:
-        """The collapse at the point cleared to ``(D, A)``, as the integer
-        pairs ``(D*exponent, D^2*coefficient)`` of the module's scale: the
-        keys ``n.A`` merge and order as the exponents do.  Sorted by key,
-        zero sums dropped."""
+    def _collapse(self, A: Sequence[int]) -> list[tuple[int, int]]:
+        """The collapse at the point cleared to ``(D, A)``, which needs only
+        ``A``, as the integer pairs ``(D*exponent, D^2*coefficient)`` of the
+        module's scale: the keys ``n.A`` merge and order as the exponents
+        do.  Sorted by key, zero sums dropped."""
         a0, a1, a2, a3 = A
-        weights = _weights(D, A)
+        weights = _weights(A)
         merged: dict[int, int] = {}
         for (n0, n1, n2, n3), v in self.terms.items():
             key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3

@@ -1,10 +1,11 @@
 """Representation-number series and the degree-2 pair invariant.
 
-``rep_series`` counts lattice vectors by their squared-coordinate tuple; its
-collapse at a parameter point is the classical theta series (representation
-numbers by square norm).  ``theta11`` is the embedding-independent degree-2
-invariant: a sum over ordered pairs (l, k) of lattice vectors where each pair
-contributes a polynomial kernel at the q-exponent ``phi(l) + phi(k)``.
+``rep_series`` counts lattice vectors by their squared-coordinate tuple; the
+counts collapsed at a point (``collapse_counts``) are the classical theta
+series (representation numbers by square norm).  ``theta11`` is the
+embedding-independent degree-2 invariant: a sum over ordered pairs (l, k) of
+lattice vectors where each pair contributes a polynomial kernel at the
+q-exponent ``phi(l) + phi(k)``.
 
 Every pair kernel here is a quadratic form in p = (a, b, c, d), so it is
 held as ten integer coefficients, one per monomial ``p_s p_t`` with
@@ -25,7 +26,7 @@ ints, so both also expand on symbols.
 
 ``pair_series`` is the one pair loop of the package: it sums such integer
 coefficient vectors per exponent and hands the sums to the series as they
-are, integer vectors on ``qarith.MONOS``; no ``ParamPolynomial`` is built.
+are, integer vectors on ``QUAD_MONOS``; no ``ParamPolynomial`` is built.
 A polynomial appears only at the output boundary, as ``coefficient`` of a
 series.
 
@@ -37,10 +38,11 @@ vectors of given lengths.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from operator import itemgetter
 
 from .lattices import Lattice, phi
-from .qarith import MONOS, QUAD_MONOS, Expo, FormalQSeries, Mono
+from .qarith import QUAD_MONOS, Expo, FormalQSeries, ParamPoint, _cleared
 
 
 class Kernel(enum.Enum):
@@ -113,14 +115,24 @@ def check_kernel(kernel) -> Kernel:
     return kernel
 
 
-def rep_series(lattice: Lattice, budget: int) -> FormalQSeries:
+def rep_series(lattice: Lattice, budget: int) -> dict[Expo, int]:
     """Vector counts by squared-coordinate tuple, up to the budget."""
-    counts: dict[tuple, int] = {}
+    counts: dict[Expo, int] = {}
     for v in lattice.vectors(budget):
         e = phi(v)
         counts[e] = counts.get(e, 0) + 1
-    rest = (0,) * (len(MONOS) - 1)
-    return FormalQSeries.from_vectors(budget, {e: (n, *rest) for e, n in counts.items()})
+    return counts
+
+
+def collapse_counts(counts: dict[Expo, int], p: ParamPoint) -> tuple[tuple[Fraction, int], ...]:
+    """The counts at a point, summed per collapsed exponent and sorted by
+    it: an exponent ``n`` is the integer key ``n.A`` over ``D`` (``_cleared``)."""
+    D, (a0, a1, a2, a3) = _cleared(p)
+    merged: dict[int, int] = {}
+    for (n0, n1, n2, n3), n in counts.items():
+        key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
+        merged[key] = merged.get(key, 0) + n
+    return tuple((Fraction(key, D), n) for key, n in sorted(merged.items()))
 
 
 def _by_norm(vectors) -> list[tuple[int, tuple, Expo]]:
@@ -134,19 +146,21 @@ def _by_norm(vectors) -> list[tuple[int, tuple, Expo]]:
 
 
 def pair_series(
-    first, second, budget: int, kernel, monos: tuple[Mono, ...] = QUAD_MONOS
+    first, second, budget: int, kernel, slots: tuple[int, ...] | None = None
 ) -> FormalQSeries:
     """Sum ``kernel(l, k) * q^(phi(l) + phi(k))`` over the ordered pairs of
     ``first`` x ``second`` whose combined squared-coordinate sum stays within
     the budget.
 
-    ``kernel`` returns a new list of integer coefficients, one per monomial
-    of ``monos``.
+    ``kernel`` returns a new list of integer coefficients: one per monomial
+    of ``QUAD_MONOS``, or, given ``slots``, one per position in
+    ``QUAD_MONOS`` that ``slots`` names.
     The pairs are walked in ascending coordinate-square sum, so the inner
     loop stops at the first partner past the budget.  The first pair at an
     exponent keeps its kernel's list as the running sums, and each later
     pair is added into them in place; the sums stay integer, and at the end
-    each nonzero one is placed once into its exponent's tuple on ``MONOS``.
+    each nonzero one becomes its exponent's tuple on ``QUAD_MONOS``: the
+    sums themselves for a full kernel, placed at their slots otherwise.
     """
     rows = _by_norm(second)
     acc: dict[Expo, list[int]] = {}
@@ -161,16 +175,18 @@ def pair_series(
             else:
                 for i, x in enumerate(kernel(l, k)):
                     sums[i] += x
-    positions = [MONOS.index(m) for m in monos]
     terms = {}
     for e, sums in acc.items():
         if any(sums):
-            # a tuple from a list, as ``FormalQSeries.from_vectors`` builds it
-            vector = [0] * len(MONOS)
-            for i, x in zip(positions, sums):
-                vector[i] = x
-            terms[e] = tuple(vector)
-    # nonzero tuples on ``MONOS``, at exponents within the budget
+            if slots is not None:
+                vector = [0] * len(QUAD_MONOS)
+                for i, x in zip(slots, sums):
+                    vector[i] = x
+                sums = vector
+            # tuples from lists, here and in ``discrepancy``: one grown from a
+            # generator skips the tuple free list but fills it when freed
+            terms[e] = tuple(sums)
+    # nonzero tuples on ``QUAD_MONOS``, at exponents within the budget
     return FormalQSeries._of_terms(budget, terms)
 
 

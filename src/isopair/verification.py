@@ -21,9 +21,9 @@ holds them all, and the minimal members of the box, walked on L1's normal
 form, are the stated ones.  The code, lattice and table anchors check
 finite data as they stand; ``minimal pairs`` checks the table of those
 seven vectors and reads no shell.  Truncations remain where no finite
-premise is checked: ``isospectrality`` also compares the two representation
-series up to the requested budget, ``route equivalence`` compares the two
-discrepancy routes at budget 24, and ``leading coefficients`` reads a
+premise is checked: ``isospectrality`` also compares the two lattices'
+vector counts up to the requested budget, ``route equivalence`` compares
+the two discrepancy routes at budget 24, and ``leading coefficients`` reads a
 certificate, whose leading entry is built from the budget-36 series.  The
 tests keep the series-level checks: ``theta11`` under both kernels, the
 relations over all 81 ordered label pairs (``check_relations``) and the
@@ -275,11 +275,11 @@ def _check_isospectral(budget: int) -> None:
     for lattice in (fam.L1, fam.L2):
         if fam.M.index_in(lattice) != len(images):
             raise AssertionError(f"[{lattice.name}:M] = {fam.M.index_in(lattice)}, not nine")
-    # and the spectra themselves, as series up to the budget
-    s1, s2 = rep_series(fam.L1, budget).terms, rep_series(fam.L2, budget).terms
+    # and the spectra themselves, as vector counts up to the budget
+    s1, s2 = rep_series(fam.L1, budget), rep_series(fam.L2, budget)
     if s1 != s2:
         e = min(e for e in s1.keys() | s2.keys() if s1.get(e) != s2.get(e))
-        n1, n2 = (s.get(e, (0,))[0] for s in (s1, s2))
+        n1, n2 = s1.get(e, 0), s2.get(e, 0)
         raise AssertionError(f"L1 has {n1} vectors at exponent {e}, L2 has {n2}")
 
 

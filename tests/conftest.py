@@ -16,12 +16,12 @@ from isopair import (
     psi,
 )
 from isopair.discrepancy import _leading_data
-from isopair.qarith import MONOS, QUAD_SLOTS, _cleared, _compile
+from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _cleared, _compile
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
 
-UNIT_MONOS = MONOS[1:5]  # a, b, c, d
+UNIT_MONOS = tuple(tuple(int(u == i) for u in range(4)) for i in range(4))  # a, b, c, d
 
 
 class Poly(ParamPolynomial):
@@ -59,11 +59,12 @@ VARIABLES = tuple(Poly({mono: 1}) for mono in UNIT_MONOS)
 
 
 def mono_vector(poly: ParamPolynomial) -> list:
-    """A polynomial as the vector on ``MONOS`` that ``FormalQSeries`` takes: a
-    monomial outside ``MONOS`` raises ``ValueError`` (from ``MONOS.index``)."""
-    vector = [0] * len(MONOS)
+    """A polynomial as the vector on ``QUAD_MONOS`` that ``FormalQSeries``
+    takes: a monomial outside ``QUAD_MONOS`` raises ``ValueError`` (from
+    ``QUAD_MONOS.index``)."""
+    vector = [0] * len(QUAD_MONOS)
     for mono, coeff in poly.terms.items():
-        vector[MONOS.index(mono)] = coeff
+        vector[QUAD_MONOS.index(mono)] = coeff
     return vector
 
 
@@ -81,7 +82,7 @@ def add_series(*summands: FormalQSeries) -> FormalQSeries:
             raise ValueError(f"budget mismatch: {budget} != {summand.budget}")
         for e, v in summand.terms.items():
             acc[e] = list(map(add, acc[e], v)) if e in acc else v
-    return FormalQSeries.from_vectors(budget, acc)
+    return FormalQSeries(budget, acc)
 
 
 def scale_series(series: FormalQSeries, factor) -> FormalQSeries:
@@ -92,7 +93,7 @@ def scale_series(series: FormalQSeries, factor) -> FormalQSeries:
     for e, v in series.terms.items():
         if any(x % d for x in v):
             raise ValueError(f"coefficient at {e} times {factor} is not an integer")
-    return FormalQSeries.from_vectors(
+    return FormalQSeries(
         series.budget, {e: [x // d * n for x in v] for e, v in series.terms.items()}
     )
 
@@ -276,10 +277,10 @@ def doubled_head(route):
 
 def head_below_the_rows(route):
     """``_leading_data`` with a head term at (1, 0, 0, 0), coefficient 1 on
-    the constant monomial, which collapses to ``a``, below both rows at
-    every sorted point."""
+    the monomial ``a^2``, which collapses to the exponent ``a``, below both
+    rows at every sorted point."""
     head, rows = _leading_data(route)
-    return (*head, ((1, 0, 0, 0), _compile([1] + [0] * (len(MONOS) - 1)))), rows
+    return (*head, ((1, 0, 0, 0), _compile([1] + [0] * (len(QUAD_MONOS) - 1)))), rows
 
 
 def generator_normalize(w):

@@ -27,6 +27,7 @@ from isopair import (
     Verdict,
     build_family,
     certify,
+    collapse_counts,
     phi,
     psi,
     rep_series,
@@ -330,17 +331,17 @@ def test_missing_leading_term_fails_its_anchor(monkeypatch):
 
 
 def test_missing_spectrum_term_fails_its_anchor(monkeypatch):
-    # L2's series without its last exponent: the coset map still proves the
-    # premises, so only the series comparison sees the gap, at that exponent
+    # L2's counts without their last exponent: the coset map still proves
+    # the premises, so only the count comparison sees the gap, at that exponent
     rep_series = verification.rep_series
     dropped = []
 
     def one_short(lattice, budget):
-        series = rep_series(lattice, budget)
+        counts = rep_series(lattice, budget)
         if lattice is build_family().L2:
-            e = max(series.terms)
-            dropped.append((e, series.terms.pop(e)[0]))
-        return series
+            e = max(counts)
+            dropped.append((e, counts.pop(e)))
+        return counts
 
     monkeypatch.setattr(verification, "rep_series", one_short)
     failed = failures(run_verification(MIN_PAIR_BUDGET))
@@ -359,7 +360,7 @@ def test_isospectral_at_desk_scale():
     s2 = rep_series(fam.L2, 40)
     points = [SCHIEMANN, SMALL] + admissible_samples(101, 10)
     for p in points:
-        assert s1.collapse(p) == s2.collapse(p)
+        assert collapse_counts(s1, p) == collapse_counts(s2, p)
     report(f"equal collapsed spectra at {len(points)} points, budget 40")
 
 

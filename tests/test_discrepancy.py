@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 from math import floor, isqrt, prod
 
 import pytest
+import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ from isopair.discrepancy import (
     check_route,
     pair_discrepancy_vector,
 )
-from isopair.qarith import MONOS, _compile, check_budget
+from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _compile, check_budget
 from isopair.verification import (
     EXPECTED_EXTRA_MINIMAL,
     EXPECTED_PAIR_TABLE,
@@ -61,6 +62,7 @@ from isopair.verification import (
 from conftest import (
     COPRIME,
     SMALL,
+    VARIABLES,
     add_series,
     admissible_samples,
     collapse_points,
@@ -98,10 +100,10 @@ def admissible_points(draw) -> ParamPoint:
 
 
 def _off_by_one_theta11(lattice, budget, kernel):
-    """``theta11`` with one added to the constant term of L1's invariant."""
+    """``theta11`` with one added to the ``a^2`` term of L1's invariant at q^0."""
     series = theta11(lattice, budget, kernel)
     if lattice == build_family().L1:
-        one = FormalQSeries(budget, {(0, 0, 0, 0): [1] + [0] * (len(MONOS) - 1)})
+        one = FormalQSeries(budget, {(0, 0, 0, 0): [1] + [0] * (len(QUAD_MONOS) - 1)})
         series = add_series(series, one)
     return series
 
@@ -128,7 +130,7 @@ class TestRoutes:
         for l in shell[::7]:
             for k in shell[::5]:
                 vector = pair_discrepancy_vector(l, k)
-                single = FormalQSeries.from_vectors(0, {(0, 0, 0, 0): vector})
+                single = FormalQSeries(0, {(0, 0, 0, 0): vector})
                 assert single.coefficient((0, 0, 0, 0)) == pair_discrepancy_kernel(l, k)
 
     def test_m_pairs_contribute_nothing(self):
@@ -186,6 +188,31 @@ class TestClassSeries:
         first = class_pair_series(v0, v2, 40).coefficient(BOLD_FIRST)
         second = class_pair_series(v1, v2, 40).coefficient(BOLD_SECOND)
         assert (first.terms, second.terms) == LEADING_POLYNOMIALS
+
+
+@lru_cache(maxsize=None)
+def built_series() -> dict:
+    """Series as the package builds them: the six class series, ``theta11``
+    under both kernels and both discrepancy routes."""
+    fam = build_family()
+    built = {
+        f"class-{i}{j}-40": class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), 40)
+        for i, j in combinations(range(4), 2)
+    }
+    for kernel in Kernel:
+        built[f"theta11-{kernel.value}-24"] = theta11(fam.L1, 24, kernel)
+    for route, budget in product(Route, (24, 40)):
+        built[f"delta-{route.value}-{budget}"] = delta_series(budget, route)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(built_series()))
+def test_built_series_hold_nonzero_ten_int_tuples(name):
+    series = built_series()[name]
+    assert not series.is_zero
+    for vector in series.terms.values():
+        assert type(vector) is tuple and len(vector) == len(QUAD_MONOS)
+        assert all(type(x) is int for x in vector) and any(vector)
 
 
 CACHED = (_labelled_shell,)
@@ -319,7 +346,7 @@ class TestRelations:
     def test_first_violation_is_reported(self, monkeypatch, violated):
         pairs, checked, labels = RELATION_BREAKS[violated]
         witness = (1, 2, 3, 4)
-        extra = FormalQSeries(24, {witness: [1] + [0] * (len(MONOS) - 1)})
+        extra = FormalQSeries(24, {witness: [1] + [0] * (len(QUAD_MONOS) - 1)})
         class_series = discrepancy.class_pair_series
 
         def perturbed(label1, label2, budget):
@@ -804,7 +831,7 @@ class TestLeadingData:
     def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
         below = (1, 0, 0, 0)
         assert exp_below(below, BOLD_FIRST) and exp_below(below, BOLD_SECOND)
-        extra = {below: [1] + [0] * (len(MONOS) - 1)}
+        extra = {below: [1] + [0] * (len(QUAD_MONOS) - 1)}
         good = delta_series
         monkeypatch.setattr(
             discrepancy,
@@ -818,6 +845,66 @@ class TestLeadingData:
             ):
                 certify(SCHIEMANN, 40)
         assert _leading_data.cache_info().currsize == 0
+
+
+# The chain coordinates x = (x1, x2, x3, x4) of a sorted point: a = x1,
+# b = x1 + x2, c = x1 + x2 + x3 and d = x1 + x2 + x3 + x4, all positive at a
+# pairwise-distinct point.  p_s p_t is then the sum of x_i x_j over i <= s,
+# j <= t, so a form on ``QUAD_MONOS`` in (a, b, c, d) maps to one on
+# ``QUAD_MONOS`` in x by this fixed integer matrix, one row per x-slot.
+CHAIN_MAP = tuple(
+    tuple(
+        sum((min(i, j), max(i, j)) == (u, v) for i in range(s + 1) for j in range(t + 1))
+        for s, t in QUAD_SLOTS
+    )
+    for u, v in QUAD_SLOTS
+)
+
+
+def chain_form(vector) -> list[int]:
+    return [sum(m * x for m, x in zip(row, vector)) for row in CHAIN_MAP]
+
+
+def negative_in_chain_coordinates(vector) -> bool:
+    """Whether a form is negative at every pairwise-distinct sorted point
+    because its chain form has no positive and some negative coefficient:
+    every x_i x_j is positive there."""
+    chain = chain_form(vector)
+    return all(x <= 0 for x in chain) and any(x < 0 for x in chain)
+
+
+class TestChainCoordinates:
+    """The paper's theorem on the leading rows: each is one negative
+    monomial in the chain coordinates, so every leading value, and a tie's
+    sum, is negative at every pairwise-distinct point."""
+
+    def test_chain_map_matches_sympy(self):
+        p, x = sympy.symbols("a b c d"), sympy.symbols("x1:5")
+        chain = dict(zip(p, (sum(x[: i + 1]) for i in range(4))))
+        for column, (s, t) in enumerate(QUAD_SLOTS):
+            form = sympy.Poly(sympy.expand((p[s] * p[t]).subs(chain)), *x)
+            expected = [int(form.coeff_monomial(mono)) for mono in QUAD_MONOS]
+            assert [row[column] for row in CHAIN_MAP] == expected, (s, t)
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+    def test_leading_rows_are_negative_chain_monomials(self, route):
+        _, rows = _leading_data(route)
+        chains = {e: chain_form(mono_vector(poly)) for e, poly, _ in rows}
+        # -12 x2 x4 and -96 x1 x3
+        expected = {BOLD_FIRST: {(1, 3): -12}, BOLD_SECOND: {(0, 2): -96}}
+        assert {
+            e: {slot: x for slot, x in zip(QUAD_SLOTS, chain) if x} for e, chain in chains.items()
+        } == expected
+        assert all(negative_in_chain_coordinates(mono_vector(poly)) for _, poly, _ in rows)
+
+    def test_a_positive_mutant_row_fails(self):
+        # +24(b - a)(d - c) turns the row -12(b - a)(d - c) into +12 x2 x4
+        a, b, c, d = VARIABLES
+        (e, poly, _), _ = _leading_data(Route.FROM_PSI_KERNEL)[1]
+        assert e == BOLD_FIRST
+        mutant = mono_vector(24 * (b - a) * (d - c) + poly)
+        assert chain_form(mutant) == [12 if slot == (1, 3) else 0 for slot in QUAD_SLOTS]
+        assert not negative_in_chain_coordinates(mutant)
 
 
 def _moved(x, tau):

@@ -21,11 +21,10 @@ from isopair import (
     certify,
     delta_series,
     exp_below,
-    rep_series,
     theta11,
 )
 from isopair.qarith import (
-    MONOS,
+    QUAD_MONOS,
     _cleared,
     _compile,
     _lead,
@@ -152,14 +151,14 @@ def to_sympy(poly: ParamPolynomial):
 
 
 def random_poly(rng):
-    """Int coefficients on up to five monomials of degree at most two."""
-    return Poly({mono: rng.randint(-9, 9) for mono in rng.sample(MONOS, rng.randint(0, 5))})
+    """Int coefficients on up to five quadratic monomials."""
+    return Poly({mono: rng.randint(-9, 9) for mono in rng.sample(QUAD_MONOS, rng.randint(0, 5))})
 
 
 def compiled_value(poly: ParamPolynomial, p: ParamPoint) -> Fraction:
     """The value of a polynomial at a point through its compiled form."""
     D, A = _cleared(p)
-    return Fraction(_value(_compile(mono_vector(poly)), _weights(D, A)), D * D)
+    return Fraction(_value(_compile(mono_vector(poly)), _weights(A)), D * D)
 
 
 # points with coprime and with common denominators, and an integer point
@@ -182,7 +181,7 @@ class TestParamPolynomial:
         assert _compile(mono_vector(ParamPolynomial())) == ()
         for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
             D, numerators = _cleared(point)
-            value = _value(_compile(mono_vector(ParamPolynomial())), _weights(D, numerators))
+            value = _value(_compile(mono_vector(ParamPolynomial())), _weights(numerators))
             assert type(value) is int and value == 0
         assert ParamPolynomial().is_zero
         assert (A - A).is_zero
@@ -212,11 +211,11 @@ class TestParamPolynomial:
             assert sympy.Rational(got.numerator, got.denominator) == expected
 
     def test_evaluate_matches_a_naive_fraction_product(self):
-        # negative coefficients on monomials of degree 0 to 2
+        # negative coefficients on the quadratic monomials
         rng = random.Random(19)
         points = EVALUATION_POINTS + admissible_samples(20, 20)
         for _ in range(100):
-            monos = rng.sample(MONOS, rng.randint(1, 6))
+            monos = rng.sample(QUAD_MONOS, rng.randint(1, 6))
             poly = ParamPolynomial({m: rng.randint(-30, 30) for m in monos})
             for point in points:
                 assert compiled_value(poly, point) == fraction_evaluate(poly, point), (poly, point)
@@ -224,10 +223,10 @@ class TestParamPolynomial:
     def test_integer_evaluate_is_the_value_over_the_square_of_d(self):
         rng = random.Random(20)
         for _ in range(50):
-            poly = ParamPolynomial({m: rng.randint(-30, 30) for m in rng.sample(MONOS, 6)})
+            poly = ParamPolynomial({m: rng.randint(-30, 30) for m in rng.sample(QUAD_MONOS, 6)})
             for point in EVALUATION_POINTS:
                 D, A = _cleared(point)
-                value = _value(_compile(mono_vector(poly)), _weights(D, A))
+                value = _value(_compile(mono_vector(poly)), _weights(A))
                 assert type(value) is int
                 assert value == integer_evaluate(poly, D, A), (poly, point)
                 assert value == D * D * fraction_evaluate(poly, point), (poly, point)
@@ -237,7 +236,7 @@ class TestParamPolynomial:
         for _ in range(50):
             poly = random_poly(rng)
             pairs = _compile(mono_vector(poly))
-            assert {MONOS[slot]: coeff for coeff, slot in pairs} == poly.terms
+            assert {QUAD_MONOS[slot]: coeff for coeff, slot in pairs} == poly.terms
             assert len(pairs) == len(poly.terms)
             # in slot order
             assert [slot for _, slot in pairs] == sorted(slot for _, slot in pairs)
@@ -280,10 +279,11 @@ class TestParamPolynomial:
             ParamPolynomial([((1, 0, 0, 0), 1)])
 
 
-REST = (0,) * (len(MONOS) - 1)
+REST = (0,) * (len(QUAD_MONOS) - 1)
 
 
 def series(budget, constants):
+    """Each int on the unit quadratic term ``a^2``, which is 1 at ``SCHIEMANN``."""
     return FormalQSeries(budget, {e: (c, *REST) for e, c in constants.items()})
 
 
@@ -302,7 +302,7 @@ class TestFormalQSeries:
         assert FormalQSeries(10).collapse(SCHIEMANN) == ()
 
     def test_collapse_evaluates_coefficients(self):
-        s = poly_series(4, {(1, 0, 0, 0): B - A})
+        s = poly_series(4, {(1, 0, 0, 0): A * (B - A)})
         assert s.collapse(SCHIEMANN) == ((Fraction(1), Fraction(6)),)
 
     def test_collapse_drops_cancellations(self):
@@ -390,13 +390,12 @@ COLLAPSE_POINTS = collapse_points(6, 200)
 
 
 def random_degree_two_series(seed: int, budget: int) -> FormalQSeries:
-    """Integer coefficients on every monomial of degree at most two,
-    constant and linear ones included."""
+    """Integer coefficients on six of the ten quadratic monomials."""
     rng = random.Random(seed)
     terms = {}
     for _ in range(40):
         e = tuple(rng.randint(0, budget // 4) for _ in range(4))
-        terms[e] = ParamPolynomial({m: rng.randint(-9, 9) for m in rng.sample(MONOS, 6)})
+        terms[e] = ParamPolynomial({m: rng.randint(-9, 9) for m in rng.sample(QUAD_MONOS, 6)})
     return poly_series(budget, terms)
 
 
@@ -409,7 +408,6 @@ def oracle_series():
         "delta-theta-40": delta_series(40, Route.FROM_THETA),
         "theta11-pairwise-24": theta11(fam.L1, 24, Kernel.PAIRWISE),
         "theta11-defining-24": theta11(fam.L1, 24, Kernel.DEFINING),
-        "rep-L2-40": rep_series(fam.L2, 40),
         "negated-delta-40": scale_series(delta_series(40), -1),
         "random-degree-two": random_degree_two_series(7, 16),
     }
@@ -457,8 +455,8 @@ class TestIntegerForm:
     def test_checked_and_trusted_vectors_give_equal_series(self):
         checked = FormalQSeries(4, {self.E: [2, *REST]})
         for series in (
-            FormalQSeries.from_vectors(4, {self.E: (2, *REST)}),
-            FormalQSeries.from_vectors(4, {self.E: [2, *REST]}),
+            FormalQSeries(4, {self.E: (2, *REST)}),
+            FormalQSeries._of_terms(4, {self.E: (2, *REST)}),
         ):
             assert series == checked and hash(series) == hash(checked)
             assert series.terms == {self.E: (2, *REST)}
@@ -466,14 +464,13 @@ class TestIntegerForm:
         assert checked != FormalQSeries(5, {self.E: (2, *REST)})
 
     def test_zero_vectors_give_the_empty_series(self):
-        zero = (0,) * len(MONOS)
+        zero = (0,) * len(QUAD_MONOS)
         empty = FormalQSeries(4)
-        assert FormalQSeries.from_vectors(4, {self.E: zero}) == empty
         assert FormalQSeries(4, {self.E: zero}) == empty
         assert empty.terms == {} and hash(empty) == hash(FormalQSeries(4))
 
     def test_coefficient_keeps_its_monomials(self):
-        poly = 3 * A * B - 5 * D + Poly({(0, 0, 0, 0): 7})
+        poly = 3 * A * B - 5 * D * D + 7 * A * C
         series = poly_series(4, {self.E: poly})
         assert series.coefficient(self.E) == poly
         assert series.coefficient((0, 1, 0, 0)).is_zero
@@ -482,14 +479,34 @@ class TestIntegerForm:
         "expo, vector",
         [(E, (Fraction(1, 2), *REST)), (E, (0.5, *REST)), (E, (True, *REST)), (E, (1, *REST, 1)),
          ((1, 0, -1, 0), (1, *REST)), ((True, 0, 0, 0), (1, *REST)), (E, 5)],
-        ids=["rational", "float", "bool", "sixteen-slots", "malformed-exponent", "bool-exponent",
+        ids=["rational", "float", "bool", "eleven-slots", "malformed-exponent", "bool-exponent",
              "number"],
     )
     def test_constructor_refuses(self, expo, vector):
-        # a rational is refused, not rounded; a sixteenth slot would be a
+        # a rational is refused, not rounded; an eleventh slot would be a
         # monomial of degree three
-        with pytest.raises(ValueError, match="15 ints on MONOS|four non-negative integers"):
+        with pytest.raises(ValueError, match="10 ints on QUAD_MONOS|four non-negative integers"):
             FormalQSeries(4, {expo: vector})
+
+    def test_refuses_fifteen_slots_by_name(self):
+        # the constant and four linear slots come before the quadratic ones
+        # in a fifteen-entry vector; a series holds no such slots
+        message = r"^coefficient at \(1, 0, 0, 0\) must be 10 ints on QUAD_MONOS, got "
+        with pytest.raises(ValueError, match=message):
+            FormalQSeries(4, {self.E: (1,) * 15})
+
+    @pytest.mark.parametrize(
+        "expo",
+        [(10.0, 10, 2, 2), (10, 10, 2), (-1, 0, 0, 0)],
+        ids=["float-entry", "three-entries", "negative-entry"],
+    )
+    def test_coefficient_refuses_a_malformed_exponent(self, expo):
+        # a float key would hash equal to (10, 10, 2, 2), and the others
+        # would read as the zero polynomial
+        series = delta_series(24)
+        assert not series.coefficient((10, 10, 2, 2)).is_zero
+        with pytest.raises(ValueError, match="four non-negative integers"):
+            series.coefficient(expo)
 
     def test_constructor_refuses_pairs_for_a_mapping(self):
         with pytest.raises(TypeError, match=r"^vectors must be a mapping, got list$"):
@@ -520,14 +537,14 @@ PRIMITIVE_IDS = sorted(PRIMITIVE_POINTS)
 
 
 def single_monomials():
-    """One polynomial per monomial of ``MONOS`` (degree 0, 1 and 2), each
-    with a coefficient of its own sign and size."""
-    return [ParamPolynomial({m: (-1) ** i * (i + 2)}) for i, m in enumerate(MONOS)]
+    """One polynomial per monomial of ``QUAD_MONOS``, each with a
+    coefficient of its own sign and size."""
+    return [ParamPolynomial({m: (-1) ** i * (i + 2)}) for i, m in enumerate(QUAD_MONOS)]
 
 
 # a product built by the test-side arithmetic of ``conftest.Poly``, which
 # makes polynomials through ``__new__`` and sets only ``terms``
-A_TIMES_B_MINUS_C = A * B - 3 * C + Poly({(0, 0, 0, 0): 5})
+A_TIMES_B_MINUS_C = A * (B - 3 * C)
 
 
 class TestPointPrimitives:
@@ -564,10 +581,10 @@ class TestPointPrimitives:
         D, A = _cleared(p)
         rng = random.Random(name)
         polys = single_monomials() + [
-            ParamPolynomial({m: rng.randint(-99, 99) for m in rng.sample(MONOS, k)})
-            for k in (2, 5, 15)
+            ParamPolynomial({m: rng.randint(-99, 99) for m in rng.sample(QUAD_MONOS, k)})
+            for k in (2, 5, 10)
         ]
-        W = _weights(D, A)
+        W = _weights(A)
         for poly in polys + [ParamPolynomial(), A_TIMES_B_MINUS_C]:
             value = _value(_compile(mono_vector(poly)), W)
             assert type(value) is int
@@ -578,32 +595,32 @@ class TestPointPrimitives:
     def test_collapse_matches_the_fraction_oracle(self, name):
         p = PRIMITIVE_POINTS[name]
         D, A = _cleared(p)
-        # each monomial alone at one of the fifteen nonzero 0/1 exponents,
+        # each monomial alone at one of the first ten nonzero 0/1 exponents,
         # several of which merge where coordinates tie
         exponents = list(product(range(2), repeat=4))[1:]
         monomials = poly_series(4, dict(zip(exponents, single_monomials())))
-        assert len(monomials) == len(MONOS)
+        assert len(monomials) == len(QUAD_MONOS)
         for series in (monomials, *map(oracle_series().get, ("delta-40", "random-degree-two"))):
-            collapsed = series._collapse(D, A)
+            collapsed = series._collapse(A)
             assert all(type(k) is int and type(v) is int for k, v in collapsed)
             fractions = tuple((Fraction(k, D), Fraction(v, D * D)) for k, v in collapsed)
             assert fractions == fraction_collapse(series, p)
             # the compiled collapse leads where the collapse does
             compiled = [(e, _compile(v)) for e, v in series.terms.items()]
             for terms in (compiled, compiled[::-1]):
-                assert _lead(terms, A, _weights(D, A)) == (collapsed[0] if collapsed else None)
+                assert _lead(terms, A, _weights(A)) == (collapsed[0] if collapsed else None)
 
     @pytest.mark.parametrize("name", PRIMITIVE_IDS)
     def test_lead_skips_keys_whose_values_cancel(self, name):
         # two terms that cancel at the least key, then one above it: the
         # collapse drops the cancelled key, and so does ``_lead``
-        p = PRIMITIVE_POINTS[name]
-        D, A = _cleared(p)
-        W = _weights(D, A)
-        one = _compile([1] + [0] * (len(MONOS) - 1))
-        minus_one = _compile([-1] + [0] * (len(MONOS) - 1))
+        _, A = _cleared(PRIMITIVE_POINTS[name])
+        W = _weights(A)
+        # on the unit term ``a^2``, whose weight is ``A_0^2``
+        one = _compile([1, *REST])
+        minus_one = _compile([-1, *REST])
         low, high = (1, 0, 0, 0), (0, 0, 0, 2)
-        assert _lead([(low, one), (high, one), (low, minus_one)], A, W) == (2 * A[3], D * D)
+        assert _lead([(low, one), (high, one), (low, minus_one)], A, W) == (2 * A[3], A[0] * A[0])
         assert _lead([(low, one), (low, minus_one)], A, W) is None
         assert _lead([], A, W) is None
 

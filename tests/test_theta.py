@@ -13,6 +13,7 @@ from isopair import (
     Lattice,
     ParamPoint,
     build_family,
+    collapse_counts,
     rep_series,
     theta11,
 )
@@ -21,6 +22,7 @@ from isopair.theta import QUAD_MONOS, defining_coeffs, pairwise_coeffs
 from isopair.verification import FORM_PROBES, SCHIEMANN
 
 from conftest import (
+    COPRIME,
     admissible_samples,
     evaluate,
     fraction_pairwise_kernel,
@@ -29,6 +31,7 @@ from conftest import (
     loop_defining_coeffs,
     loop_pairwise_coeffs,
     norm_poly,
+    sigma,
 )
 
 VECTORS = st.tuples(*[st.integers(-9, 9)] * 4)
@@ -44,16 +47,44 @@ def quad_coeffs(expr) -> list[int]:
     return [int(poly.coeff_monomial(mono)) for mono in QUAD_MONOS]
 
 
+# the representation numbers of both lattices at Schiemann's point, by
+# norm, from the vectors within budget 40
+SCHIEMANN_SPECTRUM_40 = {
+    0: 1, 48: 2, 96: 4, 120: 4, 144: 4, 168: 4, 192: 4, 216: 4, 240: 4,
+    288: 2, 312: 4, 336: 2, 360: 14, 384: 2, 408: 2, 504: 4, 552: 2, 600: 2,
+}
+
+
 class TestRepSeries:
-    def test_zero_vector_coefficient(self):
+    def test_zero_vector_count(self):
+        for lat in build_family():
+            assert rep_series(lat, 8)[(0, 0, 0, 0)] == 1
+
+    @pytest.mark.parametrize("budget", [8, 24, 40])
+    def test_counts_are_ints_that_sum_to_the_shell(self, budget):
+        for lat in build_family():
+            counts = rep_series(lat, budget)
+            assert all(type(n) is int and n > 0 for n in counts.values())
+            assert sum(counts.values()) == len(lat.vectors(budget))
+
+    def test_collapse_at_schiemann_keeps_its_values(self):
         fam = build_family()
-        for lat in fam:
-            series = rep_series(lat, 8)
-            assert evaluate(series.coefficient((0, 0, 0, 0)), SCHIEMANN) == 1
+        for lat in (fam.L1, fam.L2):
+            collapsed = collapse_counts(rep_series(lat, 40), SCHIEMANN)
+            assert dict(collapsed) == SCHIEMANN_SPECTRUM_40
+            assert all(type(x) is Fraction and type(n) is int for x, n in collapsed)
+
+    def test_collapse_matches_the_fraction_oracle(self):
+        counts = rep_series(build_family().L1, 40)
+        for p in [COPRIME, ParamPoint(1, 2, 3, 4)] + admissible_samples(61, 5):
+            merged = {}
+            for e, n in counts.items():
+                merged[sigma(e, p)] = merged.get(sigma(e, p), 0) + n
+            assert collapse_counts(counts, p) == tuple(sorted(merged.items())), p
 
     def test_collapsed_spectrum_of_l1(self):
         fam = build_family()
-        collapsed = rep_series(fam.L1, 12).collapse(SCHIEMANN)
+        collapsed = collapse_counts(rep_series(fam.L1, 12), SCHIEMANN)
         assert collapsed == (
             (Fraction(0), Fraction(1)),
             (Fraction(48), Fraction(2)),
@@ -70,16 +101,17 @@ class TestRepSeries:
     def test_pair_is_isospectral(self):
         fam = build_family()
         s1, s2 = rep_series(fam.L1, 24), rep_series(fam.L2, 24)
+        assert s1 == s2
         for p in [SCHIEMANN, ParamPoint(1, 2, 3, 4)] + admissible_samples(67, 5):
-            assert s1.collapse(p) == s2.collapse(p)
+            assert collapse_counts(s1, p) == collapse_counts(s2, p)
 
     def test_budget_completeness_guarantee(self):
         # with a = 1 every collapsed exponent <= T is already complete at
         # budget T, since the evaluated exponent dominates the coordinate
         # square sum a-fold
         fam = build_family()
-        small = rep_series(fam.L1, 40).collapse(SCHIEMANN)
-        large = rep_series(fam.L1, 48).collapse(SCHIEMANN)
+        small = collapse_counts(rep_series(fam.L1, 40), SCHIEMANN)
+        large = collapse_counts(rep_series(fam.L1, 48), SCHIEMANN)
         cut = tuple(entry for entry in large if entry[0] <= 40)
         assert tuple(entry for entry in small if entry[0] <= 40) == cut
 
@@ -194,7 +226,7 @@ class TestEvaluateAt:
 
     def test_rep_series_tends_to_one(self):
         fam = build_family()
-        collapsed = rep_series(fam.L1, 24).collapse(SCHIEMANN)
+        collapsed = collapse_counts(rep_series(fam.L1, 24), SCHIEMANN)
         assert collapsed[0] == (0, 1)
         assert all(x > 0 for x, _ in collapsed[1:])
 
