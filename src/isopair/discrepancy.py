@@ -34,9 +34,11 @@ anchor proves by walking the box ``[-6, 6]^4`` that holds them all; pairs
 of them from distinct classes realize the candidate leading exponents, and
 exactly two of the eighteen candidates are order-minimal.
 Their coefficients are -12(b-a)(d-c) and -96a(c-b), both strictly negative
-on the admissible cone, so the collapsed series has a nonzero leading
-coefficient at every pairwise-distinct positive parameter point: the pair
-is isospectral but never isometric there.
+on the admissible cone (``check_chain_form`` finds -12 x2 x4 and
+-96 x1 x3 in the chain coordinates of a sorted point), so the collapsed
+series has a nonzero leading coefficient at every pairwise-distinct
+positive parameter point: the pair is isospectral but never isometric
+there.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .lattices import (
     ALL_LABELS,
@@ -66,10 +69,7 @@ from .qarith import (
     ParamPoint,
     ParamPolynomial,
     _compile,
-    _lead,
     _sort_cleared,
-    _value,
-    _weights,
     check_budget,
     exp_below,
 )
@@ -81,9 +81,10 @@ from .theta import Kernel, pair_series, theta11
 # a typed ``lru_cache``, so a float budget never reads an int entry, and is
 # read six times per build, by the six class series.  The leading entry
 # (``_leading_data``, whose docstring says what it holds and checks) is
-# keyed by the route alone and read by every ``certify``: it is the same at
-# every budget of at least ``MIN_PAIR_BUDGET``, so it is built once per
-# route, from the budget-36 shell, and its bound is the number of routes.
+# keyed by the route alone, which hashes by identity, and read by every
+# ``certify``, once per call: it is the same at every budget of at least
+# ``MIN_PAIR_BUDGET``, so it is built once per route, from the budget-36
+# shell, and its bound is the number of routes.
 # Nothing else is read twice: each caller sums the class series
 # (``class_pair_series``) it reads once, six for ``delta_series`` and 81 for
 # ``check_relations``, and ``Lattice.vectors`` only rescans, so none of them
@@ -101,6 +102,11 @@ MIN_PAIR_BUDGET = 36
 class Route(enum.Enum):
     FROM_THETA = "theta"
     FROM_PSI_KERNEL = "psi"
+
+    # a member is equal only to itself, so the identity hash agrees with
+    # ``==``; it runs in C, where ``Enum.__hash__`` is a Python frame on
+    # every cached lookup keyed by a route
+    __hash__ = object.__hash__
 
 
 class Verdict(enum.Enum):
@@ -315,14 +321,46 @@ def minimal_rows(table: tuple[PairRow, ...]) -> tuple[PairRow, ...]:
     return _order_minimal(table, lambda row: row.exponent)
 
 
+# The chain substitution ``a = x1``, ``b = x1+x2``, ``c = x1+x2+x3``,
+# ``d = x1+x2+x3+x4`` on forms: row ``(u, v)`` of ``QUAD_SLOTS`` holds the
+# coefficient of ``x_u x_v`` in each ``p_s p_t``, in ``QUAD_SLOTS`` order.
+# A literal, so that no import computes it; the tests derive it with sympy.
+_CHAIN_MAP = (
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),  # x1*x1
+    (0, 1, 1, 1, 2, 2, 2, 2, 2, 2),  # x1*x2
+    (0, 0, 1, 1, 0, 1, 1, 2, 2, 2),  # x1*x3
+    (0, 0, 0, 1, 0, 0, 1, 0, 1, 2),  # x1*x4
+    (0, 0, 0, 0, 1, 1, 1, 1, 1, 1),  # x2*x2
+    (0, 0, 0, 0, 0, 1, 1, 2, 2, 2),  # x2*x3
+    (0, 0, 0, 0, 0, 0, 1, 0, 1, 2),  # x2*x4
+    (0, 0, 0, 0, 0, 0, 0, 1, 1, 1),  # x3*x3
+    (0, 0, 0, 0, 0, 0, 0, 0, 1, 2),  # x3*x4
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),  # x4*x4
+)
+
+
+def check_chain_form(e: Expo, vector) -> None:
+    """The paper's theorem at one leading row: the coefficient ``vector`` on
+    ``QUAD_MONOS`` at exponent ``e``, written in the chain coordinates of
+    ``_CHAIN_MAP``, has no positive and some negative coefficient.  At a
+    pairwise-distinct sorted point every ``x_i`` is positive, so every
+    ``x_u x_v`` is, and the coefficient is negative there.  A failure raises
+    ``AssertionError`` naming the row and the chain coefficient."""
+    chain = [sum(map(mul, row, vector)) for row in _CHAIN_MAP]
+    for (u, v), x in zip(QUAD_SLOTS, chain):
+        if x > 0:
+            raise AssertionError(
+                f"coefficient at {e} has chain coefficient {x} on x{u + 1}*x{v + 1}"
+            )
+    if not any(chain):
+        raise AssertionError(f"coefficient at {e} has no negative chain coefficient")
+
+
 @lru_cache(maxsize=len(Route))
-def _leading_data(
-    route: Route,
-) -> tuple[tuple[tuple[Expo, Compiled], ...], tuple[tuple[Expo, ParamPolynomial, Compiled], ...]]:
-    """The leading entry of a route: the head of the discrepancy series --
-    its terms at the order-minimal pair exponents -- and those exponents,
-    each with its coefficient polynomial, in the integer forms a point
-    needs.
+def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, Compiled], ...]:
+    """The leading entry of a route: the order-minimal pair exponents, each
+    with its coefficient polynomial and that coefficient in the integer form
+    a point needs.
 
     The entry is built once per route, from the series at
     ``MIN_PAIR_BUDGET`` and the pair table, and serves every budget of at
@@ -336,25 +374,24 @@ def _leading_data(
     exponents have a square sum of at most ``MIN_PAIR_BUDGET``, so that
     series holds their coefficients in full.
 
-    The head is a tuple of ``(exponent, pairs)``: each term's ``QUAD_MONOS``
-    vector compiled to (coefficient, slot) pairs (``qarith._compile``), the
-    form ``qarith._lead`` collapses and ``qarith._value`` evaluates.  The
-    rows are a tuple of ``(exponent, polynomial, pairs)``: the polynomial
-    ``series.coefficient(e)`` for the certificate, and the head's own pairs,
-    so each coefficient is compiled once and the per-point checks of
-    ``certify`` test the collapse, not the series.
+    The entry is a tuple of rows ``(exponent, polynomial, compiled)``: the
+    polynomial ``series.coefficient(e)`` for the certificate, and the
+    coefficient vector compiled once to (coefficient, s, t) triples
+    (``qarith._compile``), which ``certify`` sums over the point's
+    numerators.
 
-    The two checks against an independent source run here, once per entry,
-    on the budget-36 series.  Each stored coefficient must equal the direct
-    two-vector kernel of its row (``pair_discrepancy_vector``, in integers).
-    Every other exponent of the series must lie strictly above a row
-    exponent in the suffix order (``exp_below``); by the suffix-sum identity
-    such a term collapses strictly above that row at every sorted,
-    pairwise-distinct point, so the head's collapse leads exactly where the
-    whole series' collapse does, and no point needs the rest.  The tests
-    repeat that check on the whole series at larger budgets.  A failed
-    check raises ``AssertionError``, and ``lru_cache`` stores no exception,
-    so an inconsistent series fails every call, not only the first.
+    Three checks run here, once per entry, on the budget-36 series.  Each
+    stored coefficient must equal the direct two-vector kernel of its row
+    (``pair_discrepancy_vector``, in integers).  Every other exponent of the
+    series must lie strictly above a row exponent in the suffix order
+    (``exp_below``); by the suffix-sum identity such a term collapses
+    strictly above that row at every sorted, pairwise-distinct point, so the
+    rows lead exactly where the whole series does, and no point needs the
+    rest.  The tests repeat that check on the whole series at larger
+    budgets.  Each row's coefficient must pass ``check_chain_form``, so it
+    is negative at every pairwise-distinct point.  A failed check raises
+    ``AssertionError``, and ``lru_cache`` stores no exception, so an
+    inconsistent series fails every call, not only the first.
     """
     series = delta_series(MIN_PAIR_BUDGET, route)
     rows = minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))
@@ -367,8 +404,9 @@ def _leading_data(
     for e in series.terms:
         if e not in exponents and not any(exp_below(f, e) for f in exponents):
             raise AssertionError(f"exponent {e} does not lie above a minimal pair exponent")
-    head = tuple((e, _compile(series.terms[e])) for e in exponents)
-    return head, tuple((e, series.coefficient(e), pairs) for e, pairs in head)
+    for e in exponents:
+        check_chain_form(e, series.terms[e])
+    return tuple((e, series.coefficient(e), _compile(series.terms[e])) for e in exponents)
 
 
 class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):
@@ -426,23 +464,32 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     falls outside the family's hypothesis and gives an ``INCONCLUSIVE``
     certificate with no terms.  Distinct values are sorted into the
     canonical increasing chain, on the integer scale of ``qarith``, and the
-    leading entry of the route (``_leading_data``) gives the rows and the
-    head to collapse.  The budget is checked and recorded in the
-    certificate; the entry serves every budget of at least
-    ``MIN_PAIR_BUDGET``, so a certificate costs the same at every budget and
-    differs between budgets only in its ``budget`` field.  Two checks run on
-    every call, in this order: the head's collapse must lead at the least
-    row exponent at the point, and its coefficient must equal the sum of the
-    leading rows' values.
-    Ties are summed at their common collapsed exponent.  Fractions are built
-    only for the certificate's outputs.
+    leading entry of the route (``_leading_data``) gives the rows.  The
+    budget is checked and recorded in the certificate; the entry serves
+    every budget of at least ``MIN_PAIR_BUDGET``, so a certificate costs the
+    same at every budget and differs between budgets only in its ``budget``
+    field.  Each row's key ``e.A`` and value are computed once; the rows at
+    the least key lead, and a tie is summed at their common collapsed
+    exponent.  Fractions are built only for the certificate's outputs.
+
+    The theorem (the paper's): at a pairwise-distinct point the collapsed
+    discrepancy leads at the least row key with a negative coefficient.
+    Its premises are the entry's three checks, made once when it is built:
+    the rows' coefficients are the minimal-pair kernels, every other term
+    of the series lies strictly above a row, and each row's coefficient has
+    no positive and some negative coefficient in the chain coordinates
+    ``x1 = a``, ``x2 = b-a``, ``x3 = c-b``, ``x4 = d-c``
+    (``check_chain_form``), all positive at the sorted point, so every
+    leading value and a tie's sum are negative.  The one check made at
+    every point, that the leaders' sum is nonzero, therefore cannot fire at
+    a distinct point; it guards an entry altered after it was built.
 
     A warm call is one flat path: of the package it enters only this
-    function, ``_sort_cleared``, ``_weights``, ``_lead`` and ``_value``.
-    ``check_budget`` and ``check_route`` run only for a budget whose type
-    is not ``int`` or a route whose type is not ``Route``; a point with one
-    leading term values it directly, a tie sums its terms in a plain loop,
-    and each record is built from one tuple, as its constructor builds it.
+    function and ``_sort_cleared``.  ``check_budget`` and ``check_route``
+    run only for a budget whose type is not ``int`` or a route whose type is
+    not ``Route``; a point with one leading term values it directly, a tie
+    sums its terms in a plain loop, and each record is built from one
+    tuple, as its constructor builds it.
     """
     # the checks live in ``check_budget`` and ``check_route``; an int or a
     # Route passes them, and an Enum with members has no subclass
@@ -460,43 +507,33 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     a0, a1, a2, a3 = A
     if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
         return Certificate(tuple(p), ordered, permutation, budget)
-    head, rows = _leading_data(route)
-    # the rows at the least key e.A, D times their collapsed exponent
+    # each row's key e.A, D times its collapsed exponent, and its value,
+    # D^2 times its coefficient; the leaders are the rows at the least key
     min_key = None
-    for row in rows:
-        n0, n1, n2, n3 = row[0]
+    for e, poly, compiled in _leading_data(route):
+        n0, n1, n2, n3 = e
         key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
+        value = 0
+        for coeff, s, t in compiled:
+            value += coeff * A[s] * A[t]
         if min_key is None or key < min_key:
-            min_key, leaders = key, [row]
+            min_key, leaders = key, [(e, poly, value)]
         elif key == min_key:
-            leaders.append(row)
+            leaders.append((e, poly, value))
 
-    W = _weights(A)
-    # (D * exponent, D^2 * coefficient) of the head's collapse
-    lead = _lead(head, A, W)
-    if lead is None or lead[0] != min_key:
-        raise AssertionError("collapsed series does not lead at the minimal pair exponent")
-
-    # the terms' values are integers over D^2, as the head's coefficient is;
-    # ``_lead`` skips zero sums, so a checked total is nonzero
-    coefficient = lead[1]
     square = D * D
     if len(leaders) == 1:
-        (e, poly, pairs), = leaders
-        if coefficient != _value(pairs, W):
-            raise AssertionError("leading coefficient does not match the certificate terms")
-        # the check proved the term's value equal to the total
+        (e, poly, coefficient), = leaders
         total = Fraction(coefficient, square)
         terms = (tuple.__new__(CertTerm, (e, poly, total)),)
     else:  # a tie: the leaders' values sum at one exponent
-        terms, value_sum = [], 0
-        for e, poly, pairs in leaders:
-            value = _value(pairs, W)
-            value_sum += value
+        terms, coefficient = [], 0
+        for e, poly, value in leaders:
+            coefficient += value
             terms.append(tuple.__new__(CertTerm, (e, poly, Fraction(value, square))))
-        if coefficient != value_sum:
-            raise AssertionError("leading coefficient does not match the certificate terms")
         terms, total = tuple(terms), Fraction(coefficient, square)
+    if not coefficient:
+        raise AssertionError("collapsed series does not lead at the minimal pair exponent")
     return tuple.__new__(Certificate, (
         tuple(p), ordered, permutation, budget,
         Fraction(min_key, D), terms, total, Verdict.NON_ISOMETRIC,

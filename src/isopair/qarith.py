@@ -20,10 +20,10 @@ the integer ``n.A`` over ``D``, and a coefficient vector ``v`` on
 ``QUAD_MONOS`` is the integer ``v.W`` over ``D^2``, for the weights
 ``W = (A_s*A_t)`` of ``_weights``.  A caller that meets the same few
 coefficients at many points compiles each vector once into
-(coefficient, slot) pairs, the slot of each nonzero entry in ``QUAD_MONOS``
-(``_compile``); at each point it then takes ``W`` once, gets the lead of a
-compiled collapse (``_lead``) and each compiled value (``_value``) from a
-few integer products, and builds Fractions only for its outputs.
+(coefficient, s, t) triples, one per nonzero entry, ``p_s*p_t`` its
+monomial (``_compile``); at each point it then sums
+``coefficient * A[s] * A[t]`` over the triples, builds no weights, and
+builds Fractions only for its outputs.
 
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
@@ -56,8 +56,8 @@ from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
-# a coefficient compiled to (coefficient, slot) pairs on ``QUAD_MONOS``
-Compiled = tuple[tuple[int, int], ...]
+# a coefficient compiled to (coefficient, s, t) triples on ``QUAD_SLOTS``
+Compiled = tuple[tuple[int, int, int], ...]
 
 PARAM_NAMES = ("a", "b", "c", "d")
 
@@ -174,44 +174,11 @@ def _weights(A: Sequence[int]) -> tuple[int, ...]:
 
 
 def _compile(vector: Sequence[int]) -> Compiled:
-    """A coefficient vector on ``QUAD_MONOS`` as the (coefficient, slot) pairs of
-    its nonzero entries, the form ``_value`` and ``_lead`` read."""
-    return tuple((x, slot) for slot, x in enumerate(vector) if x)
-
-
-def _value(pairs: Compiled, W: Sequence[int]) -> int:
-    """A compiled coefficient at the point whose weights are ``W``: the sum
-    of ``coefficient * W[slot]``, the integer over ``D^2``."""
-    total = 0
-    for coeff, slot in pairs:
-        total += coeff * W[slot]
-    return total
-
-
-def _lead(
-    terms: Sequence[tuple[Expo, Compiled]], A: Sequence[int], W: Sequence[int]
-) -> tuple[int, int] | None:
-    """``_collapse(A)[0]`` for the series of compiled terms, ``(exponent,
-    pairs)`` with ``pairs`` from ``_compile``, or None where that collapse
-    is empty; ``W`` is ``_weights(A)``.
-
-    The terms are taken in the order of their keys ``e.A``; values merge at
-    equal keys, and the first key whose merged value is nonzero leads, so no
-    term above it is evaluated.
-    """
-    a0, a1, a2, a3 = A
-    keyed = []
-    for (n0, n1, n2, n3), pairs in terms:
-        keyed.append((n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3, pairs))
-    keyed.sort()
-    lead, total = None, 0
-    for key, pairs in keyed:
-        if key != lead:
-            if total:
-                break
-            lead = key
-        total += _value(pairs, W)
-    return (lead, total) if total else None
+    """A coefficient vector on ``QUAD_MONOS`` as the (coefficient, s, t)
+    triples of its nonzero entries, ``p_s*p_t`` the entry's monomial: at the
+    point cleared to ``(D, A)`` the sum of ``coefficient * A[s] * A[t]`` is
+    the coefficient's value times ``D^2``."""
+    return tuple((x, s, t) for (s, t), x in zip(QUAD_SLOTS, vector) if x)
 
 
 def check_expo(e) -> Expo:

@@ -24,7 +24,9 @@ seven vectors and reads no shell.  Truncations remain where no finite
 premise is checked: ``isospectrality`` also compares the two lattices'
 vector counts up to the requested budget, ``route equivalence`` compares
 the two discrepancy routes at budget 24, and ``leading coefficients`` reads a
-certificate, whose leading entry is built from the budget-36 series.  The
+certificate, whose leading entry is built from the budget-36 series; it
+checks again that each of the certificate's coefficients is negative in
+the chain coordinates (``check_chain_form``), the paper's theorem.  The
 tests keep the series-level checks: ``theta11`` under both kernels, the
 relations over all 81 ordered label pairs (``check_relations``) and the
 81-pair decomposition sum.
@@ -49,6 +51,7 @@ from .discrepancy import (
     _class_slots,
     _order_minimal,
     certify,
+    check_chain_form,
     delta_series,
     minimal_pair_table,
     minimal_rows,
@@ -70,7 +73,7 @@ from .lattices import (
     phi,
     psi,
 )
-from .qarith import ParamPoint, check_budget
+from .qarith import QUAD_MONOS, ParamPoint, check_budget
 from .theta import defining_coeffs, pairwise_coeffs, rep_series
 
 LEADING_EXPONENTS = ((10, 10, 2, 2), (25, 5, 5, 1))
@@ -374,6 +377,9 @@ def _check_leading(budget: int) -> None:
     if cert.verdict is not Verdict.NON_ISOMETRIC:
         raise AssertionError(f"verdict {cert.verdict.value} at the integral example")
     found = [(term.exponent_vector, term.polynomial) for term in cert.terms]
+    # the theorem: each leading coefficient is negative in chain coordinates
+    for e, poly in found:
+        check_chain_form(e, [poly.terms.get(mono, 0) for mono in QUAD_MONOS])
     if [(e, poly.terms) for e, poly in found] != list(zip(LEADING_EXPONENTS, LEADING_POLYNOMIALS)):
         raise AssertionError("; ".join(f"coefficient at {e} is {poly}" for e, poly in found))
     if (cert.min_exponent, cert.total) != SCHIEMANN_TERM:

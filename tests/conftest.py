@@ -16,7 +16,7 @@ from isopair import (
     psi,
 )
 from isopair.discrepancy import _leading_data
-from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _cleared, _compile
+from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _cleared
 
 settings.register_profile("exact", deadline=None, max_examples=100)
 settings.load_profile("exact")
@@ -268,19 +268,19 @@ SMALL = ParamPoint(1, 2, 3, 4)
 COPRIME = ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4))
 
 
-def doubled_head(route):
-    """``_leading_data`` with the head's coefficients at both rows doubled:
-    the collapse still leads at the minimal row, with twice the terms' sum."""
-    head, rows = _leading_data(route)
-    return tuple((e, tuple((2 * coeff, slot) for coeff, slot in pairs)) for e, pairs in head), rows
+def cancelling_tie(route):
+    """``_leading_data`` with its second row's compiled form replaced by the
+    first row's, negated: where the two rows tie, as at ``SCHIEMANN``, the
+    leaders' values sum to zero."""
+    first, (e, poly, _) = _leading_data(route)
+    return first, (e, poly, tuple((-coeff, s, t) for coeff, s, t in first[2]))
 
 
-def head_below_the_rows(route):
-    """``_leading_data`` with a head term at (1, 0, 0, 0), coefficient 1 on
-    the monomial ``a^2``, which collapses to the exponent ``a``, below both
-    rows at every sorted point."""
-    head, rows = _leading_data(route)
-    return (*head, ((1, 0, 0, 0), _compile([1] + [0] * (len(QUAD_MONOS) - 1)))), rows
+def zero_second_row(route):
+    """``_leading_data`` with its second row's compiled form empty: where
+    that row leads alone, as at ``COPRIME``, the leading value is zero."""
+    first, (e, poly, _) = _leading_data(route)
+    return first, (e, poly, ())
 
 
 def generator_normalize(w):

@@ -23,6 +23,7 @@ import pytest
 
 from isopair import (
     ParamPoint,
+    ParamPolynomial,
     Route,
     Verdict,
     build_family,
@@ -328,6 +329,23 @@ def test_missing_leading_term_fails_its_anchor(monkeypatch):
     failed = failures(run_verification(MIN_PAIR_BUDGET))
     assert list(failed) == ["leading coefficients"]
     assert failed["leading coefficients"].startswith("coefficient at (10, 10, 2, 2) is ")
+
+
+def test_positive_chain_coefficient_fails_its_anchor(monkeypatch):
+    # the certificate with its first coefficient negated, +12(b-a)(d-c): the
+    # anchor checks the theorem on the terms it reads, before it compares them
+    certify = verification.certify
+
+    def negated_first(*args):
+        cert = certify(*args)
+        first = cert.terms[0]
+        poly = ParamPolynomial({mono: -x for mono, x in first.polynomial.terms.items()})
+        return cert._replace(terms=(first._replace(polynomial=poly), *cert.terms[1:]))
+
+    monkeypatch.setattr(verification, "certify", negated_first)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {
+        "leading coefficients": "coefficient at (10, 10, 2, 2) has chain coefficient 12 on x2*x4"
+    }
 
 
 def test_missing_spectrum_term_fails_its_anchor(monkeypatch):

@@ -10,7 +10,7 @@ from isopair import cli
 from isopair.cli import main
 from isopair.verification import SCHIEMANN_TERM
 
-from conftest import doubled_head, head_below_the_rows
+from conftest import cancelling_tie, zero_second_row
 
 
 def run(capsys, *argv):
@@ -216,28 +216,28 @@ class TestCertify:
         assert budgets == [isopair.discrepancy.MIN_PAIR_BUDGET]
 
     @pytest.mark.parametrize(
-        "leading_data, message",
+        "leading_data, params",
         [
-            (doubled_head, "leading coefficient does not match the certificate terms"),
-            (head_below_the_rows, "collapsed series does not lead at the minimal pair exponent"),
+            (cancelling_tie, ("1", "7", "13", "19")),
+            (zero_second_row, ("1/7", "2/9", "5/11", "13/4")),
         ],
-        ids=["total", "exponent"],
+        ids=["tie", "one-leader"],
     )
-    @pytest.mark.parametrize(
-        "params",
-        [("1", "7", "13", "19"), ("1/7", "2/9", "5/11", "13/4")],
-        ids=["integer", "coprime"],
-    )
-    def test_per_point_check_failure_exits_1(
-        self, capsys, monkeypatch, leading_data, message, params
-    ):
-        # the two checks certify makes at every point
+    def test_cancelling_leaders_exit_1(self, capsys, monkeypatch, leading_data, params):
+        # the one check certify makes at every point: the leaders' sum
         import isopair.discrepancy
 
         monkeypatch.setattr(isopair.discrepancy, "_leading_data", leading_data)
+        message = (
+            "internal consistency failure: "
+            "collapsed series does not lead at the minimal pair exponent"
+        )
         code, out, err = run(capsys, "certify", "--params", *params)
         assert code == 1 and out == ""
-        assert err == f"error: internal consistency failure: {message}\n"
+        assert err == f"error: {message}\n"
+        code, out, err = run(capsys, "certify", "--params", *params, "--format", "json")
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"] == message
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(

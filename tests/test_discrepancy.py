@@ -44,8 +44,10 @@ from isopair.discrepancy import (
     MIN_PAIR_BUDGET,
     CertTerm,
     RelationReport,
+    _CHAIN_MAP,
     _labelled_shell,
     _leading_data,
+    check_chain_form,
     check_route,
     pair_discrepancy_vector,
 )
@@ -65,19 +67,19 @@ from conftest import (
     VARIABLES,
     add_series,
     admissible_samples,
+    cancelling_tie,
     collapse_points,
-    doubled_head,
     evaluate,
     fraction_collapse,
     fraction_delta,
     fraction_evaluate,
     fraction_pair_sum,
-    head_below_the_rows,
     mono_vector,
     pair_discrepancy_kernel,
     poly_series,
     scale_series,
     sigma,
+    zero_second_row,
 )
 
 BOLD_FIRST, BOLD_SECOND = LEADING_EXPONENTS
@@ -592,15 +594,34 @@ class TestCertify:
             finally:
                 sys.setprofile(None)
             assert len(cert.terms) == terms
-            assert entered == {"certify", "_sort_cleared", "_weights", "_lead", "_value"}
+            assert entered == {"certify", "_sort_cleared"}
+
+    def test_warm_certify_hashes_its_route_by_identity(self):
+        # the leading entry is keyed by the route, whose hash runs no
+        # Python frame: ``Enum.__hash__`` in enum.py would, once per call
+        for route in Route:
+            assert hash(route) == object.__hash__(route)
+            certify(SCHIEMANN, 40, route)
+            files = set()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    files.add(os.path.basename(frame.f_code.co_filename))
+
+            sys.setprofile(profile)
+            try:
+                certify(SCHIEMANN, 40, route)
+            finally:
+                sys.setprofile(None)
+            assert "enum.py" not in files, files
 
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
         # a warm certify works on the compiled integer forms of its leading
-        # entry: the point is cleared and sorted once per call, the head's
-        # collapse is led once per call, and each term's compiled polynomial
-        # is evaluated once for its value; polynomials have no arithmetic,
-        # and nothing collapses a whole series or clears the point again
-        calls = {name: 0 for name in ("_sort_cleared", "_lead", "_value", "_cleared", "_collapse")}
+        # entry: the point is cleared and sorted once per call and the entry
+        # is read once per call; polynomials have no arithmetic, and nothing
+        # builds weights, collapses a whole series or clears the point again
+        names = ("_sort_cleared", "_leading_data", "_weights", "_cleared", "_collapse")
+        calls = {name: 0 for name in names}
 
         def counted(name, function):
             def call(*args):
@@ -612,9 +633,10 @@ class TestCertify:
         for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "evaluate"):
             assert not hasattr(ParamPolynomial, name), name
         certify(SCHIEMANN, 40)
-        for name in ("_sort_cleared", "_lead", "_value"):
+        for name in ("_sort_cleared", "_leading_data"):
             monkeypatch.setattr(discrepancy, name, counted(name, getattr(discrepancy, name)))
-        monkeypatch.setattr(qarith, "_cleared", counted("_cleared", qarith._cleared))
+        for name in ("_weights", "_cleared"):
+            monkeypatch.setattr(qarith, name, counted(name, getattr(qarith, name)))
         monkeypatch.setattr(
             FormalQSeries, "_collapse", counted("_collapse", FormalQSeries._collapse)
         )
@@ -624,8 +646,8 @@ class TestCertify:
         # the tie points of ``collapse_points`` give two terms
         assert terms == len(points) + len(points) // 4
         assert calls == {
-            "_sort_cleared": len(points), "_lead": len(points), "_value": terms,
-            "_cleared": 0, "_collapse": 0,
+            "_sort_cleared": len(points), "_leading_data": len(points),
+            "_weights": 0, "_cleared": 0, "_collapse": 0,
         }
 
     def test_budget_below_threshold_rejected(self):
@@ -767,15 +789,14 @@ class TestLeadingData:
         ],
         ids=["psi-36", "psi-40", "psi-80", "psi-160", "theta-40"],
     )
-    def test_head_leads_where_the_whole_series_does(self, budget, route, count):
+    def test_rows_lead_where_the_whole_series_does(self, budget, route, count):
         series = delta_series(budget, route)
-        head, rows = _leading_data(route)
-        assert dict(head) == {e: _compile(series.terms[e]) for e in LEADING_EXPONENTS}
-        assert [row[:2] for row in rows] == [(e, series.coefficient(e)) for e in LEADING_EXPONENTS]
-        # each coefficient is compiled once: the rows hold the head's pairs,
-        # which are the compiled form of the row's polynomial
-        assert all(row[2] is pairs for row, (_, pairs) in zip(rows, head, strict=True))
-        assert all(pairs == _compile(mono_vector(poly)) for _, poly, pairs in rows)
+        rows = _leading_data(route)
+        assert rows == tuple(
+            (e, series.coefficient(e), _compile(series.terms[e])) for e in LEADING_EXPONENTS
+        )
+        # the compiled form of each row is that of its polynomial
+        assert all(compiled == _compile(mono_vector(poly)) for _, poly, compiled in rows)
         for p in collapse_points(337, count):
             cert = certify(p, budget, route)
             ordered = ParamPoint(*cert.sorted_params)
@@ -797,36 +818,27 @@ class TestLeadingData:
         # the whole series at a larger budget: every exponent is a row's or
         # lies strictly above one
         series = delta_series(budget, route)
-        _, rows = _leading_data(route)
-        exponents = tuple(e for e, _, _ in rows)
+        exponents = tuple(e for e, _, _ in _leading_data(route))
         assert exponents == LEADING_EXPONENTS
         for e in series.terms:
             assert e in exponents or any(exp_below(f, e) for f in exponents), e
 
-    @pytest.mark.parametrize("point, terms", [(SCHIEMANN, 2), (COPRIME, 1)], ids=["integer", "coprime"])
-    def test_doubled_head_fails_the_total_check(self, monkeypatch, point, terms):
-        # the head's coefficient at a leading row no longer matches the terms;
-        # a tie and a one-term point check it on both of certify's branches
+    @pytest.mark.parametrize(
+        "leading_data, point, terms",
+        [(cancelling_tie, SCHIEMANN, 2), (zero_second_row, COPRIME, 1)],
+        ids=["tie", "one-leader"],
+    )
+    def test_cancelling_leaders_fail_every_call(self, monkeypatch, leading_data, point, terms):
+        # the leaders' values sum to zero, at a tie and at a one-term point,
+        # so the collapse does not lead at the least row key
         assert len(certify(point, 40).terms) == terms
-        monkeypatch.setattr(discrepancy, "_leading_data", doubled_head)
-        for _ in range(2):
-            with pytest.raises(
-                AssertionError, match=r"^leading coefficient does not match the certificate terms$"
-            ):
-                certify(point, 40)
-
-    @pytest.mark.parametrize("point, terms", [(SCHIEMANN, 2), (COPRIME, 1)], ids=["integer", "coprime"])
-    def test_head_term_below_the_rows_fails_the_exponent_check(self, monkeypatch, point, terms):
-        # a head term that collapses below both rows leads the collapse; a
-        # tie and a one-term point check it ahead of both of certify's branches
-        assert len(certify(point, 40).terms) == terms
-        monkeypatch.setattr(discrepancy, "_leading_data", head_below_the_rows)
-        for _ in range(2):
+        monkeypatch.setattr(discrepancy, "_leading_data", leading_data)
+        for route in (*Route, *Route):
             with pytest.raises(
                 AssertionError,
                 match=r"^collapsed series does not lead at the minimal pair exponent$",
             ):
-                certify(point, 40)
+                certify(point, 40, route)
 
     def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
         below = (1, 0, 0, 0)
@@ -886,9 +898,19 @@ class TestChainCoordinates:
             expected = [int(form.coeff_monomial(mono)) for mono in QUAD_MONOS]
             assert [row[column] for row in CHAIN_MAP] == expected, (s, t)
 
+    @given(admissible_points())
+    def test_every_row_value_is_negative_at_a_sorted_point(self, p):
+        ordered = ParamPoint(*sorted(p))
+        for route in Route:
+            for _, poly, _ in _leading_data(route):
+                assert fraction_evaluate(poly, ordered) < 0, (route, poly)
+
+    def test_package_chain_map_is_the_checked_one(self):
+        assert _CHAIN_MAP == CHAIN_MAP
+
     @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
     def test_leading_rows_are_negative_chain_monomials(self, route):
-        _, rows = _leading_data(route)
+        rows = _leading_data(route)
         chains = {e: chain_form(mono_vector(poly)) for e, poly, _ in rows}
         # -12 x2 x4 and -96 x1 x3
         expected = {BOLD_FIRST: {(1, 3): -12}, BOLD_SECOND: {(0, 2): -96}}
@@ -900,11 +922,50 @@ class TestChainCoordinates:
     def test_a_positive_mutant_row_fails(self):
         # +24(b - a)(d - c) turns the row -12(b - a)(d - c) into +12 x2 x4
         a, b, c, d = VARIABLES
-        (e, poly, _), _ = _leading_data(Route.FROM_PSI_KERNEL)[1]
+        (e, poly, _), _ = _leading_data(Route.FROM_PSI_KERNEL)
         assert e == BOLD_FIRST
         mutant = mono_vector(24 * (b - a) * (d - c) + poly)
         assert chain_form(mutant) == [12 if slot == (1, 3) else 0 for slot in QUAD_SLOTS]
         assert not negative_in_chain_coordinates(mutant)
+        with pytest.raises(
+            AssertionError,
+            match=r"^coefficient at \(10, 10, 2, 2\) has chain coefficient 12 on x2\*x4$",
+        ):
+            check_chain_form(e, mutant)
+
+    def test_a_zero_row_fails(self):
+        with pytest.raises(
+            AssertionError,
+            match=r"^coefficient at \(10, 10, 2, 2\) has no negative chain coefficient$",
+        ):
+            check_chain_form(BOLD_FIRST, [0] * len(QUAD_MONOS))
+
+    def test_a_positive_mutant_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
+        # the mutant in the series and in the minimal-pair kernel alike, so
+        # that the kernel and domination checks pass and the chain check fails
+        a, b, c, d = VARIABLES
+        shift = mono_vector(24 * (b - a) * (d - c))
+        good_series, good_kernel = delta_series, pair_discrepancy_vector
+
+        def series(budget, route):
+            extra = FormalQSeries(budget, {BOLD_FIRST: shift})
+            return add_series(good_series(budget, route), extra)
+
+        def kernel(l, k):
+            vector = good_kernel(l, k)
+            if tuple(x + y for x, y in zip(phi(l), phi(k))) == BOLD_FIRST:
+                return tuple(x + y for x, y in zip(vector, shift))
+            return vector
+
+        monkeypatch.setattr(discrepancy, "delta_series", series)
+        monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", kernel)
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError,
+                match=r"^coefficient at \(10, 10, 2, 2\) has chain coefficient 12 on x2\*x4$",
+            ):
+                certify(SCHIEMANN, 40)
+        assert _leading_data.cache_info().currsize == 0
 
 
 def _moved(x, tau):

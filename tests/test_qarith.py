@@ -25,11 +25,10 @@ from isopair import (
 )
 from isopair.qarith import (
     QUAD_MONOS,
+    QUAD_SLOTS,
     _cleared,
     _compile,
-    _lead,
     _sort_cleared,
-    _value,
     _weights,
     exact,
 )
@@ -155,10 +154,16 @@ def random_poly(rng):
     return Poly({mono: rng.randint(-9, 9) for mono in rng.sample(QUAD_MONOS, rng.randint(0, 5))})
 
 
+def compiled_integer(compiled, A) -> int:
+    """A compiled coefficient at the point cleared to ``(D, A)``, summed as
+    ``certify`` sums a leading row: the value times ``D^2``."""
+    return sum(coeff * A[s] * A[t] for coeff, s, t in compiled)
+
+
 def compiled_value(poly: ParamPolynomial, p: ParamPoint) -> Fraction:
     """The value of a polynomial at a point through its compiled form."""
     D, A = _cleared(p)
-    return Fraction(_value(_compile(mono_vector(poly)), _weights(A)), D * D)
+    return Fraction(compiled_integer(_compile(mono_vector(poly)), A), D * D)
 
 
 # points with coprime and with common denominators, and an integer point
@@ -181,7 +186,7 @@ class TestParamPolynomial:
         assert _compile(mono_vector(ParamPolynomial())) == ()
         for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
             D, numerators = _cleared(point)
-            value = _value(_compile(mono_vector(ParamPolynomial())), _weights(numerators))
+            value = compiled_integer(_compile(mono_vector(ParamPolynomial())), numerators)
             assert type(value) is int and value == 0
         assert ParamPolynomial().is_zero
         assert (A - A).is_zero
@@ -226,7 +231,7 @@ class TestParamPolynomial:
             poly = ParamPolynomial({m: rng.randint(-30, 30) for m in rng.sample(QUAD_MONOS, 6)})
             for point in EVALUATION_POINTS:
                 D, A = _cleared(point)
-                value = _value(_compile(mono_vector(poly)), _weights(A))
+                value = compiled_integer(_compile(mono_vector(poly)), A)
                 assert type(value) is int
                 assert value == integer_evaluate(poly, D, A), (poly, point)
                 assert value == D * D * fraction_evaluate(poly, point), (poly, point)
@@ -235,11 +240,13 @@ class TestParamPolynomial:
         rng = random.Random(21)
         for _ in range(50):
             poly = random_poly(rng)
-            pairs = _compile(mono_vector(poly))
-            assert {QUAD_MONOS[slot]: coeff for coeff, slot in pairs} == poly.terms
-            assert len(pairs) == len(poly.terms)
+            triples = _compile(mono_vector(poly))
+            slots = [QUAD_SLOTS.index((s, t)) for _, s, t in triples]
+            terms = {QUAD_MONOS[slot]: coeff for (coeff, _, _), slot in zip(triples, slots)}
+            assert terms == poly.terms
+            assert len(triples) == len(poly.terms)
             # in slot order
-            assert [slot for _, slot in pairs] == sorted(slot for _, slot in pairs)
+            assert slots == sorted(slots)
 
     def test_exact_returns_a_fraction_unchanged(self):
         x = Fraction(-22, 7)
@@ -584,9 +591,8 @@ class TestPointPrimitives:
             ParamPolynomial({m: rng.randint(-99, 99) for m in rng.sample(QUAD_MONOS, k)})
             for k in (2, 5, 10)
         ]
-        W = _weights(A)
         for poly in polys + [ParamPolynomial(), A_TIMES_B_MINUS_C]:
-            value = _value(_compile(mono_vector(poly)), W)
+            value = compiled_integer(_compile(mono_vector(poly)), A)
             assert type(value) is int
             assert value == integer_evaluate(poly, D, A), poly
             assert Fraction(value, D * D) == fraction_evaluate(poly, p), poly
@@ -605,24 +611,22 @@ class TestPointPrimitives:
             assert all(type(k) is int and type(v) is int for k, v in collapsed)
             fractions = tuple((Fraction(k, D), Fraction(v, D * D)) for k, v in collapsed)
             assert fractions == fraction_collapse(series, p)
-            # the compiled collapse leads where the collapse does
-            compiled = [(e, _compile(v)) for e, v in series.terms.items()]
-            for terms in (compiled, compiled[::-1]):
-                assert _lead(terms, A, _weights(A)) == (collapsed[0] if collapsed else None)
 
     @pytest.mark.parametrize("name", PRIMITIVE_IDS)
-    def test_lead_skips_keys_whose_values_cancel(self, name):
-        # two terms that cancel at the least key, then one above it: the
-        # collapse drops the cancelled key, and so does ``_lead``
+    def test_compiled_triples_agree_with_the_weights(self, name):
+        # ``certify`` sums a row's triples over ``A``, and ``_collapse`` dots
+        # a vector with ``_weights(A)``: the two scales agree on every vector
         _, A = _cleared(PRIMITIVE_POINTS[name])
         W = _weights(A)
-        # on the unit term ``a^2``, whose weight is ``A_0^2``
-        one = _compile([1, *REST])
-        minus_one = _compile([-1, *REST])
-        low, high = (1, 0, 0, 0), (0, 0, 0, 2)
-        assert _lead([(low, one), (high, one), (low, minus_one)], A, W) == (2 * A[3], A[0] * A[0])
-        assert _lead([(low, one), (low, minus_one)], A, W) is None
-        assert _lead([], A, W) is None
+        assert len(W) == len(QUAD_MONOS)
+        rng = random.Random(name)
+        vectors = [mono_vector(poly) for poly in single_monomials()] + [
+            [rng.randint(-99, 99) for _ in QUAD_MONOS] for _ in range(20)
+        ]
+        for vector in vectors:
+            value = compiled_integer(_compile(vector), A)
+            assert type(value) is int
+            assert value == sum(w * x for w, x in zip(W, vector)), vector
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("bad", [0, -3, "-1/2"], ids=["zero", "negative", "negative-half"])
