@@ -12,8 +12,8 @@ kernel of an ordered class pair is ``4 x_s x_t p_s p_t`` summed over the
 coordinate slots ``s < t`` where the product ``f`` of the two sign matrices
 differs, with ``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class
 series are integer sums, and they stay integer vectors through
-``delta_series`` and the collapse in ``certify``; only the certificate terms
-become polynomials.
+``delta_series`` and the compiled rows that ``certify`` evaluates; only the
+certificate terms become polynomials.
 
 The class restriction: the whole series is the sum of the six class series
 with distinct positive representatives, exactly at every budget, not only
@@ -76,23 +76,16 @@ from .qarith import (
 from .theta import Kernel, pair_series, theta11
 
 
-# Two facts are cached; neither depends on the point, and each is read
-# again.  The labelled shell (``_labelled_shell``) is keyed by the budget in
-# a typed ``lru_cache``, so a float budget never reads an int entry, and is
-# read six times per build, by the six class series.  The leading entry
-# (``_leading_data``, whose docstring says what it holds and checks) is
-# keyed by the route alone, which hashes by identity, and read by every
-# ``certify``, once per call: it is the same at every budget of at least
+# One fact is cached: the leading entry (``_leading_data``, whose docstring
+# says what it holds and checks), keyed by the route alone, which hashes by
+# identity.  It is the same at every point and every budget of at least
 # ``MIN_PAIR_BUDGET``, so it is built once per route, from the budget-36
-# shell, and its bound is the number of routes.
-# Nothing else is read twice: each caller sums the class series
-# (``class_pair_series``) it reads once, six for ``delta_series`` and 81 for
-# ``check_relations``, and ``Lattice.vectors`` only rescans, so none of them
-# keeps a cache.  ``SHELL_CACHE`` counts shells: ``verify`` meets two
-# (budget 24 and the leading entry's 36) and a certify batch one, so none
-# of this traffic evicts; a process sweeping budgets keeps the most recent
-# shells.
-SHELL_CACHE = 8
+# series, and read by every ``certify``.  No second call would read a
+# labelled shell, so none is kept: ``delta_series`` and ``check_relations``
+# label one per call (``_labelled_shell``) and sum each class series they
+# read from it once, six and 81.  A ``certify`` process labels one shell
+# (36; none on the theta route), ``delta`` one, ``verify`` two (24 and 36)
+# and a warm certify batch none after its first call.
 
 # The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
 # whose series holds both leading coefficients in full.
@@ -123,12 +116,11 @@ def pair_discrepancy_vector(l, k) -> tuple[int, ...]:
     return tuple([(x[s] * x[t] - y[s] * y[t]) * (1 if s == t else 2) for s, t in QUAD_SLOTS])
 
 
-@lru_cache(maxsize=SHELL_CACHE, typed=True)
-def _labelled_shell(budget: int) -> dict[CosetLabel, tuple[Vec, ...]]:
+def _labelled_shell(budget: int) -> dict[CosetLabel, list[Vec]]:
     members: dict[CosetLabel, list[Vec]] = {label: [] for label in ALL_LABELS}
     for v in build_family().L1.vectors(budget):
         members[coset_label(v)].append(v)
-    return {label: tuple(vs) for label, vs in members.items()}
+    return members
 
 
 def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int], ...]:
@@ -140,11 +132,16 @@ def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int
 
 def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
     """The discrepancy contribution of one ordered pair of coset classes
-    (no prefactor): the module's class kernel, which ``pair_series`` sums in
-    integers, one counter per slot of ``_class_slots``.  The sign matrices
-    form a four-group, so ``f`` is the identity or has two entries of each
-    sign: a class pair carries no slot or four, and its kernel is four
-    products.
+    (no prefactor): ``_class_sum`` over L1's shell at the budget."""
+    return _class_sum(_labelled_shell(budget), label1, label2, budget)
+
+
+def _class_sum(shell, label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
+    """``class_pair_series`` over a labelled shell: the module's class
+    kernel, which ``pair_series`` sums in integers, one counter per slot of
+    ``_class_slots``.  The sign matrices form a four-group, so ``f`` is the
+    identity or has two entries of each sign: a class pair carries no slot
+    or four, and its kernel is four products.
     """
     slots = _class_slots(label1, label2)
     if not slots:
@@ -155,7 +152,6 @@ def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> Fo
         x = (l[0] * k[0], l[1] * k[1], l[2] * k[2], l[3] * k[3])
         return [4 * x[s0] * x[t0], 4 * x[s1] * x[t1], 4 * x[s2] * x[t2], 4 * x[s3] * x[t3]]
 
-    shell = _labelled_shell(budget)
     positions = tuple(QUAD_SLOTS.index(slot) for slot in slots)
     return pair_series(shell[label1], shell[label2], budget, kernel, positions)
 
@@ -172,16 +168,16 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
 
     ``FROM_PSI_KERNEL`` is the sum of the six class series
     ``class_pair_series`` of distinct positive classes i < j, exact at every
-    budget by the module's class restriction; ``FROM_THETA`` takes 1/128 of
-    the difference of the two invariants, enumerating L2 independently.  The
-    two routes agree exactly.  Each route combines integer coefficient
-    vectors here, before it builds the one series it returns: the psi route
-    merges the class series' vectors into one dict, summing at shared
-    exponents and dropping zero sums; the theta route subtracts L2's
-    ``theta11`` vectors from L1's and checks that 128 divides every entry,
-    so a remainder raises ``ValueError`` rather than be rounded.  Neither the
-    series nor its class series are cached.  A route that is not a ``Route``
-    raises ``TypeError``.
+    budget by the module's class restriction, over one labelled shell;
+    ``FROM_THETA`` takes 1/128 of the difference of the two invariants,
+    enumerating L2 independently.  The two routes agree exactly.  Each
+    route combines integer coefficient vectors here, before it builds the
+    one series it returns: the psi route merges the class series' vectors
+    into one dict, summing at shared exponents and dropping zero sums; the
+    theta route subtracts L2's ``theta11`` vectors from L1's and checks that
+    128 divides every entry, so a remainder raises ``ValueError`` rather
+    than be rounded.  No shell or series is cached.  A route that is not a
+    ``Route`` raises ``TypeError``.
     """
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()
@@ -197,9 +193,10 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
                 # a tuple from a list, as ``theta.pair_series`` builds it
                 quotients[e] = tuple([x // 128 for x in v])
         return FormalQSeries._of_terms(budget, quotients)
+    shell = _labelled_shell(budget)
     terms: dict[Expo, tuple[int, ...]] = {}
     for i, j in combinations(range(4), 2):
-        for e, v in class_pair_series(CosetLabel(i, 1), CosetLabel(j, 1), budget).terms.items():
+        for e, v in _class_sum(shell, CosetLabel(i, 1), CosetLabel(j, 1), budget).terms.items():
             acc = terms.get(e)
             if acc is None:
                 terms[e] = v
@@ -230,10 +227,11 @@ def check_relations(budget: int) -> RelationReport:
 
     (1) equal classes give zero; (2) the series is symmetric in its classes;
     (3) negating one class changes nothing; (4) the zero class gives zero.
-    Each of the 81 ordered class series is summed once.  Stops at the first
-    violation, reporting a witness exponent.
+    The 81 ordered class series are summed once each, over one labelled
+    shell.  Stops at the first violation, reporting a witness exponent.
     """
-    series = {pair: class_pair_series(*pair, budget) for pair in product(ALL_LABELS, repeat=2)}
+    shell = _labelled_shell(budget)
+    series = {pair: _class_sum(shell, *pair, budget) for pair in product(ALL_LABELS, repeat=2)}
     checked = 0
 
     def witness_of(first: FormalQSeries, second: FormalQSeries) -> Expo:

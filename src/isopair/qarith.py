@@ -145,7 +145,8 @@ def _sort_cleared(
     (numerator, position) pairs.  The numerators over ``D`` order the
     coordinates as the Fractions do, and the positions keep tied ones in
     their order, as a stable sort would; ``D`` and the sorted ``A`` are the
-    cleared form of the sorted point, ready for ``_weights``.
+    cleared form of the sorted point, over whose numerators ``certify``
+    sums the compiled triples of its rows.
     """
     x0, x1, x2, x3 = p
     # the coordinates are Fractions, checked when ``p`` was built

@@ -45,7 +45,6 @@ from isopair.discrepancy import (
     CertTerm,
     RelationReport,
     _CHAIN_MAP,
-    _labelled_shell,
     _leading_data,
     check_chain_form,
     check_route,
@@ -217,57 +216,62 @@ def test_built_series_hold_nonzero_ten_int_tuples(name):
         assert all(type(x) is int for x in vector) and any(vector)
 
 
-CACHED = (_labelled_shell,)
-CERTIFY_CACHED = (*CACHED, _leading_data)
 IDENTITY_FIELDS = ("name", "generators", "hnf", "covolume")
+
+
+def _labelled_budgets(monkeypatch) -> list:
+    """The budgets of the L1 shells labelled from here on, in call order."""
+    budgets = []
+    labelled_shell = discrepancy._labelled_shell
+
+    def counted(budget):
+        budgets.append(budget)
+        return labelled_shell(budget)
+
+    monkeypatch.setattr(discrepancy, "_labelled_shell", counted)
+    return budgets
 
 
 class TestCaches:
     def test_distinct_budgets_stay_within_the_bounds(self):
         fam = build_family()
-
-        def within_bounds():
-            for cached in CACHED:
-                info = cached.cache_info()
-                assert info.maxsize is not None and info.currsize <= info.maxsize, cached
-
         for budget in range(30):
             delta_series(budget)
-            within_bounds()
-        # the loop asked for more entries than each bound holds
-        assert all(f.cache_info().currsize == f.cache_info().maxsize for f in CACHED)
+        for route in Route:
+            for budget in range(36, 53):
+                certify(SCHIEMANN, budget, route)
         for budget in range(10, 200, 10):
             fam.L1.vectors(budget)
             rep_series(fam.L1, budget)
             theta11(fam.M, budget)
-            within_bounds()
+        # the one discrepancy cache holds an entry per route, not per budget
+        info = _leading_data.cache_info()
+        assert info.currsize == info.maxsize == len(Route)
         # a lattice carries its identity and nothing keyed on a budget
         assert Lattice.__slots__ == IDENTITY_FIELDS
         for lattice in fam:
             assert not hasattr(lattice, "__dict__")
 
     def test_verify_and_certify_never_evict(self):
-        for cached in CERTIFY_CACHED:
-            cached.cache_clear()
+        _leading_data.cache_clear()
         run_verification(36)
         for p in admissible_samples(101, 5):
             certify(p, 40)
-        for cached in CERTIFY_CACHED:
-            info = cached.cache_info()
-            assert info.currsize == info.misses, (cached, info)
+        info = _leading_data.cache_info()
+        assert info.currsize == info.misses, info
 
-    def test_certify_sweep_makes_one_entry_per_route(self):
-        for cached in CERTIFY_CACHED:
-            cached.cache_clear()
+    def test_certify_sweep_makes_one_entry_per_route(self, monkeypatch):
+        _leading_data.cache_clear()
+        budgets = _labelled_budgets(monkeypatch)
         for route in Route:
             for budget in [*range(36, 53), 160]:
                 certify(SCHIEMANN, budget, route)
         info = _leading_data.cache_info()
         assert info.maxsize == len(Route)
         assert info.currsize == info.misses == len(Route)
-        # both entries are built from the one budget-36 shell, whatever the
-        # budgets asked for
-        assert _labelled_shell.cache_info().currsize == 1
+        # both entries are built at budget 36, whatever the budgets asked
+        # for: the psi entry labels that shell once, the theta entry none
+        assert budgets == [MIN_PAIR_BUDGET]
 
     def test_call_forms_share_the_class_series(self, monkeypatch):
         sums = []
@@ -278,15 +282,22 @@ class TestCaches:
             return pair_series(*args)
 
         monkeypatch.setattr(discrepancy, "pair_series", counted)
+        budgets = _labelled_budgets(monkeypatch)
         forms = (
             delta_series(36),
             delta_series(36, Route.FROM_PSI_KERNEL),
             delta_series(36, route=Route.FROM_PSI_KERNEL),
         )
         assert forms[0] == forms[1] == forms[2]
-        # whatever the call form, the psi route sums the six class series
-        # at its budget, once each
+        # whatever the call form, the psi route labels its shell once and
+        # sums the six class series at its budget, once each
+        assert budgets == [36] * 3
         assert sums == [36] * 18
+
+    def test_relations_label_one_shell(self, monkeypatch):
+        budgets = _labelled_budgets(monkeypatch)
+        assert check_relations(24).ok
+        assert budgets == [24]
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-int-call"])
     def test_float_budget_is_refused(self, warm):
@@ -297,8 +308,7 @@ class TestCaches:
             lambda budget: theta11(fam.L1, budget),
         )
         for call in calls:
-            for cached in CACHED:
-                cached.cache_clear()
+            _leading_data.cache_clear()
             if warm:
                 call(40)
             with pytest.raises(TypeError):
@@ -316,12 +326,14 @@ class TestCaches:
         ],
         ids=["delta_series", "certify", "theta11", "delta_series-kernel", "theta11-route"],
     )
-    def test_route_or_kernel_outside_its_enum_is_refused(self, call):
-        infos = [cached.cache_info() for cached in CERTIFY_CACHED]
+    def test_route_or_kernel_outside_its_enum_is_refused(self, call, monkeypatch):
+        info = _leading_data.cache_info()
+        budgets = _labelled_budgets(monkeypatch)
         with pytest.raises(TypeError):
             call()
-        # refused before any cache is read
-        assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
+        # refused before the cache is read or a shell is labelled
+        assert _leading_data.cache_info() == info
+        assert budgets == []
 
 
 V0, V1, ZERO = CosetLabel(0, 1), CosetLabel(1, 1), CosetLabel.zero()
@@ -349,13 +361,13 @@ class TestRelations:
         pairs, checked, labels = RELATION_BREAKS[violated]
         witness = (1, 2, 3, 4)
         extra = FormalQSeries(24, {witness: [1] + [0] * (len(QUAD_MONOS) - 1)})
-        class_series = discrepancy.class_pair_series
+        class_sum = discrepancy._class_sum
 
-        def perturbed(label1, label2, budget):
-            series = class_series(label1, label2, budget)
+        def perturbed(shell, label1, label2, budget):
+            series = class_sum(shell, label1, label2, budget)
             return add_series(series, extra) if (label1, label2) in pairs else series
 
-        monkeypatch.setattr(discrepancy, "class_pair_series", perturbed)
+        monkeypatch.setattr(discrepancy, "_class_sum", perturbed)
         assert check_relations(24) == RelationReport(False, checked, violated, labels, witness)
 
     def test_specific_identities(self):
@@ -520,8 +532,7 @@ class TestCertify:
         with pytest.raises(TypeError) as shell_error:
             build_family().L1.vectors(budget)
         if cache == "cold":
-            for cached in CERTIFY_CACHED:
-                cached.cache_clear()
+            _leading_data.cache_clear()
         else:
             certify(SCHIEMANN, 40)
         with pytest.raises(TypeError) as error:
@@ -532,7 +543,7 @@ class TestCertify:
         "point", [(1, 7, 13, 19), [1, 7, 13, 19], "1 7 13 19"], ids=["tuple", "list", "str"]
     )
     def test_point_type_checked_before_any_cache(self, point):
-        infos = [cached.cache_info() for cached in CERTIFY_CACHED]
+        info = _leading_data.cache_info()
         with pytest.raises(TypeError, match=r"^point must be a ParamPoint, got "):
             certify(point, 40)
         with pytest.raises(TypeError, match=r"^point must be a ParamPoint, got "):
@@ -542,7 +553,7 @@ class TestCertify:
             certify(point, 40.0)
         with pytest.raises(TypeError, match=r"^route must be a Route"):
             certify(point, 40, "psi")
-        assert [cached.cache_info() for cached in CERTIFY_CACHED] == infos
+        assert _leading_data.cache_info() == info
 
     def test_int_subclass_budget_gives_the_same_certificate(self):
         class Budget(int):

@@ -12,8 +12,9 @@ the parser of the named command only; ``tests/test_cli.py::TestParser``
 pins that, and that its output is the full parser's.  A cold ``verify``
 sums only the class series its anchors read, each once, and spans its
 codes in straight-line F_3 arithmetic, C1 and C2 once for all matching
-calls.  A process keeps no series after the call that summed it: only the
-labelled shells and the leading entries are cached.
+calls.  Each command labels L1's shell once per budget it sums, and a
+process keeps no shell or series after the call that built it: of the
+discrepancy layer only the leading entries are cached.
 """
 
 import ast
@@ -75,6 +76,27 @@ assert all(result.ok for result in run_verification(36))
 print(sorted(budgets))
 """
 
+# the budgets of the L1 shells a command labels, with argv ``ARGV``, or
+# 1,000 warm certifies in one process when ``ARGV`` is empty
+LABEL_PROBE = """
+import contextlib, io, json
+from isopair import ParamPoint, certify, discrepancy
+from isopair.cli import main
+budgets = []
+labelled_shell = discrepancy._labelled_shell
+def counted(budget):
+    budgets.append(budget)
+    return labelled_shell(budget)
+discrepancy._labelled_shell = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    if ARGV:
+        assert main(ARGV) == 0
+    else:
+        for d in range(19, 1019):
+            certify(ParamPoint(1, 7, 13, d), 40)
+print(json.dumps(budgets))
+"""
+
 RETENTION_PROBE = """
 import gc
 from isopair import FormalQSeries, ParamPoint, certify, run_verification
@@ -119,9 +141,28 @@ def test_verify_sums_twelve_class_series():
     assert json.loads(_fresh(VERIFY_PROBE)) == [24] * 6 + [36] * 6
 
 
+@pytest.mark.parametrize(
+    "argv, budgets",
+    [
+        (["certify", "--params", "1", "7", "13", "19"], [36]),
+        (["certify", "--params", "1", "7", "13", "19", "--budget", "160"], [36]),
+        (["certify", "--params", "1", "7", "13", "19", "--route", "theta"], []),
+        (["delta", "--params", "1", "7", "13", "19", "--budget", "80"], [80]),
+        (["verify", "--budget", "36"], [24, 36]),
+        ([], [36]),
+    ],
+    ids=["certify", "certify-160", "certify-theta", "delta-80", "verify-36", "warm-certifies"],
+)
+def test_each_command_labels_each_shell_once(argv, budgets):
+    # a certify labels the budget-36 shell of the psi entry at any budget,
+    # and a warm batch labels nothing after that; no caller labels a shell
+    # per class pair
+    assert json.loads(_fresh(f"ARGV = {argv!r}\n{LABEL_PROBE}")) == budgets
+
+
 def test_no_series_outlives_its_use():
-    # certify at eight budgets and a verify: the caches keep the labelled
-    # shells and the leading entries, which hold no series
+    # certify at eight budgets and a verify: the one discrepancy cache keeps
+    # the leading entries, which hold no series
     assert int(_fresh(RETENTION_PROBE)) == 0
 
 

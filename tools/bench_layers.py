@@ -27,26 +27,26 @@ all passes.  The rows, and what one pass is:
   A pass is one ``run_verification`` call, which times each call
   ``verification._result(name, check)`` that runs an anchor's check.  The
   anchors measure one-time costs, so every cache a ``verify`` process fills
-  (``_clear_anchor_caches``: the lattice family, the code census and its
-  echelon pairs, C1 and C2, and the discrepancy caches) is cleared before
-  each pass.  The cyclic garbage collector is off in this job from before it
-  calibrates and imports ``isopair``: with it on, each anchor row absorbs
-  whichever collection happens to fall inside it, so an anchor whose code
-  did not change reads slower when the modules imported at start-up change
-  (``verify.code census`` did in ``BENCH_pr11.json``);
+  is cleared before each pass (``_clear_caches`` of ``lattices``, ``codes``
+  and ``discrepancy``: the lattice family, the code census and its echelon
+  pairs, C1 and C2, and the leading entries).  The cyclic garbage
+  collector is off in this job from before it calibrates and imports
+  ``isopair``: with it on, each anchor row absorbs whichever collection
+  happens to fall inside it, so an anchor whose code did not change reads
+  slower when the modules imported at start-up change (``verify.code
+  census`` did in ``BENCH_pr11.json``);
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
-  alone at budgets 40, 80 and 160: one call.  The two discrepancy caches
-  (``_clear_budget_caches``: the labelled shells and the leading entries)
-  are cleared before each pass, so every call does the work of a first call
-  instead of reading the labelled shell;
+  alone at budgets 40, 80 and 160: one call.  Each cache that
+  ``discrepancy`` defines (``_clear_caches``; the leading entries) is
+  cleared before each pass, so every call does the work of a first call;
 * ``lattices.scan_L1`` at budgets 36 and 80 and ``lattices.scan_L2`` at
   budget 36: one ``Lattice.vectors`` call, which scans afresh;
 * ``lattices.label``: ``coset_label`` of every vector of L1's budget-80
   shell;
 * ``discrepancy.certify_first`` at budgets 40, 80 and 160: one ``certify``
-  call as the first in the process, after ``build_family``.  The
-  discrepancy caches are cleared before each pass, as for the discrepancy
+  call as the first in the process, after ``build_family``.  The caches
+  of ``discrepancy`` are cleared before each pass, as for the discrepancy
   rows, so every call pays the one-time costs of its route's leading entry
   (the budget-36 shell, the class series it sums and the checks), which
   are the same at every budget;
@@ -93,6 +93,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,7 +168,8 @@ def _anchor_rows() -> list[dict]:
         return samples
 
     verification._result = timed
-    return _rows(VERIFY_BUDGET, run_pass, before=_clear_anchor_caches)
+    return _rows(VERIFY_BUDGET, run_pass,
+                 before=partial(_clear_caches, "lattices", "codes", "discrepancy"))
 
 
 def _theta_rows(kernel: str, budget: int) -> list[dict]:
@@ -178,27 +180,17 @@ def _theta_rows(kernel: str, budget: int) -> list[dict]:
                                 [(lattice, budget, Kernel(kernel))]))
 
 
-def _clear_budget_caches() -> None:
-    """Empty the two discrepancy caches: the labelled shells, keyed by the
-    budget, and the leading entries, keyed by the route and built from the
-    budget-36 shell whatever the budget of the ``certify`` call."""
-    from isopair import discrepancy
-
-    discrepancy._labelled_shell.cache_clear()
-    discrepancy._leading_data.cache_clear()
-
-
-def _clear_anchor_caches() -> None:
-    """Empty every cache a ``verify`` process fills: the lattice family, the
-    echelon generator pairs, the self-dual census, C1 and C2, and the
-    discrepancy caches."""
-    from isopair import codes, lattices
-
-    lattices.build_family.cache_clear()
-    codes._echelon_generator_pairs.cache_clear()
-    codes.selfdual_codes.cache_clear()
-    codes._c1_c2.cache_clear()
-    _clear_budget_caches()
+def _clear_caches(*names: str) -> None:
+    """Empty every cache that an ``isopair`` module of ``names`` defines:
+    each of its functions with a ``cache_clear`` whose ``__module__`` is that
+    module, so ``discrepancy``'s imported ``build_family`` is kept.  The
+    caches are found, not named, so the parent's are cleared as this
+    checkout's are whichever caches either defines."""
+    for name in names:
+        module = importlib.import_module(f"isopair.{name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
 
 
 def _delta_rows(route: str, budget: int) -> list[dict]:
@@ -206,7 +198,8 @@ def _delta_rows(route: str, budget: int) -> list[dict]:
 
     build_family()
     return _rows(budget, _timed(f"discrepancy.delta_{route}", delta_series,
-                                [(budget, Route(route))]), before=_clear_budget_caches)
+                                [(budget, Route(route))]),
+                 before=partial(_clear_caches, "discrepancy"))
 
 
 def _scan_rows(name: str, budget: int) -> list[dict]:
@@ -244,7 +237,7 @@ def _certify_rows(budget: int) -> list[dict]:
     first, *points = [ParamPoint(*values) for values in _values()]
     build_family()
     return (_rows(budget, _timed("discrepancy.certify_first", certify, [(first, budget)]),
-                  before=_clear_budget_caches)
+                  before=partial(_clear_caches, "discrepancy"))
             + _rows(budget, _timed("discrepancy.certify_warm", certify,
                                    [(point, budget) for point in points])))
 
