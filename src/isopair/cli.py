@@ -11,14 +11,24 @@ The text above is the ``--help`` description.  A process builds only
 the parser of the command its first argument names (every parser when it
 names none, as with ``--help``): a cold command runs once per process, and
 building all the parsers costs more than a cold ``certify``'s own work at
-the default budget.
+the default budget.  For the same reason a process ends through ``run``:
+after ``main`` it runs the ``atexit`` callbacks, flushes the standard
+streams and leaves by ``os._exit``, since the interpreter's teardown, which
+frees every module and object, costs a cold ``certify`` more than its own
+work and writes nothing.  ``run`` ends by ``sys.exit`` instead when a flush
+fails, so that the interpreter reports the failure as it always has, and
+when a tracer or profiler is attached, whose report is written after the
+program returns.  ``main`` returns the exit status and ends nothing, so it
+can be called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -352,5 +362,35 @@ def main(argv=None) -> int:
     return 1
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler is attached: by ``sys.settrace`` or
+    ``sys.setprofile``, or by a ``sys.monitoring`` tool, which is how
+    cProfile attaches from Python 3.12 on."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    # sys.monitoring has the tool ids 0 to 5
+    return monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def run() -> None:
+    """The process entry: exit with the status of ``main`` on ``sys.argv``,
+    without the interpreter's teardown unless a flush fails or a tracer or
+    profiler is attached.  The ``atexit`` callbacks run first, as at any
+    exit, so what they write is flushed too."""
+    code = main()
+    if not _observed():
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            pass  # the interpreter reports it at exit, with status 120
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
