@@ -12,8 +12,9 @@ kernel of an ordered class pair is ``4 x_s x_t p_s p_t`` summed over the
 coordinate slots ``s < t`` where the product ``f`` of the two sign matrices
 differs, with ``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class
 series are integer sums, and they stay integer vectors through
-``delta_series`` and the compiled rows that ``certify`` evaluates; only the
-certificate terms become polynomials.
+``delta_series`` and the leading entry, whose rows ``certify`` values as
+one integer chain monomial each; only the certificate terms become
+polynomials.
 
 The class restriction: the whole series is the sum of the six class series
 with distinct positive representatives, exactly at every budget, not only
@@ -35,7 +36,8 @@ of them from distinct classes realize the candidate leading exponents, and
 exactly two of the eighteen candidates are order-minimal.
 Their coefficients are -12(b-a)(d-c) and -96a(c-b), both strictly negative
 on the admissible cone (``check_chain_form`` finds -12 x2 x4 and
--96 x1 x3 in the chain coordinates of a sorted point), so the collapsed
+-96 x1 x3 in the chain coordinates of a sorted point, the two monomials
+that ``certify`` values), so the collapsed
 series has a nonzero leading coefficient at every pairwise-distinct
 positive parameter point: the pair is isospectral but never isometric
 there.
@@ -63,12 +65,10 @@ from .lattices import (
 from .qarith import (
     QUAD_MONOS,
     QUAD_SLOTS,
-    Compiled,
     Expo,
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
-    _compile,
     _sort_cleared,
     check_budget,
     exp_below,
@@ -337,12 +337,13 @@ _CHAIN_MAP = (
 )
 
 
-def check_chain_form(e: Expo, vector) -> None:
+def check_chain_form(e: Expo, vector) -> list[int]:
     """The paper's theorem at one leading row: the coefficient ``vector`` on
     ``QUAD_MONOS`` at exponent ``e``, written in the chain coordinates of
     ``_CHAIN_MAP``, has no positive and some negative coefficient.  At a
     pairwise-distinct sorted point every ``x_i`` is positive, so every
-    ``x_u x_v`` is, and the coefficient is negative there.  A failure raises
+    ``x_u x_v`` is, and the coefficient is negative there.  Returns the
+    chain form it checked, on ``QUAD_SLOTS``; a failure raises
     ``AssertionError`` naming the row and the chain coefficient."""
     chain = [sum(map(mul, row, vector)) for row in _CHAIN_MAP]
     for (u, v), x in zip(QUAD_SLOTS, chain):
@@ -352,13 +353,14 @@ def check_chain_form(e: Expo, vector) -> None:
             )
     if not any(chain):
         raise AssertionError(f"coefficient at {e} has no negative chain coefficient")
+    return chain
 
 
 @lru_cache(maxsize=len(Route))
-def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, Compiled], ...]:
-    """The leading entry of a route: the order-minimal pair exponents, each
-    with its coefficient polynomial and that coefficient in the integer form
-    a point needs.
+def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, tuple[int, int, int]], ...]:
+    """The leading entry of a route: the two order-minimal pair exponents,
+    each with its coefficient polynomial and that coefficient as the single
+    chain monomial a point values.
 
     The entry is built once per route, from the series at
     ``MIN_PAIR_BUDGET`` and the pair table, and serves every budget of at
@@ -372,11 +374,13 @@ def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, Compiled],
     exponents have a square sum of at most ``MIN_PAIR_BUDGET``, so that
     series holds their coefficients in full.
 
-    The entry is a tuple of rows ``(exponent, polynomial, compiled)``: the
-    polynomial ``series.coefficient(e)`` for the certificate, and the
-    coefficient vector compiled once to (coefficient, s, t) triples
-    (``qarith._compile``), which ``certify`` sums over the point's
-    numerators.
+    The entry is a pair of rows ``(exponent, polynomial, (coefficient, u,
+    v))``: the polynomial ``series.coefficient(e)`` for the certificate,
+    and the one nonzero entry of the coefficient's chain form
+    (``check_chain_form``), ``coefficient * x_u * x_v`` in the chain
+    coordinates ``x1 = a``, ``x2 = b-a``, ``x3 = c-b``, ``x4 = d-c``, with
+    ``u`` and ``v`` zero-based as in ``QUAD_SLOTS``, which ``certify``
+    values at the point's numerators.
 
     Three checks run here, once per entry, on the budget-36 series.  Each
     stored coefficient must equal the direct two-vector kernel of its row
@@ -387,7 +391,9 @@ def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, Compiled],
     rows lead exactly where the whole series does, and no point needs the
     rest.  The tests repeat that check on the whole series at larger
     budgets.  Each row's coefficient must pass ``check_chain_form``, so it
-    is negative at every pairwise-distinct point.  A failed check raises
+    is negative at every pairwise-distinct point.  The entry then takes the
+    shape ``certify`` reads: each chain form must have exactly one nonzero
+    entry, and there must be exactly two rows.  A failed check raises
     ``AssertionError``, and ``lru_cache`` stores no exception, so an
     inconsistent series fails every call, not only the first.
     """
@@ -402,9 +408,18 @@ def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, Compiled],
     for e in series.terms:
         if e not in exponents and not any(exp_below(f, e) for f in exponents):
             raise AssertionError(f"exponent {e} does not lie above a minimal pair exponent")
+    entry = []
     for e in exponents:
-        check_chain_form(e, series.terms[e])
-    return tuple((e, series.coefficient(e), _compile(series.terms[e])) for e in exponents)
+        chain = check_chain_form(e, series.terms[e])
+        monomials = [(x, u, v) for (u, v), x in zip(QUAD_SLOTS, chain) if x]
+        if len(monomials) != 1:
+            raise AssertionError(
+                f"coefficient at {e} has {len(monomials)} chain monomials, not one"
+            )
+        entry.append((e, series.coefficient(e), monomials[0]))
+    if len(entry) != 2:
+        raise AssertionError(f"leading rows at {exponents} are not two")
+    return tuple(entry)
 
 
 class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):
@@ -462,13 +477,17 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     falls outside the family's hypothesis and gives an ``INCONCLUSIVE``
     certificate with no terms.  Distinct values are sorted into the
     canonical increasing chain, on the integer scale of ``qarith``, and the
-    leading entry of the route (``_leading_data``) gives the rows.  The
+    leading entry of the route (``_leading_data``) gives the two rows.  The
     budget is checked and recorded in the certificate; the entry serves
     every budget of at least ``MIN_PAIR_BUDGET``, so a certificate costs the
     same at every budget and differs between budgets only in its ``budget``
-    field.  Each row's key ``e.A`` and value are computed once; the rows at
-    the least key lead, and a tie is summed at their common collapsed
-    exponent.  Fractions are built only for the certificate's outputs.
+    field.  The two row keys ``e.A`` are compared: the row with the lesser
+    key leads alone, and at equal keys both lead, in row order, summed at
+    their common collapsed exponent.  A leader's value is its chain
+    monomial ``coefficient * X[u] * X[v]`` at the chain numerators
+    ``X = (a0, a1-a0, a2-a1, a3-a2)`` of the sorted ``A``, ``D^2`` times the
+    coefficient's value.  Fractions are built only for the certificate's
+    outputs.
 
     The theorem (the paper's): at a pairwise-distinct point the collapsed
     discrepancy leads at the least row key with a negative coefficient.
@@ -485,9 +504,8 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     A warm call is one flat path: of the package it enters only this
     function and ``_sort_cleared``.  ``check_budget`` and ``check_route``
     run only for a budget whose type is not ``int`` or a route whose type is
-    not ``Route``; a point with one leading term values it directly, a tie
-    sums its terms in a plain loop, and each record is built from one
-    tuple, as its constructor builds it.
+    not ``Route``, and each record is built from one tuple, as its
+    constructor builds it.
     """
     # the checks live in ``check_budget`` and ``check_route``; an int or a
     # Route passes them, and an Enum with members has no subclass
@@ -505,34 +523,33 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     a0, a1, a2, a3 = A
     if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
         return Certificate(tuple(p), ordered, permutation, budget)
-    # each row's key e.A, D times its collapsed exponent, and its value,
-    # D^2 times its coefficient; the leaders are the rows at the least key
-    min_key = None
-    for e, poly, compiled in _leading_data(route):
-        n0, n1, n2, n3 = e
-        key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
-        value = 0
-        for coeff, s, t in compiled:
-            value += coeff * A[s] * A[t]
-        if min_key is None or key < min_key:
-            min_key, leaders = key, [(e, poly, value)]
-        elif key == min_key:
-            leaders.append((e, poly, value))
-
-    square = D * D
-    if len(leaders) == 1:
-        (e, poly, coefficient), = leaders
-        total = Fraction(coefficient, square)
-        terms = (tuple.__new__(CertTerm, (e, poly, total)),)
-    else:  # a tie: the leaders' values sum at one exponent
-        terms, coefficient = [], 0
-        for e, poly, value in leaders:
-            coefficient += value
-            terms.append(tuple.__new__(CertTerm, (e, poly, Fraction(value, square))))
-        terms, total = tuple(terms), Fraction(coefficient, square)
+    X = (a0, a1 - a0, a2 - a1, a3 - a2)
+    (e, poly, (c, u, v)), (f, fpoly, (fc, fu, fv)) = _leading_data(route)
+    # each row's key e.A is D times its collapsed exponent
+    n0, n1, n2, n3 = e
+    key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
+    n0, n1, n2, n3 = f
+    fkey = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
+    tie = key == fkey
+    if tie:  # both rows lead, and their values sum
+        value, fvalue = c * X[u] * X[v], fc * X[fu] * X[fv]
+        coefficient = value + fvalue
+    else:  # the row with the lesser key leads alone
+        if fkey < key:
+            key, e, poly, c, u, v = fkey, f, fpoly, fc, fu, fv
+        coefficient = c * X[u] * X[v]
     if not coefficient:
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
+    square = D * D
+    total = Fraction(coefficient, square)
+    if tie:
+        terms = (
+            tuple.__new__(CertTerm, (e, poly, Fraction(value, square))),
+            tuple.__new__(CertTerm, (f, fpoly, Fraction(fvalue, square))),
+        )
+    else:
+        terms = (tuple.__new__(CertTerm, (e, poly, total)),)
     return tuple.__new__(Certificate, (
         tuple(p), ordered, permutation, budget,
-        Fraction(min_key, D), terms, total, Verdict.NON_ISOMETRIC,
+        Fraction(key, D), terms, total, Verdict.NON_ISOMETRIC,
     ))

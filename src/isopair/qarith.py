@@ -18,12 +18,10 @@ its common denominator ``D`` and integer numerators ``A = D*p``
 of ``A`` order and coincide as the point's do.  There an exponent ``n`` is
 the integer ``n.A`` over ``D``, and a coefficient vector ``v`` on
 ``QUAD_MONOS`` is the integer ``v.W`` over ``D^2``, for the weights
-``W = (A_s*A_t)`` of ``_weights``.  A caller that meets the same few
-coefficients at many points compiles each vector once into
-(coefficient, s, t) triples, one per nonzero entry, ``p_s*p_t`` its
-monomial (``_compile``); at each point it then sums
-``coefficient * A[s] * A[t]`` over the triples, builds no weights, and
-builds Fractions only for its outputs.
+``W = (A_s*A_t)`` of ``_weights``.  ``discrepancy.certify`` meets only
+its two leading coefficients, each one monomial ``x_u*x_v`` in the chain
+coordinates of a sorted point; it values them at the differences of ``A``,
+builds no weights, and builds Fractions only for its outputs.
 
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
@@ -56,8 +54,6 @@ from operator import itemgetter, mul
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
-# a coefficient compiled to (coefficient, s, t) triples on ``QUAD_SLOTS``
-Compiled = tuple[tuple[int, int, int], ...]
 
 PARAM_NAMES = ("a", "b", "c", "d")
 
@@ -145,8 +141,8 @@ def _sort_cleared(
     (numerator, position) pairs.  The numerators over ``D`` order the
     coordinates as the Fractions do, and the positions keep tied ones in
     their order, as a stable sort would; ``D`` and the sorted ``A`` are the
-    cleared form of the sorted point, over whose numerators ``certify``
-    sums the compiled triples of its rows.
+    cleared form of the sorted point, at whose numerators ``certify``
+    values its rows.
     """
     x0, x1, x2, x3 = p
     # the coordinates are Fractions, checked when ``p`` was built
@@ -172,14 +168,6 @@ def _weights(A: Sequence[int]) -> tuple[int, ...]:
         a2 * a2, a2 * a3,
         a3 * a3,
     )
-
-
-def _compile(vector: Sequence[int]) -> Compiled:
-    """A coefficient vector on ``QUAD_MONOS`` as the (coefficient, s, t)
-    triples of its nonzero entries, ``p_s*p_t`` the entry's monomial: at the
-    point cleared to ``(D, A)`` the sum of ``coefficient * A[s] * A[t]`` is
-    the coefficient's value times ``D^2``."""
-    return tuple((x, s, t) for (s, t), x in zip(QUAD_SLOTS, vector) if x)
 
 
 def check_expo(e) -> Expo:

@@ -221,6 +221,30 @@ def sigma(e, p) -> Fraction:
     return p.a * e[0] + p.b * e[1] + p.c * e[2] + p.d * e[3]
 
 
+# a coefficient compiled to (coefficient, s, t) triples on ``QUAD_SLOTS``
+Compiled = tuple[tuple[int, int, int], ...]
+
+
+def _compile(vector) -> Compiled:
+    """A coefficient vector on ``QUAD_MONOS`` as the (coefficient, s, t)
+    triples of its nonzero entries, ``p_s*p_t`` the entry's monomial: at the
+    point cleared to ``(D, A)`` the sum of ``coefficient * A[s] * A[t]`` is
+    the coefficient's value times ``D^2``."""
+    return tuple((x, s, t) for (s, t), x in zip(QUAD_SLOTS, vector) if x)
+
+
+def compiled_integer(compiled: Compiled, A) -> int:
+    """A compiled coefficient at the point cleared to ``(D, A)``: the sum of
+    ``coefficient * A[s] * A[t]`` over its triples, the value times ``D^2``."""
+    return sum(coeff * A[s] * A[t] for coeff, s, t in compiled)
+
+
+def compiled_value(poly: ParamPolynomial, p) -> Fraction:
+    """The value of a polynomial at a point through its compiled form."""
+    D, A = _cleared(p)
+    return Fraction(compiled_integer(_compile(mono_vector(poly)), A), D * D)
+
+
 def integer_evaluate(poly: ParamPolynomial, D: int, A) -> int:
     """Reference integer evaluation at the point cleared to ``(D, A)``: the
     sum of ``coeff * A^mono * D^(2 - deg mono)`` over the terms, each power
@@ -269,18 +293,19 @@ COPRIME = ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(1
 
 
 def cancelling_tie(route):
-    """``_leading_data`` with its second row's compiled form replaced by the
-    first row's, negated: where the two rows tie, as at ``SCHIEMANN``, the
-    leaders' values sum to zero."""
+    """``_leading_data`` with its second row's chain monomial replaced by the
+    first row's, its coefficient negated: where the two rows tie, as at
+    ``SCHIEMANN`` (+432 against -432), the leaders' values sum to zero."""
     first, (e, poly, _) = _leading_data(route)
-    return first, (e, poly, tuple((-coeff, s, t) for coeff, s, t in first[2]))
+    coefficient, u, v = first[2]
+    return first, (e, poly, (-coefficient, u, v))
 
 
 def zero_second_row(route):
-    """``_leading_data`` with its second row's compiled form empty: where
+    """``_leading_data`` with its second row's chain coefficient 0: where
     that row leads alone, as at ``COPRIME``, the leading value is zero."""
-    first, (e, poly, _) = _leading_data(route)
-    return first, (e, poly, ())
+    first, (e, poly, (_, u, v)) = _leading_data(route)
+    return first, (e, poly, (0, u, v))
 
 
 def generator_normalize(w):

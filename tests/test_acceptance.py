@@ -331,6 +331,23 @@ def test_missing_leading_term_fails_its_anchor(monkeypatch):
     assert failed["leading coefficients"].startswith("coefficient at (10, 10, 2, 2) is ")
 
 
+def test_inconclusive_verdict_fails_its_anchor(monkeypatch):
+    # the certificate at the integral example as a repeated point gives it:
+    # the anchor stops at the verdict, before a comparison of no terms
+    certify = verification.certify
+
+    def inconclusive(*args):
+        cert = certify(*args)
+        return cert._replace(
+            min_exponent=None, terms=(), total=None, verdict=Verdict.INCONCLUSIVE
+        )
+
+    monkeypatch.setattr(verification, "certify", inconclusive)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {
+        "leading coefficients": "verdict Inconclusive at the integral example"
+    }
+
+
 def test_positive_chain_coefficient_fails_its_anchor(monkeypatch):
     # the certificate with its first coefficient negated, +12(b-a)(d-c): the
     # anchor checks the theorem on the terms it reads, before it compares them

@@ -96,7 +96,8 @@ def test_rows_scale_each_sample_by_its_own_pass(bench, monkeypatch):
 
 @pytest.mark.parametrize(
     "job, layers",
-    [(("certify", "40"), ["discrepancy.certify_first", "discrepancy.certify_warm"]),
+    [(("certify", "40"), ["discrepancy.certify_first", "discrepancy.certify_warm",
+                          "discrepancy.certify_warm_tie"]),
      (("collapse", "40"), ["qarith.collapse"])],
     ids=" ".join,
 )
@@ -106,6 +107,20 @@ def test_per_point_jobs_give_calibrated_rows(job, layers):
     for row in rows:
         assert row["budget"] == 40
         assert row["seconds"] > 0 and row["calibrated_s"] > 0
+
+
+def test_tie_points_are_distinct_ties_and_warm_points_hold_none(bench):
+    from isopair import ParamPoint, certify
+
+    ties = bench._tie_values()
+    assert len(ties) == len(set(ties)) == bench.CERTIFY_POINTS
+    for values in ties:
+        a, b, c, d = sorted(values)
+        assert 0 < a < b < c < d and 5 * b + d == 15 * a + 3 * c, values
+        assert len(certify(ParamPoint(*values), 40).terms) == 2, values
+    # the certify_warm points are random: their certificates have one term
+    warm = [certify(ParamPoint(*values), 40) for values in bench._values()]
+    assert all(len(cert.terms) == 1 for cert in warm)
 
 
 @pytest.mark.parametrize(

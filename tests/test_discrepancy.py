@@ -50,7 +50,7 @@ from isopair.discrepancy import (
     check_route,
     pair_discrepancy_vector,
 )
-from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _compile, check_budget
+from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, check_budget
 from isopair.verification import (
     EXPECTED_EXTRA_MINIMAL,
     EXPECTED_PAIR_TABLE,
@@ -627,7 +627,7 @@ class TestCertify:
             assert "enum.py" not in files, files
 
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
-        # a warm certify works on the compiled integer forms of its leading
+        # a warm certify works on the integer chain monomials of its leading
         # entry: the point is cleared and sorted once per call and the entry
         # is read once per call; polynomials have no arithmetic, and nothing
         # builds weights, collapses a whole series or clears the point again
@@ -803,11 +803,15 @@ class TestLeadingData:
     def test_rows_lead_where_the_whole_series_does(self, budget, route, count):
         series = delta_series(budget, route)
         rows = _leading_data(route)
-        assert rows == tuple(
-            (e, series.coefficient(e), _compile(series.terms[e])) for e in LEADING_EXPONENTS
-        )
-        # the compiled form of each row is that of its polynomial
-        assert all(compiled == _compile(mono_vector(poly)) for _, poly, compiled in rows)
+        assert [(e, poly) for e, poly, _ in rows] == [
+            (e, series.coefficient(e)) for e in LEADING_EXPONENTS
+        ]
+        # each row's chain monomial is the one nonzero entry of the chain
+        # form of its polynomial
+        for _, poly, (coefficient, u, v) in rows:
+            assert chain_form(mono_vector(poly)) == [
+                coefficient if slot == (u, v) else 0 for slot in QUAD_SLOTS
+            ]
         for p in collapse_points(337, count):
             cert = certify(p, budget, route)
             ordered = ParamPoint(*cert.sorted_params)
@@ -929,6 +933,8 @@ class TestChainCoordinates:
             e: {slot: x for slot, x in zip(QUAD_SLOTS, chain) if x} for e, chain in chains.items()
         } == expected
         assert all(negative_in_chain_coordinates(mono_vector(poly)) for _, poly, _ in rows)
+        # the package's check returns the chain form it checked
+        assert all(check_chain_form(e, mono_vector(poly)) == chains[e] for e, poly, _ in rows)
 
     def test_a_positive_mutant_row_fails(self):
         # +24(b - a)(d - c) turns the row -12(b - a)(d - c) into +12 x2 x4
@@ -944,6 +950,14 @@ class TestChainCoordinates:
         ):
             check_chain_form(e, mutant)
 
+    def test_a_unit_chain_coefficient_fails(self):
+        # a^2 is x1*x1 in chain coordinates: the least positive coefficient
+        with pytest.raises(
+            AssertionError,
+            match=r"^coefficient at \(10, 10, 2, 2\) has chain coefficient 1 on x1\*x1$",
+        ):
+            check_chain_form(BOLD_FIRST, [1] + [0] * (len(QUAD_MONOS) - 1))
+
     def test_a_zero_row_fails(self):
         with pytest.raises(
             AssertionError,
@@ -952,24 +966,9 @@ class TestChainCoordinates:
             check_chain_form(BOLD_FIRST, [0] * len(QUAD_MONOS))
 
     def test_a_positive_mutant_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
-        # the mutant in the series and in the minimal-pair kernel alike, so
-        # that the kernel and domination checks pass and the chain check fails
+        # +24(b - a)(d - c) turns the first row into +12 x2 x4
         a, b, c, d = VARIABLES
-        shift = mono_vector(24 * (b - a) * (d - c))
-        good_series, good_kernel = delta_series, pair_discrepancy_vector
-
-        def series(budget, route):
-            extra = FormalQSeries(budget, {BOLD_FIRST: shift})
-            return add_series(good_series(budget, route), extra)
-
-        def kernel(l, k):
-            vector = good_kernel(l, k)
-            if tuple(x + y for x, y in zip(phi(l), phi(k))) == BOLD_FIRST:
-                return tuple(x + y for x, y in zip(vector, shift))
-            return vector
-
-        monkeypatch.setattr(discrepancy, "delta_series", series)
-        monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", kernel)
+        _shift_first_row(monkeypatch, mono_vector(24 * (b - a) * (d - c)))
         for _ in range(2):
             with pytest.raises(
                 AssertionError,
@@ -977,6 +976,62 @@ class TestChainCoordinates:
             ):
                 certify(SCHIEMANN, 40)
         assert _leading_data.cache_info().currsize == 0
+
+    def test_a_second_chain_monomial_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
+        # -a^2 turns the first row into -12 x2 x4 - x1 x1: still negative at
+        # every sorted point, but not the one monomial that certify values
+        a, b, c, d = VARIABLES
+        shift = mono_vector(-1 * (a * a))
+        assert chain_form(shift) == [-1 if slot == (0, 0) else 0 for slot in QUAD_SLOTS]
+        _shift_first_row(monkeypatch, shift)
+        for route in (*Route, *Route):
+            with pytest.raises(
+                AssertionError,
+                match=r"^coefficient at \(10, 10, 2, 2\) has 2 chain monomials, not one$",
+            ):
+                certify(SCHIEMANN, 40, route)
+        assert _leading_data.cache_info().currsize == 0
+
+    def test_a_third_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
+        # certify reads exactly two rows: a repeated first row passes the
+        # kernel, domination, chain and monomial checks, but not the count
+        good = minimal_rows
+
+        def rows(table):
+            first, second = good(table)
+            return first, second, first
+
+        monkeypatch.setattr(discrepancy, "minimal_rows", rows)
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError,
+                match=(
+                    r"^leading rows at \(\(10, 10, 2, 2\), \(25, 5, 5, 1\), \(10, 10, 2, 2\)\) "
+                    r"are not two$"
+                ),
+            ):
+                certify(SCHIEMANN, 40)
+        assert _leading_data.cache_info().currsize == 0
+
+
+def _shift_first_row(monkeypatch, shift):
+    """Add ``shift`` to the first leading row in the series and in the
+    minimal-pair kernel alike, so that the kernel and domination checks of
+    the entry build pass and only the checks after them can fail."""
+    good_series, good_kernel = delta_series, pair_discrepancy_vector
+
+    def series(budget, route):
+        extra = FormalQSeries(budget, {BOLD_FIRST: shift})
+        return add_series(good_series(budget, route), extra)
+
+    def kernel(l, k):
+        vector = good_kernel(l, k)
+        if tuple(x + y for x, y in zip(phi(l), phi(k))) == BOLD_FIRST:
+            return tuple(x + y for x, y in zip(vector, shift))
+        return vector
+
+    monkeypatch.setattr(discrepancy, "delta_series", series)
+    monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", kernel)
 
 
 def _moved(x, tau):

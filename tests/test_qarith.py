@@ -27,7 +27,6 @@ from isopair.qarith import (
     QUAD_MONOS,
     QUAD_SLOTS,
     _cleared,
-    _compile,
     _sort_cleared,
     _weights,
     exact,
@@ -37,6 +36,7 @@ from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 from conftest import VARIABLES, Poly, add_series, admissible_samples, collapse_points, mono_vector
 from conftest import poly_series, scale_series
 from conftest import COPRIME, fraction_collapse, fraction_evaluate, integer_evaluate, sigma
+from conftest import _compile, compiled_integer, compiled_value
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -152,18 +152,6 @@ def to_sympy(poly: ParamPolynomial):
 def random_poly(rng):
     """Int coefficients on up to five quadratic monomials."""
     return Poly({mono: rng.randint(-9, 9) for mono in rng.sample(QUAD_MONOS, rng.randint(0, 5))})
-
-
-def compiled_integer(compiled, A) -> int:
-    """A compiled coefficient at the point cleared to ``(D, A)``, summed as
-    ``certify`` sums a leading row: the value times ``D^2``."""
-    return sum(coeff * A[s] * A[t] for coeff, s, t in compiled)
-
-
-def compiled_value(poly: ParamPolynomial, p: ParamPoint) -> Fraction:
-    """The value of a polynomial at a point through its compiled form."""
-    D, A = _cleared(p)
-    return Fraction(compiled_integer(_compile(mono_vector(poly)), A), D * D)
 
 
 # points with coprime and with common denominators, and an integer point
@@ -614,8 +602,8 @@ class TestPointPrimitives:
 
     @pytest.mark.parametrize("name", PRIMITIVE_IDS)
     def test_compiled_triples_agree_with_the_weights(self, name):
-        # ``certify`` sums a row's triples over ``A``, and ``_collapse`` dots
-        # a vector with ``_weights(A)``: the two scales agree on every vector
+        # the triples summed over ``A``, and ``_collapse``'s dot product of a
+        # vector with ``_weights(A)``: the two scales agree on every vector
         _, A = _cleared(PRIMITIVE_POINTS[name])
         W = _weights(A)
         assert len(W) == len(QUAD_MONOS)

@@ -52,6 +52,10 @@ all passes.  The rows, and what one pass is:
   are the same at every budget;
 * ``discrepancy.certify_warm`` at budgets 40, 80 and 160: one ``certify``
   call at the budget at each of 200 fixed points, after that first call;
+  these random points hold no tie;
+* ``discrepancy.certify_warm_tie`` at budgets 40, 80 and 160: the same at
+  each of 200 fixed tie points (``_tie_values``), where both leading rows
+  collapse to one exponent and the certificate has two terms;
 * ``qarith.collapse`` at budgets 40 and 80: collapsing the psi-route
   discrepancy series at each of the same 200 points, sorted as ``certify``
   sorts them;
@@ -231,15 +235,37 @@ def _values() -> list[tuple[Fraction, ...]]:
     return points
 
 
+def _tie_values() -> list[tuple[Fraction, ...]]:
+    """``CERTIFY_POINTS`` fixed tie points in a drawn order: sorted, each is
+    ``a < b < c < d`` with ``5b + d = 15a + 3c``, where the keys of the two
+    leading exponents (10, 10, 2, 2) and (25, 5, 5, 1) are equal."""
+    rng = random.Random(1)  # the same points for every commit
+    points = []
+    while len(points) < CERTIFY_POINTS:
+        values = {Fraction(rng.randint(1, 400), rng.randint(1, 20)) for _ in range(3)}
+        if len(values) < 3:
+            continue
+        a, b, c = sorted(values)
+        d = 15 * a + 3 * c - 5 * b
+        if d > c:
+            point = [a, b, c, d]
+            rng.shuffle(point)
+            points.append(tuple(point))
+    return points
+
+
 def _certify_rows(budget: int) -> list[dict]:
     from isopair import ParamPoint, build_family, certify
 
     first, *points = [ParamPoint(*values) for values in _values()]
+    ties = [ParamPoint(*values) for values in _tie_values()]
     build_family()
     return (_rows(budget, _timed("discrepancy.certify_first", certify, [(first, budget)]),
                   before=partial(_clear_caches, "discrepancy"))
             + _rows(budget, _timed("discrepancy.certify_warm", certify,
-                                   [(point, budget) for point in points])))
+                                   [(point, budget) for point in points]))
+            + _rows(budget, _timed("discrepancy.certify_warm_tie", certify,
+                                   [(point, budget) for point in ties])))
 
 
 def _collapse_rows(budget: int) -> list[dict]:
