@@ -20,7 +20,6 @@ from .discrepancy import (
     Verdict,
     certify,
     check_relations,
-    class_pair_series,
     delta_series,
     minimal_pair_table,
     minimal_rows,
@@ -80,7 +79,6 @@ __all__ = [
     "build_family",
     "certify",
     "check_relations",
-    "class_pair_series",
     "collapse_counts",
     "coset_label",
     "delta_series",

@@ -7,6 +7,12 @@ rejected.  Output formats: text (default), json, csv.  Exit status: 0 for
 success or a verified/non-isometric result, 2 for an inconclusive
 certificate, 1 for any error, including an internal consistency failure.
 
+``certify --batch FILE`` (``-`` for stdin) certifies one point per line,
+four rationals as for ``--params``, with ``--format json``: it writes one
+compact json certificate per line, or ``{"line": n, "error": ...}`` for a
+line that is not a point (n counts from 1), and goes on.  Exit status: 1
+if any line was bad, else 2 if any certificate was inconclusive, else 0.
+
 The text above is the ``--help`` description.  A process builds only
 the parser of the command its first argument names (every parser when it
 names none, as with ``--help``): a cold command runs once per process, and
@@ -31,6 +37,7 @@ import json
 import os
 import re
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 
 from .discrepancy import Route, Verdict, certify, delta_series
@@ -59,15 +66,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser, params=False, budget=True):
+def _add_common(parser, params=False, budget=True, batch=False):
     if params:
-        parser.add_argument(
+        # with ``batch``, exactly one of --params and --batch
+        points = parser.add_mutually_exclusive_group(required=True) if batch else parser
+        points.add_argument(
             "--params",
             nargs=4,
             metavar=("A", "B", "C", "D"),
-            required=True,
+            required=not batch,
             help="parameter point as four exact rationals",
         )
+        if batch:
+            points.add_argument(
+                "--batch",
+                metavar="FILE",
+                help="certify each line of FILE ('-' for stdin), four rationals a line, "
+                "as one json line each (needs --format json)",
+            )
     if budget:
         parser.add_argument("--budget", type=int, default=40, help="truncation budget (default 40)")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -239,7 +255,37 @@ def cmd_delta(args) -> int:
     return 0
 
 
+def _certify_batch(args) -> int:
+    """``certify --batch``: read and write a line at a time, so memory
+    does not grow with the input."""
+    budget, route = args.budget, Route(args.route)
+    # certify's own refusal of the budget, made once, before any line is read
+    certify(ParamPoint(1, 2, 3, 4), budget, route)
+    bad = inconclusive = False
+    with ExitStack() as stack:
+        lines = sys.stdin if args.batch == "-" else stack.enter_context(
+            open(args.batch, encoding="utf-8"))
+        out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        for n, line in enumerate(lines, 1):
+            fields = line.split()
+            try:
+                if len(fields) != 4:
+                    raise CliError(f"expected four rationals, got {len(fields)} fields")
+                point = ParamPoint(*map(parse_rational, fields))
+            except (CliError, ValueError) as exc:
+                bad = True
+                payload = {"line": n, "error": str(exc)}
+            else:
+                cert = certify(point, budget, route)
+                inconclusive = inconclusive or cert.verdict is not Verdict.NON_ISOMETRIC
+                payload = cert.to_json_dict()
+            out.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    return 1 if bad else 2 if inconclusive else 0
+
+
 def cmd_certify(args) -> int:
+    if args.batch is not None:
+        return _certify_batch(args)
     point = _point(args)
     cert = certify(point, args.budget, Route(args.route))
     rows = [
@@ -300,9 +346,15 @@ def _invariant_parser(parser) -> None:
     parser.add_argument("--kernel", choices=tuple(k.value for k in Kernel), default=Kernel.PAIRWISE.value)
 
 
-def _route_parser(parser) -> None:
-    _add_common(parser, params=True)
+def _route_parser(parser, batch=False) -> None:
+    _add_common(parser, params=True, batch=batch)
     parser.add_argument("--route", choices=tuple(r.value for r in Route), default=Route.FROM_PSI_KERNEL.value)
+
+
+def _certify_parser(parser) -> None:
+    _route_parser(parser, batch=True)
+    # ``main`` refuses --batch without --format json as this parser's usage error
+    parser.set_defaults(usage_error=parser.error)
 
 
 # each command: its help line, the function that runs it, and the function
@@ -315,7 +367,7 @@ _COMMANDS = {
                     lambda parser: _add_common(parser, params=True)),
     "invariant": ("the collapsed degree-2 invariant", cmd_invariant, _invariant_parser),
     "delta": ("the collapsed discrepancy series", cmd_delta, _route_parser),
-    "certify": ("non-isometry certificate at a parameter point", cmd_certify, _route_parser),
+    "certify": ("non-isometry certificate at a parameter point", cmd_certify, _certify_parser),
     "verify": ("run every verification anchor", cmd_verify, _add_common),
 }
 
@@ -346,6 +398,8 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "batch", None) is not None and args.format != "json":
+            args.usage_error(f"argument --batch: needs --format json, not {args.format}")
     except SystemExit as exc:
         return exc.code or 0
     try:

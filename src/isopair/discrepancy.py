@@ -130,15 +130,10 @@ def _class_slots(label1: CosetLabel, label2: CosetLabel) -> tuple[tuple[int, int
     return tuple((s, t) for s, t in QUAD_SLOTS if f[s] != f[t])
 
 
-def class_pair_series(label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
-    """The discrepancy contribution of one ordered pair of coset classes
-    (no prefactor): ``_class_sum`` over L1's shell at the budget."""
-    return _class_sum(_labelled_shell(budget), label1, label2, budget)
-
-
 def _class_sum(shell, label1: CosetLabel, label2: CosetLabel, budget: int) -> FormalQSeries:
-    """``class_pair_series`` over a labelled shell: the module's class
-    kernel, which ``pair_series`` sums in integers, one counter per slot of
+    """The discrepancy contribution of one ordered pair of coset classes (no
+    prefactor) over a labelled shell: the module's class kernel, which
+    ``pair_series`` sums in integers, one counter per slot of
     ``_class_slots``.  The sign matrices form a four-group, so ``f`` is the
     identity or has two entries of each sign: a class pair carries no slot
     or four, and its kernel is four products.
@@ -166,9 +161,9 @@ def check_route(route) -> Route:
 def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSeries:
     """The discrepancy series at the given budget.
 
-    ``FROM_PSI_KERNEL`` is the sum of the six class series
-    ``class_pair_series`` of distinct positive classes i < j, exact at every
-    budget by the module's class restriction, over one labelled shell;
+    ``FROM_PSI_KERNEL`` is the sum of the six class series (``_class_sum``)
+    of distinct positive classes i < j, exact at every budget by the
+    module's class restriction, over one labelled shell;
     ``FROM_THETA`` takes 1/128 of the difference of the two invariants,
     enumerating L2 independently.  The two routes agree exactly.  Each
     route combines integer coefficient vectors here, before it builds the

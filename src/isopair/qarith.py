@@ -23,6 +23,12 @@ its two leading coefficients, each one monomial ``x_u*x_v`` in the chain
 coordinates of a sorted point; it values them at the differences of ``A``,
 builds no weights, and builds Fractions only for its outputs.
 
+On that path a Fraction's integers are read from its two slots,
+``x._numerator`` and ``x._denominator`` (``Fraction.__slots__`` on every
+supported Python, 3.10 to 3.13, and pinned by the tests): ``numerator``,
+``denominator`` and ``as_integer_ratio`` are Python-level frames of
+``fractions.py``, and cost a point several times what the slot reads do.
+
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
 concrete exponents a*n0 + b*n1 + c*n2 + d*n3 by an explicit collapse step.
@@ -103,7 +109,7 @@ class ParamPoint(namedtuple("ParamPoint", PARAM_NAMES)):
             a, b, c, d = exact(a), exact(b), exact(c), exact(d)
         self = tuple.__new__(cls, (a, b, c, d))
         # a Fraction's denominator is positive
-        if a.numerator <= 0 or b.numerator <= 0 or c.numerator <= 0 or d.numerator <= 0:
+        if a._numerator <= 0 or b._numerator <= 0 or c._numerator <= 0 or d._numerator <= 0:
             raise ValueError(f"parameters must be positive, got {self}")
         return self
 
@@ -119,13 +125,13 @@ def _cleared(p: ParamPoint) -> tuple[int, list[int]]:
     """The point cleared to the module's scale: the common denominator ``D``
     of its coordinates and the integer numerators ``A = D*p``."""
     a, b, c, d = p
-    qa, qb, qc, qd = a.denominator, b.denominator, c.denominator, d.denominator
+    qa, qb, qc, qd = a._denominator, b._denominator, c._denominator, d._denominator
     D = lcm(qa, qb, qc, qd)
     return D, [
-        a.numerator * (D // qa),
-        b.numerator * (D // qb),
-        c.numerator * (D // qc),
-        d.numerator * (D // qd),
+        a._numerator * (D // qa),
+        b._numerator * (D // qb),
+        c._numerator * (D // qc),
+        d._numerator * (D // qd),
     ]
 
 
@@ -137,19 +143,19 @@ def _sort_cleared(
     numerators ``A`` of ``_cleared``.  Entry i of the permutation is the
     position in ``p`` of the i-th smallest coordinate.
 
-    One pass: one ``as_integer_ratio`` per coordinate, then one sort of
-    (numerator, position) pairs.  The numerators over ``D`` order the
-    coordinates as the Fractions do, and the positions keep tied ones in
-    their order, as a stable sort would; ``D`` and the sorted ``A`` are the
-    cleared form of the sorted point, at whose numerators ``certify``
-    values its rows.
+    One pass: the two slots of each coordinate, read in place (see the
+    module docstring), then one sort of (numerator, position) pairs.  The
+    numerators over ``D`` order the coordinates as the Fractions do, and
+    the positions keep tied ones in their order, as a stable sort would;
+    ``D`` and the sorted ``A`` are the cleared form of the sorted point, at
+    whose numerators ``certify`` values its rows.
     """
     x0, x1, x2, x3 = p
     # the coordinates are Fractions, checked when ``p`` was built
-    n0, q0 = x0.as_integer_ratio()
-    n1, q1 = x1.as_integer_ratio()
-    n2, q2 = x2.as_integer_ratio()
-    n3, q3 = x3.as_integer_ratio()
+    n0, q0 = x0._numerator, x0._denominator
+    n1, q1 = x1._numerator, x1._denominator
+    n2, q2 = x2._numerator, x2._denominator
+    n3, q3 = x3._numerator, x3._denominator
     D = lcm(q0, q1, q2, q3)
     (A0, i), (A1, j), (A2, k), (A3, m) = sorted(
         [(n0 * (D // q0), 0), (n1 * (D // q1), 1), (n2 * (D // q2), 2), (n3 * (D // q3), 3)]

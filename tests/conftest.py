@@ -15,7 +15,7 @@ from isopair import (
     phi,
     psi,
 )
-from isopair.discrepancy import _leading_data
+from isopair.discrepancy import _class_sum, _labelled_shell, _leading_data
 from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _cleared
 
 settings.register_profile("exact", deadline=None, max_examples=100)
@@ -152,6 +152,12 @@ def _fraction_sum(first, second, budget: int, kernel):
     return poly_series(budget, acc)
 
 
+def class_pair_series(label1, label2, budget: int) -> FormalQSeries:
+    """The discrepancy contribution of one ordered pair of coset classes
+    (no prefactor): the package's class sum over L1's shell at the budget."""
+    return _class_sum(_labelled_shell(budget), label1, label2, budget)
+
+
 def pair_discrepancy_kernel(l, k):
     """<l,k>^2 - <psi(l),psi(k)>^2 for vectors of L1, by Fraction-valued
     polynomial arithmetic."""
@@ -237,12 +243,6 @@ def compiled_integer(compiled: Compiled, A) -> int:
     """A compiled coefficient at the point cleared to ``(D, A)``: the sum of
     ``coefficient * A[s] * A[t]`` over its triples, the value times ``D^2``."""
     return sum(coeff * A[s] * A[t] for coeff, s, t in compiled)
-
-
-def compiled_value(poly: ParamPolynomial, p) -> Fraction:
-    """The value of a polynomial at a point through its compiled form."""
-    D, A = _cleared(p)
-    return Fraction(compiled_integer(_compile(mono_vector(poly)), A), D * D)
 
 
 def integer_evaluate(poly: ParamPolynomial, D: int, A) -> int:

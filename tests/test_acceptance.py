@@ -9,7 +9,8 @@ lack: the refusal below the sound budget, a library check or refusal
 anchor (the kernels, the four-group, the class representatives) failing
 that anchor, a broken premise of each other anchor that no frozen table
 reaches (the code graph and matching, the family's lattices, the sign flip,
-the theta route's L2) failing it, isospectrality at random points, 50
+the theta route's L2) failing it, the pair's vector counts at budgets 36,
+80 and 160, which no anchor compares, isospectrality at random points, 50
 random certificates, Conway and Sloane's range of classical integral pairs,
 and the ``psi`` bijection on the full budget-40 shell.  Each passing check
 prints a status line so a verbose run reads as a checklist.
@@ -34,7 +35,7 @@ from isopair import (
     rep_series,
     run_verification,
 )
-from isopair import cli, codes, discrepancy, lattices, verification
+from isopair import cli, codes, discrepancy, lattices, theta, verification
 from isopair.discrepancy import MIN_PAIR_BUDGET
 from isopair.lattices import ALT_L1_COLUMNS, ALT_L2_COLUMNS, Lattice
 from isopair.verification import SCHIEMANN
@@ -365,10 +366,27 @@ def test_positive_chain_coefficient_fails_its_anchor(monkeypatch):
     }
 
 
-def test_missing_spectrum_term_fails_its_anchor(monkeypatch):
+def compare_vector_counts(budget: int, counts=rep_series) -> None:
+    """The spectra of the pair as vector counts up to the budget, which the
+    ``isospectrality`` anchor proves at every budget through the coset map;
+    a difference fails at its least exponent."""
+    fam = build_family()
+    s1, s2 = counts(fam.L1, budget), counts(fam.L2, budget)
+    if s1 != s2:
+        e = min(e for e in s1.keys() | s2.keys() if s1.get(e) != s2.get(e))
+        n1, n2 = s1.get(e, 0), s2.get(e, 0)
+        raise AssertionError(f"L1 has {n1} vectors at exponent {e}, L2 has {n2}")
+
+
+@pytest.mark.parametrize("budget", [36, 80, 160])
+def test_the_pair_has_equal_vector_counts(budget):
+    compare_vector_counts(budget)
+
+
+def test_missing_spectrum_term_fails_the_count_comparison(monkeypatch):
     # L2's counts without their last exponent: the coset map still proves
-    # the premises, so only the count comparison sees the gap, at that exponent
-    rep_series = verification.rep_series
+    # the premises, so every anchor passes, and only the count comparison
+    # sees the gap, at that exponent
     dropped = []
 
     def one_short(lattice, budget):
@@ -378,10 +396,30 @@ def test_missing_spectrum_term_fails_its_anchor(monkeypatch):
             dropped.append((e, counts.pop(e)))
         return counts
 
-    monkeypatch.setattr(verification, "rep_series", one_short)
-    failed = failures(run_verification(MIN_PAIR_BUDGET))
+    monkeypatch.setattr(theta, "rep_series", one_short)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {}
+    assert dropped == []  # no anchor reads a count
+    with pytest.raises(AssertionError) as error:
+        compare_vector_counts(MIN_PAIR_BUDGET, one_short)
     [(e, count)] = dropped
-    assert failed == {"isospectrality": f"L1 has {count} vectors at exponent {e}, L2 has 0"}
+    assert str(error.value) == f"L1 has {count} vectors at exponent {e}, L2 has 0"
+
+
+def test_the_count_comparison_names_the_least_differing_exponent():
+    def shifted(lattice, budget):
+        counts = dict(rep_series(lattice, budget))
+        if lattice is build_family().L1:
+            low, high = sorted(counts)[1], max(counts)
+            counts[low] += 1
+            counts[high] += 1
+        return counts
+
+    fam = build_family()
+    low = sorted(rep_series(fam.L1, 80))[1]
+    n = rep_series(fam.L2, 80)[low]
+    with pytest.raises(AssertionError) as error:
+        compare_vector_counts(80, shifted)
+    assert str(error.value) == f"L1 has {n + 1} vectors at exponent {low}, L2 has {n}"
 
 
 def test_budget_below_threshold_rejected():

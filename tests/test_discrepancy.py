@@ -27,7 +27,6 @@ from isopair import (
     build_family,
     certify,
     check_relations,
-    class_pair_series,
     coset_label,
     delta_series,
     exp_below,
@@ -67,6 +66,7 @@ from conftest import (
     add_series,
     admissible_samples,
     cancelling_tie,
+    class_pair_series,
     collapse_points,
     evaluate,
     fraction_collapse,

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -36,7 +38,7 @@ from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
 from conftest import VARIABLES, Poly, add_series, admissible_samples, collapse_points, mono_vector
 from conftest import poly_series, scale_series
 from conftest import COPRIME, fraction_collapse, fraction_evaluate, integer_evaluate, sigma
-from conftest import _compile, compiled_integer, compiled_value
+from conftest import _compile, compiled_integer
 
 expos = st.tuples(*(st.integers(0, 4) for _ in range(4)))
 
@@ -162,6 +164,24 @@ EVALUATION_POINTS = [
 ]
 
 
+@lru_cache(maxsize=None)
+def certified_terms() -> tuple:
+    """(sorted point, term) for each term of ``certify`` at the evaluation
+    points and 40 more, every fourth a tie and every second given reversed,
+    so that both leading rows and ties are valued."""
+    points = EVALUATION_POINTS + [
+        ParamPoint(*reversed(p)) if i % 2 else p for i, p in enumerate(collapse_points(18, 40))
+    ]
+    out = []
+    for point in points:
+        cert = certify(point)
+        out += [(ParamPoint(*cert.sorted_params), term) for term in cert.terms]
+    # both rows lead somewhere, and some points tie
+    assert {term.exponent_vector for _, term in out} == {(10, 10, 2, 2), (25, 5, 5, 1)}
+    assert len(out) > len(points)
+    return tuple(out)
+
+
 class TestParamPolynomial:
     def test_leading_polynomials_expand_the_paper_formulas(self):
         a, b, c, d = _SYMS
@@ -171,13 +191,9 @@ class TestParamPolynomial:
         ]
 
     def test_zero(self):
-        assert _compile(mono_vector(ParamPolynomial())) == ()
-        for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
-            D, numerators = _cleared(point)
-            value = compiled_integer(_compile(mono_vector(ParamPolynomial())), numerators)
-            assert type(value) is int and value == 0
         assert ParamPolynomial().is_zero
         assert (A - A).is_zero
+        assert FormalQSeries(4).coefficient((0, 0, 0, 0)) == ParamPolynomial()
 
     def test_str_prints_zero_constants_and_unit_coefficients(self):
         assert str(ParamPolynomial()) == "0"
@@ -194,24 +210,19 @@ class TestParamPolynomial:
             assert to_sympy(p * q) == sympy.expand(to_sympy(p) * to_sympy(q))
 
     def test_evaluate_matches_sympy(self):
-        rng = random.Random(18)
-        point = ParamPoint(Fraction(1, 2), 2, Fraction(7, 3), 5)
-        subs = dict(zip(_SYMS, [sympy.Rational(x.numerator, x.denominator) for x in point]))
-        for _ in range(20):
-            p = random_poly(rng)
-            got = compiled_value(p, point)
-            expected = to_sympy(p).subs(subs)
-            assert sympy.Rational(got.numerator, got.denominator) == expected
+        # the package evaluates no polynomial: certify values each leading
+        # row as a chain monomial, and each value is the row's polynomial
+        # at the sorted point
+        for sorted_point, term in certified_terms():
+            subs = dict(zip(_SYMS, [sympy.Rational(x.numerator, x.denominator)
+                                    for x in sorted_point]))
+            expected = to_sympy(term.polynomial).subs(subs)
+            got = term.value
+            assert sympy.Rational(got.numerator, got.denominator) == expected, (sorted_point, term)
 
     def test_evaluate_matches_a_naive_fraction_product(self):
-        # negative coefficients on the quadratic monomials
-        rng = random.Random(19)
-        points = EVALUATION_POINTS + admissible_samples(20, 20)
-        for _ in range(100):
-            monos = rng.sample(QUAD_MONOS, rng.randint(1, 6))
-            poly = ParamPolynomial({m: rng.randint(-30, 30) for m in monos})
-            for point in points:
-                assert compiled_value(poly, point) == fraction_evaluate(poly, point), (poly, point)
+        for sorted_point, term in certified_terms():
+            assert term.value == fraction_evaluate(term.polynomial, sorted_point), (sorted_point, term)
 
     def test_integer_evaluate_is_the_value_over_the_square_of_d(self):
         rng = random.Random(20)
@@ -225,6 +236,13 @@ class TestParamPolynomial:
                 assert value == D * D * fraction_evaluate(poly, point), (poly, point)
 
     def test_compile_pairs_each_term_with_its_slot(self):
+        # a self-check of the test oracle ``_compile``: the package compiles
+        # no polynomial
+        assert _compile(mono_vector(ParamPolynomial())) == ()
+        for point in (SCHIEMANN, ParamPoint(Fraction(1, 7), Fraction(2, 9), 5, 13)):
+            D, numerators = _cleared(point)
+            value = compiled_integer(_compile(mono_vector(ParamPolynomial())), numerators)
+            assert type(value) is int and value == 0
         rng = random.Random(21)
         for _ in range(50):
             poly = random_poly(rng)
@@ -379,6 +397,44 @@ class TestParamPoint:
         assert cert.sorted_params == SCHIEMANN
         assert cert.permutation == (2, 1, 3, 0)
         assert tuple(p[i] for i in cert.permutation) == cert.sorted_params
+
+    def test_fraction_keeps_its_integers_in_two_slots(self):
+        # the per-point path reads these slots (the module docstring)
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        assert isinstance(Fraction.__dict__["numerator"], property)
+        assert isinstance(Fraction.__dict__["denominator"], property)
+        x = Fraction(-6, 4)
+        assert (x._numerator, x._denominator) == (-3, 2) == x.as_integer_ratio()
+
+    def test_a_warm_point_enters_no_fraction_accessor(self):
+        accessors = {"numerator", "denominator", "as_integer_ratio"}
+        for values in (tuple(SCHIEMANN), tuple(COPRIME), (Fraction(19), Fraction(7, 3), 1, 13)):
+            certify(ParamPoint(*values), 40)
+            entered = set()
+
+            def profile(frame, event, arg):
+                code = frame.f_code
+                if event == "call" and os.path.basename(code.co_filename) == "fractions.py":
+                    entered.add(code.co_name)
+
+            sys.setprofile(profile)
+            try:
+                cert = certify(ParamPoint(*values), 40)
+                _cleared(cert.params)
+            finally:
+                sys.setprofile(None)
+            assert cert.verdict is Verdict.NON_ISOMETRIC
+            assert not entered & accessors, (values, entered)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_a_nonpositive_fraction_anywhere(self, position):
+        # four Fractions skip the coercion, and meet the same check
+        for bad in (Fraction(0), Fraction(-1, 2)):
+            values = [Fraction(1, 2), Fraction(2), Fraction(3), Fraction(4)]
+            values[position] = bad
+            shown = re.escape("(" + ", ".join(map(str, values)) + ")")
+            with pytest.raises(ValueError, match=rf"^parameters must be positive, got {shown}$"):
+                ParamPoint(*values)
 
 
 COLLAPSE_POINTS = collapse_points(6, 200)
