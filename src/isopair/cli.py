@@ -404,6 +404,12 @@ def main(argv=None) -> int:
         return exc.code or 0
     try:
         return args.func(args)
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: what is left goes to the null device
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ValueError, OSError) as exc:
         message = str(exc)
     except AssertionError as exc:

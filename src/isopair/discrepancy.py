@@ -77,15 +77,12 @@ from .theta import Kernel, pair_series, theta11
 
 
 # One fact is cached: the leading entry (``_leading_data``, whose docstring
-# says what it holds and checks), keyed by the route alone, which hashes by
-# identity.  It is the same at every point and every budget of at least
-# ``MIN_PAIR_BUDGET``, so it is built once per route, from the budget-36
-# series, and read by every ``certify``.  No second call would read a
-# labelled shell, so none is kept: ``delta_series`` and ``check_relations``
-# label one per call (``_labelled_shell``) and sum each class series they
-# read from it once, six and 81.  A ``certify`` process labels one shell
-# (36; none on the theta route), ``delta`` one, ``verify`` two (24 and 36)
-# and a warm certify batch none after its first call.
+# says what it holds and checks), the same at every point, every budget of
+# at least ``MIN_PAIR_BUDGET`` and both routes.  No shell is kept:
+# ``delta_series`` and ``check_relations`` label one per call
+# (``_labelled_shell``) and sum each class series they read from it once,
+# six and 81.  A ``certify`` process labels one shell (36, either route),
+# ``delta`` one, ``verify`` two (24 and 36) and a warm batch no more.
 
 # The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
 # whose series holds both leading coefficients in full.
@@ -95,11 +92,6 @@ MIN_PAIR_BUDGET = 36
 class Route(enum.Enum):
     FROM_THETA = "theta"
     FROM_PSI_KERNEL = "psi"
-
-    # a member is equal only to itself, so the identity hash agrees with
-    # ``==``; it runs in C, where ``Enum.__hash__`` is a Python frame on
-    # every cached lookup keyed by a route
-    __hash__ = object.__hash__
 
 
 class Verdict(enum.Enum):
@@ -171,8 +163,7 @@ def delta_series(budget: int, route: Route = Route.FROM_PSI_KERNEL) -> FormalQSe
     into one dict, summing at shared exponents and dropping zero sums; the
     theta route subtracts L2's ``theta11`` vectors from L1's and checks that
     128 divides every entry, so a remainder raises ``ValueError`` rather
-    than be rounded.  No shell or series is cached.  A route that is not a
-    ``Route`` raises ``TypeError``.
+    than be rounded.  A route that is not a ``Route`` raises ``TypeError``.
     """
     if check_route(route) is Route.FROM_THETA:
         fam = build_family()
@@ -351,23 +342,25 @@ def check_chain_form(e: Expo, vector) -> list[int]:
     return chain
 
 
-@lru_cache(maxsize=len(Route))
-def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, tuple[int, int, int]], ...]:
-    """The leading entry of a route: the two order-minimal pair exponents,
-    each with its coefficient polynomial and that coefficient as the single
-    chain monomial a point values.
+@lru_cache(maxsize=1)
+def _leading_data() -> tuple[tuple[Expo, ParamPolynomial, tuple[int, int, int]], ...]:
+    """The leading entry: the two order-minimal pair exponents, each with
+    its coefficient polynomial and that coefficient as the single chain
+    monomial a point values.
 
-    The entry is built once per route, from the series at
-    ``MIN_PAIR_BUDGET`` and the pair table, and serves every budget of at
-    least that.  The table pairs the seven stated minimal vectors, which
-    the ``minimal vectors`` anchor proves to be every order-minimal class
-    member, so it reads no shell and has no budget.  The suffix order is
-    well-founded and additive, so a pair from two distinct, non-opposite
-    classes lies at or above a pair-table row, and every row at or above a
-    leading row; pairs from equal or opposite classes and from the zero
-    class contribute nothing (the module's class restriction).  Both leading
-    exponents have a square sum of at most ``MIN_PAIR_BUDGET``, so that
-    series holds their coefficients in full.
+    The entry is built once, from the psi-route series at
+    ``MIN_PAIR_BUDGET`` and the pair table, and serves both routes and
+    every budget of at least that: the theta route's series is the same
+    (``route equivalence`` and the tests compare them).  The table pairs
+    the seven stated minimal vectors, which the ``minimal vectors`` anchor
+    proves to be every order-minimal class member, so it reads no shell and
+    has no budget.  The suffix order is well-founded and additive, so a
+    pair from two distinct, non-opposite classes lies at or above a
+    pair-table row, and every row at or above a leading row; pairs from
+    equal or opposite classes and from the zero class contribute nothing
+    (the module's class restriction).  Both leading exponents have a square
+    sum of at most ``MIN_PAIR_BUDGET``, so that series holds their
+    coefficients in full.
 
     The entry is a pair of rows ``(exponent, polynomial, (coefficient, u,
     v))``: the polynomial ``series.coefficient(e)`` for the certificate,
@@ -377,22 +370,21 @@ def _leading_data(route: Route) -> tuple[tuple[Expo, ParamPolynomial, tuple[int,
     ``u`` and ``v`` zero-based as in ``QUAD_SLOTS``, which ``certify``
     values at the point's numerators.
 
-    Three checks run here, once per entry, on the budget-36 series.  Each
+    Three checks run here, once per process, on the budget-36 series.  Each
     stored coefficient must equal the direct two-vector kernel of its row
     (``pair_discrepancy_vector``, in integers).  Every other exponent of the
     series must lie strictly above a row exponent in the suffix order
     (``exp_below``); by the suffix-sum identity such a term collapses
     strictly above that row at every sorted, pairwise-distinct point, so the
     rows lead exactly where the whole series does, and no point needs the
-    rest.  The tests repeat that check on the whole series at larger
-    budgets.  Each row's coefficient must pass ``check_chain_form``, so it
-    is negative at every pairwise-distinct point.  The entry then takes the
+    rest.  Each row's coefficient must pass ``check_chain_form``, so it is
+    negative at every pairwise-distinct point.  The entry then takes the
     shape ``certify`` reads: each chain form must have exactly one nonzero
     entry, and there must be exactly two rows.  A failed check raises
     ``AssertionError``, and ``lru_cache`` stores no exception, so an
     inconsistent series fails every call, not only the first.
     """
-    series = delta_series(MIN_PAIR_BUDGET, route)
+    series = delta_series(MIN_PAIR_BUDGET, Route.FROM_PSI_KERNEL)
     rows = minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))
     for row in rows:
         if series.terms.get(row.exponent) != pair_discrepancy_vector(*row.vectors):
@@ -472,17 +464,18 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     falls outside the family's hypothesis and gives an ``INCONCLUSIVE``
     certificate with no terms.  Distinct values are sorted into the
     canonical increasing chain, on the integer scale of ``qarith``, and the
-    leading entry of the route (``_leading_data``) gives the two rows.  The
-    budget is checked and recorded in the certificate; the entry serves
-    every budget of at least ``MIN_PAIR_BUDGET``, so a certificate costs the
-    same at every budget and differs between budgets only in its ``budget``
-    field.  The two row keys ``e.A`` are compared: the row with the lesser
-    key leads alone, and at equal keys both lead, in row order, summed at
-    their common collapsed exponent.  A leader's value is its chain
-    monomial ``coefficient * X[u] * X[v]`` at the chain numerators
-    ``X = (a0, a1-a0, a2-a1, a3-a2)`` of the sorted ``A``, ``D^2`` times the
-    coefficient's value.  Fractions are built only for the certificate's
-    outputs.
+    leading entry (``_leading_data``) gives the two rows.  The route selects
+    no series: the routes' series are equal, so one entry serves both, and
+    ``route`` is only checked, kept for the callers and ``--route`` that
+    name it.  The entry serves every budget of at least ``MIN_PAIR_BUDGET``,
+    so a certificate costs the same at every budget and differs between
+    budgets only in its ``budget`` field.  The two row keys ``e.A`` are
+    compared: the row with the lesser key leads alone, and at equal keys
+    both lead, in row order, summed at their common collapsed exponent.  A
+    leader's value is its chain monomial ``coefficient * X[u] * X[v]`` at
+    the chain numerators ``X = (a0, a1-a0, a2-a1, a3-a2)`` of the sorted
+    ``A``, ``D^2`` times the coefficient's value.  Fractions are built only
+    for the certificate's outputs.
 
     The theorem (the paper's): at a pairwise-distinct point the collapsed
     discrepancy leads at the least row key with a negative coefficient.
@@ -519,7 +512,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
         return Certificate(tuple(p), ordered, permutation, budget)
     X = (a0, a1 - a0, a2 - a1, a3 - a2)
-    (e, poly, (c, u, v)), (f, fpoly, (fc, fu, fv)) = _leading_data(route)
+    (e, poly, (c, u, v)), (f, fpoly, (fc, fu, fv)) = _leading_data()
     # each row's key e.A is D times its collapsed exponent
     n0, n1, n2, n3 = e
     key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3

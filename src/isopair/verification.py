@@ -13,8 +13,9 @@ Four anchors prove a fact at every budget and every point from finite
 premises.  ``kernel identity`` compares the two kernels on the 100 pairs
 built from ``FORM_PROBES``, which fix a form of degree (2, 2).
 ``isospectrality`` proves that the coset map ``psi`` is a ``phi``-keeping
-bijection from L1 onto L2.  ``class relations`` and ``class decomposition``
-check the premises of the class-series identities, not the series.
+bijection from L1 onto L2.  ``class relations`` checks the premises of the
+class-series identities, not the series, and ``class decomposition`` that
+the nine labels name every class of L1 modulo M.
 ``minimal vectors`` proves that the seven stated minimal vectors are every
 order-minimal class member: ``12 e_j`` lies in M, so the box ``[-6, 6]^4``
 holds them all, and the minimal members of the box, walked on L1's normal
@@ -324,10 +325,9 @@ def _check_routes() -> None:
 
 def _check_decomposition() -> None:
     # the nine labels name the nine classes of L1 modulo M, so the 81
-    # ordered label pairs cover L1 x L1 and the class restriction leaves the
-    # six distinct positive pairs; ``route equivalence`` compares that
-    # six-class sum with the full invariant difference at budget 24
-    _check_class_premises()
+    # ordered label pairs cover L1 x L1, and the class restriction (whose
+    # premises ``class relations`` checks) leaves the six distinct positive
+    # pairs, whose sum ``route equivalence`` compares at budget 24
     fam = build_family()
     if fam.M.index_in(fam.L1) != len(ALL_LABELS):
         raise AssertionError(f"[L1:M] = {fam.M.index_in(fam.L1)}, not {len(ALL_LABELS)}")

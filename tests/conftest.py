@@ -292,19 +292,19 @@ SMALL = ParamPoint(1, 2, 3, 4)
 COPRIME = ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4))
 
 
-def cancelling_tie(route):
+def cancelling_tie():
     """``_leading_data`` with its second row's chain monomial replaced by the
     first row's, its coefficient negated: where the two rows tie, as at
     ``SCHIEMANN`` (+432 against -432), the leaders' values sum to zero."""
-    first, (e, poly, _) = _leading_data(route)
+    first, (e, poly, _) = _leading_data()
     coefficient, u, v = first[2]
     return first, (e, poly, (-coefficient, u, v))
 
 
-def zero_second_row(route):
+def zero_second_row():
     """``_leading_data`` with its second row's chain coefficient 0: where
     that row leads alone, as at ``COPRIME``, the leading value is zero."""
-    first, (e, poly, (_, u, v)) = _leading_data(route)
+    first, (e, poly, (_, u, v)) = _leading_data()
     return first, (e, poly, (0, u, v))
 
 

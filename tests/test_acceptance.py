@@ -190,15 +190,23 @@ PREMISE_CORRUPTIONS = {
         codes,
         "K4",
         _unsigned_g1_g3,
-        ("basis change", "class relations", "class decomposition"),
+        ("basis change", "class relations"),
         ("class relations", "no sign matrix that keeps M separates slot (0, 1)"),
     ),
     "COSET_REPS": (
         lattices,
         "COSET_REPS",
         lambda reps: (reps[0], reps[2], *reps[2:]),
-        ("isospectrality", "class relations", "class decomposition"),
+        ("isospectrality", "class relations"),
         ("isospectrality", "the images (-3, -1, -1, -1) and (-3, -1, -1, -1) lie in one coset of M"),
+    ),
+    # eight labels for the nine classes of L1 modulo M
+    "ALL_LABELS": (
+        verification,
+        "ALL_LABELS",
+        lambda labels: labels[:-1],
+        ("isospectrality", "class decomposition"),
+        ("class decomposition", "[L1:M] = 9, not 8"),
     ),
     "intersection_dim": (
         codes.TernaryCode,

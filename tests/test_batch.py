@@ -4,7 +4,8 @@ Each line of its output is the compact json of the certificate that
 ``certify --params ... --format json`` prints for that line's point, so the
 output of a batch over the point stream of ``cert_digests`` hashes to the
 digests kept in ``data/cert_digests.json``.  A bad line writes its 1-based
-number and its error, and the run goes on.
+number and its error, and the run goes on.  A reader that closes the pipe
+ends the run: one ``error:`` line on stderr, exit 1.
 """
 
 import hashlib
@@ -176,3 +177,28 @@ def test_exactly_one_of_params_and_batch(capsys, monkeypatch, argv):
     assert (code, captured.out) == (1, "")
     assert "--params" in captured.err.splitlines()[-1]
     assert "--batch" in captured.err.splitlines()[-1]
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_batch_with_one_error_line(tmp_path):
+    # the reader takes one line and closes its end, long before the whole
+    # stream's certificates could fit in the pipe: the batch writes no more
+    # to stdout and exits 1 with one error line, and neither the error path
+    # nor the flush at exit meets the closed pipe again
+    source = tmp_path / "points.txt"
+    source.write_text(_lines(points()), encoding="utf-8")
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isopair", "certify", "--batch", str(source), "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert json.loads(first)["params"] == [str(x) for x in points()[0]]
+    assert code == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: [Errno 32] Broken pipe\n"

@@ -244,9 +244,10 @@ class TestCaches:
             fam.L1.vectors(budget)
             rep_series(fam.L1, budget)
             theta11(fam.M, budget)
-        # the one discrepancy cache holds an entry per route, not per budget
+        # the one discrepancy cache holds one entry, not one per route or
+        # per budget
         info = _leading_data.cache_info()
-        assert info.currsize == info.maxsize == len(Route)
+        assert info.currsize == info.maxsize == 1
         # a lattice carries its identity and nothing keyed on a budget
         assert Lattice.__slots__ == IDENTITY_FIELDS
         for lattice in fam:
@@ -260,17 +261,17 @@ class TestCaches:
         info = _leading_data.cache_info()
         assert info.currsize == info.misses, info
 
-    def test_certify_sweep_makes_one_entry_per_route(self, monkeypatch):
+    def test_certify_sweep_makes_one_entry(self, monkeypatch):
         _leading_data.cache_clear()
         budgets = _labelled_budgets(monkeypatch)
         for route in Route:
             for budget in [*range(36, 53), 160]:
                 certify(SCHIEMANN, budget, route)
+        # one miss across both routes and all budgets
         info = _leading_data.cache_info()
-        assert info.maxsize == len(Route)
-        assert info.currsize == info.misses == len(Route)
-        # both entries are built at budget 36, whatever the budgets asked
-        # for: the psi entry labels that shell once, the theta entry none
+        assert info.maxsize == info.currsize == info.misses == 1
+        # the entry is built at budget 36, whatever the budgets and routes
+        # asked for, and labels that shell once
         assert budgets == [MIN_PAIR_BUDGET]
 
     def test_call_forms_share_the_class_series(self, monkeypatch):
@@ -607,12 +608,16 @@ class TestCertify:
             assert len(cert.terms) == terms
             assert entered == {"certify", "_sort_cleared"}
 
-    def test_warm_certify_hashes_its_route_by_identity(self):
-        # the leading entry is keyed by the route, whose hash runs no
-        # Python frame: ``Enum.__hash__`` in enum.py would, once per call
+    def test_warm_certify_on_either_route_hits_the_one_entry(self, fresh_leading_data):
+        # the entry is not keyed by the route: after a first call on one
+        # route, a call on either is a hit, and the lookup hashes no route,
+        # so no Python frame of enum.py runs
+        certify(SCHIEMANN, 40, Route.FROM_THETA)
         for route in Route:
-            assert hash(route) == object.__hash__(route)
+            before = _leading_data.cache_info()
             certify(SCHIEMANN, 40, route)
+            after = _leading_data.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, 1)
             files = set()
 
             def profile(frame, event, arg):
@@ -802,7 +807,7 @@ class TestLeadingData:
     )
     def test_rows_lead_where_the_whole_series_does(self, budget, route, count):
         series = delta_series(budget, route)
-        rows = _leading_data(route)
+        rows = _leading_data()
         assert [(e, poly) for e, poly, _ in rows] == [
             (e, series.coefficient(e)) for e in LEADING_EXPONENTS
         ]
@@ -833,7 +838,7 @@ class TestLeadingData:
         # the whole series at a larger budget: every exponent is a row's or
         # lies strictly above one
         series = delta_series(budget, route)
-        exponents = tuple(e for e, _, _ in _leading_data(route))
+        exponents = tuple(e for e, _, _ in _leading_data())
         assert exponents == LEADING_EXPONENTS
         for e in series.terms:
             assert e in exponents or any(exp_below(f, e) for f in exponents), e
@@ -854,6 +859,37 @@ class TestLeadingData:
                 match=r"^collapsed series does not lead at the minimal pair exponent$",
             ):
                 certify(point, 40, route)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda series: scale_series(series, 2),
+            lambda series: add_series(series, FormalQSeries(
+                series.budget, {(1, 0, 0, 0): [1] + [0] * (len(QUAD_MONOS) - 1)})),
+            lambda series: add_series(series, FormalQSeries(
+                series.budget, {BOLD_FIRST: [-1] + [0] * (len(QUAD_MONOS) - 1)})),
+        ],
+        ids=["doubled", "term-below", "second-chain-monomial"],
+    )
+    def test_a_corrupted_theta_route_leaves_theta_certificates_unchanged(
+        self, fresh_leading_data, monkeypatch, corrupt
+    ):
+        # the one entry is built from the psi route, so the theta route's
+        # series is an oracle of the tests: corrupted as the entry-build
+        # tests corrupt the psi route's, it leaves theta certificates as
+        # they were
+        points = (SCHIEMANN, COPRIME, SMALL)
+        expected = [certify(p, 40, Route.FROM_THETA) for p in points]
+        _leading_data.cache_clear()
+        good = delta_series
+
+        def series(budget, route):
+            return corrupt(good(budget, route)) if route is Route.FROM_THETA else good(budget, route)
+
+        monkeypatch.setattr(discrepancy, "delta_series", series)
+        assert series(MIN_PAIR_BUDGET, Route.FROM_THETA) != good(MIN_PAIR_BUDGET)
+        for _ in range(2):
+            assert [certify(p, 40, Route.FROM_THETA) for p in points] == expected
 
     def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
         below = (1, 0, 0, 0)
@@ -916,30 +952,33 @@ class TestChainCoordinates:
     @given(admissible_points())
     def test_every_row_value_is_negative_at_a_sorted_point(self, p):
         ordered = ParamPoint(*sorted(p))
-        for route in Route:
-            for _, poly, _ in _leading_data(route):
-                assert fraction_evaluate(poly, ordered) < 0, (route, poly)
+        for _, poly, _ in _leading_data():
+            assert fraction_evaluate(poly, ordered) < 0, poly
 
     def test_package_chain_map_is_the_checked_one(self):
         assert _CHAIN_MAP == CHAIN_MAP
 
     @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
     def test_leading_rows_are_negative_chain_monomials(self, route):
-        rows = _leading_data(route)
-        chains = {e: chain_form(mono_vector(poly)) for e, poly, _ in rows}
+        # each route's budget-36 series, at the one entry's exponents
+        rows = _leading_data()
+        series = delta_series(MIN_PAIR_BUDGET, route)
+        chains = {e: chain_form(series.terms[e]) for e, _, _ in rows}
         # -12 x2 x4 and -96 x1 x3
         expected = {BOLD_FIRST: {(1, 3): -12}, BOLD_SECOND: {(0, 2): -96}}
         assert {
             e: {slot: x for slot, x in zip(QUAD_SLOTS, chain) if x} for e, chain in chains.items()
         } == expected
         assert all(negative_in_chain_coordinates(mono_vector(poly)) for _, poly, _ in rows)
-        # the package's check returns the chain form it checked
+        # the package's check returns the chain form it checked, and the
+        # entry keeps its one monomial
         assert all(check_chain_form(e, mono_vector(poly)) == chains[e] for e, poly, _ in rows)
+        assert {e: {(u, v): c} for e, _, (c, u, v) in rows} == expected
 
     def test_a_positive_mutant_row_fails(self):
         # +24(b - a)(d - c) turns the row -12(b - a)(d - c) into +12 x2 x4
         a, b, c, d = VARIABLES
-        (e, poly, _), _ = _leading_data(Route.FROM_PSI_KERNEL)
+        (e, poly, _), _ = _leading_data()
         assert e == BOLD_FIRST
         mutant = mono_vector(24 * (b - a) * (d - c) + poly)
         assert chain_form(mutant) == [12 if slot == (1, 3) else 0 for slot in QUAD_SLOTS]
@@ -984,12 +1023,12 @@ class TestChainCoordinates:
         shift = mono_vector(-1 * (a * a))
         assert chain_form(shift) == [-1 if slot == (0, 0) else 0 for slot in QUAD_SLOTS]
         _shift_first_row(monkeypatch, shift)
-        for route in (*Route, *Route):
+        for _ in range(2):
             with pytest.raises(
                 AssertionError,
                 match=r"^coefficient at \(10, 10, 2, 2\) has 2 chain monomials, not one$",
             ):
-                certify(SCHIEMANN, 40, route)
+                certify(SCHIEMANN, 40)
         assert _leading_data.cache_info().currsize == 0
 
     def test_a_third_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):

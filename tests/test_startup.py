@@ -14,7 +14,7 @@ sums only the class series its anchors read, each once, and spans its
 codes in straight-line F_3 arithmetic, C1 and C2 once for all matching
 calls.  Each command labels L1's shell once per budget it sums, and a
 process keeps no shell or series after the call that built it: of the
-discrepancy layer only the leading entries are cached.
+discrepancy layer only the leading entry is cached.
 
 A cold command pays no interpreter teardown: the console script and
 ``python -m isopair`` end through ``cli.run``, which runs the ``atexit``
@@ -162,7 +162,7 @@ def test_verify_sums_twelve_class_series():
     [
         (["certify", "--params", "1", "7", "13", "19"], [36]),
         (["certify", "--params", "1", "7", "13", "19", "--budget", "160"], [36]),
-        (["certify", "--params", "1", "7", "13", "19", "--route", "theta"], []),
+        (["certify", "--params", "1", "7", "13", "19", "--route", "theta"], [36]),
         (["delta", "--params", "1", "7", "13", "19", "--budget", "80"], [80]),
         (["verify", "--budget", "36"], [24, 36]),
         ([], [36]),
@@ -170,15 +170,15 @@ def test_verify_sums_twelve_class_series():
     ids=["certify", "certify-160", "certify-theta", "delta-80", "verify-36", "warm-certifies"],
 )
 def test_each_command_labels_each_shell_once(argv, budgets):
-    # a certify labels the budget-36 shell of the psi entry at any budget,
-    # and a warm batch labels nothing after that; no caller labels a shell
-    # per class pair
+    # a certify labels the budget-36 shell of the one leading entry at any
+    # budget, on either route, and a warm batch labels nothing after that;
+    # no caller labels a shell per class pair
     assert json.loads(_fresh(f"ARGV = {argv!r}\n{LABEL_PROBE}")) == budgets
 
 
 def test_no_series_outlives_its_use():
     # certify at eight budgets and a verify: the one discrepancy cache keeps
-    # the leading entries, which hold no series
+    # the leading entry, which holds no series
     assert int(_fresh(RETENTION_PROBE)) == 0
 
 
