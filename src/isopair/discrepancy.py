@@ -12,9 +12,9 @@ kernel of an ordered class pair is ``4 x_s x_t p_s p_t`` summed over the
 coordinate slots ``s < t`` where the product ``f`` of the two sign matrices
 differs, with ``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class
 series are integer sums, and they stay integer vectors through
-``delta_series`` and the leading entry, whose rows ``certify`` values as
-one integer chain monomial each; only the certificate terms become
-polynomials.
+``delta_series``.  The leading entry holds two pair kernels, which
+``certify`` values as one integer chain monomial each; only the
+certificate terms become polynomials.
 
 The class restriction: the whole series is the sum of the six class series
 with distinct positive representatives, exactly at every budget, not only
@@ -78,11 +78,11 @@ from .theta import Kernel, pair_series, theta11
 
 # One fact is cached: the leading entry (``_leading_data``, whose docstring
 # says what it holds and checks), the same at every point, every budget of
-# at least ``MIN_PAIR_BUDGET`` and both routes.  No shell is kept:
-# ``delta_series`` and ``check_relations`` label one per call
-# (``_labelled_shell``) and sum each class series they read from it once,
-# six and 81.  A ``certify`` process labels one shell (36, either route),
-# ``delta`` one, ``verify`` two (24 and 36) and a warm batch no more.
+# at least ``MIN_PAIR_BUDGET`` and both routes, and built from no series.
+# No shell is kept: ``delta_series`` and ``check_relations`` label one per
+# call (``_labelled_shell``) and sum each class series they read from it
+# once, six and 81.  A ``certify`` process labels no shell (single,
+# ``--batch`` or either route), ``delta`` one and ``verify`` one (24).
 
 # The square sum of the leading exponent (25, 5, 5, 1): the smallest budget
 # whose series holds both leading coefficients in full.
@@ -348,64 +348,57 @@ def _leading_data() -> tuple[tuple[Expo, ParamPolynomial, tuple[int, int, int]],
     its coefficient polynomial and that coefficient as the single chain
     monomial a point values.
 
-    The entry is built once, from the psi-route series at
-    ``MIN_PAIR_BUDGET`` and the pair table, and serves both routes and
-    every budget of at least that: the theta route's series is the same
-    (``route equivalence`` and the tests compare them).  The table pairs
-    the seven stated minimal vectors, which the ``minimal vectors`` anchor
-    proves to be every order-minimal class member, so it reads no shell and
-    has no budget.  The suffix order is well-founded and additive, so a
-    pair from two distinct, non-opposite classes lies at or above a
-    pair-table row, and every row at or above a leading row; pairs from
-    equal or opposite classes and from the zero class contribute nothing
-    (the module's class restriction).  Both leading exponents have a square
-    sum of at most ``MIN_PAIR_BUDGET``, so that series holds their
-    coefficients in full.
+    The entry is built once, from the pair table and the pair kernel with
+    no series, and serves both routes and every budget of at least
+    ``MIN_PAIR_BUDGET``.  The table pairs the seven stated minimal vectors,
+    which the ``minimal vectors`` anchor proves to be every order-minimal
+    class member, so it reads no shell and has no budget.  The suffix order
+    is well-founded and additive, so a pair from two distinct, non-opposite
+    classes lies at or above a pair-table row, and every row at or above a
+    leading row; pairs from equal or opposite classes and from the zero
+    class contribute nothing (the module's class restriction).  A pair at a
+    leading exponent lies at no other row, so both its vectors are minimal
+    and it is a table pair; the two leading exponents are distinct, so each
+    is one table pair's, and the whole series' coefficient there is that
+    pair's kernel (``pair_discrepancy_vector``) at every budget that holds
+    it.  Every other term lies strictly above a row: by the suffix-sum
+    identity it collapses strictly above that row at every sorted,
+    pairwise-distinct point, so the rows lead exactly where the whole
+    series does, and no point needs the rest.
 
     The entry is a pair of rows ``(exponent, polynomial, (coefficient, u,
-    v))``: the polynomial ``series.coefficient(e)`` for the certificate,
-    and the one nonzero entry of the coefficient's chain form
-    (``check_chain_form``), ``coefficient * x_u * x_v`` in the chain
-    coordinates ``x1 = a``, ``x2 = b-a``, ``x3 = c-b``, ``x4 = d-c``, with
-    ``u`` and ``v`` zero-based as in ``QUAD_SLOTS``, which ``certify``
-    values at the point's numerators.
+    v))``: the kernel as the polynomial of the certificate, as
+    ``FormalQSeries.coefficient`` gives it, and the one nonzero entry of the
+    kernel's chain form (``check_chain_form``), ``coefficient * x_u * x_v``
+    in the chain coordinates ``x1 = a``, ``x2 = b-a``, ``x3 = c-b``,
+    ``x4 = d-c``, with ``u`` and ``v`` zero-based as in ``QUAD_SLOTS``,
+    which ``certify`` values at the point's numerators.
 
-    Three checks run here, once per process, on the budget-36 series.  Each
-    stored coefficient must equal the direct two-vector kernel of its row
-    (``pair_discrepancy_vector``, in integers).  Every other exponent of the
-    series must lie strictly above a row exponent in the suffix order
-    (``exp_below``); by the suffix-sum identity such a term collapses
-    strictly above that row at every sorted, pairwise-distinct point, so the
-    rows lead exactly where the whole series does, and no point needs the
-    rest.  Each row's coefficient must pass ``check_chain_form``, so it is
-    negative at every pairwise-distinct point.  The entry then takes the
-    shape ``certify`` reads: each chain form must have exactly one nonzero
-    entry, and there must be exactly two rows.  A failed check raises
-    ``AssertionError``, and ``lru_cache`` stores no exception, so an
-    inconsistent series fails every call, not only the first.
+    The checks run here, once per process.  Each kernel must pass
+    ``check_chain_form``, so it is negative at every pairwise-distinct
+    point; the entry then takes the shape ``certify`` reads: each chain form
+    must have exactly one nonzero entry, and there must be exactly two
+    rows, at distinct exponents.  A failed check raises ``AssertionError``,
+    and ``lru_cache`` stores no exception, so a failed build fails every
+    call, not only the first.  The tests compare the entry with both
+    routes' series at several budgets.
     """
-    series = delta_series(MIN_PAIR_BUDGET, Route.FROM_PSI_KERNEL)
     rows = minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))
-    for row in rows:
-        if series.terms.get(row.exponent) != pair_discrepancy_vector(*row.vectors):
-            raise AssertionError(
-                f"coefficient at {row.exponent} disagrees with the minimal-pair kernel"
-            )
-    exponents = tuple(row.exponent for row in rows)
-    for e in series.terms:
-        if e not in exponents and not any(exp_below(f, e) for f in exponents):
-            raise AssertionError(f"exponent {e} does not lie above a minimal pair exponent")
     entry = []
-    for e in exponents:
-        chain = check_chain_form(e, series.terms[e])
+    for row in rows:
+        e, vector = row.exponent, pair_discrepancy_vector(*row.vectors)
+        chain = check_chain_form(e, vector)
         monomials = [(x, u, v) for (u, v), x in zip(QUAD_SLOTS, chain) if x]
         if len(monomials) != 1:
             raise AssertionError(
                 f"coefficient at {e} has {len(monomials)} chain monomials, not one"
             )
-        entry.append((e, series.coefficient(e), monomials[0]))
+        entry.append((e, ParamPolynomial._of_vector(vector), monomials[0]))
+    exponents = tuple(row.exponent for row in rows)
     if len(entry) != 2:
         raise AssertionError(f"leading rows at {exponents} are not two")
+    if exponents[0] == exponents[1]:
+        raise AssertionError(f"leading rows at {exponents} share one exponent")
     return tuple(entry)
 
 
@@ -479,15 +472,17 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
 
     The theorem (the paper's): at a pairwise-distinct point the collapsed
     discrepancy leads at the least row key with a negative coefficient.
-    Its premises are the entry's three checks, made once when it is built:
-    the rows' coefficients are the minimal-pair kernels, every other term
-    of the series lies strictly above a row, and each row's coefficient has
-    no positive and some negative coefficient in the chain coordinates
-    ``x1 = a``, ``x2 = b-a``, ``x3 = c-b``, ``x4 = d-c``
-    (``check_chain_form``), all positive at the sorted point, so every
-    leading value and a tie's sum are negative.  The one check made at
-    every point, that the leaders' sum is nonzero, therefore cannot fire at
-    a distinct point; it guards an entry altered after it was built.
+    Its premises are the pair table, the pair kernel and the chain form
+    (``_leading_data`` gives why): the rows are the table's two
+    order-minimal pairs, each alone at its exponent, so every other term of
+    the series lies strictly above a row and each row's coefficient is its
+    pair's kernel; and each kernel has no positive and some negative
+    coefficient in the chain coordinates ``x1 = a``, ``x2 = b-a``,
+    ``x3 = c-b``, ``x4 = d-c`` (``check_chain_form``, checked when the entry
+    is built), all positive at the sorted point, so every leading value and
+    a tie's sum are negative.  The one check made at every point, that the
+    leaders' sum is nonzero, therefore cannot fire at a distinct point; it
+    guards an entry altered after it was built.
 
     A warm call is one flat path: of the package it enters only this
     function and ``_sort_cleared``.  ``check_budget`` and ``check_route``

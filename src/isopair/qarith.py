@@ -201,13 +201,15 @@ class ParamPolynomial:
     serialize or compare with a formula of the paper.
 
     Terms map monomial exponent 4-tuples of degree at most two to nonzero
-    ints: an integer quadratic form, the one ``FormalQSeries.coefficient``
-    builds; the zero polynomial has no terms.  Terms that are not a mapping
-    raise ``TypeError``.  A monomial that is not four non-negative ints
-    raises ``ValueError``, as an exponent vector does, and so does one of
-    degree three or more; a coefficient that is not an ``int`` (a Fraction,
-    a float or a bool) raises ``TypeError``.  It has no arithmetic (see the
-    module docstring), and instances are immutable by convention.
+    ints: an integer quadratic form, the one ``_of_vector`` builds from a
+    coefficient vector (for ``FormalQSeries.coefficient`` and the leading
+    entry of ``discrepancy``); the zero polynomial has no terms.  Terms
+    that are not a mapping raise ``TypeError``.  A monomial that is not
+    four non-negative ints raises ``ValueError``, as an exponent vector
+    does, and so does one of degree three or more; a coefficient that is
+    not an ``int`` (a Fraction, a float or a bool) raises ``TypeError``.
+    It has no arithmetic (see the module docstring), and instances are
+    immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -227,6 +229,11 @@ class ParamPolynomial:
             if coeff:
                 clean[mono] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of_vector(cls, vector: Sequence[int]) -> "ParamPolynomial":
+        """The form whose coefficient vector on ``QUAD_MONOS`` is ``vector``."""
+        return cls({m: x for m, x in zip(QUAD_MONOS, vector) if x})
 
     @property
     def is_zero(self) -> bool:
@@ -334,8 +341,7 @@ class FormalQSeries:
         return iter(sorted(self.terms))
 
     def coefficient(self, e: Expo) -> ParamPolynomial:
-        vector = self.terms.get(check_expo(e), ())
-        return ParamPolynomial({m: x for m, x in zip(QUAD_MONOS, vector) if x})
+        return ParamPolynomial._of_vector(self.terms.get(check_expo(e), ()))
 
     def collapse(self, p: ParamPoint) -> tuple[tuple[Fraction, Fraction], ...]:
         """Evaluate exponents and coefficients at a point, merging exponents.

@@ -21,16 +21,17 @@ order-minimal class member: ``12 e_j`` lies in M, so the box ``[-6, 6]^4``
 holds them all, and the minimal members of the box, walked on L1's normal
 form, are the stated ones.  The code, lattice and table anchors check
 finite data as they stand; ``minimal pairs`` checks the table of those
-seven vectors and reads no shell.  Truncations remain where no finite
+seven vectors and reads no shell.  ``leading coefficients`` reads a
+certificate, whose leading entry is built from that table and the pair
+kernel, with no series, and checked there against the paper's theorem
+(``check_chain_form``); the anchor compares the certificate's terms with
+the stated polynomials.  So only the budget of that certificate depends on
+the budget ``verify`` is given.  One truncation remains, where no finite
 premise is checked: ``route equivalence`` compares the two discrepancy
-routes at budget 24, and ``leading coefficients`` reads a certificate,
-whose leading entry is built from the budget-36 series; it checks again
-that each of the certificate's coefficients is negative in the chain
-coordinates (``check_chain_form``), the paper's theorem.  So only the
-budget of that certificate depends on the budget ``verify`` is given.  The
-tests keep the series-level checks: the two lattices' vector counts,
-``theta11`` under both kernels, the relations over all 81 ordered label
-pairs (``check_relations``) and the 81-pair decomposition sum.
+routes at budget 24.  The tests keep the series-level checks: the two
+lattices' vector counts, ``theta11`` under both kernels, the relations
+over all 81 ordered label pairs (``check_relations``), the 81-pair
+decomposition sum and the leading entry against both routes' series.
 
 A check fails as the library's cross-checks do, by raising ``AssertionError``
 with its witness; ``_result`` makes any such raise, the check's own or one
@@ -52,7 +53,6 @@ from .discrepancy import (
     _class_slots,
     _order_minimal,
     certify,
-    check_chain_form,
     delta_series,
     minimal_pair_table,
     minimal_rows,
@@ -74,7 +74,7 @@ from .lattices import (
     phi,
     psi,
 )
-from .qarith import QUAD_MONOS, ParamPoint, check_budget
+from .qarith import ParamPoint, check_budget
 from .theta import defining_coeffs, pairwise_coeffs
 
 LEADING_EXPONENTS = ((10, 10, 2, 2), (25, 5, 5, 1))
@@ -277,8 +277,9 @@ def _check_isospectral() -> None:
         if fam.M.contains(tuple(x - y for x, y in zip(u, w))):
             raise AssertionError(f"the images {u} and {w} lie in one coset of M")
     for lattice in (fam.L1, fam.L2):
-        if fam.M.index_in(lattice) != len(images):
-            raise AssertionError(f"[{lattice.name}:M] = {fam.M.index_in(lattice)}, not nine")
+        index = fam.M.index_in(lattice)
+        if index != len(images):
+            raise AssertionError(f"[{lattice.name}:M] = {index}, not {len(images)}")
 
 
 def _check_kernel_identity() -> None:
@@ -365,15 +366,12 @@ def _check_min_pairs() -> None:
 
 
 def _check_leading(budget: int) -> None:
-    # the integral example is a tie, so its certificate holds the series'
-    # coefficients at both leading exponents, in their order
+    # the integral example is a tie, so its certificate holds both leading
+    # coefficients, in their order
     cert = certify(SCHIEMANN, budget)
     if cert.verdict is not Verdict.NON_ISOMETRIC:
         raise AssertionError(f"verdict {cert.verdict.value} at the integral example")
     found = [(term.exponent_vector, term.polynomial) for term in cert.terms]
-    # the theorem: each leading coefficient is negative in chain coordinates
-    for e, poly in found:
-        check_chain_form(e, [poly.terms.get(mono, 0) for mono in QUAD_MONOS])
     if [(e, poly.terms) for e, poly in found] != list(zip(LEADING_EXPONENTS, LEADING_POLYNOMIALS)):
         raise AssertionError("; ".join(f"coefficient at {e} is {poly}" for e, poly in found))
     if (cert.min_exponent, cert.total) != SCHIEMANN_TERM:

@@ -40,7 +40,7 @@ from isopair.discrepancy import MIN_PAIR_BUDGET
 from isopair.lattices import ALT_L1_COLUMNS, ALT_L2_COLUMNS, Lattice
 from isopair.verification import SCHIEMANN
 
-from conftest import SMALL, admissible_samples, scale_series
+from conftest import SMALL, admissible_samples
 
 ANCHORS = (
     "code census",
@@ -177,28 +177,28 @@ def _respanned(name, source):
 
 # a premise broken in the library (its owner, its name and the corruption),
 # for each proved anchor and each anchor that no frozen table reaches, the
-# anchors that must then fail, and that anchor with its witness
+# anchors that must then fail, and some of them with their witnesses
 PREMISE_CORRUPTIONS = {
     "pairwise_coeffs": (
         verification,
         "pairwise_coeffs",
         _with_cross_term,
         ("kernel identity",),
-        ("kernel identity", "kernels disagree at (1, 1, 0, 0), (0, 0, 1, 1)"),
+        {"kernel identity": "kernels disagree at (1, 1, 0, 0), (0, 0, 1, 1)"},
     ),
     "K4": (
         codes,
         "K4",
         _unsigned_g1_g3,
         ("basis change", "class relations"),
-        ("class relations", "no sign matrix that keeps M separates slot (0, 1)"),
+        {"class relations": "no sign matrix that keeps M separates slot (0, 1)"},
     ),
     "COSET_REPS": (
         lattices,
         "COSET_REPS",
         lambda reps: (reps[0], reps[2], *reps[2:]),
         ("isospectrality", "class relations"),
-        ("isospectrality", "the images (-3, -1, -1, -1) and (-3, -1, -1, -1) lie in one coset of M"),
+        {"isospectrality": "the images (-3, -1, -1, -1) and (-3, -1, -1, -1) lie in one coset of M"},
     ),
     # eight labels for the nine classes of L1 modulo M
     "ALL_LABELS": (
@@ -206,7 +206,7 @@ PREMISE_CORRUPTIONS = {
         "ALL_LABELS",
         lambda labels: labels[:-1],
         ("isospectrality", "class decomposition"),
-        ("class decomposition", "[L1:M] = 9, not 8"),
+        {"isospectrality": "[L1:M] = 9, not 8", "class decomposition": "[L1:M] = 9, not 8"},
     ),
     "intersection_dim": (
         codes.TernaryCode,
@@ -214,35 +214,35 @@ PREMISE_CORRUPTIONS = {
         # dimensions zero and one exchanged
         lambda method: lambda self, other: {1: 1, 3: 0, 9: 2}[len(self.words & other.words)],
         ("intersection graph",),
-        ("intersection graph", "12 edges, not the complete bipartite graph on the orbits"),
+        {"intersection graph": "12 edges, not the complete bipartite graph on the orbits"},
     ),
     "C2_LABELED_WORDS": (
         codes,
         "C2_LABELED_WORDS",
         _swap_middle,
         ("code matching",),
-        ("code matching", "g1 does not exchange the labeled words at index 1"),
+        {"code matching": "g1 does not exchange the labeled words at index 1"},
     ),
     "L-from-L1": (
         verification,
         "build_family",
         _respanned("L", "L1"),
         ("basis change", "lattice indices", "common sublattice"),
-        ("lattice indices", "[L:L1] = 1, expected 9"),
+        {"lattice indices": "[L:L1] = 1, expected 9"},
     ),
     "L12-from-M": (
         verification,
         "build_family",
         _respanned("L12", "M"),
         ("lattice indices", "common sublattice"),
-        ("common sublattice", "M is not index 3 in the intersection"),
+        {"common sublattice": "M is not index 3 in the intersection"},
     ),
     "SIGN_FLIP": (
         verification,
         "SIGN_FLIP",
         lambda flip: (1, 1, 1, 1),
         ("alternative generators",),
-        ("alternative generators", "classical first lattice unexpectedly meets the base lattice"),
+        {"alternative generators": "classical first lattice unexpectedly meets the base lattice"},
     ),
     # the theta route enumerates L1 twice, so its difference is zero
     "theta-L2-from-L1": (
@@ -250,7 +250,7 @@ PREMISE_CORRUPTIONS = {
         "build_family",
         _respanned("L2", "L1"),
         ("route equivalence",),
-        ("route equivalence", "the two discrepancy routes differ at budget 24"),
+        {"route equivalence": "the two discrepancy routes differ at budget 24"},
     ),
     # the two cases where the library code under an anchor raises
     # ``ValueError``: ``Lattice.index_in`` refuses a lattice outside the
@@ -260,33 +260,34 @@ PREMISE_CORRUPTIONS = {
         "build_family",
         lambda build: lambda: build()._replace(L12=build().L),
         ("lattice indices", "common sublattice"),
-        ("lattice indices", "L is not a sublattice of L1"),
+        {"lattice indices": "L is not a sublattice of L1"},
     ),
     "theta-L2-from-L12": (
         discrepancy,
         "build_family",
         _respanned("L2", "L12"),
         ("route equivalence",),
-        ("route equivalence", "coefficient at (18, 2, 2, 2) times 1/128 is not an integer"),
+        {"route equivalence": "coefficient at (18, 2, 2, 2) times 1/128 is not an integer"},
     ),
 }
 
 
 @pytest.mark.parametrize("case", PREMISE_CORRUPTIONS)
 def test_broken_premise_fails_its_anchors(monkeypatch, case):
-    owner, name, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[case]
+    owner, name, corrupt, failing, witnesses = PREMISE_CORRUPTIONS[case]
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     results = run_verification(MIN_PAIR_BUDGET)
     assert tuple(result.anchor for result in results) == ANCHORS
     failed = failures(results)
     assert tuple(failed) == failing
-    assert failed[anchor] == witness
+    assert {anchor: failed[anchor] for anchor in witnesses} == witnesses
     assert all(failed.values())
 
 
 @pytest.mark.parametrize("case", ["L12-is-L", "theta-L2-from-L12"])
 def test_value_error_under_an_anchor_keeps_the_verify_table(monkeypatch, capsys, case):
-    owner, name, corrupt, failing, (anchor, witness) = PREMISE_CORRUPTIONS[case]
+    owner, name, corrupt, failing, witnesses = PREMISE_CORRUPTIONS[case]
+    [(anchor, witness)] = witnesses.items()
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     assert cli.main(["verify", "--budget", str(MIN_PAIR_BUDGET)]) == 1
     out, err = capsys.readouterr()
@@ -298,15 +299,38 @@ def test_value_error_under_an_anchor_keeps_the_verify_table(monkeypatch, capsys,
 
 
 def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_caches):
-    delta_series = discrepancy.delta_series
+    # doubled pair kernels still pass the entry's checks, -24 x2 x4 and
+    # -192 x1 x3, but not the anchor's comparison with the paper's polynomials
+    kernel = discrepancy.pair_discrepancy_vector
 
-    def doubled(*args):
-        return scale_series(delta_series(*args), 2)
+    def doubled(l, k):
+        return tuple(2 * x for x in kernel(l, k))
 
-    monkeypatch.setattr(discrepancy, "delta_series", doubled)
-    failed = failures(run_verification(MIN_PAIR_BUDGET))
-    assert list(failed) == ["leading coefficients"]
-    assert failed["leading coefficients"].endswith("disagrees with the minimal-pair kernel")
+    monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", doubled)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {"leading coefficients": (
+        "coefficient at (10, 10, 2, 2) is -24*b*d + 24*b*c + 24*a*d - 24*a*c; "
+        "coefficient at (25, 5, 5, 1) is -192*a*c + 192*a*b"
+    )}
+
+
+def test_positive_pair_kernel_fails_its_anchor_with_the_entry_witness(
+    monkeypatch, clear_check_caches
+):
+    # the first row's kernel negated, +12 x2 x4 in chain coordinates: the
+    # entry build refuses it under ``leading coefficients``, and no other
+    # anchor reads the kernel
+    kernel = discrepancy.pair_discrepancy_vector
+
+    def first_negated(l, k):
+        vector = kernel(l, k)
+        if tuple(x + y for x, y in zip(phi(l), phi(k))) == (10, 10, 2, 2):
+            return tuple(-x for x in vector)
+        return vector
+
+    monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", first_negated)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {
+        "leading coefficients": "coefficient at (10, 10, 2, 2) has chain coefficient 12 on x2*x4"
+    }
 
 
 @pytest.mark.parametrize(
@@ -359,7 +383,8 @@ def test_inconclusive_verdict_fails_its_anchor(monkeypatch):
 
 def test_positive_chain_coefficient_fails_its_anchor(monkeypatch):
     # the certificate with its first coefficient negated, +12(b-a)(d-c): the
-    # anchor checks the theorem on the terms it reads, before it compares them
+    # entry build checked the theorem, and the anchor's comparison with the
+    # paper's polynomials sees the sign
     certify = verification.certify
 
     def negated_first(*args):
@@ -369,9 +394,10 @@ def test_positive_chain_coefficient_fails_its_anchor(monkeypatch):
         return cert._replace(terms=(first._replace(polynomial=poly), *cert.terms[1:]))
 
     monkeypatch.setattr(verification, "certify", negated_first)
-    assert failures(run_verification(MIN_PAIR_BUDGET)) == {
-        "leading coefficients": "coefficient at (10, 10, 2, 2) has chain coefficient 12 on x2*x4"
-    }
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {"leading coefficients": (
+        "coefficient at (10, 10, 2, 2) is 12*b*d - 12*b*c - 12*a*d + 12*a*c; "
+        "coefficient at (25, 5, 5, 1) is -96*a*c + 96*a*b"
+    )}
 
 
 def compare_vector_counts(budget: int, counts=rep_series) -> None:

@@ -137,11 +137,14 @@ def test_lattice_jobs_give_one_calibrated_row(job, layer, budget):
 
 
 def test_every_certify_first_pass_starts_from_empty_budget_caches(bench, monkeypatch):
-    # the labelled shell, the six class series and the leading data are
-    # built in each of the ``CALLS`` passes, and the warm calls build none
+    # the leading entry, from its two rows' pair kernels, is built in each
+    # of the ``CALLS`` passes, and the warm calls build none; no pass
+    # labels a shell or sums a series
     from isopair import discrepancy
 
-    calls = dict.fromkeys(("delta_series", "pair_series", "coset_label"), 0)
+    calls = dict.fromkeys(
+        ("pair_discrepancy_vector", "delta_series", "pair_series", "coset_label"), 0
+    )
 
     def counted(name):
         original = getattr(discrepancy, name)
@@ -156,15 +159,13 @@ def test_every_certify_first_pass_starts_from_empty_budget_caches(bench, monkeyp
     monkeypatch.setattr(bench, "calibrate", lambda: 1.0)
     monkeypatch.setattr(bench, "scale", lambda before, after: 1.0)
     bench._certify_rows(40)
-    # the leading entry is built from the budget-36 shell at every budget
-    shell = len(isopair.build_family().L1.vectors(MIN_PAIR_BUDGET))
-    assert calls == {"delta_series": bench.CALLS, "pair_series": 6 * bench.CALLS,
-                     "coset_label": shell * bench.CALLS}
+    assert calls == {"pair_discrepancy_vector": 2 * bench.CALLS, "delta_series": 0,
+                     "pair_series": 0, "coset_label": 0}
 
 
 def test_every_anchor_pass_starts_from_empty_caches(bench, monkeypatch):
     # each of the ``CALLS`` passes rebuilds the lattice family, the code
-    # census with its echelon pairs and the budget-36 leading entry (a cache
+    # census with its echelon pairs and the leading entry (a cache
     # that kept its entry would miss only in the first pass), with the
     # collector off
     import gc

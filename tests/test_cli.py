@@ -173,13 +173,12 @@ class TestCertify:
         assert err == "error: parameters must be positive, got (0, 1, 2, 3)\n"
 
     def test_internal_consistency_failure_exits_1(self, capsys, monkeypatch):
-        # an empty discrepancy series contradicts the minimal-pair kernels
+        # a zero pair kernel has no negative chain coefficient
         import isopair.discrepancy
-        from isopair import FormalQSeries
 
         isopair.discrepancy._leading_data.cache_clear()
         monkeypatch.setattr(
-            isopair.discrepancy, "delta_series", lambda budget, route: FormalQSeries(budget)
+            isopair.discrepancy, "pair_discrepancy_vector", lambda l, k: (0,) * 10
         )
         argv = ("certify", "--params", "1", "7", "13", "19")
         code, out, err = run(capsys, *argv)
@@ -190,8 +189,8 @@ class TestCertify:
         assert json.loads(out)["error"].startswith("internal consistency failure: ")
 
     def test_huge_budget_gives_the_budget_40_certificate(self, capsys, monkeypatch):
-        # the leading entry is the budget-36 one at every budget, so a
-        # hostile budget costs nothing: no series is summed at it
+        # the leading entry is built from the pair table at every budget,
+        # so a hostile budget costs nothing: no series is summed
         import isopair.discrepancy
 
         delta_series = isopair.discrepancy.delta_series
@@ -199,7 +198,6 @@ class TestCertify:
 
         def recorded(budget, route):
             budgets.append(budget)
-            assert budget == isopair.discrepancy.MIN_PAIR_BUDGET, budget
             return delta_series(budget, route)
 
         isopair.discrepancy._leading_data.cache_clear()
@@ -213,7 +211,7 @@ class TestCertify:
         expected = json.loads(out)
         assert huge.pop("budget") == 10**9 and expected.pop("budget") == 40
         assert huge == expected
-        assert budgets == [isopair.discrepancy.MIN_PAIR_BUDGET]
+        assert budgets == []
 
     @pytest.mark.parametrize(
         "leading_data, params",

@@ -270,9 +270,9 @@ class TestCaches:
         # one miss across both routes and all budgets
         info = _leading_data.cache_info()
         assert info.maxsize == info.currsize == info.misses == 1
-        # the entry is built at budget 36, whatever the budgets and routes
-        # asked for, and labels that shell once
-        assert budgets == [MIN_PAIR_BUDGET]
+        # the entry is built from the pair table, whatever the budgets and
+        # routes asked for, and labels no shell
+        assert budgets == []
 
     def test_call_forms_share_the_class_series(self, monkeypatch):
         sums = []
@@ -754,6 +754,18 @@ class TestCertify:
         assert payload["verdict"] == "NonIsometric"
 
 
+def check_series_leads_at_the_entry(series: FormalQSeries) -> None:
+    """The entry against a series: each row's polynomial is the series'
+    coefficient at its exponent, and every other exponent of the series
+    lies strictly above a row in the suffix order."""
+    rows = _leading_data()
+    exponents = tuple(e for e, _, _ in rows)
+    for e, poly, _ in rows:
+        assert series.coefficient(e) == poly, e
+    for e in series.terms:
+        assert e in exponents or any(exp_below(f, e) for f in exponents), e
+
+
 @pytest.fixture
 def fresh_leading_data():
     _leading_data.cache_clear()
@@ -783,16 +795,6 @@ class TestLeadingData:
         # the ties reach the certificate as two terms
         ties = sum(len(payload["terms"]) == 2 for payload in warm)
         assert ties >= count // 4
-
-    def test_corrupted_series_fails_every_call(self, fresh_leading_data, monkeypatch):
-        good = delta_series
-        monkeypatch.setattr(
-            discrepancy, "delta_series", lambda budget, route: scale_series(good(budget, route), 2)
-        )
-        for _ in range(2):
-            with pytest.raises(AssertionError, match="disagrees with the minimal-pair kernel"):
-                certify(SCHIEMANN, 40)
-        assert _leading_data.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "budget, route, count",
@@ -825,23 +827,23 @@ class TestLeadingData:
     @pytest.mark.parametrize(
         "budget, route",
         [
+            (36, Route.FROM_PSI_KERNEL),
             (40, Route.FROM_PSI_KERNEL),
             (80, Route.FROM_PSI_KERNEL),
             (160, Route.FROM_PSI_KERNEL),
             (40, Route.FROM_THETA),
             (80, Route.FROM_THETA),
         ],
-        ids=["psi-40", "psi-80", "psi-160", "theta-40", "theta-80"],
+        ids=["psi-36", "psi-40", "psi-80", "psi-160", "theta-40", "theta-80"],
     )
     def test_whole_series_lies_at_or_above_a_leading_row(self, budget, route):
-        # the check ``_leading_data`` makes on the budget-36 series, made on
-        # the whole series at a larger budget: every exponent is a row's or
-        # lies strictly above one
+        # the entry is built from the pair table alone; its rows are the
+        # series' coefficients, and every other exponent of the series lies
+        # strictly above a row (psi-36 is the comparison the entry build
+        # once made at runtime)
         series = delta_series(budget, route)
-        exponents = tuple(e for e, _, _ in _leading_data())
-        assert exponents == LEADING_EXPONENTS
-        for e in series.terms:
-            assert e in exponents or any(exp_below(f, e) for f in exponents), e
+        assert tuple(e for e, _, _ in _leading_data()) == LEADING_EXPONENTS
+        check_series_leads_at_the_entry(series)
 
     @pytest.mark.parametrize(
         "leading_data, point, terms",
@@ -871,43 +873,29 @@ class TestLeadingData:
         ],
         ids=["doubled", "term-below", "second-chain-monomial"],
     )
-    def test_a_corrupted_theta_route_leaves_theta_certificates_unchanged(
-        self, fresh_leading_data, monkeypatch, corrupt
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+    def test_a_corrupted_route_leaves_its_certificates_unchanged(
+        self, fresh_leading_data, monkeypatch, corrupt, route
     ):
-        # the one entry is built from the psi route, so the theta route's
-        # series is an oracle of the tests: corrupted as the entry-build
-        # tests corrupt the psi route's, it leaves theta certificates as
-        # they were
+        # the entry reads no series, so each route's series is an oracle of
+        # the tests: corrupted, it leaves that route's certificates as they
+        # were, and fails the tests' comparison with the entry
         points = (SCHIEMANN, COPRIME, SMALL)
-        expected = [certify(p, 40, Route.FROM_THETA) for p in points]
+        expected = [certify(p, 40, route) for p in points]
         _leading_data.cache_clear()
         good = delta_series
 
-        def series(budget, route):
-            return corrupt(good(budget, route)) if route is Route.FROM_THETA else good(budget, route)
+        def series(budget, chosen):
+            return corrupt(good(budget, chosen)) if chosen is route else good(budget, chosen)
 
         monkeypatch.setattr(discrepancy, "delta_series", series)
-        assert series(MIN_PAIR_BUDGET, Route.FROM_THETA) != good(MIN_PAIR_BUDGET)
+        corrupted = series(MIN_PAIR_BUDGET, route)
+        assert corrupted != good(MIN_PAIR_BUDGET)
+        with pytest.raises(AssertionError):
+            check_series_leads_at_the_entry(corrupted)
         for _ in range(2):
-            assert [certify(p, 40, Route.FROM_THETA) for p in points] == expected
-
-    def test_term_below_the_rows_fails_every_call(self, fresh_leading_data, monkeypatch):
-        below = (1, 0, 0, 0)
-        assert exp_below(below, BOLD_FIRST) and exp_below(below, BOLD_SECOND)
-        extra = {below: [1] + [0] * (len(QUAD_MONOS) - 1)}
-        good = delta_series
-        monkeypatch.setattr(
-            discrepancy,
-            "delta_series",
-            lambda budget, route: add_series(good(budget, route), FormalQSeries(budget, extra)),
-        )
-        for _ in range(2):
-            with pytest.raises(
-                AssertionError,
-                match=r"^exponent \(1, 0, 0, 0\) does not lie above a minimal pair exponent$",
-            ):
-                certify(SCHIEMANN, 40)
-        assert _leading_data.cache_info().currsize == 0
+            assert [certify(p, 40, route) for p in points] == expected
+        assert _leading_data.cache_info().misses == 1
 
 
 # The chain coordinates x = (x1, x2, x3, x4) of a sorted point: a = x1,
@@ -1033,7 +1021,7 @@ class TestChainCoordinates:
 
     def test_a_third_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
         # certify reads exactly two rows: a repeated first row passes the
-        # kernel, domination, chain and monomial checks, but not the count
+        # chain and monomial checks, but not the count
         good = minimal_rows
 
         def rows(table):
@@ -1052,16 +1040,32 @@ class TestChainCoordinates:
                 certify(SCHIEMANN, 40)
         assert _leading_data.cache_info().currsize == 0
 
+    def test_two_table_rows_at_one_exponent_fail_every_entry_build(
+        self, fresh_leading_data, monkeypatch
+    ):
+        # a second table pair at the first row's exponent: the series'
+        # coefficient there would be the sum of two kernels, not the one
+        # kernel the entry holds
+        good = minimal_rows
+
+        def rows(table):
+            first, _ = good(table)
+            return first, first._replace(i=first.j, j=first.i, vectors=first.vectors[::-1])
+
+        monkeypatch.setattr(discrepancy, "minimal_rows", rows)
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError,
+                match=r"^leading rows at \(\(10, 10, 2, 2\), \(10, 10, 2, 2\)\) share one exponent$",
+            ):
+                certify(SCHIEMANN, 40)
+        assert _leading_data.cache_info().currsize == 0
+
 
 def _shift_first_row(monkeypatch, shift):
-    """Add ``shift`` to the first leading row in the series and in the
-    minimal-pair kernel alike, so that the kernel and domination checks of
-    the entry build pass and only the checks after them can fail."""
-    good_series, good_kernel = delta_series, pair_discrepancy_vector
-
-    def series(budget, route):
-        extra = FormalQSeries(budget, {BOLD_FIRST: shift})
-        return add_series(good_series(budget, route), extra)
+    """Add ``shift`` to the pair kernel of the first leading row, which the
+    entry build reads."""
+    good_kernel = pair_discrepancy_vector
 
     def kernel(l, k):
         vector = good_kernel(l, k)
@@ -1069,7 +1073,6 @@ def _shift_first_row(monkeypatch, shift):
             return tuple(x + y for x, y in zip(vector, shift))
         return vector
 
-    monkeypatch.setattr(discrepancy, "delta_series", series)
     monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", kernel)
 
 

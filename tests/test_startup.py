@@ -151,28 +151,29 @@ def test_lazy_exports_still_resolve(probe):
     assert probe["lazy"] == dict.fromkeys(LAZY["codes"] + LAZY["verification"], True)
 
 
-def test_verify_sums_twelve_class_series():
-    # the six distinct positive class pairs at budget 24 and at 36, each
-    # once; no anchor reads the 81 ordered label pairs
-    assert json.loads(_fresh(VERIFY_PROBE)) == [24] * 6 + [36] * 6
+def test_verify_sums_six_class_series():
+    # the six distinct positive class pairs at budget 24, each once, for
+    # ``route equivalence``; no anchor reads the 81 ordered label pairs, and
+    # the leading entry reads none
+    assert json.loads(_fresh(VERIFY_PROBE)) == [24] * 6
 
 
 @pytest.mark.parametrize(
     "argv, budgets",
     [
-        (["certify", "--params", "1", "7", "13", "19"], [36]),
-        (["certify", "--params", "1", "7", "13", "19", "--budget", "160"], [36]),
-        (["certify", "--params", "1", "7", "13", "19", "--route", "theta"], [36]),
+        (["certify", "--params", "1", "7", "13", "19"], []),
+        (["certify", "--params", "1", "7", "13", "19", "--budget", "160"], []),
+        (["certify", "--params", "1", "7", "13", "19", "--route", "theta"], []),
         (["delta", "--params", "1", "7", "13", "19", "--budget", "80"], [80]),
-        (["verify", "--budget", "36"], [24, 36]),
-        ([], [36]),
+        (["verify", "--budget", "36"], [24]),
+        ([], []),
     ],
     ids=["certify", "certify-160", "certify-theta", "delta-80", "verify-36", "warm-certifies"],
 )
 def test_each_command_labels_each_shell_once(argv, budgets):
-    # a certify labels the budget-36 shell of the one leading entry at any
-    # budget, on either route, and a warm batch labels nothing after that;
-    # no caller labels a shell per class pair
+    # the one leading entry is built from the pair table, so a certify
+    # labels no shell at any budget, on either route, and nor does a warm
+    # batch; no caller labels a shell per class pair
     assert json.loads(_fresh(f"ARGV = {argv!r}\n{LABEL_PROBE}")) == budgets
 
 

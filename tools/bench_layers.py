@@ -48,7 +48,7 @@ all passes.  The rows, and what one pass is:
   call as the first in the process, after ``build_family``.  The caches
   of ``discrepancy`` are cleared before each pass, as for the discrepancy
   rows, so every call pays the one-time costs of the leading entry (the
-  budget-36 shell, the class series it sums and the checks), which are the
+  pair table, its two rows' pair kernels and the checks), which are the
   same at every budget and on either route;
 * ``discrepancy.certify_warm`` at budgets 40, 80 and 160: one ``certify``
   call at the budget at each of 200 fixed points, after that first call;
