@@ -12,9 +12,9 @@ kernel of an ordered class pair is ``4 x_s x_t p_s p_t`` summed over the
 coordinate slots ``s < t`` where the product ``f`` of the two sign matrices
 differs, with ``x = l*k`` coordinatewise and ``p = (a, b, c, d)``: the class
 series are integer sums, and they stay integer vectors through
-``delta_series``.  The leading entry holds two pair kernels, which
-``certify`` values as one integer chain monomial each; only the
-certificate terms become polynomials.
+``delta_series``.  The leading entry ``LEADING_ENTRY`` states two pair
+kernels, which ``certify`` values as one integer chain monomial each; only
+the certificate terms become polynomials.
 
 The class restriction: the whole series is the sum of the six class series
 with distinct positive representatives, exactly at every budget, not only
@@ -35,12 +35,12 @@ anchor proves by walking the box ``[-6, 6]^4`` that holds them all; pairs
 of them from distinct classes realize the candidate leading exponents, and
 exactly two of the eighteen candidates are order-minimal.
 Their coefficients are -12(b-a)(d-c) and -96a(c-b), both strictly negative
-on the admissible cone (``check_chain_form`` finds -12 x2 x4 and
--96 x1 x3 in the chain coordinates of a sorted point, the two monomials
-that ``certify`` values), so the collapsed
-series has a nonzero leading coefficient at every pairwise-distinct
-positive parameter point: the pair is isospectral but never isometric
-there.
+on the admissible cone (-12 x2 x4 and -96 x1 x3 in the chain coordinates
+of a sorted point, the two monomials that ``certify`` values; the
+``leading coefficients`` anchor proves them with ``check_chain_form``), so
+the collapsed series has a nonzero leading coefficient at every
+pairwise-distinct positive parameter point: the pair is isospectral but
+never isometric there.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 
@@ -76,9 +75,7 @@ from .qarith import (
 from .theta import Kernel, pair_series, theta11
 
 
-# One fact is cached: the leading entry (``_leading_data``, whose docstring
-# says what it holds and checks), the same at every point, every budget of
-# at least ``MIN_PAIR_BUDGET`` and both routes, and built from no series.
+# Nothing here is cached: ``certify`` reads the stated ``LEADING_ENTRY``.
 # No shell is kept: ``delta_series`` and ``check_relations`` label one per
 # call (``_labelled_shell``) and sum each class series they read from it
 # once, six and 81.  A ``certify`` process labels no shell (single,
@@ -342,64 +339,23 @@ def check_chain_form(e: Expo, vector) -> list[int]:
     return chain
 
 
-@lru_cache(maxsize=1)
-def _leading_data() -> tuple[tuple[Expo, ParamPolynomial, tuple[int, int, int]], ...]:
-    """The leading entry: the two order-minimal pair exponents, each with
-    its coefficient polynomial and that coefficient as the single chain
-    monomial a point values.
-
-    The entry is built once, from the pair table and the pair kernel with
-    no series, and serves both routes and every budget of at least
-    ``MIN_PAIR_BUDGET``.  The table pairs the seven stated minimal vectors,
-    which the ``minimal vectors`` anchor proves to be every order-minimal
-    class member, so it reads no shell and has no budget.  The suffix order
-    is well-founded and additive, so a pair from two distinct, non-opposite
-    classes lies at or above a pair-table row, and every row at or above a
-    leading row; pairs from equal or opposite classes and from the zero
-    class contribute nothing (the module's class restriction).  A pair at a
-    leading exponent lies at no other row, so both its vectors are minimal
-    and it is a table pair; the two leading exponents are distinct, so each
-    is one table pair's, and the whole series' coefficient there is that
-    pair's kernel (``pair_discrepancy_vector``) at every budget that holds
-    it.  Every other term lies strictly above a row: by the suffix-sum
-    identity it collapses strictly above that row at every sorted,
-    pairwise-distinct point, so the rows lead exactly where the whole
-    series does, and no point needs the rest.
-
-    The entry is a pair of rows ``(exponent, polynomial, (coefficient, u,
-    v))``: the kernel as the polynomial of the certificate, as
-    ``FormalQSeries.coefficient`` gives it, and the one nonzero entry of the
-    kernel's chain form (``check_chain_form``), ``coefficient * x_u * x_v``
-    in the chain coordinates ``x1 = a``, ``x2 = b-a``, ``x3 = c-b``,
-    ``x4 = d-c``, with ``u`` and ``v`` zero-based as in ``QUAD_SLOTS``,
-    which ``certify`` values at the point's numerators.
-
-    The checks run here, once per process.  Each kernel must pass
-    ``check_chain_form``, so it is negative at every pairwise-distinct
-    point; the entry then takes the shape ``certify`` reads: each chain form
-    must have exactly one nonzero entry, and there must be exactly two
-    rows, at distinct exponents.  A failed check raises ``AssertionError``,
-    and ``lru_cache`` stores no exception, so a failed build fails every
-    call, not only the first.  The tests compare the entry with both
-    routes' series at several budgets.
-    """
-    rows = minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))
-    entry = []
-    for row in rows:
-        e, vector = row.exponent, pair_discrepancy_vector(*row.vectors)
-        chain = check_chain_form(e, vector)
-        monomials = [(x, u, v) for (u, v), x in zip(QUAD_SLOTS, chain) if x]
-        if len(monomials) != 1:
-            raise AssertionError(
-                f"coefficient at {e} has {len(monomials)} chain monomials, not one"
-            )
-        entry.append((e, ParamPolynomial._of_vector(vector), monomials[0]))
-    exponents = tuple(row.exponent for row in rows)
-    if len(entry) != 2:
-        raise AssertionError(f"leading rows at {exponents} are not two")
-    if exponents[0] == exponents[1]:
-        raise AssertionError(f"leading rows at {exponents} share one exponent")
-    return tuple(entry)
+# The leading entry that ``certify`` reads, the same at every point, every
+# budget of at least ``MIN_PAIR_BUDGET`` and both routes: the two
+# order-minimal pair exponents of the pair table, each with its coefficient
+# polynomial, -12(b-a)(d-c) and -96a(c-b), and that coefficient as the one
+# chain monomial a point values, ``(coefficient, u, v)`` for
+# ``coefficient * x_u * x_v`` with ``u`` and ``v`` zero-based as in
+# ``QUAD_SLOTS``: -12 x2 x4 and -96 x1 x3.  Stated here once; the ``minimal
+# pairs`` and ``leading coefficients`` anchors of ``verification`` prove it
+# from the pair table, the pair kernel and ``check_chain_form``.
+LEADING_ENTRY = (
+    (
+        (10, 10, 2, 2),
+        ParamPolynomial({(1, 0, 1, 0): -12, (1, 0, 0, 1): 12, (0, 1, 1, 0): 12, (0, 1, 0, 1): -12}),
+        (-12, 1, 3),
+    ),
+    ((25, 5, 5, 1), ParamPolynomial({(1, 1, 0, 0): 96, (1, 0, 1, 0): -96}), (-96, 0, 2)),
+)
 
 
 class CertTerm(namedtuple("CertTerm", "exponent_vector polynomial value")):
@@ -452,37 +408,50 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
 
     A budget that is not an ``int``, a route that is not a ``Route`` or a
     point that is not a ``ParamPoint`` raises ``TypeError``, in that order,
-    before any other check and before any cache is read; a budget below
-    ``MIN_PAIR_BUDGET`` raises ``ValueError``.  A repeated parameter value
-    falls outside the family's hypothesis and gives an ``INCONCLUSIVE``
-    certificate with no terms.  Distinct values are sorted into the
-    canonical increasing chain, on the integer scale of ``qarith``, and the
-    leading entry (``_leading_data``) gives the two rows.  The route selects
-    no series: the routes' series are equal, so one entry serves both, and
-    ``route`` is only checked, kept for the callers and ``--route`` that
-    name it.  The entry serves every budget of at least ``MIN_PAIR_BUDGET``,
-    so a certificate costs the same at every budget and differs between
-    budgets only in its ``budget`` field.  The two row keys ``e.A`` are
-    compared: the row with the lesser key leads alone, and at equal keys
-    both lead, in row order, summed at their common collapsed exponent.  A
-    leader's value is its chain monomial ``coefficient * X[u] * X[v]`` at
-    the chain numerators ``X = (a0, a1-a0, a2-a1, a3-a2)`` of the sorted
-    ``A``, ``D^2`` times the coefficient's value.  Fractions are built only
-    for the certificate's outputs.
+    before any other check; a budget below ``MIN_PAIR_BUDGET`` raises
+    ``ValueError``.  A repeated parameter value falls outside the family's
+    hypothesis and gives an ``INCONCLUSIVE`` certificate with no terms.
+    Distinct values are sorted into the canonical increasing chain, on the
+    integer scale of ``qarith``, and the stated leading entry
+    (``LEADING_ENTRY``) gives the two rows.  The route selects no series:
+    the routes' series are equal, so one entry serves both, and ``route``
+    is only checked, kept for the callers and ``--route`` that name it.
+    The entry serves every budget of at least ``MIN_PAIR_BUDGET``, so a
+    certificate costs the same at every budget and differs between budgets
+    only in its ``budget`` field.  The two row keys ``e.A`` are compared:
+    the row with the lesser key leads alone, and at equal keys both lead,
+    in row order, summed at their common collapsed exponent.  A leader's
+    value is its chain monomial ``coefficient * X[u] * X[v]`` at the chain
+    numerators ``X = (a0, a1-a0, a2-a1, a3-a2)`` of the sorted ``A``,
+    ``D^2`` times the coefficient's value.  Fractions are built only for
+    the certificate's outputs.
 
     The theorem (the paper's): at a pairwise-distinct point the collapsed
     discrepancy leads at the least row key with a negative coefficient.
-    Its premises are the pair table, the pair kernel and the chain form
-    (``_leading_data`` gives why): the rows are the table's two
-    order-minimal pairs, each alone at its exponent, so every other term of
-    the series lies strictly above a row and each row's coefficient is its
-    pair's kernel; and each kernel has no positive and some negative
+    Its premises are finite: the pair table, the pair kernel and the chain
+    form, which the ``minimal pairs`` and ``leading coefficients`` anchors
+    of ``verification`` check against the stated entry.  The table pairs
+    the seven stated minimal vectors, which the ``minimal vectors`` anchor
+    proves to be every order-minimal class member, so it reads no shell and
+    has no budget.  The suffix order is well-founded and additive, so a
+    pair from two distinct, non-opposite classes lies at or above a table
+    row, and every table row at or above a leading row; pairs from equal or
+    opposite classes and from the zero class contribute nothing (the
+    module's class restriction).  A pair at a leading exponent lies at no
+    other row, so both its vectors are minimal and it is a table pair; the
+    two leading exponents are distinct, so each is one table pair's, and
+    the whole series' coefficient there is that pair's kernel
+    (``pair_discrepancy_vector``) at every budget that holds it.  Every
+    other term lies strictly above a row: by the suffix-sum identity it
+    collapses strictly above that row at every sorted, pairwise-distinct
+    point, so the rows lead exactly where the whole series does, and no
+    point needs the rest.  Each kernel has no positive and some negative
     coefficient in the chain coordinates ``x1 = a``, ``x2 = b-a``,
-    ``x3 = c-b``, ``x4 = d-c`` (``check_chain_form``, checked when the entry
-    is built), all positive at the sorted point, so every leading value and
-    a tie's sum are negative.  The one check made at every point, that the
-    leaders' sum is nonzero, therefore cannot fire at a distinct point; it
-    guards an entry altered after it was built.
+    ``x3 = c-b``, ``x4 = d-c`` (``check_chain_form``), all positive at the
+    sorted point, so every leading value and a tie's sum are negative.  The
+    one check made at every point, that the leaders' sum is nonzero,
+    therefore cannot fire at a distinct point; it guards an entry that
+    differs from the one the anchors prove.
 
     A warm call is one flat path: of the package it enters only this
     function and ``_sort_cleared``.  ``check_budget`` and ``check_route``
@@ -507,7 +476,7 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     if not a0 < a1 < a2 < a3:  # sorted, so a repeated value
         return Certificate(tuple(p), ordered, permutation, budget)
     X = (a0, a1 - a0, a2 - a1, a3 - a2)
-    (e, poly, (c, u, v)), (f, fpoly, (fc, fu, fv)) = _leading_data()
+    (e, poly, (c, u, v)), (f, fpoly, (fc, fu, fv)) = LEADING_ENTRY
     # each row's key e.A is D times its collapsed exponent
     n0, n1, n2, n3 = e
     key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3

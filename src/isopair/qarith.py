@@ -202,8 +202,8 @@ class ParamPolynomial:
 
     Terms map monomial exponent 4-tuples of degree at most two to nonzero
     ints: an integer quadratic form, the one ``_of_vector`` builds from a
-    coefficient vector (for ``FormalQSeries.coefficient`` and the leading
-    entry of ``discrepancy``); the zero polynomial has no terms.  Terms
+    coefficient vector (for ``FormalQSeries.coefficient`` and the
+    ``leading coefficients`` anchor); the zero polynomial has no terms.  Terms
     that are not a mapping raise ``TypeError``.  A monomial that is not
     four non-negative ints raises ``ValueError``, as an exponent vector
     does, and so does one of degree three or more; a coefficient that is

@@ -5,9 +5,11 @@ census, the orbit and graph structure, the basis-change identities, the
 lattice equalities and indices, the kernel and route identities, the
 minimal-vector and minimal-pair tables, and the leading coefficients of the
 discrepancy -- and compares it against the expected data frozen here.  This
-module is the one statement of that data, but for the extra minimal vectors
-``EXPECTED_EXTRA_MINIMAL``, which the pair table reads from ``discrepancy``
-and this module imports; the tests read it all from here.
+module is the one statement of that data, but for two facts that the
+package reads from ``discrepancy`` and this module imports: the extra
+minimal vectors ``EXPECTED_EXTRA_MINIMAL``, which the pair table reads,
+and the leading entry ``LEADING_ENTRY``, which ``certify`` reads.  The
+tests read it all from here.
 
 Four anchors prove a fact at every budget and every point from finite
 premises.  ``kernel identity`` compares the two kernels on the 100 pairs
@@ -21,17 +23,19 @@ order-minimal class member: ``12 e_j`` lies in M, so the box ``[-6, 6]^4``
 holds them all, and the minimal members of the box, walked on L1's normal
 form, are the stated ones.  The code, lattice and table anchors check
 finite data as they stand; ``minimal pairs`` checks the table of those
-seven vectors and reads no shell.  ``leading coefficients`` reads a
-certificate, whose leading entry is built from that table and the pair
-kernel, with no series, and checked there against the paper's theorem
-(``check_chain_form``); the anchor compares the certificate's terms with
-the stated polynomials.  So only the budget of that certificate depends on
-the budget ``verify`` is given.  One truncation remains, where no finite
-premise is checked: ``route equivalence`` compares the two discrepancy
-routes at budget 24.  The tests keep the series-level checks: the two
-lattices' vector counts, ``theta11`` under both kernels, the relations
-over all 81 ordered label pairs (``check_relations``), the 81-pair
-decomposition sum and the leading entry against both routes' series.
+seven vectors, and that its order-minimal rows lie at the entry's
+exponents, and reads no shell.  ``leading coefficients`` proves each
+stated row of the entry from its table row, with no series: the pair's
+kernel is the stated polynomial, and its chain form (``check_chain_form``,
+the paper's theorem) is the stated monomial alone.  It then compares a
+certificate's terms with the entry, so only the budget of that
+certificate depends on the budget ``verify`` is given.  One truncation
+remains, where no finite premise is checked: ``route equivalence``
+compares the two discrepancy routes at budget 24.  The tests keep the
+series-level checks: the two lattices' vector counts, ``theta11`` under
+both kernels, the relations over all 81 ordered label pairs
+(``check_relations``), the 81-pair decomposition sum and the leading entry
+against both routes' series.
 
 A check fails as the library's cross-checks do, by raising ``AssertionError``
 with its witness; ``_result`` makes any such raise, the check's own or one
@@ -47,15 +51,18 @@ from itertools import combinations
 from . import codes as codes_mod
 from .discrepancy import (
     EXPECTED_EXTRA_MINIMAL,
+    LEADING_ENTRY,
     MIN_PAIR_BUDGET,
     Route,
     Verdict,
     _class_slots,
     _order_minimal,
     certify,
+    check_chain_form,
     delta_series,
     minimal_pair_table,
     minimal_rows,
+    pair_discrepancy_vector,
 )
 from .lattices import (
     ALL_LABELS,
@@ -74,15 +81,11 @@ from .lattices import (
     phi,
     psi,
 )
-from .qarith import ParamPoint, check_budget
+from .qarith import QUAD_SLOTS, ParamPoint, ParamPolynomial, check_budget
 from .theta import defining_coeffs, pairwise_coeffs
 
-LEADING_EXPONENTS = ((10, 10, 2, 2), (25, 5, 5, 1))
-# their coefficients as monomial-to-int maps: -12(b-a)(d-c) and -96a(c-b)
-LEADING_POLYNOMIALS = (
-    {(1, 0, 1, 0): -12, (1, 0, 0, 1): 12, (0, 1, 1, 0): 12, (0, 1, 0, 1): -12},
-    {(1, 1, 0, 0): 96, (1, 0, 1, 0): -96},
-)
+# the two K4 orbits of the eight self-dual codes, by canonical index
+EXPECTED_ORBITS = (frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7}))
 
 EXPECTED_PAIR_TABLE = (
     ((0, 1), (2, 10, 2, 10)),
@@ -153,22 +156,16 @@ def _check_code_census() -> None:
 
 
 def _check_orbits() -> None:
-    eight = codes_mod.selfdual_codes()
-    parts = codes_mod.orbit_partition(eight)
-    expected = (frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7}))
-    if parts != expected:
+    # ``orbit_partition`` raises for an image outside the eight codes, which
+    # ``code census`` proves self-dual, so K4 keeps self-duality
+    parts = codes_mod.orbit_partition(codes_mod.selfdual_codes())
+    if parts != EXPECTED_ORBITS:
         raise AssertionError(f"orbit partition {tuple(sorted(p) for p in parts)}")
-    for code in eight:
-        for g in codes_mod.K4:
-            if not code.transformed(g).is_selfdual:
-                raise AssertionError(f"{g} breaks self-duality")
 
 
 def _check_graph() -> None:
-    eight = codes_mod.selfdual_codes()
-    edges = codes_mod.intersection_graph(eight)
-    parts = codes_mod.orbit_partition(eight)
-    if edges != codes_mod.complete_bipartite(parts):
+    edges = codes_mod.intersection_graph(codes_mod.selfdual_codes())
+    if edges != codes_mod.complete_bipartite(EXPECTED_ORBITS):
         raise AssertionError(f"{len(edges)} edges, not the complete bipartite graph on the orbits")
 
 
@@ -361,18 +358,38 @@ def _check_min_pairs() -> None:
     if table != EXPECTED_PAIR_TABLE:
         raise AssertionError(f"pair table has {len(table)} rows and differs from the expected 18")
     leading = tuple(row.exponent for row in minimal_rows(rows))
-    if leading != LEADING_EXPONENTS:
+    if leading != tuple(e for e, _, _ in LEADING_ENTRY):
         raise AssertionError(f"order-minimal rows {leading}")
 
 
 def _check_leading(budget: int) -> None:
-    # the integral example is a tie, so its certificate holds both leading
-    # coefficients, in their order
+    # each stated row from its table row: the pair's kernel must pass the
+    # chain-form check and be the stated polynomial, and its chain form
+    # the stated monomial alone (the ``certify`` docstring gives why this
+    # proves the entry at every point and budget)
+    table = {row.exponent: row for row in minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))}
+    wrong = []
+    for e, poly, (c, u, v) in LEADING_ENTRY:
+        row = table.get(e)
+        if row is None:
+            wrong.append(f"no order-minimal table row at {e}")
+            continue
+        vector = pair_discrepancy_vector(*row.vectors)
+        chain = check_chain_form(e, vector)
+        kernel = ParamPolynomial._of_vector(vector)
+        if kernel != poly:
+            wrong.append(f"coefficient at {e} is {kernel}")
+        elif chain != [c if slot == (u, v) else 0 for slot in QUAD_SLOTS]:
+            wrong.append(f"coefficient at {e} is not {c}*x{u + 1}*x{v + 1} in chain coordinates")
+    if wrong:
+        raise AssertionError("; ".join(wrong))
+    # the integral example is a tie, so its certificate holds both rows, in
+    # their order
     cert = certify(SCHIEMANN, budget)
     if cert.verdict is not Verdict.NON_ISOMETRIC:
         raise AssertionError(f"verdict {cert.verdict.value} at the integral example")
     found = [(term.exponent_vector, term.polynomial) for term in cert.terms]
-    if [(e, poly.terms) for e, poly in found] != list(zip(LEADING_EXPONENTS, LEADING_POLYNOMIALS)):
+    if found != [(e, poly) for e, poly, _ in LEADING_ENTRY]:
         raise AssertionError("; ".join(f"coefficient at {e} is {poly}" for e, poly in found))
     if (cert.min_exponent, cert.total) != SCHIEMANN_TERM:
         raise AssertionError(f"leading term ({cert.min_exponent}, {cert.total})")

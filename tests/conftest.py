@@ -15,7 +15,7 @@ from isopair import (
     phi,
     psi,
 )
-from isopair.discrepancy import _class_sum, _labelled_shell, _leading_data
+from isopair.discrepancy import LEADING_ENTRY, _class_sum, _labelled_shell
 from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, _cleared
 
 settings.register_profile("exact", deadline=None, max_examples=100)
@@ -292,20 +292,20 @@ SMALL = ParamPoint(1, 2, 3, 4)
 COPRIME = ParamPoint(Fraction(1, 7), Fraction(2, 9), Fraction(5, 11), Fraction(13, 4))
 
 
-def cancelling_tie():
-    """``_leading_data`` with its second row's chain monomial replaced by the
-    first row's, its coefficient negated: where the two rows tie, as at
-    ``SCHIEMANN`` (+432 against -432), the leaders' values sum to zero."""
-    first, (e, poly, _) = _leading_data()
-    coefficient, u, v = first[2]
-    return first, (e, poly, (-coefficient, u, v))
+def _corrupted_entries():
+    """``LEADING_ENTRY`` with its second row's chain monomial altered, two
+    ways that make the leaders' values sum to zero."""
+    first, (e, poly, (_, u, v)) = LEADING_ENTRY
+    c, fu, fv = first[2]
+    # the first row's monomial, negated: where the two rows tie, as at
+    # ``SCHIEMANN`` (+432 against -432)
+    tie = first, (e, poly, (-c, fu, fv))
+    # coefficient 0: where the second row leads alone, as at ``COPRIME``
+    zero = first, (e, poly, (0, u, v))
+    return tie, zero
 
 
-def zero_second_row():
-    """``_leading_data`` with its second row's chain coefficient 0: where
-    that row leads alone, as at ``COPRIME``, the leading value is zero."""
-    first, (e, poly, (_, u, v)) = _leading_data()
-    return first, (e, poly, (0, u, v))
+CANCELLING_TIE, ZERO_SECOND_ROW = _corrupted_entries()
 
 
 def generator_normalize(w):

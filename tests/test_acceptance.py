@@ -78,20 +78,38 @@ def test_anchors(budget):
     assert elapsed < 1.0, f"verification took {elapsed:.2f}s"
 
 
-# each frozen table of ``verification``, corrupted, and the anchors that
-# must then fail
+def _first_monomial_doubled(entry):
+    (e, poly, (c, u, v)), second = entry
+    return (e, poly, (2 * c, u, v)), second
+
+
+# each frozen table that ``verification`` reads, corrupted there, and the
+# anchors that must then fail
 CORRUPTIONS = {
-    "EXPECTED_PAIR_TABLE": (lambda table: table[:-1], ("minimal pairs",)),
-    "EXPECTED_EXTRA_MINIMAL": (lambda extra: {**extra, 2: extra[0]}, ("minimal vectors",)),
-    "LEADING_EXPONENTS": (lambda exps: exps[::-1], ("minimal pairs", "leading coefficients")),
-    "LEADING_POLYNOMIALS": (lambda polys: (polys[0], polys[0]), ("leading coefficients",)),
-    "SCHIEMANN_TERM": (lambda term: (term[0], -term[1]), ("leading coefficients",)),
+    "EXPECTED_PAIR_TABLE": ("EXPECTED_PAIR_TABLE", lambda table: table[:-1], ("minimal pairs",)),
+    "EXPECTED_EXTRA_MINIMAL": (
+        "EXPECTED_EXTRA_MINIMAL", lambda extra: {**extra, 2: extra[0]}, ("minimal vectors",)
+    ),
+    "LEADING_ENTRY-reversed": (
+        "LEADING_ENTRY", lambda entry: entry[::-1], ("minimal pairs", "leading coefficients")
+    ),
+    "LEADING_ENTRY-polynomial": (
+        "LEADING_ENTRY",
+        lambda entry: (entry[0], (entry[1][0], entry[0][1], entry[1][2])),
+        ("leading coefficients",),
+    ),
+    "LEADING_ENTRY-monomial": (
+        "LEADING_ENTRY", _first_monomial_doubled, ("leading coefficients",)
+    ),
+    "SCHIEMANN_TERM": (
+        "SCHIEMANN_TERM", lambda term: (term[0], -term[1]), ("leading coefficients",)
+    ),
 }
 
 
-@pytest.mark.parametrize("constant", CORRUPTIONS)
-def test_corrupted_table_fails_its_anchor(monkeypatch, constant):
-    corrupt, failing = CORRUPTIONS[constant]
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_corrupted_table_fails_its_anchor(monkeypatch, case):
+    constant, corrupt, failing = CORRUPTIONS[case]
     monkeypatch.setattr(verification, constant, corrupt(getattr(verification, constant)))
     failed = [result for result in run_verification(MIN_PAIR_BUDGET) if not result.ok]
     assert tuple(result.anchor for result in failed) == failing
@@ -104,7 +122,7 @@ def test_corrupted_table_fails_its_anchor(monkeypatch, constant):
 # and no corrupted result outlives it
 @pytest.fixture
 def clear_check_caches():
-    caches = (codes.selfdual_codes, codes._c1_c2, discrepancy._leading_data)
+    caches = (codes.selfdual_codes, codes._c1_c2)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -137,9 +155,21 @@ def test_broken_four_group_is_reported(monkeypatch, capsys, clear_check_caches):
     assert cli.main(["codes", "graph"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: internal consistency failure: g1 maps TernaryCode")
-    assert err.endswith(" outside the codes\n") and "Traceback" not in err
-    assert "code orbits" in failures(run_verification(MIN_PAIR_BUDGET))
+    witness = f"g1 maps {codes.selfdual_codes()[0]} outside the codes"
+    assert err == f"error: internal consistency failure: {witness}\n"
+    assert failures(run_verification(MIN_PAIR_BUDGET))["code orbits"] == witness
+
+
+def test_orbit_failure_fails_only_code_orbits(monkeypatch):
+    # ``intersection graph`` compares the graph with the stated orbits, so
+    # a broken orbit computation fails the one anchor that runs it
+    def broken(codes):
+        raise AssertionError("expected two orbits, found 3")
+
+    monkeypatch.setattr(codes, "orbit_partition", broken)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {
+        "code orbits": "expected two orbits, found 3"
+    }
 
 
 def _with_cross_term(coeffs):
@@ -298,39 +328,52 @@ def test_value_error_under_an_anchor_keeps_the_verify_table(monkeypatch, capsys,
     assert f"  {witness}" in lines[ANCHORS.index(anchor)]
 
 
-def test_leading_data_failure_fails_only_its_anchor(monkeypatch, clear_check_caches):
-    # doubled pair kernels still pass the entry's checks, -24 x2 x4 and
-    # -192 x1 x3, but not the anchor's comparison with the paper's polynomials
-    kernel = discrepancy.pair_discrepancy_vector
+def _corrupt_pair_kernel(monkeypatch, corrupt):
+    """Replace the pair kernel by ``corrupt`` of it, in ``discrepancy``,
+    which defines it, and in ``verification``, whose anchor reads it; returns
+    the certificates of three points, on both routes, from before."""
+    points = [(p, 40, route) for p in (SCHIEMANN, SMALL, ParamPoint(13, 1, 5, 2))
+              for route in Route]
+    expected = [certify(*args) for args in points]
+    kernel = corrupt(discrepancy.pair_discrepancy_vector)
+    for module in (discrepancy, verification):
+        monkeypatch.setattr(module, "pair_discrepancy_vector", kernel)
+    return points, expected
 
-    def doubled(l, k):
-        return tuple(2 * x for x in kernel(l, k))
 
-    monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", doubled)
+def test_doubled_pair_kernel_fails_only_its_anchor(monkeypatch):
+    # doubled pair kernels still pass the chain-form check, -24 x2 x4 and
+    # -192 x1 x3, but are not the stated polynomials; certify reads the
+    # stated entry, so no certificate changes
+    points, expected = _corrupt_pair_kernel(
+        monkeypatch, lambda kernel: lambda l, k: tuple(2 * x for x in kernel(l, k))
+    )
     assert failures(run_verification(MIN_PAIR_BUDGET)) == {"leading coefficients": (
         "coefficient at (10, 10, 2, 2) is -24*b*d + 24*b*c + 24*a*d - 24*a*c; "
         "coefficient at (25, 5, 5, 1) is -192*a*c + 192*a*b"
     )}
+    assert [certify(*args) for args in points] == expected
 
 
-def test_positive_pair_kernel_fails_its_anchor_with_the_entry_witness(
-    monkeypatch, clear_check_caches
-):
-    # the first row's kernel negated, +12 x2 x4 in chain coordinates: the
-    # entry build refuses it under ``leading coefficients``, and no other
-    # anchor reads the kernel
-    kernel = discrepancy.pair_discrepancy_vector
-
-    def first_negated(l, k):
+def _first_row_negated(kernel):
+    def corrupted(l, k):
         vector = kernel(l, k)
         if tuple(x + y for x, y in zip(phi(l), phi(k))) == (10, 10, 2, 2):
             return tuple(-x for x in vector)
         return vector
 
-    monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", first_negated)
-    assert failures(run_verification(MIN_PAIR_BUDGET)) == {
-        "leading coefficients": "coefficient at (10, 10, 2, 2) has chain coefficient 12 on x2*x4"
-    }
+    return corrupted
+
+
+def test_positive_pair_kernel_fails_its_anchor_with_the_chain_witness(monkeypatch):
+    # the first row's kernel negated, +12 x2 x4 in chain coordinates: the
+    # chain-form check refuses it under ``leading coefficients``, no other
+    # anchor reads the kernel, and no certificate changes
+    points, expected = _corrupt_pair_kernel(monkeypatch, _first_row_negated)
+    assert failures(run_verification(MIN_PAIR_BUDGET)) == {"leading coefficients": (
+        "coefficient at (10, 10, 2, 2) has chain coefficient 12 on x2*x4"
+    )}
+    assert [certify(*args) for args in points] == expected
 
 
 @pytest.mark.parametrize(
@@ -383,8 +426,8 @@ def test_inconclusive_verdict_fails_its_anchor(monkeypatch):
 
 def test_positive_chain_coefficient_fails_its_anchor(monkeypatch):
     # the certificate with its first coefficient negated, +12(b-a)(d-c): the
-    # entry build checked the theorem, and the anchor's comparison with the
-    # paper's polynomials sees the sign
+    # stated entry passes its proof, and the anchor's comparison of the
+    # certificate with the entry sees the sign
     certify = verification.certify
 
     def negated_first(*args):

@@ -136,10 +136,9 @@ def test_lattice_jobs_give_one_calibrated_row(job, layer, budget):
     assert row["seconds"] > 0 and row["calibrated_s"] > 0
 
 
-def test_every_certify_first_pass_starts_from_empty_budget_caches(bench, monkeypatch):
-    # the leading entry, from its two rows' pair kernels, is built in each
-    # of the ``CALLS`` passes, and the warm calls build none; no pass
-    # labels a shell or sums a series
+def test_no_certify_pass_builds_an_entry(bench, monkeypatch):
+    # certify reads the stated leading entry: no pass evaluates a pair
+    # kernel, labels a shell or sums a series
     from isopair import discrepancy
 
     calls = dict.fromkeys(
@@ -159,21 +158,19 @@ def test_every_certify_first_pass_starts_from_empty_budget_caches(bench, monkeyp
     monkeypatch.setattr(bench, "calibrate", lambda: 1.0)
     monkeypatch.setattr(bench, "scale", lambda before, after: 1.0)
     bench._certify_rows(40)
-    assert calls == {"pair_discrepancy_vector": 2 * bench.CALLS, "delta_series": 0,
-                     "pair_series": 0, "coset_label": 0}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_every_anchor_pass_starts_from_empty_caches(bench, monkeypatch):
-    # each of the ``CALLS`` passes rebuilds the lattice family, the code
-    # census with its echelon pairs and the leading entry (a cache
-    # that kept its entry would miss only in the first pass), with the
-    # collector off
+    # each of the ``CALLS`` passes rebuilds the lattice family and the code
+    # census with its echelon pairs (a cache that kept its entry would miss
+    # only in the first pass), with the collector off
     import gc
 
-    from isopair import codes, discrepancy, lattices, verification
+    from isopair import codes, lattices, verification
 
     caches = {"family": lattices.build_family, "echelon pairs": codes._echelon_generator_pairs,
-              "census": codes.selfdual_codes, "leading entry": discrepancy._leading_data}
+              "census": codes.selfdual_codes}
     builds, collector = [], []
     run_verification = verification.run_verification
 

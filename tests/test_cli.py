@@ -10,7 +10,7 @@ from isopair import cli
 from isopair.cli import main
 from isopair.verification import SCHIEMANN_TERM
 
-from conftest import cancelling_tie, zero_second_row
+from conftest import CANCELLING_TIE, ZERO_SECOND_ROW
 
 
 def run(capsys, *argv):
@@ -173,35 +173,34 @@ class TestCertify:
         assert err == "error: parameters must be positive, got (0, 1, 2, 3)\n"
 
     def test_internal_consistency_failure_exits_1(self, capsys, monkeypatch):
-        # a zero pair kernel has no negative chain coefficient
+        # an entry whose chain coefficients are zero leads nowhere
         import isopair.discrepancy
 
-        isopair.discrepancy._leading_data.cache_clear()
-        monkeypatch.setattr(
-            isopair.discrepancy, "pair_discrepancy_vector", lambda l, k: (0,) * 10
+        entry = tuple(
+            (e, poly, (0, u, v)) for e, poly, (_, u, v) in isopair.discrepancy.LEADING_ENTRY
         )
+        monkeypatch.setattr(isopair.discrepancy, "LEADING_ENTRY", entry)
         argv = ("certify", "--params", "1", "7", "13", "19")
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err.startswith("error: internal consistency failure: coefficient at (10, 10, 2, 2)")
+        assert err.startswith("error: internal consistency failure: ")
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 1 and err == ""
         assert json.loads(out)["error"].startswith("internal consistency failure: ")
 
     def test_huge_budget_gives_the_budget_40_certificate(self, capsys, monkeypatch):
-        # the leading entry is built from the pair table at every budget,
-        # so a hostile budget costs nothing: no series is summed
+        # the stated leading entry serves every budget, so a hostile budget
+        # costs nothing: no pair kernel is evaluated
         import isopair.discrepancy
 
-        delta_series = isopair.discrepancy.delta_series
-        budgets = []
+        kernel = isopair.discrepancy.pair_discrepancy_vector
+        pairs = []
 
-        def recorded(budget, route):
-            budgets.append(budget)
-            return delta_series(budget, route)
+        def recorded(l, k):
+            pairs.append((l, k))
+            return kernel(l, k)
 
-        isopair.discrepancy._leading_data.cache_clear()
-        monkeypatch.setattr(isopair.discrepancy, "delta_series", recorded)
+        monkeypatch.setattr(isopair.discrepancy, "pair_discrepancy_vector", recorded)
         argv = ("certify", "--params", "1", "7", "13", "19", "--format", "json")
         code, out, err = run(capsys, *argv, "--budget", "1000000000")
         assert code == 0 and err == ""
@@ -211,21 +210,21 @@ class TestCertify:
         expected = json.loads(out)
         assert huge.pop("budget") == 10**9 and expected.pop("budget") == 40
         assert huge == expected
-        assert budgets == []
+        assert pairs == []
 
     @pytest.mark.parametrize(
-        "leading_data, params",
+        "entry, params",
         [
-            (cancelling_tie, ("1", "7", "13", "19")),
-            (zero_second_row, ("1/7", "2/9", "5/11", "13/4")),
+            (CANCELLING_TIE, ("1", "7", "13", "19")),
+            (ZERO_SECOND_ROW, ("1/7", "2/9", "5/11", "13/4")),
         ],
         ids=["tie", "one-leader"],
     )
-    def test_cancelling_leaders_exit_1(self, capsys, monkeypatch, leading_data, params):
+    def test_cancelling_leaders_exit_1(self, capsys, monkeypatch, entry, params):
         # the one check certify makes at every point: the leaders' sum
         import isopair.discrepancy
 
-        monkeypatch.setattr(isopair.discrepancy, "_leading_data", leading_data)
+        monkeypatch.setattr(isopair.discrepancy, "LEADING_ENTRY", entry)
         message = (
             "internal consistency failure: "
             "collapsed series does not lead at the minimal pair exponent"

@@ -69,7 +69,7 @@ THETA_CERTIFY = [argv for argv in CASES if argv[:3] == ("certify", "--route", "t
 @pytest.mark.parametrize("argv", THETA_CERTIFY, ids=" ".join)
 def test_theta_route_certify_computes_no_theta11(argv):
     # the route selects no series: a theta-route certify reads the one
-    # leading entry, built from the pair table
+    # stated leading entry
     assert _ran(argv, "-c", f"ARGV = {list(argv)!r}\n{NO_THETA11}") == _expected()[argv]
 
 

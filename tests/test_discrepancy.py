@@ -38,13 +38,13 @@ from isopair import (
     run_verification,
     theta11,
 )
-from isopair import discrepancy, qarith
+from isopair import discrepancy, qarith, verification
 from isopair.discrepancy import (
+    LEADING_ENTRY,
     MIN_PAIR_BUDGET,
     CertTerm,
     RelationReport,
     _CHAIN_MAP,
-    _leading_data,
     check_chain_form,
     check_route,
     pair_discrepancy_vector,
@@ -53,19 +53,18 @@ from isopair.qarith import QUAD_MONOS, QUAD_SLOTS, check_budget
 from isopair.verification import (
     EXPECTED_EXTRA_MINIMAL,
     EXPECTED_PAIR_TABLE,
-    LEADING_EXPONENTS,
-    LEADING_POLYNOMIALS,
     SCHIEMANN,
     SCHIEMANN_TERM,
 )
 
 from conftest import (
+    CANCELLING_TIE,
     COPRIME,
     SMALL,
     VARIABLES,
+    ZERO_SECOND_ROW,
     add_series,
     admissible_samples,
-    cancelling_tie,
     class_pair_series,
     collapse_points,
     evaluate,
@@ -78,10 +77,9 @@ from conftest import (
     poly_series,
     scale_series,
     sigma,
-    zero_second_row,
 )
 
-BOLD_FIRST, BOLD_SECOND = LEADING_EXPONENTS
+BOLD_FIRST, BOLD_SECOND = (e for e, _, _ in LEADING_ENTRY)
 
 COORDINATES = st.builds(Fraction, st.integers(1, 400), st.integers(1, 20))
 
@@ -188,7 +186,7 @@ class TestClassSeries:
         v0, v1, v2 = (CosetLabel(i, 1) for i in range(3))
         first = class_pair_series(v0, v2, 40).coefficient(BOLD_FIRST)
         second = class_pair_series(v1, v2, 40).coefficient(BOLD_SECOND)
-        assert (first.terms, second.terms) == LEADING_POLYNOMIALS
+        assert (first, second) == tuple(poly for _, poly, _ in LEADING_ENTRY)
 
 
 @lru_cache(maxsize=None)
@@ -244,34 +242,17 @@ class TestCaches:
             fam.L1.vectors(budget)
             rep_series(fam.L1, budget)
             theta11(fam.M, budget)
-        # the one discrepancy cache holds one entry, not one per route or
-        # per budget
-        info = _leading_data.cache_info()
-        assert info.currsize == info.maxsize == 1
         # a lattice carries its identity and nothing keyed on a budget
         assert Lattice.__slots__ == IDENTITY_FIELDS
         for lattice in fam:
             assert not hasattr(lattice, "__dict__")
 
-    def test_verify_and_certify_never_evict(self):
-        _leading_data.cache_clear()
-        run_verification(36)
-        for p in admissible_samples(101, 5):
-            certify(p, 40)
-        info = _leading_data.cache_info()
-        assert info.currsize == info.misses, info
-
-    def test_certify_sweep_makes_one_entry(self, monkeypatch):
-        _leading_data.cache_clear()
+    def test_certify_sweep_labels_no_shell(self, monkeypatch):
         budgets = _labelled_budgets(monkeypatch)
         for route in Route:
             for budget in [*range(36, 53), 160]:
                 certify(SCHIEMANN, budget, route)
-        # one miss across both routes and all budgets
-        info = _leading_data.cache_info()
-        assert info.maxsize == info.currsize == info.misses == 1
-        # the entry is built from the pair table, whatever the budgets and
-        # routes asked for, and labels no shell
+        # the stated entry serves every budget and route asked for
         assert budgets == []
 
     def test_call_forms_share_the_class_series(self, monkeypatch):
@@ -309,7 +290,6 @@ class TestCaches:
             lambda budget: theta11(fam.L1, budget),
         )
         for call in calls:
-            _leading_data.cache_clear()
             if warm:
                 call(40)
             with pytest.raises(TypeError):
@@ -328,12 +308,10 @@ class TestCaches:
         ids=["delta_series", "certify", "theta11", "delta_series-kernel", "theta11-route"],
     )
     def test_route_or_kernel_outside_its_enum_is_refused(self, call, monkeypatch):
-        info = _leading_data.cache_info()
         budgets = _labelled_budgets(monkeypatch)
         with pytest.raises(TypeError):
             call()
-        # refused before the cache is read or a shell is labelled
-        assert _leading_data.cache_info() == info
+        # refused before a shell is labelled
         assert budgets == []
 
 
@@ -460,7 +438,7 @@ class TestMinimalPairTable:
         # 36 is what the leading coefficients need; the minimal vectors have
         # square sums of at most 24: 12 for the representatives, 24 for the
         # extra ones
-        assert MIN_PAIR_BUDGET == max(sum(e) for e in LEADING_EXPONENTS) == 36
+        assert MIN_PAIR_BUDGET == max(sum(e) for e, _, _ in LEADING_ENTRY) == 36
         for i in range(4):
             sums = {v: sum(phi(v)) for v in _box_minimal(CosetLabel(i, 1), 6)}
             extra = {EXPECTED_EXTRA_MINIMAL[i]: 24} if i in EXPECTED_EXTRA_MINIMAL else {}
@@ -527,15 +505,10 @@ class TestCertify:
         assert cert.terms == () and cert.total is None and cert.min_exponent is None
 
     @pytest.mark.parametrize("budget", [40.0, True], ids=["float", "bool"])
-    @pytest.mark.parametrize("cache", ["cold", "warm"])
     @pytest.mark.parametrize("point", [ParamPoint(1, 1, 2, 3), SCHIEMANN], ids=["repeated", "distinct"])
-    def test_budget_type_checked_first(self, point, cache, budget):
+    def test_budget_type_checked_first(self, point, budget):
         with pytest.raises(TypeError) as shell_error:
             build_family().L1.vectors(budget)
-        if cache == "cold":
-            _leading_data.cache_clear()
-        else:
-            certify(SCHIEMANN, 40)
         with pytest.raises(TypeError) as error:
             certify(point, budget)
         assert str(error.value) == str(shell_error.value)
@@ -543,8 +516,7 @@ class TestCertify:
     @pytest.mark.parametrize(
         "point", [(1, 7, 13, 19), [1, 7, 13, 19], "1 7 13 19"], ids=["tuple", "list", "str"]
     )
-    def test_point_type_checked_before_any_cache(self, point):
-        info = _leading_data.cache_info()
+    def test_point_type_checked_after_the_budget_and_route(self, point):
         with pytest.raises(TypeError, match=r"^point must be a ParamPoint, got "):
             certify(point, 40)
         with pytest.raises(TypeError, match=r"^point must be a ParamPoint, got "):
@@ -554,7 +526,6 @@ class TestCertify:
             certify(point, 40.0)
         with pytest.raises(TypeError, match=r"^route must be a Route"):
             certify(point, 40, "psi")
-        assert _leading_data.cache_info() == info
 
     def test_int_subclass_budget_gives_the_same_certificate(self):
         class Budget(int):
@@ -608,16 +579,10 @@ class TestCertify:
             assert len(cert.terms) == terms
             assert entered == {"certify", "_sort_cleared"}
 
-    def test_warm_certify_on_either_route_hits_the_one_entry(self, fresh_leading_data):
-        # the entry is not keyed by the route: after a first call on one
-        # route, a call on either is a hit, and the lookup hashes no route,
-        # so no Python frame of enum.py runs
-        certify(SCHIEMANN, 40, Route.FROM_THETA)
+    def test_certify_on_either_route_runs_no_enum_frame(self):
+        # the route is only checked, by its type, and selects nothing: no
+        # Python frame of enum.py runs on either route
         for route in Route:
-            before = _leading_data.cache_info()
-            certify(SCHIEMANN, 40, route)
-            after = _leading_data.cache_info()
-            assert (after.hits, after.misses) == (before.hits + 1, 1)
             files = set()
 
             def profile(frame, event, arg):
@@ -633,10 +598,10 @@ class TestCertify:
 
     def test_no_polynomial_arithmetic_on_the_hot_path(self, monkeypatch):
         # a warm certify works on the integer chain monomials of its leading
-        # entry: the point is cleared and sorted once per call and the entry
-        # is read once per call; polynomials have no arithmetic, and nothing
-        # builds weights, collapses a whole series or clears the point again
-        names = ("_sort_cleared", "_leading_data", "_weights", "_cleared", "_collapse")
+        # entry: the point is cleared and sorted once per call; polynomials
+        # have no arithmetic, and nothing builds weights, collapses a whole
+        # series or clears the point again
+        names = ("_sort_cleared", "_weights", "_cleared", "_collapse")
         calls = {name: 0 for name in names}
 
         def counted(name, function):
@@ -649,8 +614,9 @@ class TestCertify:
         for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "evaluate"):
             assert not hasattr(ParamPolynomial, name), name
         certify(SCHIEMANN, 40)
-        for name in ("_sort_cleared", "_leading_data"):
-            monkeypatch.setattr(discrepancy, name, counted(name, getattr(discrepancy, name)))
+        monkeypatch.setattr(
+            discrepancy, "_sort_cleared", counted("_sort_cleared", discrepancy._sort_cleared)
+        )
         for name in ("_weights", "_cleared"):
             monkeypatch.setattr(qarith, name, counted(name, getattr(qarith, name)))
         monkeypatch.setattr(
@@ -662,8 +628,7 @@ class TestCertify:
         # the tie points of ``collapse_points`` give two terms
         assert terms == len(points) + len(points) // 4
         assert calls == {
-            "_sort_cleared": len(points), "_leading_data": len(points),
-            "_weights": 0, "_cleared": 0, "_collapse": 0,
+            "_sort_cleared": len(points), "_weights": 0, "_cleared": 0, "_collapse": 0,
         }
 
     def test_budget_below_threshold_rejected(self):
@@ -723,20 +688,23 @@ class TestCertify:
             assert sigma(term.exponent_vector, ordered) == cert.min_exponent
             assert term.value == fraction_evaluate(term.polynomial, ordered)
 
-    def test_one_minimal_vector_pass(self, monkeypatch):
+    def test_certify_builds_no_pair_table(self, monkeypatch):
+        # the stated entry holds the table's two leading rows, which the
+        # anchors prove; certify reads no table and evaluates no kernel
         calls = []
 
-        def counted(budget):
-            calls.append(budget)
-            return minimal_pair_table(budget)
+        def counted(name, function):
+            def call(*args):
+                calls.append(name)
+                return function(*args)
 
-        monkeypatch.setattr(discrepancy, "minimal_pair_table", counted)
-        _leading_data.cache_clear()
-        certify(SCHIEMANN, 40)
-        assert calls == [MIN_PAIR_BUDGET]
-        # the minimal rows are leading data of the route: a warm call reads them
-        certify(SMALL, 40)
-        assert calls == [MIN_PAIR_BUDGET]
+            return call
+
+        for name in ("minimal_pair_table", "minimal_rows", "pair_discrepancy_vector"):
+            monkeypatch.setattr(discrepancy, name, counted(name, getattr(discrepancy, name)))
+        for point in (SCHIEMANN, SMALL, COPRIME):
+            certify(point, 40)
+        assert calls == []
 
     def test_json_dict_round_trips(self):
         cert = certify(SCHIEMANN, 40)
@@ -758,43 +726,22 @@ def check_series_leads_at_the_entry(series: FormalQSeries) -> None:
     """The entry against a series: each row's polynomial is the series'
     coefficient at its exponent, and every other exponent of the series
     lies strictly above a row in the suffix order."""
-    rows = _leading_data()
-    exponents = tuple(e for e, _, _ in rows)
-    for e, poly, _ in rows:
+    exponents = tuple(e for e, _, _ in LEADING_ENTRY)
+    for e, poly, _ in LEADING_ENTRY:
         assert series.coefficient(e) == poly, e
     for e in series.terms:
         assert e in exponents or any(exp_below(f, e) for f in exponents), e
 
 
-@pytest.fixture
-def fresh_leading_data():
-    _leading_data.cache_clear()
-    yield
-    _leading_data.cache_clear()
-
-
 class TestLeadingData:
-    @pytest.mark.parametrize(
-        "budget, route, count",
-        [
-            (40, Route.FROM_PSI_KERNEL, 200),
-            (40, Route.FROM_THETA, 8),
-            (36, Route.FROM_PSI_KERNEL, 8),
-            (44, Route.FROM_PSI_KERNEL, 8),
-        ],
-        ids=["psi-40", "theta-40", "psi-36", "psi-44"],
-    )
-    def test_warm_certificates_equal_cold_ones(self, fresh_leading_data, budget, route, count):
-        points = collapse_points(331, count)
-        certify(SCHIEMANN, budget, route)
-        warm = [certify(p, budget, route).to_json_dict() for p in points]
-        assert _leading_data.cache_info().misses == 1
-        for p, expected in zip(points, warm):
-            _leading_data.cache_clear()
-            assert certify(p, budget, route).to_json_dict() == expected, p
-        # the ties reach the certificate as two terms
-        ties = sum(len(payload["terms"]) == 2 for payload in warm)
-        assert ties >= count // 4
+    def test_rows_are_the_kernels_of_the_minimal_pairs(self):
+        # each stated row is its order-minimal table pair's kernel, in
+        # table order
+        rows = minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET))
+        assert [
+            (row.exponent, ParamPolynomial._of_vector(pair_discrepancy_vector(*row.vectors)))
+            for row in rows
+        ] == [(e, poly) for e, poly, _ in LEADING_ENTRY]
 
     @pytest.mark.parametrize(
         "budget, route, count",
@@ -809,13 +756,12 @@ class TestLeadingData:
     )
     def test_rows_lead_where_the_whole_series_does(self, budget, route, count):
         series = delta_series(budget, route)
-        rows = _leading_data()
-        assert [(e, poly) for e, poly, _ in rows] == [
-            (e, series.coefficient(e)) for e in LEADING_EXPONENTS
+        assert [(e, poly) for e, poly, _ in LEADING_ENTRY] == [
+            (e, series.coefficient(e)) for e, _, _ in LEADING_ENTRY
         ]
         # each row's chain monomial is the one nonzero entry of the chain
         # form of its polynomial
-        for _, poly, (coefficient, u, v) in rows:
+        for _, poly, (coefficient, u, v) in LEADING_ENTRY:
             assert chain_form(mono_vector(poly)) == [
                 coefficient if slot == (u, v) else 0 for slot in QUAD_SLOTS
             ]
@@ -837,24 +783,20 @@ class TestLeadingData:
         ids=["psi-36", "psi-40", "psi-80", "psi-160", "theta-40", "theta-80"],
     )
     def test_whole_series_lies_at_or_above_a_leading_row(self, budget, route):
-        # the entry is built from the pair table alone; its rows are the
-        # series' coefficients, and every other exponent of the series lies
-        # strictly above a row (psi-36 is the comparison the entry build
-        # once made at runtime)
-        series = delta_series(budget, route)
-        assert tuple(e for e, _, _ in _leading_data()) == LEADING_EXPONENTS
-        check_series_leads_at_the_entry(series)
+        # the stated entry's rows are the series' coefficients, and every
+        # other exponent of the series lies strictly above a row
+        check_series_leads_at_the_entry(delta_series(budget, route))
 
     @pytest.mark.parametrize(
-        "leading_data, point, terms",
-        [(cancelling_tie, SCHIEMANN, 2), (zero_second_row, COPRIME, 1)],
+        "entry, point, terms",
+        [(CANCELLING_TIE, SCHIEMANN, 2), (ZERO_SECOND_ROW, COPRIME, 1)],
         ids=["tie", "one-leader"],
     )
-    def test_cancelling_leaders_fail_every_call(self, monkeypatch, leading_data, point, terms):
+    def test_cancelling_leaders_fail_every_call(self, monkeypatch, entry, point, terms):
         # the leaders' values sum to zero, at a tie and at a one-term point,
         # so the collapse does not lead at the least row key
         assert len(certify(point, 40).terms) == terms
-        monkeypatch.setattr(discrepancy, "_leading_data", leading_data)
+        monkeypatch.setattr(discrepancy, "LEADING_ENTRY", entry)
         for route in (*Route, *Route):
             with pytest.raises(
                 AssertionError,
@@ -875,14 +817,13 @@ class TestLeadingData:
     )
     @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
     def test_a_corrupted_route_leaves_its_certificates_unchanged(
-        self, fresh_leading_data, monkeypatch, corrupt, route
+        self, monkeypatch, corrupt, route
     ):
-        # the entry reads no series, so each route's series is an oracle of
+        # certify reads no series, so each route's series is an oracle of
         # the tests: corrupted, it leaves that route's certificates as they
         # were, and fails the tests' comparison with the entry
         points = (SCHIEMANN, COPRIME, SMALL)
         expected = [certify(p, 40, route) for p in points]
-        _leading_data.cache_clear()
         good = delta_series
 
         def series(budget, chosen):
@@ -893,9 +834,7 @@ class TestLeadingData:
         assert corrupted != good(MIN_PAIR_BUDGET)
         with pytest.raises(AssertionError):
             check_series_leads_at_the_entry(corrupted)
-        for _ in range(2):
-            assert [certify(p, 40, route) for p in points] == expected
-        assert _leading_data.cache_info().misses == 1
+        assert [certify(p, 40, route) for p in points] == expected
 
 
 # The chain coordinates x = (x1, x2, x3, x4) of a sorted point: a = x1,
@@ -940,7 +879,7 @@ class TestChainCoordinates:
     @given(admissible_points())
     def test_every_row_value_is_negative_at_a_sorted_point(self, p):
         ordered = ParamPoint(*sorted(p))
-        for _, poly, _ in _leading_data():
+        for _, poly, _ in LEADING_ENTRY:
             assert fraction_evaluate(poly, ordered) < 0, poly
 
     def test_package_chain_map_is_the_checked_one(self):
@@ -949,7 +888,7 @@ class TestChainCoordinates:
     @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
     def test_leading_rows_are_negative_chain_monomials(self, route):
         # each route's budget-36 series, at the one entry's exponents
-        rows = _leading_data()
+        rows = LEADING_ENTRY
         series = delta_series(MIN_PAIR_BUDGET, route)
         chains = {e: chain_form(series.terms[e]) for e, _, _ in rows}
         # -12 x2 x4 and -96 x1 x3
@@ -966,7 +905,7 @@ class TestChainCoordinates:
     def test_a_positive_mutant_row_fails(self):
         # +24(b - a)(d - c) turns the row -12(b - a)(d - c) into +12 x2 x4
         a, b, c, d = VARIABLES
-        (e, poly, _), _ = _leading_data()
+        (e, poly, _), _ = LEADING_ENTRY
         assert e == BOLD_FIRST
         mutant = mono_vector(24 * (b - a) * (d - c) + poly)
         assert chain_form(mutant) == [12 if slot == (1, 3) else 0 for slot in QUAD_SLOTS]
@@ -992,79 +931,82 @@ class TestChainCoordinates:
         ):
             check_chain_form(BOLD_FIRST, [0] * len(QUAD_MONOS))
 
-    def test_a_positive_mutant_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
-        # +24(b - a)(d - c) turns the first row into +12 x2 x4
+    def test_a_positive_mutant_row_fails_its_anchor(self, monkeypatch):
+        # +24(b - a)(d - c) turns the first row's kernel into +12 x2 x4
         a, b, c, d = VARIABLES
+        expected = _certificates()
         _shift_first_row(monkeypatch, mono_vector(24 * (b - a) * (d - c)))
-        for _ in range(2):
-            with pytest.raises(
-                AssertionError,
-                match=r"^coefficient at \(10, 10, 2, 2\) has chain coefficient 12 on x2\*x4$",
-            ):
-                certify(SCHIEMANN, 40)
-        assert _leading_data.cache_info().currsize == 0
+        assert _failures() == {"leading coefficients": (
+            "coefficient at (10, 10, 2, 2) has chain coefficient 12 on x2*x4"
+        )}
+        assert _certificates() == expected
 
-    def test_a_second_chain_monomial_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
-        # -a^2 turns the first row into -12 x2 x4 - x1 x1: still negative at
-        # every sorted point, but not the one monomial that certify values
+    def test_a_second_chain_monomial_fails_its_anchor(self, monkeypatch):
+        # -a^2 turns the first row's kernel into -12 x2 x4 - x1 x1: still
+        # negative at every sorted point, but not the stated row
         a, b, c, d = VARIABLES
         shift = mono_vector(-1 * (a * a))
         assert chain_form(shift) == [-1 if slot == (0, 0) else 0 for slot in QUAD_SLOTS]
+        expected = _certificates()
         _shift_first_row(monkeypatch, shift)
-        for _ in range(2):
-            with pytest.raises(
-                AssertionError,
-                match=r"^coefficient at \(10, 10, 2, 2\) has 2 chain monomials, not one$",
-            ):
-                certify(SCHIEMANN, 40)
-        assert _leading_data.cache_info().currsize == 0
+        assert _failures() == {"leading coefficients": (
+            "coefficient at (10, 10, 2, 2) is -12*b*d + 12*b*c + 12*a*d - 12*a*c - a^2"
+        )}
+        assert _certificates() == expected
 
-    def test_a_third_row_fails_every_entry_build(self, fresh_leading_data, monkeypatch):
-        # certify reads exactly two rows: a repeated first row passes the
-        # chain and monomial checks, but not the count
+    def test_a_third_row_fails_minimal_pairs(self, monkeypatch):
+        # certify reads exactly two rows: a repeated first row is proved by
+        # its kernel, but the table's order-minimal rows are not the entry's
         good = minimal_rows
 
         def rows(table):
             first, second = good(table)
             return first, second, first
 
-        monkeypatch.setattr(discrepancy, "minimal_rows", rows)
-        for _ in range(2):
-            with pytest.raises(
-                AssertionError,
-                match=(
-                    r"^leading rows at \(\(10, 10, 2, 2\), \(25, 5, 5, 1\), \(10, 10, 2, 2\)\) "
-                    r"are not two$"
-                ),
-            ):
-                certify(SCHIEMANN, 40)
-        assert _leading_data.cache_info().currsize == 0
+        expected = _certificates()
+        _patch_both(monkeypatch, "minimal_rows", rows)
+        assert _failures() == {
+            "minimal pairs": "order-minimal rows ((10, 10, 2, 2), (25, 5, 5, 1), (10, 10, 2, 2))"
+        }
+        assert _certificates() == expected
 
-    def test_two_table_rows_at_one_exponent_fail_every_entry_build(
-        self, fresh_leading_data, monkeypatch
-    ):
+    def test_two_table_rows_at_one_exponent_fail_their_anchors(self, monkeypatch):
         # a second table pair at the first row's exponent: the series'
         # coefficient there would be the sum of two kernels, not the one
-        # kernel the entry holds
+        # kernel the entry states, and the second row has no table pair
         good = minimal_rows
 
         def rows(table):
             first, _ = good(table)
             return first, first._replace(i=first.j, j=first.i, vectors=first.vectors[::-1])
 
-        monkeypatch.setattr(discrepancy, "minimal_rows", rows)
-        for _ in range(2):
-            with pytest.raises(
-                AssertionError,
-                match=r"^leading rows at \(\(10, 10, 2, 2\), \(10, 10, 2, 2\)\) share one exponent$",
-            ):
-                certify(SCHIEMANN, 40)
-        assert _leading_data.cache_info().currsize == 0
+        expected = _certificates()
+        _patch_both(monkeypatch, "minimal_rows", rows)
+        assert _failures() == {
+            "minimal pairs": "order-minimal rows ((10, 10, 2, 2), (10, 10, 2, 2))",
+            "leading coefficients": "no order-minimal table row at (25, 5, 5, 1)",
+        }
+        assert _certificates() == expected
+
+
+def _certificates() -> list:
+    return [certify(p, 40, route) for p in (SCHIEMANN, COPRIME, SMALL) for route in Route]
+
+
+def _failures() -> dict:
+    return {r.anchor: r.witness for r in run_verification(MIN_PAIR_BUDGET) if not r.ok}
+
+
+def _patch_both(monkeypatch, name, value):
+    """Replace ``name`` in ``discrepancy``, which defines it, and in
+    ``verification``, whose anchors read it."""
+    for module in (discrepancy, verification):
+        monkeypatch.setattr(module, name, value)
 
 
 def _shift_first_row(monkeypatch, shift):
     """Add ``shift`` to the pair kernel of the first leading row, which the
-    entry build reads."""
+    ``leading coefficients`` anchor reads."""
     good_kernel = pair_discrepancy_vector
 
     def kernel(l, k):
@@ -1073,7 +1015,7 @@ def _shift_first_row(monkeypatch, shift):
             return tuple(x + y for x, y in zip(vector, shift))
         return vector
 
-    monkeypatch.setattr(discrepancy, "pair_discrepancy_vector", kernel)
+    _patch_both(monkeypatch, "pair_discrepancy_vector", kernel)
 
 
 def _moved(x, tau):

@@ -33,7 +33,8 @@ from isopair.qarith import (
     _weights,
     exact,
 )
-from isopair.verification import LEADING_POLYNOMIALS, SCHIEMANN
+from isopair.discrepancy import LEADING_ENTRY
+from isopair.verification import SCHIEMANN
 
 from conftest import VARIABLES, Poly, add_series, admissible_samples, collapse_points, mono_vector
 from conftest import poly_series, scale_series
@@ -183,11 +184,19 @@ def certified_terms() -> tuple:
 
 
 class TestParamPolynomial:
-    def test_leading_polynomials_expand_the_paper_formulas(self):
+    def test_leading_entry_expands_the_paper_formulas(self):
+        # each stated polynomial is the paper's formula, and in the chain
+        # coordinates a = x1, b = x1 + x2, c = x1 + x2 + x3, d = x1 + ... + x4
+        # it is the stated monomial coefficient * x_u * x_v
         a, b, c, d = _SYMS
-        assert [to_sympy(ParamPolynomial(terms)) for terms in LEADING_POLYNOMIALS] == [
+        x = sympy.symbols("x1:5")
+        chain = dict(zip(_SYMS, (sum(x[: i + 1]) for i in range(4))))
+        assert [to_sympy(poly) for _, poly, _ in LEADING_ENTRY] == [
             sympy.expand(-12 * (b - a) * (d - c)),
             sympy.expand(-96 * a * (c - b)),
+        ]
+        assert [sympy.expand(to_sympy(poly).subs(chain)) for _, poly, _ in LEADING_ENTRY] == [
+            coefficient * x[u] * x[v] for _, _, (coefficient, u, v) in LEADING_ENTRY
         ]
 
     def test_zero(self):

@@ -41,7 +41,6 @@ def test_cache_inventory():
             )
     assert caches == {
         "lattices.build_family": 1,
-        "discrepancy._leading_data": 1,
         "codes._echelon_generator_pairs": 1,
         "codes.selfdual_codes": 1,
         "codes._c1_c2": 1,

@@ -13,8 +13,9 @@ pins that, and that its output is the full parser's.  A cold ``verify``
 sums only the class series its anchors read, each once, and spans its
 codes in straight-line F_3 arithmetic, C1 and C2 once for all matching
 calls.  Each command labels L1's shell once per budget it sums, and a
-process keeps no shell or series after the call that built it: of the
-discrepancy layer only the leading entry is cached.
+process keeps no shell or series after the call that built it: the
+discrepancy layer caches nothing, and ``certify`` reads the stated leading
+entry.
 
 A cold command pays no interpreter teardown: the console script and
 ``python -m isopair`` end through ``cli.run``, which runs the ``atexit``
@@ -154,7 +155,7 @@ def test_lazy_exports_still_resolve(probe):
 def test_verify_sums_six_class_series():
     # the six distinct positive class pairs at budget 24, each once, for
     # ``route equivalence``; no anchor reads the 81 ordered label pairs, and
-    # the leading entry reads none
+    # ``leading coefficients`` reads none
     assert json.loads(_fresh(VERIFY_PROBE)) == [24] * 6
 
 
@@ -171,15 +172,15 @@ def test_verify_sums_six_class_series():
     ids=["certify", "certify-160", "certify-theta", "delta-80", "verify-36", "warm-certifies"],
 )
 def test_each_command_labels_each_shell_once(argv, budgets):
-    # the one leading entry is built from the pair table, so a certify
-    # labels no shell at any budget, on either route, and nor does a warm
-    # batch; no caller labels a shell per class pair
+    # certify reads the stated leading entry, so it labels no shell at any
+    # budget, on either route, and nor does a warm batch; no caller labels
+    # a shell per class pair
     assert json.loads(_fresh(f"ARGV = {argv!r}\n{LABEL_PROBE}")) == budgets
 
 
 def test_no_series_outlives_its_use():
-    # certify at eight budgets and a verify: the one discrepancy cache keeps
-    # the leading entry, which holds no series
+    # certify at eight budgets and a verify: the discrepancy layer caches
+    # nothing, and the stated leading entry holds no series
     assert int(_fresh(RETENTION_PROBE)) == 0
 
 

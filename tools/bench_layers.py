@@ -29,7 +29,8 @@ all passes.  The rows, and what one pass is:
   anchors measure one-time costs, so every cache a ``verify`` process fills
   is cleared before each pass (``_clear_caches`` of ``lattices``, ``codes``
   and ``discrepancy``: the lattice family, the code census and its echelon
-  pairs, C1 and C2, and the leading entry).  The cyclic garbage
+  pairs, and C1 and C2; ``discrepancy`` defines none, but a ``--parent``
+  checkout may).  The cyclic garbage
   collector is off in this job from before it calibrates and imports
   ``isopair``: with it on, each anchor row absorbs whichever collection
   happens to fall inside it, so an anchor whose code did not change reads
@@ -38,8 +39,8 @@ all passes.  The rows, and what one pass is:
 * ``theta.theta11_<kernel>`` of L1 at budgets 24 and 36: one call;
 * ``discrepancy.delta_<route>`` at budgets 24 and 36, and the psi route
   alone at budgets 40, 80 and 160: one call.  Each cache that
-  ``discrepancy`` defines (``_clear_caches``; the leading entry) is
-  cleared before each pass, so every call does the work of a first call;
+  ``discrepancy`` defines (``_clear_caches``; none here) is cleared before
+  each pass, so every call does the work of a first call;
 * ``lattices.scan_L1`` at budgets 36 and 80 and ``lattices.scan_L2`` at
   budget 36: one ``Lattice.vectors`` call, which scans afresh;
 * ``lattices.label``: ``coset_label`` of every vector of L1's budget-80
@@ -47,9 +48,9 @@ all passes.  The rows, and what one pass is:
 * ``discrepancy.certify_first`` at budgets 40, 80 and 160: one ``certify``
   call as the first in the process, after ``build_family``.  The caches
   of ``discrepancy`` are cleared before each pass, as for the discrepancy
-  rows, so every call pays the one-time costs of the leading entry (the
-  pair table, its two rows' pair kernels and the checks), which are the
-  same at every budget and on either route;
+  rows, so every call pays what a first call pays.  ``certify`` reads the
+  stated leading entry, so that is only the call itself, the same at every
+  budget and on either route;
 * ``discrepancy.certify_warm`` at budgets 40, 80 and 160: one ``certify``
   call at the budget at each of 200 fixed points, after that first call;
   these random points hold no tie;
