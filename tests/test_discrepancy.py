@@ -505,12 +505,13 @@ class TestCertify:
         assert cert.terms == () and cert.total is None and cert.min_exponent is None
 
     @pytest.mark.parametrize("budget", [40.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
     @pytest.mark.parametrize("point", [ParamPoint(1, 1, 2, 3), SCHIEMANN], ids=["repeated", "distinct"])
-    def test_budget_type_checked_first(self, point, budget):
+    def test_budget_type_checked_first(self, point, route, budget):
         with pytest.raises(TypeError) as shell_error:
             build_family().L1.vectors(budget)
         with pytest.raises(TypeError) as error:
-            certify(point, budget)
+            certify(point, budget, route)
         assert str(error.value) == str(shell_error.value)
 
     @pytest.mark.parametrize(
@@ -742,6 +743,29 @@ class TestLeadingData:
             (row.exponent, ParamPolynomial._of_vector(pair_discrepancy_vector(*row.vectors)))
             for row in rows
         ] == [(e, poly) for e, poly, _ in LEADING_ENTRY]
+
+    @pytest.mark.parametrize(
+        "budget, route, count",
+        [
+            (40, Route.FROM_PSI_KERNEL, 200),
+            (40, Route.FROM_THETA, 8),
+            (36, Route.FROM_PSI_KERNEL, 8),
+            (44, Route.FROM_PSI_KERNEL, 8),
+        ],
+        ids=["psi-40", "theta-40", "psi-36", "psi-44"],
+    )
+    def test_derived_entry_gives_the_stated_certificates(self, monkeypatch, budget, route, count):
+        # the entry built from the pair table, the pair kernels and their
+        # chain forms, as the anchors prove it, certifies every point as the
+        # stated one does
+        points = collapse_points(331, count)
+        stated = [certify(p, budget, route).to_json_dict() for p in points]
+        monkeypatch.setattr(discrepancy, "LEADING_ENTRY", _derived_entry())
+        for p, expected in zip(points, stated):
+            assert certify(p, budget, route).to_json_dict() == expected, p
+        # the ties reach the certificate as two terms
+        ties = sum(len(payload["terms"]) == 2 for payload in stated)
+        assert ties >= count // 4
 
     @pytest.mark.parametrize(
         "budget, route, count",
@@ -987,6 +1011,19 @@ class TestChainCoordinates:
             "leading coefficients": "no order-minimal table row at (25, 5, 5, 1)",
         }
         assert _certificates() == expected
+
+
+def _derived_entry() -> tuple:
+    """The leading entry built from the order-minimal table rows: each
+    row's exponent, its pair kernel as a polynomial, and the one nonzero
+    entry of that kernel's chain form as ``(coefficient, u, v)``."""
+    entry = []
+    for row in minimal_rows(minimal_pair_table(MIN_PAIR_BUDGET)):
+        vector = pair_discrepancy_vector(*row.vectors)
+        chain = check_chain_form(row.exponent, vector)
+        (monomial,) = [(x, u, v) for (u, v), x in zip(QUAD_SLOTS, chain) if x]
+        entry.append((row.exponent, ParamPolynomial._of_vector(vector), monomial))
+    return tuple(entry)
 
 
 def _certificates() -> list:
