@@ -10,8 +10,15 @@ certificate, 1 for any error, including an internal consistency failure.
 ``certify --batch FILE`` (``-`` for stdin) certifies one point per line,
 four rationals as for ``--params``, with ``--format json``: it writes one
 compact json certificate per line, or ``{"line": n, "error": ...}`` for a
-line that is not a point (n counts from 1), and goes on.  Exit status: 1
+line that is not a point (n counts from 1), and goes on.  Input is read as
+UTF-8, and a line that does not decode is such a line.  Exit status: 1
 if any line was bad, else 2 if any certificate was inconclusive, else 0.
+
+Python limits the conversion of an integer to text to 4300 digits by
+default (``PYTHONINTMAXSTRDIGITS`` sets the limit).  A parameter with more
+digits is refused when it is read, and ``certify`` refuses a point whose
+certificate holds a value with more digits, with an error that names the
+limit: exit 1 for one point, that line's error in a batch.
 
 The text above is the ``--help`` description.  A process builds only
 the parser of the command its first argument names (every parser when it
@@ -42,10 +49,10 @@ from fractions import Fraction
 
 from .discrepancy import Route, Verdict, certify, delta_series
 from .lattices import LatticeFamily, build_family
-from .qarith import ParamPoint
+from .qarith import ParamPoint, _ratio
 from .theta import Kernel, collapse_counts, rep_series, theta11
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 class CliError(Exception):
@@ -53,9 +60,12 @@ class CliError(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise CliError(f"not an exact rational: {text!r} (use an integer or p/q)")
-    return Fraction(text)
+    num, den = match.groups()
+    # ``int`` refuses a part longer than Python's digit limit
+    return _ratio(int(num), int(den or 1))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +102,18 @@ def _add_common(parser, params=False, budget=True, batch=False):
 
 def _point(args) -> ParamPoint:
     return ParamPoint(*(parse_rational(x) for x in args.params))
+
+
+def _certificate_json(cert) -> dict:
+    """The certificate's json dict, or the refusal of its point when a value
+    has more digits than Python converts to text (see the module docstring)."""
+    try:
+        return cert.to_json_dict()
+    except ValueError:
+        raise CliError(
+            f"a certificate value exceeds {sys.get_int_max_str_digits()} digits, Python's limit "
+            "for integer string conversion (PYTHONINTMAXSTRDIGITS sets it)"
+        ) from None
 
 
 def _json_text(payload) -> str:
@@ -257,28 +279,39 @@ def cmd_delta(args) -> int:
 
 def _certify_batch(args) -> int:
     """``certify --batch``: read and write a line at a time, so memory
-    does not grow with the input."""
+    does not grow with the input.  The input is decoded with
+    ``surrogateescape``, which keeps a byte that is not UTF-8 as a lone
+    surrogate, so that only its line is refused, with the codec's error."""
     budget, route = args.budget, Route(args.route)
     # certify's own refusal of the budget, made once, before any line is read
     certify(ParamPoint(1, 2, 3, 4), budget, route)
     bad = inconclusive = False
     with ExitStack() as stack:
-        lines = sys.stdin if args.batch == "-" else stack.enter_context(
-            open(args.batch, encoding="utf-8"))
+        if args.batch != "-":
+            lines = stack.enter_context(open(args.batch, encoding="utf-8", errors="surrogateescape"))
+        elif hasattr(sys.stdin, "buffer"):
+            lines = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+            # leaves the buffer open, as it was found
+            stack.callback(lines.detach)
+        else:  # a text stream with no bytes under it, as a test's StringIO
+            lines = sys.stdin
         out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
         for n, line in enumerate(lines, 1):
-            fields = line.split()
             try:
+                if not line.isascii():
+                    # the line's own bytes, decoded strictly: a byte that is
+                    # not UTF-8 raises the codec's error here
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                fields = line.split()
                 if len(fields) != 4:
                     raise CliError(f"expected four rationals, got {len(fields)} fields")
-                point = ParamPoint(*map(parse_rational, fields))
+                cert = certify(ParamPoint(*map(parse_rational, fields)), budget, route)
+                payload = _certificate_json(cert)
             except (CliError, ValueError) as exc:
                 bad = True
                 payload = {"line": n, "error": str(exc)}
             else:
-                cert = certify(point, budget, route)
                 inconclusive = inconclusive or cert.verdict is not Verdict.NON_ISOMETRIC
-                payload = cert.to_json_dict()
             out.write(json.dumps(payload, separators=(",", ":")) + "\n")
     return 1 if bad else 2 if inconclusive else 0
 
@@ -288,6 +321,8 @@ def cmd_certify(args) -> int:
         return _certify_batch(args)
     point = _point(args)
     cert = certify(point, args.budget, Route(args.route))
+    # every value converts to text once the json dict does
+    payload = _certificate_json(cert)
     rows = [
         (" ".join(map(str, t.exponent_vector)), str(t.polynomial), str(t.value))
         for t in cert.terms
@@ -305,7 +340,7 @@ def cmd_certify(args) -> int:
             lines.append(f"  q-exponent {t.exponent_vector}: {t.polynomial} = {t.value}")
         lines.append(f"total leading coefficient: {cert.total}")
     lines.append(f"verdict: {cert.verdict.value}")
-    _render(args, cert.to_json_dict(), ("exponent_vector", "polynomial", "value"), rows, lines)
+    _render(args, payload, ("exponent_vector", "polynomial", "value"), rows, lines)
     return 0 if cert.verdict is Verdict.NON_ISOMETRIC else 2
 
 

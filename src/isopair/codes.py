@@ -130,10 +130,6 @@ class TernaryCode:
     def __contains__(self, w) -> bool:
         return normalize(w) in self.words
 
-    @property
-    def is_selfdual(self) -> bool:
-        return _selfdual_pair(*self.generators)
-
     def intersection_dim(self, other: "TernaryCode") -> int:
         common = len(self.words & other.words)
         return {1: 0, 3: 1, 9: 2}[common]

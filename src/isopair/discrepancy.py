@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
@@ -68,6 +67,7 @@ from .qarith import (
     FormalQSeries,
     ParamPoint,
     ParamPolynomial,
+    _ratio,
     _sort_cleared,
     check_budget,
     exp_below,
@@ -424,7 +424,8 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     value is its chain monomial ``coefficient * X[u] * X[v]`` at the chain
     numerators ``X = (a0, a1-a0, a2-a1, a3-a2)`` of the sorted ``A``,
     ``D^2`` times the coefficient's value.  Fractions are built only for
-    the certificate's outputs.
+    the certificate's outputs, each from its integer pair over ``D`` or
+    ``D^2`` by ``_ratio``: no frame of ``fractions.py`` runs.
 
     The theorem (the paper's): at a pairwise-distinct point the collapsed
     discrepancy leads at the least row key with a negative coefficient.
@@ -454,10 +455,10 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     differs from the one the anchors prove.
 
     A warm call is one flat path: of the package it enters only this
-    function and ``_sort_cleared``.  ``check_budget`` and ``check_route``
-    run only for a budget whose type is not ``int`` or a route whose type is
-    not ``Route``, and each record is built from one tuple, as its
-    constructor builds it.
+    function, ``_sort_cleared`` and ``_ratio``.  ``check_budget`` and
+    ``check_route`` run only for a budget whose type is not ``int`` or a
+    route whose type is not ``Route``, and each record is built from one
+    tuple, as its constructor builds it.
     """
     # the checks live in ``check_budget`` and ``check_route``; an int or a
     # Route passes them, and an Enum with members has no subclass
@@ -493,15 +494,15 @@ def certify(p: ParamPoint, budget: int = 40, route: Route = Route.FROM_PSI_KERNE
     if not coefficient:
         raise AssertionError("collapsed series does not lead at the minimal pair exponent")
     square = D * D
-    total = Fraction(coefficient, square)
+    total = _ratio(coefficient, square)
     if tie:
         terms = (
-            tuple.__new__(CertTerm, (e, poly, Fraction(value, square))),
-            tuple.__new__(CertTerm, (f, fpoly, Fraction(fvalue, square))),
+            tuple.__new__(CertTerm, (e, poly, _ratio(value, square))),
+            tuple.__new__(CertTerm, (f, fpoly, _ratio(fvalue, square))),
         )
     else:
         terms = (tuple.__new__(CertTerm, (e, poly, total)),)
     return tuple.__new__(Certificate, (
         tuple(p), ordered, permutation, budget,
-        Fraction(key, D), terms, total, Verdict.NON_ISOMETRIC,
+        _ratio(key, D), terms, total, Verdict.NON_ISOMETRIC,
     ))

@@ -28,6 +28,11 @@ On that path a Fraction's integers are read from its two slots,
 supported Python, 3.10 to 3.13, and pinned by the tests): ``numerator``,
 ``denominator`` and ``as_integer_ratio`` are Python-level frames of
 ``fractions.py``, and cost a point several times what the slot reads do.
+The slots are written in one place, ``_ratio(n, d)``, which every output
+divided by its integer scale goes through (a collapse, a certificate, a
+parsed command-line rational): for an int ``n`` and an int ``d > 0`` it
+stores the reduced pair that ``Fraction(n, d)`` stores, without the Python
+frames of ``Fraction.__new__``.  Caller input is coerced by ``exact``.
 
 q-exponents are kept as integer 4-tuples (n0, n1, n2, n3) -- the squared
 eigenbasis coordinates of a lattice vector -- and are only turned into
@@ -55,8 +60,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
+from types import MappingProxyType
 
 Expo = tuple[int, int, int, int]
 Mono = tuple[int, int, int, int]
@@ -81,6 +87,15 @@ def exact(x) -> Fraction:
     if isinstance(x, bool):
         raise TypeError(f"refusing bool {x!r}; pass int, Fraction or string")
     return Fraction(x)
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for an int ``n`` and an int ``d > 0``, unchecked:
+    the pair divided by its gcd, written into the two slots."""
+    g = gcd(n, d)
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = n // g, d // g
+    return x
 
 
 def check_budget(budget) -> int:
@@ -208,13 +223,16 @@ class ParamPolynomial:
     four non-negative ints raises ``ValueError``, as an exponent vector
     does, and so does one of degree three or more; a coefficient that is
     not an ``int`` (a Fraction, a float or a bool) raises ``TypeError``.
-    It has no arithmetic (see the module docstring), and instances are
-    immutable by convention.
+    It has no arithmetic (see the module docstring).  An instance is
+    read-only: ``terms`` is a ``MappingProxyType`` over the checked dict,
+    and setting or deleting an attribute raises ``AttributeError``, so the
+    polynomials of ``discrepancy.LEADING_ENTRY``, which every certificate
+    shares, cannot be changed through one of them.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
+    def __new__(cls, terms: Mapping[Mono, int] | None = None):
         if terms is None:
             terms = {}
         elif not isinstance(terms, Mapping):
@@ -228,7 +246,19 @@ class ParamPolynomial:
                 raise TypeError(f"coefficient must be an int, not {type(coeff).__name__}")
             if coeff:
                 clean[mono] = coeff
-        self.terms = clean
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ParamPolynomial is read-only, cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ParamPolynomial is read-only, cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the polynomial from its terms
+        return type(self), (dict(self.terms),)
 
     @classmethod
     def _of_vector(cls, vector: Sequence[int]) -> "ParamPolynomial":
@@ -351,9 +381,8 @@ class FormalQSeries:
         at ``D, A = _cleared(p)``, each divided out once.
         """
         D, A = _cleared(p)
-        return tuple(
-            (Fraction(key, D), Fraction(value, D * D)) for key, value in self._collapse(A)
-        )
+        square = D * D
+        return tuple((_ratio(key, D), _ratio(value, square)) for key, value in self._collapse(A))
 
     def _collapse(self, A: Sequence[int]) -> list[tuple[int, int]]:
         """The collapse at the point cleared to ``(D, A)``, which needs only

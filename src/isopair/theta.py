@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .lattices import Lattice, phi
-from .qarith import QUAD_MONOS, Expo, FormalQSeries, ParamPoint, _cleared
+from .qarith import QUAD_MONOS, Expo, FormalQSeries, ParamPoint, _cleared, _ratio
 
 
 class Kernel(enum.Enum):
@@ -132,7 +132,7 @@ def collapse_counts(counts: dict[Expo, int], p: ParamPoint) -> tuple[tuple[Fract
     for (n0, n1, n2, n3), n in counts.items():
         key = n0 * a0 + n1 * a1 + n2 * a2 + n3 * a3
         merged[key] = merged.get(key, 0) + n
-    return tuple((Fraction(key, D), n) for key, n in sorted(merged.items()))
+    return tuple((_ratio(key, D), n) for key, n in sorted(merged.items()))
 
 
 def _by_norm(vectors) -> list[tuple[int, tuple, Expo]]:

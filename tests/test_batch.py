@@ -14,9 +14,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import isopair
 from isopair.cli import main
@@ -30,9 +34,10 @@ BATCH = ("certify", "--batch", "-", "--format", "json")
 PINNED = json.loads((Path(__file__).parent / "data" / "cert_digests.json").read_text())
 
 
-def _process(*argv: str, stdin: str) -> subprocess.CompletedProcess:
+def _process(*argv: str, stdin: str | bytes) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "isopair", *argv], input=stdin.encode(),
+    data = stdin.encode() if isinstance(stdin, str) else stdin
+    return subprocess.run([sys.executable, "-m", "isopair", *argv], input=data,
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=120)
 
 
@@ -202,3 +207,122 @@ def test_a_reader_that_closes_the_pipe_ends_the_batch_with_one_error_line(tmp_pa
     assert code == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def _batch_file(path: Path) -> tuple[int, list[dict]]:
+    """An in-process batch over the file at ``path``, with its records."""
+    target = path.with_suffix(".jsonl")
+    code = main(["certify", "--batch", str(path), "--format", "json", "--out", str(target)])
+    return code, [json.loads(line) for line in target.read_text(encoding="utf-8").splitlines()]
+
+
+def _decode_error(line: bytes) -> str:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{line!r} decodes")
+
+
+def test_a_line_that_is_not_utf8_is_that_lines_error(tmp_path):
+    # the bad byte lies far past the first chunk the reader decodes, and
+    # every other line, before it and after it, is certified
+    lines = [" ".join(map(str, p)).encode() for p in combinations(range(1, 19), 4)][:2000]
+    lines[1500] = b"1 2 3 \xff4"
+    source = tmp_path / "points.txt"
+    source.write_bytes(b"\n".join(lines) + b"\n")
+    code, records = _batch_file(source)
+    assert code == 1
+    assert len(records) == 2000
+    assert records[1500] == {"line": 1501, "error": _decode_error(lines[1500])}
+    assert "can't decode byte 0xff in position 6" in records[1500]["error"]
+    assert all(r["verdict"] == "NonIsometric" for r in records[:1500] + records[1501:])
+
+
+def test_stdin_that_is_not_utf8_gives_one_error_line():
+    # the process reads its own stdin, and the line's error is the codec's
+    good = b"1 7 13 19\n"
+    proc = _process(*BATCH, stdin=good * 600 + b"\xfe 2 3 4\n" + good)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 602
+    assert records[600] == {"line": 601, "error": _decode_error(b"\xfe 2 3 4")}
+    assert records[599] == records[601]
+
+
+def test_a_batch_leaves_stdin_open(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"1 7 13 19\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(list(BATCH)) == 0
+    assert not stdin.buffer.closed
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NonIsometric"
+
+
+# (y, 2y, 3y, 3y + z) with z < 11y leads at (10, 10, 2, 2) alone, with the
+# value -12 (b - a)(d - c) = -12 y z: 12 * 10**4298 has 4300 digits, Python's
+# default limit, and 12 * 10**4299 has 4301
+Y = 10**2149
+AT_THE_LIMIT, PAST_THE_LIMIT = ((Y, 2 * Y, 3 * Y, 3 * Y + z) for z in (Y, 10 * Y))
+
+
+def test_a_certificate_value_at_the_digit_limit_is_printed(capsys, monkeypatch):
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, err = _run(capsys, monkeypatch, "certify", "--params", *map(str, AT_THE_LIMIT),
+                          "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total"] == str(-12 * Y * Y)
+    assert len(str(12 * Y * Y)) == 4300
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_certificate_value_past_the_digit_limit_refuses_the_point(capsys, monkeypatch, fmt):
+    code, out, err = _run(capsys, monkeypatch, "certify", "--params", *map(str, PAST_THE_LIMIT),
+                          "--format", fmt)
+    message = json.loads(out)["error"] if fmt == "json" else err.removeprefix("error: ")
+    assert code == 1
+    assert message.startswith("a certificate value exceeds 4300 digits")
+
+
+def test_the_digit_limit_refuses_only_its_line_in_a_batch(capsys, monkeypatch):
+    lines = [AT_THE_LIMIT, PAST_THE_LIMIT, (1, 2, 3, "1" * 4300), (1, 2, 3, "1" * 4301), COPRIME]
+    code, out, err = _run(capsys, monkeypatch, *BATCH, stdin=_lines(lines))
+    assert (code, err) == (1, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 5
+    assert [r.get("line") for r in records] == [None, 2, None, 4, None]
+    assert records[0]["total"] == str(-12 * Y * Y)
+    assert records[1]["error"].startswith("a certificate value exceeds 4300 digits")
+    # a 4300-digit parameter is read: (1, 2, 3, d) leads at (25, 5, 5, 1),
+    # whose value -96 a (c - b) is short
+    assert (records[2]["params"][3], records[2]["total"]) == ("1" * 4300, "-96")
+    # a longer parameter is refused when it is read, with Python's own message
+    assert "4300" in records[3]["error"] and "integer string conversion" in records[3]["error"]
+    assert records[4]["verdict"] == "NonIsometric"
+
+
+# the line kinds of the contract: a certificate, an inconclusive one, or an error
+_LINES = {
+    "good": st.sampled_from([b"1 7 13 19", b"3/4 1/2 5 9", b"2 3 5 7", b"13/4 1/7 5/11 2/9",
+                             b" 4 3\t2 1 "]),
+    "inconclusive": st.sampled_from([b"1 1 2 3", b"2/2 1 3 4", b"5 5 5 5"]),
+    "bad": st.sampled_from([b"", b"1 7 13", b"1 2 x 4", b"1.5 2 3 4", b"0 1 2 3", b"1 2 3 4 5",
+                            b"1/0 2 3 4", b"-1 2 3 4", "1 2 3 \u0664".encode(), b"1 2 3 4\xff",
+                            b"\xff", b"1 2 3 " + b"9" * 4301]),
+}
+
+
+@given(st.lists(st.sampled_from(sorted(_LINES)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _LINES[kind])), max_size=12))
+def test_each_input_line_gives_one_record_and_the_exit_rule_holds(lines):
+    with tempfile.TemporaryDirectory() as folder:
+        source = Path(folder) / "points.txt"
+        source.write_bytes(b"".join(line + b"\n" for _, line in lines))
+        code, records = _batch_file(source)
+    kinds = [kind for kind, _ in lines]
+    assert len(records) == len(lines)
+    for n, (kind, record) in enumerate(zip(kinds, records), 1):
+        if kind == "bad":
+            assert record.keys() == {"line", "error"} and record["line"] == n
+        else:
+            assert record["verdict"] == ("NonIsometric" if kind == "good" else "Inconclusive")
+    assert code == (1 if "bad" in kinds else 2 if "inconclusive" in kinds else 0)

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isopair import cli
 from isopair.cli import main
@@ -136,6 +138,46 @@ class TestInvariantAndDelta:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "not an integer" in err
+
+
+def _same_fraction(x, y) -> bool:
+    return (type(x), x._numerator, x._denominator, x, hash(x), str(x)) == (
+        type(y), y._numerator, y._denominator, y, hash(y), str(y))
+
+
+class TestParseRational:
+    """A field is built from the integer pieces of its match, and equals the
+    ``Fraction`` of its text."""
+
+    # the line grammar: an optional sign, ASCII digits (leading zeros
+    # included) and an optional ``/`` with a denominator that is not zero
+    fields = st.builds(
+        lambda sign, num, den: sign + num + (f"/{den}" if den else ""),
+        st.sampled_from(["", "+", "-"]),
+        st.from_regex(r"[0-9]{1,40}", fullmatch=True) | st.integers(0, 10**4299).map(str),
+        st.none() | st.from_regex(r"[1-9][0-9]{0,40}", fullmatch=True)
+        | st.integers(1, 10**4299).map(str),
+    )
+
+    @given(fields)
+    def test_matches_the_fraction_of_the_text(self, text):
+        assert _same_fraction(cli.parse_rational(text), Fraction(text))
+
+    @pytest.mark.parametrize(
+        "text", ["", "1.5", " 1", "1 ", "1_000", "1/0", "1/-2", "1/+2", "+-1", "/2", "1/", "0x10",
+                 "\u0663", "1e3", "nan", "1/2/3"])
+    def test_refuses_what_is_not_the_grammar(self, text):
+        with pytest.raises(cli.CliError, match="^not an exact rational: "):
+            cli.parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301])
+    def test_refuses_a_part_past_the_digit_limit_as_fraction_does(self, text):
+        with pytest.raises(ValueError) as parsed:
+            cli.parse_rational(text)
+        with pytest.raises(ValueError) as fraction:
+            Fraction(text)
+        assert str(parsed.value) == str(fraction.value)
+        assert "4300" in str(parsed.value)
 
 
 class TestCertify:

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import re
 import sys
@@ -6,10 +8,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isopair import (
@@ -29,6 +32,7 @@ from isopair.qarith import (
     QUAD_MONOS,
     QUAD_SLOTS,
     _cleared,
+    _ratio,
     _sort_cleared,
     _weights,
     exact,
@@ -299,6 +303,92 @@ class TestParamPolynomial:
     def test_rejects_pairs_for_a_mapping(self):
         with pytest.raises(TypeError, match=r"^terms must be a mapping, got list$"):
             ParamPolynomial([((1, 0, 0, 0), 1)])
+
+
+def _assign(poly):
+    poly.terms[(2, 0, 0, 0)] = 7
+
+
+def _delete(poly):
+    del poly.terms[next(iter(poly.terms))]
+
+
+def _clear(poly):
+    poly.terms.clear()
+
+
+def _rebind(poly):
+    poly.terms = {(2, 0, 0, 0): 7}
+
+
+def _unbind(poly):
+    del poly.terms
+
+
+@pytest.fixture
+def leading_entry_kept():
+    """The leading entry's terms, put back after the test if it changed them."""
+    kept = [(poly, dict(poly.terms)) for _, poly, _ in LEADING_ENTRY]
+    yield kept
+    for poly, terms in kept:
+        if dict(getattr(poly, "terms", {})) != terms:
+            object.__setattr__(poly, "terms", terms)
+
+
+class TestReadOnlyPolynomial:
+    """Every certificate shares the polynomials of ``LEADING_ENTRY``, so none
+    of them can be changed through a certificate."""
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [(_assign, TypeError), (_delete, TypeError), (_clear, AttributeError),
+         (_rebind, AttributeError), (_unbind, AttributeError)],
+        ids=["assign", "del", "clear", "rebind", "unbind"],
+    )
+    def test_a_certificates_polynomial_refuses_a_change(self, leading_entry_kept, change, error):
+        following = certify(ParamPoint(1, 2, 3, 5)).to_json_dict()
+        entry = [str(poly) for _, poly, _ in LEADING_ENTRY]
+        with pytest.raises(error):
+            change(certify(ParamPoint(1, 2, 3, 4)).terms[0].polynomial)
+        assert certify(ParamPoint(1, 2, 3, 5)).to_json_dict() == following
+        assert [str(poly) for _, poly, _ in LEADING_ENTRY] == entry
+        assert [dict(poly.terms) for poly, _ in leading_entry_kept] == [
+            terms for _, terms in leading_entry_kept]
+
+    def test_the_constructor_keeps_no_reference_to_its_mapping(self):
+        terms = {(1, 0, 0, 0): 2}
+        poly = ParamPolynomial(terms)
+        terms[(1, 0, 0, 0)] = 3
+        assert poly.terms == {(1, 0, 0, 0): 2}
+
+    def test_views_keep_their_results(self):
+        poly = LEADING_ENTRY[1][1]
+        assert poly.as_pairs() == (((1, 0, 1, 0), -96), ((1, 1, 0, 0), 96))
+        assert repr(poly) == "ParamPolynomial(-96*a*c + 96*a*b)"
+        assert poly == ParamPolynomial({(1, 1, 0, 0): 96, (1, 0, 1, 0): -96})
+        assert hash(poly) == hash(poly.as_pairs())
+
+    def test_a_certificate_pickles_and_copies(self):
+        cert = certify(SCHIEMANN)
+        assert pickle.loads(pickle.dumps(cert)) == cert
+        assert copy.deepcopy(cert) == cert
+        assert type(copy.copy(cert.terms[0].polynomial).terms) is MappingProxyType
+
+
+class TestRatio:
+    """``_ratio(n, d)`` is ``Fraction(n, d)``, built from its reduced pair."""
+
+    @given(st.integers() | st.integers(-(10**4000), 10**4000),
+           st.integers(1, 10**6) | st.integers(1, 10**4000))
+    @example(0, 1)
+    @example(0, 7)
+    @example(-6, 4)
+    @example(-(10**3000) - 1, 10**2000)
+    def test_is_the_fraction_of_the_pair(self, n, d):
+        x, y = _ratio(n, d), Fraction(n, d)
+        assert type(x) is type(y) is Fraction
+        assert (x._numerator, x._denominator) == (y._numerator, y._denominator)
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
 
 
 REST = (0,) * (len(QUAD_MONOS) - 1)
